@@ -318,7 +318,7 @@ fn critical_path_report(path: &str, trace: &obs::ParsedTrace) -> String {
     let mut seen: BTreeSet<(u64, Vec<u64>)> = BTreeSet::new();
     let mut delivered: Vec<(obs::TraceCtx, u64)> = Vec::new();
     for span in &trace.spans {
-        match span.name.as_str() {
+        match span.name.as_ref() {
             "trace.decide" => {
                 if let Some(node) = arg(span, "node") {
                     deciders.insert(node);
@@ -1471,10 +1471,10 @@ mod tests {
     #[test]
     fn critical_path_walks_deepest_chain_to_the_decider() {
         let mut o = obs::Obs::enabled();
-        let mut span = |name: &str, mut args: Vec<(String, u64)>, node: u64, clock: u64| {
-            args.push(("node".to_string(), node));
+        let mut span = |name: &'static str, mut args: Vec<(obs::Label, u64)>, node, clock| {
+            args.push(("node".into(), node));
             o.record_span(obs::SpanRecord {
-                name: name.to_string(),
+                name: name.into(),
                 args,
                 logical: clock,
                 wall_nanos: 0,
@@ -1489,7 +1489,7 @@ mod tests {
         // The three-hop relay is delivered but its middle hop was never
         // seen as a send (e.g. the relaying node ran untraced).
         span("trace.deliver", deep.span_args(), 2, 3);
-        span("trace.decide", vec![("instance".to_string(), 0)], 2, 4);
+        span("trace.decide", vec![("instance".into(), 0)], 2, 4);
         let trace = obs::parse_trace(&obs::jsonl(&o)).unwrap();
         let out = critical_path_report("t", &trace);
         assert!(
@@ -1513,9 +1513,9 @@ mod tests {
         let mut o = obs::Obs::enabled();
         let ctx = obs::TraceCtx::new(0, vec![0]);
         let mut args = ctx.span_args();
-        args.push(("node".to_string(), 0));
+        args.push(("node".into(), 0));
         o.record_span(obs::SpanRecord {
-            name: "trace.send".to_string(),
+            name: "trace.send".into(),
             args,
             logical: 1,
             wall_nanos: 0,

@@ -75,6 +75,22 @@ pub enum Strategy<V> {
     },
 }
 
+/// Sending a fabricated (or truthful) value to one receiver, given the
+/// sending node's strategy (`None` for a fault-free node); Silent
+/// strategies suppress the message entirely.
+pub(crate) fn claim_for<V: Clone + Hash>(
+    strategy: Option<&Strategy<V>>,
+    child: &Path,
+    receiver: NodeId,
+    truthful: &AgreementValue<V>,
+) -> Option<AgreementValue<V>> {
+    match strategy {
+        None => Some(truthful.clone()),
+        Some(Strategy::Silent) => None,
+        Some(s) => Some(s.claim(child, receiver, truthful)),
+    }
+}
+
 impl<V: Clone + Hash> Strategy<V> {
     /// The value this strategy claims for `path` addressed to `receiver`,
     /// given the value an honest node would have relayed.

@@ -851,10 +851,10 @@ impl EigEngine {
                 level_votes += e + h;
                 if timed_chunks {
                     obs.record_span(SpanRecord {
-                        name: "eig.resolve_chunk".to_string(),
+                        name: "eig.resolve_chunk".into(),
                         args: vec![
-                            ("level".to_string(), level as u64),
-                            ("chunk".to_string(), chunk as u64),
+                            ("level".into(), level as u64),
+                            ("chunk".into(), chunk as u64),
                         ],
                         logical: e + h,
                         wall_nanos,
@@ -1314,7 +1314,7 @@ mod tests {
     #[test]
     fn observed_run_records_fill_and_level_spans_and_counters() {
         let obs = observed_run(1, false);
-        let names: Vec<&str> = obs.spans().iter().map(|s| s.name.as_str()).collect();
+        let names: Vec<&str> = obs.spans().iter().map(|s| s.name.as_ref()).collect();
         // One fill span, then one resolve span per level, deepest first.
         assert_eq!(
             names,
@@ -1370,13 +1370,13 @@ mod tests {
         // Chunk logical costs partition the owning level's span.
         let level1_total: u64 = chunks
             .iter()
-            .filter(|s| s.args.contains(&("level".to_string(), 1)))
+            .filter(|s| s.args.contains(&("level".into(), 1)))
             .map(|s| s.logical)
             .sum();
         let level1_span = with
             .spans()
             .iter()
-            .find(|s| s.name == "eig.resolve_level" && s.args.contains(&("level".to_string(), 1)))
+            .find(|s| s.name == "eig.resolve_level" && s.args.contains(&("level".into(), 1)))
             .unwrap();
         assert_eq!(level1_total, level1_span.logical);
     }

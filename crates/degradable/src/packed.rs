@@ -432,10 +432,10 @@ pub(crate) fn resolve_packed<V: Clone + Ord>(
             level_votes += e + h;
             if timed_chunks {
                 obs.record_span(SpanRecord {
-                    name: "eig.resolve_chunk".to_string(),
+                    name: "eig.resolve_chunk".into(),
                     args: vec![
-                        ("level".to_string(), level as u64),
-                        ("chunk".to_string(), chunk as u64),
+                        ("level".into(), level as u64),
+                        ("chunk".into(), chunk as u64),
                     ],
                     logical: e + h,
                     wall_nanos,

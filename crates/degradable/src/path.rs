@@ -14,17 +14,43 @@
 
 use serde::{Deserialize, Serialize};
 use simnet::NodeId;
+use std::cmp::Ordering;
 use std::fmt;
+use std::hash::{Hash, Hasher};
+
+/// Longest path stored inline. BYZ(m, u) paths have at most `m + 1`
+/// nodes, so `m ≤ 3` — every shape the experiments and the benchmark run —
+/// never touches the heap; deeper trees spill to a `Vec`.
+const INLINE_CAP: usize = 4;
+
+/// Storage of a [`Path`]: a path travels in every protocol envelope and is
+/// cloned and extended once per relay, so the short ones live in the value
+/// itself.
+#[derive(Clone, Serialize, Deserialize)]
+enum Repr {
+    /// `nodes[..len]` is the path; the rest is padding.
+    Inline {
+        len: u8,
+        nodes: [NodeId; INLINE_CAP],
+    },
+    /// Paths longer than [`INLINE_CAP`].
+    Spilled(Vec<NodeId>),
+}
 
 /// A relay path: a non-empty sequence of distinct node ids starting with
 /// the original sender.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub struct Path(Vec<NodeId>);
+///
+/// Equality, ordering and hashing are those of the node sequence
+/// ([`Path::as_slice`]), whichever way it is stored.
+#[derive(Clone, Serialize, Deserialize)]
+pub struct Path(Repr);
 
 impl Path {
     /// The root path `[sender]`.
     pub fn root(sender: NodeId) -> Self {
-        Path(vec![sender])
+        let mut nodes = [NodeId::new(0); INLINE_CAP];
+        nodes[0] = sender;
+        Path(Repr::Inline { len: 1, nodes })
     }
 
     /// Extends the path with relayer `j`.
@@ -35,14 +61,27 @@ impl Path {
     #[must_use]
     pub fn child(&self, j: NodeId) -> Self {
         assert!(!self.contains(j), "node {j} already on path {self}");
-        let mut v = self.0.clone();
-        v.push(j);
-        Path(v)
+        match &self.0 {
+            Repr::Inline { len, nodes } if usize::from(*len) < INLINE_CAP => {
+                let mut nodes = *nodes;
+                nodes[usize::from(*len)] = j;
+                Path(Repr::Inline {
+                    len: len + 1,
+                    nodes,
+                })
+            }
+            _ => {
+                let mut v = Vec::with_capacity(self.len() + 1);
+                v.extend_from_slice(self.as_slice());
+                v.push(j);
+                Path(Repr::Spilled(v))
+            }
+        }
     }
 
     /// Number of nodes on the path (`>= 1`).
     pub fn len(&self) -> usize {
-        self.0.len()
+        self.as_slice().len()
     }
 
     /// Paths are never empty; provided for clippy-compliant API symmetry.
@@ -52,23 +91,26 @@ impl Path {
 
     /// The original sender (first element).
     pub fn sender(&self) -> NodeId {
-        self.0[0]
+        self.as_slice()[0]
     }
 
     /// The most recent relayer (last element) — the "sender" of the
     /// sub-instance this path identifies.
     pub fn last(&self) -> NodeId {
-        *self.0.last().expect("paths are non-empty")
+        *self.as_slice().last().expect("paths are non-empty")
     }
 
     /// Whether `node` occurs anywhere on the path.
     pub fn contains(&self, node: NodeId) -> bool {
-        self.0.contains(&node)
+        self.as_slice().contains(&node)
     }
 
     /// The node ids on the path, in relay order.
     pub fn as_slice(&self) -> &[NodeId] {
-        &self.0
+        match &self.0 {
+            Repr::Inline { len, nodes } => &nodes[..usize::from(*len)],
+            Repr::Spilled(v) => v,
+        }
     }
 
     /// All extensions of this path by one relayer, drawn from a system of
@@ -81,10 +123,56 @@ impl Path {
     }
 }
 
+impl fmt::Debug for Path {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_tuple("Path").field(&self.as_slice()).finish()
+    }
+}
+
+impl PartialEq for Path {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl Eq for Path {}
+
+impl PartialOrd for Path {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Path {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.as_slice().cmp(other.as_slice())
+    }
+}
+
+impl Hash for Path {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.as_slice().hash(state);
+    }
+}
+
+/// The receivers of `me`'s relay of `path`, each paired with its own copy
+/// of the child path `path + [me]` — the last copy is the original, moved.
+/// `path` must be a valid label over `n` nodes that does not contain `me`.
+pub(crate) fn relay_fanout<'a>(
+    path: &'a Path,
+    me: NodeId,
+    n: usize,
+) -> impl Iterator<Item = (NodeId, Path)> + 'a {
+    debug_assert!(!path.contains(me) && path.as_slice().iter().all(|v| v.index() < n));
+    NodeId::all(n)
+        .filter(move |r| *r != me && !path.contains(*r))
+        .zip(std::iter::repeat_n(path.child(me), n - path.len() - 1))
+}
+
 impl fmt::Display for Path {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "[")?;
-        for (i, v) in self.0.iter().enumerate() {
+        for (i, v) in self.as_slice().iter().enumerate() {
             if i > 0 {
                 write!(f, ",")?;
             }

@@ -16,11 +16,11 @@
 //! Invalid envelopes are dropped, which maps any protocol-confused faulty
 //! node onto the silent/absent case.
 
-use crate::adversary::Strategy;
+use crate::adversary::{claim_for, Strategy};
 use crate::byz::ByzInstance;
 use crate::conditions::RunRecord;
 use crate::eig::EigView;
-use crate::path::Path;
+use crate::path::{relay_fanout, Path};
 use crate::value::AgreementValue;
 use simnet::{NodeId, RoundEngine, Topology};
 use std::collections::BTreeMap;
@@ -164,28 +164,15 @@ fn run_protocol_inner<V: Clone + Ord + Hash + Send + Sync>(
     let eig_engine = instance.engine();
     let mut store = crate::engine::EigStore::new(eig_engine.arena());
 
-    // Sending a fabricated (or truthful) value to one receiver; Silent
-    // strategies suppress the message entirely.
-    let claim_for = |me: NodeId,
-                     child: &Path,
-                     receiver: NodeId,
-                     truthful: &AgreementValue<V>|
-     -> Option<AgreementValue<V>> {
-        match strategies.get(&me) {
-            None => Some(truthful.clone()),
-            Some(Strategy::Silent) => None,
-            Some(s) => Some(s.claim(child, receiver, truthful)),
-        }
-    };
-
     let fill_start = std::time::Instant::now();
     let mut net = engine.run_with(depth + 1, |i, ctx| {
         let me = NodeId::new(i);
         let round = ctx.round();
+        let strategy = strategies.get(&me);
         // 1. Record this round's deliveries (level = round).
         let mut to_relay: Vec<(Path, AgreementValue<V>)> = Vec::new();
         if round >= 1 {
-            for (src, msg) in ctx.inbox().to_vec() {
+            for (src, msg) in ctx.take_inbox() {
                 // A path of level `< round` is an envelope the network
                 // delivered late (link reordering): its relay slot has
                 // passed, but the direct observation is still genuine, so
@@ -223,7 +210,7 @@ fn run_protocol_inner<V: Clone + Ord + Hash + Send + Sync>(
                     if r == sender {
                         continue;
                     }
-                    if let Some(v) = claim_for(me, &root, r, sender_value) {
+                    if let Some(v) = claim_for(strategy, &root, r, sender_value) {
                         ctx.send(
                             r,
                             ByzMsg {
@@ -236,16 +223,12 @@ fn run_protocol_inner<V: Clone + Ord + Hash + Send + Sync>(
             }
         } else {
             for (path, value) in to_relay {
-                let child = path.child(me);
-                for r in NodeId::all(n) {
-                    if child.contains(r) {
-                        continue;
-                    }
-                    if let Some(v) = claim_for(me, &child, r, &value) {
+                for (r, child) in relay_fanout(&path, me, n) {
+                    if let Some(v) = claim_for(strategy, &child, r, &value) {
                         ctx.send(
                             r,
                             ByzMsg {
-                                path: child.clone(),
+                                path: child,
                                 value: v,
                             },
                         );

@@ -45,11 +45,11 @@
 //! differential oracle and the one-at-a-time fold baseline measured by
 //! experiment E16 (`bench/src/bin/batch_throughput.rs`).
 
-use crate::adversary::Strategy;
+use crate::adversary::{claim_for, Strategy};
 use crate::eig::{prunable_path, EigView};
 use crate::engine::{EigEngine, EigStore};
 use crate::params::Params;
-use crate::path::Path;
+use crate::path::{relay_fanout, Path};
 use crate::value::AgreementValue;
 use obs::{Obs, SpanRecord};
 use simnet::{EigPerf, NodeId, RoundEngine, Topology};
@@ -156,22 +156,6 @@ pub enum BatchTraceEvent<V> {
         /// Every send of this instance at this close.
         sends: Vec<(NodeId, Path, AgreementValue<V>)>,
     },
-}
-
-/// Sending a fabricated (or truthful) value to one receiver; Silent
-/// strategies suppress the message entirely.
-fn claim_for<V: Clone + Ord + Hash>(
-    strategies: &BTreeMap<NodeId, Strategy<V>>,
-    me: NodeId,
-    child: &Path,
-    receiver: NodeId,
-    truthful: &AgreementValue<V>,
-) -> Option<AgreementValue<V>> {
-    match strategies.get(&me) {
-        None => Some(truthful.clone()),
-        Some(Strategy::Silent) => None,
-        Some(s) => Some(s.claim(child, receiver, truthful)),
-    }
 }
 
 fn check_batch_bounds<V>(params: Params, n: usize, instances: &[BatchInstance<V>]) {
@@ -431,15 +415,15 @@ fn run_batch_core<V: Clone + Ord + Hash + Send + Sync>(
         .map(|(k, _)| EigStore::new(engines[engine_idx[k]].arena()))
         .collect();
 
+    let mut net = engine_setup(RoundEngine::new(Topology::complete(n), seed));
     let run = fill_and_resolve(
         params,
         n,
         instances,
         strategies,
-        seed,
+        &mut net,
         early_stop,
         trace,
-        engine_setup,
         obs,
         &engines,
         &engine_idx,
@@ -451,9 +435,10 @@ fn run_batch_core<V: Clone + Ord + Hash + Send + Sync>(
 }
 
 /// The execution shared by the one-shot batch entry points and the
-/// persistent [`ServiceState`]: one multiplexed fill over the provided
-/// (fresh or pooled) engines and stores, then one memoized bottom-up
-/// resolve per instance. With `shard_workers > 1` the resolution is
+/// persistent [`ServiceState`]: one multiplexed fill on the provided
+/// (fresh or long-lived) network `engine` over the provided (fresh or
+/// pooled) engines and stores, then one memoized bottom-up resolve per
+/// instance. With `shard_workers > 1` the resolution is
 /// sharded *by sender* across worker threads — every instance of a
 /// sender resolves on the thread that owns its arena — and results are
 /// folded back in instance order, so decisions, deterministic counters
@@ -466,10 +451,9 @@ fn fill_and_resolve<V: Clone + Ord + Hash + Send + Sync>(
     n: usize,
     instances: &[BatchInstance<V>],
     strategies: &BTreeMap<NodeId, Strategy<V>>,
-    seed: u64,
+    engine: &mut RoundEngine<BatchMsg<V>>,
     early_stop: bool,
     mut trace: Option<&mut dyn FnMut(BatchTraceEvent<V>)>,
-    engine_setup: impl FnOnce(RoundEngine<BatchMsg<V>>) -> RoundEngine<BatchMsg<V>>,
     obs: &mut Obs,
     engines: &[EigEngine],
     engine_idx: &[usize],
@@ -486,7 +470,6 @@ fn fill_and_resolve<V: Clone + Ord + Hash + Send + Sync>(
     // instance that incurred it.
     let mut inst_sent: Vec<u64> = vec![0; instances.len()];
 
-    let mut engine = engine_setup(RoundEngine::new(Topology::complete(n), seed));
     let fill_timer = obs.span(
         "batch.fill",
         vec![
@@ -499,6 +482,7 @@ fn fill_and_resolve<V: Clone + Ord + Hash + Send + Sync>(
     let mut net = engine.run_with(depth + 1, |i, ctx| {
         let me = NodeId::new(i);
         let round = ctx.round();
+        let strategy = strategies.get(&me);
         let mut traced_sends: Vec<Vec<(NodeId, Path, AgreementValue<V>)>> = if trace.is_some() {
             vec![Vec::new(); instances.len()]
         } else {
@@ -507,7 +491,7 @@ fn fill_and_resolve<V: Clone + Ord + Hash + Send + Sync>(
         // 1. Record this round's deliveries (level = round).
         let mut to_relay: Vec<(u32, Path, AgreementValue<V>)> = Vec::new();
         if round >= 1 {
-            for (src, msg) in ctx.inbox().to_vec() {
+            for (src, msg) in ctx.take_inbox() {
                 let idx = msg.instance as usize;
                 if idx < instances.len() {
                     if let Some(trace) = trace.as_deref_mut() {
@@ -570,7 +554,7 @@ fn fill_and_resolve<V: Clone + Ord + Hash + Send + Sync>(
                     if r == me {
                         continue;
                     }
-                    if let Some(v) = claim_for(strategies, me, &root, r, &inst.value) {
+                    if let Some(v) = claim_for(strategy, &root, r, &inst.value) {
                         if !traced_sends.is_empty() {
                             traced_sends[idx].push((r, root.clone(), v.clone()));
                         }
@@ -595,12 +579,8 @@ fn fill_and_resolve<V: Clone + Ord + Hash + Send + Sync>(
                 if early_stop && prunable_path(&path, &faulty) {
                     continue;
                 }
-                let child = path.child(me);
-                for r in NodeId::all(n) {
-                    if child.contains(r) {
-                        continue;
-                    }
-                    if let Some(v) = claim_for(strategies, me, &child, r, &value) {
+                for (r, child) in relay_fanout(&path, me, n) {
+                    if let Some(v) = claim_for(strategy, &child, r, &value) {
                         if !traced_sends.is_empty() {
                             traced_sends[instance as usize].push((r, child.clone(), v.clone()));
                         }
@@ -609,7 +589,7 @@ fn fill_and_resolve<V: Clone + Ord + Hash + Send + Sync>(
                             r,
                             BatchMsg {
                                 instance,
-                                path: child.clone(),
+                                path: child,
                                 value: v,
                             },
                         );
@@ -684,56 +664,79 @@ fn fill_and_resolve<V: Clone + Ord + Hash + Send + Sync>(
     // m < f ≤ u). The regime-prefixed histograms let a sweep that mixes
     // regimes across *batches* compare their latency profiles from one
     // merged registry.
-    let regime = if faulty.len() <= params.m() {
-        "full"
+    let [regime_messages, regime_logical, regime_instances] = if faulty.len() <= params.m() {
+        [
+            "svc.regime.full.messages",
+            "svc.regime.full.logical",
+            "svc.regime.full.instances",
+        ]
     } else {
-        "degraded"
+        [
+            "svc.regime.degraded.messages",
+            "svc.regime.degraded.logical",
+            "svc.regime.degraded.instances",
+        ]
     };
-    let regime_messages = format!("svc.regime.{regime}.messages");
-    let regime_logical = format!("svc.regime.{regime}.logical");
-    let regime_instances = format!("svc.regime.{regime}.instances");
     let mut decisions = Vec::with_capacity(instances.len());
     let mut agg = EigPerf::default();
+    // Per-instance logical cost and resolve wall, for the histograms.
+    let attributed = if timing { instances.len() } else { 0 };
+    let mut logicals = Vec::with_capacity(attributed);
+    let mut walls = Vec::with_capacity(attributed);
     for (k, inst) in instances.iter().enumerate() {
         let (resolved_k, wall_k) = resolved[k].take().expect("every instance resolves");
-        let logical_k = resolved_k.perf.votes_evaluated + resolved_k.perf.votes_memo_hit;
-        obs.record_span(SpanRecord {
-            name: "batch.resolve".to_string(),
-            args: vec![
-                ("instance".to_string(), k as u64),
-                ("sender".to_string(), inst.sender.index() as u64),
-            ],
-            logical: logical_k,
-            wall_nanos: wall_k,
-        });
-
-        // End-to-end attribution for instance `k`: ingest (fill sends) to
-        // decision (resolve), as message count, deterministic logical
-        // cost, and wall latency (resolve share; the fill is batch-shared
-        // and reported by the `batch.fill` span).
-        obs.observe("svc.instance.messages", SVC_MSG_BOUNDS, inst_sent[k]);
-        obs.observe("svc.instance.logical", SVC_LOGICAL_BOUNDS, logical_k);
-        obs.observe("svc.instance.wall_ns", SVC_WALL_BOUNDS, wall_k);
-        obs.observe(&regime_messages, SVC_MSG_BOUNDS, inst_sent[k]);
-        obs.observe(&regime_logical, SVC_LOGICAL_BOUNDS, logical_k);
-        obs.add(&regime_instances, 1);
-        // The decision anchor of the causal chain: `trace.send` /
-        // `trace.deliver` spans (transport layer) lead here.
-        obs.record_span(SpanRecord {
-            name: "trace.decide".to_string(),
-            args: vec![
-                ("instance".to_string(), k as u64),
-                ("deciders".to_string(), resolved_k.decisions.len() as u64),
-            ],
-            logical: logical_k,
-            wall_nanos: wall_k,
-        });
+        // With the recorder off there is nobody to attribute to: skip
+        // building the span records altogether.
+        if timing {
+            let logical_k = resolved_k.perf.votes_evaluated + resolved_k.perf.votes_memo_hit;
+            logicals.push(logical_k);
+            walls.push(wall_k);
+            obs.record_span(SpanRecord {
+                name: "batch.resolve".into(),
+                args: vec![
+                    ("instance".into(), k as u64),
+                    ("sender".into(), inst.sender.index() as u64),
+                ],
+                logical: logical_k,
+                wall_nanos: wall_k,
+            });
+            // The decision anchor of the causal chain: `trace.send` /
+            // `trace.deliver` spans (transport layer) lead here.
+            obs.record_span(SpanRecord {
+                name: "trace.decide".into(),
+                args: vec![
+                    ("instance".into(), k as u64),
+                    ("deciders".into(), resolved_k.decisions.len() as u64),
+                ],
+                logical: logical_k,
+                wall_nanos: wall_k,
+            });
+        }
 
         agg.absorb(&resolved_k.perf);
         decisions.push(resolved_k.decisions);
     }
     agg.fill_nanos = fill_nanos;
     net.eig = agg;
+
+    // End-to-end attribution per instance: ingest (fill sends) to decision
+    // (resolve), as message count, deterministic logical cost, and wall
+    // latency (resolve share; the fill is batch-shared and reported by the
+    // `batch.fill` span). One histogram lookup per series, not per
+    // instance.
+    if timing && !instances.is_empty() {
+        let sent = || inst_sent.iter().copied();
+        obs.observe_many("svc.instance.messages", SVC_MSG_BOUNDS, sent());
+        obs.observe_many(
+            "svc.instance.logical",
+            SVC_LOGICAL_BOUNDS,
+            logicals.iter().copied(),
+        );
+        obs.observe_many("svc.instance.wall_ns", SVC_WALL_BOUNDS, walls);
+        obs.observe_many(regime_messages, SVC_MSG_BOUNDS, sent());
+        obs.observe_many(regime_logical, SVC_LOGICAL_BOUNDS, logicals);
+        obs.add(regime_instances, instances.len() as u64);
+    }
 
     obs.add("batch.instances", instances.len() as u64);
     obs.add("batch.arena_builds", arena_builds as u64);
@@ -793,9 +796,10 @@ pub fn run_batch_reference<V: Clone + Ord + Hash>(
     let net = engine.run_with(depth + 1, |i, ctx| {
         let me = NodeId::new(i);
         let round = ctx.round();
+        let strategy = strategies.get(&me);
         let mut to_relay: Vec<(u32, Path, AgreementValue<V>)> = Vec::new();
         if round >= 1 {
-            for (src, msg) in ctx.inbox().to_vec() {
+            for (src, msg) in ctx.take_inbox() {
                 let idx = msg.instance as usize;
                 let valid = idx < instances.len()
                     && msg.path.len() == round
@@ -820,7 +824,7 @@ pub fn run_batch_reference<V: Clone + Ord + Hash>(
                     if r == me {
                         continue;
                     }
-                    if let Some(v) = claim_for(strategies, me, &root, r, &inst.value) {
+                    if let Some(v) = claim_for(strategy, &root, r, &inst.value) {
                         ctx.send(
                             r,
                             BatchMsg {
@@ -834,17 +838,13 @@ pub fn run_batch_reference<V: Clone + Ord + Hash>(
             }
         } else {
             for (instance, path, value) in to_relay {
-                let child = path.child(me);
-                for r in NodeId::all(n) {
-                    if child.contains(r) {
-                        continue;
-                    }
-                    if let Some(v) = claim_for(strategies, me, &child, r, &value) {
+                for (r, child) in relay_fanout(&path, me, n) {
+                    if let Some(v) = claim_for(strategy, &child, r, &value) {
                         ctx.send(
                             r,
                             BatchMsg {
                                 instance,
-                                path: child.clone(),
+                                path: child,
                                 value: v,
                             },
                         );
@@ -1084,6 +1084,9 @@ pub struct ServiceState<V> {
     engine_of_sender: BTreeMap<NodeId, usize>,
     /// Per-engine free lists of cleared stores.
     free_stores: Vec<Vec<EigStore<V>>>,
+    /// The simulated network every drain fills over, re-seeded per drain;
+    /// long-lived so its message buffers are allocated once.
+    net: RoundEngine<BatchMsg<V>>,
     pending: Vec<(u64, BatchInstance<V>)>,
     pending_ids: BTreeSet<u64>,
     stats: ServiceStats,
@@ -1104,6 +1107,7 @@ impl<V: Clone + Ord + Hash + Send + Sync> ServiceState<V> {
             engines: Vec::new(),
             engine_of_sender: BTreeMap::new(),
             free_stores: Vec::new(),
+            net: RoundEngine::new(Topology::complete(n), 0),
             pending: Vec::new(),
             pending_ids: BTreeSet::new(),
             stats: ServiceStats::default(),
@@ -1244,15 +1248,15 @@ impl<V: Clone + Ord + Hash + Send + Sync> ServiceState<V> {
             .collect();
 
         let queue_depth = instances.len() as u64;
+        self.net.reseed(seed);
         let run = fill_and_resolve(
             self.params,
             self.n,
             &instances,
             strategies,
-            seed,
+            &mut self.net,
             false,
             None,
-            |e| e,
             obs,
             &self.engines,
             &engine_idx,
@@ -1533,7 +1537,7 @@ mod tests {
         );
         let quiet = run_batch(params(), 5, &instances, &lying_strategies(), 1);
         assert_eq!(run.decisions, quiet.decisions, "observation is passive");
-        let spans: Vec<&str> = obs.spans().iter().map(|s| s.name.as_str()).collect();
+        let spans: Vec<&str> = obs.spans().iter().map(|s| s.name.as_ref()).collect();
         assert_eq!(
             spans,
             [
@@ -1640,7 +1644,7 @@ mod tests {
             .collect();
         assert_eq!(decides.len(), instances.len());
         for (k, span) in decides.iter().enumerate() {
-            assert_eq!(span.args[0], ("instance".to_string(), k as u64));
+            assert_eq!(span.args[0], ("instance".into(), k as u64));
             // Every correct node that is not the sender decides.
             assert_eq!(span.args[1].0, "deciders");
             assert!(span.args[1].1 > 0);

@@ -116,11 +116,8 @@ impl SweepRunner {
                         *slot = Some((result, trial_obs));
                     }
                     SpanRecord {
-                        name: "sweep.worker".to_string(),
-                        args: vec![
-                            ("worker".to_string(), w as u64),
-                            ("trials".to_string(), len as u64),
-                        ],
+                        name: "sweep.worker".into(),
+                        args: vec![("worker".into(), w as u64), ("trials".into(), len as u64)],
                         logical: len as u64,
                         wall_nanos: worker_start
                             .map(|s| s.elapsed().as_nanos() as u64)
@@ -270,7 +267,7 @@ mod tests {
         let (got, obs) = observed(3, 7);
         assert_eq!(got, SweepRunner::new(1).run(5, 7, trial_value));
         // 7 trial spans in trial order, then one span per worker.
-        let spans: Vec<_> = obs.spans().iter().map(|s| s.name.as_str()).collect();
+        let spans: Vec<_> = obs.spans().iter().map(|s| s.name.as_ref()).collect();
         assert_eq!(
             spans,
             [
@@ -280,7 +277,7 @@ mod tests {
             .concat()
         );
         for (i, span) in obs.spans().iter().take(7).enumerate() {
-            assert_eq!(span.args, vec![("trial".to_string(), i as u64)]);
+            assert_eq!(span.args, vec![("trial".into(), i as u64)]);
             assert_eq!(span.logical, 1);
         }
         let registry = obs.registry();

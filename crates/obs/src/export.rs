@@ -42,12 +42,12 @@ pub fn chrome_trace_json(obs: &Obs, mode: TimeMode) -> String {
         let mut args: Vec<(String, JsonValue)> = span
             .args
             .iter()
-            .map(|(k, v)| (k.clone(), JsonValue::UInt(*v)))
+            .map(|(k, v)| (k.to_string(), JsonValue::UInt(*v)))
             .collect();
         args.push(("logical".into(), span.logical.into()));
         args.push(("wall_nanos".into(), span.wall_nanos.into()));
         events.push(JsonValue::Object(vec![
-            ("name".into(), JsonValue::Str(span.name.clone())),
+            ("name".into(), JsonValue::Str(span.name.to_string())),
             ("ph".into(), JsonValue::Str("X".into())),
             ("pid".into(), JsonValue::UInt(0)),
             ("tid".into(), JsonValue::UInt(0)),
@@ -161,7 +161,7 @@ fn parse_chrome_events(events: &JsonValue) -> Result<ParsedTrace, String> {
                     .and_then(JsonValue::as_object)
                     .ok_or("span event missing `args`")?;
                 let mut span = SpanRecord {
-                    name,
+                    name: name.into(),
                     ..SpanRecord::default()
                 };
                 for (key, value) in args {
@@ -171,7 +171,7 @@ fn parse_chrome_events(events: &JsonValue) -> Result<ParsedTrace, String> {
                     match key.as_str() {
                         "logical" => span.logical = value,
                         "wall_nanos" => span.wall_nanos = value,
-                        _ => span.args.push((key.clone(), value)),
+                        _ => span.args.push((key.clone().into(), value)),
                     }
                 }
                 parsed.spans.push(span);

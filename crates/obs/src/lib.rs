@@ -36,7 +36,7 @@ pub mod tracectx;
 pub use export::{chrome_trace_json, jsonl, parse_trace, ParsedTrace, TimeMode};
 pub use json::JsonValue;
 pub use registry::{Histogram, Registry};
-pub use span::{Obs, SpanRecord, SpanTimer};
+pub use span::{Label, Obs, SpanRecord, SpanTimer};
 pub use tracectx::TraceCtx;
 
 /// Types that carry wall-clock measurements alongside deterministic

@@ -173,9 +173,15 @@ impl Registry {
         self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
     }
 
-    /// Adds `delta` to the named counter (created at zero).
+    /// Adds `delta` to the named counter (created at zero). Only the
+    /// first use of a name allocates its key.
     pub fn add(&mut self, name: &str, delta: u64) {
-        *self.counters.entry(name.to_string()).or_insert(0) += delta;
+        match self.counters.get_mut(name) {
+            Some(total) => *total += delta,
+            None => {
+                self.counters.insert(name.to_string(), delta);
+            }
+        }
     }
 
     /// Sets the named counter to an externally accumulated total.
@@ -208,10 +214,31 @@ impl Registry {
     /// Records one observation into the named histogram, creating it
     /// with `bounds` on first use (later calls ignore `bounds`).
     pub fn observe(&mut self, name: &str, bounds: &[u64], value: u64) {
-        self.histograms
-            .entry(name.to_string())
-            .or_insert_with(|| Histogram::new(bounds))
-            .observe(value);
+        self.observe_many(name, bounds, [value]);
+    }
+
+    /// [`Registry::observe`] for a run of values into one histogram: one
+    /// name lookup for all of them. An empty run records nothing (the
+    /// histogram is not created).
+    pub fn observe_many(
+        &mut self,
+        name: &str,
+        bounds: &[u64],
+        values: impl IntoIterator<Item = u64>,
+    ) {
+        let mut values = values.into_iter().peekable();
+        if values.peek().is_none() {
+            return;
+        }
+        if !self.histograms.contains_key(name) {
+            self.histograms
+                .insert(name.to_string(), Histogram::new(bounds));
+        }
+        let histogram = self
+            .histograms
+            .get_mut(name)
+            .expect("present or just inserted");
+        values.for_each(|v| histogram.observe(v));
     }
 
     /// The named histogram, if ever observed into.
@@ -424,6 +451,19 @@ mod tests {
         r.gauge_max("depth", 9);
         assert_eq!(r.gauge("depth"), Some(9));
         assert_eq!(r.gauge("missing"), None);
+    }
+
+    #[test]
+    fn observe_many_is_repeated_observe_and_empty_runs_leave_no_trace() {
+        let (mut one_by_one, mut bulk) = (Registry::new(), Registry::new());
+        for v in [3, 70, 700] {
+            one_by_one.observe("h", &[8, 64], v);
+        }
+        bulk.observe_many("h", &[8, 64], [3, 70]);
+        bulk.observe_many("h", &[8, 64], [700]);
+        assert_eq!(one_by_one, bulk);
+        bulk.observe_many("never", &[8, 64], []);
+        assert!(bulk.histogram("never").is_none());
     }
 
     #[test]

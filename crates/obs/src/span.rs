@@ -18,6 +18,11 @@ use crate::json::JsonValue;
 use crate::registry::Registry;
 use std::time::Instant;
 
+/// A span or attribute name. Recorders name their spans with literals,
+/// which are borrowed — recording a span allocates only its attribute
+/// list; names read back from JSON are owned.
+pub type Label = std::borrow::Cow<'static, str>;
+
 /// One finished span: a named, attributed unit of work with its
 /// logical cost and wall time.
 ///
@@ -28,9 +33,9 @@ use std::time::Instant;
 #[derive(Debug, Clone, Default)]
 pub struct SpanRecord {
     /// Span name, e.g. `"resolve_level"`.
-    pub name: String,
+    pub name: Label,
     /// Key/value attributes, e.g. `[("level", 2)]`, in recording order.
-    pub args: Vec<(String, u64)>,
+    pub args: Vec<(Label, u64)>,
     /// Deterministic logical cost of the work (events/votes/messages).
     pub logical: u64,
     /// Elapsed wall-clock nanoseconds. Excluded from equality; zeroed
@@ -69,14 +74,14 @@ impl SpanRecord {
     /// {"span":"resolve_level","args":{"level":2},"logical":96,"wall_nanos":1234}
     /// ```
     pub fn to_json(&self) -> JsonValue {
-        let mut fields = vec![("span".to_string(), JsonValue::Str(self.name.clone()))];
+        let mut fields = vec![("span".to_string(), JsonValue::Str(self.name.to_string()))];
         if !self.args.is_empty() {
             fields.push((
                 "args".to_string(),
                 JsonValue::Object(
                     self.args
                         .iter()
-                        .map(|(k, v)| (k.clone(), JsonValue::UInt(*v)))
+                        .map(|(k, v)| (k.to_string(), JsonValue::UInt(*v)))
                         .collect(),
                 ),
             ));
@@ -96,11 +101,15 @@ impl SpanRecord {
             .get("span")
             .and_then(JsonValue::as_str)
             .ok_or("span record missing string `span`")?
-            .to_string();
+            .to_string()
+            .into();
         let mut args = Vec::new();
         if let Some(raw) = value.get("args") {
             for (k, v) in raw.as_object().ok_or("`args` must be an object")? {
-                args.push((k.clone(), v.as_u64().ok_or(format!("arg `{k}` not a u64"))?));
+                args.push((
+                    k.clone().into(),
+                    v.as_u64().ok_or(format!("arg `{k}` not a u64"))?,
+                ));
             }
         }
         let logical = value
@@ -260,12 +269,8 @@ impl Obs {
             .map(|s| s.elapsed().as_nanos() as u64)
             .unwrap_or(0);
         self.push_span(SpanRecord {
-            name: timer.name.to_string(),
-            args: timer
-                .args
-                .into_iter()
-                .map(|(k, v)| (k.to_string(), v))
-                .collect(),
+            name: timer.name.into(),
+            args: timer.args.into_iter().map(|(k, v)| (k.into(), v)).collect(),
             logical,
             wall_nanos,
         });
@@ -330,6 +335,19 @@ impl Obs {
         }
     }
 
+    /// Observes a run of values into one registry histogram (see
+    /// [`Registry::observe_many`]). No-op when disabled.
+    pub fn observe_many(
+        &mut self,
+        name: &str,
+        bounds: &[u64],
+        values: impl IntoIterator<Item = u64>,
+    ) {
+        if self.enabled {
+            self.registry.observe_many(name, bounds, values);
+        }
+    }
+
     /// Folds another recorder in: spans append in order, registries
     /// merge. Merging recorders in deterministic (trial/chunk) order
     /// is what keeps multi-worker output bit-identical.
@@ -356,7 +374,7 @@ impl Obs {
     /// artifacts that must be byte-identical across worker counts.
     pub fn without_spans(&self, names: &[&str]) -> Obs {
         let mut out = self.clone();
-        out.spans.retain(|s| !names.contains(&s.name.as_str()));
+        out.spans.retain(|s| !names.contains(&s.name.as_ref()));
         out
     }
 }
@@ -467,7 +485,7 @@ mod tests {
         assert_eq!(obs.spans().len(), 1);
         let span = &obs.spans()[0];
         assert_eq!(span.name, "resolve_level");
-        assert_eq!(span.args, vec![("level".to_string(), 3)]);
+        assert_eq!(span.args, vec![("level".into(), 3)]);
         assert_eq!(span.logical, 96);
     }
 
@@ -487,7 +505,7 @@ mod tests {
         assert_eq!(a.registry().counter("c"), 3);
     }
 
-    fn named(name: &str) -> SpanRecord {
+    fn named(name: &'static str) -> SpanRecord {
         SpanRecord {
             name: name.into(),
             args: vec![],
@@ -504,7 +522,7 @@ mod tests {
         }
         assert_eq!(obs.dropped_spans(), 2);
         assert_eq!(obs.registry().counter("obs.dropped_spans"), 2);
-        let names: Vec<&str> = obs.spans().iter().map(|s| s.name.as_str()).collect();
+        let names: Vec<&str> = obs.spans().iter().map(|s| s.name.as_ref()).collect();
         assert_eq!(names, ["c", "d"], "oldest evicted, order preserved");
     }
 
@@ -540,7 +558,7 @@ mod tests {
         // "old" and "a" evicted on the way in; src dropped nothing.
         assert_eq!(sink.dropped_spans(), 2);
         assert_eq!(sink.registry().counter("obs.dropped_spans"), 2);
-        let names: Vec<&str> = sink.spans().iter().map(|s| s.name.as_str()).collect();
+        let names: Vec<&str> = sink.spans().iter().map(|s| s.name.as_ref()).collect();
         assert_eq!(names, ["b", "c"]);
     }
 

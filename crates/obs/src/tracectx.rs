@@ -17,6 +17,7 @@
 //! [`TraceCtx::from_span_args`].
 
 use crate::json::JsonValue;
+use crate::span::Label;
 use std::fmt;
 
 /// Causal identity of one protocol envelope.
@@ -47,14 +48,14 @@ impl TraceCtx {
 
     /// The context flattened to span attributes:
     /// `[("instance", i), ("hop", h), ("path_len", L), ("p0", n0), ...]`.
-    pub fn span_args(&self) -> Vec<(String, u64)> {
-        let mut args = vec![
-            ("instance".to_string(), self.instance),
-            ("hop".to_string(), u64::from(self.hop)),
-            ("path_len".to_string(), self.path.len() as u64),
+    pub fn span_args(&self) -> Vec<(Label, u64)> {
+        let mut args: Vec<(Label, u64)> = vec![
+            ("instance".into(), self.instance),
+            ("hop".into(), u64::from(self.hop)),
+            ("path_len".into(), self.path.len() as u64),
         ];
         for (i, node) in self.path.iter().enumerate() {
-            args.push((format!("p{i}"), *node));
+            args.push((format!("p{i}").into(), *node));
         }
         args
     }
@@ -62,7 +63,7 @@ impl TraceCtx {
     /// Rebuilds a context from span attributes written by
     /// [`TraceCtx::span_args`]. Returns `None` when the args carry no
     /// trace context (not an error: most spans are not trace events).
-    pub fn from_span_args(args: &[(String, u64)]) -> Option<TraceCtx> {
+    pub fn from_span_args(args: &[(Label, u64)]) -> Option<TraceCtx> {
         let get = |key: &str| args.iter().find(|(k, _)| k == key).map(|(_, v)| *v);
         let instance = get("instance")?;
         let hop = get("hop")? as u32;
@@ -152,20 +153,20 @@ mod tests {
         let ctx = TraceCtx::new(3, vec![0, 2, 5]);
         assert_eq!(ctx.hop, 3);
         let args = ctx.span_args();
-        assert_eq!(args[0], ("instance".to_string(), 3));
-        assert_eq!(args[2], ("path_len".to_string(), 3));
+        assert_eq!(args[0], ("instance".into(), 3));
+        assert_eq!(args[2], ("path_len".into(), 3));
         assert_eq!(TraceCtx::from_span_args(&args), Some(ctx));
     }
 
     #[test]
     fn span_args_absent_on_plain_spans() {
-        assert_eq!(TraceCtx::from_span_args(&[("level".to_string(), 2)]), None);
+        assert_eq!(TraceCtx::from_span_args(&[("level".into(), 2)]), None);
         // A truncated path (missing p1) is no context at all.
-        let args = vec![
-            ("instance".to_string(), 0),
-            ("hop".to_string(), 2),
-            ("path_len".to_string(), 2),
-            ("p0".to_string(), 0),
+        let args: Vec<(Label, u64)> = vec![
+            ("instance".into(), 0),
+            ("hop".into(), 2),
+            ("path_len".into(), 2),
+            ("p0".into(), 0),
         ];
         assert_eq!(TraceCtx::from_span_args(&args), None);
     }

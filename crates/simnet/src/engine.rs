@@ -4,7 +4,7 @@
 //!
 //! * execution proceeds in numbered rounds, but the rounds are *emergent*:
 //!   the engine drains a deterministic event queue ([`crate::sched`]) of
-//!   per-message delivery events and per-node round-timeout timers, and a
+//!   per-node round-timeout timers and reorder-held message copies, and a
 //!   node executes round `r` when its round-`r` timer fires;
 //! * a message sent in round `r` is delivered at the start of round `r+1`
 //!   (if it survives faults, links and the deadline);
@@ -22,6 +22,19 @@
 //! the boundary, never delivered stale). Delivery events sort before
 //! timers at equal time, so an arrival *exactly at* the timeout boundary
 //! is present, not absent.
+//!
+//! An on-time message never enters the queue. Every one of them would be
+//! scheduled at the same key prefix `((r+1)·quantum, Deliver)`, so the
+//! queue would pop them in `seq` order — the order they were sent — ahead
+//! of every round-`r+1` timer, and land each in its receiver's buffer.
+//! Pushing the message straight into the receiver's next-round buffer at
+//! send time builds exactly that sequence with no heap entry, no key
+//! comparison and no payload copy. Only reorder-held copies, whose arrival
+//! round differs per message, still need the queue's ordering. Nor is
+//! there an outbox: [`RoundCtx::send`] takes the message through node
+//! faults, topology, link chaos and the deadline on the spot — a node's
+//! sends meet the network in the order they are made, which is the order
+//! they were always processed in.
 //!
 //! Processes are either closures (see [`RoundEngine::run`]) or stateful
 //! [`Process`] implementations (see [`RoundEngine::run_processes`]).
@@ -48,21 +61,19 @@ pub type Corruptor<M> = Box<dyn FnMut(&M, &mut SimRng) -> Option<M>>;
 /// runs stay bit-identical when no link faults are configured.
 const LINK_CHAOS_STREAM: u64 = 0x4C49_4E4B;
 
-/// Payload of a scheduled engine event: either a message delivery at the
-/// receiver or a per-node round timer.
+/// Payload of a scheduled engine event: a reorder-held message copy or a
+/// per-node round timer.
 enum EngineEvent<M> {
-    /// A message arriving at `dst`. `counted` records whether the engine
-    /// already booked the delivery (counter + trace) at send time — true
-    /// for on-time messages, false for reorder-held copies, which are
-    /// booked when they actually land (matching when the receiver, and
-    /// any observer tailing the trace, first sees them).
-    Deliver {
+    /// A copy held back by [`LinkFaultKind::Reorder`] arriving at `dst`.
+    /// It is booked (counter + trace) when it lands, not when it was sent
+    /// — matching when the receiver, and any observer tailing the trace,
+    /// first sees it.
+    Held {
         dst: NodeId,
         src: NodeId,
         sent_round: usize,
         latency: u64,
         payload: M,
-        counted: bool,
     },
     /// Node `node`'s round-`round` timeout fires: whatever has not arrived
     /// by now is absent for this round.
@@ -70,25 +81,34 @@ enum EngineEvent<M> {
 }
 
 /// Per-node, per-round context handed to process logic.
-#[derive(Debug)]
 pub struct RoundCtx<'a, M> {
-    me: NodeId,
-    round: usize,
     n: usize,
-    inbox: &'a [(NodeId, M)],
+    inbox: Vec<(NodeId, M)>,
     peers: &'a [NodeId],
-    outbox: Vec<(NodeId, M)>,
+    wire: &'a mut Wire<M>,
+}
+
+impl<M: std::fmt::Debug> std::fmt::Debug for RoundCtx<'_, M> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("RoundCtx")
+            .field("me", &self.wire.src)
+            .field("round", &self.wire.round)
+            .field("n", &self.n)
+            .field("inbox", &self.inbox)
+            .field("peers", &self.peers)
+            .finish_non_exhaustive()
+    }
 }
 
 impl<'a, M: Clone> RoundCtx<'a, M> {
     /// This node's id.
     pub fn me(&self) -> NodeId {
-        self.me
+        self.wire.src
     }
 
     /// The current round number (0-based).
     pub fn round(&self) -> usize {
-        self.round
+        self.wire.round
     }
 
     /// Total number of nodes in the system.
@@ -107,7 +127,14 @@ impl<'a, M: Clone> RoundCtx<'a, M> {
     /// sorted by source id (stable for determinism). Multiple messages from
     /// the same source are all present.
     pub fn inbox(&self) -> &[(NodeId, M)] {
-        self.inbox
+        &self.inbox
+    }
+
+    /// Hands the inbox over by value, in the same order as
+    /// [`RoundCtx::inbox`], leaving it empty: a process that keeps what it
+    /// received takes the messages instead of cloning them.
+    pub fn take_inbox(&mut self) -> std::vec::Drain<'_, (NodeId, M)> {
+        self.inbox.drain(..)
     }
 
     /// First message from `src` this round, if any. `None` means the
@@ -121,15 +148,18 @@ impl<'a, M: Clone> RoundCtx<'a, M> {
         self.from(src).is_none()
     }
 
-    /// Queues a message to `to` (delivered next round if a link exists).
+    /// Hands a message for `to` to the network: it meets its fate (node
+    /// faults, topology, link chaos, deadline) here and now, and if it
+    /// survives it is delivered next round.
     pub fn send(&mut self, to: NodeId, msg: M) {
-        self.outbox.push((to, msg));
+        self.wire.carry(to, msg);
     }
 
-    /// Queues `msg` to every direct neighbour.
+    /// Sends `msg` to every direct neighbour.
     pub fn broadcast(&mut self, msg: M) {
-        for &p in self.peers {
-            self.outbox.push((p, msg.clone()));
+        let peers = self.peers;
+        for (&p, copy) in peers.iter().zip(std::iter::repeat_n(msg, peers.len())) {
+            self.wire.carry(p, copy);
         }
     }
 }
@@ -341,6 +371,234 @@ impl Outcome {
     }
 }
 
+/// The network between the processes: everything that decides what becomes
+/// of one message between [`RoundCtx::send`] and a receiver's inbox.
+///
+/// The buffers belong to the engine rather than to one run, so an engine
+/// driven repeatedly ([`RoundEngine::reseed`]) keeps their capacity: after
+/// the first run a fill allocates nothing and touches no fresh pages.
+struct Wire<M> {
+    rng: SimRng,
+    /// Chaos draws come from a dedicated fork of `rng`, taken at the start
+    /// of each run: configurations without link faults replay the exact
+    /// pre-chaos main stream (latency, omission), keeping historical
+    /// seeded runs bit-identical.
+    link_rng: SimRng,
+    link_faults: LinkFaultPlan,
+    corruptor: Option<Corruptor<M>>,
+    latency: LatencyModel,
+    deadline: u64,
+    trace: Option<Trace>,
+    /// `linked[a][b]`: the topology has the edge `a`–`b`. One indexed load
+    /// per message instead of an ordered-set lookup.
+    linked: Vec<Vec<bool>>,
+    /// Timers and reorder-held copies.
+    queue: EventQueue<EngineEvent<M>>,
+    /// `arriving[d]`: on-time messages `d` receives in the round in
+    /// progress, already in inbox order.
+    arriving: Vec<Vec<(NodeId, M)>>,
+    /// `next[d]`: on-time messages sent to `d` during the round in
+    /// progress; becomes `arriving[d]` at the next boundary. Timers fire
+    /// in ascending node id and a node's sends are carried in order, so it
+    /// is built already sorted by source, ties in send order — the
+    /// paper-visible inbox order.
+    next: Vec<Vec<(NodeId, M)>>,
+    /// `held[d]`: reorder-held copies popped at the current boundary.
+    held: Vec<Vec<(NodeId, M)>>,
+    /// Counters of the run in progress.
+    outcome: Outcome,
+    /// The timer in progress: who is sending, when, and what the active
+    /// fault plan says about that sender — the same for every message of
+    /// the timer.
+    src: NodeId,
+    round: usize,
+    crashed: bool,
+    omission_p: f64,
+    extra_delay: u64,
+}
+
+/// Appends to the trace if tracing is on. A free function over the field,
+/// so it can be called while other fields of the [`Wire`] are borrowed.
+fn record(trace: &mut Option<Trace>, event: TraceEvent) {
+    if let Some(t) = trace {
+        t.record(event);
+    }
+}
+
+impl<M: Clone> Wire<M> {
+    /// Round `r` occupies virtual time `[r*quantum, (r+1)*quantum)`: any
+    /// within-deadline latency lands on or before the receiver's next
+    /// timer boundary.
+    fn boundary(&self, round: usize) -> SimTime {
+        round as SimTime * SimTime::from(self.deadline).saturating_add(1)
+    }
+
+    /// Decides the fate of one message from the node whose timer is in
+    /// progress.
+    fn carry(&mut self, dst: NodeId, mut payload: M) {
+        let (src, round) = (self.src, self.round);
+        self.outcome.sent += 1;
+        record(&mut self.trace, TraceEvent::Sent { round, src, dst });
+        if self.crashed {
+            self.outcome.dropped_crash += 1;
+            record(
+                &mut self.trace,
+                TraceEvent::DroppedCrash { round, src, dst },
+            );
+            return;
+        }
+        if self.omission_p > 0.0 && self.rng.chance(self.omission_p) {
+            self.outcome.dropped_omission += 1;
+            record(
+                &mut self.trace,
+                TraceEvent::DroppedOmission { round, src, dst },
+            );
+            return;
+        }
+        let linked = self.linked[src.index()].get(dst.index()) == Some(&true);
+        if !linked {
+            self.outcome.no_link += 1;
+            record(&mut self.trace, TraceEvent::NoLink { round, src, dst });
+            return;
+        }
+        // Link chaos: each configured kind on this directed edge acts in
+        // insertion order, drawing only from the dedicated chaos stream.
+        let mut duplicate = false;
+        let mut extra_rounds = 0usize;
+        for &kind in self.link_faults.kinds(src, dst) {
+            match kind {
+                LinkFaultKind::Cut { from_round } => {
+                    if round >= from_round {
+                        self.outcome.dropped_link_cut += 1;
+                        record(&mut self.trace, TraceEvent::LinkCut { round, src, dst });
+                        return;
+                    }
+                }
+                LinkFaultKind::Drop { p } => {
+                    if p > 0.0 && self.link_rng.chance(p) {
+                        self.outcome.dropped_link_loss += 1;
+                        record(&mut self.trace, TraceEvent::LinkDropped { round, src, dst });
+                        return;
+                    }
+                }
+                LinkFaultKind::Corrupt { p } => {
+                    if p > 0.0 && self.link_rng.chance(p) {
+                        let garbled = self
+                            .corruptor
+                            .as_mut()
+                            .and_then(|c| c(&payload, &mut self.link_rng));
+                        let event = TraceEvent::LinkCorrupted {
+                            round,
+                            src,
+                            dst,
+                            delivered: garbled.is_some(),
+                        };
+                        record(&mut self.trace, event);
+                        match garbled {
+                            Some(g) => {
+                                payload = g;
+                                self.outcome.corrupted += 1;
+                            }
+                            None => {
+                                self.outcome.dropped_corrupt += 1;
+                                return;
+                            }
+                        }
+                    }
+                }
+                LinkFaultKind::Duplicate { p } => {
+                    if p > 0.0 && !duplicate && self.link_rng.chance(p) {
+                        duplicate = true;
+                        self.outcome.duplicated += 1;
+                        record(
+                            &mut self.trace,
+                            TraceEvent::LinkDuplicated { round, src, dst },
+                        );
+                    }
+                }
+                LinkFaultKind::Reorder { window } => {
+                    if window > 0 && extra_rounds == 0 {
+                        let d = self.link_rng.below(window as u64 + 1) as usize;
+                        if d > 0 {
+                            extra_rounds = d;
+                            self.outcome.reordered += 1;
+                            let event = TraceEvent::LinkReordered {
+                                round,
+                                src,
+                                dst,
+                                delay: d,
+                            };
+                            record(&mut self.trace, event);
+                        }
+                    }
+                }
+            }
+        }
+        let base_latency = self.latency.sample(&mut self.rng);
+        let latency = base_latency + self.extra_delay;
+        if latency > self.deadline {
+            self.outcome.late += 1;
+            let cause = if base_latency <= self.deadline {
+                LateCause::DelayFault
+            } else {
+                LateCause::Deadline
+            };
+            record(
+                &mut self.trace,
+                TraceEvent::Late {
+                    round,
+                    src,
+                    dst,
+                    latency,
+                    cause,
+                },
+            );
+            return;
+        }
+        if duplicate {
+            self.land(dst, latency, extra_rounds, payload.clone());
+        }
+        self.land(dst, latency, extra_rounds, payload);
+    }
+
+    /// Puts one surviving copy on its way to `dst`.
+    fn land(&mut self, dst: NodeId, latency: u64, extra_rounds: usize, payload: M) {
+        let (src, round) = (self.src, self.round);
+        if extra_rounds > 0 {
+            // Delivery shifts from round+1 to round+1+extra_rounds; events
+            // scheduled past the final timer are never popped — messages
+            // still in flight when the run ends are lost.
+            let at = self.boundary(round + 1 + extra_rounds);
+            self.queue.schedule(
+                at,
+                EventClass::Deliver,
+                EngineEvent::Held {
+                    dst,
+                    src,
+                    sent_round: round,
+                    latency,
+                    payload,
+                },
+            );
+            return;
+        }
+        // On time: booked now and put straight into the receiver's
+        // next-round buffer (see the module docs for why this is the
+        // queue's pop order).
+        self.outcome.delivered += 1;
+        record(
+            &mut self.trace,
+            TraceEvent::Delivered {
+                round,
+                src,
+                dst,
+                latency,
+            },
+        );
+        self.next[dst.index()].push((src, payload));
+    }
+}
+
 /// The synchronous round engine.
 ///
 /// ```
@@ -354,16 +612,12 @@ impl Outcome {
 /// ```
 pub struct RoundEngine<M> {
     topo: Topology,
-    rng: SimRng,
+    /// `peers[i]`: node `i`'s neighbours, ascending.
+    peers: Vec<Vec<NodeId>>,
     faults: FaultPlan,
     schedule: Option<FaultSchedule>,
-    link_faults: LinkFaultPlan,
-    corruptor: Option<Corruptor<M>>,
-    latency: LatencyModel,
-    deadline: u64,
-    trace: Option<Trace>,
     obs: Obs,
-    _marker: std::marker::PhantomData<M>,
+    wire: Wire<M>,
 }
 
 impl<M> std::fmt::Debug for RoundEngine<M> {
@@ -372,10 +626,10 @@ impl<M> std::fmt::Debug for RoundEngine<M> {
             .field("topo", &self.topo)
             .field("faults", &self.faults)
             .field("schedule", &self.schedule)
-            .field("link_faults", &self.link_faults)
-            .field("corruptor", &self.corruptor.as_ref().map(|_| "<fn>"))
-            .field("latency", &self.latency)
-            .field("deadline", &self.deadline)
+            .field("link_faults", &self.wire.link_faults)
+            .field("corruptor", &self.wire.corruptor.as_ref().map(|_| "<fn>"))
+            .field("latency", &self.wire.latency)
+            .field("deadline", &self.wire.deadline)
             .finish_non_exhaustive()
     }
 }
@@ -384,19 +638,53 @@ impl<M: Clone> RoundEngine<M> {
     /// Creates an engine over `topo` with the given seed, no faults, zero
     /// latency and an infinite deadline.
     pub fn new(topo: Topology, seed: u64) -> Self {
+        let n = topo.node_count();
+        let peers: Vec<Vec<NodeId>> = (0..n)
+            .map(|i| topo.graph().neighbors(NodeId::new(i)).collect())
+            .collect();
+        let mut linked = vec![vec![false; n]; n];
+        for (row, row_peers) in linked.iter_mut().zip(&peers) {
+            for p in row_peers {
+                row[p.index()] = true;
+            }
+        }
+        let per_node = || (0..n).map(|_| Vec::new()).collect();
+        let rng = SimRng::seed(seed);
         RoundEngine {
             topo,
-            rng: SimRng::seed(seed),
+            peers,
             faults: FaultPlan::healthy(),
             schedule: None,
-            link_faults: LinkFaultPlan::healthy(),
-            corruptor: None,
-            latency: LatencyModel::Zero,
-            deadline: u64::MAX,
-            trace: None,
             obs: Obs::disabled(),
-            _marker: std::marker::PhantomData,
+            wire: Wire {
+                link_rng: rng.fork(LINK_CHAOS_STREAM),
+                rng,
+                link_faults: LinkFaultPlan::healthy(),
+                corruptor: None,
+                latency: LatencyModel::Zero,
+                deadline: u64::MAX,
+                trace: None,
+                linked,
+                queue: EventQueue::new(),
+                arriving: per_node(),
+                next: per_node(),
+                held: per_node(),
+                outcome: Outcome::default(),
+                src: NodeId::new(0),
+                round: 0,
+                crashed: false,
+                omission_p: 0.0,
+                extra_delay: 0,
+            },
         }
+    }
+
+    /// Restarts the engine's random stream from `seed`, as
+    /// [`RoundEngine::new`] would: the next run is the run a fresh engine
+    /// with this configuration and seed performs, on buffers that are
+    /// already warm.
+    pub fn reseed(&mut self, seed: u64) {
+        self.wire.rng = SimRng::seed(seed);
     }
 
     /// Sets the fault plan.
@@ -418,7 +706,7 @@ impl<M: Clone> RoundEngine<M> {
     /// fork of the engine seed so runs without link faults are unaffected.
     #[must_use]
     pub fn with_link_faults(mut self, link_faults: LinkFaultPlan) -> Self {
-        self.link_faults = link_faults;
+        self.wire.link_faults = link_faults;
         self
     }
 
@@ -429,14 +717,14 @@ impl<M: Clone> RoundEngine<M> {
         mut self,
         corruptor: impl FnMut(&M, &mut SimRng) -> Option<M> + 'static,
     ) -> Self {
-        self.corruptor = Some(Box::new(corruptor));
+        self.wire.corruptor = Some(Box::new(corruptor));
         self
     }
 
     /// Sets the latency model.
     #[must_use]
     pub fn with_latency(mut self, latency: LatencyModel) -> Self {
-        self.latency = latency;
+        self.wire.latency = latency;
         self
     }
 
@@ -444,14 +732,14 @@ impl<M: Clone> RoundEngine<M> {
     /// greater than `deadline` are late (absent to the receiver).
     #[must_use]
     pub fn with_deadline(mut self, deadline: u64) -> Self {
-        self.deadline = deadline;
+        self.wire.deadline = deadline;
         self
     }
 
     /// Enables event tracing with unbounded retention.
     #[must_use]
     pub fn with_trace(mut self) -> Self {
-        self.trace = Some(Trace::new());
+        self.wire.trace = Some(Trace::new());
         self
     }
 
@@ -460,7 +748,7 @@ impl<M: Clone> RoundEngine<M> {
     /// evictions — see [`TraceConfig`]).
     #[must_use]
     pub fn with_trace_config(mut self, config: TraceConfig) -> Self {
-        self.trace = Some(Trace::with_config(config));
+        self.wire.trace = Some(Trace::with_config(config));
         self
     }
 
@@ -475,7 +763,7 @@ impl<M: Clone> RoundEngine<M> {
 
     /// The recorded trace, if tracing was enabled.
     pub fn trace(&self) -> Option<&Trace> {
-        self.trace.as_ref()
+        self.wire.trace.as_ref()
     }
 
     /// The observability recorder (disabled and empty unless
@@ -507,7 +795,7 @@ impl<M: Clone> RoundEngine<M> {
 
     /// The link-fault plan.
     pub fn link_faults(&self) -> &LinkFaultPlan {
-        &self.link_faults
+        &self.wire.link_faults
     }
 
     /// Runs `rounds` rounds where every node executes the same closure.
@@ -541,76 +829,62 @@ impl<M: Clone> RoundEngine<M> {
         mut step: impl FnMut(usize, &mut RoundCtx<'_, M>),
     ) -> Outcome {
         let n = self.topo.node_count();
-        let mut outcome = Outcome::default();
-        let peers: Vec<Vec<NodeId>> = (0..n)
-            .map(|i| self.topo.graph().neighbors(NodeId::new(i)).collect())
-            .collect();
-        // Chaos draws come from a dedicated fork: configurations without
-        // link faults replay the exact pre-chaos main stream (latency,
-        // omission), keeping historical seeded runs bit-identical.
-        let mut link_rng = self.rng.fork(LINK_CHAOS_STREAM);
-        // Round r occupies virtual time [r*quantum, (r+1)*quantum): any
-        // within-deadline latency lands on or before the receiver's next
-        // timer boundary.
-        let quantum: SimTime = SimTime::from(self.deadline).saturating_add(1);
-        let mut queue: EventQueue<EngineEvent<M>> = EventQueue::new();
+        let wire = &mut self.wire;
+        wire.outcome = Outcome::default();
+        wire.link_rng = wire.rng.fork(LINK_CHAOS_STREAM);
+        // Whatever a previous run left in flight is lost; the buffers keep
+        // their allocations.
+        wire.queue = EventQueue::new();
+        for buffers in [&mut wire.arriving, &mut wire.next, &mut wire.held] {
+            buffers.iter_mut().for_each(Vec::clear);
+        }
         // Rounds are emergent from timers: every node gets one timeout per
         // round, scheduled in (round, node) order so equal-time timers pop
         // in ascending node id.
         for round in 0..rounds {
             for node in 0..n {
-                queue.schedule(
-                    round as SimTime * quantum,
+                wire.queue.schedule(
+                    wire.boundary(round),
                     EventClass::Timer,
                     EngineEvent::Timer { node, round },
                 );
             }
         }
-        // Per-node receive buffers for the round in progress: on-time
-        // arrivals first, reorder-held arrivals appended, then a stable
-        // sort by source — the paper-visible inbox order.
-        let mut on_time: Vec<Vec<(NodeId, M)>> = vec![Vec::new(); n];
-        let mut held: Vec<Vec<(NodeId, M)>> = vec![Vec::new(); n];
 
         for round in 0..rounds {
-            let boundary = round as SimTime * quantum;
+            let boundary = wire.boundary(round);
             let round_timer = self.obs.span("sim.round", vec![("round", round as u64)]);
-            let work_before = outcome.sent + outcome.delivered;
-            let active: FaultPlan = match &self.schedule {
+            let work_before = wire.outcome.sent + wire.outcome.delivered;
+            let active: &FaultPlan = match &self.schedule {
                 Some(s) => s.active(round),
-                None => self.faults.clone(),
+                None => &self.faults,
             };
-            // Drain every event at this round's boundary. Deliveries pop
+            std::mem::swap(&mut wire.arriving, &mut wire.next);
+            // Drain every event at this round's boundary. Held copies pop
             // before timers (a message arriving exactly at the timeout is
             // present), timers pop in node-id order, and each fired timer
-            // may schedule future deliveries (strictly later boundaries).
-            while queue.peek_time() == Some(boundary) {
-                let event = queue.pop().expect("peeked event exists");
-                let timer = match event.payload {
-                    EngineEvent::Deliver {
+            // may schedule held copies for strictly later boundaries.
+            while wire.queue.peek_time() == Some(boundary) {
+                let event = wire.queue.pop().expect("peeked event exists");
+                let i = match event.payload {
+                    EngineEvent::Held {
                         dst,
                         src,
                         sent_round,
                         latency,
                         payload,
-                        counted,
                     } => {
-                        if counted {
-                            // Booked at send time; just land it.
-                            on_time[dst.index()].push((src, payload));
-                        } else {
-                            // Reorder-held copy: booked on arrival.
-                            outcome.delivered += 1;
-                            if let Some(t) = self.trace.as_mut() {
-                                t.record(TraceEvent::Delivered {
-                                    round: sent_round,
-                                    src,
-                                    dst,
-                                    latency,
-                                });
-                            }
-                            held[dst.index()].push((src, payload));
-                        }
+                        wire.outcome.delivered += 1;
+                        record(
+                            &mut wire.trace,
+                            TraceEvent::Delivered {
+                                round: sent_round,
+                                src,
+                                dst,
+                                latency,
+                            },
+                        );
+                        wire.held[dst.index()].push((src, payload));
                         continue;
                     }
                     EngineEvent::Timer { node, round: r } => {
@@ -618,243 +892,40 @@ impl<M: Clone> RoundEngine<M> {
                         node
                     }
                 };
-                let i = timer;
                 let me = NodeId::new(i);
                 // Absence detection: whatever is not in the buffers when
                 // this timer fires is absent for round `round`.
-                let mut inbox = std::mem::take(&mut on_time[i]);
-                inbox.append(&mut held[i]);
-                // Sort inbox by source for determinism.
-                inbox.sort_by_key(|(s, _)| *s);
+                let mut inbox = std::mem::take(&mut wire.arriving[i]);
+                debug_assert!(inbox.is_sorted_by_key(|(s, _)| *s));
+                if !wire.held[i].is_empty() {
+                    // Held copies go after the on-time traffic of the same
+                    // source: append, then a stable sort by source.
+                    inbox.append(&mut wire.held[i]);
+                    inbox.sort_by_key(|(s, _)| *s);
+                }
+                wire.src = me;
+                wire.round = round;
+                wire.crashed = active.crashed(me, round);
+                wire.omission_p = active.omission_p(me);
+                wire.extra_delay = active.extra_delay(me);
                 let mut ctx = RoundCtx {
-                    me,
-                    round,
                     n,
-                    inbox: &inbox,
-                    peers: &peers[i],
-                    outbox: Vec::new(),
+                    inbox,
+                    peers: &self.peers[i],
+                    wire,
                 };
                 step(i, &mut ctx);
-                let outbox = ctx.outbox;
-                for (dst, msg) in outbox {
-                    outcome.sent += 1;
-                    if let Some(t) = self.trace.as_mut() {
-                        t.record(TraceEvent::Sent {
-                            round,
-                            src: me,
-                            dst,
-                        });
-                    }
-                    if active.crashed(me, round) {
-                        outcome.dropped_crash += 1;
-                        if let Some(t) = self.trace.as_mut() {
-                            t.record(TraceEvent::DroppedCrash {
-                                round,
-                                src: me,
-                                dst,
-                            });
-                        }
-                        continue;
-                    }
-                    let om = active.omission_p(me);
-                    if om > 0.0 && self.rng.chance(om) {
-                        outcome.dropped_omission += 1;
-                        if let Some(t) = self.trace.as_mut() {
-                            t.record(TraceEvent::DroppedOmission {
-                                round,
-                                src: me,
-                                dst,
-                            });
-                        }
-                        continue;
-                    }
-                    if !self.topo.graph().has_edge(me, dst) {
-                        outcome.no_link += 1;
-                        if let Some(t) = self.trace.as_mut() {
-                            t.record(TraceEvent::NoLink {
-                                round,
-                                src: me,
-                                dst,
-                            });
-                        }
-                        continue;
-                    }
-                    // Link chaos: each configured kind on this directed
-                    // edge acts in insertion order, drawing only from the
-                    // dedicated chaos stream.
-                    let mut payload = msg;
-                    let mut duplicate = false;
-                    let mut extra_rounds = 0usize;
-                    let mut killed = false;
-                    for kind in self.link_faults.kinds(me, dst).to_vec() {
-                        match kind {
-                            LinkFaultKind::Cut { from_round } => {
-                                if round >= from_round {
-                                    outcome.dropped_link_cut += 1;
-                                    if let Some(t) = self.trace.as_mut() {
-                                        t.record(TraceEvent::LinkCut {
-                                            round,
-                                            src: me,
-                                            dst,
-                                        });
-                                    }
-                                    killed = true;
-                                    break;
-                                }
-                            }
-                            LinkFaultKind::Drop { p } => {
-                                if p > 0.0 && link_rng.chance(p) {
-                                    outcome.dropped_link_loss += 1;
-                                    if let Some(t) = self.trace.as_mut() {
-                                        t.record(TraceEvent::LinkDropped {
-                                            round,
-                                            src: me,
-                                            dst,
-                                        });
-                                    }
-                                    killed = true;
-                                    break;
-                                }
-                            }
-                            LinkFaultKind::Corrupt { p } => {
-                                if p > 0.0 && link_rng.chance(p) {
-                                    let garbled = self
-                                        .corruptor
-                                        .as_mut()
-                                        .and_then(|c| c(&payload, &mut link_rng));
-                                    match garbled {
-                                        Some(g) => {
-                                            payload = g;
-                                            outcome.corrupted += 1;
-                                            if let Some(t) = self.trace.as_mut() {
-                                                t.record(TraceEvent::LinkCorrupted {
-                                                    round,
-                                                    src: me,
-                                                    dst,
-                                                    delivered: true,
-                                                });
-                                            }
-                                        }
-                                        None => {
-                                            outcome.dropped_corrupt += 1;
-                                            if let Some(t) = self.trace.as_mut() {
-                                                t.record(TraceEvent::LinkCorrupted {
-                                                    round,
-                                                    src: me,
-                                                    dst,
-                                                    delivered: false,
-                                                });
-                                            }
-                                            killed = true;
-                                            break;
-                                        }
-                                    }
-                                }
-                            }
-                            LinkFaultKind::Duplicate { p } => {
-                                if p > 0.0 && !duplicate && link_rng.chance(p) {
-                                    duplicate = true;
-                                    outcome.duplicated += 1;
-                                    if let Some(t) = self.trace.as_mut() {
-                                        t.record(TraceEvent::LinkDuplicated {
-                                            round,
-                                            src: me,
-                                            dst,
-                                        });
-                                    }
-                                }
-                            }
-                            LinkFaultKind::Reorder { window } => {
-                                if window > 0 && extra_rounds == 0 {
-                                    let d = link_rng.below(window as u64 + 1) as usize;
-                                    if d > 0 {
-                                        extra_rounds = d;
-                                        outcome.reordered += 1;
-                                        if let Some(t) = self.trace.as_mut() {
-                                            t.record(TraceEvent::LinkReordered {
-                                                round,
-                                                src: me,
-                                                dst,
-                                                delay: d,
-                                            });
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    if killed {
-                        continue;
-                    }
-                    let base_latency = self.latency.sample(&mut self.rng);
-                    let latency = base_latency + active.extra_delay(me);
-                    if latency > self.deadline {
-                        outcome.late += 1;
-                        if let Some(t) = self.trace.as_mut() {
-                            let cause = if base_latency <= self.deadline {
-                                LateCause::DelayFault
-                            } else {
-                                LateCause::Deadline
-                            };
-                            t.record(TraceEvent::Late {
-                                round,
-                                src: me,
-                                dst,
-                                latency,
-                                cause,
-                            });
-                        }
-                        continue;
-                    }
-                    let copies = if duplicate { 2 } else { 1 };
-                    for _ in 0..copies {
-                        if extra_rounds > 0 {
-                            // Delivery shifts from round+1 to
-                            // round+1+extra_rounds; events scheduled past
-                            // the final timer are never popped — messages
-                            // still in flight when the run ends are lost.
-                            queue.schedule(
-                                (round + 1 + extra_rounds) as SimTime * quantum,
-                                EventClass::Deliver,
-                                EngineEvent::Deliver {
-                                    dst,
-                                    src: me,
-                                    sent_round: round,
-                                    latency,
-                                    payload: payload.clone(),
-                                    counted: false,
-                                },
-                            );
-                            continue;
-                        }
-                        outcome.delivered += 1;
-                        if let Some(t) = self.trace.as_mut() {
-                            t.record(TraceEvent::Delivered {
-                                round,
-                                src: me,
-                                dst,
-                                latency,
-                            });
-                        }
-                        queue.schedule(
-                            (round + 1) as SimTime * quantum,
-                            EventClass::Deliver,
-                            EngineEvent::Deliver {
-                                dst,
-                                src: me,
-                                sent_round: round,
-                                latency,
-                                payload: payload.clone(),
-                                counted: true,
-                            },
-                        );
-                    }
-                }
+                // The buffer goes back into circulation with its capacity:
+                // it collects this node's mail again the round after next.
+                let mut spent = ctx.inbox;
+                spent.clear();
+                wire.arriving[i] = spent;
             }
-            outcome.rounds_run += 1;
-            let logical = (outcome.sent + outcome.delivered - work_before) as u64;
+            wire.outcome.rounds_run += 1;
+            let logical = (wire.outcome.sent + wire.outcome.delivered - work_before) as u64;
             self.obs.finish(round_timer, logical);
         }
+        let outcome = wire.outcome;
         if self.obs.is_enabled() {
             for (name, value) in [
                 ("sim.rounds", outcome.rounds_run),
@@ -873,7 +944,7 @@ impl<M: Clone> RoundEngine<M> {
             ] {
                 self.obs.add(name, value as u64);
             }
-            if let Some(trace) = &self.trace {
+            if let Some(trace) = &wire.trace {
                 self.obs.set_counter("sim.trace_dropped", trace.dropped());
             }
         }
@@ -1022,6 +1093,66 @@ mod tests {
         assert!(!heard_from_zero[2]); // sent in round 1 (crashed)
         assert!(!heard_from_zero[3]); // sent in round 2 (crashed)
         assert!(heard_from_zero[4]); // sent in round 3 (recovered)
+    }
+
+    /// A chaotic configuration that exercises every kind of engine state a
+    /// run can leave behind: held copies in flight past the end, on-time
+    /// sends of the final round, a trace, both random streams.
+    fn chaotic_engine(seed: u64) -> RoundEngine<u64> {
+        let links = LinkFaultPlan::uniform_complete(
+            4,
+            &[
+                LinkFaultKind::Reorder { window: 2 },
+                LinkFaultKind::Duplicate { p: 0.3 },
+            ],
+        );
+        RoundEngine::<u64>::new(Topology::complete(4), seed)
+            .with_link_faults(links)
+            .with_latency(LatencyModel::Uniform { lo: 0, hi: 9 })
+            .with_deadline(7)
+            .with_trace()
+    }
+
+    /// Every inbox in timer order, the outcome, and the trace of one run.
+    type Observed = (Vec<Vec<(NodeId, u64)>>, Outcome, Vec<TraceEvent>);
+
+    /// Runs `rounds` rounds of all-to-all chatter; the trace is what this
+    /// run alone recorded.
+    fn chatter(engine: &mut RoundEngine<u64>, rounds: usize) -> Observed {
+        let before = engine.trace().map_or(0, Trace::len);
+        let mut seen = Vec::new();
+        let outcome = engine.run_with(rounds, |i, ctx| {
+            seen.push(ctx.inbox().to_vec());
+            ctx.broadcast((ctx.round() * 10 + i) as u64);
+        });
+        let events = engine.trace().unwrap().events().skip(before).copied();
+        (seen, outcome, events.collect())
+    }
+
+    #[test]
+    fn static_plan_equals_its_one_segment_schedule() {
+        let plan = FaultPlan::healthy()
+            .with(n(0), FaultKind::Crash { from_round: 2 })
+            .with(n(1), FaultKind::Omission { p: 0.4 })
+            .with(n(2), FaultKind::Delay { extra: 3 });
+        let mut fixed = chaotic_engine(11).with_faults(plan.clone());
+        let mut scheduled = chaotic_engine(11).with_fault_schedule(FaultSchedule::constant(plan));
+        let (a, b) = (chatter(&mut fixed, 5), chatter(&mut scheduled, 5));
+        assert!(a.1.dropped_crash > 0 && a.1.dropped_omission > 0 && a.1.late > 0);
+        assert_eq!(a, b);
+    }
+
+    #[test]
+    fn reseeded_engine_replays_a_fresh_engine() {
+        // The first run ends with held copies still queued and final-round
+        // sends still buffered; none of it may leak into the second.
+        let mut reused = chaotic_engine(3);
+        let first = chatter(&mut reused, 3);
+        assert!(first.1.reordered > 0, "seed-checked: copies were held");
+        reused.reseed(5);
+        assert_eq!(chatter(&mut reused, 4), chatter(&mut chaotic_engine(5), 4));
+        reused.reseed(3);
+        assert_eq!(chatter(&mut reused, 3), first);
     }
 
     #[test]
@@ -1345,7 +1476,7 @@ mod tests {
         let spans = obs.spans();
         assert_eq!(spans.len(), 3, "one span per round");
         assert_eq!(spans[0].name, "sim.round");
-        assert_eq!(spans[0].args, vec![("round".to_string(), 0)]);
+        assert_eq!(spans[0].args, vec![("round".into(), 0)]);
         // Round 0: 6 sends, each accepted for delivery as it is
         // processed (deliveries are counted at send time).
         assert_eq!(spans[0].logical, 12);

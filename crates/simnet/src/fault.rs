@@ -170,14 +170,17 @@ impl FaultSchedule {
         self
     }
 
-    /// The plan active at `round`.
-    pub fn active(&self, round: usize) -> FaultPlan {
+    /// The plan active at `round` (the fault-free plan before the first
+    /// entry).
+    pub fn active(&self, round: usize) -> &FaultPlan {
+        static HEALTHY: FaultPlan = FaultPlan {
+            faults: BTreeMap::new(),
+        };
         self.epochs
             .iter()
             .rev()
             .find(|(from, _)| *from <= round)
-            .map(|(_, p)| p.clone())
-            .unwrap_or_default()
+            .map_or(&HEALTHY, |(_, p)| p)
     }
 
     /// The largest fault count any epoch reaches.
@@ -237,10 +240,10 @@ mod tests {
         let sched = FaultSchedule::healthy()
             .then_from(3, burst.clone())
             .then_from(6, FaultPlan::healthy());
-        assert_eq!(sched.active(0), FaultPlan::healthy());
-        assert_eq!(sched.active(3), burst);
-        assert_eq!(sched.active(5), burst);
-        assert_eq!(sched.active(6), FaultPlan::healthy());
+        assert_eq!(*sched.active(0), FaultPlan::healthy());
+        assert_eq!(*sched.active(3), burst);
+        assert_eq!(*sched.active(5), burst);
+        assert_eq!(*sched.active(6), FaultPlan::healthy());
         assert_eq!(sched.peak_fault_count(), 2);
     }
 
@@ -248,8 +251,8 @@ mod tests {
     fn constant_schedule() {
         let plan = FaultPlan::byzantine([n(0)]);
         let sched = FaultSchedule::constant(plan.clone());
-        assert_eq!(sched.active(0), plan);
-        assert_eq!(sched.active(99), plan);
+        assert_eq!(*sched.active(0), plan);
+        assert_eq!(*sched.active(99), plan);
     }
 
     #[test]

@@ -17,7 +17,7 @@ use crate::{LinkChaos, PollOutcome, Transport, TransportKind, TransportStats};
 use degradable::{
     AgreementValue, ByzInstance, ByzMsg, EigView, NodeAction, NodeStateMachine, Strategy, Val,
 };
-use obs::{Obs, SpanRecord, TraceCtx};
+use obs::{Label, Obs, SpanRecord, TraceCtx};
 use simnet::NodeId;
 use std::collections::{BTreeMap, BTreeSet};
 use std::io::{self, Write};
@@ -118,11 +118,11 @@ impl NodeTracer {
         )
     }
 
-    fn record(&mut self, name: &'static str, mut args: Vec<(String, u64)>) {
+    fn record(&mut self, name: &'static str, mut args: Vec<(Label, u64)>) {
         self.clock += 1;
-        args.push(("node".to_string(), self.node.index() as u64));
+        args.push(("node".into(), self.node.index() as u64));
         self.obs.record_span(SpanRecord {
-            name: name.to_string(),
+            name: name.into(),
             args,
             logical: self.clock,
             wall_nanos: 0,
@@ -131,7 +131,7 @@ impl NodeTracer {
 
     fn record_send(&mut self, to: NodeId, ctx: &TraceCtx) {
         let mut args = ctx.span_args();
-        args.push(("to".to_string(), to.index() as u64));
+        args.push(("to".into(), to.index() as u64));
         self.record("trace.send", args);
         self.obs.add("trace.sends", 1);
     }
@@ -141,7 +141,7 @@ impl NodeTracer {
             Some(ctx) => ctx.span_args(),
             None => Vec::new(),
         };
-        args.push(("src".to_string(), src.index() as u64));
+        args.push(("src".into(), src.index() as u64));
         self.record("trace.deliver", args);
         self.obs.add("trace.delivers", 1);
         if ctx.is_none() {
@@ -152,19 +152,17 @@ impl NodeTracer {
     }
 
     fn record_close(&mut self, round: usize) {
-        self.record("trace.close", vec![("round".to_string(), round as u64)]);
+        self.record("trace.close", vec![("round".into(), round as u64)]);
     }
 
     fn record_decide(&mut self, value: &Val) {
         let args = match value {
-            AgreementValue::Value(v) => vec![
-                ("instance".to_string(), self.instance),
-                ("value".to_string(), *v),
-            ],
-            AgreementValue::Default => vec![
-                ("instance".to_string(), self.instance),
-                ("is_default".to_string(), 1),
-            ],
+            AgreementValue::Value(v) => {
+                vec![("instance".into(), self.instance), ("value".into(), *v)]
+            }
+            AgreementValue::Default => {
+                vec![("instance".into(), self.instance), ("is_default".into(), 1)]
+            }
         };
         self.record("trace.decide", args);
         self.obs.add("trace.decides", 1);
