@@ -4,19 +4,15 @@
 //! Workload: a K-slot single-sender stream (node 0 proposes K values —
 //! a replicated-log shape) on BYZ(m,m) instances, with a random fault
 //! set and random battery strategies per trial. Every trial runs the
-//! same slots through **three** executors on identical inputs:
+//! same slots two ways on identical inputs:
 //!
 //! 1. [`degradable::run_batch`] — one multiplexed engine run, one shared
 //!    arena per sender, memoized bottom-up resolve per instance;
-//! 2. sequential [`degradable::run_protocol`] — K independent protocol
-//!    runs (already arena-backed per instance, but each rebuilds its
-//!    arena and pays K engine executions);
-//! 3. sequential [`degradable::run_batch_reference`], one slot per call —
-//!    the true one-at-a-time legacy pipeline: K engine runs, each
-//!    resolved by a recursive [`degradable::EigView`] fold per receiver
-//!    with no arena and no memoization.
+//! 2. sequential [`degradable::run_protocol`] — K one-instance batches:
+//!    the same executor, but each run rebuilds its arena and pays its own
+//!    engine execution.
 //!
-//! Decisions must be bit-identical across all three, and the batch's
+//! Decisions must be bit-identical between the two, and the batch's
 //! total message count must equal the sequential sum (multiplexing is
 //! pure transport fusion). The report lands in
 //! **`BENCH_batch_throughput.json`** at the repo root (override with
@@ -25,24 +21,20 @@
 //! and the wall gate so the report is bit-identical across
 //! `--workers 1/2/8`.
 //!
-//! Acceptance: zero decision mismatches across all three executors, and
+//! Acceptance: zero decision mismatches between the two, and
 //! the batch's sent count must equal the sequential sum (transport
 //! fusion changes nothing semantically). The **≥ 2× gate** is on
 //! materialization: per trial, one-at-a-time execution materializes K
 //! arenas of interned path labels where the single-sender batch
 //! materializes exactly one, so at K = 16 the advantage is 16×
 //! (`arena_reuse_k16_x100`) — deterministic, enforced in every mode.
-//! Wall times are reported for the trajectory (`x_seq`, `x_legacy`) and
-//! only sanity-gated — in timing mode at full scale the batch must not
-//! run slower than **1.2× under** the legacy one-at-a-time fold at
-//! `N = 13, m = 2, K = 16` — because end-to-end wall is dominated by
-//! the shared per-envelope transport cost, which the batch neither adds
-//! to nor removes, and CI wall clocks are noisy.
+//! Wall times are reported for the trajectory (`x_seq`) and not gated:
+//! end-to-end wall is dominated by the shared per-envelope transport
+//! cost, which the batch neither adds to nor removes, and CI wall clocks
+//! are noisy.
 
 use degradable::adversary::Strategy;
-use degradable::{
-    run_batch, run_batch_reference, run_protocol, BatchInstance, ByzInstance, Params, Val,
-};
+use degradable::{run_batch, run_protocol, BatchInstance, BatchOptions, ByzInstance, Params, Val};
 use harness::report::Table;
 use harness::{Report, RunArgs, SweepRunner};
 use obs::{Obs, TimeMode};
@@ -70,7 +62,6 @@ struct Row {
     batch_sent: usize,
     batch_nanos: u64,
     seq_nanos: u64,
-    legacy_nanos: u64,
     mismatches: usize,
 }
 
@@ -91,13 +82,6 @@ impl Row {
         self.seq_nanos as f64 / self.batch_nanos as f64
     }
 
-    fn speedup_legacy(&self) -> f64 {
-        if self.batch_nanos == 0 {
-            return 0.0;
-        }
-        self.legacy_nanos as f64 / self.batch_nanos as f64
-    }
-
     fn cells(&self, timing: bool) -> Vec<String> {
         let mut out = vec![
             self.m.to_string(),
@@ -114,11 +98,9 @@ impl Row {
         if timing {
             out.push(self.batch_nanos.to_string());
             out.push(self.seq_nanos.to_string());
-            out.push(self.legacy_nanos.to_string());
             out.push(format!("{:.2}", self.speedup_seq()));
-            out.push(format!("{:.2}", self.speedup_legacy()));
         } else {
-            out.extend(std::iter::repeat_n("-".to_string(), 5));
+            out.extend(std::iter::repeat_n("-".to_string(), 3));
         }
         out
     }
@@ -148,7 +130,6 @@ fn run_cell(cell: &Cell, trials: usize, timing: bool, mut rng: SimRng, obs: &mut
     let mut batch_sent = 0usize;
     let mut batch_nanos = 0u64;
     let mut seq_nanos = 0u64;
-    let mut legacy_nanos = 0u64;
     let mut mismatches = 0usize;
 
     for _ in 0..trials {
@@ -168,7 +149,9 @@ fn run_cell(cell: &Cell, trials: usize, timing: bool, mut rng: SimRng, obs: &mut
         let seed = rng.below(u64::MAX);
 
         let t0 = Instant::now();
-        let batch = run_batch(params, n, &instances, &strategies, seed);
+        let opts = BatchOptions::new();
+        let batch = run_batch(params, n, &instances, &strategies, seed, opts)
+            .expect("n >= 3m + 1, sender 0");
         let t1 = Instant::now();
         let single = ByzInstance::new(n, params, sender).expect("n >= 3m + 1");
         let mut seq_sent = 0usize;
@@ -180,21 +163,12 @@ fn run_cell(cell: &Cell, trials: usize, timing: bool, mut rng: SimRng, obs: &mut
             }
         }
         let t2 = Instant::now();
-        for (slot, inst) in instances.iter().enumerate() {
-            let legacy =
-                run_batch_reference(params, n, std::slice::from_ref(inst), &strategies, seed);
-            if legacy.decisions[0] != batch.decisions[slot] {
-                mismatches += 1;
-            }
-        }
-        let t3 = Instant::now();
         if batch.net.sent != seq_sent {
             mismatches += 1; // transport fusion must not change traffic
         }
         if timing {
             batch_nanos += (t1 - t0).as_nanos() as u64;
             seq_nanos += (t2 - t1).as_nanos() as u64;
-            legacy_nanos += (t3 - t2).as_nanos() as u64;
         }
         perf.absorb(&batch.net.eig);
         arena_builds += batch.arena_builds;
@@ -216,13 +190,12 @@ fn run_cell(cell: &Cell, trials: usize, timing: bool, mut rng: SimRng, obs: &mut
         batch_sent,
         batch_nanos,
         seq_nanos,
-        legacy_nanos,
         mismatches,
     }
 }
 
 fn main() {
-    println!("E16: batched agreement throughput — arena batch vs sequential vs legacy fold");
+    println!("E16: batched agreement throughput — arena batch vs sequential run_protocol");
     let args = RunArgs::parse();
     let mut max_n = 13usize;
     let mut timing = true;
@@ -288,9 +261,7 @@ fn main() {
         "votes_memo_hit",
         "batch_ns",
         "seq_ns",
-        "legacy_ns",
         "x_seq",
-        "x_legacy",
     ];
     let mut report = Report::new("batch_throughput");
     report
@@ -310,10 +281,6 @@ fn main() {
     if timing {
         if let Some(r) = gate_row {
             report.set_metric(
-                "speedup_legacy_n13_m2_k16_x100",
-                (r.speedup_legacy() * 100.0).round() as u64,
-            );
-            report.set_metric(
                 "speedup_seq_n13_m2_k16_x100",
                 (r.speedup_seq() * 100.0).round() as u64,
             );
@@ -321,7 +288,7 @@ fn main() {
     }
     report.set_obs_registry(obs_rec.registry());
     report.add_table(Table::with_rows(
-        "arena batch vs sequential vs legacy per-view fold \
+        "arena batch vs sequential run_protocol \
          (per-cell totals; timing columns '-' under --no-timing)",
         &headers,
         rows.iter().map(|r| r.cells(timing)).collect(),
@@ -346,28 +313,22 @@ fn main() {
         Err(e) => eprintln!("\nreport write failed: {e}"),
     }
 
-    // Gates: decisions always; the >=2x materialization advantage always
-    // (deterministic); the wall sanity floor only in timing mode at full
-    // scale.
+    // Gates: decisions and the >=2x materialization advantage, both
+    // deterministic. Wall time is reported, not gated.
     let reuse_ok = reuse_k16 >= 2.0;
-    let legacy_speedup = gate_row.map(Row::speedup_legacy);
-    let speedup_ok = !timing || max_n < 13 || legacy_speedup.map(|s| s >= 1.2).unwrap_or(false);
-    if mismatches == 0 && reuse_ok && speedup_ok {
-        match legacy_speedup {
+    if mismatches == 0 && reuse_ok {
+        match gate_row.map(Row::speedup_seq) {
             Some(s) if timing => println!(
-                "\nRESULT: all three executors bit-identical, {reuse_k16:.0}x arena reuse \
-                 at K=16, {s:.2}x vs legacy fold at N=13 m=2 K=16"
+                "\nRESULT: batch and sequential bit-identical, {reuse_k16:.0}x arena reuse \
+                 at K=16, {s:.2}x vs sequential at N=13 m=2 K=16"
             ),
             _ => println!(
-                "\nRESULT: all three executors bit-identical, {reuse_k16:.0}x arena reuse \
+                "\nRESULT: batch and sequential bit-identical, {reuse_k16:.0}x arena reuse \
                  at K=16 (timing suppressed)"
             ),
         }
     } else {
-        println!(
-            "\nRESULT: FAIL (mismatches={mismatches}, reuse_k16={reuse_k16:.1}, \
-             speedup_legacy={legacy_speedup:?})"
-        );
+        println!("\nRESULT: FAIL (mismatches={mismatches}, reuse_k16={reuse_k16:.1})");
         std::process::exit(1);
     }
 }

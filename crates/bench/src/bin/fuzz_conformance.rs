@@ -15,7 +15,7 @@
 //!    [`degradable::spec::SpecChecker`]; model-clean plans additionally
 //!    pass `check_degradable`. Every fourth trial is replayed through
 //!    two real backends — the batched agreement service
-//!    (`run_batch_traced`) and the TCP mesh — and those executions are
+//!    (`run_batch` with a trace sink) and the TCP mesh — and those executions are
 //!    checked against the same spec machine. The gate: zero violations,
 //!    main run and backend replays alike. Any failure is shrunk to a
 //!    minimal `(seed, plan)` repro and written to `results/repros/`.
@@ -27,7 +27,7 @@
 //!    `results/repros/` as evidence.
 //! 3. **Churn sweep** — `--trials`-independent seeds of a fixed
 //!    crash/rejoin schedule over the batched service
-//!    ([`degradable::run_churn_with`]): a Byzantine node with corrupt
+//!    ([`degradable::run_churn`]): a Byzantine node with corrupt
 //!    outgoing links spoofing a rejoined sender's reclaimed slot id.
 //!    The gate: every epoch's D.1–D.4 verdicts stay within the model
 //!    and the path-root pin rejects at least one spoof.
@@ -189,7 +189,7 @@ fn churn_cell(trial: usize, mut rng: SimRng, obs: &mut Obs) -> ChurnRow {
         .with(n(3), n(1), LinkFaultKind::Corrupt { p: 1.0 })
         .with(n(3), n(2), LinkFaultKind::Corrupt { p: 1.0 })
         .with(n(3), n(4), LinkFaultKind::Corrupt { p: 1.0 });
-    let run = degradable::run_churn_with(
+    let run = degradable::run_churn(
         Params::new(1, 2).expect("u >= m"),
         5,
         &epochs,

@@ -5,7 +5,7 @@
 //! `degradable::service` is only acceptable if it is effectively free
 //! when armed and exactly free when disabled. This bin drives the E19
 //! fault-free reference cell — BYZ(2,2) batches with early stopping
-//! armed — through [`degradable::run_batch_observed_early_stop`] twice
+//! armed — through [`degradable::run_batch`] twice
 //! per repetition on identical inputs: once with a disabled recorder,
 //! once with an enabled one. Repetitions interleave the two modes so
 //! machine drift hits both sides equally.
@@ -26,7 +26,7 @@
 //! skipped and the registry is scrubbed of wall-named series, so the
 //! report is bit-identical across `--workers 1/2/8` and across reruns.
 
-use degradable::{run_batch_observed_early_stop, BatchInstance, Params, Val};
+use degradable::{run_batch, BatchInstance, BatchOptions, Params, Val};
 use harness::report::Table;
 use harness::{Report, RunArgs, SloSpec, SweepRunner};
 use obs::{Obs, TimeMode};
@@ -98,27 +98,19 @@ fn main() {
             .wrapping_mul(0x9E37_79B9_7F4A_7C15);
 
         let t0 = Instant::now();
-        let (plain, ..) = run_batch_observed_early_stop(
-            params,
-            n,
-            &instances,
-            &no_faults,
-            seed,
-            workers,
-            |e| e,
-            &mut Obs::disabled(),
-        );
+        let early_stopped = || BatchOptions::new().early_stop(true).workers(workers);
+        let plain = run_batch(params, n, &instances, &no_faults, seed, early_stopped())
+            .expect("n >= 3m + 1, sender 0");
         let t1 = Instant::now();
-        let (traced, ..) = run_batch_observed_early_stop(
+        let traced = run_batch(
             params,
             n,
             &instances,
             &no_faults,
             seed,
-            workers,
-            |e| e,
-            &mut obs_rec,
-        );
+            early_stopped().obs(&mut obs_rec),
+        )
+        .expect("n >= 3m + 1, sender 0");
         let t2 = Instant::now();
 
         rows.push(Rep {

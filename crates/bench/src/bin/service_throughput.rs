@@ -30,7 +30,9 @@
 //! `svc.instance.messages` p99 ≤ 2048 / `svc.instance.logical`
 //! p99 ≤ 1024 across every shape.
 
-use degradable::{run_batch, BatchInstance, Params, ServiceConfig, ServiceState, Strategy, Val};
+use degradable::{
+    run_batch, BatchInstance, BatchOptions, Params, ServiceConfig, ServiceState, Strategy, Val,
+};
 use harness::report::Table;
 use harness::{Report, RunArgs, SloSpec, SweepRunner};
 use obs::{Obs, TimeMode};
@@ -152,7 +154,9 @@ fn run_cell(cell: &Cell, workers: usize, seed: u64, timing: bool, obs: &mut Obs)
         let drain_seed = seed ^ (wave_idx as u64 + 1);
         let batch = svc.drain_observed(&strategies, drain_seed, &mut local);
         if wave_idx == 0 {
-            let oracle = run_batch(params, n, &wave, &strategies, drain_seed);
+            let opts = BatchOptions::new();
+            let oracle = run_batch(params, n, &wave, &strategies, drain_seed, opts)
+                .expect("the service validated this shape");
             if oracle.decisions != batch.run.decisions {
                 mismatches += 1;
             }

@@ -18,7 +18,7 @@
 
 use agreement_bench::{pct, print_csv};
 use degradable::adversary::Strategy;
-use degradable::{check_degradable, run_protocol_with, ByzInstance, Params, Val};
+use degradable::{check_degradable, run_protocol_with, BatchOptions, ByzInstance, Params, Val};
 use harness::report::Table;
 use harness::{Report, RunArgs, SweepRunner};
 use simnet::{LatencyModel, NodeId};
@@ -66,7 +66,8 @@ fn main() {
                     &Val::Value(7),
                     &strategies,
                     rng.below(u64::MAX),
-                    |e| e.with_latency(latency).with_deadline(deadline),
+                    BatchOptions::new()
+                        .network(|e| e.with_latency(latency).with_deadline(deadline)),
                 );
                 let late = run.net.late;
                 let record = run.record(&inst, Val::Value(7), faulty.clone());

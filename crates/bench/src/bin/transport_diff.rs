@@ -35,7 +35,8 @@
 
 use degradable::adversary::Strategy;
 use degradable::{
-    check_degradable, run_protocol_with, ByzInstance, Params, RunRecord, Val, VoteRule,
+    check_degradable, run_protocol_with, BatchOptions, ByzInstance, Params, RunRecord, Val,
+    VoteRule,
 };
 use harness::report::Table;
 use harness::{Report, RunArgs, SweepRunner};
@@ -199,9 +200,13 @@ fn diff_cell(cell: &DiffCell, mut rng: simnet::SimRng, obs: &mut Obs) -> DiffRow
     let mut oracle_mismatches = 0usize;
     let oracle_checked = plan.deterministic();
     if oracle_checked {
-        let oracle = run_protocol_with(&inst, &Val::Value(42), &strategies, seed, |e| {
-            e.with_link_faults(plan.plan(n))
-        });
+        let oracle = run_protocol_with(
+            &inst,
+            &Val::Value(42),
+            &strategies,
+            seed,
+            BatchOptions::new().network(|e| e.with_link_faults(plan.plan(n))),
+        );
         if oracle.decisions != sim.decisions {
             oracle_mismatches += 1;
         }

@@ -170,7 +170,7 @@ impl ReplicatedLog {
     }
 
     /// Appends several commands in one **multiplexed** execution
-    /// ([`degradable::service::run_batch`]): all slots share a single
+    /// ([`degradable::run_batch`]): all slots share a single
     /// message-passing run instead of one per slot — the transport a real
     /// deployment would use for a pipeline of log entries.
     pub fn append_batch(
@@ -186,7 +186,10 @@ impl ReplicatedLog {
                 value: Val::Value(c),
             })
             .collect();
-        let batch = degradable::run_batch(self.params, self.n, &instances, strategies, 0xBA7C);
+        let opts = degradable::BatchOptions::new();
+        let batch =
+            degradable::run_batch(self.params, self.n, &instances, strategies, 0xBA7C, opts)
+                .expect("n = min_nodes admits the params, and node 0 exists");
         let mut reports = Vec::with_capacity(commands.len());
         for decisions in batch.decisions {
             let slot = self.len();

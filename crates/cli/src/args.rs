@@ -410,6 +410,26 @@ pub fn parse_faulty(spec: &str) -> Result<BTreeMap<NodeId, Strategy<u64>>, Parse
     Ok(out)
 }
 
+/// Parses `--faulty` for a `nodes`-node system. An id outside `0..nodes`
+/// is rejected: a phantom fault never acts but would still count into
+/// `f`, so D.1–D.4 would be judged in the wrong regime.
+fn faulty_flag(
+    flags: &Flags<'_>,
+    nodes: usize,
+) -> Result<BTreeMap<NodeId, Strategy<u64>>, ParseError> {
+    let faulty = match flags.pairs.get("--faulty") {
+        Some(spec) => parse_faulty(spec)?,
+        None => return Ok(BTreeMap::new()),
+    };
+    match faulty.keys().find(|id| id.index() >= nodes) {
+        Some(id) => err(format!(
+            "`--faulty` names node {} but there are only {nodes} nodes",
+            id.index()
+        )),
+        None => Ok(faulty),
+    }
+}
+
 fn parse_u64(s: &str) -> Result<u64, ParseError> {
     s.parse()
         .map_err(|_| ParseError(format!("expected a number, got `{s}`")))
@@ -437,10 +457,7 @@ fn parse_service_flags<'a>(
     wave_default: usize,
     queue_default: usize,
 ) -> Result<(ServiceFlags, usize), ParseError> {
-    let faulty = match flags.pairs.get("--faulty") {
-        Some(spec) => parse_faulty(spec)?,
-        None => BTreeMap::new(),
-    };
+    let nodes = req_usize(flags, "--nodes")?;
     let wave = opt_usize(flags, wave_flag, wave_default)?;
     if wave == 0 {
         return err(format!("`{wave_flag}` must be at least 1"));
@@ -455,7 +472,7 @@ fn parse_service_flags<'a>(
     }
     Ok((
         ServiceFlags {
-            nodes: req_usize(flags, "--nodes")?,
+            nodes,
             m: req_usize(flags, "--m")?,
             u: req_usize(flags, "--u")?,
             instances: opt_usize(flags, "--instances", 256)?,
@@ -467,7 +484,7 @@ fn parse_service_flags<'a>(
                 .map(|v| parse_u64(v))
                 .transpose()?
                 .unwrap_or(1),
-            faulty,
+            faulty: faulty_flag(flags, nodes)?,
             no_timing: flags.switches.contains(&"--no-timing"),
             metrics_out: flags.pairs.get("--metrics-out").map(|s| s.to_string()),
         },
@@ -485,10 +502,7 @@ pub fn parse_args(argv: &[String]) -> Result<Command, ParseError> {
         "help" | "--help" | "-h" => Ok(Command::Help),
         "run" => {
             let flags = collect_flags(rest)?;
-            let faulty = match flags.pairs.get("--faulty") {
-                Some(spec) => parse_faulty(spec)?,
-                None => BTreeMap::new(),
-            };
+            let nodes = req_usize(&flags, "--nodes")?;
             let explain = match flags.pairs.get("--explain") {
                 Some(v) => Some(NodeId::new(v.parse().map_err(|_| {
                     ParseError(format!("`--explain` expects a node id, got `{v}`"))
@@ -500,7 +514,7 @@ pub fn parse_args(argv: &[String]) -> Result<Command, ParseError> {
                 None => TransportKind::Sim,
             };
             Ok(Command::Run {
-                nodes: req_usize(&flags, "--nodes")?,
+                nodes,
                 m: req_usize(&flags, "--m")?,
                 u: req_usize(&flags, "--u")?,
                 value: flags
@@ -509,7 +523,7 @@ pub fn parse_args(argv: &[String]) -> Result<Command, ParseError> {
                     .map(|v| parse_u64(v))
                     .transpose()?
                     .unwrap_or(42),
-                faulty,
+                faulty: faulty_flag(&flags, nodes)?,
                 explain,
                 transport,
             })
@@ -534,10 +548,6 @@ pub fn parse_args(argv: &[String]) -> Result<Command, ParseError> {
                     metrics_out: common.metrics_out,
                 });
             }
-            let faulty = match flags.pairs.get("--faulty") {
-                Some(spec) => parse_faulty(spec)?,
-                None => BTreeMap::new(),
-            };
             let peers: Vec<String> = match flags.pairs.get("--peers") {
                 None => return err("missing required flag `--peers`"),
                 Some(list) => list
@@ -557,6 +567,7 @@ pub fn parse_args(argv: &[String]) -> Result<Command, ParseError> {
                     peers.len()
                 ));
             }
+            let faulty = faulty_flag(&flags, peers.len())?;
             Ok(Command::Serve {
                 index,
                 peers,
@@ -605,12 +616,9 @@ pub fn parse_args(argv: &[String]) -> Result<Command, ParseError> {
         }
         "batch" => {
             let flags = collect_flags(rest)?;
-            let faulty = match flags.pairs.get("--faulty") {
-                Some(spec) => parse_faulty(spec)?,
-                None => BTreeMap::new(),
-            };
+            let nodes = req_usize(&flags, "--nodes")?;
             Ok(Command::Batch {
-                nodes: req_usize(&flags, "--nodes")?,
+                nodes,
                 m: req_usize(&flags, "--m")?,
                 u: req_usize(&flags, "--u")?,
                 k: opt_usize(&flags, "--k", 4)?,
@@ -620,7 +628,7 @@ pub fn parse_args(argv: &[String]) -> Result<Command, ParseError> {
                     .map(|v| parse_u64(v))
                     .transpose()?
                     .unwrap_or(42),
-                faulty,
+                faulty: faulty_flag(&flags, nodes)?,
                 seed: flags
                     .pairs
                     .get("--seed")
@@ -1092,6 +1100,50 @@ mod tests {
             f[&NodeId::new(4)],
             Strategy::RandomLie { seed: 99, .. }
         ));
+    }
+
+    #[test]
+    fn phantom_faulty_ids_are_rejected_by_every_command() {
+        let shape = ["--nodes", "5", "--m", "1", "--u", "2"];
+        for sub in [
+            vec!["run"],
+            vec!["batch"],
+            vec!["serve", "--service"],
+            vec!["bombard"],
+        ] {
+            let args = |spec: &'static str| {
+                let mut v = sub.clone();
+                v.extend(shape);
+                v.extend(["--faulty", spec]);
+                sv(&v)
+            };
+            let e = parse_args(&args("9:silent")).unwrap_err();
+            assert_eq!(
+                e.to_string(),
+                "error: `--faulty` names node 9 but there are only 5 nodes",
+                "{sub:?}"
+            );
+            // The last real node is still a legal fault.
+            assert!(parse_args(&args("4:silent")).is_ok(), "{sub:?}");
+        }
+        // The mesh node takes its cluster size from `--peers`.
+        let serve = |spec: &'static str| {
+            parse_args(&sv(&[
+                "serve",
+                "--index",
+                "0",
+                "--peers",
+                "a:1,b:2,c:3,d:4",
+                "--m",
+                "1",
+                "--u",
+                "1",
+                "--faulty",
+                spec,
+            ]))
+        };
+        assert!(serve("4:silent").unwrap_err().0.contains("only 4 nodes"));
+        assert!(serve("3:silent").is_ok());
     }
 
     #[test]

@@ -686,7 +686,7 @@ fn serve_cmd(
         instance: 0,
         metrics_out: metrics_out.map(std::path::PathBuf::from),
     };
-    let outcome = transport::drive_mesh_opts(endpoint, machine, &drive);
+    let outcome = transport::drive_mesh(endpoint, machine, &drive);
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -753,12 +753,6 @@ fn batch_cmd(
         Ok(p) => p,
         Err(e) => return format!("error: {e}"),
     };
-    if !params.admits(nodes) {
-        return format!(
-            "error: BYZ({m},{u}) needs at least {} nodes, got {nodes}",
-            params.min_nodes()
-        );
-    }
     let sender = NodeId::new(0);
     let instances: Vec<degradable::BatchInstance<u64>> = (0..k)
         .map(|slot| degradable::BatchInstance {
@@ -766,7 +760,11 @@ fn batch_cmd(
             value: Val::Value(value + slot as u64),
         })
         .collect();
-    let batch = degradable::run_batch(params, nodes, &instances, faulty, seed);
+    let options = degradable::BatchOptions::new();
+    let batch = match degradable::run_batch(params, nodes, &instances, faulty, seed, options) {
+        Ok(batch) => batch,
+        Err(e) => return format!("error: {e}"),
+    };
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -891,7 +889,9 @@ fn service_cmd(
         debug_assert_eq!(batch.ids.len(), drained.len());
         if drains.is_multiple_of(4) && !drained.is_empty() {
             samples += 1;
-            let oracle = degradable::run_batch(params, nodes, &drained, faulty, drain_seed);
+            let opts = degradable::BatchOptions::new();
+            let oracle = degradable::run_batch(params, nodes, &drained, faulty, drain_seed, opts)
+                .expect("the service validated this shape");
             if oracle.decisions != batch.run.decisions {
                 mismatches += 1;
             }
@@ -1291,6 +1291,11 @@ mod tests {
         let out = batch_cmd(4, 1, 2, 2, 42, &Default::default(), 1);
         assert!(out.contains("error"), "{out}");
         assert!(out.contains("at least 5 nodes"), "{out}");
+        // Beyond the 64-node engine ceiling: a typed error line, as
+        // `serve --service` prints, not an arena panic.
+        let out = batch_cmd(70, 1, 1, 2, 42, &Default::default(), 1);
+        assert!(out.starts_with("error: "), "{out}");
+        assert!(out.contains("64"), "{out}");
     }
 
     #[test]

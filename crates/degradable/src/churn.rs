@@ -6,7 +6,7 @@
 //! them back: a crashed node is *silent* for a while (the cleanest
 //! Byzantine behaviour — absence everywhere), then rejoins with no state.
 //! This module runs a sequence of **epochs** — each a full
-//! [`run_batch_observed`] execution — under a per-epoch membership mask:
+//! [`run_batch`] execution — under a per-epoch membership mask:
 //!
 //! * a node with `alive[i] == false` is crashed for the epoch: it sends
 //!   nothing (modelled as [`Strategy::Silent`]), and it counts into the
@@ -28,7 +28,7 @@
 use crate::adversary::Strategy;
 use crate::conditions::{check_degradable, RunRecord, Verdict};
 use crate::params::Params;
-use crate::service::{run_batch_observed, BatchInstance, BatchMsg};
+use crate::service::{run_batch, BatchInstance, BatchMsg, BatchOptions};
 use obs::Obs;
 use simnet::{NodeId, RoundEngine};
 use std::collections::{BTreeMap, BTreeSet};
@@ -103,8 +103,15 @@ fn epoch_seed(master_seed: u64, epoch: usize) -> u64 {
     master_seed ^ 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(epoch as u64 + 1)
 }
 
-/// Runs `epochs` sequentially over the batched service. See
-/// [`run_churn_with`] for the engine hook.
+/// Runs `epochs` sequentially over the batched service, handing each
+/// epoch's [`RoundEngine`] to `network` (for link-fault plans, adaptive
+/// corruptors, tracing; `|_, e| e` for a healthy network) before the
+/// epoch executes.
+///
+/// # Panics
+///
+/// Panics if any mask's length differs from `n`, or an epoch's shape is
+/// one [`run_batch`] rejects.
 pub fn run_churn<V: Clone + Ord + Hash + Send + Sync>(
     params: Params,
     n: usize,
@@ -112,26 +119,7 @@ pub fn run_churn<V: Clone + Ord + Hash + Send + Sync>(
     strategies: &BTreeMap<NodeId, Strategy<V>>,
     seed: u64,
     obs: &mut Obs,
-) -> ChurnRun<V> {
-    run_churn_with(params, n, epochs, strategies, seed, obs, |_, e| e)
-}
-
-/// Runs `epochs` sequentially, handing each epoch's [`RoundEngine`] to
-/// `engine_setup` (for link-fault plans, adaptive corruptors, tracing)
-/// before the epoch executes.
-///
-/// # Panics
-///
-/// Panics if any mask's length differs from `n`, or the batch bounds are
-/// violated (see [`run_batch_observed`]).
-pub fn run_churn_with<V: Clone + Ord + Hash + Send + Sync>(
-    params: Params,
-    n: usize,
-    epochs: &[EpochPlan<V>],
-    strategies: &BTreeMap<NodeId, Strategy<V>>,
-    seed: u64,
-    obs: &mut Obs,
-    mut engine_setup: impl FnMut(usize, RoundEngine<BatchMsg<V>>) -> RoundEngine<BatchMsg<V>>,
+    mut network: impl FnMut(usize, RoundEngine<BatchMsg<V>>) -> RoundEngine<BatchMsg<V>>,
 ) -> ChurnRun<V> {
     let mut out = Vec::with_capacity(epochs.len());
     let mut crashes = 0usize;
@@ -157,16 +145,17 @@ pub fn run_churn_with<V: Clone + Ord + Hash + Send + Sync>(
         for node in &crashed {
             effective.insert(*node, Strategy::Silent);
         }
-        let (run, ..) = run_batch_observed(
+        let run = run_batch(
             params,
             n,
             &epoch.instances,
             &effective,
             epoch_seed(seed, e),
-            1,
-            |eng| engine_setup(e, eng),
-            obs,
-        );
+            BatchOptions::new()
+                .network(|eng| network(e, eng))
+                .obs(&mut *obs),
+        )
+        .unwrap_or_else(|err| panic!("epoch {e}: {err}"));
 
         // Effective fault set: declared Byzantine ∪ crashed.
         let faulty: BTreeSet<NodeId> = strategies
@@ -266,6 +255,7 @@ mod tests {
             &BTreeMap::new(),
             7,
             &mut Obs::disabled(),
+            |_, e| e,
         );
         assert_eq!(run.crashes, 2);
         assert_eq!(run.rejoins, 2);
@@ -297,6 +287,7 @@ mod tests {
             &BTreeMap::new(),
             3,
             &mut Obs::disabled(),
+            |_, e| e,
         );
         let epoch = &run.epochs[0];
         assert!(epoch.all_within_model());
@@ -317,7 +308,15 @@ mod tests {
             alive: vec![true, true, true, false, true],
             instances: vec![slot(0, 10), slot(1, 20)],
         }];
-        let run = run_churn(params(), 5, &epochs, &strategies, 11, &mut Obs::disabled());
+        let run = run_churn(
+            params(),
+            5,
+            &epochs,
+            &strategies,
+            11,
+            &mut Obs::disabled(),
+            |_, e| e,
+        );
         let epoch = &run.epochs[0];
         assert_eq!(epoch.records[0].f(), 2);
         assert!(epoch.all_within_model(), "{:?}", epoch.verdicts);
@@ -345,7 +344,7 @@ mod tests {
             },
         ];
         let plan = LinkFaultPlan::uniform_complete(5, &[LinkFaultKind::Corrupt { p: 0.5 }]);
-        let spoofing = run_churn_with(
+        let spoofing = run_churn(
             params(),
             5,
             &epochs,
@@ -370,7 +369,7 @@ mod tests {
                 }
             },
         );
-        let absent = run_churn_with(
+        let absent = run_churn(
             params(),
             5,
             &epochs,
@@ -430,7 +429,7 @@ mod tests {
             .with(n(3), n(2), LinkFaultKind::Corrupt { p: 1.0 });
         let runs: Vec<ChurnRun<u64>> = (0..2)
             .map(|_| {
-                run_churn_with(
+                run_churn(
                     params(),
                     5,
                     &epochs,
@@ -482,7 +481,15 @@ mod tests {
             },
         ];
         let mut obs = Obs::enabled();
-        run_churn(params(), 5, &epochs, &BTreeMap::new(), 1, &mut obs);
+        run_churn(
+            params(),
+            5,
+            &epochs,
+            &BTreeMap::new(),
+            1,
+            &mut obs,
+            |_, e| e,
+        );
         let reg = obs.registry();
         assert_eq!(reg.counter("churn.epochs"), 2);
         assert_eq!(reg.counter("churn.crashes"), 1);
@@ -505,6 +512,7 @@ mod tests {
             &BTreeMap::new(),
             1,
             &mut Obs::disabled(),
+            |_, e| e,
         );
     }
 }

@@ -105,7 +105,7 @@ pub use adaptive::{
 pub use adversary::{AdversaryRun, ExhaustiveSearch, HillClimbSearch, RandomizedSearch, Strategy};
 pub use byz::{ByzError, ByzInstance};
 pub use certify::{certify, CertificationReport};
-pub use churn::{run_churn, run_churn_with, ChurnRun, EpochOutcome, EpochPlan};
+pub use churn::{run_churn, ChurnRun, EpochOutcome, EpochPlan};
 pub use conditions::{
     check_byzantine, check_degradable, check_weak_byzantine, largest_fault_free_class, Condition,
     RunRecord, Satisfaction, Verdict, Violation,
@@ -120,12 +120,10 @@ pub use ic::{check_degradable_ic, run_degradable_ic, IcOutcome, IcViolation};
 pub use node::{Action as NodeAction, Event as NodeEvent, NodeStateMachine};
 pub use params::{Params, ParamsError};
 pub use path::{path_count, paths_of_length, Path};
-pub use protocol::{run_protocol, run_protocol_full, run_protocol_with, ByzMsg, ProtocolRun};
+pub use protocol::{run_protocol, run_protocol_with, ByzMsg, ProtocolRun};
 pub use service::{
-    run_batch, run_batch_full, run_batch_observed, run_batch_observed_early_stop,
-    run_batch_reference, run_batch_traced, run_batch_with, try_run_batch, BatchInstance, BatchMsg,
-    BatchRun, BatchTraceEvent, ServiceBatch, ServiceConfig, ServiceError, ServiceState,
-    ServiceStats,
+    run_batch, BatchInstance, BatchMsg, BatchOptions, BatchRun, BatchTraceEvent, ServiceBatch,
+    ServiceConfig, ServiceError, ServiceState, ServiceStats,
 };
 pub use sm::{run_sm, run_sm_honest, SmAdversary, SmRelayAction};
 pub use sparse::{

@@ -9,24 +9,24 @@
 //! the paper assumes away: authenticated sources, per-round delivery, and
 //! detectable absence.
 //!
-//! Honest nodes validate incoming envelopes: the path must have the
-//! claimed sender as its last element (the engine stamps true sources, so
-//! a faulty node cannot impersonate — assumption (c) of the paper), must
-//! not contain the receiver, and must match the current round's level.
-//! Invalid envelopes are dropped, which maps any protocol-confused faulty
-//! node onto the silent/absent case.
+//! A single agreement is a one-instance batch: [`run_protocol`] hands
+//! `[BatchInstance { sender, value }]` to the executor of
+//! [`crate::service`], so every envelope goes through the crate's one
+//! inbox (validation, first-write-wins recording, relay fan-out — see
+//! that module's docs) and every [`BatchOptions`] knob applies unchanged.
 
-use crate::adversary::{claim_for, Strategy};
+use crate::adversary::Strategy;
 use crate::byz::ByzInstance;
 use crate::conditions::RunRecord;
-use crate::eig::EigView;
-use crate::path::{relay_fanout, Path};
+use crate::path::Path;
+use crate::service::{run_unchecked, BatchInstance, BatchOptions};
 use crate::value::AgreementValue;
-use simnet::{NodeId, RoundEngine, Topology};
+use simnet::NodeId;
 use std::collections::BTreeMap;
 use std::hash::Hash;
 
-/// A protocol message: the relay path and the claimed value.
+/// A protocol message on the wire ([`crate::NodeStateMachine`] and the
+/// `transport` backends): the relay path and the claimed value.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ByzMsg<V> {
     /// Relay path; its last element must be the true sender of the
@@ -34,22 +34,6 @@ pub struct ByzMsg<V> {
     pub path: Path,
     /// The claimed value for that path.
     pub value: AgreementValue<V>,
-}
-
-/// The canonical corruptor for BYZ envelopes under link-level chaos
-/// ([`simnet::LinkFaultKind::Corrupt`]).
-///
-/// The paper's oral-message model assumes a damaged message is
-/// *detectable* — the receiver can tell a garbled envelope from a valid
-/// one (checksums in practice). A detected-garbled envelope carries no
-/// usable claim, so it must read as **absent**, folding to `V_d` like any
-/// other missing message. Mapping every corrupted envelope to `None`
-/// implements exactly that; it matches the engine's default when no
-/// corruptor is installed, but states the protocol's intent at the call
-/// site.
-pub fn corruption_as_absence<V>() -> impl FnMut(&ByzMsg<V>, &mut simnet::SimRng) -> Option<ByzMsg<V>>
-{
-    |_msg, _rng| None
 }
 
 /// Result of one message-passing execution.
@@ -86,171 +70,52 @@ impl<V: Clone + Ord> ProtocolRun<V> {
 /// Nodes listed in `strategies` are Byzantine and misbehave accordingly
 /// ([`Strategy::Silent`] nodes genuinely send nothing, exercising absence
 /// detection). `seed` drives the engine (only relevant when a latency
-/// model or omission faults are configured via `engine_setup`).
+/// model or stochastic faults are configured through
+/// [`run_protocol_with`]).
 pub fn run_protocol<V: Clone + Ord + Hash + Send + Sync>(
     instance: &ByzInstance,
     sender_value: &AgreementValue<V>,
     strategies: &BTreeMap<NodeId, Strategy<V>>,
     seed: u64,
 ) -> ProtocolRun<V> {
-    run_protocol_with(instance, sender_value, strategies, seed, |e| e)
+    run_protocol_with(
+        instance,
+        sender_value,
+        strategies,
+        seed,
+        BatchOptions::new(),
+    )
 }
 
-/// Like [`run_protocol`], with a hook to customize the engine (fault plan,
-/// latency model, deadline, tracing) before the run.
+/// [`run_protocol`] with [`BatchOptions`]: a network hook (fault plan,
+/// latency model, deadline, tracing), early stopping, an obs recorder, or
+/// the receivers' materialized views (one map, for the one instance).
+///
+/// Instances built with [`ByzInstance::new_below_bound`] run too — the
+/// node bound is the constructor's to enforce, not this function's.
 pub fn run_protocol_with<V: Clone + Ord + Hash + Send + Sync>(
     instance: &ByzInstance,
     sender_value: &AgreementValue<V>,
     strategies: &BTreeMap<NodeId, Strategy<V>>,
     seed: u64,
-    engine_setup: impl FnOnce(RoundEngine<ByzMsg<V>>) -> RoundEngine<ByzMsg<V>>,
+    opts: BatchOptions<'_, V>,
 ) -> ProtocolRun<V> {
-    run_protocol_inner(instance, sender_value, strategies, seed, engine_setup).0
-}
-
-/// Like [`run_protocol_with`], additionally materializing every
-/// receiver's [`EigView`] from the shared store — the reference fold's
-/// input — so differential tests can re-resolve the exact same
-/// observations through [`EigView::resolve`] and compare against the
-/// arena fold (`tests/engine_equivalence.rs` does this under chaos
-/// plans).
-pub fn run_protocol_full<V: Clone + Ord + Hash + Send + Sync>(
-    instance: &ByzInstance,
-    sender_value: &AgreementValue<V>,
-    strategies: &BTreeMap<NodeId, Strategy<V>>,
-    seed: u64,
-    engine_setup: impl FnOnce(RoundEngine<ByzMsg<V>>) -> RoundEngine<ByzMsg<V>>,
-) -> (ProtocolRun<V>, BTreeMap<NodeId, EigView<V>>) {
-    let (run, eig, store) =
-        run_protocol_inner(instance, sender_value, strategies, seed, engine_setup);
-    let n = instance.n();
-    let sender = instance.sender();
-    let depth = instance.depth();
-    let arena = eig.arena();
-    let mut views = BTreeMap::new();
-    for r in NodeId::all(n) {
-        if r == sender {
-            continue;
-        }
-        let mut view = EigView::new(n, depth, r);
-        for (id, v) in store.column(r) {
-            view.record(arena.resolve_path(id), v.clone());
-        }
-        views.insert(r, view);
+    let batch = [BatchInstance {
+        sender: instance.sender(),
+        value: sender_value.clone(),
+    }];
+    let mut run = run_unchecked(
+        instance.params(),
+        instance.n(),
+        &batch,
+        strategies,
+        seed,
+        opts,
+    );
+    ProtocolRun {
+        decisions: run.decisions.pop().expect("one instance, one decision map"),
+        net: run.net,
     }
-    (run, views)
-}
-
-fn run_protocol_inner<V: Clone + Ord + Hash + Send + Sync>(
-    instance: &ByzInstance,
-    sender_value: &AgreementValue<V>,
-    strategies: &BTreeMap<NodeId, Strategy<V>>,
-    seed: u64,
-    engine_setup: impl FnOnce(RoundEngine<ByzMsg<V>>) -> RoundEngine<ByzMsg<V>>,
-) -> (
-    ProtocolRun<V>,
-    crate::engine::EigEngine,
-    crate::engine::EigStore<V>,
-) {
-    let n = instance.n();
-    let sender = instance.sender();
-    let depth = instance.depth();
-    let mut engine = engine_setup(RoundEngine::new(Topology::complete(n), seed));
-
-    // One shared slot table for *all* nodes: node `i`'s local view is
-    // column `i` of the store, so the final fold is a single arena
-    // resolution covering every receiver at once instead of `n - 1`
-    // recursive folds.
-    let eig_engine = instance.engine();
-    let mut store = crate::engine::EigStore::new(eig_engine.arena());
-
-    let fill_start = std::time::Instant::now();
-    let mut net = engine.run_with(depth + 1, |i, ctx| {
-        let me = NodeId::new(i);
-        let round = ctx.round();
-        let strategy = strategies.get(&me);
-        // 1. Record this round's deliveries (level = round).
-        let mut to_relay: Vec<(Path, AgreementValue<V>)> = Vec::new();
-        if round >= 1 {
-            for (src, msg) in ctx.take_inbox() {
-                // A path of level `< round` is an envelope the network
-                // delivered late (link reordering): its relay slot has
-                // passed, but the direct observation is still genuine, so
-                // it folds into the view. Anything else malformed —
-                // impersonated or self-referential paths, or paths from a
-                // future level — is dropped (treated as absent).
-                let valid = msg.path.len() <= round
-                    && !msg.path.is_empty()
-                    && msg.path.last() == src
-                    && !msg.path.contains(me);
-                if !valid {
-                    continue; // malformed claim: treated as absent
-                }
-                // Only sender-rooted repetition-free labels intern; the
-                // resolution never reads anything else, so non-interning
-                // paths read as absent exactly as before.
-                let Some(id) = eig_engine.arena().intern(&msg.path) else {
-                    continue;
-                };
-                let on_time = msg.path.len() == round;
-                // First write wins: duplicated envelopes (link-level
-                // duplication, or a late copy overtaken by chaos) are
-                // discarded by the idempotent fold.
-                let fresh = store.record(eig_engine.arena(), id, me, msg.value.clone());
-                if fresh && on_time && round < depth {
-                    to_relay.push((msg.path, msg.value));
-                }
-            }
-        }
-        // 2. Send this round's messages.
-        if round == 0 {
-            if me == sender {
-                let root = Path::root(sender);
-                for r in NodeId::all(n) {
-                    if r == sender {
-                        continue;
-                    }
-                    if let Some(v) = claim_for(strategy, &root, r, sender_value) {
-                        ctx.send(
-                            r,
-                            ByzMsg {
-                                path: root.clone(),
-                                value: v,
-                            },
-                        );
-                    }
-                }
-            }
-        } else {
-            for (path, value) in to_relay {
-                for (r, child) in relay_fanout(&path, me, n) {
-                    if let Some(v) = claim_for(strategy, &child, r, &value) {
-                        ctx.send(
-                            r,
-                            ByzMsg {
-                                path: child,
-                                value: v,
-                            },
-                        );
-                    }
-                }
-            }
-        }
-    });
-
-    let fill_nanos = fill_start.elapsed().as_nanos() as u64;
-
-    let resolved = eig_engine.resolve(instance.rule(), &store);
-    net.eig = resolved.perf;
-    net.eig.fill_nanos = fill_nanos;
-    (
-        ProtocolRun {
-            decisions: resolved.decisions,
-            net,
-        },
-        eig_engine,
-        store,
-    )
 }
 
 #[cfg(test)]
@@ -411,9 +276,13 @@ mod tests {
             .collect();
         let baseline = run_protocol(&inst, &Val::Value(7), &strategies, 1);
         let plan = full_chaos_plan(5, simnet::LinkFaultKind::Duplicate { p: 1.0 });
-        let chaotic = run_protocol_with(&inst, &Val::Value(7), &strategies, 1, |e| {
-            e.with_link_faults(plan)
-        });
+        let chaotic = run_protocol_with(
+            &inst,
+            &Val::Value(7),
+            &strategies,
+            1,
+            BatchOptions::new().network(|e| e.with_link_faults(plan)),
+        );
         assert!(chaotic.net.duplicated > 0);
         assert_eq!(baseline.decisions, chaotic.decisions);
     }
@@ -425,27 +294,15 @@ mod tests {
         // Crucially, nobody decides a *foreign* value.
         let inst = instance(5, 1, 2);
         let plan = full_chaos_plan(5, simnet::LinkFaultKind::Corrupt { p: 1.0 });
-        let run = run_protocol_with(&inst, &Val::Value(7), &BTreeMap::new(), 1, |e| {
-            e.with_link_faults(plan)
-        });
+        let run = run_protocol_with(
+            &inst,
+            &Val::Value(7),
+            &BTreeMap::new(),
+            1,
+            BatchOptions::new().network(|e| e.with_link_faults(plan)),
+        );
         assert!(run.net.dropped_corrupt > 0);
         assert!(run.decisions.values().all(|v| *v == Val::Default));
-    }
-
-    #[test]
-    fn corruption_as_absence_matches_engine_default() {
-        let inst = instance(5, 1, 2);
-        let plan = full_chaos_plan(5, simnet::LinkFaultKind::Corrupt { p: 0.4 });
-        let implicit = run_protocol_with(&inst, &Val::Value(7), &BTreeMap::new(), 3, {
-            let plan = plan.clone();
-            |e| e.with_link_faults(plan)
-        });
-        let explicit = run_protocol_with(&inst, &Val::Value(7), &BTreeMap::new(), 3, |e| {
-            e.with_link_faults(plan)
-                .with_corruptor(corruption_as_absence())
-        });
-        assert_eq!(implicit.decisions, explicit.decisions);
-        assert_eq!(implicit.net.dropped_corrupt, explicit.net.dropped_corrupt);
     }
 
     #[test]
@@ -455,12 +312,14 @@ mod tests {
         // within {sender value, V_d} and runs are deterministic.
         let inst = instance(5, 1, 2);
         let run = |seed: u64| {
-            run_protocol_with(&inst, &Val::Value(7), &BTreeMap::new(), seed, |e| {
-                e.with_link_faults(full_chaos_plan(
-                    5,
-                    simnet::LinkFaultKind::Reorder { window: 1 },
-                ))
-            })
+            let plan = full_chaos_plan(5, simnet::LinkFaultKind::Reorder { window: 1 });
+            run_protocol_with(
+                &inst,
+                &Val::Value(7),
+                &BTreeMap::new(),
+                seed,
+                BatchOptions::new().network(|e| e.with_link_faults(plan)),
+            )
         };
         let a = run(5);
         assert!(a.net.reordered > 0, "seed-checked: some delay drawn");

@@ -22,28 +22,32 @@
 //! same Byzantine node misbehaves everywhere), which matches the fault
 //! model: `f` counts *nodes*, not (node, instance) pairs.
 //!
-//! Inbox validation mirrors [`crate::protocol`] — and adds one batch-only
-//! check: the envelope's path root must be the claimed instance's sender.
-//! Without it a Byzantine relayer can *re-tag* a genuine envelope with a
-//! different instance id (cross-instance spoofing); the resolution never
-//! reads foreign-rooted slots, but honest nodes would still relay the
-//! spoof and amplify it. Rejected spoofs are counted in
-//! [`BatchRun::spoofs_rejected`].
+//! This module holds the **one** simulated-network inbox of the crate:
+//! [`run_batch`], [`crate::run_protocol`] (a one-instance batch),
+//! [`crate::run_churn`] (one batch per epoch) and [`ServiceState`] (one
+//! batch per drain) all validate, record and relay through the same round
+//! closure. An honest node accepts an envelope only if its path ends in
+//! the true source (the engine stamps sources, so a faulty node cannot
+//! impersonate — assumption (c) of the paper), does not contain the
+//! receiver, is not from a future level, and is rooted at the claimed
+//! instance's sender. Without the last check a Byzantine relayer can
+//! *re-tag* a genuine envelope with a different instance id
+//! (cross-instance spoofing); the resolution never reads foreign-rooted
+//! slots, but honest nodes would still relay the spoof and amplify it
+//! ([`BatchRun::spoofs_rejected`] counts the rejections). Anything else
+//! is dropped, which maps a protocol-confused faulty node onto the
+//! silent/absent case. Duplicated envelopes fold idempotently (first
+//! write per (instance, path, receiver) slot wins), envelopes that arrive
+//! late still fold as direct observations but are never relayed, and
+//! corruption reads as absence (oral-message axiom). Everything optional
+//! about an execution rides in one [`BatchOptions`] value.
 //!
-//! Link-level chaos plans install through [`run_batch_with`] exactly as
-//! for [`crate::protocol::run_protocol_with`]: duplicated envelopes fold
-//! idempotently (first write per (instance, path, receiver) slot wins,
-//! mirroring the per-path-index dedup of [`crate::sparse`]), reordered
-//! envelopes that arrive late still fold as direct observations but are
-//! never relayed, and corruption reads as absence (oral-message axiom).
-//!
-//! Integration tests assert that a batch is decision-identical to running
-//! the same instances one at a time — multiplexing is purely a transport
-//! optimization: one engine run instead of `K`, with the same total
-//! message count. [`run_batch_reference`] preserves the legacy
-//! per-(receiver, instance) `EigView` executor verbatim as the
-//! differential oracle and the one-at-a-time fold baseline measured by
-//! experiment E16 (`bench/src/bin/batch_throughput.rs`).
+//! Integration tests assert that multiplexing is purely a transport
+//! optimization — K instances decide exactly as K one-instance batches,
+//! with the same total message count — and that every instance equals
+//! the two independent implementations of the algorithm:
+//! [`crate::reference_eval`] (the paper's recursion, no messages) and the
+//! sans-io [`crate::NodeStateMachine`] (the wire inbox).
 
 use crate::adversary::{claim_for, Strategy};
 use crate::eig::{prunable_path, EigView};
@@ -110,7 +114,6 @@ pub struct BatchRun<V: Ord> {
     pub net: simnet::Outcome,
     /// Distinct arenas built — one per distinct sender, at most the
     /// instance count. A K-slot single-sender stream reports 1.
-    /// [`run_batch_reference`] builds no arenas and reports 0.
     pub arena_builds: usize,
     /// Envelopes rejected because their path root was not the claimed
     /// instance's sender (cross-instance spoofing by a Byzantine relayer
@@ -118,8 +121,8 @@ pub struct BatchRun<V: Ord> {
     pub spoofs_rejected: u64,
 }
 
-/// One observable moment of a batched execution, as
-/// [`run_batch_traced`] reports it — the raw material for replaying a
+/// One observable moment of a batched execution, as a
+/// [`BatchOptions::trace`] sink receives it — the raw material for replaying a
 /// batch through one `SpecChecker` per instance.
 #[derive(Debug, Clone)]
 pub enum BatchTraceEvent<V> {
@@ -158,108 +161,184 @@ pub enum BatchTraceEvent<V> {
     },
 }
 
-fn check_batch_bounds<V>(params: Params, n: usize, instances: &[BatchInstance<V>]) {
-    assert!(
-        params.admits(n),
-        "need at least {} nodes",
-        params.min_nodes()
-    );
-    for inst in instances {
-        assert!(
-            inst.sender.index() < n,
-            "sender {} out of range",
-            inst.sender
-        );
+/// Hook that customizes the simulated network before a run.
+type NetworkHook<'a, V> =
+    Box<dyn FnOnce(RoundEngine<BatchMsg<V>>) -> RoundEngine<BatchMsg<V>> + 'a>;
+
+/// Everything optional about one simulated-network execution — the one
+/// options surface of [`run_batch`] and [`crate::run_protocol_with`].
+/// The default is a healthy network, one resolve worker, no early
+/// stopping, and nothing traced, observed or materialized.
+pub struct BatchOptions<'a, V> {
+    network: Option<NetworkHook<'a, V>>,
+    workers: usize,
+    early_stop: bool,
+    trace: Option<&'a mut dyn FnMut(BatchTraceEvent<V>)>,
+    obs: Option<&'a mut Obs>,
+    views: Option<&'a mut Vec<BTreeMap<NodeId, EigView<V>>>>,
+}
+
+impl<V> Default for BatchOptions<'_, V> {
+    fn default() -> Self {
+        BatchOptions {
+            network: None,
+            workers: 1,
+            early_stop: false,
+            trace: None,
+            obs: None,
+            views: None,
+        }
     }
 }
 
-/// Runs `instances` concurrently over one engine execution.
+impl<'a, V> BatchOptions<'a, V> {
+    /// The defaults.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Customizes the engine (link-fault plan, node faults, latency
+    /// model, deadline, corruptor, tracing) before the run.
+    pub fn network(
+        mut self,
+        setup: impl FnOnce(RoundEngine<BatchMsg<V>>) -> RoundEngine<BatchMsg<V>> + 'a,
+    ) -> Self {
+        self.network = Some(Box::new(setup));
+        self
+    }
+
+    /// Resolution threads per instance. Decisions, deterministic
+    /// counters and spans are independent of this knob.
+    pub fn workers(mut self, workers: usize) -> Self {
+        self.workers = workers;
+        self
+    }
+
+    /// Arms certified-fault-set early stopping against the strategy key
+    /// set, mirroring [`crate::NodeStateMachine::with_early_stop`]; the
+    /// savings land in [`EigPerf`] and the `svc.early_stop.*` counters.
+    pub fn early_stop(mut self, early_stop: bool) -> Self {
+        self.early_stop = early_stop;
+        self
+    }
+
+    /// Receives one [`BatchTraceEvent`] per delivery and per
+    /// instance × node × round close — everything a per-instance
+    /// `SpecChecker` replay needs.
+    pub fn trace(mut self, sink: &'a mut dyn FnMut(BatchTraceEvent<V>)) -> Self {
+        self.trace = Some(sink);
+        self
+    }
+
+    /// Records a `batch.fill` span over the engine run (logical cost =
+    /// slots materialized across all instances), one `batch.resolve` and
+    /// one `trace.decide` span per instance (logical cost = votes
+    /// settled), the `batch.*` / `svc.*` registry series and the
+    /// aggregated `eig.*` counters.
+    pub fn obs(mut self, obs: &'a mut Obs) -> Self {
+        self.obs = Some(obs);
+        self
+    }
+
+    /// Materializes every receiver's [`EigView`] per instance from the
+    /// shared stores into `out` (node `r`'s view of instance `k` is
+    /// column `r` of store `k`), so differential tests can re-resolve the
+    /// exact same observations through [`EigView::resolve`] and compare
+    /// against the arena fold.
+    pub fn views(mut self, out: &'a mut Vec<BTreeMap<NodeId, EigView<V>>>) -> Self {
+        self.views = Some(out);
+        self
+    }
+}
+
+/// Runs `instances` concurrently over one engine execution: one
+/// multiplexed [`RoundEngine`] run fills one [`EigStore`] per instance,
+/// then each instance resolves bottom-up through its sender's shared
+/// arena.
 ///
-/// # Panics
-///
-/// Panics if any instance's sender is out of range, or `n` violates the
-/// node bound for `params`.
+/// The shapes the engine cannot run — the node bound `n >= 2m + u + 1`,
+/// the 64-node engine ceiling, a sender outside `0..n` — come back as
+/// [`ServiceError`] values, never as panics. An empty batch (K = 0) is a
+/// valid, trivial batch.
 pub fn run_batch<V: Clone + Ord + Hash + Send + Sync>(
     params: Params,
     n: usize,
     instances: &[BatchInstance<V>],
     strategies: &BTreeMap<NodeId, Strategy<V>>,
     seed: u64,
-) -> BatchRun<V> {
-    run_batch_with(params, n, instances, strategies, seed, |e| e)
+    opts: BatchOptions<'_, V>,
+) -> Result<BatchRun<V>, ServiceError> {
+    check_service_bounds(params, n)?;
+    instances
+        .iter()
+        .try_for_each(|inst| check_sender(inst.sender, n))?;
+    Ok(run_unchecked(params, n, instances, strategies, seed, opts))
 }
 
-/// Like [`run_batch`], with a hook to customize the engine (link-fault
-/// plan, latency model, corruptor, tracing) before the run.
-pub fn run_batch_with<V: Clone + Ord + Hash + Send + Sync>(
+/// [`run_batch`] behind its shape checks. [`crate::run_protocol`] enters
+/// here: a [`crate::ByzInstance`] has validated its sender and may sit
+/// below the node bound on purpose (the lower-bound experiments).
+pub(crate) fn run_unchecked<V: Clone + Ord + Hash + Send + Sync>(
     params: Params,
     n: usize,
     instances: &[BatchInstance<V>],
     strategies: &BTreeMap<NodeId, Strategy<V>>,
     seed: u64,
-    engine_setup: impl FnOnce(RoundEngine<BatchMsg<V>>) -> RoundEngine<BatchMsg<V>>,
+    opts: BatchOptions<'_, V>,
 ) -> BatchRun<V> {
-    run_batch_observed(
+    let depth = params.rounds();
+    let mut pool = Pool::new();
+    let mut lease = pool.lease(instances, |sender| {
+        let engine = EigEngine::new(n, sender, depth).with_workers(opts.workers);
+        if opts.early_stop {
+            engine.with_early_stop(&strategies.keys().copied().collect())
+        } else {
+            engine
+        }
+    });
+    let mut net = RoundEngine::new(Topology::complete(n), seed);
+    if let Some(setup) = opts.network {
+        net = setup(net);
+    }
+    let run = fill_and_resolve(
         params,
         n,
         instances,
         strategies,
-        seed,
+        &mut net,
+        opts.early_stop,
+        opts.trace,
+        opts.obs.unwrap_or(&mut Obs::disabled()),
+        &pool.engines,
+        &mut lease,
         1,
-        engine_setup,
-        &mut Obs::disabled(),
-    )
-    .0
-}
-
-/// Like [`run_batch_with`], additionally materializing every receiver's
-/// [`EigView`] per instance from the shared stores, so differential
-/// tests can re-resolve the exact same observations through
-/// [`EigView::resolve`] and compare against the arena fold
-/// (`tests/batch_equivalence.rs` does this under chaos plans).
-pub fn run_batch_full<V: Clone + Ord + Hash + Send + Sync>(
-    params: Params,
-    n: usize,
-    instances: &[BatchInstance<V>],
-    strategies: &BTreeMap<NodeId, Strategy<V>>,
-    seed: u64,
-    engine_setup: impl FnOnce(RoundEngine<BatchMsg<V>>) -> RoundEngine<BatchMsg<V>>,
-) -> (BatchRun<V>, Vec<BTreeMap<NodeId, EigView<V>>>) {
-    let (run, engines, engine_idx, stores) = run_batch_observed(
-        params,
-        n,
-        instances,
-        strategies,
-        seed,
-        1,
-        engine_setup,
-        &mut Obs::disabled(),
     );
-    let views = materialize_views(params, n, instances, &engines, &engine_idx, &stores);
-    (run, views)
+    if let Some(out) = opts.views {
+        *out = materialize_views(params, n, instances, &pool.engines, &lease);
+    }
+    run
 }
 
 /// Rebuilds every receiver's per-instance [`EigView`] from the shared
-/// stores (node `r`'s view of instance `k` is column `r` of `stores[k]`).
+/// stores (node `r`'s view of instance `k` is column `r` of store `k`).
 fn materialize_views<V: Clone + Ord>(
     params: Params,
     n: usize,
     instances: &[BatchInstance<V>],
     engines: &[EigEngine],
-    engine_idx: &[usize],
-    stores: &[EigStore<V>],
+    lease: &Lease<V>,
 ) -> Vec<BTreeMap<NodeId, EigView<V>>> {
     let depth = params.rounds();
     instances
         .iter()
         .enumerate()
         .map(|(k, inst)| {
-            let arena = engines[engine_idx[k]].arena();
+            let arena = engines[lease.engine_idx[k]].arena();
             NodeId::all(n)
                 .filter(|r| *r != inst.sender)
                 .map(|r| {
                     let mut view = EigView::new(n, depth, r);
-                    for (id, v) in stores[k].column(r) {
+                    for (id, v) in lease.stores[k].column(r) {
                         view.record(arena.resolve_path(id), v.clone());
                     }
                     (r, view)
@@ -269,183 +348,109 @@ fn materialize_views<V: Clone + Ord>(
         .collect()
 }
 
-/// [`run_batch_full`] with conformance hooks: optional certified-fault-set
-/// early stopping (armed against the strategy key set, mirroring
-/// [`crate::NodeStateMachine::with_early_stop`]) and a trace callback
-/// receiving one [`BatchTraceEvent`] per delivery and per
-/// instance × node × round close — everything a per-instance
-/// `SpecChecker` replay needs.
-#[allow(clippy::too_many_arguments)]
-pub fn run_batch_traced<V: Clone + Ord + Hash + Send + Sync>(
-    params: Params,
-    n: usize,
-    instances: &[BatchInstance<V>],
-    strategies: &BTreeMap<NodeId, Strategy<V>>,
-    seed: u64,
-    early_stop: bool,
-    engine_setup: impl FnOnce(RoundEngine<BatchMsg<V>>) -> RoundEngine<BatchMsg<V>>,
-    trace: &mut dyn FnMut(BatchTraceEvent<V>),
-) -> (BatchRun<V>, Vec<BTreeMap<NodeId, EigView<V>>>) {
-    let (run, engines, engine_idx, stores) = run_batch_core(
-        params,
-        n,
-        instances,
-        strategies,
-        seed,
-        1,
-        early_stop,
-        Some(trace),
-        engine_setup,
-        &mut Obs::disabled(),
-    );
-    let views = materialize_views(params, n, instances, &engines, &engine_idx, &stores);
-    (run, views)
+/// One [`EigEngine`] (and arena) per sender plus a free list of cleared
+/// stores per engine: the path structure depends only on
+/// `(n, sender, depth)`, so every instance sharing a sender shares the
+/// interned tree. A [`ServiceState`] keeps its pool across drains; a
+/// one-shot [`run_batch`] builds one and drops it.
+#[derive(Debug)]
+struct Pool<V> {
+    /// One engine per sender ever seen, append-only.
+    engines: Vec<EigEngine>,
+    engine_of_sender: BTreeMap<NodeId, usize>,
+    /// Per-engine free lists of cleared stores.
+    free_stores: Vec<Vec<EigStore<V>>>,
 }
 
-/// The observed core of the batch service: one multiplexed
-/// [`RoundEngine`] run fills one [`EigStore`] per instance, then each
-/// instance resolves bottom-up (with `workers` resolution threads)
-/// through its sender's shared arena.
-///
-/// Records a `batch.fill` span over the engine run (logical cost = slots
-/// materialized across all instances), one `batch.resolve` span per
-/// instance (logical cost = votes settled), and `batch.*` registry
-/// counters, plus the aggregated `eig.*` counters. With a disabled
-/// recorder this is exactly [`run_batch_with`].
-///
-/// Returns the run plus the engines, the instance→engine index map, and
-/// the per-instance stores (so [`run_batch_full`] can materialize
-/// per-receiver views without re-executing).
-#[allow(clippy::too_many_arguments, clippy::type_complexity)]
-pub fn run_batch_observed<V: Clone + Ord + Hash + Send + Sync>(
-    params: Params,
-    n: usize,
-    instances: &[BatchInstance<V>],
-    strategies: &BTreeMap<NodeId, Strategy<V>>,
-    seed: u64,
-    workers: usize,
-    engine_setup: impl FnOnce(RoundEngine<BatchMsg<V>>) -> RoundEngine<BatchMsg<V>>,
-    obs: &mut Obs,
-) -> (BatchRun<V>, Vec<EigEngine>, Vec<usize>, Vec<EigStore<V>>) {
-    run_batch_core(
-        params,
-        n,
-        instances,
-        strategies,
-        seed,
-        workers,
-        false,
-        None,
-        engine_setup,
-        obs,
-    )
+/// What one execution holds of a [`Pool`]: per instance its engine and
+/// its slot table (shared by all nodes — node `i`'s local view of
+/// instance `k` is column `i` of `stores[k]`), and what had to be built.
+struct Lease<V> {
+    engine_idx: Vec<usize>,
+    stores: Vec<EigStore<V>>,
+    /// Arenas built for this lease (senders first seen here); every
+    /// other instance was served by an arena that already existed.
+    arenas_built: u64,
+    /// Stores allocated fresh (the engine's free list was dry); every
+    /// other instance reuses a pooled one — cleared, never rebuilt.
+    stores_built: u64,
 }
 
-/// [`run_batch_observed`] with certified-fault-set early stopping armed
-/// (the [`run_batch_traced`] hook), so observed runs attribute actual
-/// early-stop savings through the `svc.early_stop.*` counters instead
-/// of recording zeros.
-#[allow(clippy::too_many_arguments, clippy::type_complexity)]
-pub fn run_batch_observed_early_stop<V: Clone + Ord + Hash + Send + Sync>(
-    params: Params,
-    n: usize,
-    instances: &[BatchInstance<V>],
-    strategies: &BTreeMap<NodeId, Strategy<V>>,
-    seed: u64,
-    workers: usize,
-    engine_setup: impl FnOnce(RoundEngine<BatchMsg<V>>) -> RoundEngine<BatchMsg<V>>,
-    obs: &mut Obs,
-) -> (BatchRun<V>, Vec<EigEngine>, Vec<usize>, Vec<EigStore<V>>) {
-    run_batch_core(
-        params,
-        n,
-        instances,
-        strategies,
-        seed,
-        workers,
-        true,
-        None,
-        engine_setup,
-        obs,
-    )
-}
-
-#[allow(clippy::too_many_arguments, clippy::type_complexity)]
-fn run_batch_core<V: Clone + Ord + Hash + Send + Sync>(
-    params: Params,
-    n: usize,
-    instances: &[BatchInstance<V>],
-    strategies: &BTreeMap<NodeId, Strategy<V>>,
-    seed: u64,
-    workers: usize,
-    early_stop: bool,
-    trace: Option<&mut dyn FnMut(BatchTraceEvent<V>)>,
-    engine_setup: impl FnOnce(RoundEngine<BatchMsg<V>>) -> RoundEngine<BatchMsg<V>>,
-    obs: &mut Obs,
-) -> (BatchRun<V>, Vec<EigEngine>, Vec<usize>, Vec<EigStore<V>>) {
-    check_batch_bounds(params, n, instances);
-    let depth = params.rounds();
-    let faulty: BTreeSet<NodeId> = strategies.keys().copied().collect();
-
-    // One arena (and engine) per *distinct sender*: the path structure
-    // depends only on (n, sender, depth), so every instance sharing a
-    // sender shares the interned tree.
-    let mut engine_of_sender: BTreeMap<NodeId, usize> = BTreeMap::new();
-    let mut engines: Vec<EigEngine> = Vec::new();
-    let mut engine_idx: Vec<usize> = Vec::with_capacity(instances.len());
-    for inst in instances {
-        let next = engines.len();
-        let e = *engine_of_sender.entry(inst.sender).or_insert(next);
-        if e == next {
-            let mut eng = EigEngine::new(n, inst.sender, depth).with_workers(workers);
-            if early_stop {
-                eng = eng.with_early_stop(&faulty);
-            }
-            engines.push(eng);
+impl<V> Pool<V> {
+    fn new() -> Self {
+        Pool {
+            engines: Vec::new(),
+            engine_of_sender: BTreeMap::new(),
+            free_stores: Vec::new(),
         }
-        engine_idx.push(e);
     }
-    let arena_builds = engines.len();
 
-    // One slot table per instance, shared by all nodes: node `i`'s local
-    // view of instance `k` is column `i` of `stores[k]`.
-    let mut stores: Vec<EigStore<V>> = instances
-        .iter()
-        .enumerate()
-        .map(|(k, _)| EigStore::new(engines[engine_idx[k]].arena()))
-        .collect();
+    /// Engines and stores for `instances`; a sender not seen before gets
+    /// its engine from `build`. Callers have validated the shape, so
+    /// arena construction cannot fail here.
+    fn lease(
+        &mut self,
+        instances: &[BatchInstance<V>],
+        mut build: impl FnMut(NodeId) -> EigEngine,
+    ) -> Lease<V> {
+        let mut lease = Lease {
+            engine_idx: Vec::with_capacity(instances.len()),
+            stores: Vec::with_capacity(instances.len()),
+            arenas_built: 0,
+            stores_built: 0,
+        };
+        for inst in instances {
+            let e = match self.engine_of_sender.get(&inst.sender) {
+                Some(&e) => e,
+                None => {
+                    let e = self.engines.len();
+                    self.engines.push(build(inst.sender));
+                    self.free_stores.push(Vec::new());
+                    self.engine_of_sender.insert(inst.sender, e);
+                    lease.arenas_built += 1;
+                    e
+                }
+            };
+            lease.engine_idx.push(e);
+            // Cleared pool entries first, fresh allocations only when
+            // the free list runs dry.
+            lease
+                .stores
+                .push(self.free_stores[e].pop().unwrap_or_else(|| {
+                    lease.stores_built += 1;
+                    EigStore::new(self.engines[e].arena())
+                }));
+        }
+        lease
+    }
 
-    let mut net = engine_setup(RoundEngine::new(Topology::complete(n), seed));
-    let run = fill_and_resolve(
-        params,
-        n,
-        instances,
-        strategies,
-        &mut net,
-        early_stop,
-        trace,
-        obs,
-        &engines,
-        &engine_idx,
-        &mut stores,
-        arena_builds,
-        1,
-    );
-    (run, engines, engine_idx, stores)
+    /// Recycles a lease: stores go back cleared, never rebuilt.
+    fn give_back(&mut self, lease: Lease<V>) {
+        for (e, mut store) in lease.engine_idx.into_iter().zip(lease.stores) {
+            store.clear();
+            self.free_stores[e].push(store);
+        }
+    }
 }
 
-/// The execution shared by the one-shot batch entry points and the
-/// persistent [`ServiceState`]: one multiplexed fill on the provided
-/// (fresh or long-lived) network `engine` over the provided (fresh or
-/// pooled) engines and stores, then one memoized bottom-up resolve per
-/// instance. With `shard_workers > 1` the resolution is
-/// sharded *by sender* across worker threads — every instance of a
-/// sender resolves on the thread that owns its arena — and results are
-/// folded back in instance order, so decisions, deterministic counters
-/// and spans are independent of the shard count (the engine-internal
-/// level fan-out of [`EigEngine::with_workers`] covers the
-/// `shard_workers == 1` one-shot path instead).
+/// The one execution of the crate's simulated-network protocol, shared
+/// by the one-shot [`run_batch`] and the persistent [`ServiceState`]: one
+/// multiplexed fill on the provided (fresh or long-lived) network
+/// `engine` over the leased (fresh or pooled) engines and stores, then
+/// one memoized bottom-up resolve per instance. With `shard_workers > 1`
+/// the resolution is sharded *by sender* across worker threads — every
+/// instance of a sender resolves on the thread that owns its arena — and
+/// results are folded back in instance order, so decisions, deterministic
+/// counters and spans are independent of the shard count (the
+/// engine-internal level fan-out of [`EigEngine::with_workers`] covers
+/// the `shard_workers == 1` one-shot path instead).
+///
+/// Inlined into its two callers on purpose: the service passes constant
+/// `early_stop = false` / `trace = None`, and a drain that keeps those
+/// checks in the per-message closure decides about 5 % fewer instances
+/// per second on the perf ledger (`svc_faultfree_n13`).
 #[allow(clippy::too_many_arguments)]
+#[inline(always)]
 fn fill_and_resolve<V: Clone + Ord + Hash + Send + Sync>(
     params: Params,
     n: usize,
@@ -456,11 +461,12 @@ fn fill_and_resolve<V: Clone + Ord + Hash + Send + Sync>(
     mut trace: Option<&mut dyn FnMut(BatchTraceEvent<V>)>,
     obs: &mut Obs,
     engines: &[EigEngine],
-    engine_idx: &[usize],
-    stores: &mut [EigStore<V>],
-    arena_builds: usize,
+    lease: &mut Lease<V>,
     shard_workers: usize,
 ) -> BatchRun<V> {
+    let engine_idx: &[usize] = &lease.engine_idx;
+    let stores: &mut [EigStore<V>] = &mut lease.stores;
+    let arena_builds = lease.arenas_built as usize;
     let depth = params.rounds();
     let rule = crate::eig::VoteRule::Degradable { m: params.m() };
     let faulty: BTreeSet<NodeId> = strategies.keys().copied().collect();
@@ -616,43 +622,38 @@ fn fill_and_resolve<V: Clone + Ord + Hash + Send + Sync>(
     // `shard_workers` threads (results fold back in instance order, so
     // everything but wall time is shard-count-independent).
     let timing = obs.is_enabled();
+    let stores: &[EigStore<V>] = stores;
+    let resolve = |k: usize| {
+        let resolve_start = timing.then(std::time::Instant::now);
+        let run = engines[engine_idx[k]].resolve(rule, &stores[k]);
+        (
+            run,
+            resolve_start.map_or(0, |t| t.elapsed().as_nanos() as u64),
+        )
+    };
     let mut resolved: Vec<Option<(crate::engine::EngineRun<V>, u64)>> =
         (0..instances.len()).map(|_| None).collect();
     if shard_workers <= 1 {
         for (k, slot) in resolved.iter_mut().enumerate() {
-            let resolve_start = timing.then(std::time::Instant::now);
-            let run = engines[engine_idx[k]].resolve(rule, &stores[k]);
-            let wall = resolve_start.map_or(0, |t| t.elapsed().as_nanos() as u64);
-            *slot = Some((run, wall));
+            *slot = Some(resolve(k));
         }
     } else {
         let mut shards: Vec<Vec<usize>> = vec![Vec::new(); shard_workers];
         for k in 0..instances.len() {
             shards[engine_idx[k] % shard_workers].push(k);
         }
-        let stores_ref: &[EigStore<V>] = stores;
+        let resolve = &resolve;
         std::thread::scope(|s| {
             let handles: Vec<_> = shards
                 .iter()
                 .filter(|shard| !shard.is_empty())
                 .map(|shard| {
-                    s.spawn(move || {
-                        shard
-                            .iter()
-                            .map(|&k| {
-                                let resolve_start = timing.then(std::time::Instant::now);
-                                let run = engines[engine_idx[k]].resolve(rule, &stores_ref[k]);
-                                let wall =
-                                    resolve_start.map_or(0, |t| t.elapsed().as_nanos() as u64);
-                                (k, run, wall)
-                            })
-                            .collect::<Vec<_>>()
-                    })
+                    s.spawn(move || shard.iter().map(|&k| (k, resolve(k))).collect::<Vec<_>>())
                 })
                 .collect();
             for handle in handles {
-                for (k, run, wall) in handle.join().expect("resolve shard panicked") {
-                    resolved[k] = Some((run, wall));
+                for (k, run) in handle.join().expect("resolve shard panicked") {
+                    resolved[k] = Some(run);
                 }
             }
         });
@@ -664,18 +665,10 @@ fn fill_and_resolve<V: Clone + Ord + Hash + Send + Sync>(
     // m < f ≤ u). The regime-prefixed histograms let a sweep that mixes
     // regimes across *batches* compare their latency profiles from one
     // merged registry.
-    let [regime_messages, regime_logical, regime_instances] = if faulty.len() <= params.m() {
-        [
-            "svc.regime.full.messages",
-            "svc.regime.full.logical",
-            "svc.regime.full.instances",
-        ]
+    let regime = if faulty.len() <= params.m() {
+        "full"
     } else {
-        [
-            "svc.regime.degraded.messages",
-            "svc.regime.degraded.logical",
-            "svc.regime.degraded.instances",
-        ]
+        "degraded"
     };
     let mut decisions = Vec::with_capacity(instances.len());
     let mut agg = EigPerf::default();
@@ -733,9 +726,10 @@ fn fill_and_resolve<V: Clone + Ord + Hash + Send + Sync>(
             logicals.iter().copied(),
         );
         obs.observe_many("svc.instance.wall_ns", SVC_WALL_BOUNDS, walls);
-        obs.observe_many(regime_messages, SVC_MSG_BOUNDS, sent());
-        obs.observe_many(regime_logical, SVC_LOGICAL_BOUNDS, logicals);
-        obs.add(regime_instances, instances.len() as u64);
+        let series = |what: &str| format!("svc.regime.{regime}.{what}");
+        obs.observe_many(&series("messages"), SVC_MSG_BOUNDS, sent());
+        obs.observe_many(&series("logical"), SVC_LOGICAL_BOUNDS, logicals);
+        obs.add(&series("instances"), instances.len() as u64);
     }
 
     obs.add("batch.instances", instances.len() as u64);
@@ -763,137 +757,11 @@ fn fill_and_resolve<V: Clone + Ord + Hash + Send + Sync>(
     }
 }
 
-/// The legacy batch executor, preserved verbatim: one [`EigView`] per
-/// (receiver, instance), each resolved recursively — the pre-arena fold.
-///
-/// Kept (like [`crate::reference_eval`] in the single-instance world) as
-/// the differential oracle for [`run_batch`] and as the one-at-a-time
-/// fold baseline that experiment E16 measures the arena batch against.
-/// Reports `arena_builds = 0` and performs no envelope dedup or
-/// spoof rejection: strictly on-time envelopes only, as before.
-pub fn run_batch_reference<V: Clone + Ord + Hash>(
-    params: Params,
-    n: usize,
-    instances: &[BatchInstance<V>],
-    strategies: &BTreeMap<NodeId, Strategy<V>>,
-    seed: u64,
-) -> BatchRun<V> {
-    check_batch_bounds(params, n, instances);
-    let depth = params.rounds();
-    let rule = crate::eig::VoteRule::Degradable { m: params.m() };
-    let mut engine: RoundEngine<BatchMsg<V>> = RoundEngine::new(Topology::complete(n), seed);
-
-    // views[node][instance]
-    let mut views: Vec<Vec<EigView<V>>> = (0..n)
-        .map(|i| {
-            instances
-                .iter()
-                .map(|_| EigView::new(n, depth, NodeId::new(i)))
-                .collect()
-        })
-        .collect();
-
-    let net = engine.run_with(depth + 1, |i, ctx| {
-        let me = NodeId::new(i);
-        let round = ctx.round();
-        let strategy = strategies.get(&me);
-        let mut to_relay: Vec<(u32, Path, AgreementValue<V>)> = Vec::new();
-        if round >= 1 {
-            for (src, msg) in ctx.take_inbox() {
-                let idx = msg.instance as usize;
-                let valid = idx < instances.len()
-                    && msg.path.len() == round
-                    && msg.path.last() == src
-                    && !msg.path.contains(me);
-                if !valid {
-                    continue;
-                }
-                views[i][idx].record(msg.path.clone(), msg.value.clone());
-                if round < depth {
-                    to_relay.push((msg.instance, msg.path, msg.value));
-                }
-            }
-        }
-        if round == 0 {
-            for (idx, inst) in instances.iter().enumerate() {
-                if inst.sender != me {
-                    continue;
-                }
-                let root = Path::root(inst.sender);
-                for r in NodeId::all(n) {
-                    if r == me {
-                        continue;
-                    }
-                    if let Some(v) = claim_for(strategy, &root, r, &inst.value) {
-                        ctx.send(
-                            r,
-                            BatchMsg {
-                                instance: idx as u32,
-                                path: root.clone(),
-                                value: v,
-                            },
-                        );
-                    }
-                }
-            }
-        } else {
-            for (instance, path, value) in to_relay {
-                for (r, child) in relay_fanout(&path, me, n) {
-                    if let Some(v) = claim_for(strategy, &child, r, &value) {
-                        ctx.send(
-                            r,
-                            BatchMsg {
-                                instance,
-                                path: child,
-                                value: v,
-                            },
-                        );
-                    }
-                }
-            }
-        }
-    });
-
-    let decisions = instances
-        .iter()
-        .enumerate()
-        .map(|(idx, inst)| {
-            NodeId::all(n)
-                .filter(|r| *r != inst.sender)
-                .map(|r| (r, views[r.index()][idx].resolve(inst.sender, rule)))
-                .collect()
-        })
-        .collect();
-    BatchRun {
-        decisions,
-        net,
-        arena_builds: 0,
-        spoofs_rejected: 0,
+fn check_sender(sender: NodeId, n: usize) -> Result<(), ServiceError> {
+    if sender.index() >= n {
+        return Err(ServiceError::SenderOutOfRange { sender, n });
     }
-}
-
-/// Fallible form of [`run_batch`]: the bounds [`run_batch`] asserts on
-/// — the node bound `n >= 2m + u + 1`, the 64-node engine ceiling, and
-/// per-instance sender range — are validated up front and come back as
-/// [`ServiceError`] values instead of panics. An empty batch (K = 0) is
-/// a valid, trivial batch, not an error.
-pub fn try_run_batch<V: Clone + Ord + Hash + Send + Sync>(
-    params: Params,
-    n: usize,
-    instances: &[BatchInstance<V>],
-    strategies: &BTreeMap<NodeId, Strategy<V>>,
-    seed: u64,
-) -> Result<BatchRun<V>, ServiceError> {
-    check_service_bounds(params, n)?;
-    for inst in instances {
-        if inst.sender.index() >= n {
-            return Err(ServiceError::SenderOutOfRange {
-                sender: inst.sender,
-                n,
-            });
-        }
-    }
-    Ok(run_batch(params, n, instances, strategies, seed))
+    Ok(())
 }
 
 fn check_service_bounds(params: Params, n: usize) -> Result<(), ServiceError> {
@@ -916,8 +784,8 @@ fn check_service_bounds(params: Params, n: usize) -> Result<(), ServiceError> {
 /// 10k-in-flight scale the service bench drives.
 pub const SVC_QUEUE_BOUNDS: &[u64] = &[1, 4, 16, 64, 256, 1024, 4096, 16384, 65536];
 
-/// Typed failures of the persistent agreement service (and of
-/// [`try_run_batch`]). Everything a caller can provoke with bad or
+/// Typed failures of [`run_batch`] and the persistent agreement service.
+/// Everything a caller can provoke with bad or
 /// excessive input is a value here, never a panic: panics in this
 /// module are reserved for internal invariants.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -1079,11 +947,8 @@ pub struct ServiceState<V> {
     params: Params,
     n: usize,
     config: ServiceConfig,
-    /// Pooled engines, one per sender ever seen, append-only.
-    engines: Vec<EigEngine>,
-    engine_of_sender: BTreeMap<NodeId, usize>,
-    /// Per-engine free lists of cleared stores.
-    free_stores: Vec<Vec<EigStore<V>>>,
+    /// Engines and cleared stores, kept across drains.
+    pool: Pool<V>,
     /// The simulated network every drain fills over, re-seeded per drain;
     /// long-lived so its message buffers are allocated once.
     net: RoundEngine<BatchMsg<V>>,
@@ -1104,9 +969,7 @@ impl<V: Clone + Ord + Hash + Send + Sync> ServiceState<V> {
             params,
             n,
             config,
-            engines: Vec::new(),
-            engine_of_sender: BTreeMap::new(),
-            free_stores: Vec::new(),
+            pool: Pool::new(),
             net: RoundEngine::new(Topology::complete(n), 0),
             pending: Vec::new(),
             pending_ids: BTreeSet::new(),
@@ -1115,24 +978,9 @@ impl<V: Clone + Ord + Hash + Send + Sync> ServiceState<V> {
         })
     }
 
-    /// The service parameters.
-    pub fn params(&self) -> Params {
-        self.params
-    }
-
-    /// System size.
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
     /// Instances currently pending.
     pub fn pending_len(&self) -> usize {
         self.pending.len()
-    }
-
-    /// The configured queue bound.
-    pub fn queue_capacity(&self) -> usize {
-        self.config.queue_capacity
     }
 
     /// Lifetime counters.
@@ -1145,12 +993,7 @@ impl<V: Clone + Ord + Hash + Send + Sync> ServiceState<V> {
     /// a full queue (the shed is counted; retry after a drain to
     /// block-on-backpressure instead of dropping).
     pub fn ingest(&mut self, id: u64, instance: BatchInstance<V>) -> Result<(), ServiceError> {
-        if instance.sender.index() >= self.n {
-            return Err(ServiceError::SenderOutOfRange {
-                sender: instance.sender,
-                n: self.n,
-            });
-        }
+        check_sender(instance.sender, self.n)?;
         if self.pending_ids.contains(&id) {
             return Err(ServiceError::DuplicateInstance { id });
         }
@@ -1201,75 +1044,33 @@ impl<V: Clone + Ord + Hash + Send + Sync> ServiceState<V> {
             instances.push(inst);
         }
 
-        // Engines: pooled per sender. Per-instance attribution matches
-        // `run_batch` (builds = senders first seen, reuses = the rest),
-        // except that here "seen" spans the whole service lifetime.
-        let depth = self.params.rounds();
-        let mut engine_idx = Vec::with_capacity(instances.len());
-        let mut arenas_built = 0u64;
-        let mut arenas_reused = 0u64;
-        for inst in &instances {
-            let e = match self.engine_of_sender.get(&inst.sender) {
-                Some(&e) => {
-                    arenas_reused += 1;
-                    e
-                }
-                None => {
-                    // Bounds were validated at `new`/`ingest`, so arena
-                    // construction cannot fail on shape here.
-                    let eng = EigEngine::new(self.n, inst.sender, depth);
-                    let e = self.engines.len();
-                    self.engines.push(eng);
-                    self.free_stores.push(Vec::new());
-                    self.engine_of_sender.insert(inst.sender, e);
-                    arenas_built += 1;
-                    e
-                }
-            };
-            engine_idx.push(e);
-        }
-
-        // Stores: cleared pool entries first, fresh allocations only
-        // when a free list runs dry.
-        let mut stores_built = 0u64;
-        let mut stores_reused = 0u64;
-        let mut stores: Vec<EigStore<V>> = engine_idx
-            .iter()
-            .map(|&e| match self.free_stores[e].pop() {
-                Some(store) => {
-                    stores_reused += 1;
-                    store
-                }
-                None => {
-                    stores_built += 1;
-                    EigStore::new(self.engines[e].arena())
-                }
-            })
-            .collect();
+        // Per-instance attribution matches `run_batch` (builds = senders
+        // first seen, reuses = the rest), except that here "seen" spans
+        // the whole service lifetime.
+        let (n, depth) = (self.n, self.params.rounds());
+        let mut lease = self
+            .pool
+            .lease(&instances, |sender| EigEngine::new(n, sender, depth));
 
         let queue_depth = instances.len() as u64;
         self.net.reseed(seed);
         let run = fill_and_resolve(
             self.params,
-            self.n,
+            n,
             &instances,
             strategies,
             &mut self.net,
             false,
             None,
             obs,
-            &self.engines,
-            &engine_idx,
-            &mut stores,
-            arenas_built as usize,
+            &self.pool.engines,
+            &mut lease,
             self.config.workers.max(1),
         );
-
-        // Recycle: stores go back cleared, never rebuilt.
-        for (k, mut store) in stores.into_iter().enumerate() {
-            store.clear();
-            self.free_stores[engine_idx[k]].push(store);
-        }
+        let (arenas_built, stores_built) = (lease.arenas_built, lease.stores_built);
+        let (arenas_reused, stores_reused) =
+            (queue_depth - arenas_built, queue_depth - stores_built);
+        self.pool.give_back(lease);
 
         self.stats.arena_builds += arenas_built;
         self.stats.arena_reuses += arenas_reused;
@@ -1302,7 +1103,7 @@ impl<V: Clone + Ord + Hash + Send + Sync> ServiceState<V> {
 mod tests {
     use super::*;
     use crate::byz::ByzInstance;
-    use crate::protocol::run_protocol;
+    use crate::protocol::{run_protocol, run_protocol_with};
     use crate::value::Val;
     use simnet::{LinkFaultKind, LinkFaultPlan};
 
@@ -1312,6 +1113,36 @@ mod tests {
 
     fn params() -> Params {
         Params::new(1, 2).unwrap()
+    }
+
+    /// A healthy, unobserved batch on a valid shape.
+    fn plain(
+        params: Params,
+        nodes: usize,
+        instances: &[BatchInstance<u64>],
+        strategies: &BTreeMap<NodeId, Strategy<u64>>,
+        seed: u64,
+    ) -> BatchRun<u64> {
+        run_batch(
+            params,
+            nodes,
+            instances,
+            strategies,
+            seed,
+            BatchOptions::new(),
+        )
+        .unwrap()
+    }
+
+    /// A batch over the given network on a valid shape.
+    fn over<'a>(
+        instances: &[BatchInstance<u64>],
+        strategies: &BTreeMap<NodeId, Strategy<u64>>,
+        seed: u64,
+        network: impl FnOnce(RoundEngine<BatchMsg<u64>>) -> RoundEngine<BatchMsg<u64>> + 'a,
+    ) -> BatchRun<u64> {
+        let opts = BatchOptions::new().network(network);
+        run_batch(params(), 5, instances, strategies, seed, opts).unwrap()
     }
 
     fn lying_strategies() -> BTreeMap<NodeId, Strategy<u64>> {
@@ -1350,23 +1181,13 @@ mod tests {
     fn batch_matches_sequential_runs() {
         let strategies = lying_strategies();
         let instances = mixed_instances();
-        let batch = run_batch(params(), 5, &instances, &strategies, 1);
+        let batch = plain(params(), 5, &instances, &strategies, 1);
         for (i, inst) in instances.iter().enumerate() {
             let single = ByzInstance::new(5, params(), inst.sender).unwrap();
             let solo = run_protocol(&single, &inst.value, &strategies, 1);
             assert_eq!(batch.decisions[i], solo.decisions, "instance {i}");
         }
         assert_eq!(batch.spoofs_rejected, 0);
-    }
-
-    #[test]
-    fn batch_matches_legacy_reference_executor() {
-        let strategies = lying_strategies();
-        let instances = mixed_instances();
-        let arena = run_batch(params(), 5, &instances, &strategies, 7);
-        let legacy = run_batch_reference(params(), 5, &instances, &strategies, 7);
-        assert_eq!(arena.decisions, legacy.decisions);
-        assert_eq!(arena.net.sent, legacy.net.sent);
     }
 
     #[test]
@@ -1377,7 +1198,7 @@ mod tests {
                 value: Val::Value(i as u64),
             })
             .collect();
-        let batch = run_batch(params(), 5, &instances, &BTreeMap::new(), 1);
+        let batch = plain(params(), 5, &instances, &BTreeMap::new(), 1);
         let single = crate::analysis::message_complexity(5, params().rounds());
         assert_eq!(batch.net.sent as u128, 4 * single);
         // ... but only one engine run: depth+1 rounds total.
@@ -1386,7 +1207,7 @@ mod tests {
 
     #[test]
     fn empty_batch_is_fine() {
-        let batch = run_batch::<u64>(params(), 5, &[], &BTreeMap::new(), 1);
+        let batch = plain(params(), 5, &[], &BTreeMap::new(), 1);
         assert!(batch.decisions.is_empty());
         assert_eq!(batch.net.sent, 0);
         assert_eq!(batch.arena_builds, 0);
@@ -1407,7 +1228,7 @@ mod tests {
                 value: values[i],
             })
             .collect();
-        let batch = run_batch(params(), 5, &instances, &strategies, 1);
+        let batch = plain(params(), 5, &instances, &strategies, 1);
         // Distinct senders: one arena each, no reuse possible.
         assert_eq!(batch.arena_builds, 5);
         let ic = crate::ic::run_degradable_ic(params(), &values, &strategies);
@@ -1431,7 +1252,7 @@ mod tests {
             })
             .collect();
         let strategies = lying_strategies();
-        let batch = run_batch(params(), 5, &instances, &strategies, 3);
+        let batch = plain(params(), 5, &instances, &strategies, 3);
         assert_eq!(batch.arena_builds, 1);
         for (k, inst) in instances.iter().enumerate() {
             let single = ByzInstance::new(5, params(), inst.sender).unwrap();
@@ -1446,11 +1267,9 @@ mod tests {
         // decision: the per-(instance, path) slot fold is first-write-wins.
         let strategies = lying_strategies();
         let instances = mixed_instances();
-        let baseline = run_batch(params(), 5, &instances, &strategies, 1);
+        let baseline = plain(params(), 5, &instances, &strategies, 1);
         let plan = LinkFaultPlan::uniform_complete(5, &[LinkFaultKind::Duplicate { p: 1.0 }]);
-        let chaotic = run_batch_with(params(), 5, &instances, &strategies, 1, |e| {
-            e.with_link_faults(plan)
-        });
+        let chaotic = over(&instances, &strategies, 1, |e| e.with_link_faults(plan));
         assert!(chaotic.net.duplicated > 0);
         assert_eq!(baseline.decisions, chaotic.decisions);
         assert_eq!(
@@ -1467,17 +1286,20 @@ mod tests {
             .with(n(0), n(3), LinkFaultKind::Cut { from_round: 0 });
         let strategies = lying_strategies();
         let instances = mixed_instances();
-        let batch = run_batch_with(params(), 5, &instances, &strategies, 2, {
+        let batch = over(&instances, &strategies, 2, {
             let plan = plan.clone();
             |e| e.with_link_faults(plan)
         });
         assert!(batch.net.dropped_link_cut > 0);
         for (i, inst) in instances.iter().enumerate() {
             let single = ByzInstance::new(5, params(), inst.sender).unwrap();
-            let solo = crate::protocol::run_protocol_with(&single, &inst.value, &strategies, 2, {
-                let plan = plan.clone();
-                |e| e.with_link_faults(plan)
-            });
+            let solo = run_protocol_with(
+                &single,
+                &inst.value,
+                &strategies,
+                2,
+                BatchOptions::new().network(|e| e.with_link_faults(plan.clone())),
+            );
             assert_eq!(batch.decisions[i], solo.decisions, "instance {i}");
         }
     }
@@ -1499,7 +1321,7 @@ mod tests {
             },
         ];
         let plan = LinkFaultPlan::uniform_complete(5, &[LinkFaultKind::Corrupt { p: 0.5 }]);
-        let spoofed = run_batch_with(params(), 5, &instances, &BTreeMap::new(), 9, {
+        let spoofed = over(&instances, &BTreeMap::new(), 9, {
             let plan = plan.clone();
             |e| {
                 e.with_link_faults(plan)
@@ -1512,7 +1334,7 @@ mod tests {
                     })
             }
         });
-        let absent = run_batch_with(params(), 5, &instances, &BTreeMap::new(), 9, |e| {
+        let absent = over(&instances, &BTreeMap::new(), 9, |e| {
             e.with_link_faults(plan)
                 .with_corruptor(|_: &BatchMsg<u64>, _| None)
         });
@@ -1525,17 +1347,16 @@ mod tests {
     fn observed_batch_records_spans_and_counters() {
         let mut obs = Obs::enabled();
         let instances = mixed_instances();
-        let (run, ..) = run_batch_observed(
+        let run = run_batch(
             params(),
             5,
             &instances,
             &lying_strategies(),
             1,
-            2,
-            |e| e,
-            &mut obs,
-        );
-        let quiet = run_batch(params(), 5, &instances, &lying_strategies(), 1);
+            BatchOptions::new().workers(2).obs(&mut obs),
+        )
+        .unwrap();
+        let quiet = plain(params(), 5, &instances, &lying_strategies(), 1);
         assert_eq!(run.decisions, quiet.decisions, "observation is passive");
         let spans: Vec<&str> = obs.spans().iter().map(|s| s.name.as_ref()).collect();
         assert_eq!(
@@ -1568,16 +1389,15 @@ mod tests {
     fn observed_batch_attributes_latency_per_instance_and_regime() {
         let mut obs = Obs::enabled();
         let instances = mixed_instances();
-        let (run, ..) = run_batch_observed(
+        let run = run_batch(
             params(),
             5,
             &instances,
             &lying_strategies(),
             1,
-            1,
-            |e| e,
-            &mut obs,
-        );
+            BatchOptions::new().obs(&mut obs),
+        )
+        .unwrap();
         let reg = obs.registry();
 
         // Per-instance end-to-end histograms: one observation per
@@ -1608,18 +1428,15 @@ mod tests {
         // A fault-free batch lands on the full side of the boundary and
         // credits its early-stop savings.
         let mut obs_full = Obs::enabled();
-        let (run_full, ..) = run_batch_core(
+        let run_full = run_batch(
             params(),
             5,
             &instances,
             &BTreeMap::new(),
             1,
-            1,
-            true,
-            None,
-            |e| e,
-            &mut obs_full,
-        );
+            BatchOptions::new().early_stop(true).obs(&mut obs_full),
+        )
+        .unwrap();
         let reg_full = obs_full.registry();
         assert_eq!(
             reg_full.counter("svc.regime.full.instances"),
@@ -1652,39 +1469,30 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "out of range")]
-    fn sender_range_checked() {
-        let instances = vec![BatchInstance {
-            sender: n(9),
-            value: Val::Value(1),
-        }];
-        run_batch(params(), 5, &instances, &BTreeMap::new(), 1);
-    }
-
-    #[test]
     fn traced_batch_is_passive_and_covers_every_close() {
         let strategies = lying_strategies();
         let instances = mixed_instances();
         let mut delivers = 0usize;
         let mut closes = 0usize;
         let mut sent_in_trace = 0usize;
-        let (run, views) = run_batch_traced(
+        let mut views = Vec::new();
+        let mut sink = |ev| match ev {
+            BatchTraceEvent::Deliver { .. } => delivers += 1,
+            BatchTraceEvent::Close { sends, .. } => {
+                closes += 1;
+                sent_in_trace += sends.len();
+            }
+        };
+        let run = run_batch(
             params(),
             5,
             &instances,
             &strategies,
             1,
-            false,
-            |e| e,
-            &mut |ev| match ev {
-                BatchTraceEvent::Deliver { .. } => delivers += 1,
-                BatchTraceEvent::Close { sends, .. } => {
-                    closes += 1;
-                    sent_in_trace += sends.len();
-                }
-            },
-        );
-        let quiet = run_batch(params(), 5, &instances, &strategies, 1);
+            BatchOptions::new().trace(&mut sink).views(&mut views),
+        )
+        .unwrap();
+        let quiet = plain(params(), 5, &instances, &strategies, 1);
         assert_eq!(run.decisions, quiet.decisions, "tracing is passive");
         // Every instance closes at every node in every round, even when
         // it has nothing to send — the checker needs the phase ticks.
@@ -1695,6 +1503,17 @@ mod tests {
         // exactly the engine's send count.
         assert_eq!(sent_in_trace, run.net.sent);
         assert_eq!(views.len(), instances.len());
+    }
+
+    fn early_stopped(
+        params: Params,
+        nodes: usize,
+        instances: &[BatchInstance<u64>],
+        strategies: &BTreeMap<NodeId, Strategy<u64>>,
+        seed: u64,
+    ) -> BatchRun<u64> {
+        let opts = BatchOptions::new().early_stop(true);
+        run_batch(params, nodes, instances, strategies, seed, opts).unwrap()
     }
 
     #[test]
@@ -1711,17 +1530,8 @@ mod tests {
                 value: Val::Value(8),
             },
         ];
-        let baseline = run_batch(params(), 5, &instances, &BTreeMap::new(), 3);
-        let (early, _) = run_batch_traced(
-            params(),
-            5,
-            &instances,
-            &BTreeMap::new(),
-            3,
-            true,
-            |e| e,
-            &mut |_| {},
-        );
+        let baseline = plain(params(), 5, &instances, &BTreeMap::new(), 3);
+        let early = early_stopped(params(), 5, &instances, &BTreeMap::new(), 3);
         assert_eq!(early.decisions, baseline.decisions);
         assert!(early.net.eig.subtrees_pruned > 0);
         assert!(early.net.eig.messages_saved > 0);
@@ -1738,17 +1548,8 @@ mod tests {
         // faults, so the gate never fires — the runs must be identical.
         let strategies = lying_strategies();
         let instances = mixed_instances();
-        let full = run_batch(params(), 5, &instances, &strategies, 3);
-        let (stopped, _) = run_batch_traced(
-            params(),
-            5,
-            &instances,
-            &strategies,
-            3,
-            true,
-            |e| e,
-            &mut |_| {},
-        );
+        let full = plain(params(), 5, &instances, &strategies, 3);
+        let stopped = early_stopped(params(), 5, &instances, &strategies, 3);
         assert_eq!(stopped.decisions, full.decisions);
         assert_eq!(stopped.net.sent, full.net.sent);
 
@@ -1763,9 +1564,8 @@ mod tests {
             sender: n(0),
             value: Val::Value(5),
         }];
-        let full = run_batch(p2, 7, &instances, &strategies, 9);
-        let (early, _) =
-            run_batch_traced(p2, 7, &instances, &strategies, 9, true, |e| e, &mut |_| {});
+        let full = plain(p2, 7, &instances, &strategies, 9);
+        let early = early_stopped(p2, 7, &instances, &strategies, 9);
         assert_eq!(early.decisions, full.decisions);
         assert!(early.net.eig.messages_saved > 0);
         assert!(early.net.sent < full.net.sent);
@@ -1783,12 +1583,12 @@ mod tests {
     /// `run_batch` per wave, and the whole observable output is
     /// bit-identical across worker counts 1/2/8 after timing scrub.
     #[test]
-    fn service_drain_matches_one_shot_run_batch_across_workers() {
+    fn service_drain_matches_one_shot_batch_across_workers() {
         let strategies = lying_strategies();
         let wave_a: Vec<BatchInstance<u64>> = vec![inst(0, 10), inst(1, 20), inst(0, 30)];
         let wave_b: Vec<BatchInstance<u64>> = vec![inst(4, 40), inst(1, 50)];
-        let oracle_a = run_batch(params(), 5, &wave_a, &strategies, 11);
-        let oracle_b = run_batch(params(), 5, &wave_b, &strategies, 12);
+        let oracle_a = plain(params(), 5, &wave_a, &strategies, 11);
+        let oracle_b = plain(params(), 5, &wave_b, &strategies, 12);
 
         let mut outputs = Vec::new();
         for workers in [1usize, 2, 8] {
@@ -1906,31 +1706,34 @@ mod tests {
     }
 
     #[test]
-    fn try_run_batch_covers_every_degenerate_input() {
+    fn batch_shape_errors_are_typed() {
         let strategies: BTreeMap<NodeId, Strategy<u64>> = BTreeMap::new();
-        // Empty batch (K = 0) is a valid, trivial batch.
-        let empty = try_run_batch(params(), 5, &[], &strategies, 1).unwrap();
-        assert!(empty.decisions.is_empty());
-        // Node bound and sender range come back typed, not as panics.
+        let run = |nodes, instances: &[BatchInstance<u64>]| {
+            run_batch(
+                params(),
+                nodes,
+                instances,
+                &strategies,
+                1,
+                BatchOptions::new(),
+            )
+        };
+        // Node bound, sender range and the engine ceiling come back
+        // typed, not as panics.
         assert_eq!(
-            try_run_batch(params(), 4, &[], &strategies, 1).err(),
+            run(4, &[]).err(),
             Some(ServiceError::NodeBound { n: 4, min_nodes: 5 })
         );
         assert_eq!(
-            try_run_batch(params(), 5, &[inst(9, 1)], &strategies, 1).err(),
+            run(5, &[inst(9, 1)]).err(),
             Some(ServiceError::SenderOutOfRange { sender: n(9), n: 5 })
         );
         assert!(matches!(
-            try_run_batch(params(), 70, &[], &strategies, 1),
+            run(70, &[]),
             Err(ServiceError::Engine(
                 crate::engine::EngineError::TooManyNodes { n: 70 }
             ))
         ));
-        // The happy path is exactly run_batch.
-        let instances = mixed_instances();
-        let fallible = try_run_batch(params(), 5, &instances, &lying_strategies(), 3).unwrap();
-        let oracle = run_batch(params(), 5, &instances, &lying_strategies(), 3);
-        assert_eq!(fallible.decisions, oracle.decisions);
     }
 
     /// The 95%-after-warmup gate of the service bench, in miniature:

@@ -6,7 +6,7 @@
 //! evaluator.
 
 use degradable::adversary::Strategy;
-use degradable::service::{run_batch, BatchInstance};
+use degradable::service::{run_batch, BatchInstance, BatchOptions};
 use degradable::{reference_eval, run_protocol, ByzInstance, EigEngine, Params, Path, Val};
 use proptest::prelude::*;
 use simnet::{NodeId, SimRng};
@@ -181,7 +181,9 @@ fn a_tree_deeper_than_the_inline_capacity_decides_like_the_reference() {
             }],
             &strategies,
             1,
-        );
+            BatchOptions::new(),
+        )
+        .unwrap();
         assert_eq!(batch.decisions[0], reference, "run_batch, sample {sample}");
         assert_eq!(batch.net.sent, solo.net.sent);
     }

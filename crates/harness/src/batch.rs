@@ -19,11 +19,11 @@
 //! the two draw the shared link RNG in different orders, so identity is
 //! instead asserted between the batch arena fold and per-receiver
 //! [`degradable::EigView`] folds of the same observations
-//! (`degradable::run_batch_full`).
+//! (`degradable::BatchOptions::views`).
 
 use crate::scenario::{Scenario, ScenarioError};
 use degradable::{
-    run_batch_observed, run_protocol_with, BatchInstance, BatchRun, ByzInstance, ProtocolRun, Val,
+    run_batch, run_protocol_with, BatchInstance, BatchRun, ByzInstance, ProtocolRun, Val,
 };
 use obs::Obs;
 use simnet::NodeId;
@@ -112,22 +112,15 @@ impl BatchScenario {
         obs: &mut Obs,
     ) -> Result<BatchRun<u64>, ScenarioError> {
         self.validate()?;
-        let params = self.base.params()?;
-        let plan = self.base.effective_link_plan();
-        let (run, ..) = run_batch_observed(
-            params,
+        let run = run_batch(
+            self.base.params()?,
             self.base.n,
             &self.instances(),
             &self.base.strategies,
             self.base.master_seed,
-            workers,
-            |e| match plan {
-                Some(plan) => e.with_link_faults(plan),
-                None => e,
-            },
-            obs,
+            self.base.network_options().workers(workers).obs(obs),
         );
-        Ok(run)
+        Ok(run.expect("validated above"))
     }
 
     /// The one-at-a-time baseline: each slot as its own
@@ -141,16 +134,12 @@ impl BatchScenario {
             .map(|(sender, value)| {
                 let instance = ByzInstance::new(self.base.n, params, *sender)
                     .map_err(ScenarioError::Instance)?;
-                let plan = self.base.effective_link_plan();
                 Ok(run_protocol_with(
                     &instance,
                     value,
                     &self.base.strategies,
                     self.base.master_seed,
-                    |e| match plan {
-                        Some(plan) => e.with_link_faults(plan),
-                        None => e,
-                    },
+                    self.base.network_options(),
                 ))
             })
             .collect()

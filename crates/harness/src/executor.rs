@@ -84,19 +84,12 @@ impl ProtocolExecutor {
     ) -> Result<(RunRecord<u64>, simnet::Outcome), ScenarioError> {
         require_complete(scenario, Executor::name(self))?;
         let instance = scenario.instance()?;
-        let plan = scenario.effective_link_plan();
         let run = run_protocol_with(
             &instance,
             &scenario.sender_value,
             &scenario.strategies,
             scenario.master_seed,
-            |e| match plan {
-                // No corruptor installed: the engine's default drops
-                // corrupted envelopes, i.e. corruption reads as absence
-                // (`V_d`), the paper's oral-message axiom.
-                Some(plan) => e.with_link_faults(plan),
-                None => e,
-            },
+            scenario.network_options(),
         );
         let record = run.record(&instance, scenario.sender_value, scenario.faulty());
         Ok((record, run.net))
@@ -145,13 +138,14 @@ impl TransportExecutor {
             Some(plan) => LinkChaos::new(plan, scenario.master_seed),
             None => LinkChaos::healthy(),
         };
-        let run = transport::run_kind(
+        let run = transport::run_kind_with(
             scenario.transport,
             &instance,
             scenario.sender_value,
             &scenario.strategies,
             chaos,
             MeshConfig::default(),
+            transport::RunOptions::default(),
         )
         .map_err(|e| ScenarioError::Transport {
             kind: scenario.transport,

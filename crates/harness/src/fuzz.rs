@@ -32,7 +32,7 @@
 
 use crate::report::JsonValue;
 use degradable::{
-    adversary_by_id, check_degradable, run_batch_traced, AdaptiveAdversary, BatchInstance,
+    adversary_by_id, check_degradable, run_batch, AdaptiveAdversary, BatchInstance, BatchOptions,
     BatchTraceEvent, ByzInstance, ByzMsg, NodeAction, NodeEvent, NodeStateMachine, Params,
     RunRecord, SpecChecker, SpecInstance, SpecViolation, Strategy, Val, Verdict,
 };
@@ -865,7 +865,7 @@ pub fn run_plan_transport(plan: &FuzzPlan, kind: TransportKind) -> ExecReport {
 }
 
 /// Runs `plan` as a two-instance batched-service execution
-/// ([`run_batch_traced`]) and replays the trace through one
+/// ([`run_batch`] with a trace sink) and replays the trace through one
 /// [`SpecChecker`] per instance. The second instance shifts the sender
 /// by one and perturbs the value, so the multiplexer is exercised with
 /// genuinely distinct concurrent trees. Link chaos is not installed —
@@ -899,55 +899,59 @@ pub fn run_plan_batch(plan: &FuzzPlan) -> ExecReport {
 
     let mut step = 0usize;
     let mut first: Option<FuzzViolation> = None;
-    let (run, views) = run_batch_traced(
+    let mut views = Vec::new();
+    let mut sink = |ev| {
+        step += 1;
+        let (k, trace) = match ev {
+            BatchTraceEvent::Deliver {
+                instance,
+                to,
+                src,
+                path,
+                value,
+                round,
+            } => {
+                let msg = ByzMsg { path, value };
+                checkers[instance].deliver(to, src, &msg, round);
+                (instance, Some(delivery_ctx(instance as u64, &msg)))
+            }
+            BatchTraceEvent::Close {
+                instance,
+                node,
+                round,
+                sends,
+            } => {
+                let sends: Vec<(NodeId, ByzMsg<u64>)> = sends
+                    .into_iter()
+                    .map(|(to, path, value)| (to, ByzMsg { path, value }))
+                    .collect();
+                checkers[instance].close_round(node, round, &sends);
+                (instance, None)
+            }
+        };
+        if first.is_none() {
+            if let Some(v) = checkers[k].first_violation() {
+                first = Some(FuzzViolation {
+                    step,
+                    step_desc: format!("batch event instance={k}"),
+                    violation: v.to_string(),
+                    trace: violation_ctx(k as u64, v).or(trace),
+                });
+            }
+        }
+    };
+    let run = run_batch(
         params,
         plan.n,
         &instances,
         &strategies,
         plan.seed,
-        plan.early_stop,
-        |e| e,
-        &mut |ev| {
-            step += 1;
-            let (k, trace) = match ev {
-                BatchTraceEvent::Deliver {
-                    instance,
-                    to,
-                    src,
-                    path,
-                    value,
-                    round,
-                } => {
-                    let msg = ByzMsg { path, value };
-                    checkers[instance].deliver(to, src, &msg, round);
-                    (instance, Some(delivery_ctx(instance as u64, &msg)))
-                }
-                BatchTraceEvent::Close {
-                    instance,
-                    node,
-                    round,
-                    sends,
-                } => {
-                    let sends: Vec<(NodeId, ByzMsg<u64>)> = sends
-                        .into_iter()
-                        .map(|(to, path, value)| (to, ByzMsg { path, value }))
-                        .collect();
-                    checkers[instance].close_round(node, round, &sends);
-                    (instance, None)
-                }
-            };
-            if first.is_none() {
-                if let Some(v) = checkers[k].first_violation() {
-                    first = Some(FuzzViolation {
-                        step,
-                        step_desc: format!("batch event instance={k}"),
-                        violation: v.to_string(),
-                        trace: violation_ctx(k as u64, v).or(trace),
-                    });
-                }
-            }
-        },
-    );
+        BatchOptions::new()
+            .early_stop(plan.early_stop)
+            .trace(&mut sink)
+            .views(&mut views),
+    )
+    .expect("valid plan");
     let mut note =
         |checkers: &[SpecChecker<u64>], k: usize, step: usize, desc: &dyn Fn() -> String| {
             if first.is_none() {

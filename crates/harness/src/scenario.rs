@@ -1,9 +1,9 @@
 //! Declarative description of one agreement experiment.
 
 use degradable::adversary::Strategy;
-use degradable::{ByzError, ByzInstance, Params, ParamsError, Val};
+use degradable::{BatchMsg, BatchOptions, ByzError, ByzInstance, Params, ParamsError, Val};
 use serde::{Deserialize, Serialize};
-use simnet::{LinkFaultKind, LinkFaultPlan, NodeId, SimRng, Topology};
+use simnet::{LinkFaultKind, LinkFaultPlan, NodeId, RoundEngine, SimRng, Topology};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use transport::TransportKind;
@@ -281,6 +281,18 @@ impl Scenario {
             plan = plan.stacked_with(&chaos.plan_for_complete(self.n));
         }
         Some(plan)
+    }
+
+    /// [`Scenario::effective_link_plan`] as simulated-network options. No
+    /// corruptor is installed: the engine's default drops corrupted
+    /// envelopes, i.e. corruption reads as absence (`V_d`), the paper's
+    /// oral-message axiom.
+    pub(crate) fn network_options<'a>(&self) -> BatchOptions<'a, u64> {
+        match self.effective_link_plan() {
+            Some(plan) => BatchOptions::new()
+                .network(|e: RoundEngine<BatchMsg<u64>>| e.with_link_faults(plan)),
+            None => BatchOptions::new(),
+        }
     }
 
     /// Assigns `f` uniformly-placed faulty nodes, each with a strategy

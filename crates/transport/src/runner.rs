@@ -477,7 +477,7 @@ pub fn run_sim_with(
     TransportRun::assemble(TransportKind::Sim, outcomes)
 }
 
-/// Knobs for [`drive_mesh_opts`] — one mesh endpoint's driver loop, as
+/// Knobs for [`drive_mesh`] — one mesh endpoint's driver loop, as
 /// used per node by [`run_channel`]/[`run_tcp`] and standalone by
 /// `dagree serve`.
 #[derive(Debug, Clone, Default)]
@@ -499,29 +499,7 @@ pub struct MeshDriveOptions {
 /// Drives one mesh endpoint to completion on the current thread — the
 /// loop `dagree serve` runs after [`crate::tcp_join`] hands it a joined
 /// endpoint, and the per-node body of [`run_channel`]/[`run_tcp`].
-pub fn drive_mesh(transport: MeshTransport, machine: NodeStateMachine<u64>) -> NodeOutcome {
-    drive_mesh_opts(transport, machine, &MeshDriveOptions::default())
-}
-
-/// [`drive_mesh`] with an optional event log (see
-/// [`RunOptions::record_events`]).
-pub fn drive_mesh_with(
-    transport: MeshTransport,
-    machine: NodeStateMachine<u64>,
-    record_events: bool,
-) -> NodeOutcome {
-    drive_mesh_opts(
-        transport,
-        machine,
-        &MeshDriveOptions {
-            record_events,
-            ..MeshDriveOptions::default()
-        },
-    )
-}
-
-/// [`drive_mesh`] with the full option set.
-pub fn drive_mesh_opts(
+pub fn drive_mesh(
     mut transport: MeshTransport,
     mut machine: NodeStateMachine<u64>,
     options: &MeshDriveOptions,
@@ -621,7 +599,7 @@ fn run_mesh(
         .zip(machines)
         .map(|(t, m)| {
             let drive = drive.clone();
-            thread::spawn(move || drive_mesh_opts(t, m, &drive))
+            thread::spawn(move || drive_mesh(t, m, &drive))
         })
         .collect();
     let outcomes = handles
@@ -709,26 +687,6 @@ pub fn run_tcp_with(
 
 /// Runs the scenario on the backend selected by `kind` — the harness/CLI
 /// entry point. Only the TCP backend can actually fail (socket setup).
-pub fn run_kind(
-    kind: TransportKind,
-    instance: &ByzInstance,
-    sender_value: Val,
-    strategies: &BTreeMap<NodeId, Strategy<u64>>,
-    chaos: LinkChaos,
-    config: MeshConfig,
-) -> io::Result<TransportRun> {
-    run_kind_with(
-        kind,
-        instance,
-        sender_value,
-        strategies,
-        chaos,
-        config,
-        RunOptions::default(),
-    )
-}
-
-/// [`run_kind`] with explicit [`RunOptions`].
 pub fn run_kind_with(
     kind: TransportKind,
     instance: &ByzInstance,

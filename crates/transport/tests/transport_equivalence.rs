@@ -20,7 +20,8 @@
 //! N ∈ {4..9}, at maximal-ish `(m, u)` for each.
 
 use degradable::{
-    check_degradable, run_protocol_with, ByzInstance, Params, RunRecord, Strategy, Val, VoteRule,
+    check_degradable, run_protocol_with, BatchOptions, ByzInstance, Params, RunRecord, Strategy,
+    Val, VoteRule,
 };
 use simnet::{LinkFaultKind, LinkFaultPlan, NodeId};
 use std::collections::BTreeMap;
@@ -94,9 +95,13 @@ fn deterministic_plans_match_the_prerefactor_oracle() {
             ),
         ];
         for (label, plan) in plans {
-            let oracle = run_protocol_with(&inst, &Val::Value(42), &strategies, 7, |e| {
-                e.with_link_faults(plan.clone())
-            });
+            let oracle = run_protocol_with(
+                &inst,
+                &Val::Value(42),
+                &strategies,
+                7,
+                BatchOptions::new().network(|e| e.with_link_faults(plan.clone())),
+            );
             let sim = run_sim(
                 &inst,
                 Val::Value(42),

@@ -2,30 +2,35 @@
 //!
 //! The batch service multiplexes K agreement instances over one engine
 //! run and resolves each through the shared memoized arena. These tests
-//! pin down the three identities that make that an *optimization* rather
+//! pin down the identities that make that an *optimization* rather
 //! than a semantic change:
 //!
-//! 1. **Batch ≡ solo.** Under healthy links and under deterministic
-//!    chaos plans (cuts, `p = 1.0` duplication), every instance's
-//!    decisions are bit-identical to a one-at-a-time
-//!    [`degradable::run_protocol`] run. (Probabilistic chaos draws the
-//!    shared link RNG in a different interleaving for batch vs solo, so
-//!    identity there is asserted via oracle 2 instead.)
+//! 1. **Multiplexing isolation.** Under healthy links and under
+//!    deterministic chaos plans (cuts, `p = 1.0` duplication), every
+//!    instance of a K-instance batch decides bit-identically to its own
+//!    one-instance batch ([`degradable::run_protocol`]). (Probabilistic
+//!    chaos draws the shared link RNG in a different interleaving for
+//!    batch vs solo, so identity there is asserted via oracle 2 instead.)
 //! 2. **Arena ≡ view fold.** Under arbitrary random chaos, the batch's
 //!    arena decisions equal an independent recursive
 //!    [`degradable::EigView`] resolve over the *same* recorded
-//!    observations ([`degradable::run_batch_full`]).
-//! 3. **Worker-count and rerun invariance.** Decisions and deterministic
+//!    observations ([`degradable::BatchOptions::views`]).
+//! 3. **Batch ≡ the two independent implementations.** Chaos-free, every
+//!    instance equals [`degradable::reference_eval`] (the paper's
+//!    recursion, no messages) and the sans-io
+//!    [`degradable::NodeStateMachine`] driven by [`transport::run_sim`]
+//!    (the wire inbox), in decisions and in traffic.
+//! 4. **Worker-count and rerun invariance.** Decisions and deterministic
 //!    counters are identical for 1/2/8 resolve workers and across
 //!    repeated runs with the same seed.
 
 use degradable::{
-    run_batch, run_batch_full, run_batch_observed, run_batch_reference, run_batch_with,
-    run_protocol, BatchInstance, ByzInstance, Params, Strategy, Val, VoteRule,
+    reference_eval, run_batch, run_protocol, run_protocol_with, BatchInstance, BatchOptions,
+    BatchRun, ByzInstance, Params, Path, Strategy, Val, VoteRule,
 };
-use obs::Obs;
 use simnet::{LinkFaultKind, LinkFaultPlan, NodeId, SimRng};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
+use transport::{run_sim, LinkChaos};
 
 fn n(i: usize) -> NodeId {
     NodeId::new(i)
@@ -87,6 +92,19 @@ fn mixed_instances(nodes: usize, k: usize) -> Vec<BatchInstance<u64>> {
         .collect()
 }
 
+/// A batch over `plan` on a valid shape.
+fn batch_over(
+    params: Params,
+    nodes: usize,
+    instances: &[BatchInstance<u64>],
+    strategies: &BTreeMap<NodeId, Strategy<u64>>,
+    seed: u64,
+    plan: &LinkFaultPlan,
+) -> BatchRun<u64> {
+    let opts = BatchOptions::new().network(|e| e.with_link_faults(plan.clone()));
+    run_batch(params, nodes, instances, strategies, seed, opts).unwrap()
+}
+
 #[test]
 fn healthy_batch_matches_solo_runs_across_shapes() {
     for (nodes, m, u, k) in [(4, 1, 1, 3), (5, 1, 2, 6), (7, 2, 2, 4)] {
@@ -94,7 +112,8 @@ fn healthy_batch_matches_solo_runs_across_shapes() {
         for seed in 0..4u64 {
             let strategies = strategies(seed, nodes, m);
             let instances = mixed_instances(nodes, k);
-            let batch = run_batch(params, nodes, &instances, &strategies, seed);
+            let healthy = LinkFaultPlan::healthy();
+            let batch = batch_over(params, nodes, &instances, &strategies, seed, &healthy);
             assert_eq!(batch.spoofs_rejected, 0);
             for (i, inst) in instances.iter().enumerate() {
                 let single = ByzInstance::new(nodes, params, inst.sender).unwrap();
@@ -117,17 +136,17 @@ fn cut_plans_affect_batch_and_solo_identically() {
         .with(n(4), n(2), LinkFaultKind::Cut { from_round: 2 });
     let strategies = strategies(5, 5, 1);
     let instances = mixed_instances(5, 5);
-    let batch = run_batch_with(params, 5, &instances, &strategies, 5, {
-        let plan = plan.clone();
-        |e| e.with_link_faults(plan)
-    });
+    let batch = batch_over(params, 5, &instances, &strategies, 5, &plan);
     assert!(batch.net.dropped_link_cut > 0);
     for (i, inst) in instances.iter().enumerate() {
         let single = ByzInstance::new(5, params, inst.sender).unwrap();
-        let solo = degradable::run_protocol_with(&single, &inst.value, &strategies, 5, {
-            let plan = plan.clone();
-            |e| e.with_link_faults(plan)
-        });
+        let solo = run_protocol_with(
+            &single,
+            &inst.value,
+            &strategies,
+            5,
+            BatchOptions::new().network(|e| e.with_link_faults(plan.clone())),
+        );
         assert_eq!(batch.decisions[i], solo.decisions, "instance {i}");
     }
 }
@@ -143,10 +162,11 @@ fn chaotic_arena_decisions_match_independent_view_folds() {
         let plan = chaos_plan(5, seed);
         let strategies = strategies(seed, 5, 1);
         let instances = mixed_instances(5, 4);
-        let (batch, views) = run_batch_full(params, 5, &instances, &strategies, seed, {
-            let plan = plan.clone();
-            |e| e.with_link_faults(plan)
-        });
+        let mut views = Vec::new();
+        let opts = BatchOptions::new()
+            .network(|e| e.with_link_faults(plan))
+            .views(&mut views);
+        let batch = run_batch(params, 5, &instances, &strategies, seed, opts).unwrap();
         assert!(batch.net.link_fault_injections() > 0, "seed {seed}");
         for (k, inst) in instances.iter().enumerate() {
             for (r, view) in &views[k] {
@@ -161,15 +181,44 @@ fn chaotic_arena_decisions_match_independent_view_folds() {
 }
 
 #[test]
-fn chaos_free_batch_matches_legacy_reference_executor() {
+fn chaos_free_batch_matches_reference_eval_and_wire_machine() {
+    // Oracle 3: neither implementation shares a line with the batch
+    // inbox — `reference_eval` sends no messages at all, and `run_sim`
+    // drives the sans-io `NodeStateMachine` the wire backends run.
     let params = Params::new(2, 3).unwrap();
     for seed in 0..4u64 {
         let strategies = strategies(seed, 8, 2);
+        let faulty: BTreeSet<NodeId> = strategies.keys().copied().collect();
         let instances = mixed_instances(8, 3);
-        let arena = run_batch(params, 8, &instances, &strategies, seed);
-        let legacy = run_batch_reference(params, 8, &instances, &strategies, seed);
-        assert_eq!(arena.decisions, legacy.decisions, "seed {seed}");
-        assert_eq!(arena.net.sent, legacy.net.sent, "seed {seed}");
+        let healthy = LinkFaultPlan::healthy();
+        let batch = batch_over(params, 8, &instances, &strategies, seed, &healthy);
+        let mut wire_sent = 0u64;
+        for (k, inst) in instances.iter().enumerate() {
+            let single = ByzInstance::new(8, params, inst.sender).unwrap();
+            let mut fabricate = |path: &Path, receiver: NodeId, truthful: &Val| {
+                strategies[&path.last()].claim(path, receiver, truthful)
+            };
+            let reference = reference_eval(
+                8,
+                inst.sender,
+                params.rounds(),
+                single.rule(),
+                &inst.value,
+                &faulty,
+                &mut fabricate,
+            );
+            assert_eq!(
+                batch.decisions[k], reference.decisions,
+                "reference_eval, seed {seed} instance {k}"
+            );
+            let wire = run_sim(&single, inst.value, &strategies, LinkChaos::healthy(), None);
+            assert_eq!(
+                batch.decisions[k], wire.decisions,
+                "run_sim, seed {seed} instance {k}"
+            );
+            wire_sent += wire.stats.sent;
+        }
+        assert_eq!(batch.net.sent as u64, wire_sent, "seed {seed}");
     }
 }
 
@@ -180,18 +229,10 @@ fn chaotic_batch_is_invariant_across_workers_and_reruns() {
     let strategies = strategies(42, 5, 1);
     let instances = mixed_instances(5, 6);
     let run_with_workers = |workers: usize| {
-        let plan = plan.clone();
-        run_batch_observed(
-            params,
-            5,
-            &instances,
-            &strategies,
-            42,
-            workers,
-            |e| e.with_link_faults(plan),
-            &mut Obs::disabled(),
-        )
-        .0
+        let opts = BatchOptions::new()
+            .network(|e| e.with_link_faults(plan.clone()))
+            .workers(workers);
+        run_batch(params, 5, &instances, &strategies, 42, opts).unwrap()
     };
     let one = run_with_workers(1);
     for workers in [2, 8] {
@@ -211,10 +252,9 @@ fn duplicate_everything_changes_no_decision() {
     let plan = LinkFaultPlan::uniform_complete(5, &[LinkFaultKind::Duplicate { p: 1.0 }]);
     let strategies = strategies(7, 5, 1);
     let instances = mixed_instances(5, 4);
-    let clean = run_batch(params, 5, &instances, &strategies, 7);
-    let doubled = run_batch_with(params, 5, &instances, &strategies, 7, |e| {
-        e.with_link_faults(plan)
-    });
+    let healthy = LinkFaultPlan::healthy();
+    let clean = batch_over(params, 5, &instances, &strategies, 7, &healthy);
+    let doubled = batch_over(params, 5, &instances, &strategies, 7, &plan);
     assert!(doubled.net.duplicated > 0);
     assert_eq!(clean.decisions, doubled.decisions);
     // First-write-wins: the duplicates never reach the stores.

@@ -8,7 +8,7 @@
 //! messages from a chosen round on, and the agreement conditions must
 //! still hold with the crashed node counted in `f`.
 
-use degradable::{check_degradable, run_protocol_with, ByzInstance, Params, Val};
+use degradable::{check_degradable, run_protocol_with, BatchOptions, ByzInstance, Params, Val};
 use simnet::{
     FaultKind, FaultPlan, FaultSchedule, LinkFaultKind, LinkFaultPlan, NodeId, RoundEngine,
     Topology, TraceEvent,
@@ -25,9 +25,13 @@ fn mid_protocol_crash_within_m_keeps_full_agreement() {
     // in round 0..2 and silent from round 2 (its level-3 relays vanish).
     let inst = ByzInstance::new(7, Params::new(2, 2).unwrap(), NodeId::new(0)).unwrap();
     let schedule = FaultSchedule::healthy().then_from(2, crash_from(5, 0));
-    let run = run_protocol_with(&inst, &Val::Value(7), &BTreeMap::new(), 1, |e| {
-        e.with_fault_schedule(schedule)
-    });
+    let run = run_protocol_with(
+        &inst,
+        &Val::Value(7),
+        &BTreeMap::new(),
+        1,
+        BatchOptions::new().network(|e| e.with_fault_schedule(schedule)),
+    );
     let faulty: BTreeSet<NodeId> = [NodeId::new(5)].into_iter().collect();
     let record = run.record(&inst, Val::Value(7), faulty);
     let verdict = check_degradable(&record);
@@ -50,9 +54,13 @@ fn staggered_crashes_within_u_stay_degraded() {
                 .with(NodeId::new(3), FaultKind::Crash { from_round: 0 })
                 .with(NodeId::new(4), FaultKind::Crash { from_round: 0 })
         });
-    let run = run_protocol_with(&inst, &Val::Value(7), &BTreeMap::new(), 1, |e| {
-        e.with_fault_schedule(schedule)
-    });
+    let run = run_protocol_with(
+        &inst,
+        &Val::Value(7),
+        &BTreeMap::new(),
+        1,
+        BatchOptions::new().network(|e| e.with_fault_schedule(schedule)),
+    );
     let faulty: BTreeSet<NodeId> = [NodeId::new(3), NodeId::new(4)].into_iter().collect();
     let record = run.record(&inst, Val::Value(7), faulty);
     let verdict = check_degradable(&record);
@@ -66,9 +74,13 @@ fn crashed_sender_mid_broadcast_is_condition_d2_or_d4() {
     // identically (D.2 with f = 1 <= m).
     let inst = ByzInstance::new(5, Params::new(1, 2).unwrap(), NodeId::new(0)).unwrap();
     let schedule = FaultSchedule::constant(crash_from(0, 0));
-    let run = run_protocol_with(&inst, &Val::Value(7), &BTreeMap::new(), 1, |e| {
-        e.with_fault_schedule(schedule)
-    });
+    let run = run_protocol_with(
+        &inst,
+        &Val::Value(7),
+        &BTreeMap::new(),
+        1,
+        BatchOptions::new().network(|e| e.with_fault_schedule(schedule)),
+    );
     let faulty: BTreeSet<NodeId> = [NodeId::new(0)].into_iter().collect();
     let record = run.record(&inst, Val::Value(7), faulty);
     let verdict = check_degradable(&record);
@@ -87,16 +99,26 @@ fn recovery_after_burst_is_clean_for_fresh_instances() {
     let schedule = FaultSchedule::healthy()
         .then_from(0, crash_from(2, 0))
         .then_from(2, FaultPlan::healthy());
-    let run = run_protocol_with(&inst, &Val::Value(7), &BTreeMap::new(), 1, |e| {
-        e.with_fault_schedule(schedule)
-    });
+    let run = run_protocol_with(
+        &inst,
+        &Val::Value(7),
+        &BTreeMap::new(),
+        1,
+        BatchOptions::new().network(|e| e.with_fault_schedule(schedule)),
+    );
     // Node 2's early silence makes it "faulty" for this run.
     let faulty: BTreeSet<NodeId> = [NodeId::new(2)].into_iter().collect();
     let record = run.record(&inst, Val::Value(7), faulty);
     assert!(check_degradable(&record).is_satisfied());
 
     // A brand-new run with a healthy schedule: all clean, full agreement.
-    let run = run_protocol_with(&inst, &Val::Value(7), &BTreeMap::new(), 1, |e| e);
+    let run = run_protocol_with(
+        &inst,
+        &Val::Value(7),
+        &BTreeMap::new(),
+        1,
+        BatchOptions::new(),
+    );
     let record = run.record(&inst, Val::Value(7), BTreeSet::new());
     for (_, v) in record.fault_free_decisions() {
         assert_eq!(v, Val::Value(7));
@@ -153,9 +175,13 @@ fn mid_run_link_isolation_acts_like_a_late_crash() {
     let inst = ByzInstance::new(5, Params::new(1, 2).unwrap(), NodeId::new(0)).unwrap();
     let others: Vec<NodeId> = (0..4).map(NodeId::new).collect();
     let links = LinkFaultPlan::healthy().cut_between(&[NodeId::new(4)], &others, 1);
-    let run = run_protocol_with(&inst, &Val::Value(7), &BTreeMap::new(), 1, |e| {
-        e.with_link_faults(links)
-    });
+    let run = run_protocol_with(
+        &inst,
+        &Val::Value(7),
+        &BTreeMap::new(),
+        1,
+        BatchOptions::new().network(|e| e.with_link_faults(links)),
+    );
     let faulty: BTreeSet<NodeId> = [NodeId::new(4)].into_iter().collect();
     let record = run.record(&inst, Val::Value(7), faulty);
     let verdict = check_degradable(&record);

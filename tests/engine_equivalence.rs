@@ -14,7 +14,7 @@
 //!    over the same complete table space (DESIGN.md §5h soundness).
 //! 2. **Randomized protocol sweep** — `N ∈ {7..13}` with `m ∈ {1, 2}`
 //!    under random PR-2 link-chaos plans (drops, duplicates, reorders,
-//!    cuts): [`run_protocol_full`] exposes every receiver's materialized
+//!    cuts): [`BatchOptions::views`] exposes every receiver's materialized
 //!    [`EigView`]; re-resolving each view with the recursive fold must
 //!    reproduce the shared-arena decision for that receiver exactly,
 //!    chaos notwithstanding — both folds consume the same store, so any
@@ -22,7 +22,7 @@
 
 use degradable::adversary::{choice_points, Strategy};
 use degradable::{
-    reference_eval, run_protocol_full, AgreementValue, ByzInstance, Params, Path, Val,
+    reference_eval, run_protocol_with, AgreementValue, BatchOptions, ByzInstance, Params, Path, Val,
 };
 use simnet::linkfault::{LinkFaultKind, LinkFaultPlan};
 use simnet::{NodeId, SimRng};
@@ -359,13 +359,15 @@ fn randomized_chaos_sweep_matches_per_receiver_folds() {
                     .collect();
                 let plan = random_plan(n, &mut rng);
                 let seed = rng.below(u64::MAX);
-                let (run, views) =
-                    run_protocol_full(&instance, &Val::Value(7), &strategies, seed, |e| {
-                        e.with_link_faults(plan.clone())
-                    });
+                let mut views = Vec::new();
+                let opts = BatchOptions::new()
+                    .network(|e| e.with_link_faults(plan.clone()))
+                    .views(&mut views);
+                let run = run_protocol_with(&instance, &Val::Value(7), &strategies, seed, opts);
+                let views = &views[0];
                 assert_eq!(run.decisions.len(), views.len());
                 assert!(run.net.eig.arena_nodes > 0);
-                for (r, view) in &views {
+                for (r, view) in views {
                     let folded = view.resolve(sender, instance.rule());
                     assert_eq!(
                         run.decisions.get(r),

@@ -135,7 +135,7 @@ fn equivalence_at_maximum_tested_scale() {
 
 #[test]
 fn batch_executor_equals_sequential_for_random_batches() {
-    use degradable::{run_batch, BatchInstance};
+    use degradable::{run_batch, BatchInstance, BatchOptions};
     let rng = SimRng::seed(0xBA7);
     for trial in 0..5u64 {
         let mut trial_rng = rng.fork(trial);
@@ -146,7 +146,15 @@ fn batch_executor_equals_sequential_for_random_batches() {
                 value: Val::Value(100 + k as u64),
             })
             .collect();
-        let batch = run_batch(inst.params(), 5, &instances, &strategies, 9);
+        let batch = run_batch(
+            inst.params(),
+            5,
+            &instances,
+            &strategies,
+            9,
+            BatchOptions::new(),
+        )
+        .unwrap();
         for (k, bi) in instances.iter().enumerate() {
             let single = degradable::ByzInstance::new(5, inst.params(), bi.sender).expect("bound");
             let solo = run_protocol(&single, &bi.value, &strategies, 9);

@@ -16,7 +16,7 @@
 //! paper needs correct detection below `m`.
 
 use degradable::adversary::Strategy;
-use degradable::{check_degradable, run_protocol_with, ByzInstance, Params, Val};
+use degradable::{check_degradable, run_protocol_with, BatchOptions, ByzInstance, Params, Val};
 use simnet::{LatencyModel, NodeId};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -49,9 +49,13 @@ fn d3_d4_hold_under_timeouts_beyond_m() {
                 strategies.insert(NodeId::new(4), Strategy::ConstantLie(Val::Value(3)));
             }
             let faulty: BTreeSet<NodeId> = strategies.keys().copied().collect();
-            let run = run_protocol_with(&inst, &Val::Value(7), &strategies, seed, |e| {
-                e.with_latency(spike_latency()).with_deadline(50)
-            });
+            let run = run_protocol_with(
+                &inst,
+                &Val::Value(7),
+                &strategies,
+                seed,
+                BatchOptions::new().network(|e| e.with_latency(spike_latency()).with_deadline(50)),
+            );
             let record = run.record(&inst, Val::Value(7), faulty);
             let verdict = check_degradable(&record);
             assert!(
@@ -77,14 +81,20 @@ fn timeouts_can_break_d1_below_m() {
     let faulty: BTreeSet<NodeId> = strategies.keys().copied().collect();
     let mut broke = false;
     for seed in 0..200u64 {
-        let run = run_protocol_with(&inst, &Val::Value(7), &strategies, seed, |e| {
-            e.with_latency(LatencyModel::Spike {
-                base: 1,
-                spike_p: 0.4,
-                spike: 100,
-            })
-            .with_deadline(50)
-        });
+        let run = run_protocol_with(
+            &inst,
+            &Val::Value(7),
+            &strategies,
+            seed,
+            BatchOptions::new().network(|e| {
+                e.with_latency(LatencyModel::Spike {
+                    base: 1,
+                    spike_p: 0.4,
+                    spike: 100,
+                })
+                .with_deadline(50)
+            }),
+        );
         let record = run.record(&inst, Val::Value(7), faulty.clone());
         if check_degradable(&record).is_violated() {
             broke = true;
@@ -108,9 +118,13 @@ fn reliable_network_restores_d1_below_m() {
             .collect();
     let faulty: BTreeSet<NodeId> = strategies.keys().copied().collect();
     for seed in 0..50u64 {
-        let run = run_protocol_with(&inst, &Val::Value(7), &strategies, seed, |e| {
-            e.with_latency(spike_latency()).with_deadline(1_000)
-        });
+        let run = run_protocol_with(
+            &inst,
+            &Val::Value(7),
+            &strategies,
+            seed,
+            BatchOptions::new().network(|e| e.with_latency(spike_latency()).with_deadline(1_000)),
+        );
         let record = run.record(&inst, Val::Value(7), faulty.clone());
         let verdict = check_degradable(&record);
         assert!(verdict.is_satisfied(), "seed {seed}: {verdict:?}");
@@ -133,9 +147,13 @@ fn crash_and_omission_faults_within_u_stay_degraded() {
         .with(NodeId::new(4), FaultKind::Omission { p: 0.6 });
     let faulty: BTreeSet<NodeId> = [NodeId::new(3), NodeId::new(4)].into_iter().collect();
     for seed in 0..30u64 {
-        let run = run_protocol_with(&inst, &Val::Value(7), &BTreeMap::new(), seed, |e| {
-            e.with_faults(plan.clone())
-        });
+        let run = run_protocol_with(
+            &inst,
+            &Val::Value(7),
+            &BTreeMap::new(),
+            seed,
+            BatchOptions::new().network(|e| e.with_faults(plan.clone())),
+        );
         let record = run.record(&inst, Val::Value(7), faulty.clone());
         let verdict = check_degradable(&record);
         assert!(verdict.is_satisfied(), "seed {seed}: {verdict:?}");
