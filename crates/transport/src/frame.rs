@@ -110,46 +110,54 @@ impl From<io::Error> for FrameError {
 
 /// Encodes `frame` as a length-prefixed byte vector.
 pub fn encode(frame: &Frame) -> Vec<u8> {
-    let mut body = Vec::with_capacity(32);
+    let mut out = Vec::with_capacity(40);
+    encode_into(&mut out, frame);
+    out
+}
+
+/// Appends `frame`, length prefix included, to `out` — the batching form:
+/// a TCP link encodes a whole round's frames back to back into one buffer
+/// and puts them on the wire with a single write.
+pub fn encode_into(out: &mut Vec<u8>, frame: &Frame) {
+    let start = out.len();
+    put_u32(out, 0); // length prefix, patched once the body is in place
     match frame {
         Frame::Envelope { src, msg, trace } => {
-            body.push(if trace.is_some() {
+            out.push(if trace.is_some() {
                 TAG_TRACED
             } else {
                 TAG_ENVELOPE
             });
-            put_u32(&mut body, src.index() as u32);
+            put_u32(out, src.index() as u32);
             match msg.value {
-                AgreementValue::Default => body.push(VAL_DEFAULT),
+                AgreementValue::Default => out.push(VAL_DEFAULT),
                 AgreementValue::Value(v) => {
-                    body.push(VAL_VALUE);
-                    body.extend_from_slice(&v.to_le_bytes());
+                    out.push(VAL_VALUE);
+                    out.extend_from_slice(&v.to_le_bytes());
                 }
             }
             let ids = msg.path.as_slice();
-            put_u32(&mut body, ids.len() as u32);
+            put_u32(out, ids.len() as u32);
             for id in ids {
-                put_u32(&mut body, id.index() as u32);
+                put_u32(out, id.index() as u32);
             }
             if let Some(ctx) = trace {
-                body.extend_from_slice(&ctx.instance.to_le_bytes());
-                put_u32(&mut body, ctx.hop);
-                put_u32(&mut body, ctx.path.len() as u32);
+                out.extend_from_slice(&ctx.instance.to_le_bytes());
+                put_u32(out, ctx.hop);
+                put_u32(out, ctx.path.len() as u32);
                 for node in &ctx.path {
-                    body.extend_from_slice(&node.to_le_bytes());
+                    out.extend_from_slice(&node.to_le_bytes());
                 }
             }
         }
         Frame::Mark { src, round } => {
-            body.push(TAG_MARK);
-            put_u32(&mut body, src.index() as u32);
-            put_u32(&mut body, *round as u32);
+            out.push(TAG_MARK);
+            put_u32(out, src.index() as u32);
+            put_u32(out, *round as u32);
         }
     }
-    let mut out = Vec::with_capacity(4 + body.len());
-    put_u32(&mut out, body.len() as u32);
-    out.extend_from_slice(&body);
-    out
+    let body_len = (out.len() - start - 4) as u32;
+    out[start..start + 4].copy_from_slice(&body_len.to_le_bytes());
 }
 
 /// Writes one encoded frame to `w` (a single `write_all`, so concurrent
@@ -370,6 +378,23 @@ mod tests {
             back.push(f);
         }
         assert_eq!(back, frames);
+    }
+
+    #[test]
+    fn encode_into_appends_exactly_what_encode_returns() {
+        let frames = sample_frames();
+        let mut batch = vec![0xEE]; // bytes already in the buffer stay put
+        let mut one_by_one = vec![0xEE];
+        for f in &frames {
+            encode_into(&mut batch, f);
+            one_by_one.extend_from_slice(&encode(f));
+        }
+        assert_eq!(batch, one_by_one);
+        let mut r = &batch[1..];
+        for f in &frames {
+            assert_eq!(read_frame(&mut r).unwrap().as_ref(), Some(f));
+        }
+        assert!(read_frame(&mut r).unwrap().is_none());
     }
 
     #[test]

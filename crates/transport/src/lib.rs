@@ -62,7 +62,8 @@ use std::str::FromStr;
 pub enum PollOutcome {
     /// An event ready for the node's state machine.
     Event(NodeEvent<u64>),
-    /// Nothing right now; poll again (real transports: after yielding).
+    /// Nothing right now; poll again (real transports: after yielding —
+    /// a mesh endpoint blocks in [`MeshTransport::wait`]).
     Pending,
     /// The run is over for this node; polling is pointless.
     Closed,
@@ -85,6 +86,12 @@ pub trait Transport {
     /// Queues `msg` for delivery to `to`, subject to the backend's chaos
     /// layer. Sends are fire-and-forget (the paper's absence handling
     /// lives in the machine, not in delivery errors).
+    ///
+    /// Queued is all it promises. The next [`poll`](Self::poll) is the
+    /// **flush point**: the driver polls after dispatching an event's
+    /// sends, and a backend may hold them until then — the TCP mesh does,
+    /// writing each link's batch and the round mark behind it in one go.
+    /// A message sent and never followed by a `poll` may never leave.
     fn send(&mut self, to: NodeId, msg: ByzMsg<u64>);
 
     /// [`send`](Self::send) with an attached causal [`TraceCtx`].

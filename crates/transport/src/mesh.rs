@@ -8,7 +8,11 @@
 //! 1. the first `poll` opens round 0 with a `Timeout { 0 }` event;
 //! 2. after the driver has dispatched the machine's sends for round `r`,
 //!    the next `poll` broadcasts `Mark(r)` — FIFO links guarantee every
-//!    round-`r` envelope precedes it;
+//!    round-`r` envelope precedes it. That `poll` is also the **flush
+//!    point** of a TCP link: `send` only encodes into the link's buffer,
+//!    and the poll writes the round's envelopes and the mark behind them
+//!    with one `write_all` per link, so nothing reaches a socket until
+//!    the driver polls;
 //! 3. a node closes round `r` (emits `Timeout { r + 1 }`) once it holds
 //!    `Mark(r)` from all `n − 1` peers **or** its wall-clock deadline
 //!    expires. The deadline path is real, possibly-false absence detection:
@@ -38,8 +42,8 @@ use degradable::{ByzMsg, NodeEvent};
 use obs::TraceCtx;
 use simnet::NodeId;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::io::{self, Read};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{self, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
@@ -104,19 +108,28 @@ struct Redial {
 /// re-dials us mid-run, keyed by peer id.
 type Replacements = Arc<Mutex<Vec<(NodeId, TcpStream)>>>;
 
+/// The write half of one loopback TCP connection.
+struct TcpLink {
+    stream: TcpStream,
+    /// Links this endpoint dialed carry [`Redial`] material for mid-run
+    /// reconnects; accepted links are repaired by the peer re-dialing us
+    /// instead.
+    redial: Option<Redial>,
+    /// Encoded frames not yet on the wire, in send order.
+    unflushed: Vec<u8>,
+}
+
 /// An outgoing link to one peer.
 enum PeerLink {
     /// In-process: frames pass through an `mpsc` channel un-encoded.
     Channel(Sender<Frame>),
-    /// Loopback TCP: frames cross the codec in [`frame`]. Links this
-    /// endpoint dialed carry [`Redial`] material for mid-run reconnects;
-    /// accepted links are repaired by the peer re-dialing us instead.
-    Tcp(TcpStream, Option<Redial>),
+    /// Loopback TCP: frames cross the codec in [`frame`].
+    Tcp(TcpLink),
 }
 
-/// What one link-level send attempt concluded.
+/// What one link-level send or flush concluded.
 enum SendStatus {
-    /// Delivered to the link (possibly into an OS buffer).
+    /// Delivered to the link (possibly into a buffer, ours or the OS's).
     Sent,
     /// Delivered after re-establishing the connection.
     Reconnected,
@@ -125,56 +138,86 @@ enum SendStatus {
 }
 
 impl PeerLink {
-    /// Sends `frame`, attempting a bounded reconnect on broken TCP links.
-    /// Channel links have no reconnect path: a closed channel means the
-    /// peer thread is gone for good.
-    fn send(
-        &mut self,
-        frame: &Frame,
-        config: &MeshConfig,
-        inbox_tx: &Sender<Frame>,
-        stop: &Arc<AtomicBool>,
-    ) -> SendStatus {
+    /// Queues `frame` behind everything already sent on this link. A
+    /// channel link delivers at once (a closed channel means the peer
+    /// thread is gone for good); a TCP link only encodes — the bytes move
+    /// at the next [`flush`](Self::flush).
+    fn send(&mut self, frame: &Frame) -> SendStatus {
         match self {
             PeerLink::Channel(tx) => match tx.send(frame.clone()) {
                 Ok(()) => SendStatus::Sent,
                 Err(_) => SendStatus::Gone,
             },
-            PeerLink::Tcp(stream, redial) => {
-                if frame::write_frame(stream, frame).is_ok() {
-                    return SendStatus::Sent;
-                }
-                let Some(redial) = redial else {
-                    // An accepted link: the dialing side owns reconnection.
-                    // Keep the link around — the acceptor thread swaps in a
-                    // replacement stream if the peer comes back.
-                    return SendStatus::Gone;
-                };
-                for attempt in 0..config.reconnect_attempts {
-                    thread::sleep(reconnect_delay(config.reconnect_backoff, attempt));
-                    let Ok(mut s) = TcpStream::connect(redial.addr) else {
-                        continue;
-                    };
-                    if io::Write::write_all(&mut s, &(redial.me.index() as u32).to_le_bytes())
-                        .is_err()
-                    {
-                        continue;
-                    }
-                    let Ok(reader) = s.try_clone() else { continue };
-                    if frame::write_frame(&mut s, frame).is_err() {
-                        continue;
-                    }
-                    let tx = inbox_tx.clone();
-                    let stop = Arc::clone(stop);
-                    thread::spawn(move || reader_loop(reader, tx, stop));
-                    *stream = s;
-                    return SendStatus::Reconnected;
-                }
-                SendStatus::Gone
+            PeerLink::Tcp(link) => {
+                frame::encode_into(&mut link.unflushed, frame);
+                SendStatus::Sent
             }
         }
     }
+
+    /// Puts a TCP link's buffered frames on the wire with one `write_all`,
+    /// attempting a bounded reconnect if the connection is broken. The
+    /// re-dialed connection carries the whole unflushed batch, so per-link
+    /// order survives the repair; a batch the broken connection half-took
+    /// arrives twice, which the protocol reads as a duplicate. On `Gone`
+    /// the batch stays buffered for a replacement link to take over.
+    fn flush(
+        &mut self,
+        config: &MeshConfig,
+        inbox_tx: &Sender<Frame>,
+        stop: &Arc<AtomicBool>,
+    ) -> SendStatus {
+        let PeerLink::Tcp(link) = self else {
+            return SendStatus::Sent;
+        };
+        if link.unflushed.is_empty() {
+            return SendStatus::Sent;
+        }
+        if link.stream.write_all(&link.unflushed).is_ok() {
+            link.unflushed.clear();
+            return SendStatus::Sent;
+        }
+        let Some(redial) = &link.redial else {
+            // An accepted link: the dialing side owns reconnection. Keep
+            // the link around — the acceptor thread swaps in a replacement
+            // stream if the peer comes back.
+            return SendStatus::Gone;
+        };
+        for attempt in 0..config.reconnect_attempts {
+            thread::sleep(reconnect_delay(config.reconnect_backoff, attempt));
+            let Ok(mut s) = dial(redial.addr, redial.me) else {
+                continue;
+            };
+            let Ok(reader) = s.try_clone() else { continue };
+            if s.write_all(&link.unflushed).is_err() {
+                continue;
+            }
+            let tx = inbox_tx.clone();
+            let stop = Arc::clone(stop);
+            thread::spawn(move || reader_loop(reader, tx, stop));
+            link.stream = s;
+            link.unflushed.clear();
+            return SendStatus::Reconnected;
+        }
+        SendStatus::Gone
+    }
 }
+
+/// Opens a connection to `addr` and announces `me` on it: Nagle off (a
+/// round's batch and the next must not wait on the peer's delayed ACK),
+/// then the 4-byte little-endian id handshake.
+fn dial(addr: SocketAddr, me: NodeId) -> io::Result<TcpStream> {
+    let mut s = TcpStream::connect(addr)?;
+    s.set_nodelay(true)?;
+    s.write_all(&(me.index() as u32).to_le_bytes())?;
+    Ok(s)
+}
+
+/// How long [`MeshTransport::wait`] blocks at most. A frame or the round
+/// deadline ends the wait by itself; the cap is for what does not — a
+/// replacement link the acceptor published for `poll` to adopt. An idle
+/// node wakes five hundred times a second, not ten thousand.
+const WAIT_SLICE: Duration = Duration::from_millis(2);
 
 /// An envelope awaiting delivery to the local machine: source, message,
 /// and the sender's causal trace context if one crossed the wire.
@@ -196,7 +239,7 @@ pub struct MeshTransport {
     config: MeshConfig,
     round: usize,
     started: bool,
-    need_flush: bool,
+    mark_due: bool,
     deadline: Instant,
     /// Ready envelopes, in arrival order.
     deliver_queue: VecDeque<QueuedDelivery>,
@@ -244,7 +287,7 @@ impl MeshTransport {
             config,
             round: 0,
             started: false,
-            need_flush: false,
+            mark_due: false,
             deadline: Instant::now() + config.round_timeout,
             deliver_queue: VecDeque::new(),
             future: BTreeMap::new(),
@@ -277,30 +320,30 @@ impl MeshTransport {
     }
 
     /// Adopts replacement write-streams from peers that re-dialed us: the
-    /// acceptor thread publishes them, we swap them into the link table
-    /// and un-declare the peer gone.
+    /// acceptor thread publishes them, we swap them into the link (only
+    /// peers we accepted re-dial, so it has no redial material to lose)
+    /// and un-declare the peer gone. Whatever the old stream had not
+    /// flushed stays queued, still ahead of anything sent later.
     fn adopt_replacements(&mut self) {
         let fresh: Vec<(NodeId, TcpStream)> = {
             let mut guard = self.replacements.lock().expect("replacements poisoned");
             guard.drain(..).collect()
         };
         for (peer, stream) in fresh {
-            self.links.insert(peer, PeerLink::Tcp(stream, None));
+            let Some(PeerLink::Tcp(link)) = self.links.get_mut(&peer) else {
+                continue;
+            };
+            link.stream = stream;
             if self.gone.remove(&peer) {
                 self.failure = None;
             }
         }
     }
 
-    /// Sends one frame on one link, tracking reconnects and gone peers.
-    fn link_send(&mut self, to: NodeId, frame: &Frame) {
-        if self.gone.contains(&to) {
-            return;
-        }
-        let Some(link) = self.links.get_mut(&to) else {
-            return;
-        };
-        match link.send(frame, &self.config, &self.inbox_tx, &self.stop) {
+    /// Books what a link-level send or flush concluded: reconnects are
+    /// counted, a dead link declares its peer gone.
+    fn note(&mut self, to: NodeId, status: SendStatus) {
+        match status {
             SendStatus::Sent => {}
             SendStatus::Reconnected => self.reconnects += 1,
             SendStatus::Gone => {
@@ -319,6 +362,19 @@ impl MeshTransport {
         }
     }
 
+    /// Sends one frame on one link. Gone peers are skipped: their link is
+    /// not touched again until a replacement un-declares them.
+    fn link_send(&mut self, to: NodeId, frame: &Frame) {
+        if self.gone.contains(&to) {
+            return;
+        }
+        let Some(link) = self.links.get_mut(&to) else {
+            return;
+        };
+        let status = link.send(frame);
+        self.note(to, status);
+    }
+
     fn broadcast_mark(&mut self, round: usize) {
         let mark = Frame::Mark {
             src: self.me,
@@ -330,50 +386,84 @@ impl MeshTransport {
         }
     }
 
+    /// Flushes every live link: the one point at which a TCP link's bytes
+    /// reach its socket (a no-op for links with nothing buffered).
+    fn flush_links(&mut self) {
+        let mut noted = Vec::new();
+        for (&peer, link) in &mut self.links {
+            if self.gone.contains(&peer) {
+                continue;
+            }
+            match link.flush(&self.config, &self.inbox_tx, &self.stop) {
+                SendStatus::Sent => {}
+                status => noted.push((peer, status)),
+            }
+        }
+        for (peer, status) in noted {
+            self.note(peer, status);
+        }
+    }
+
+    /// Files one frame off the wire into the local queues.
+    fn ingest(&mut self, f: Frame) {
+        match f {
+            Frame::Mark { src, round } => {
+                self.marks.entry(round).or_default().insert(src);
+            }
+            Frame::Envelope { src, msg, trace } => {
+                // The sending round is encoded in the path: a level-k
+                // envelope is sent while round k-1 closes. Recompute
+                // the keyed chaos verdict to learn its reorder delay —
+                // sender and receiver evaluate the same pure function,
+                // so they always agree.
+                let sent_round = msg.path.len().saturating_sub(1);
+                let delay = match self.chaos.disposition(sent_round, src, self.me, &msg.path) {
+                    // The sender never puts a dropped envelope on the
+                    // wire; tolerate one anyway (a dropped frame is an
+                    // absent message, the protocol's bread and butter).
+                    Disposition::Dropped(_) => return,
+                    Disposition::Deliver { delay_rounds, .. } => delay_rounds,
+                };
+                let effective = sent_round + delay;
+                if effective + 1 > self.depth {
+                    // Would fold at a round past the end of the run.
+                    self.stats.lost += 1;
+                    return;
+                }
+                if effective <= self.round {
+                    self.deliver_queue.push_back((src, msg, trace));
+                } else {
+                    self.future
+                        .entry(effective)
+                        .or_default()
+                        .push_back((src, msg, trace));
+                }
+            }
+        }
+    }
+
     /// Moves everything that arrived on the wire into the local queues.
     fn drain_inbox(&mut self) {
         while let Ok(f) = self.inbox.try_recv() {
-            match f {
-                Frame::Mark { src, round } => {
-                    self.marks.entry(round).or_default().insert(src);
-                }
-                Frame::Envelope { src, msg, trace } => {
-                    // The sending round is encoded in the path: a level-k
-                    // envelope is sent while round k-1 closes. Recompute
-                    // the keyed chaos verdict to learn its reorder delay —
-                    // sender and receiver evaluate the same pure function,
-                    // so they always agree.
-                    let sent_round = msg.path.len().saturating_sub(1);
-                    let delay = match self.chaos.disposition(sent_round, src, self.me, &msg.path) {
-                        // The sender never puts a dropped envelope on the
-                        // wire; tolerate one anyway (a dropped frame is an
-                        // absent message, the protocol's bread and butter).
-                        Disposition::Dropped(_) => continue,
-                        Disposition::Deliver { delay_rounds, .. } => delay_rounds,
-                    };
-                    let effective = sent_round + delay;
-                    if effective + 1 > self.depth {
-                        // Would fold at a round past the end of the run.
-                        self.stats.lost += 1;
-                        continue;
-                    }
-                    if effective <= self.round {
-                        self.deliver_queue.push_back((src, msg, trace));
-                    } else {
-                        self.future
-                            .entry(effective)
-                            .or_default()
-                            .push_back((src, msg, trace));
-                    }
-                }
-            }
+            self.ingest(f);
+        }
+    }
+
+    /// Blocks until a frame arrives, the round deadline passes, or
+    /// [`WAIT_SLICE`] elapses, whichever is first — what a driver does on
+    /// [`PollOutcome::Pending`] instead of sleeping blind. It only waits:
+    /// the next [`poll`](Transport::poll) acts on whatever ended the wait.
+    pub fn wait(&mut self) {
+        let until_deadline = self.deadline.saturating_duration_since(Instant::now());
+        if let Ok(f) = self.inbox.recv_timeout(until_deadline.min(WAIT_SLICE)) {
+            self.ingest(f);
         }
     }
 
     /// Closes the current round and opens the next.
     fn advance(&mut self) -> PollOutcome {
         self.round += 1;
-        self.need_flush = true;
+        self.mark_due = true;
         self.deadline = Instant::now() + self.config.round_timeout;
         let due: Vec<usize> = self
             .future
@@ -444,20 +534,23 @@ impl Transport for MeshTransport {
     fn poll(&mut self) -> PollOutcome {
         if !self.started {
             self.started = true;
-            self.need_flush = true;
+            self.mark_due = true;
             self.deadline = Instant::now() + self.config.round_timeout;
             return PollOutcome::Event(NodeEvent::Timeout { round: 0 });
         }
         self.adopt_replacements();
-        if self.need_flush {
+        if self.mark_due {
             // This poll is the first since a Timeout event: the driver has
             // dispatched every send of that round, so the mark goes out
             // now — after the envelopes, per-link FIFO.
-            self.need_flush = false;
+            self.mark_due = false;
             if self.round < self.depth {
                 self.broadcast_mark(self.round);
             }
         }
+        // One write per link carries the round's envelopes and the mark
+        // just queued behind them.
+        self.flush_links();
         if self.round == self.depth {
             // The final timeout has been emitted; the machine is done.
             return PollOutcome::Closed;
@@ -497,8 +590,18 @@ impl Transport for MeshTransport {
 }
 
 impl Drop for MeshTransport {
+    /// Tells this endpoint's threads to stop and half-closes its TCP
+    /// links. The FIN travels behind everything already written, so no
+    /// flushed frame is lost, and the peer's reader sees end-of-stream at
+    /// once instead of idling out a read timeout; once the peer does the
+    /// same, so do ours.
     fn drop(&mut self) {
         self.stop.store(true, Ordering::Relaxed);
+        for link in self.links.values() {
+            if let PeerLink::Tcp(link) = link {
+                let _ = link.stream.shutdown(Shutdown::Write);
+            }
+        }
     }
 }
 
@@ -605,39 +708,40 @@ fn join_with_listener(
     config: MeshConfig,
 ) -> io::Result<MeshTransport> {
     let n = addrs.len();
-    let mut streams: BTreeMap<NodeId, Option<Redial>> = BTreeMap::new();
-    let mut raw: BTreeMap<NodeId, TcpStream> = BTreeMap::new();
+    let mut raw: BTreeMap<NodeId, (TcpStream, Option<Redial>)> = BTreeMap::new();
     for (peer, &addr) in addrs.iter().enumerate().take(me.index()) {
-        let mut s = dial_with_retry(addr, config.dial_timeout)?;
-        io::Write::write_all(&mut s, &(me.index() as u32).to_le_bytes())?;
-        raw.insert(NodeId::new(peer), s);
-        streams.insert(NodeId::new(peer), Some(Redial { addr, me }));
+        let s = dial_with_retry(addr, me, config.dial_timeout)?;
+        raw.insert(NodeId::new(peer), (s, Some(Redial { addr, me })));
     }
     for _ in me.index() + 1..n {
         let (mut s, _) = listener.accept()?;
-        let mut id = [0u8; 4];
-        s.read_exact(&mut id)?;
-        let peer = u32::from_le_bytes(id) as usize;
-        if peer >= n {
+        let peer = accept_handshake(&mut s, me, n, config.dial_timeout)?;
+        // A second connection under one id would silently overwrite the
+        // first and leave the mesh a peer short.
+        if raw.insert(peer, (s, None)).is_some() {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
-                "handshake announced an out-of-range node id",
+                "handshake announced a node id that is already connected",
             ));
         }
-        raw.insert(NodeId::new(peer), s);
-        streams.insert(NodeId::new(peer), None);
     }
     let (tx, rx) = channel();
     let stop = Arc::new(AtomicBool::new(false));
     let replacements: Replacements = Arc::new(Mutex::new(Vec::new()));
     let mut links = BTreeMap::new();
-    for (peer, stream) in raw {
+    for (peer, (stream, redial)) in raw {
         let reader = stream.try_clone()?;
         let reader_tx = tx.clone();
         let reader_stop = Arc::clone(&stop);
         thread::spawn(move || reader_loop(reader, reader_tx, reader_stop));
-        let redial = streams.remove(&peer).flatten();
-        links.insert(peer, PeerLink::Tcp(stream, redial));
+        links.insert(
+            peer,
+            PeerLink::Tcp(TcpLink {
+                stream,
+                redial,
+                unflushed: Vec::new(),
+            }),
+        );
     }
     // The listener stays alive for the whole run: peers whose outgoing
     // link to us breaks re-dial with the same id handshake, and the
@@ -646,7 +750,7 @@ fn join_with_listener(
         let tx = tx.clone();
         let stop = Arc::clone(&stop);
         let replacements = Arc::clone(&replacements);
-        thread::spawn(move || acceptor_loop(listener, n, tx, stop, replacements));
+        thread::spawn(move || acceptor_loop(listener, me, n, tx, stop, replacements));
     }
     Ok(MeshTransport::new(
         me,
@@ -662,12 +766,44 @@ fn join_with_listener(
     ))
 }
 
+/// The accepting side of the id handshake: Nagle off, then the dialer's
+/// 4-byte id, which must arrive within `patience` (a peer that connects
+/// and never speaks must not hang the acceptor) and must name a node that
+/// dials us — only higher-indexed peers do.
+fn accept_handshake(
+    s: &mut TcpStream,
+    me: NodeId,
+    n: usize,
+    patience: Duration,
+) -> io::Result<NodeId> {
+    s.set_nodelay(true)?;
+    // A zero timeout is an error to the socket API, not "do not wait".
+    s.set_read_timeout(Some(patience.max(Duration::from_millis(1))))?;
+    let mut id = [0u8; 4];
+    s.read_exact(&mut id).map_err(|e| match e.kind() {
+        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut => io::Error::new(
+            io::ErrorKind::TimedOut,
+            "peer connected but never announced its node id",
+        ),
+        _ => e,
+    })?;
+    let peer = u32::from_le_bytes(id) as usize;
+    if peer <= me.index() || peer >= n {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            "handshake announced a node id that does not dial this node",
+        ));
+    }
+    Ok(NodeId::new(peer))
+}
+
 /// Post-setup acceptor: keeps the listener open so disconnected peers can
 /// re-dial mid-run. Each accepted connection re-runs the 4-byte id
 /// handshake; its read half feeds the endpoint's inbox through a fresh
 /// reader thread and its write half is published as a replacement link.
 fn acceptor_loop(
     listener: TcpListener,
+    me: NodeId,
     n: usize,
     tx: Sender<Frame>,
     stop: Arc<AtomicBool>,
@@ -685,15 +821,9 @@ fn acceptor_loop(
                 if s.set_nonblocking(false).is_err() {
                     continue;
                 }
-                let _ = s.set_read_timeout(Some(Duration::from_millis(500)));
-                let mut id = [0u8; 4];
-                if s.read_exact(&mut id).is_err() {
+                let Ok(peer) = accept_handshake(&mut s, me, n, Duration::from_millis(500)) else {
                     continue;
-                }
-                let peer = u32::from_le_bytes(id) as usize;
-                if peer >= n {
-                    continue;
-                }
+                };
                 let Ok(reader) = s.try_clone() else { continue };
                 let reader_tx = tx.clone();
                 let reader_stop = Arc::clone(&stop);
@@ -701,7 +831,7 @@ fn acceptor_loop(
                 replacements
                     .lock()
                     .expect("replacements poisoned")
-                    .push((NodeId::new(peer), s));
+                    .push((peer, s));
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                 thread::sleep(Duration::from_millis(10));
@@ -711,10 +841,10 @@ fn acceptor_loop(
     }
 }
 
-fn dial_with_retry(addr: SocketAddr, budget: Duration) -> io::Result<TcpStream> {
+fn dial_with_retry(addr: SocketAddr, me: NodeId, budget: Duration) -> io::Result<TcpStream> {
     let deadline = Instant::now() + budget;
     loop {
-        match TcpStream::connect(addr) {
+        match dial(addr, me) {
             Ok(s) => return Ok(s),
             Err(e) if Instant::now() >= deadline => return Err(e),
             Err(_) => thread::sleep(Duration::from_millis(20)),
@@ -723,10 +853,12 @@ fn dial_with_retry(addr: SocketAddr, budget: Duration) -> io::Result<TcpStream> 
 }
 
 /// Per-connection reader: accumulates bytes and forwards complete frames.
-/// Reading with a timeout (rather than blocking forever) lets the thread
-/// notice the endpoint's stop flag, so finished runs do not strand reader
-/// threads on half-open sockets. Partial frames survive across timeouts —
-/// the accumulator only ever consumes whole frames.
+/// A finished peer half-closes, so the usual exit is end-of-stream right
+/// behind its last frame. Reading with a timeout (rather than blocking
+/// forever) is the fallback for a peer that outlives us: the thread
+/// notices the endpoint's stop flag instead of being stranded on a
+/// half-open socket. Partial frames survive across timeouts — the
+/// accumulator only ever consumes whole frames.
 fn reader_loop(mut stream: TcpStream, tx: Sender<Frame>, stop: Arc<AtomicBool>) {
     let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
     let mut acc: Vec<u8> = Vec::new();
@@ -736,19 +868,19 @@ fn reader_loop(mut stream: TcpStream, tx: Sender<Frame>, stop: Arc<AtomicBool>) 
             Ok(0) => return,
             Ok(k) => {
                 acc.extend_from_slice(&buf[..k]);
-                loop {
-                    if acc.len() < 4 {
-                        break;
-                    }
-                    let len =
-                        u32::from_le_bytes(acc[..4].try_into().expect("4-byte slice")) as usize;
+                // One read can carry a whole round's batch: walk it by
+                // offset and drop the consumed prefix once, not per frame.
+                let mut at = 0;
+                while acc.len() - at >= 4 {
+                    let len = u32::from_le_bytes(acc[at..at + 4].try_into().expect("4-byte slice"))
+                        as usize;
                     if len > MAX_FRAME_LEN as usize {
                         return; // corrupt stream: stop feeding it onward
                     }
-                    if acc.len() < 4 + len {
+                    if acc.len() - at < 4 + len {
                         break;
                     }
-                    match frame::decode(&acc[4..4 + len]) {
+                    match frame::decode(&acc[at + 4..at + 4 + len]) {
                         Ok(f) => {
                             if tx.send(f).is_err() {
                                 return;
@@ -756,8 +888,9 @@ fn reader_loop(mut stream: TcpStream, tx: Sender<Frame>, stop: Arc<AtomicBool>) 
                         }
                         Err(_) => return,
                     }
-                    acc.drain(..4 + len);
+                    at += 4 + len;
                 }
+                acc.drain(..at);
             }
             Err(e)
                 if matches!(
@@ -1016,13 +1149,38 @@ mod tests {
         assert_eq!(n0.stats().false_timeouts, 0);
     }
 
+    /// The write half of the TCP link to `peer`.
+    fn tcp_stream(t: &MeshTransport, peer: usize) -> &TcpStream {
+        match t.links.get(&nid(peer)) {
+            Some(PeerLink::Tcp(link)) => &link.stream,
+            _ => panic!("expected a TCP link to node {peer}"),
+        }
+    }
+
+    #[test]
+    fn every_tcp_link_has_nagle_off() {
+        // Dialed and accepted alike: a round's batch must never wait on
+        // the peer's delayed ACK of the previous one.
+        let mesh = tcp_mesh(3, 1, &LinkChaos::healthy(), MeshConfig::default()).unwrap();
+        for t in &mesh {
+            for peer in (0..3).filter(|&p| p != t.me.index()) {
+                assert!(
+                    tcp_stream(t, peer).nodelay().unwrap(),
+                    "link {} -> {peer}",
+                    t.me
+                );
+            }
+        }
+    }
+
     #[test]
     fn tcp_link_reconnects_after_peer_drops_the_connection() {
         // Node 1 dialed node 0 (dial-lower), so node 1 owns the redial
         // path. Node 0 severs the accepted connection mid-run; node 1's
-        // next send must re-dial (bounded, backed off), re-handshake, and
-        // deliver — and node 0's persistent acceptor must splice the
-        // replacement in so traffic keeps flowing.
+        // next flush must re-dial (bounded, backed off), re-handshake, and
+        // deliver the whole unflushed batch in order — and node 0's
+        // persistent acceptor must splice the replacement in so traffic
+        // keeps flowing.
         let mut mesh = tcp_mesh(2, 3, &LinkChaos::healthy(), MeshConfig::default()).unwrap();
         let mut n1 = mesh.pop().unwrap();
         let mut n0 = mesh.pop().unwrap();
@@ -1035,25 +1193,28 @@ mod tests {
             PollOutcome::Event(NodeEvent::Timeout { round: 0 })
         );
         // Node 0 severs the link it accepted from node 1 — both halves.
-        match n0.links.get_mut(&nid(1)) {
-            Some(PeerLink::Tcp(s, _)) => {
-                s.shutdown(std::net::Shutdown::Both).unwrap();
-            }
-            _ => panic!("expected a TCP link"),
-        }
+        tcp_stream(&n0, 1).shutdown(Shutdown::Both).unwrap();
         thread::sleep(Duration::from_millis(100)); // let the shutdown land
-                                                   // Node 1's sends hit the broken socket. TCP write buffering may
-                                                   // swallow the first failure, so push frames until the reconnect
-                                                   // path fires (bounded by the test timeout, not by hope).
+
+        // Node 1 sends batches of five and polls (the flush point) after
+        // each. The kernel may swallow the first write to the broken
+        // socket, so keep going until a flush fails and the reconnect
+        // path fires (bounded by the test timeout, not by hope).
+        const BATCH: u64 = 5;
         let start = Instant::now();
+        let mut batches = 0u64;
         while n1.reconnects() == 0 {
-            n1.send(
-                nid(0),
-                ByzMsg {
-                    path: Path::root(nid(1)),
-                    value: AgreementValue::Value(77u64),
-                },
-            );
+            for k in 0..BATCH {
+                n1.send(
+                    nid(0),
+                    ByzMsg {
+                        path: Path::root(nid(1)),
+                        value: AgreementValue::Value(batches * BATCH + k),
+                    },
+                );
+            }
+            batches += 1;
+            n1.poll();
             assert!(n1.gone_peers().is_empty(), "reconnect must succeed");
             assert!(
                 start.elapsed() < Duration::from_secs(10),
@@ -1061,26 +1222,153 @@ mod tests {
             );
             thread::sleep(Duration::from_millis(10));
         }
-        assert!(n1.reconnects() >= 1);
+        assert_eq!(n1.reconnects(), 1);
+        assert!(tcp_stream(&n1, 0).nodelay().unwrap(), "re-dialed link");
         // The re-dialed connection reaches node 0 through its acceptor:
-        // polling adopts the replacement and the envelope arrives.
+        // polling adopts the replacement, and every frame of the batch
+        // whose flush failed arrives, in the order it was sent.
+        let resent: Vec<u64> = ((batches - 1) * BATCH..batches * BATCH).collect();
+        let mut got = Vec::new();
         let start = Instant::now();
-        loop {
+        while got.last() != resent.last() {
             match n0.poll() {
                 PollOutcome::Event(NodeEvent::Deliver { src, msg }) => {
                     assert_eq!(src, nid(1));
-                    assert_eq!(msg.value, AgreementValue::Value(77));
-                    break;
+                    match msg.value {
+                        AgreementValue::Value(v) => got.push(v),
+                        AgreementValue::Default => panic!("no V_d was sent"),
+                    }
                 }
                 PollOutcome::Event(NodeEvent::Timeout { .. }) => {}
-                PollOutcome::Pending => thread::sleep(Duration::from_millis(5)),
-                PollOutcome::Closed => panic!("closed before the reconnected frame arrived"),
+                PollOutcome::Pending => n0.wait(),
+                PollOutcome::Closed => panic!("closed before the reconnected batch arrived"),
             }
             assert!(
                 start.elapsed() < Duration::from_secs(10),
                 "replacement link never delivered"
             );
         }
+        assert!(
+            got.ends_with(&resent),
+            "the unflushed batch {resent:?} must arrive whole and in order, got {got:?}"
+        );
+        assert!(tcp_stream(&n0, 1).nodelay().unwrap(), "adopted replacement");
+    }
+
+    #[test]
+    fn replacement_link_inherits_the_unflushed_batch() {
+        // Frames queued on a link when the peer's re-dial replaces it are
+        // not on any wire yet: they must move to the replacement, or a
+        // repair would cost the round's envelopes and its mark.
+        let mut mesh = tcp_mesh(2, 1, &LinkChaos::healthy(), MeshConfig::default()).unwrap();
+        let mut n1 = mesh.pop().unwrap();
+        let mut n0 = mesh.pop().unwrap();
+        n0.poll();
+        n1.poll();
+        n0.send(
+            nid(1),
+            ByzMsg {
+                path: Path::root(nid(0)),
+                value: AgreementValue::Value(31u64),
+            },
+        );
+        // Node 1 re-dials by hand, as its flush would after a failure.
+        let Some(PeerLink::Tcp(link)) = n1.links.get_mut(&nid(0)) else {
+            panic!("expected a TCP link");
+        };
+        let redial = link.redial.as_ref().expect("node 1 dialed node 0");
+        let fresh = dial(redial.addr, redial.me).unwrap();
+        let reader = fresh.try_clone().unwrap();
+        let (tx, stop) = (n1.inbox_tx.clone(), Arc::clone(&n1.stop));
+        thread::spawn(move || reader_loop(reader, tx, stop));
+        link.stream = fresh;
+        // Once node 0's acceptor has published the replacement, its next
+        // poll adopts it and flushes the envelope queued before the swap.
+        let start = Instant::now();
+        while n0.replacements.lock().unwrap().is_empty() {
+            assert!(
+                start.elapsed() < Duration::from_secs(10),
+                "the acceptor never published the re-dialed connection"
+            );
+            thread::sleep(Duration::from_millis(1));
+        }
+        loop {
+            n0.poll();
+            match n1.poll() {
+                PollOutcome::Event(NodeEvent::Deliver { src, msg }) => {
+                    assert_eq!(src, nid(0));
+                    assert_eq!(msg.value, AgreementValue::Value(31));
+                    break;
+                }
+                PollOutcome::Pending => n1.wait(),
+                other => panic!("expected the inherited envelope, got {other:?}"),
+            }
+            assert!(
+                start.elapsed() < Duration::from_secs(10),
+                "the queued envelope was lost with the replaced link"
+            );
+        }
+    }
+
+    /// Binds a listener for node 0 of an `n`-node mesh and runs the set-up
+    /// handshake on a worker thread, handing back the address a hostile
+    /// dialer should connect to.
+    fn join_as_node_0(
+        n: usize,
+        config: MeshConfig,
+    ) -> (SocketAddr, thread::JoinHandle<io::Result<MeshTransport>>) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let addrs = vec![addr; n];
+        let join = thread::spawn(move || {
+            join_with_listener(nid(0), listener, &addrs, 1, LinkChaos::healthy(), config)
+        });
+        (addr, join)
+    }
+
+    #[test]
+    fn handshake_rejects_ids_that_cannot_dial_us_and_duplicates() {
+        // An id at or below ours (those peers are dialed, never accepted)
+        // and an id past the mesh are both refused.
+        for bad in [0u32, 3] {
+            let (addr, join) = join_as_node_0(3, MeshConfig::default());
+            let mut hostile = TcpStream::connect(addr).unwrap();
+            hostile.write_all(&bad.to_le_bytes()).unwrap();
+            let err = join
+                .join()
+                .unwrap()
+                .err()
+                .expect("an undialable id is refused");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "id {bad}");
+        }
+        // The same id twice: the second would overwrite the first link
+        // and leave the mesh one peer short.
+        let (addr, join) = join_as_node_0(3, MeshConfig::default());
+        let mut first = TcpStream::connect(addr).unwrap();
+        first.write_all(&1u32.to_le_bytes()).unwrap();
+        let mut second = TcpStream::connect(addr).unwrap();
+        second.write_all(&1u32.to_le_bytes()).unwrap();
+        let err = join.join().unwrap().err().expect("duplicate id refused");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn handshake_gives_up_on_a_peer_that_never_speaks() {
+        let (addr, join) = join_as_node_0(
+            2,
+            MeshConfig {
+                dial_timeout: Duration::from_millis(50),
+                ..MeshConfig::default()
+            },
+        );
+        let start = Instant::now();
+        let _mute = TcpStream::connect(addr).unwrap();
+        let err = join.join().unwrap().err().expect("a mute peer is refused");
+        assert_eq!(err.kind(), io::ErrorKind::TimedOut);
+        assert!(
+            start.elapsed() < Duration::from_secs(5),
+            "the handshake read must be bounded by dial_timeout"
+        );
     }
 
     #[test]
@@ -1146,6 +1434,9 @@ mod tests {
                 value: AgreementValue::Value(1234u64),
             },
         );
+        // `send` only buffers; the sender's next poll is the flush point
+        // (it also queues Mark(0) behind the envelope).
+        assert_eq!(n0.poll(), PollOutcome::Pending);
         // Spin until the reader thread forwards the frame.
         let start = Instant::now();
         loop {

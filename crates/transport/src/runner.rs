@@ -23,7 +23,6 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::io::{self, Write};
 use std::path::PathBuf;
 use std::thread;
-use std::time::Duration;
 
 /// Backend-independent run knobs (all off by default).
 #[derive(Debug, Clone, Copy, Default)]
@@ -540,7 +539,7 @@ pub fn drive_mesh(
                     }
                 }
             }
-            PollOutcome::Pending => thread::sleep(Duration::from_micros(100)),
+            PollOutcome::Pending => transport.wait(),
             PollOutcome::Closed => break,
         }
     }
