@@ -191,6 +191,12 @@ impl<V: Clone + Ord + Hash> NodeStateMachine<V> {
         &self.view
     }
 
+    /// Consumes the machine, yielding its EIG receive view — what a
+    /// driver that is done with the machine reports, without a copy.
+    pub fn into_view(self) -> EigView<V> {
+        self.view
+    }
+
     /// Feeds one event, returning the actions it triggered (possibly
     /// none). Deliveries are buffered; all protocol work happens on
     /// timeouts.

@@ -9,7 +9,7 @@
 //! |---------|--------|-------------|-------------|
 //! | [`SimTransport`] | [`sim`] | none (virtual time) | bit-exact, replayable |
 //! | channel mesh | [`mesh`] | one thread per node | decisions deterministic |
-//! | TCP mesh | [`mesh`] | threads + real sockets | decisions deterministic |
+//! | TCP mesh | [`mesh`] | one thread per node + real sockets | decisions deterministic |
 //!
 //! All three see the **same fault pattern** for a given
 //! [`simnet::LinkFaultPlan`] and seed, because chaos verdicts are keyed on

@@ -1,5 +1,11 @@
 //! Real-concurrency backends: one OS thread per node, over in-process
-//! channels or loopback TCP.
+//! channels or loopback TCP — the node's driver, and no other: a
+//! [`MeshTransport`] owns no thread. A TCP endpoint's sockets are
+//! non-blocking and it reads them itself, in `poll`; the one place it
+//! blocks is [`MeshTransport::wait`], on the one socket that can end the
+//! wait. An endpoint can therefore sit idle between instances at no cost,
+//! which is what lets a mesh outlive its instance (`run_tcp` keeps one
+//! standing).
 //!
 //! Both share [`MeshTransport`], which implements the paper's
 //! message-absence detection (assumption (b)) with a **round-barrier
@@ -11,8 +17,9 @@
 //!    round-`r` envelope precedes it. That `poll` is also the **flush
 //!    point** of a TCP link: `send` only encodes into the link's buffer,
 //!    and the poll writes the round's envelopes and the mark behind them
-//!    with one `write_all` per link, so nothing reaches a socket until
-//!    the driver polls;
+//!    with one `write` per link, so nothing reaches a socket until the
+//!    driver polls (what a full socket does not take stays queued for the
+//!    next poll — a peer that stops reading cannot stall the node);
 //! 3. a node closes round `r` (emits `Timeout { r + 1 }`) once it holds
 //!    `Mark(r)` from all `n − 1` peers **or** its wall-clock deadline
 //!    expires. The deadline path is real, possibly-false absence detection:
@@ -44,9 +51,7 @@ use simnet::NodeId;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -99,32 +104,85 @@ pub fn reconnect_delay(base: Duration, attempt: u32) -> Duration {
 }
 
 /// Redial material for links this endpoint originally dialed.
+#[derive(Clone, Copy)]
 struct Redial {
     addr: SocketAddr,
     me: NodeId,
 }
 
-/// Replacement write-streams published by the acceptor thread when a peer
-/// re-dials us mid-run, keyed by peer id.
-type Replacements = Arc<Mutex<Vec<(NodeId, TcpStream)>>>;
+/// Walks `bytes` frame by frame, handing every whole frame to `sink`, and
+/// returns how many bytes those frames took — the rest is the head of a
+/// frame still arriving. `None` is a corrupt stream (a length prefix past
+/// [`MAX_FRAME_LEN`], a body that does not decode): the frames before the
+/// bad one have been delivered, nothing after it may be.
+fn take_frames(bytes: &[u8], sink: &mut impl FnMut(Frame)) -> Option<usize> {
+    let mut at = 0;
+    while bytes.len() - at >= 4 {
+        let len = u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4-byte slice")) as usize;
+        if len > MAX_FRAME_LEN as usize {
+            return None;
+        }
+        if bytes.len() - at < 4 + len {
+            break;
+        }
+        sink(frame::decode(&bytes[at + 4..at + 4 + len]).ok()?);
+        at += 4 + len;
+    }
+    Some(at)
+}
 
-/// The write half of one loopback TCP connection.
+/// The receive half of one TCP link: bytes in, whole frames out.
+struct Intake {
+    /// The head of a frame whose tail has not arrived: after every
+    /// [`absorb`](Self::absorb) a strict prefix of one frame, so never
+    /// more than `4 + MAX_FRAME_LEN` bytes.
+    acc: Vec<u8>,
+    /// Cleared at end-of-stream, on a read error and on a corrupt frame;
+    /// nothing is read from the connection after that.
+    open: bool,
+}
+
+impl Intake {
+    fn new() -> Self {
+        Intake {
+            acc: Vec::new(),
+            open: true,
+        }
+    }
+
+    /// Takes one read's worth of bytes. A read usually carries whole
+    /// frames only (a round's batch is one write), so they are decoded
+    /// where they lie and only a split frame's head is copied.
+    fn absorb(&mut self, bytes: &[u8], sink: &mut impl FnMut(Frame)) {
+        let whole = if self.acc.is_empty() {
+            take_frames(bytes, sink).map(|used| self.acc.extend_from_slice(&bytes[used..]))
+        } else {
+            self.acc.extend_from_slice(bytes);
+            take_frames(&self.acc, sink).map(|used| drop(self.acc.drain(..used)))
+        };
+        if whole.is_none() {
+            self.open = false;
+            self.acc = Vec::new();
+        }
+    }
+}
+
+/// One loopback TCP connection, non-blocking, read and written by the
+/// endpoint that owns it.
 struct TcpLink {
     stream: TcpStream,
     /// Links this endpoint dialed carry [`Redial`] material for mid-run
     /// reconnects; accepted links are repaired by the peer re-dialing us
     /// instead.
     redial: Option<Redial>,
-    /// Encoded frames not yet on the wire, in send order.
+    /// Encoded frames queued for the wire, in send order, from a frame
+    /// boundary on.
     unflushed: Vec<u8>,
-}
-
-/// An outgoing link to one peer.
-enum PeerLink {
-    /// In-process: frames pass through an `mpsc` channel un-encoded.
-    Channel(Sender<Frame>),
-    /// Loopback TCP: frames cross the codec in [`frame`].
-    Tcp(TcpLink),
+    /// How much of `unflushed` the current connection has taken. The
+    /// buffer is emptied only once all of it has, so a replacement
+    /// connection can start over at a frame boundary.
+    flushed: usize,
+    intake: Intake,
 }
 
 /// What one link-level send or flush concluded.
@@ -137,106 +195,293 @@ enum SendStatus {
     Gone,
 }
 
-impl PeerLink {
-    /// Queues `frame` behind everything already sent on this link. A
-    /// channel link delivers at once (a closed channel means the peer
-    /// thread is gone for good); a TCP link only encodes — the bytes move
-    /// at the next [`flush`](Self::flush).
-    fn send(&mut self, frame: &Frame) -> SendStatus {
-        match self {
-            PeerLink::Channel(tx) => match tx.send(frame.clone()) {
-                Ok(()) => SendStatus::Sent,
-                Err(_) => SendStatus::Gone,
-            },
-            PeerLink::Tcp(link) => {
-                frame::encode_into(&mut link.unflushed, frame);
-                SendStatus::Sent
-            }
+impl TcpLink {
+    fn new(stream: TcpStream, redial: Option<Redial>) -> Self {
+        TcpLink {
+            stream,
+            redial,
+            unflushed: Vec::new(),
+            flushed: 0,
+            intake: Intake::new(),
         }
     }
 
-    /// Puts a TCP link's buffered frames on the wire with one `write_all`,
-    /// attempting a bounded reconnect if the connection is broken. The
-    /// re-dialed connection carries the whole unflushed batch, so per-link
-    /// order survives the repair; a batch the broken connection half-took
-    /// arrives twice, which the protocol reads as a duplicate. On `Gone`
-    /// the batch stays buffered for a replacement link to take over.
-    fn flush(
-        &mut self,
-        config: &MeshConfig,
-        inbox_tx: &Sender<Frame>,
-        stop: &Arc<AtomicBool>,
-    ) -> SendStatus {
-        let PeerLink::Tcp(link) = self else {
-            return SendStatus::Sent;
-        };
-        if link.unflushed.is_empty() {
+    /// Nothing queued, nothing half-read, still readable.
+    fn is_idle(&self) -> bool {
+        self.intake.open && self.intake.acc.is_empty() && self.unflushed.is_empty()
+    }
+
+    /// Writes what the socket takes. A full socket is not an error: the
+    /// rest stays queued for a later flush, so a peer that stops reading
+    /// costs its own link's frames and never the node's round deadline.
+    fn write_queued(&mut self) -> io::Result<()> {
+        while self.flushed < self.unflushed.len() {
+            match self.stream.write(&self.unflushed[self.flushed..]) {
+                Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+                Ok(k) => self.flushed += k,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(()),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        self.unflushed.clear();
+        self.flushed = 0;
+        Ok(())
+    }
+
+    /// Puts the queued frames on the wire, attempting a bounded reconnect
+    /// if the connection is broken. The re-dialed connection carries the
+    /// whole queue from its start, so per-link order survives the repair;
+    /// what the broken connection half-took arrives twice, which the
+    /// protocol reads as a duplicate. On `Gone` the queue stays for a
+    /// replacement connection to take over.
+    fn flush(&mut self, config: &MeshConfig, sink: &mut impl FnMut(Frame)) -> SendStatus {
+        if self.write_queued().is_ok() {
             return SendStatus::Sent;
         }
-        if link.stream.write_all(&link.unflushed).is_ok() {
-            link.unflushed.clear();
-            return SendStatus::Sent;
-        }
-        let Some(redial) = &link.redial else {
-            // An accepted link: the dialing side owns reconnection. Keep
-            // the link around — the acceptor thread swaps in a replacement
-            // stream if the peer comes back.
+        let Some(redial) = self.redial else {
+            // An accepted link: the dialing side owns reconnection, and
+            // `TcpWire::admit` swaps its new connection in if it comes back.
             return SendStatus::Gone;
         };
         for attempt in 0..config.reconnect_attempts {
             thread::sleep(reconnect_delay(config.reconnect_backoff, attempt));
-            let Ok(mut s) = dial(redial.addr, redial.me) else {
+            let Ok(s) = dial(redial.addr, redial.me) else {
                 continue;
             };
-            let Ok(reader) = s.try_clone() else { continue };
-            if s.write_all(&link.unflushed).is_err() {
-                continue;
+            self.replace_stream(s, sink);
+            if self.write_queued().is_ok() {
+                return SendStatus::Reconnected;
             }
-            let tx = inbox_tx.clone();
-            let stop = Arc::clone(stop);
-            thread::spawn(move || reader_loop(reader, tx, stop));
-            link.stream = s;
-            link.unflushed.clear();
-            return SendStatus::Reconnected;
         }
         SendStatus::Gone
+    }
+
+    /// Swaps in a fresh connection: whole frames the old one still holds
+    /// are read out first, a frame it delivered half of is discarded, and
+    /// the write queue starts over.
+    fn replace_stream(&mut self, stream: TcpStream, sink: &mut impl FnMut(Frame)) {
+        self.drain(sink);
+        self.stream = stream;
+        self.flushed = 0;
+        self.intake = Intake::new();
+    }
+
+    /// One `read`; whole frames go to `sink`. `true` if the buffer came
+    /// back full, that is, if the socket may hold more.
+    fn read_once(&mut self, sink: &mut impl FnMut(Frame)) -> bool {
+        let mut buf = [0u8; 4096];
+        match self.stream.read(&mut buf) {
+            Ok(0) => self.intake.open = false,
+            Ok(k) => {
+                self.intake.absorb(&buf[..k], sink);
+                return k == buf.len();
+            }
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    io::ErrorKind::WouldBlock
+                        | io::ErrorKind::TimedOut
+                        | io::ErrorKind::Interrupted
+                ) => {}
+            Err(_) => self.intake.open = false,
+        }
+        false
+    }
+
+    /// Reads whatever the socket holds, without blocking.
+    fn drain(&mut self, sink: &mut impl FnMut(Frame)) {
+        while self.intake.open && self.read_once(sink) {}
+    }
+
+    /// Blocks for at most `patience` until this connection has bytes, and
+    /// reads them.
+    fn await_bytes(&mut self, patience: Duration, sink: &mut impl FnMut(Frame)) {
+        // A zero timeout is an error to the socket API, not "do not wait".
+        if patience.is_zero() || self.stream.set_nonblocking(false).is_err() {
+            return;
+        }
+        if self.stream.set_read_timeout(Some(patience)).is_ok() {
+            self.read_once(sink);
+        }
+        let _ = self.stream.set_nonblocking(true);
+    }
+
+    /// After the half-close: reads and discards until the peer's
+    /// end-of-stream or `until`. Closing with bytes unread, or still
+    /// arriving, makes the kernel answer with a reset, which can cost the
+    /// peer frames of ours it has not read yet.
+    fn linger(&mut self, until: Instant) {
+        if !self.intake.open || self.stream.set_nonblocking(false).is_err() {
+            return;
+        }
+        let mut buf = [0u8; 4096];
+        loop {
+            let left = until.saturating_duration_since(Instant::now());
+            if left.is_zero() || self.stream.set_read_timeout(Some(left)).is_err() {
+                return;
+            }
+            match self.stream.read(&mut buf) {
+                Ok(k) if k > 0 => {}
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                _ => return,
+            }
+        }
     }
 }
 
 /// Opens a connection to `addr` and announces `me` on it: Nagle off (a
 /// round's batch and the next must not wait on the peer's delayed ACK),
-/// then the 4-byte little-endian id handshake.
+/// then the 4-byte little-endian id handshake, then non-blocking like
+/// every socket of a running mesh.
 fn dial(addr: SocketAddr, me: NodeId) -> io::Result<TcpStream> {
     let mut s = TcpStream::connect(addr)?;
     s.set_nodelay(true)?;
     s.write_all(&(me.index() as u32).to_le_bytes())?;
+    s.set_nonblocking(true)?;
     Ok(s)
 }
 
-/// How long [`MeshTransport::wait`] blocks at most. A frame or the round
-/// deadline ends the wait by itself; the cap is for what does not — a
-/// replacement link the acceptor published for `poll` to adopt. An idle
-/// node wakes five hundred times a second, not ten thousand.
+/// How long [`MeshTransport::wait`] blocks at most. A frame from the
+/// awaited peer or the round deadline ends the wait by itself; the cap is
+/// for what does not — a queue the socket did not take whole, a peer
+/// re-dialing our listener. An idle node wakes five hundred times a
+/// second, not ten thousand.
 const WAIT_SLICE: Duration = Duration::from_millis(2);
+
+/// How long a connection accepted mid-run has to announce its node id.
+const KNOCK_PATIENCE: Duration = Duration::from_millis(500);
+
+/// How long an endpoint that timed a live peer out of its last round
+/// keeps reading after its half-close (see [`TcpLink::linger`]).
+const LINGER: Duration = Duration::from_millis(50);
+
+/// A connection accepted mid-run that has not finished announcing who it
+/// is. It is read without blocking, so a mute dialer costs the node
+/// nothing but the slot.
+struct Knock {
+    stream: TcpStream,
+    since: Instant,
+    id: [u8; 4],
+    have: usize,
+}
+
+/// The TCP side of an endpoint: its links, and the listener it joined on.
+struct TcpWire {
+    links: BTreeMap<NodeId, TcpLink>,
+    /// Non-blocking, open for the endpoint's whole life: a peer whose
+    /// link to us breaks re-dials it with the same id handshake.
+    listener: TcpListener,
+    knocking: Vec<Knock>,
+}
+
+impl TcpWire {
+    /// Lets re-dialing peers in, without ever blocking: accepts what the
+    /// listener holds (at most `n − 1` unannounced connections at once),
+    /// reads what id bytes have arrived, and swaps a connection that named
+    /// a peer whose link has ended into that link — whatever the old
+    /// connection had not flushed stays queued, ahead of anything sent
+    /// later. A connection that stays mute past [`KNOCK_PATIENCE`], names
+    /// a node that does not dial us, or names one whose link is still up
+    /// (a duplicate) is dropped. Returns the peers that got a new link.
+    fn admit(&mut self, me: NodeId, n: usize, sink: &mut impl FnMut(Frame)) -> Vec<NodeId> {
+        while self.knocking.len() < n - 1 {
+            match self.listener.accept() {
+                Ok((stream, _)) => {
+                    if stream.set_nonblocking(true).is_ok() && stream.set_nodelay(true).is_ok() {
+                        self.knocking.push(Knock {
+                            stream,
+                            since: Instant::now(),
+                            id: [0; 4],
+                            have: 0,
+                        });
+                    }
+                }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(_) => break,
+            }
+        }
+        let mut admitted = Vec::new();
+        for mut knock in std::mem::take(&mut self.knocking) {
+            match knock.stream.read(&mut knock.id[knock.have..]) {
+                Ok(0) => continue,
+                Ok(k) => knock.have += k,
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        io::ErrorKind::WouldBlock | io::ErrorKind::Interrupted
+                    ) => {}
+                Err(_) => continue,
+            }
+            if knock.have < knock.id.len() {
+                if knock.since.elapsed() < KNOCK_PATIENCE {
+                    self.knocking.push(knock);
+                }
+                continue;
+            }
+            let peer = NodeId::new(u32::from_le_bytes(knock.id) as usize);
+            // Only higher-indexed peers dial us, so only they re-dial.
+            if peer <= me {
+                continue;
+            }
+            let Some(link) = self.links.get_mut(&peer) else {
+                continue;
+            };
+            link.drain(sink);
+            if !link.intake.open {
+                link.replace_stream(knock.stream, sink);
+                admitted.push(peer);
+            }
+        }
+        admitted
+    }
+}
+
+/// How an endpoint's frames move.
+enum Wire {
+    /// In-process: frames pass through `mpsc` channels un-encoded, every
+    /// peer's sender feeding the one inbox.
+    Channel {
+        inbox: Receiver<Frame>,
+        peers: BTreeMap<NodeId, Sender<Frame>>,
+    },
+    /// Loopback TCP: frames cross the codec in [`frame`].
+    Tcp(TcpWire),
+}
+
+impl Wire {
+    /// Queues `frame` behind everything already sent to `to`. A channel
+    /// delivers at once (a closed channel means the peer thread is gone
+    /// for good); a TCP link only encodes — the bytes move at the next
+    /// flush.
+    fn send(&mut self, to: NodeId, frame: &Frame) -> SendStatus {
+        match self {
+            Wire::Channel { peers, .. } => match peers.get(&to) {
+                Some(tx) if tx.send(frame.clone()).is_err() => SendStatus::Gone,
+                _ => SendStatus::Sent,
+            },
+            Wire::Tcp(tcp) => {
+                if let Some(link) = tcp.links.get_mut(&to) {
+                    frame::encode_into(&mut link.unflushed, frame);
+                }
+                SendStatus::Sent
+            }
+        }
+    }
+}
 
 /// An envelope awaiting delivery to the local machine: source, message,
 /// and the sender's causal trace context if one crossed the wire.
 type QueuedDelivery = (NodeId, ByzMsg<u64>, Option<TraceCtx>);
 
-/// One node's endpoint of a channel or TCP mesh.
-pub struct MeshTransport {
+/// Everything an endpoint knows about the instance it is running. A mesh
+/// that outlives its instance replaces this whole
+/// ([`MeshTransport::rearm`]), so nothing of one instance is left for the
+/// next to find.
+struct RunState {
     me: NodeId,
-    n: usize,
     depth: usize,
     chaos: LinkChaos,
-    links: BTreeMap<NodeId, PeerLink>,
-    inbox: Receiver<Frame>,
-    /// Sender half of `inbox`, handed to reader threads spawned for
-    /// reconnected links.
-    inbox_tx: Sender<Frame>,
-    /// Replacement write-streams from peers that re-dialed us.
-    replacements: Replacements,
-    config: MeshConfig,
     round: usize,
     started: bool,
     mark_due: bool,
@@ -249,159 +494,30 @@ pub struct MeshTransport {
     last_trace: Option<TraceCtx>,
     /// Peers heard finishing each round.
     marks: BTreeMap<usize, BTreeSet<NodeId>>,
-    /// Peers declared permanently gone (link dead, reconnect budget
-    /// exhausted). The round barrier stops waiting for them.
-    gone: BTreeSet<NodeId>,
-    /// Successful mid-run link re-establishments.
-    reconnects: u64,
-    /// Set when every peer is permanently gone: the clean-error surface.
-    failure: Option<String>,
     stats: TransportStats,
-    /// Tells this endpoint's TCP reader threads to exit.
-    stop: Arc<AtomicBool>,
 }
 
-impl MeshTransport {
-    #[allow(clippy::too_many_arguments)]
-    fn new(
-        me: NodeId,
-        n: usize,
-        depth: usize,
-        chaos: LinkChaos,
-        links: BTreeMap<NodeId, PeerLink>,
-        inbox: Receiver<Frame>,
-        inbox_tx: Sender<Frame>,
-        replacements: Replacements,
-        config: MeshConfig,
-        stop: Arc<AtomicBool>,
-    ) -> Self {
-        MeshTransport {
+impl RunState {
+    fn new(me: NodeId, depth: usize, chaos: LinkChaos, round_timeout: Duration) -> Self {
+        RunState {
             me,
-            n,
             depth,
             chaos,
-            links,
-            inbox,
-            inbox_tx,
-            replacements,
-            config,
             round: 0,
             started: false,
             mark_due: false,
-            deadline: Instant::now() + config.round_timeout,
+            deadline: Instant::now() + round_timeout,
             deliver_queue: VecDeque::new(),
             future: BTreeMap::new(),
             last_trace: None,
             marks: BTreeMap::new(),
-            gone: BTreeSet::new(),
-            reconnects: 0,
-            failure: None,
             stats: TransportStats::default(),
-            stop,
         }
     }
 
-    /// Peers declared permanently gone after an exhausted reconnect
-    /// budget. The round barrier no longer waits for them.
-    pub fn gone_peers(&self) -> &BTreeSet<NodeId> {
-        &self.gone
-    }
-
-    /// Successful mid-run link re-establishments (dialer side).
-    pub fn reconnects(&self) -> u64 {
-        self.reconnects
-    }
-
-    /// The clean-error surface: `Some` once *every* peer is permanently
-    /// gone, at which point the endpoint fast-forwards its remaining
-    /// rounds (all-absent) instead of hanging on wall-clock deadlines.
-    pub fn failure(&self) -> Option<&str> {
-        self.failure.as_deref()
-    }
-
-    /// Adopts replacement write-streams from peers that re-dialed us: the
-    /// acceptor thread publishes them, we swap them into the link (only
-    /// peers we accepted re-dial, so it has no redial material to lose)
-    /// and un-declare the peer gone. Whatever the old stream had not
-    /// flushed stays queued, still ahead of anything sent later.
-    fn adopt_replacements(&mut self) {
-        let fresh: Vec<(NodeId, TcpStream)> = {
-            let mut guard = self.replacements.lock().expect("replacements poisoned");
-            guard.drain(..).collect()
-        };
-        for (peer, stream) in fresh {
-            let Some(PeerLink::Tcp(link)) = self.links.get_mut(&peer) else {
-                continue;
-            };
-            link.stream = stream;
-            if self.gone.remove(&peer) {
-                self.failure = None;
-            }
-        }
-    }
-
-    /// Books what a link-level send or flush concluded: reconnects are
-    /// counted, a dead link declares its peer gone.
-    fn note(&mut self, to: NodeId, status: SendStatus) {
-        match status {
-            SendStatus::Sent => {}
-            SendStatus::Reconnected => self.reconnects += 1,
-            SendStatus::Gone => {
-                self.gone.insert(to);
-                if self.gone.len() == self.n - 1 {
-                    self.failure = Some(format!(
-                        "node {}: all {} peers permanently gone (reconnect budget {} exhausted) \
-                         in round {}",
-                        self.me,
-                        self.n - 1,
-                        self.config.reconnect_attempts,
-                        self.round
-                    ));
-                }
-            }
-        }
-    }
-
-    /// Sends one frame on one link. Gone peers are skipped: their link is
-    /// not touched again until a replacement un-declares them.
-    fn link_send(&mut self, to: NodeId, frame: &Frame) {
-        if self.gone.contains(&to) {
-            return;
-        }
-        let Some(link) = self.links.get_mut(&to) else {
-            return;
-        };
-        let status = link.send(frame);
-        self.note(to, status);
-    }
-
-    fn broadcast_mark(&mut self, round: usize) {
-        let mark = Frame::Mark {
-            src: self.me,
-            round,
-        };
-        let peers: Vec<NodeId> = self.links.keys().copied().collect();
-        for peer in peers {
-            self.link_send(peer, &mark);
-        }
-    }
-
-    /// Flushes every live link: the one point at which a TCP link's bytes
-    /// reach its socket (a no-op for links with nothing buffered).
-    fn flush_links(&mut self) {
-        let mut noted = Vec::new();
-        for (&peer, link) in &mut self.links {
-            if self.gone.contains(&peer) {
-                continue;
-            }
-            match link.flush(&self.config, &self.inbox_tx, &self.stop) {
-                SendStatus::Sent => {}
-                status => noted.push((peer, status)),
-            }
-        }
-        for (peer, status) in noted {
-            self.note(peer, status);
-        }
+    /// Whether `peer`'s `Mark(round)` has arrived.
+    fn heard(&self, peer: NodeId, round: usize) -> bool {
+        self.marks.get(&round).is_some_and(|m| m.contains(&peer))
     }
 
     /// Files one frame off the wire into the local queues.
@@ -441,42 +557,258 @@ impl MeshTransport {
             }
         }
     }
+}
 
-    /// Moves everything that arrived on the wire into the local queues.
-    fn drain_inbox(&mut self) {
-        while let Ok(f) = self.inbox.try_recv() {
-            self.ingest(f);
+/// One node's endpoint of a channel or TCP mesh. It owns no thread: the
+/// driver that polls it is the only one there is.
+pub struct MeshTransport {
+    me: NodeId,
+    n: usize,
+    config: MeshConfig,
+    wire: Wire,
+    run: RunState,
+    /// Peers declared permanently gone (link dead, reconnect budget
+    /// exhausted). The round barrier stops waiting for them.
+    gone: BTreeSet<NodeId>,
+    /// Successful mid-run link re-establishments.
+    reconnects: u64,
+    /// Set when every peer is permanently gone: the clean-error surface.
+    failure: Option<String>,
+}
+
+impl MeshTransport {
+    fn new(
+        me: NodeId,
+        n: usize,
+        depth: usize,
+        chaos: LinkChaos,
+        wire: Wire,
+        config: MeshConfig,
+    ) -> Self {
+        MeshTransport {
+            me,
+            n,
+            config,
+            wire,
+            run: RunState::new(me, depth, chaos, config.round_timeout),
+            gone: BTreeSet::new(),
+            reconnects: 0,
+            failure: None,
         }
     }
 
-    /// Blocks until a frame arrives, the round deadline passes, or
-    /// [`WAIT_SLICE`] elapses, whichever is first — what a driver does on
-    /// [`PollOutcome::Pending`] instead of sleeping blind. It only waits:
-    /// the next [`poll`](Transport::poll) acts on whatever ended the wait.
+    /// Peers declared permanently gone after an exhausted reconnect
+    /// budget. The round barrier no longer waits for them.
+    pub fn gone_peers(&self) -> &BTreeSet<NodeId> {
+        &self.gone
+    }
+
+    /// Successful mid-run link re-establishments (dialer side).
+    pub fn reconnects(&self) -> u64 {
+        self.reconnects
+    }
+
+    /// The clean-error surface: `Some` once *every* peer is permanently
+    /// gone, at which point the endpoint fast-forwards its remaining
+    /// rounds (all-absent) instead of hanging on wall-clock deadlines.
+    pub fn failure(&self) -> Option<&str> {
+        self.failure.as_deref()
+    }
+
+    /// Arms the endpoint for a new instance on the links it has, under
+    /// `config` — nothing about a built link depends on the configuration
+    /// it was built under (`dial_timeout` is set-up's alone, the reconnect
+    /// budget is read when a flush fails). Only an endpoint that
+    /// [`ended_clean`](Self::ended_clean) — or has not run yet — may be
+    /// re-armed.
+    pub(crate) fn rearm(&mut self, depth: usize, chaos: &LinkChaos, config: MeshConfig) {
+        self.config = config;
+        self.run = RunState::new(self.me, depth, chaos.clone(), config.round_timeout);
+    }
+
+    /// The health rule of a standing mesh: this TCP endpoint closed every
+    /// round of its instance by marks — no deadline, no peer gone, no
+    /// reconnect — and has nothing queued, half-read, unflushed or
+    /// knocking. Every frame of an instance precedes its sender's last
+    /// mark (`send_traced` sees to it), so when *every* endpoint of a
+    /// mesh ended clean, every socket of it is empty in both directions.
+    pub(crate) fn ended_clean(&self) -> bool {
+        let Wire::Tcp(tcp) = &self.wire else {
+            return false;
+        };
+        self.run.round == self.run.depth
+            && self.run.stats.false_timeouts == 0
+            && self.gone.is_empty()
+            && self.reconnects == 0
+            && self.run.deliver_queue.is_empty()
+            && self.run.future.is_empty()
+            && tcp.knocking.is_empty()
+            && tcp.links.values().all(TcpLink::is_idle)
+    }
+
+    /// Books what a link-level send or flush concluded: reconnects are
+    /// counted, a dead link declares its peer gone.
+    fn note(&mut self, to: NodeId, status: SendStatus) {
+        match status {
+            SendStatus::Sent => {}
+            SendStatus::Reconnected => self.reconnects += 1,
+            SendStatus::Gone => {
+                self.gone.insert(to);
+                if self.gone.len() == self.n - 1 {
+                    self.failure = Some(format!(
+                        "node {}: all {} peers permanently gone (reconnect budget {} exhausted) \
+                         in round {}",
+                        self.me,
+                        self.n - 1,
+                        self.config.reconnect_attempts,
+                        self.run.round
+                    ));
+                }
+            }
+        }
+    }
+
+    /// Sends one frame on one link. Gone peers are skipped: their link is
+    /// not touched again until a replacement un-declares them.
+    fn link_send(&mut self, to: NodeId, frame: &Frame) {
+        if self.gone.contains(&to) {
+            return;
+        }
+        let status = self.wire.send(to, frame);
+        self.note(to, status);
+    }
+
+    fn broadcast_mark(&mut self, round: usize) {
+        let mark = Frame::Mark {
+            src: self.me,
+            round,
+        };
+        let me = self.me;
+        for peer in NodeId::all(self.n).filter(|&p| p != me) {
+            self.link_send(peer, &mark);
+        }
+    }
+
+    /// Flushes every live TCP link: the one point at which a link's bytes
+    /// reach its socket (a no-op for links with nothing queued).
+    fn flush_links(&mut self) {
+        let Wire::Tcp(tcp) = &mut self.wire else {
+            return;
+        };
+        let run = &mut self.run;
+        let mut noted = Vec::new();
+        for (&peer, link) in &mut tcp.links {
+            if self.gone.contains(&peer) {
+                continue;
+            }
+            match link.flush(&self.config, &mut |f| run.ingest(f)) {
+                SendStatus::Sent => {}
+                status => noted.push((peer, status)),
+            }
+        }
+        for (peer, status) in noted {
+            self.note(peer, status);
+        }
+    }
+
+    /// Whether a live TCP link still holds bytes its socket did not take.
+    fn flush_pending(&self) -> bool {
+        let Wire::Tcp(tcp) = &self.wire else {
+            return false;
+        };
+        tcp.links
+            .iter()
+            .any(|(peer, link)| !link.unflushed.is_empty() && !self.gone.contains(peer))
+    }
+
+    /// Moves everything that has arrived into the local queues, without
+    /// blocking: the inbox of a channel endpoint, every socket of a TCP one.
+    fn drain(&mut self) {
+        let run = &mut self.run;
+        match &mut self.wire {
+            Wire::Channel { inbox, .. } => {
+                while let Ok(f) = inbox.try_recv() {
+                    run.ingest(f);
+                }
+            }
+            Wire::Tcp(tcp) => {
+                for link in tcp.links.values_mut() {
+                    link.drain(&mut |f| run.ingest(f));
+                }
+            }
+        }
+    }
+
+    /// Blocks until something can have changed, the round deadline passes
+    /// or [`WAIT_SLICE`] elapses, whichever is first — what a driver does
+    /// on [`PollOutcome::Pending`] instead of sleeping blind. It only
+    /// waits and reads: the next [`poll`](Transport::poll) acts on it.
+    ///
+    /// A channel endpoint waits on its inbox. A TCP endpoint waits on
+    /// *one* socket, that of the first live peer whose mark for the
+    /// current round is missing: the round cannot close before that mark
+    /// or the deadline, and whatever the other peers send meanwhile sits
+    /// in kernel buffers until the next `poll`. After the wait it lets in
+    /// peers that re-dialed — after a wait, not on every `poll`: the
+    /// listener costs a system call to ask, and a healthy round asks
+    /// nothing of it.
     pub fn wait(&mut self) {
-        let until_deadline = self.deadline.saturating_duration_since(Instant::now());
-        if let Ok(f) = self.inbox.recv_timeout(until_deadline.min(WAIT_SLICE)) {
-            self.ingest(f);
+        let run = &mut self.run;
+        let patience = run
+            .deadline
+            .saturating_duration_since(Instant::now())
+            .min(WAIT_SLICE);
+        match &mut self.wire {
+            Wire::Channel { inbox, .. } => {
+                if let Ok(f) = inbox.recv_timeout(patience) {
+                    run.ingest(f);
+                }
+            }
+            Wire::Tcp(tcp) => {
+                let awaited = tcp.links.iter_mut().find(|(peer, link)| {
+                    link.intake.open && !self.gone.contains(*peer) && !run.heard(**peer, run.round)
+                });
+                match awaited {
+                    Some((_, link)) => link.await_bytes(patience, &mut |f| run.ingest(f)),
+                    None => thread::sleep(patience),
+                }
+                self.admit();
+            }
+        }
+    }
+
+    /// Lets in peers that re-dialed our listener (see [`TcpWire::admit`])
+    /// and un-declares them gone.
+    fn admit(&mut self) {
+        let Wire::Tcp(tcp) = &mut self.wire else {
+            return;
+        };
+        let run = &mut self.run;
+        for peer in tcp.admit(self.me, self.n, &mut |f| run.ingest(f)) {
+            if self.gone.remove(&peer) {
+                self.failure = None;
+            }
         }
     }
 
     /// Closes the current round and opens the next.
     fn advance(&mut self) -> PollOutcome {
-        self.round += 1;
-        self.mark_due = true;
-        self.deadline = Instant::now() + self.config.round_timeout;
-        let due: Vec<usize> = self
+        let run = &mut self.run;
+        run.round += 1;
+        run.mark_due = true;
+        run.deadline = Instant::now() + self.config.round_timeout;
+        let due: Vec<usize> = run
             .future
             .keys()
             .copied()
-            .take_while(|&k| k <= self.round)
+            .take_while(|&k| k <= run.round)
             .collect();
         for k in due {
-            if let Some(q) = self.future.remove(&k) {
-                self.deliver_queue.extend(q);
+            if let Some(q) = run.future.remove(&k) {
+                run.deliver_queue.extend(q);
             }
         }
-        PollOutcome::Event(NodeEvent::Timeout { round: self.round })
+        PollOutcome::Event(NodeEvent::Timeout { round: run.round })
     }
 }
 
@@ -494,13 +826,22 @@ impl Transport for MeshTransport {
     }
 
     fn send_traced(&mut self, to: NodeId, msg: ByzMsg<u64>, trace: Option<TraceCtx>) {
-        self.stats.sent += 1;
-        let copies = match self.chaos.disposition(self.round, self.me, to, &msg.path) {
+        let run = &mut self.run;
+        run.stats.sent += 1;
+        if run.round >= run.depth {
+            // The last round has closed: the receiver would count this
+            // envelope lost (it folds past the end of the run), so it is
+            // counted here and kept off the wire — a node's last mark is
+            // the last frame of its instance on every link.
+            run.stats.lost += 1;
+            return;
+        }
+        let copies = match run.chaos.disposition(run.round, self.me, to, &msg.path) {
             Disposition::Dropped(cause) => {
                 match cause {
-                    DropCause::Cut => self.stats.dropped_cut += 1,
-                    DropCause::Loss => self.stats.dropped_loss += 1,
-                    DropCause::Corrupt => self.stats.dropped_corrupt += 1,
+                    DropCause::Cut => run.stats.dropped_cut += 1,
+                    DropCause::Loss => run.stats.dropped_loss += 1,
+                    DropCause::Corrupt => run.stats.dropped_corrupt += 1,
                 }
                 return;
             }
@@ -509,10 +850,10 @@ impl Transport for MeshTransport {
                 delay_rounds,
             } => {
                 if delay_rounds > 0 {
-                    self.stats.delayed += 1;
+                    run.stats.delayed += 1;
                 }
                 if copies > 1 {
-                    self.stats.duplicated += (copies - 1) as u64;
+                    run.stats.duplicated += (copies - 1) as u64;
                 }
                 copies
             }
@@ -528,78 +869,102 @@ impl Transport for MeshTransport {
     }
 
     fn last_trace(&self) -> Option<TraceCtx> {
-        self.last_trace.clone()
+        self.run.last_trace.clone()
     }
 
     fn poll(&mut self) -> PollOutcome {
-        if !self.started {
-            self.started = true;
-            self.mark_due = true;
-            self.deadline = Instant::now() + self.config.round_timeout;
+        if !self.run.started {
+            self.run.started = true;
+            self.run.mark_due = true;
+            self.run.deadline = Instant::now() + self.config.round_timeout;
             return PollOutcome::Event(NodeEvent::Timeout { round: 0 });
         }
-        self.adopt_replacements();
-        if self.mark_due {
+        if self.run.mark_due {
             // This poll is the first since a Timeout event: the driver has
             // dispatched every send of that round, so the mark goes out
             // now — after the envelopes, per-link FIFO.
-            self.mark_due = false;
-            if self.round < self.depth {
-                self.broadcast_mark(self.round);
+            self.run.mark_due = false;
+            if self.run.round < self.run.depth {
+                self.broadcast_mark(self.run.round);
             }
         }
         // One write per link carries the round's envelopes and the mark
         // just queued behind them.
         self.flush_links();
-        if self.round == self.depth {
-            // The final timeout has been emitted; the machine is done.
+        if !self.gone.is_empty() {
+            // A peer whose link just failed may have re-dialed already:
+            // look before the barrier stops waiting for it.
+            self.admit();
+        }
+        if self.run.round == self.run.depth {
+            // The final timeout has been emitted; the machine is done. The
+            // endpoint is once its sockets have taken everything queued —
+            // or, for a peer that does not read, at the deadline.
+            if self.flush_pending() && Instant::now() < self.run.deadline {
+                return PollOutcome::Pending;
+            }
             return PollOutcome::Closed;
         }
-        self.drain_inbox();
-        if let Some((src, msg, trace)) = self.deliver_queue.pop_front() {
-            self.stats.delivered += 1;
-            self.last_trace = trace;
+        if self.run.deliver_queue.is_empty() {
+            self.drain();
+        }
+        let run = &mut self.run;
+        if let Some((src, msg, trace)) = run.deliver_queue.pop_front() {
+            run.stats.delivered += 1;
+            run.last_trace = trace;
             return PollOutcome::Event(NodeEvent::Deliver { src, msg });
         }
-        let heard = self.marks.get(&self.round).map_or(0, BTreeSet::len);
+        let heard = run.marks.get(&run.round).map_or(0, BTreeSet::len);
         // Gone peers never produce marks: the barrier stops waiting for
         // them (their envelopes read as absent, the protocol's normal
         // fault mode) instead of burning a wall-clock deadline per round.
         let gone = self
             .gone
             .iter()
-            .filter(|p| !self.marks.get(&self.round).is_some_and(|m| m.contains(p)))
+            .filter(|&&p| !run.heard(p, run.round))
             .count();
         if heard + gone >= self.n - 1 {
             return self.advance();
         }
-        if Instant::now() >= self.deadline {
+        if Instant::now() >= run.deadline {
             // Deadline-expiry absence detection: unheard peers are
             // declared silent for this round whether they are dead or
             // merely slow — the latter is a false timeout. Permanently
             // gone peers are real absences, not false timeouts.
-            self.stats.false_timeouts += (self.n - 1 - heard - gone) as u64;
+            run.stats.false_timeouts += (self.n - 1 - heard - gone) as u64;
             return self.advance();
         }
         PollOutcome::Pending
     }
 
     fn stats(&self) -> TransportStats {
-        self.stats
+        self.run.stats
     }
 }
 
 impl Drop for MeshTransport {
-    /// Tells this endpoint's threads to stop and half-closes its TCP
-    /// links. The FIN travels behind everything already written, so no
-    /// flushed frame is lost, and the peer's reader sees end-of-stream at
-    /// once instead of idling out a read timeout; once the peer does the
-    /// same, so do ours.
+    /// Half-closes every TCP link: the FIN travels behind everything
+    /// already written, so no flushed frame is lost. An endpoint that
+    /// heard every live peer's last mark has nothing left to arrive and
+    /// closes at once. One that ran to its end without — it closed the
+    /// last round by deadline — keeps reading those peers until their
+    /// end-of-stream or [`LINGER`], so that a slow peer's late frames do
+    /// not meet a closed socket and bounce back as a reset.
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        for link in self.links.values() {
-            if let PeerLink::Tcp(link) = link {
-                let _ = link.stream.shutdown(Shutdown::Write);
+        let Wire::Tcp(tcp) = &mut self.wire else {
+            return;
+        };
+        for link in tcp.links.values() {
+            let _ = link.stream.shutdown(Shutdown::Write);
+        }
+        let run = &self.run;
+        if run.round < run.depth || run.depth == 0 {
+            return;
+        }
+        let until = Instant::now() + LINGER;
+        for (peer, link) in &mut tcp.links {
+            if !self.gone.contains(peer) && !run.heard(*peer, run.depth - 1) {
+                link.linger(until);
             }
         }
     }
@@ -623,31 +988,22 @@ pub fn channel_mesh(
     }
     rxs.into_iter()
         .enumerate()
-        .map(|(i, rx)| {
+        .map(|(i, inbox)| {
             let me = NodeId::new(i);
-            let links = NodeId::all(n)
+            let peers = NodeId::all(n)
                 .filter(|&p| p != me)
-                .map(|p| (p, PeerLink::Channel(txs[p.index()].clone())))
+                .map(|p| (p, txs[p.index()].clone()))
                 .collect();
-            MeshTransport::new(
-                me,
-                n,
-                depth,
-                chaos.clone(),
-                links,
-                rx,
-                txs[i].clone(),
-                Arc::new(Mutex::new(Vec::new())),
-                config,
-                Arc::new(AtomicBool::new(false)),
-            )
+            let wire = Wire::Channel { inbox, peers };
+            MeshTransport::new(me, n, depth, chaos.clone(), wire, config)
         })
         .collect()
 }
 
 /// Builds an `n`-node mesh over loopback TCP with ephemeral ports: binds
 /// `n` listeners, performs the full dial/accept handshake on worker
-/// threads, and returns node `i`'s endpoint at element `i`.
+/// threads, and returns node `i`'s endpoint at element `i`. The workers
+/// are gone when it returns; the mesh itself runs no thread.
 pub fn tcp_mesh(
     n: usize,
     depth: usize,
@@ -683,7 +1039,8 @@ pub fn tcp_mesh(
 /// addresses — the `dagree serve` entry point, where each node is its own
 /// process. Binds `addrs[me]`, dials every lower-indexed peer (retrying
 /// until [`MeshConfig::dial_timeout`], since peers may not be up yet) and
-/// accepts connections from every higher-indexed one.
+/// accepts connections from every higher-indexed one, waiting for them no
+/// longer than the same `dial_timeout`.
 pub fn tcp_join(
     me: NodeId,
     addrs: &[SocketAddr],
@@ -694,6 +1051,10 @@ pub fn tcp_join(
     let listener = TcpListener::bind(addrs[me.index()])?;
     join_with_listener(me, listener, addrs, depth, chaos, config)
 }
+
+/// The pause between two tries at something a peer has to do first: a
+/// dial before the peer listens, an accept before the peer dials.
+const RETRY_PAUSE: Duration = Duration::from_millis(20);
 
 /// The shared dial-lower/accept-higher handshake. Every connection opens
 /// with a 4-byte little-endian node index from the dialer, so the acceptor
@@ -708,74 +1069,71 @@ fn join_with_listener(
     config: MeshConfig,
 ) -> io::Result<MeshTransport> {
     let n = addrs.len();
-    let mut raw: BTreeMap<NodeId, (TcpStream, Option<Redial>)> = BTreeMap::new();
+    let mut links = BTreeMap::new();
     for (peer, &addr) in addrs.iter().enumerate().take(me.index()) {
         let s = dial_with_retry(addr, me, config.dial_timeout)?;
-        raw.insert(NodeId::new(peer), (s, Some(Redial { addr, me })));
-    }
-    for _ in me.index() + 1..n {
-        let (mut s, _) = listener.accept()?;
-        let peer = accept_handshake(&mut s, me, n, config.dial_timeout)?;
-        // A second connection under one id would silently overwrite the
-        // first and leave the mesh a peer short.
-        if raw.insert(peer, (s, None)).is_some() {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "handshake announced a node id that is already connected",
-            ));
-        }
-    }
-    let (tx, rx) = channel();
-    let stop = Arc::new(AtomicBool::new(false));
-    let replacements: Replacements = Arc::new(Mutex::new(Vec::new()));
-    let mut links = BTreeMap::new();
-    for (peer, (stream, redial)) in raw {
-        let reader = stream.try_clone()?;
-        let reader_tx = tx.clone();
-        let reader_stop = Arc::clone(&stop);
-        thread::spawn(move || reader_loop(reader, reader_tx, reader_stop));
         links.insert(
-            peer,
-            PeerLink::Tcp(TcpLink {
-                stream,
-                redial,
-                unflushed: Vec::new(),
-            }),
+            NodeId::new(peer),
+            TcpLink::new(s, Some(Redial { addr, me })),
         );
     }
-    // The listener stays alive for the whole run: peers whose outgoing
-    // link to us breaks re-dial with the same id handshake, and the
-    // acceptor publishes the fresh stream as a replacement link.
-    {
-        let tx = tx.clone();
-        let stop = Arc::clone(&stop);
-        let replacements = Arc::clone(&replacements);
-        thread::spawn(move || acceptor_loop(listener, me, n, tx, stop, replacements));
+    // The listener is never blocked on: peers that have not dialed yet are
+    // waited for in short pauses, and not past `dial_timeout`.
+    listener.set_nonblocking(true)?;
+    let deadline = Instant::now() + config.dial_timeout;
+    let mut pause = Duration::from_micros(50);
+    while links.len() < n - 1 {
+        match listener.accept() {
+            Ok((mut s, _)) => {
+                let left = deadline.saturating_duration_since(Instant::now());
+                let peer = accept_handshake(&mut s, me, n, left)?;
+                // A second connection under one id would silently overwrite
+                // the first and leave the mesh a peer short.
+                if links.insert(peer, TcpLink::new(s, None)).is_some() {
+                    return Err(io::Error::new(
+                        io::ErrorKind::InvalidData,
+                        "handshake announced a node id that is already connected",
+                    ));
+                }
+            }
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                if Instant::now() >= deadline {
+                    return Err(io::Error::new(
+                        io::ErrorKind::TimedOut,
+                        "a higher-indexed peer never dialed",
+                    ));
+                }
+                // In-process the peers are microseconds away; across
+                // processes the pause settles at the dialers' cadence.
+                thread::sleep(pause);
+                pause = (pause * 2).min(RETRY_PAUSE);
+            }
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
     }
-    Ok(MeshTransport::new(
-        me,
-        n,
-        depth,
-        chaos,
+    // The listener stays open for the endpoint's whole life: peers whose
+    // outgoing link to us breaks re-dial it, and `wait` lets them in.
+    let wire = Wire::Tcp(TcpWire {
         links,
-        rx,
-        tx,
-        replacements,
-        config,
-        stop,
-    ))
+        listener,
+        knocking: Vec::new(),
+    });
+    Ok(MeshTransport::new(me, n, depth, chaos, wire, config))
 }
 
-/// The accepting side of the id handshake: Nagle off, then the dialer's
-/// 4-byte id, which must arrive within `patience` (a peer that connects
-/// and never speaks must not hang the acceptor) and must name a node that
-/// dials us — only higher-indexed peers do.
+/// The accepting side of the set-up handshake: Nagle off, then the
+/// dialer's 4-byte id, which must arrive within `patience` (a peer that
+/// connects and never speaks must not hang the acceptor) and must name a
+/// node that dials us — only higher-indexed peers do. The connection
+/// leaves non-blocking.
 fn accept_handshake(
     s: &mut TcpStream,
     me: NodeId,
     n: usize,
     patience: Duration,
 ) -> io::Result<NodeId> {
+    s.set_nonblocking(false)?;
     s.set_nodelay(true)?;
     // A zero timeout is an error to the socket API, not "do not wait".
     s.set_read_timeout(Some(patience.max(Duration::from_millis(1))))?;
@@ -794,51 +1152,8 @@ fn accept_handshake(
             "handshake announced a node id that does not dial this node",
         ));
     }
+    s.set_nonblocking(true)?;
     Ok(NodeId::new(peer))
-}
-
-/// Post-setup acceptor: keeps the listener open so disconnected peers can
-/// re-dial mid-run. Each accepted connection re-runs the 4-byte id
-/// handshake; its read half feeds the endpoint's inbox through a fresh
-/// reader thread and its write half is published as a replacement link.
-fn acceptor_loop(
-    listener: TcpListener,
-    me: NodeId,
-    n: usize,
-    tx: Sender<Frame>,
-    stop: Arc<AtomicBool>,
-    replacements: Replacements,
-) {
-    if listener.set_nonblocking(true).is_err() {
-        return;
-    }
-    loop {
-        if stop.load(Ordering::Relaxed) {
-            return;
-        }
-        match listener.accept() {
-            Ok((mut s, _)) => {
-                if s.set_nonblocking(false).is_err() {
-                    continue;
-                }
-                let Ok(peer) = accept_handshake(&mut s, me, n, Duration::from_millis(500)) else {
-                    continue;
-                };
-                let Ok(reader) = s.try_clone() else { continue };
-                let reader_tx = tx.clone();
-                let reader_stop = Arc::clone(&stop);
-                thread::spawn(move || reader_loop(reader, reader_tx, reader_stop));
-                replacements
-                    .lock()
-                    .expect("replacements poisoned")
-                    .push((peer, s));
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_millis(10));
-            }
-            Err(_) => return,
-        }
-    }
 }
 
 fn dial_with_retry(addr: SocketAddr, me: NodeId, budget: Duration) -> io::Result<TcpStream> {
@@ -847,64 +1162,7 @@ fn dial_with_retry(addr: SocketAddr, me: NodeId, budget: Duration) -> io::Result
         match dial(addr, me) {
             Ok(s) => return Ok(s),
             Err(e) if Instant::now() >= deadline => return Err(e),
-            Err(_) => thread::sleep(Duration::from_millis(20)),
-        }
-    }
-}
-
-/// Per-connection reader: accumulates bytes and forwards complete frames.
-/// A finished peer half-closes, so the usual exit is end-of-stream right
-/// behind its last frame. Reading with a timeout (rather than blocking
-/// forever) is the fallback for a peer that outlives us: the thread
-/// notices the endpoint's stop flag instead of being stranded on a
-/// half-open socket. Partial frames survive across timeouts — the
-/// accumulator only ever consumes whole frames.
-fn reader_loop(mut stream: TcpStream, tx: Sender<Frame>, stop: Arc<AtomicBool>) {
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
-    let mut acc: Vec<u8> = Vec::new();
-    let mut buf = [0u8; 4096];
-    loop {
-        match stream.read(&mut buf) {
-            Ok(0) => return,
-            Ok(k) => {
-                acc.extend_from_slice(&buf[..k]);
-                // One read can carry a whole round's batch: walk it by
-                // offset and drop the consumed prefix once, not per frame.
-                let mut at = 0;
-                while acc.len() - at >= 4 {
-                    let len = u32::from_le_bytes(acc[at..at + 4].try_into().expect("4-byte slice"))
-                        as usize;
-                    if len > MAX_FRAME_LEN as usize {
-                        return; // corrupt stream: stop feeding it onward
-                    }
-                    if acc.len() - at < 4 + len {
-                        break;
-                    }
-                    match frame::decode(&acc[at + 4..at + 4 + len]) {
-                        Ok(f) => {
-                            if tx.send(f).is_err() {
-                                return;
-                            }
-                        }
-                        Err(_) => return,
-                    }
-                    at += 4 + len;
-                }
-                acc.drain(..at);
-            }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock
-                        | io::ErrorKind::TimedOut
-                        | io::ErrorKind::Interrupted
-                ) =>
-            {
-                if stop.load(Ordering::Relaxed) {
-                    return;
-                }
-            }
-            Err(_) => return,
+            Err(_) => thread::sleep(RETRY_PAUSE),
         }
     }
 }
@@ -1032,18 +1290,17 @@ mod tests {
         // Hand-feed node 0's inbox: a level-2 envelope (round-1 traffic
         // from a peer that has raced ahead) must not surface during round
         // 0 — the machine would discard it as from the future.
-        let (tx, rx) = channel();
+        let (tx, inbox) = channel();
         let mut t = MeshTransport::new(
             nid(0),
             3,
             2,
             LinkChaos::healthy(),
-            BTreeMap::new(),
-            rx,
-            tx.clone(),
-            Arc::new(Mutex::new(Vec::new())),
+            Wire::Channel {
+                inbox,
+                peers: BTreeMap::new(),
+            },
             MeshConfig::default(),
-            Arc::new(AtomicBool::new(false)),
         );
         assert_eq!(
             t.poll(),
@@ -1149,12 +1406,24 @@ mod tests {
         assert_eq!(n0.stats().false_timeouts, 0);
     }
 
-    /// The write half of the TCP link to `peer`.
-    fn tcp_stream(t: &MeshTransport, peer: usize) -> &TcpStream {
-        match t.links.get(&nid(peer)) {
-            Some(PeerLink::Tcp(link)) => &link.stream,
-            _ => panic!("expected a TCP link to node {peer}"),
+    fn tcp_wire(t: &MeshTransport) -> &TcpWire {
+        match &t.wire {
+            Wire::Tcp(tcp) => tcp,
+            Wire::Channel { .. } => panic!("expected a TCP endpoint"),
         }
+    }
+
+    /// The TCP link to `peer`.
+    fn tcp_link(t: &mut MeshTransport, peer: usize) -> &mut TcpLink {
+        match &mut t.wire {
+            Wire::Tcp(tcp) => tcp.links.get_mut(&nid(peer)).expect("a link to the peer"),
+            Wire::Channel { .. } => panic!("expected a TCP endpoint"),
+        }
+    }
+
+    /// The connection under the TCP link to `peer`.
+    fn tcp_stream(t: &MeshTransport, peer: usize) -> &TcpStream {
+        &tcp_wire(t).links[&nid(peer)].stream
     }
 
     #[test]
@@ -1178,9 +1447,9 @@ mod tests {
         // Node 1 dialed node 0 (dial-lower), so node 1 owns the redial
         // path. Node 0 severs the accepted connection mid-run; node 1's
         // next flush must re-dial (bounded, backed off), re-handshake, and
-        // deliver the whole unflushed batch in order — and node 0's
-        // persistent acceptor must splice the replacement in so traffic
-        // keeps flowing.
+        // deliver the whole unflushed batch in order — and node 0 must
+        // let the new connection in through its listener so traffic keeps
+        // flowing.
         let mut mesh = tcp_mesh(2, 3, &LinkChaos::healthy(), MeshConfig::default()).unwrap();
         let mut n1 = mesh.pop().unwrap();
         let mut n0 = mesh.pop().unwrap();
@@ -1224,8 +1493,8 @@ mod tests {
         }
         assert_eq!(n1.reconnects(), 1);
         assert!(tcp_stream(&n1, 0).nodelay().unwrap(), "re-dialed link");
-        // The re-dialed connection reaches node 0 through its acceptor:
-        // polling adopts the replacement, and every frame of the batch
+        // The re-dialed connection reaches node 0 through its listener:
+        // driving it adopts the replacement, and every frame of the batch
         // whose flush failed arrives, in the order it was sent.
         let resent: Vec<u64> = ((batches - 1) * BATCH..batches * BATCH).collect();
         let mut got = Vec::new();
@@ -1273,26 +1542,15 @@ mod tests {
             },
         );
         // Node 1 re-dials by hand, as its flush would after a failure.
-        let Some(PeerLink::Tcp(link)) = n1.links.get_mut(&nid(0)) else {
-            panic!("expected a TCP link");
-        };
-        let redial = link.redial.as_ref().expect("node 1 dialed node 0");
+        let link = tcp_link(&mut n1, 0);
+        let redial = link.redial.expect("node 1 dialed node 0");
         let fresh = dial(redial.addr, redial.me).unwrap();
-        let reader = fresh.try_clone().unwrap();
-        let (tx, stop) = (n1.inbox_tx.clone(), Arc::clone(&n1.stop));
-        thread::spawn(move || reader_loop(reader, tx, stop));
-        link.stream = fresh;
-        // Once node 0's acceptor has published the replacement, its next
-        // poll adopts it and flushes the envelope queued before the swap.
+        link.replace_stream(fresh, &mut |_| {});
+        // Node 0 lets the new connection in after a wait, and its next
+        // poll flushes the envelope queued before the swap onto it.
         let start = Instant::now();
-        while n0.replacements.lock().unwrap().is_empty() {
-            assert!(
-                start.elapsed() < Duration::from_secs(10),
-                "the acceptor never published the re-dialed connection"
-            );
-            thread::sleep(Duration::from_millis(1));
-        }
         loop {
+            n0.wait();
             n0.poll();
             match n1.poll() {
                 PollOutcome::Event(NodeEvent::Deliver { src, msg }) => {
@@ -1372,6 +1630,305 @@ mod tests {
     }
 
     #[test]
+    fn set_up_gives_up_on_a_peer_that_never_dials() {
+        // Node 0 of two accepts node 1's connection — which never comes.
+        let (_addr, join) = join_as_node_0(
+            2,
+            MeshConfig {
+                dial_timeout: Duration::from_millis(50),
+                ..MeshConfig::default()
+            },
+        );
+        let start = Instant::now();
+        let err = join.join().unwrap().err().expect("nobody dialed");
+        assert_eq!(err.kind(), io::ErrorKind::TimedOut);
+        assert!(
+            start.elapsed() < Duration::from_secs(5),
+            "the set-up accept must be bounded by dial_timeout"
+        );
+    }
+
+    /// Polls and waits like a driver until the endpoint produces something
+    /// other than `Pending`.
+    fn next_outcome(t: &mut MeshTransport) -> PollOutcome {
+        let start = Instant::now();
+        loop {
+            match t.poll() {
+                PollOutcome::Pending => t.wait(),
+                outcome => return outcome,
+            }
+            assert!(start.elapsed() < Duration::from_secs(10), "endpoint hung");
+        }
+    }
+
+    #[test]
+    fn mute_and_lying_dialers_mid_round_cost_the_node_nothing() {
+        let mut mesh = tcp_mesh(3, 1, &LinkChaos::healthy(), MeshConfig::default()).unwrap();
+        for t in &mut mesh {
+            assert_eq!(
+                t.poll(),
+                PollOutcome::Event(NodeEvent::Timeout { round: 0 })
+            );
+        }
+        let mut n0 = mesh.remove(0);
+        let addr = tcp_wire(&n0).listener.local_addr().unwrap();
+        let link_to_1 = tcp_stream(&n0, 1).peer_addr().unwrap();
+        // Three liars — an id that does not dial node 0, one past the
+        // mesh, one whose link is up — and a dialer that never speaks.
+        let _liars: Vec<TcpStream> = [0u32, 9, 1]
+            .into_iter()
+            .map(|id| {
+                let mut s = TcpStream::connect(addr).unwrap();
+                s.write_all(&id.to_le_bytes()).unwrap();
+                s
+            })
+            .collect();
+        let _mute = TcpStream::connect(addr).unwrap();
+        // The peers have not sent their marks, so every wait runs its
+        // slice and then looks at the listener; none may sit in a read of
+        // the mute dialer's id (that used to be a 500 ms blocking read).
+        let start = Instant::now();
+        for _ in 0..10 {
+            assert_eq!(n0.poll(), PollOutcome::Pending);
+            n0.wait();
+        }
+        assert!(
+            start.elapsed() < Duration::from_millis(400),
+            "ten waits took {:?}",
+            start.elapsed()
+        );
+        assert_eq!(tcp_wire(&n0).knocking.len(), 1, "only the mute one waits");
+        // The round closes when the marks arrive — by marks, on time, on
+        // the links the mesh was built with.
+        for t in &mut mesh {
+            t.poll();
+        }
+        assert_eq!(
+            next_outcome(&mut n0),
+            PollOutcome::Event(NodeEvent::Timeout { round: 1 })
+        );
+        assert!(start.elapsed() < Duration::from_secs(2));
+        assert_eq!(n0.stats().false_timeouts, 0);
+        assert_eq!(tcp_stream(&n0, 1).peer_addr().unwrap(), link_to_1);
+        assert!(n0.gone_peers().is_empty());
+        // And the mute dialer's slot is freed once its patience is spent.
+        thread::sleep(KNOCK_PATIENCE);
+        n0.wait();
+        assert!(tcp_wire(&n0).knocking.is_empty());
+    }
+
+    fn mark(src: usize, round: usize) -> Frame {
+        Frame::Mark {
+            src: nid(src),
+            round,
+        }
+    }
+
+    /// Feeds `chunks` to a fresh intake, one absorb each.
+    fn absorb_all(chunks: &[&[u8]]) -> (Intake, Vec<Frame>) {
+        let mut intake = Intake::new();
+        let mut got = Vec::new();
+        for chunk in chunks {
+            intake.absorb(chunk, &mut |f| got.push(f));
+            assert!(intake.acc.len() <= 4 + MAX_FRAME_LEN as usize);
+        }
+        (intake, got)
+    }
+
+    #[test]
+    fn a_batch_split_at_any_byte_decodes_to_the_same_frames() {
+        let frames = [
+            envelope(1, Path::root(nid(0)).child(nid(1)), 7),
+            mark(1, 0),
+            Frame::Envelope {
+                src: nid(2),
+                msg: ByzMsg {
+                    path: Path::root(nid(0)),
+                    value: AgreementValue::Default,
+                },
+                trace: Some(TraceCtx::new(3, vec![0, 2])),
+            },
+        ];
+        let mut wire = Vec::new();
+        for f in &frames {
+            frame::encode_into(&mut wire, f);
+        }
+        for cut in 0..=wire.len() {
+            let (intake, got) = absorb_all(&[&wire[..cut], &wire[cut..]]);
+            assert_eq!(got, frames, "split at byte {cut}");
+            assert!(intake.open && intake.acc.is_empty(), "split at byte {cut}");
+        }
+    }
+
+    #[test]
+    fn the_length_prefix_is_bounded_and_so_is_the_accumulator() {
+        // One past the limit closes the intake on the prefix alone.
+        let (intake, got) = absorb_all(&[&(MAX_FRAME_LEN + 1).to_le_bytes()]);
+        assert!(!intake.open && got.is_empty() && intake.acc.is_empty());
+        // Exactly the limit is a frame like any other: a traced envelope
+        // whose trace section is padded out (a malformed trace degrades to
+        // an untraced delivery), arriving in 64 KiB reads behind a frame
+        // and ahead of another.
+        let mut big = frame::encode(&Frame::Envelope {
+            src: nid(1),
+            msg: ByzMsg {
+                path: Path::root(nid(1)),
+                value: AgreementValue::Value(5),
+            },
+            trace: Some(TraceCtx::new(3, vec![1])),
+        });
+        big.resize(4 + MAX_FRAME_LEN as usize, 0);
+        big[..4].copy_from_slice(&MAX_FRAME_LEN.to_le_bytes());
+        let mut wire = frame::encode(&mark(1, 0));
+        wire.extend_from_slice(&big);
+        wire.extend_from_slice(&frame::encode(&mark(1, 1)));
+        let chunks: Vec<&[u8]> = wire.chunks(64 << 10).collect();
+        let (intake, got) = absorb_all(&chunks);
+        assert!(intake.open && intake.acc.is_empty());
+        assert_eq!(
+            got,
+            [mark(1, 0), envelope(1, Path::root(nid(1)), 5), mark(1, 1)]
+        );
+    }
+
+    #[test]
+    fn a_corrupt_frame_delivers_what_came_before_it_and_nothing_after() {
+        // One 4 KiB read of a hundred frames, the 41st with an unknown tag.
+        let mut wire = Vec::new();
+        let mut bad_at = 0;
+        for k in 0..100 {
+            if k == 40 {
+                bad_at = wire.len() + 4;
+            }
+            frame::encode_into(&mut wire, &envelope(1, Path::root(nid(1)), k));
+        }
+        assert!(wire.len() <= 4096);
+        wire[bad_at] = 0x7f;
+        let (intake, got) = absorb_all(&[&wire]);
+        let before: Vec<Frame> = (0..40)
+            .map(|k| envelope(1, Path::root(nid(1)), k))
+            .collect();
+        assert_eq!(got, before);
+        assert!(!intake.open && intake.acc.is_empty());
+    }
+
+    #[test]
+    fn a_peer_that_stops_reading_cannot_hold_the_round_past_its_deadline() {
+        let round_timeout = Duration::from_millis(100);
+        let (addr, join) = join_as_node_0(
+            2,
+            MeshConfig {
+                round_timeout,
+                ..MeshConfig::default()
+            },
+        );
+        let mut mute = TcpStream::connect(addr).unwrap();
+        mute.write_all(&1u32.to_le_bytes()).unwrap();
+        let mut n0 = join.join().unwrap().unwrap();
+        let start = Instant::now();
+        assert_eq!(
+            n0.poll(),
+            PollOutcome::Event(NodeEvent::Timeout { round: 0 })
+        );
+        // 24 MiB for a peer that reads nothing: more than a loopback
+        // socket pair buffers, so a blocking write would hang here.
+        let ctx = TraceCtx::new(1, vec![0; 1000]);
+        for k in 0..3 << 10 {
+            n0.send_traced(
+                nid(1),
+                ByzMsg {
+                    path: Path::root(nid(0)),
+                    value: AgreementValue::Value(k),
+                },
+                Some(ctx.clone()),
+            );
+        }
+        assert_eq!(
+            next_outcome(&mut n0),
+            PollOutcome::Event(NodeEvent::Timeout { round: 1 })
+        );
+        assert!(start.elapsed() >= round_timeout, "closed by the deadline");
+        assert_eq!(n0.stats().false_timeouts, 1);
+        let link = tcp_link(&mut n0, 1);
+        assert!(
+            0 < link.flushed && link.flushed < link.unflushed.len(),
+            "the socket took {} of {} bytes",
+            link.flushed,
+            link.unflushed.len()
+        );
+        // The endpoint holds out for the rest of the queue until the next
+        // deadline, and no longer.
+        assert_eq!(next_outcome(&mut n0), PollOutcome::Closed);
+        assert!(start.elapsed() >= 2 * round_timeout);
+        assert!(start.elapsed() < Duration::from_secs(5));
+        assert!(!n0.ended_clean());
+    }
+
+    #[test]
+    fn an_endpoint_that_timed_a_peer_out_of_the_last_round_lingers_for_it() {
+        let config = MeshConfig {
+            round_timeout: Duration::from_millis(30),
+            ..MeshConfig::default()
+        };
+        let mut mesh = tcp_mesh(2, 1, &LinkChaos::healthy(), config).unwrap();
+        let mut n1 = mesh.pop().unwrap();
+        let mut n0 = mesh.pop().unwrap();
+        let greeting = |from: usize| ByzMsg {
+            path: Path::root(nid(from)),
+            value: AgreementValue::Value(from as u64),
+        };
+        // Node 0 runs its one round while node 1 is stalled, times it
+        // out, and closes: the half-close goes out, the socket stays.
+        assert_eq!(
+            n0.poll(),
+            PollOutcome::Event(NodeEvent::Timeout { round: 0 })
+        );
+        n0.send(nid(1), greeting(0));
+        assert_eq!(
+            next_outcome(&mut n0),
+            PollOutcome::Event(NodeEvent::Timeout { round: 1 })
+        );
+        assert_eq!(n0.poll(), PollOutcome::Closed);
+        assert_eq!(n0.stats().false_timeouts, 1);
+        assert!(!n0.ended_clean());
+        let closing = thread::spawn(move || {
+            let start = Instant::now();
+            drop(n0);
+            start.elapsed()
+        });
+        // Node 1 wakes up late: what it sends meets an open socket, and
+        // everything node 0 flushed to it — envelope, mark, end-of-stream
+        // — is there to read.
+        assert_eq!(
+            n1.poll(),
+            PollOutcome::Event(NodeEvent::Timeout { round: 0 })
+        );
+        n1.send(nid(0), greeting(1));
+        match next_outcome(&mut n1) {
+            PollOutcome::Event(NodeEvent::Deliver { src, msg }) => {
+                assert_eq!((src, msg), (nid(0), greeting(0)));
+            }
+            other => panic!("expected node 0's envelope, got {other:?}"),
+        }
+        assert_eq!(
+            next_outcome(&mut n1),
+            PollOutcome::Event(NodeEvent::Timeout { round: 1 })
+        );
+        assert_eq!(n1.poll(), PollOutcome::Closed);
+        assert_eq!(n1.stats().false_timeouts, 0);
+        assert!(n1.gone_peers().is_empty() && n1.reconnects() == 0);
+        // Node 1 stays open, so node 0 lingers its full time and no more.
+        let took = closing.join().unwrap();
+        assert!(took >= LINGER, "closed after {took:?}");
+        assert!(took < Duration::from_secs(2), "closed after {took:?}");
+        // Node 1 heard node 0's last mark: nothing is left to arrive, and
+        // it closes at once.
+        let start = Instant::now();
+        drop(n1);
+        assert!(start.elapsed() < LINGER);
+    }
+
+    #[test]
     fn traced_send_surfaces_last_trace_at_the_receiver() {
         let mut mesh = channel_mesh(2, 2, &LinkChaos::healthy(), MeshConfig::default());
         let mut n1 = mesh.pop().unwrap();
@@ -1437,7 +1994,7 @@ mod tests {
         // `send` only buffers; the sender's next poll is the flush point
         // (it also queues Mark(0) behind the envelope).
         assert_eq!(n0.poll(), PollOutcome::Pending);
-        // Spin until the reader thread forwards the frame.
+        // Spin until the frame has crossed the loopback.
         let start = Instant::now();
         loop {
             match n1.poll() {

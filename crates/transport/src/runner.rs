@@ -22,6 +22,7 @@ use simnet::NodeId;
 use std::collections::{BTreeMap, BTreeSet};
 use std::io::{self, Write};
 use std::path::PathBuf;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::thread;
 
 /// Backend-independent run knobs (all off by default).
@@ -456,21 +457,21 @@ pub fn run_sim_with(
         assert!(progressed, "sim driver stalled with events pending");
     }
     let outcomes = machines
-        .iter()
+        .into_iter()
         .zip(&endpoints)
-        .zip(std::mem::take(&mut logs))
-        .zip(std::mem::take(&mut tracers))
+        .zip(logs)
+        .zip(tracers)
         .enumerate()
         .map(|(i, (((m, t), events), tracer))| NodeOutcome {
             node: NodeId::new(i),
             decision: decisions[i],
-            view: m.view().clone(),
             stats: t.stats(),
             failure: None,
             events,
             subtrees_pruned: m.subtrees_pruned(),
             messages_saved: m.messages_saved(),
             obs: tracer.map_or_else(Obs::disabled, NodeTracer::into_obs),
+            view: m.into_view(),
         })
         .collect();
     TransportRun::assemble(TransportKind::Sim, outcomes)
@@ -495,11 +496,23 @@ pub struct MeshDriveOptions {
     pub metrics_out: Option<PathBuf>,
 }
 
-/// Drives one mesh endpoint to completion on the current thread — the
-/// loop `dagree serve` runs after [`crate::tcp_join`] hands it a joined
-/// endpoint, and the per-node body of [`run_channel`]/[`run_tcp`].
+/// Drives one mesh endpoint to completion on the current thread and
+/// closes it — the loop `dagree serve` runs after [`crate::tcp_join`]
+/// hands it a joined endpoint.
 pub fn drive_mesh(
     mut transport: MeshTransport,
+    machine: NodeStateMachine<u64>,
+    options: &MeshDriveOptions,
+) -> NodeOutcome {
+    drive(&mut transport, machine, options)
+}
+
+/// One instance on one endpoint: the body of [`drive_mesh`] and, per node,
+/// of [`run_channel`]/[`run_tcp`]. The endpoint is only borrowed, so that
+/// [`run_tcp`] can keep a TCP endpoint that ended clean; every other
+/// caller drops it when this returns.
+fn drive(
+    transport: &mut MeshTransport,
     mut machine: NodeStateMachine<u64>,
     options: &MeshDriveOptions,
 ) -> NodeOutcome {
@@ -528,12 +541,11 @@ pub fn drive_mesh(
                     degradable::NodeEvent::Deliver { .. } => None,
                 };
                 let log = options.record_events.then_some(&mut events);
-                if let Some(d) = perform(&mut transport, &mut machine, event, log, tracer.as_mut())
-                {
+                if let Some(d) = perform(transport, &mut machine, event, log, tracer.as_mut()) {
                     decision = Some(d);
                 }
                 if let (Some(round), Some(f)) = (closed_round, sink.as_mut()) {
-                    if let Err(e) = write_metrics_line(f, me, round, tracer.as_ref(), &transport) {
+                    if let Err(e) = write_metrics_line(f, me, round, tracer.as_ref(), transport) {
                         eprintln!("metrics-out: write failed, disabling: {e}");
                         sink = None;
                     }
@@ -546,13 +558,13 @@ pub fn drive_mesh(
     NodeOutcome {
         node: me,
         decision,
-        view: machine.view().clone(),
         stats: transport.stats(),
         failure: transport.failure().map(str::to_owned),
         events,
         subtrees_pruned: machine.subtrees_pruned(),
         messages_saved: machine.messages_saved(),
         obs: tracer.map_or_else(Obs::disabled, NodeTracer::into_obs),
+        view: machine.into_view(),
     }
 }
 
@@ -579,6 +591,10 @@ fn write_metrics_line(
     writeln!(f, "{}", line.to_json_string())
 }
 
+/// One instance on `mesh`, one driver thread per node, each gone when
+/// this returns. The mesh comes back only if every endpoint of it
+/// [ended clean](MeshTransport::ended_clean); an endpoint that did not is
+/// closed by its own driver, so lingering teardowns overlap.
 fn run_mesh(
     kind: TransportKind,
     mesh: Vec<MeshTransport>,
@@ -586,9 +602,9 @@ fn run_mesh(
     sender_value: Val,
     strategies: &BTreeMap<NodeId, Strategy<u64>>,
     options: RunOptions,
-) -> TransportRun {
+) -> (TransportRun, Option<Vec<MeshTransport>>) {
     let machines = machines_for(instance, sender_value, strategies, options);
-    let drive = MeshDriveOptions {
+    let options = MeshDriveOptions {
         record_events: options.record_events,
         trace: options.trace,
         ..MeshDriveOptions::default()
@@ -596,16 +612,22 @@ fn run_mesh(
     let handles: Vec<_> = mesh
         .into_iter()
         .zip(machines)
-        .map(|(t, m)| {
-            let drive = drive.clone();
-            thread::spawn(move || drive_mesh(t, m, &drive))
+        .map(|(mut t, m)| {
+            let options = options.clone();
+            thread::spawn(move || {
+                let outcome = drive(&mut t, m, &options);
+                (outcome, t.ended_clean().then_some(t))
+            })
         })
         .collect();
-    let outcomes = handles
+    let (outcomes, mesh): (Vec<_>, Vec<_>) = handles
         .into_iter()
         .map(|h| h.join().expect("mesh node thread panicked"))
-        .collect();
-    TransportRun::assemble(kind, outcomes)
+        .unzip();
+    (
+        TransportRun::assemble(kind, outcomes),
+        mesh.into_iter().collect(),
+    )
 }
 
 /// Runs the scenario with one OS thread per node over in-process channels.
@@ -644,6 +666,7 @@ pub fn run_channel_with(
         strategies,
         options,
     )
+    .0
 }
 
 /// Runs the scenario with one OS thread per node over loopback TCP.
@@ -664,7 +687,28 @@ pub fn run_tcp(
     )
 }
 
+/// The loopback mesh the last healthy [`run_tcp`] instance left standing,
+/// for the next one to run on: 21 connections at `N = 7` that are not
+/// dialed, and not left in `TIME_WAIT`, once per decision. Empty while a
+/// call has the mesh checked out. An idle standing mesh is sockets only —
+/// it runs no thread.
+static STANDING_MESH: Mutex<Option<Vec<MeshTransport>>> = Mutex::new(None);
+
+fn standing_mesh() -> MutexGuard<'static, Option<Vec<MeshTransport>>> {
+    STANDING_MESH.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// [`run_tcp`] with explicit [`RunOptions`].
+///
+/// The instance runs on the standing mesh if there is one of the same
+/// size, and on a mesh built for it otherwise (none standing, another
+/// call using it, a different `n`); either way the endpoints are re-armed
+/// for this instance — its depth, chaos and `config` — and driven by the
+/// same code. The mesh is left standing only if **every** endpoint
+/// closed every round by marks and has nothing buffered, unflushed,
+/// reconnected, gone or timed out — any other ending closes it, so a
+/// fresh mesh is the one recovery path and no frame of one instance can
+/// meet the next.
 pub fn run_tcp_with(
     instance: &ByzInstance,
     sender_value: Val,
@@ -673,15 +717,35 @@ pub fn run_tcp_with(
     config: MeshConfig,
     options: RunOptions,
 ) -> io::Result<TransportRun> {
-    let mesh = tcp_mesh(instance.n(), instance.depth(), &chaos, config)?;
-    Ok(run_mesh(
+    let (n, depth) = (instance.n(), instance.depth());
+    // One slot, and the latest healthy mesh is the one worth keeping: a
+    // standing mesh of another size is closed, once the slot's lock is
+    // released.
+    let taken = standing_mesh().take();
+    let mut mesh = match taken.filter(|mesh| mesh.len() == n) {
+        Some(mesh) => mesh,
+        None => tcp_mesh(n, depth, &chaos, config)?,
+    };
+    // A mesh just built was armed by `tcp_mesh` already; arming it again
+    // is the price of one path for both.
+    for endpoint in &mut mesh {
+        endpoint.rearm(depth, &chaos, config);
+    }
+    let (run, mesh) = run_mesh(
         TransportKind::Tcp,
         mesh,
         instance,
         sender_value,
         strategies,
         options,
-    ))
+    );
+    if mesh.is_some() {
+        // Whatever a concurrent call left meanwhile is closed outside the
+        // lock.
+        let replaced = std::mem::replace(&mut *standing_mesh(), mesh);
+        drop(replaced);
+    }
+    Ok(run)
 }
 
 /// Runs the scenario on the backend selected by `kind` — the harness/CLI
@@ -722,6 +786,7 @@ pub fn run_kind_with(
 mod tests {
     use super::*;
     use degradable::{run_protocol, Params};
+    use std::time::Duration;
 
     fn instance(n: usize, m: usize, u: usize) -> ByzInstance {
         ByzInstance::new(n, Params::new(m, u).unwrap(), NodeId::new(0)).unwrap()
@@ -993,6 +1058,132 @@ mod tests {
             // in-memory, TCP: the 0x03 wire tag); nothing arrives
             // untraced on a healthy network.
             assert_eq!(reg.counter("trace.delivers_untraced"), 0, "{kind}");
+        }
+    }
+
+    #[test]
+    fn a_mesh_that_ran_clean_runs_the_next_instance_and_any_other_ending_closes_it() {
+        let inst = instance(4, 1, 1);
+        let liar: BTreeMap<_, _> = [(NodeId::new(2), Strategy::ConstantLie(Val::Value(6)))]
+            .into_iter()
+            .collect();
+        let on = |mesh, value, strategies: &BTreeMap<_, _>| {
+            run_mesh(
+                TransportKind::Tcp,
+                mesh,
+                &inst,
+                Val::Value(value),
+                strategies,
+                RunOptions::default(),
+            )
+        };
+        let mesh = tcp_mesh(
+            4,
+            inst.depth(),
+            &LinkChaos::healthy(),
+            MeshConfig::default(),
+        )
+        .unwrap();
+        let (first, mesh) = on(mesh, 7, &BTreeMap::new());
+        assert!(first.decisions.values().all(|d| *d == Val::Value(7)));
+        let mut mesh = mesh.expect("a clean instance leaves its mesh standing");
+        // The same sockets, re-armed: the second instance sees none of
+        // the first (its views are the simulator's, slot for slot).
+        for t in &mut mesh {
+            t.rearm(inst.depth(), &LinkChaos::healthy(), MeshConfig::default());
+        }
+        let (second, mesh) = on(mesh, 8, &liar);
+        let sim = run_sim(&inst, Val::Value(8), &liar, LinkChaos::healthy(), None);
+        assert_eq!(second.decisions, sim.decisions);
+        assert_eq!(second.views, sim.views);
+        assert_eq!(second.stats.false_timeouts, 0);
+        let mut mesh = mesh.expect("and so does the second");
+        // A deadline no mark can beat: every node times its peers out,
+        // and a mesh that saw a timeout is not kept.
+        let rushed = MeshConfig {
+            round_timeout: Duration::from_nanos(1),
+            ..MeshConfig::default()
+        };
+        for t in &mut mesh {
+            t.rearm(inst.depth(), &LinkChaos::healthy(), rushed);
+        }
+        let (third, mesh) = on(mesh, 9, &BTreeMap::new());
+        assert!(third.stats.false_timeouts > 0);
+        assert!(mesh.is_none(), "a timed-out instance closes its mesh");
+    }
+
+    #[test]
+    fn a_driver_stalled_past_the_last_deadline_degrades_the_run_and_closes_the_mesh() {
+        // §6: a false absence degrades, never breaks. Node 3 stalls at the
+        // opening of the last round, past everyone's 30 ms deadline: the
+        // others time it out, which makes it one faulty node — within `m`.
+        let inst = instance(4, 1, 1);
+        let stalled = NodeId::new(3);
+        let config = MeshConfig {
+            round_timeout: Duration::from_millis(30),
+            ..MeshConfig::default()
+        };
+        let mesh = tcp_mesh(4, inst.depth(), &LinkChaos::healthy(), config).unwrap();
+        let machines = machines_for(
+            &inst,
+            Val::Value(5),
+            &BTreeMap::new(),
+            RunOptions::default(),
+        );
+        let last_round = inst.depth() - 1;
+        let handles: Vec<_> = mesh
+            .into_iter()
+            .zip(machines)
+            .map(|(mut t, mut m)| {
+                thread::spawn(move || {
+                    if t.me() != stalled {
+                        let outcome = drive(&mut t, m, &MeshDriveOptions::default());
+                        return (outcome.decision, t);
+                    }
+                    let mut decision = None;
+                    loop {
+                        match t.poll() {
+                            PollOutcome::Event(event) => {
+                                if event == (degradable::NodeEvent::Timeout { round: last_round }) {
+                                    thread::sleep(Duration::from_millis(200));
+                                }
+                                decision = perform(&mut t, &mut m, event, None, None).or(decision);
+                            }
+                            PollOutcome::Pending => t.wait(),
+                            PollOutcome::Closed => return (decision, t),
+                        }
+                    }
+                })
+            })
+            .collect();
+        let nodes: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+        let decisions = nodes
+            .iter()
+            .filter_map(|(decision, t)| decision.map(|d| (t.me(), d)))
+            .collect();
+        let record = degradable::RunRecord {
+            params: inst.params(),
+            n: 4,
+            sender: NodeId::new(0),
+            sender_value: Val::Value(5),
+            faulty: [stalled].into_iter().collect(),
+            decisions,
+        };
+        assert!(
+            matches!(
+                degradable::check_degradable(&record),
+                degradable::Verdict::Satisfied(_)
+            ),
+            "{record:?}"
+        );
+        // Envelopes among the three prompt nodes: the sender's to 1 and 2,
+        // and their relays to each other. Every one arrived, the stalled
+        // node's did not, and no endpoint would be kept.
+        for (_, t) in nodes.iter().filter(|(_, t)| t.me() != stalled) {
+            let expected = if t.me() == inst.sender() { 0 } else { 2 };
+            assert_eq!(t.stats().delivered, expected, "node {}", t.me());
+            assert_eq!(t.stats().false_timeouts, 1, "node {}", t.me());
+            assert!(!t.ended_clean(), "node {}", t.me());
         }
     }
 

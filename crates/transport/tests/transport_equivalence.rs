@@ -301,7 +301,7 @@ fn malformed_trace_frames_over_live_tcp_degrade_to_untraced_deliveries() {
     // *untraced* message — and the connection must survive to carry later
     // traffic. The codec tests prove this at the byte level; this test
     // proves it end to end, through a real listener, the id handshake, and
-    // the mesh reader thread.
+    // the endpoint's own socket reads.
     use degradable::{ByzMsg, NodeEvent, Path};
     use obs::TraceCtx;
     use std::io::Write;

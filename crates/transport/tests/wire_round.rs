@@ -5,18 +5,30 @@
 //! peer's delayed ACK of the first — a ≈ 40 ms kernel timer per round, so
 //! three BYZ(2,2) rounds took ≈ 130 ms whatever the processor. The bound
 //! below sits between the two regimes: it trips on the timer, not on a
-//! slow host. The other two tests pin the teardown contract: a finished
-//! endpoint half-closes, so no flushed frame is lost and no thread lingers.
+//! slow host. The others pin what a run leaves behind. `run_tcp` keeps the
+//! mesh of a healthy instance standing for the next one, and a mesh
+//! endpoint owns no thread, so consecutive healthy runs lose no frame and
+//! grow nothing: not the thread count, not the descriptor table, not the
+//! kernel's `TIME_WAIT` list. Any other ending closes the mesh, and the
+//! next call builds one. An endpoint that is closed after one instance —
+//! `drive_mesh`, the life of a `dagree serve` node — still loses no frame
+//! to its teardown, however the closes race.
 //!
-//! The tests share the process's loopback stack and thread table, so they
-//! take turns.
+//! The tests share the process's loopback stack, thread table and standing
+//! mesh, so they take turns.
 
-use degradable::{ByzInstance, Params, Val};
+use degradable::{ByzInstance, NodeStateMachine, Params, Val};
 use simnet::NodeId;
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
-use transport::{run_tcp, LinkChaos, MeshConfig, TransportRun};
+use transport::{
+    drive_mesh, run_tcp, tcp_mesh, LinkChaos, MeshConfig, MeshDriveOptions, Transport, TransportRun,
+};
+
+fn turn() -> std::sync::MutexGuard<'static, ()> {
+    ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
 
@@ -24,28 +36,35 @@ const N: usize = 7;
 /// Envelopes of one fault-free BYZ(2,2) instance at N=7: 6 + 6·5 + 6·5·4.
 const ENVELOPES: u64 = 156;
 
-/// One fault-free BYZ(2,2) instance over a fresh loopback mesh, sender
-/// node 3 (so both dialed and accepted links carry the first round).
-fn healthy_run(value: u64) -> TransportRun {
-    let instance = ByzInstance::new(N, Params::new(2, 2).unwrap(), NodeId::new(3)).unwrap();
+/// One fault-free BYZ(`m`,`m`) instance at `n = 3m + 1` over loopback,
+/// sender node 3 (so both dialed and accepted links carry the first
+/// round); every receiver must decide the sender's value.
+fn fault_free_run(m: usize, value: u64, config: MeshConfig) -> TransportRun {
+    let n = 3 * m + 1;
+    let instance = ByzInstance::new(n, Params::new(m, m).unwrap(), NodeId::new(3)).unwrap();
     let run = run_tcp(
         &instance,
         Val::Value(value),
         &BTreeMap::new(),
         LinkChaos::healthy(),
-        MeshConfig::default(),
+        config,
     )
     .expect("loopback mesh set-up");
-    assert_eq!(run.decisions.len(), N - 1);
+    assert_eq!(run.decisions.len(), n - 1);
     for (node, decision) in &run.decisions {
         assert_eq!(*decision, Val::Value(value), "node {node}");
     }
     run
 }
 
+/// The workload's instance: BYZ(2,2) at N = 7, default configuration.
+fn healthy_run(value: u64) -> TransportRun {
+    fault_free_run(2, value, MeshConfig::default())
+}
+
 #[test]
 fn healthy_run_is_not_paced_by_the_delayed_ack_timer() {
-    let _turn = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let _turn = turn();
     let mut walls: Vec<Duration> = (0..9)
         .map(|i| {
             let start = Instant::now();
@@ -66,16 +85,102 @@ fn healthy_run_is_not_paced_by_the_delayed_ack_timer() {
 
 #[test]
 fn two_hundred_consecutive_runs_lose_no_frame_to_teardown() {
-    // Nodes finish at different moments and drop their endpoints while
-    // peers are still reading: every envelope written must still arrive
-    // (a reset instead of a half-close would show up as a missing
-    // delivery or, through a missing mark, as a false timeout).
-    let _turn = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    // The life of a `dagree serve` endpoint, which no standing mesh
+    // spares: a mesh per run, every endpoint handed to `drive_mesh` on its
+    // own thread and closed by it the moment its node is done. Nodes
+    // finish at different moments and close while peers are still
+    // reading: every envelope written must still arrive (a reset instead
+    // of a half-close would show up as a missing delivery or, through a
+    // missing mark, as a false timeout).
+    let _turn = turn();
+    let instance = ByzInstance::new(N, Params::new(2, 2).unwrap(), NodeId::new(3)).unwrap();
     for i in 0..200 {
+        let mesh = tcp_mesh(
+            N,
+            instance.depth(),
+            &LinkChaos::healthy(),
+            MeshConfig::default(),
+        )
+        .expect("loopback mesh set-up");
+        let drivers: Vec<_> = mesh
+            .into_iter()
+            .map(|endpoint| {
+                let machine = NodeStateMachine::new(&instance, endpoint.me(), Val::Value(i), None);
+                std::thread::spawn(move || {
+                    drive_mesh(endpoint, machine, &MeshDriveOptions::default())
+                })
+            })
+            .collect();
+        let (mut sent, mut delivered) = (0, 0);
+        for driver in drivers {
+            let outcome = driver.join().expect("a driver failed");
+            let decided = (outcome.node != instance.sender()).then_some(Val::Value(i));
+            assert_eq!(outcome.decision, decided, "run {i} node {}", outcome.node);
+            assert_eq!(
+                outcome.stats.false_timeouts, 0,
+                "run {i} node {}",
+                outcome.node
+            );
+            sent += outcome.stats.sent;
+            delivered += outcome.stats.delivered;
+        }
+        assert_eq!(sent, ENVELOPES, "run {i}");
+        assert_eq!(delivered, ENVELOPES, "run {i}");
+    }
+}
+
+#[test]
+fn a_different_size_or_a_timed_out_instance_gets_a_fresh_mesh() {
+    let _turn = turn();
+    healthy_run(1);
+    // Another `n`: the standing seven-node mesh does not fit.
+    assert_eq!(
+        fault_free_run(1, 2, MeshConfig::default())
+            .stats
+            .false_timeouts,
+        0
+    );
+    assert_eq!(healthy_run(3).stats.false_timeouts, 0);
+    // A deadline no mark can beat: every round closes on it. Whatever
+    // that instance decided, its mesh is not the next instance's.
+    let instance = ByzInstance::new(N, Params::new(2, 2).unwrap(), NodeId::new(3)).unwrap();
+    let rushed = run_tcp(
+        &instance,
+        Val::Value(4),
+        &BTreeMap::new(),
+        LinkChaos::healthy(),
+        MeshConfig {
+            round_timeout: Duration::from_nanos(1),
+            ..MeshConfig::default()
+        },
+    )
+    .expect("loopback mesh set-up");
+    assert!(rushed.stats.false_timeouts > 0);
+    for i in 5..8 {
         let run = healthy_run(i);
         assert_eq!(run.stats.false_timeouts, 0, "run {i}");
-        assert_eq!(run.stats.sent, ENVELOPES, "run {i}");
         assert_eq!(run.stats.delivered, ENVELOPES, "run {i}");
+    }
+}
+
+#[test]
+fn two_callers_at_once_both_decide() {
+    // One of them finds the standing mesh checked out and builds its own.
+    let _turn = turn();
+    healthy_run(0);
+    let callers: Vec<_> = (0..2)
+        .map(|caller| {
+            std::thread::spawn(move || {
+                for i in 0..20 {
+                    let run = healthy_run(100 * caller + i);
+                    assert_eq!(run.stats.false_timeouts, 0, "caller {caller} run {i}");
+                    assert_eq!(run.stats.delivered, ENVELOPES, "caller {caller} run {i}");
+                }
+            })
+        })
+        .collect();
+    for caller in callers {
+        caller.join().expect("a caller failed");
     }
 }
 
@@ -91,22 +196,52 @@ fn finished_runs_leave_no_thread_behind() {
         line.trim().parse().expect("a thread count")
     }
 
-    let _turn = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let _turn = turn();
+    // The first runs let the test harness finish starting its own threads
+    // (the other tests of this file, parked on the lock).
+    for i in 0..10 {
+        healthy_run(i);
+    }
     let before = threads();
     for i in 0..40 {
         healthy_run(i);
     }
-    // Each run spawned 7 drivers, 7 acceptors and 42 readers. The test
-    // harness may start a test thread of its own meanwhile, hence the
-    // small allowance.
-    let allowed = before + 4;
-    let start = Instant::now();
-    while threads() > allowed && start.elapsed() < Duration::from_millis(100) {
-        std::thread::sleep(Duration::from_millis(5));
+    // Each run spawned seven drivers and joined them; the standing mesh
+    // runs nothing. Exact, and at once.
+    assert_eq!(threads(), before, "threads after 40 runs");
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn consecutive_healthy_runs_grow_no_time_wait_and_no_descriptors() {
+    /// Sockets in `TIME_WAIT`, as the kernel counts them.
+    fn time_wait() -> i64 {
+        let sockstat = std::fs::read_to_string("/proc/net/sockstat").expect("procfs");
+        let tcp = sockstat
+            .lines()
+            .find(|l| l.starts_with("TCP:"))
+            .expect("a TCP: line");
+        let mut fields = tcp.split_whitespace().skip_while(|f| *f != "tw");
+        fields.nth(1).expect("a tw field").parse().expect("a count")
     }
-    let after = threads();
-    assert!(
-        after <= allowed,
-        "{after} threads 100 ms after 40 runs, {before} before them"
-    );
+    fn descriptors() -> usize {
+        std::fs::read_dir("/proc/self/fd").expect("procfs").count()
+    }
+
+    let _turn = turn();
+    let tw_before = time_wait();
+    let mut fds_after_10 = 0;
+    for i in 0..200 {
+        // On the standing mesh nothing is torn down, and nothing is lost.
+        let run = healthy_run(i);
+        assert_eq!(run.stats.false_timeouts, 0, "run {i}");
+        assert_eq!(run.stats.delivered, ENVELOPES, "run {i}");
+        if i == 9 {
+            fds_after_10 = descriptors();
+        }
+    }
+    // One mesh per run left 21 sockets in TIME_WAIT each: + 4 200.
+    let grown = time_wait() - tw_before;
+    assert!(grown < 50, "TIME_WAIT grew by {grown} over 200 runs");
+    assert_eq!(descriptors(), fds_after_10, "descriptors after 200 runs");
 }
