@@ -143,24 +143,36 @@ impl<V: Clone + Ord> EigView<V> {
     /// Folds the tree bottom-up from the root path `[sender]` and returns
     /// this receiver's decision.
     pub fn resolve(&self, sender: NodeId, rule: VoteRule) -> AgreementValue<V> {
-        self.resolve_path(&Path::root(sender), rule)
+        self.fold(&Path::root(sender), rule, &|_| false, &mut |_, _, _| {})
     }
 
-    fn resolve_path(&self, path: &Path, rule: VoteRule) -> AgreementValue<V> {
-        if path.len() >= self.depth {
+    /// The one recursion behind [`EigView::resolve`],
+    /// [`EigView::resolve_pruned`] and [`EigView::resolve_traced`]: a path
+    /// at the tree's depth, or one `leaf` says to stop at, resolves to the
+    /// value stored for it; any other to the vote over that value and the
+    /// resolved sub-instances relayed by every other receiver of the path,
+    /// which `step` gets to see (path, gathered inputs, outcome).
+    fn fold(
+        &self,
+        path: &Path,
+        rule: VoteRule,
+        leaf: &impl Fn(&Path) -> bool,
+        step: &mut impl FnMut(&Path, Vec<AgreementValue<V>>, &AgreementValue<V>),
+    ) -> AgreementValue<V> {
+        if path.len() >= self.depth || leaf(path) {
             return self.seen(path);
         }
-        // Own stored value for this path plus the resolved sub-instances
-        // relayed by every other receiver of this path.
         let mut values = Vec::with_capacity(self.n - path.len());
         values.push(self.seen(path));
         for child in path.children(self.n) {
             if child.last() != self.me {
-                values.push(self.resolve_path(&child, rule));
+                values.push(self.fold(&child, rule, leaf, step));
             }
         }
         debug_assert_eq!(values.len(), self.n - path.len());
-        rule.combine(self.n, path.len(), &values)
+        let result = rule.combine(self.n, path.len(), &values);
+        step(path, values, &result);
+        result
     }
 }
 
@@ -194,27 +206,8 @@ impl<V: Clone + Ord> EigView<V> {
         rule: VoteRule,
         faulty: &BTreeSet<NodeId>,
     ) -> AgreementValue<V> {
-        self.resolve_pruned_path(&Path::root(sender), rule, faulty)
-    }
-
-    fn resolve_pruned_path(
-        &self,
-        path: &Path,
-        rule: VoteRule,
-        faulty: &BTreeSet<NodeId>,
-    ) -> AgreementValue<V> {
-        if path.len() >= self.depth || prunable_path(path, faulty) {
-            return self.seen(path);
-        }
-        let mut values = Vec::with_capacity(self.n - path.len());
-        values.push(self.seen(path));
-        for child in path.children(self.n) {
-            if child.last() != self.me {
-                values.push(self.resolve_pruned_path(&child, rule, faulty));
-            }
-        }
-        debug_assert_eq!(values.len(), self.n - path.len());
-        rule.combine(self.n, path.len(), &values)
+        let leaf = |path: &Path| prunable_path(path, faulty);
+        self.fold(&Path::root(sender), rule, &leaf, &mut |_, _, _| {})
     }
 }
 
@@ -240,33 +233,15 @@ impl<V: Clone + Ord + std::fmt::Display> EigView<V> {
         rule: VoteRule,
     ) -> (AgreementValue<V>, Vec<FoldStep<V>>) {
         let mut steps = Vec::new();
-        let decision = self.resolve_traced_path(&Path::root(sender), rule, &mut steps);
+        let mut record = |path: &Path, gathered, result: &AgreementValue<V>| {
+            steps.push(FoldStep {
+                path: path.clone(),
+                gathered,
+                result: result.clone(),
+            })
+        };
+        let decision = self.fold(&Path::root(sender), rule, &|_| false, &mut record);
         (decision, steps)
-    }
-
-    fn resolve_traced_path(
-        &self,
-        path: &Path,
-        rule: VoteRule,
-        steps: &mut Vec<FoldStep<V>>,
-    ) -> AgreementValue<V> {
-        if path.len() >= self.depth {
-            return self.seen(path);
-        }
-        let mut values = Vec::with_capacity(self.n - path.len());
-        values.push(self.seen(path));
-        for child in path.children(self.n) {
-            if child.last() != self.me {
-                values.push(self.resolve_traced_path(&child, rule, steps));
-            }
-        }
-        let result = rule.combine(self.n, path.len(), &values);
-        steps.push(FoldStep {
-            path: path.clone(),
-            gathered: values,
-            result: result.clone(),
-        });
-        result
     }
 }
 

@@ -47,6 +47,18 @@
 //! and calls the same [`VoteRule::combine`], and the fast path calls it
 //! once on the shared multiset. `tests/engine_equivalence.rs` checks
 //! this differentially over the full E10 certification space.
+//!
+//! # One walk, two lanes
+//!
+//! The pass is written once, over a small crate-private `Lanes` trait:
+//! what a label's receivers hold, `VOTE` over the shared multiset, `VOTE`
+//! over one gather. The store is one lane (values, voted by
+//! [`VoteRule::combine`]); [`EigEngine::with_packed_vote`] arms the other
+//! (`u8` palette codes, see `packed.rs`). Everything that decides *which*
+//! votes are taken — level order, the uniformity test, the collapse, the
+//! early-stop frontier, the `workers` fan-out, spans and counters — is the
+//! walk's, so the two lanes agree in decisions, counters and spans because
+//! there is nothing else for them to differ in.
 
 use crate::eig::{Fabricate, VoteRule};
 use crate::path::{path_count, Path};
@@ -325,17 +337,6 @@ impl PathArena {
     pub fn ids(&self) -> impl Iterator<Item = PathId> + '_ {
         (0..self.nodes.len() as u32).map(PathId)
     }
-
-    /// The flat node table (crate-internal: the packed resolver walks
-    /// it directly).
-    pub(crate) fn nodes_raw(&self) -> &[ArenaNode] {
-        &self.nodes
-    }
-
-    /// The per-level id ranges (crate-internal).
-    pub(crate) fn levels_raw(&self) -> &[Range<u32>] {
-        &self.levels
-    }
 }
 
 /// Dense slot table `store[σ][receiver]` over a [`PathArena`].
@@ -434,20 +435,98 @@ impl<V> EigStore<V> {
     }
 }
 
-/// Per-node resolution result covering all receivers at once.
+/// What the bottom-up walk ([`EigEngine::resolve_observed`]) needs of a
+/// value representation — a *lane*. The walk owns every decision of the
+/// resolution (level order, the uniformity test, the fast/slow split, the
+/// collapse, the early-stop frontier, the thread fan-out, spans and
+/// counters); a lane only says what a label's receivers hold and what
+/// `VOTE` makes of a multiset, so two lanes cannot differ in anything but
+/// how a value is spelled. The store itself is one lane (values, voted by
+/// [`VoteRule::combine`]); `crate::packed` is the other (palette codes).
+pub(crate) trait Lanes<V>: Sync {
+    /// One receiver's value; `Default` is `V_d`, and equality is equality
+    /// of the values spelled.
+    type Code: Clone + Default + PartialEq + Send + Sync;
+
+    /// The effective value every receiver holds for `id`, indexed by
+    /// receiver (absent reads as `V_d`; on-path positions are never
+    /// read). `buf`, one slot per node, is there to be filled and
+    /// returned by a lane that has no such row lying around.
+    fn row<'a>(&'a self, id: PathId, buf: &'a mut [Self::Code]) -> &'a [Self::Code];
+
+    /// `VOTE` at a label of length `len` over the multiset every receiver
+    /// shares when nothing below the label tells them apart:
+    /// `{a} ∪ {v × (receivers − 1)}`.
+    fn vote_shared(
+        &self,
+        len: usize,
+        a: &Self::Code,
+        v: &Self::Code,
+        scratch: &mut Vec<Self::Code>,
+    ) -> Self::Code;
+
+    /// `VOTE` at a label of length `len` over one receiver's gather.
+    fn vote(&self, len: usize, gathered: &[Self::Code]) -> Self::Code;
+
+    /// The value a code spells.
+    fn decode(&self, code: &Self::Code) -> AgreementValue<V>;
+}
+
+/// The store as a lane: values as they were recorded, voted by the rule
+/// itself — the reference gather, and what every other lane is held to.
+struct StoreLanes<'a, V> {
+    store: &'a EigStore<V>,
+    rule: VoteRule,
+}
+
+impl<V: Clone + Ord + Send + Sync> Lanes<V> for StoreLanes<'_, V> {
+    type Code = AgreementValue<V>;
+
+    fn row<'a>(&'a self, id: PathId, buf: &'a mut [Self::Code]) -> &'a [Self::Code] {
+        let n = self.store.n;
+        let slots = &self.store.slots[id.index() * n..][..n];
+        for (own, slot) in buf.iter_mut().zip(slots) {
+            *own = slot.clone().unwrap_or_default();
+        }
+        buf
+    }
+
+    fn vote_shared(
+        &self,
+        len: usize,
+        a: &Self::Code,
+        v: &Self::Code,
+        scratch: &mut Vec<Self::Code>,
+    ) -> Self::Code {
+        scratch.clear();
+        scratch.push(a.clone());
+        scratch.resize(self.store.n - len, v.clone());
+        self.vote(len, scratch)
+    }
+
+    fn vote(&self, len: usize, gathered: &[Self::Code]) -> Self::Code {
+        self.rule.combine(self.store.n, len, gathered)
+    }
+
+    fn decode(&self, code: &Self::Code) -> AgreementValue<V> {
+        code.clone()
+    }
+}
+
+/// Per-node resolution result covering all receivers at once, in a
+/// lane's codes.
 ///
 /// `Uniform(v)` means *every* off-path receiver resolves this subtree
 /// to `v` — the memoized case. `PerReceiver` keeps one resolution per
-/// receiver (slots of on-path nodes hold `V_d` placeholders and are
-/// never read).
+/// receiver (slots of on-path nodes are never read).
 #[derive(Debug, Clone)]
-enum Summary<V> {
-    Uniform(AgreementValue<V>),
-    PerReceiver(Box<[AgreementValue<V>]>),
+enum Summary<C> {
+    Uniform(C),
+    PerReceiver(Box<[C]>),
 }
 
-impl<V> Summary<V> {
-    fn value_for(&self, receiver: usize) -> &AgreementValue<V> {
+impl<C> Summary<C> {
+    fn value_for(&self, receiver: usize) -> &C {
         match self {
             Summary::Uniform(v) => v,
             Summary::PerReceiver(vals) => &vals[receiver],
@@ -584,11 +663,6 @@ impl EigEngine {
         Ok(self)
     }
 
-    /// Whether early stopping is armed (and with which fault mask).
-    pub(crate) fn early_stop_mask(&self) -> Option<u64> {
-        self.early_stop
-    }
-
     /// Whether early stopping is armed.
     pub fn early_stop_enabled(&self) -> bool {
         self.early_stop.is_some()
@@ -610,11 +684,6 @@ impl EigEngine {
         self.packed_vote
     }
 
-    /// Whether per-chunk spans are recorded (crate-internal).
-    pub(crate) fn worker_spans_enabled(&self) -> bool {
-        self.worker_spans
-    }
-
     /// The shared arena.
     pub fn arena(&self) -> &PathArena {
         &self.arena
@@ -624,7 +693,7 @@ impl EigEngine {
     /// arena shape and the armed fault mask: the number of frontier
     /// subtrees cut, and the relay envelopes (one per off-path
     /// receiver of each skipped label) that were never sent.
-    pub(crate) fn prune_counters(&self) -> (u64, u64) {
+    fn prune_counters(&self) -> (u64, u64) {
         let Some(mask) = self.early_stop else {
             return (0, 0);
         };
@@ -778,16 +847,48 @@ impl EigEngine {
         store: &EigStore<V>,
         obs: &mut Obs,
     ) -> EngineRun<V> {
-        if self.packed_vote {
-            if let Some(run) = crate::packed::resolve_packed(self, rule, store, obs) {
-                return run;
-            }
-        }
         let resolve_start = Instant::now();
+        // The packed lane takes the rule it was written for and a store
+        // whose values fit its palette; the store itself takes anything.
+        let palette = match rule {
+            VoteRule::Degradable { m } if self.packed_vote => {
+                crate::packed::Palette::build(&self.arena, store, m)
+            }
+            _ => None,
+        };
+        let (decisions, votes_evaluated, votes_memo_hit) = match &palette {
+            Some(palette) => self.walk(palette, obs),
+            None => self.walk(&StoreLanes { store, rule }, obs),
+        };
+        let (subtrees_pruned, messages_saved) = self.prune_counters();
+        let perf = EigPerf {
+            arena_nodes: self.arena.node_count() as u64,
+            votes_evaluated,
+            votes_memo_hit,
+            messages_materialized: store.materialized(),
+            subtrees_pruned,
+            messages_saved,
+            fill_nanos: 0,
+            resolve_nanos: resolve_start.elapsed().as_nanos() as u64,
+        };
+        if let Some(registry) = obs.registry_mut() {
+            perf.fold_into(registry);
+        }
+        EngineRun { decisions, perf }
+    }
+
+    /// The one bottom-up walk, over whichever lane spells the values:
+    /// every receiver's decision, and the votes evaluated and memo-hit on
+    /// the way.
+    fn walk<V, L: Lanes<V>>(
+        &self,
+        lanes: &L,
+        obs: &mut Obs,
+    ) -> (BTreeMap<NodeId, AgreementValue<V>>, u64, u64) {
         // Chunk wall times are only sampled when someone will read them.
         let timed_chunks = obs.is_enabled() && self.worker_spans;
         let arena = &self.arena;
-        let mut summaries: Vec<Option<Summary<V>>> = Vec::new();
+        let mut summaries: Vec<Option<Summary<L::Code>>> = Vec::new();
         summaries.resize_with(arena.node_count(), || None);
         let mut votes_evaluated = 0u64;
         let mut votes_memo_hit = 0u64;
@@ -806,8 +907,7 @@ impl EigEngine {
             let chunk_stats: Vec<(u64, u64, u64)> = if self.workers <= 1 || count <= chunk_len {
                 vec![resolve_chunk(
                     arena,
-                    store,
-                    rule,
+                    lanes,
                     range.start,
                     level_slice,
                     &*deeper,
@@ -816,7 +916,7 @@ impl EigEngine {
                     timed_chunks,
                 )]
             } else {
-                let deeper_ref: &[Option<Summary<V>>] = deeper;
+                let deeper_ref: &[Option<Summary<L::Code>>] = deeper;
                 let early = self.early_stop;
                 std::thread::scope(|scope| {
                     let mut handles = Vec::new();
@@ -825,8 +925,7 @@ impl EigEngine {
                         handles.push(scope.spawn(move || {
                             resolve_chunk(
                                 arena,
-                                store,
-                                rule,
+                                lanes,
                                 first_id,
                                 chunk,
                                 deeper_ref,
@@ -872,24 +971,9 @@ impl EigEngine {
             if r == arena.sender {
                 continue;
             }
-            decisions.insert(r, root.value_for(r.index()).clone());
+            decisions.insert(r, lanes.decode(root.value_for(r.index())));
         }
-
-        let (subtrees_pruned, messages_saved) = self.prune_counters();
-        let perf = EigPerf {
-            arena_nodes: arena.node_count() as u64,
-            votes_evaluated,
-            votes_memo_hit,
-            messages_materialized: store.materialized(),
-            subtrees_pruned,
-            messages_saved,
-            fill_nanos: 0,
-            resolve_nanos: resolve_start.elapsed().as_nanos() as u64,
-        };
-        if let Some(registry) = obs.registry_mut() {
-            perf.fold_into(registry);
-        }
-        EngineRun { decisions, perf }
+        (decisions, votes_evaluated, votes_memo_hit)
     }
 }
 
@@ -900,13 +984,12 @@ impl EigEngine {
 /// sampled when `timed` (zero otherwise), so untimed runs pay no clock
 /// reads in the fan-out hot path.
 #[allow(clippy::too_many_arguments)]
-fn resolve_chunk<V: Clone + Ord>(
+fn resolve_chunk<V, L: Lanes<V>>(
     arena: &PathArena,
-    store: &EigStore<V>,
-    rule: VoteRule,
+    lanes: &L,
     first_id: u32,
-    out: &mut [Option<Summary<V>>],
-    deeper: &[Option<Summary<V>>],
+    out: &mut [Option<Summary<L::Code>>],
+    deeper: &[Option<Summary<L::Code>>],
     deeper_offset: u32,
     early_stop: Option<u64>,
     timed: bool,
@@ -915,12 +998,15 @@ fn resolve_chunk<V: Clone + Ord>(
     let n = arena.n;
     let mut votes_evaluated = 0u64;
     let mut votes_memo_hit = 0u64;
-    let mut scratch: Vec<AgreementValue<V>> = Vec::with_capacity(n);
+    let mut scratch: Vec<L::Code> = Vec::with_capacity(n);
+    // One row of own values and one of per-receiver votes, reused by
+    // every node of the chunk.
+    let mut own_buf = vec![L::Code::default(); n];
+    let mut per = vec![L::Code::default(); n];
 
     for (slot, id) in out.iter_mut().zip(first_id..) {
         let node = &arena.nodes[id as usize];
         let len = node.len as usize;
-        let id = PathId(id);
 
         // Strictly below the early-stop frontier nothing was filled and
         // no ancestor reads the summary (the cut is downward-closed and
@@ -934,22 +1020,10 @@ fn resolve_chunk<V: Clone + Ord>(
         }
 
         // Effective own values (absent reads as V_d), plus uniformity.
-        let mut own: Vec<AgreementValue<V>> = Vec::new();
-        own.resize_with(n, AgreementValue::default);
-        let mut first_receiver: Option<usize> = None;
-        let mut uniform = true;
-        for r in 0..n {
-            if node.members >> r & 1 == 1 {
-                continue;
-            }
-            if let Some(v) = store.get(id, NodeId::new(r)) {
-                own[r] = v.clone();
-            }
-            match first_receiver {
-                None => first_receiver = Some(r),
-                Some(f) => uniform = uniform && own[f] == own[r],
-            }
-        }
+        let own = lanes.row(PathId(id), &mut own_buf);
+        let mut receivers = (0..n).filter(|r| node.members >> r & 1 == 0);
+        let first_receiver = receivers.next();
+        let uniform = first_receiver.is_none_or(|f| receivers.all(|r| own[f] == own[r]));
 
         let frontier = early_stop.is_some_and(|mask| prunable_node(node, mask));
         if node.child_count == 0 || frontier {
@@ -965,91 +1039,63 @@ fn resolve_chunk<V: Clone + Ord>(
             debug_assert!(frontier || len == arena.levels.len());
             *slot = Some(match first_receiver {
                 Some(r) if uniform => Summary::Uniform(own[r].clone()),
-                Some(_) => Summary::PerReceiver(own.into_boxed_slice()),
-                None => Summary::Uniform(AgreementValue::default()),
+                Some(_) => Summary::PerReceiver(own.into()),
+                None => Summary::Uniform(L::Code::default()),
             });
             continue;
         }
 
         let children = node.first_child..node.first_child + node.child_count;
-        let receivers = n - len;
+        let child = |c: u32| {
+            deeper[(c - deeper_offset) as usize]
+                .as_ref()
+                .expect("deeper levels resolved first")
+        };
+        let first_receiver = first_receiver.expect("internal nodes have receivers");
 
         // Fast path: own slots uniform and every child subtree uniform
         // with one shared value. Each receiver's gather is then the
         // same multiset {own} ∪ {v × (receivers-1)} — one VOTE serves
         // all of them (see module docs for the exclusion argument).
-        let child_uniform = if uniform {
-            let mut shared: Option<&AgreementValue<V>> = None;
-            let mut all = true;
-            for c in children.clone() {
-                match &deeper[(c - deeper_offset) as usize] {
-                    Some(Summary::Uniform(v)) => match shared {
-                        None => shared = Some(v),
-                        Some(s) => all = all && s == v,
-                    },
-                    _ => {
-                        all = false;
-                        break;
-                    }
-                }
-            }
-            if all {
-                shared.cloned()
-            } else {
-                None
-            }
-        } else {
-            None
+        let child_uniform = match child(children.start) {
+            Summary::Uniform(v) if uniform => children
+                .clone()
+                .all(|c| matches!(child(c), Summary::Uniform(w) if w == v))
+                .then_some(v),
+            _ => None,
         };
 
         if let Some(v) = child_uniform {
-            let a = own[first_receiver.expect("internal nodes have receivers")].clone();
-            scratch.clear();
-            scratch.push(a);
-            scratch.resize(receivers, v);
-            let combined = rule.combine(n, len, &scratch);
+            let combined = lanes.vote_shared(len, &own[first_receiver], v, &mut scratch);
             votes_evaluated += 1;
-            votes_memo_hit += receivers as u64 - 1;
+            votes_memo_hit += (n - len) as u64 - 1;
             *slot = Some(Summary::Uniform(combined));
             continue;
         }
 
         // Slow path: exact per-receiver votes — the reference gather.
-        let mut per: Vec<AgreementValue<V>> = Vec::new();
-        per.resize_with(n, AgreementValue::default);
-        let mut first: Option<usize> = None;
         let mut collapsed = true;
-        for r in 0..n {
-            if node.members >> r & 1 == 1 {
-                continue;
-            }
+        for r in (0..n).filter(|r| node.members >> r & 1 == 0) {
             scratch.clear();
             scratch.push(own[r].clone());
             for c in children.clone() {
-                if arena.nodes[c as usize].last.index() == r {
-                    continue;
+                if arena.nodes[c as usize].last.index() != r {
+                    scratch.push(child(c).value_for(r).clone());
                 }
-                let child = deeper[(c - deeper_offset) as usize]
-                    .as_ref()
-                    .expect("deeper levels resolved first");
-                scratch.push(child.value_for(r).clone());
             }
-            debug_assert_eq!(scratch.len(), receivers);
-            per[r] = rule.combine(n, len, &scratch);
+            debug_assert_eq!(scratch.len(), n - len);
+            per[r] = lanes.vote(len, &scratch);
             votes_evaluated += 1;
-            match first {
-                None => first = Some(r),
-                Some(f) => collapsed = collapsed && per[f] == per[r],
-            }
+            collapsed = collapsed && per[first_receiver] == per[r];
         }
         // Opportunistic collapse: if every receiver resolved to the
         // same value anyway, store it uniformly so ancestors can take
         // the fast path (the votes were still individually evaluated,
         // so no memo hit is counted here).
         *slot = Some(if collapsed {
-            Summary::Uniform(per[first.expect("internal nodes have receivers")].clone())
+            Summary::Uniform(per[first_receiver].clone())
         } else {
-            Summary::PerReceiver(per.into_boxed_slice())
+            Summary::PerReceiver(per.as_slice().into())
         });
     }
 

@@ -54,8 +54,9 @@
 //! | [`value`] | [`AgreementValue`] with the distinguished default `V_d` |
 //! | [`mod@vote`] | the paper's `VOTE(α, β)` primitive, majority, `k`-of-`n` |
 //! | [`params`] | [`Params`] = `(m, u)` plus the resource-bound formulas |
-//! | [`path`] / [`eig`] | relay paths, per-receiver views, reference executor |
-//! | [`engine`] | arena-backed iterative EIG engine (shared-prefix memoization) |
+//! | [`path`] | relay paths, and BYZ's per-envelope rules stated once: admission ([`Path::from_ids`], [`path::admit`], [`path::is_label`]) and relay fan-out |
+//! | [`eig`] | per-receiver views and their one fold, reference executor |
+//! | [`engine`] | arena-backed iterative EIG engine (shared-prefix memoization): one bottom-up walk over value lanes, the store's own or bitpacked palette codes |
 //! | [`byz`] | [`ByzInstance`] — algorithm BYZ itself |
 //! | [`protocol`] | message-passing BYZ on the `simnet` round engine |
 //! | [`service`] | batched agreement: many instances multiplexed over one run |

@@ -19,15 +19,16 @@
 //! only when the round closes: a path of the current level is an on-time
 //! relay (recorded and re-relayed), a path of an earlier level is a late
 //! envelope (recorded as a direct observation, never relayed), anything
-//! malformed reads as absent. This matches [`crate::protocol`]'s
-//! treatment exactly, so a lockstep drive of `n` machines reproduces
-//! `run_protocol` decisions bit-for-bit (pinned by tests here and by the
-//! differential suite).
+//! malformed reads as absent. What is accepted and whom a relay goes to
+//! are the functions of [`crate::path`] that [`crate::service`] calls too,
+//! so a lockstep drive of `n` machines reproduces `run_protocol`
+//! decisions bit-for-bit (pinned by tests here and by the differential
+//! suite).
 
-use crate::adversary::Strategy;
+use crate::adversary::{claim_for, Strategy};
 use crate::byz::ByzInstance;
 use crate::eig::{prunable_path, EigView, VoteRule};
-use crate::path::Path;
+use crate::path::{admit, is_label, relay_fanout, Arrival, Path};
 use crate::protocol::ByzMsg;
 use crate::value::AgreementValue;
 use simnet::NodeId;
@@ -231,40 +232,42 @@ impl<V: Clone + Ord + Hash> NodeStateMachine<V> {
     /// afterwards) and decide at the final round.
     fn close_round(&mut self, round: usize) -> Vec<Action<V>> {
         let mut actions = Vec::new();
+        let strategy = self.strategy.as_ref();
         let mut to_relay: Vec<(Path, AgreementValue<V>)> = Vec::new();
         if round >= 1 {
             for (src, msg) in std::mem::take(&mut self.pending) {
-                // Same validation as `crate::protocol`: a path of level
-                // `< round` is a late envelope — its relay slot has
-                // passed but the direct observation still folds in.
-                // Malformed paths (impersonated, self-referential, from a
-                // future level, not sender-rooted, repetitive, or past
-                // the tree depth — the ones the arena refuses to intern)
-                // read as absent.
-                let valid = msg.path.len() <= round
-                    && !msg.path.is_empty()
-                    && msg.path.last() == src
-                    && !msg.path.contains(self.me)
-                    && msg.path.sender() == self.sender
-                    && msg.path.len() <= self.depth
-                    && repetition_free(&msg.path);
-                if !valid {
+                // The crate's one admission rule (`crate::path`), as in
+                // `crate::service`: anything it refuses — impersonated,
+                // self-referential, from a future level, or not a label
+                // of this instance's tree — reads as absent.
+                let Some(arrival) = admit(&msg.path, src, self.me, round) else {
+                    continue;
+                };
+                if !is_label(&msg.path, self.n, self.sender, self.depth) {
                     continue;
                 }
-                let on_time = msg.path.len() == round;
                 // First write wins: duplicated envelopes fold
                 // idempotently.
                 let fresh = self.view.record(msg.path.clone(), msg.value.clone());
-                if fresh && on_time && round < self.depth {
+                if fresh && arrival == Arrival::OnTime && round < self.depth {
                     to_relay.push((msg.path, msg.value));
                 }
             }
         }
+        let mut send = |to, path, value| {
+            actions.push(Action::Send {
+                to,
+                msg: ByzMsg { path, value },
+            })
+        };
         if round == 0 {
             if self.me == self.sender {
                 let root = Path::root(self.sender);
-                let value = self.sender_value.clone();
-                self.send_claims(&root, &value, &mut actions);
+                for r in NodeId::all(self.n).filter(|r| *r != self.me) {
+                    if let Some(v) = claim_for(strategy, &root, r, &self.sender_value) {
+                        send(r, root.clone(), v);
+                    }
+                }
             }
         } else {
             for (path, value) in to_relay {
@@ -279,8 +282,15 @@ impl<V: Clone + Ord + Hash> NodeStateMachine<V> {
                         continue;
                     }
                 }
-                let child = path.child(self.me);
-                self.send_claims(&child, &value, &mut actions);
+                // The crate's one relay rule, as in `crate::service`: a
+                // Byzantine node fabricates per-receiver claims, `Silent`
+                // sends nothing.
+                let (child, receivers) = relay_fanout(&path, self.me, self.n);
+                for r in receivers {
+                    if let Some(v) = claim_for(strategy, &child, r, &value) {
+                        send(r, child.clone(), v);
+                    }
+                }
             }
         }
         if round == self.depth && self.me != self.sender {
@@ -293,45 +303,6 @@ impl<V: Clone + Ord + Hash> NodeStateMachine<V> {
         }
         actions
     }
-
-    /// Emits one send per eligible receiver of `child`, routing the
-    /// truthful value through this node's strategy (Byzantine nodes
-    /// fabricate per-receiver claims; `Silent` sends nothing).
-    fn send_claims(
-        &self,
-        child: &Path,
-        truthful: &AgreementValue<V>,
-        actions: &mut Vec<Action<V>>,
-    ) {
-        for r in NodeId::all(self.n) {
-            if child.contains(r) {
-                continue;
-            }
-            let claim = match &self.strategy {
-                None => Some(truthful.clone()),
-                Some(Strategy::Silent) => None,
-                Some(s) => Some(s.claim(child, r, truthful)),
-            };
-            if let Some(value) = claim {
-                actions.push(Action::Send {
-                    to: r,
-                    msg: ByzMsg {
-                        path: child.clone(),
-                        value,
-                    },
-                });
-            }
-        }
-    }
-}
-
-/// Whether no node appears twice on `path` (the arena interns only
-/// repetition-free labels; anything else reads as absent).
-fn repetition_free(path: &Path) -> bool {
-    let s = path.as_slice();
-    s.iter()
-        .enumerate()
-        .all(|(i, a)| s[i + 1..].iter().all(|b| a != b))
 }
 
 #[cfg(test)]
@@ -570,6 +541,40 @@ mod tests {
             machine.view().is_empty(),
             "all malformed envelopes must read as absent"
         );
+    }
+
+    #[test]
+    fn labels_naming_nodes_the_system_does_not_have_read_as_absent() {
+        // `[0, x, 2]` from node 2, for a thousand `x` past the last node:
+        // well-formed in everything but existing. Fed to node 1 for the
+        // close of round 3.
+        let junk_at_round_3 = |nodes: usize, m: usize| {
+            let inst = instance(nodes, m, m);
+            let mut machine: NodeStateMachine<u64> =
+                NodeStateMachine::new(&inst, nid(1), Val::Value(7), None);
+            for round in 0..3 {
+                machine.on_event(Event::Timeout { round });
+            }
+            for x in nodes..nodes + 1_000 {
+                machine.on_event(Event::Deliver {
+                    src: nid(2),
+                    msg: ByzMsg {
+                        path: Path::root(nid(0)).child(nid(x)).child(nid(2)),
+                        value: Val::Value(9),
+                    },
+                });
+            }
+            let actions = machine.on_event(Event::Timeout { round: 3 });
+            (machine, actions)
+        };
+        // The last round of BYZ(2,2): nothing to relay, nothing recorded.
+        let (machine, _) = junk_at_round_3(7, 2);
+        assert!(machine.is_done());
+        assert_eq!(machine.view().len(), 0, "a view of junk labels");
+        // One round before the last of BYZ(3,3): nothing relayed either.
+        let (machine, actions) = junk_at_round_3(10, 3);
+        assert_eq!(machine.view().len(), 0);
+        assert_eq!(actions, [], "junk labels were relayed");
     }
 
     #[test]

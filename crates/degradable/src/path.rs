@@ -11,6 +11,20 @@
 //! A path of length `ℓ` identifies the sub-instance BYZ(t, m) with
 //! `t = m - ℓ + 1` running on the `n - ℓ + 1` nodes not in the path's
 //! interior, whose "sender" is the path's last element.
+//!
+//! This module is also where BYZ's two per-envelope decisions are stated,
+//! once, for every executor of the crate and for the wire:
+//!
+//! * **what an honest node accepts** — [`Path::from_ids`] (the only way a
+//!   path is built from bytes), [`admit`] (the protocol half of the
+//!   paper's assumption (c): a receiver knows who sent it a message) and
+//!   [`is_label`] (the label exists in the instance's tree). The simulated
+//!   network's inbox ([`crate::service`]) and the sans-io machine
+//!   ([`crate::node`]) both call them; [`crate::spec`] restates them
+//!   independently, as the referee, and a property test holds the three
+//!   statements and [`crate::PathArena::intern`] to each other.
+//! * **whom it relays to** — `relay_fanout`, with the value each receiver
+//!   is told coming from `crate::adversary::claim_for`.
 
 use serde::{Deserialize, Serialize};
 use simnet::NodeId;
@@ -53,6 +67,27 @@ impl Path {
         Path(Repr::Inline { len: 1, nodes })
     }
 
+    /// The path holding exactly `ids`, or `None` if they are not a path:
+    /// empty, or naming a node twice. This is how a path is built from
+    /// anything this program did not construct itself (a frame off a
+    /// socket) — [`Path::child`] asserts where this refuses, and copies a
+    /// spilled path per call where this allocates once.
+    pub fn from_ids(ids: &[NodeId]) -> Option<Self> {
+        if ids.is_empty() || !all_distinct(ids) {
+            return None;
+        }
+        Some(Path(if ids.len() <= INLINE_CAP {
+            let mut nodes = [NodeId::new(0); INLINE_CAP];
+            nodes[..ids.len()].copy_from_slice(ids);
+            Repr::Inline {
+                len: ids.len() as u8,
+                nodes,
+            }
+        } else {
+            Repr::Spilled(ids.to_vec())
+        }))
+    }
+
     /// Extends the path with relayer `j`.
     ///
     /// # Panics
@@ -80,6 +115,7 @@ impl Path {
     }
 
     /// Number of nodes on the path (`>= 1`).
+    #[inline]
     pub fn len(&self) -> usize {
         self.as_slice().len()
     }
@@ -90,22 +126,26 @@ impl Path {
     }
 
     /// The original sender (first element).
+    #[inline]
     pub fn sender(&self) -> NodeId {
         self.as_slice()[0]
     }
 
     /// The most recent relayer (last element) — the "sender" of the
     /// sub-instance this path identifies.
+    #[inline]
     pub fn last(&self) -> NodeId {
         *self.as_slice().last().expect("paths are non-empty")
     }
 
     /// Whether `node` occurs anywhere on the path.
+    #[inline]
     pub fn contains(&self, node: NodeId) -> bool {
         self.as_slice().contains(&node)
     }
 
     /// The node ids on the path, in relay order.
+    #[inline]
     pub fn as_slice(&self) -> &[NodeId] {
         match &self.0 {
             Repr::Inline { len, nodes } => &nodes[..usize::from(*len)],
@@ -155,18 +195,72 @@ impl Hash for Path {
     }
 }
 
-/// The receivers of `me`'s relay of `path`, each paired with its own copy
-/// of the child path `path + [me]` — the last copy is the original, moved.
+/// Whether no id occurs twice. Quadratic, on slices the callers have
+/// bounded (a tree depth, the wire's path cap).
+fn all_distinct(ids: &[NodeId]) -> bool {
+    ids.iter()
+        .enumerate()
+        .all(|(i, a)| !ids[i + 1..].contains(a))
+}
+
+/// When an admitted envelope arrived, relative to its relay slot.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Arrival {
+    /// Level equals the closing round: recorded, and relayed below the
+    /// final round.
+    OnTime,
+    /// Level below the closing round (the network delivered it late): the
+    /// relay slot has passed, but the direct observation still folds in.
+    Late,
+}
+
+/// The protocol half of unforgeability: whether honest node `me`, closing
+/// `round`, accepts an envelope labelled `path` that the transport says
+/// came from `src` — and if so, when it arrived. The relayer a label names
+/// last must be the node the envelope came from (a faulty node may say
+/// anything, but only in its own name), the receiver is never on a label
+/// addressed to it, and a label from a future level reads as absent like
+/// everything else refused here. Whether the label exists in the tree at
+/// all is [`is_label`]'s question.
+#[inline]
+pub fn admit(path: &Path, src: NodeId, me: NodeId, round: usize) -> Option<Arrival> {
+    if path.len() > round || path.last() != src || path.contains(me) {
+        return None;
+    }
+    Some(if path.len() == round {
+        Arrival::OnTime
+    } else {
+        Arrival::Late
+    })
+}
+
+/// Whether `path` labels a node of the EIG tree of an `n`-node instance
+/// with the given `sender` and `depth`: rooted at the sender, at most
+/// `depth` long, every id below `n`, none twice — the predicate
+/// [`crate::PathArena::intern`] decides by walking the interned tree.
+#[inline]
+pub fn is_label(path: &Path, n: usize, sender: NodeId, depth: usize) -> bool {
+    let ids = path.as_slice();
+    ids.len() <= depth
+        && ids.first() == Some(&sender)
+        && ids.iter().all(|id| id.index() < n)
+        && all_distinct(ids)
+}
+
+/// `me`'s relay of `path`: the child label `path + [me]` it goes out under,
+/// and the nodes it goes to — every node off the child label, ascending.
 /// `path` must be a valid label over `n` nodes that does not contain `me`.
-pub(crate) fn relay_fanout<'a>(
-    path: &'a Path,
+#[inline]
+pub(crate) fn relay_fanout(
+    path: &Path,
     me: NodeId,
     n: usize,
-) -> impl Iterator<Item = (NodeId, Path)> + 'a {
+) -> (Path, impl Iterator<Item = NodeId> + '_) {
     debug_assert!(!path.contains(me) && path.as_slice().iter().all(|v| v.index() < n));
-    NodeId::all(n)
-        .filter(move |r| *r != me && !path.contains(*r))
-        .zip(std::iter::repeat_n(path.child(me), n - path.len() - 1))
+    (
+        path.child(me),
+        NodeId::all(n).filter(move |r| *r != me && !path.contains(*r)),
+    )
 }
 
 impl fmt::Display for Path {
@@ -231,6 +325,35 @@ mod tests {
     #[should_panic(expected = "already on path")]
     fn no_repeat_relayers() {
         let _ = Path::root(n(0)).child(n(1)).child(n(1));
+    }
+
+    #[test]
+    fn from_ids_refuses_what_child_asserts_on() {
+        let ids = [n(0), n(2), n(5), n(1), n(9)];
+        for len in 1..=ids.len() {
+            // Inline and spilled alike: the same path `child` builds.
+            let built = ids[1..len]
+                .iter()
+                .fold(Path::root(ids[0]), |p, &j| p.child(j));
+            assert_eq!(Path::from_ids(&ids[..len]), Some(built));
+        }
+        assert_eq!(Path::from_ids(&[]), None);
+        assert_eq!(Path::from_ids(&[n(0), n(0)]), None);
+        assert_eq!(Path::from_ids(&[n(0), n(1), n(2), n(3), n(4), n(1)]), None);
+    }
+
+    #[test]
+    fn admission_is_source_receiver_and_level() {
+        let p = Path::root(n(0)).child(n(2));
+        assert_eq!(admit(&p, n(2), n(1), 2), Some(Arrival::OnTime));
+        assert_eq!(admit(&p, n(2), n(1), 3), Some(Arrival::Late));
+        assert_eq!(admit(&p, n(2), n(1), 1), None, "future level");
+        assert_eq!(admit(&p, n(3), n(1), 2), None, "not from its last relayer");
+        assert_eq!(admit(&p, n(2), n(0), 2), None, "receiver on the label");
+        assert!(is_label(&p, 4, n(0), 2));
+        assert!(!is_label(&p, 4, n(1), 2), "wrong root");
+        assert!(!is_label(&p, 2, n(0), 2), "id out of range");
+        assert!(!is_label(&p, 4, n(0), 1), "deeper than the tree");
     }
 
     #[test]

@@ -29,8 +29,9 @@
 //! closure. An honest node accepts an envelope only if its path ends in
 //! the true source (the engine stamps sources, so a faulty node cannot
 //! impersonate — assumption (c) of the paper), does not contain the
-//! receiver, is not from a future level, and is rooted at the claimed
-//! instance's sender. Without the last check a Byzantine relayer can
+//! receiver, is not from a future level — [`crate::path::admit`], the
+//! rule [`crate::NodeStateMachine`] applies too — and is rooted at the
+//! claimed instance's sender. Without the last check a Byzantine relayer can
 //! *re-tag* a genuine envelope with a different instance id
 //! (cross-instance spoofing); the resolution never reads foreign-rooted
 //! slots, but honest nodes would still relay the spoof and amplify it
@@ -53,7 +54,7 @@ use crate::adversary::{claim_for, Strategy};
 use crate::eig::{prunable_path, EigView};
 use crate::engine::{EigEngine, EigStore};
 use crate::params::Params;
-use crate::path::{relay_fanout, Path};
+use crate::path::{admit, relay_fanout, Arrival, Path};
 use crate::value::AgreementValue;
 use obs::{Obs, SpanRecord};
 use simnet::{EigPerf, NodeId, RoundEngine, Topology};
@@ -499,32 +500,29 @@ fn fill_and_resolve<V: Clone + Ord + Hash + Send + Sync>(
         if round >= 1 {
             for (src, msg) in ctx.take_inbox() {
                 let idx = msg.instance as usize;
-                if idx < instances.len() {
-                    if let Some(trace) = trace.as_deref_mut() {
-                        trace(BatchTraceEvent::Deliver {
-                            instance: idx,
-                            to: me,
-                            src,
-                            path: msg.path.clone(),
-                            value: msg.value.clone(),
-                            round,
-                        });
-                    }
+                if idx >= instances.len() {
+                    continue; // no such instance: treated as absent
                 }
-                // A path of level `< round` is an envelope the network
-                // delivered late (link reordering): its relay slot has
-                // passed, but the direct observation is still genuine, so
-                // it folds into the store. Anything else malformed —
-                // impersonated or self-referential paths, or paths from a
-                // future level — is dropped (treated as absent).
-                let valid = idx < instances.len()
-                    && !msg.path.is_empty()
-                    && msg.path.len() <= round
-                    && msg.path.last() == src
-                    && !msg.path.contains(me);
-                if !valid {
-                    continue; // malformed claim: treated as absent
+                if let Some(trace) = trace.as_deref_mut() {
+                    trace(BatchTraceEvent::Deliver {
+                        instance: idx,
+                        to: me,
+                        src,
+                        path: msg.path.clone(),
+                        value: msg.value.clone(),
+                        round,
+                    });
                 }
+                // The crate's one admission rule (`crate::path`), shared
+                // with `NodeStateMachine`: a path of level `< round` is an
+                // envelope the network delivered late (link reordering) —
+                // its relay slot has passed, but the direct observation is
+                // still genuine, so it folds into the store. Anything it
+                // refuses — impersonated or self-referential paths, or
+                // paths from a future level — is treated as absent.
+                let Some(arrival) = admit(&msg.path, src, me, round) else {
+                    continue;
+                };
                 // Cross-instance spoofing: the claimed instance pins the
                 // path root. A mismatched root is a re-tagged envelope
                 // and must read as absent *before* any recording, so a
@@ -534,17 +532,17 @@ fn fill_and_resolve<V: Clone + Ord + Hash + Send + Sync>(
                     continue;
                 }
                 let eng = &engines[engine_idx[idx]];
-                // Only sender-rooted repetition-free labels intern; the
-                // resolution never reads anything else.
+                // `intern` decides `crate::path::is_label` on the way to
+                // the id the store needs: only labels of this instance's
+                // tree intern, and the resolution reads nothing else.
                 let Some(id) = eng.arena().intern(&msg.path) else {
                     continue;
                 };
-                let on_time = msg.path.len() == round;
                 // First write wins: duplicated envelopes (link-level
                 // duplication, or a late copy overtaken by chaos) are
                 // discarded by the idempotent fold.
                 let fresh = stores[idx].record(eng.arena(), id, me, msg.value.clone());
-                if fresh && on_time && round < depth {
+                if fresh && arrival == Arrival::OnTime && round < depth {
                     to_relay.push((msg.instance, msg.path, msg.value));
                 }
             }
@@ -585,7 +583,8 @@ fn fill_and_resolve<V: Clone + Ord + Hash + Send + Sync>(
                 if early_stop && prunable_path(&path, &faulty) {
                     continue;
                 }
-                for (r, child) in relay_fanout(&path, me, n) {
+                let (child, receivers) = relay_fanout(&path, me, n);
+                for r in receivers {
                     if let Some(v) = claim_for(strategy, &child, r, &value) {
                         if !traced_sends.is_empty() {
                             traced_sends[instance as usize].push((r, child.clone(), v.clone()));
@@ -595,7 +594,7 @@ fn fill_and_resolve<V: Clone + Ord + Hash + Send + Sync>(
                             r,
                             BatchMsg {
                                 instance,
-                                path: child,
+                                path: child.clone(),
                                 value: v,
                             },
                         );

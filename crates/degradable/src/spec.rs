@@ -71,8 +71,8 @@ pub enum DeliveryClass {
     /// direct observation still folds in. Never relayed.
     Late,
     /// Malformed (impersonated, self-referential, future-levelled, not
-    /// sender-rooted, repetitive, or past the tree depth): reads as
-    /// absent.
+    /// sender-rooted, naming a node the system does not have, repetitive,
+    /// or past the tree depth): reads as absent.
     Malformed,
     /// A repeat of an already-recorded path: discarded by the idempotent
     /// first-write-wins fold.
@@ -283,7 +283,9 @@ impl<V: Clone + Ord + Hash + fmt::Display> SpecChecker<V> {
 
     /// The spec's classification of an envelope delivered to `to` that
     /// will fold at the close of round `round` — exactly the paper's
-    /// validation, restated (compare `crate::node::NodeStateMachine`).
+    /// validation, restated (compare `crate::path::admit` and
+    /// `crate::path::is_label`, which the executors share and this
+    /// referees).
     pub fn classify(
         &self,
         to: NodeId,
@@ -298,6 +300,7 @@ impl<V: Clone + Ord + Hash + fmt::Display> SpecChecker<V> {
             && path.last() == src
             && !path.contains(to)
             && path.sender() == self.inst.sender
+            && path.as_slice().iter().all(|id| id.index() < self.inst.n)
             && repetition_free(path);
         if !well_formed {
             return DeliveryClass::Malformed;
@@ -519,7 +522,7 @@ impl<V: Clone + Ord + Hash + fmt::Display> SpecChecker<V> {
 
 /// Whether no node appears twice on `path` (restated from the paper's
 /// repetition-free relay labels; deliberately not shared with
-/// `crate::node`).
+/// `crate::path`).
 fn repetition_free(path: &Path) -> bool {
     let s = path.as_slice();
     s.iter()

@@ -4,10 +4,19 @@
 //! both sides of the inline boundary and across it, and one tree deeper
 //! than the inline capacity is decided end to end against the reference
 //! evaluator.
+//!
+//! `path.rs` also states what an honest node accepts (`Path::from_ids`,
+//! `admit`, `is_label`); the last property holds that one rule to the two
+//! statements written without it — the arena's interned tree, and the
+//! conformance checker's `classify`.
 
 use degradable::adversary::Strategy;
+use degradable::path::{admit, is_label, Arrival};
 use degradable::service::{run_batch, BatchInstance, BatchOptions};
-use degradable::{reference_eval, run_protocol, ByzInstance, EigEngine, Params, Path, Val};
+use degradable::{
+    reference_eval, run_protocol, ByzInstance, ByzMsg, DeliveryClass, EigEngine, Params, Path,
+    PathArena, SpecChecker, SpecInstance, Val,
+};
 use proptest::prelude::*;
 use simnet::{NodeId, SimRng};
 use std::collections::hash_map::DefaultHasher;
@@ -116,6 +125,76 @@ proptest! {
             prop_assert_eq!(&arena.resolve_path(arena.intern(&path).unwrap()), &path);
         }
         prop_assert_eq!(deepest, depth);
+    }
+
+    /// One admission rule, three statements. An envelope is drawn
+    /// well-formed for a random shape and then broken in one of the ways
+    /// an envelope can be; `from_ids` + `admit` + `is_label` must accept
+    /// exactly what the fill's statement (the arena interns the label, and
+    /// the source, receiver and level fit) and the referee's
+    /// (`SpecChecker::classify`) accept, and time it the same way.
+    #[test]
+    fn the_admission_rule_agrees_with_the_arena_and_the_spec(
+        n in 3usize..9, depth in 1usize..5, family in 0usize..8, seed in 0u64..100_000,
+    ) {
+        let mut rng = SimRng::seed(seed);
+        let mut pick = |bound: usize| rng.below(bound as u64) as usize;
+        // Well-formed: a label of the tree, from its last relayer, to a
+        // node off it, at or after its level.
+        let len = 1 + pick(depth.min(n - 1));
+        let mut ids = distinct_nodes(n, n, seed);
+        let spare = ids.split_off(len + 1);
+        let mut me = ids.pop().unwrap();
+        let sender = ids[0];
+        let mut round = len + pick(3);
+        let at = pick(len);
+        match family {
+            // Wrong root.
+            1 => ids[0] = NodeId::new((sender.index() + 1 + pick(n - 1)) % n),
+            // A node twice.
+            2 if len > 1 => ids[at] = ids[(at + 1) % len],
+            // A node the system does not have.
+            3 => ids[at] = NodeId::new(n + pick(1_000)),
+            // Deeper than the tree (on nodes past `n` once it runs out).
+            4 => ids.extend(spare.into_iter().chain((n..).map(NodeId::new)).take(depth + 1 - len)),
+            // From a level still to come.
+            5 => round = pick(len),
+            // Addressed to a node on it.
+            7 => me = ids[at],
+            _ => {}
+        }
+        let mut src = *ids.last().unwrap();
+        if family == 6 {
+            // Not from its last relayer.
+            src = NodeId::new((src.index() + 1 + pick(n - 1)) % n);
+        }
+        let arena = PathArena::new(n, sender, depth);
+        let Some(path) = Path::from_ids(&ids) else {
+            // No `Path` can hold it, so the other two statements cannot be
+            // asked; the tree itself can.
+            prop_assert!(family == 2 || family == 1, "a wrong root may land on the path");
+            prop_assert!(arena.ids().all(|id| arena.resolve_path(id).as_slice() != ids.as_slice()));
+            return Ok(());
+        };
+        let arrival = admit(&path, src, me, round).filter(|_| is_label(&path, n, sender, depth));
+        prop_assert_eq!(arrival.is_some(), family == 0 || (family == 2 && len == 1));
+
+        prop_assert_eq!(is_label(&path, n, sender, depth), arena.intern(&path).is_some());
+        let fill_accepts = arena.intern(&path).is_some()
+            && path.len() <= round
+            && path.last() == src
+            && !path.contains(me);
+        prop_assert_eq!(arrival.is_some(), fill_accepts);
+
+        let spec = SpecInstance { n, m: depth - 1, sender, depth };
+        let checker: SpecChecker<u64> = SpecChecker::new(spec, Val::Value(7), BTreeSet::new());
+        let msg = ByzMsg { path, value: Val::Value(7) };
+        let expected = match arrival {
+            Some(Arrival::OnTime) => DeliveryClass::OnTime,
+            Some(Arrival::Late) => DeliveryClass::Late,
+            None => DeliveryClass::Malformed,
+        };
+        prop_assert_eq!(checker.classify(me, src, &msg, round), expected);
     }
 }
 

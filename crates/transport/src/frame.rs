@@ -17,9 +17,13 @@
 //!
 //! Wire payloads are `u64` ([`Val`]); the experiments never need more, and
 //! fixing the value type keeps the codec closed (no serde data format in
-//! the tree). Decoding is total: every error is a [`FrameError`], never a
-//! panic, because bytes off a socket are adversary-controlled in this
-//! codebase's threat model. The same frames travel over in-process
+//! the tree). Decoding is total and linear in the frame: every error is a
+//! [`FrameError`], never a panic, because bytes off a socket are
+//! adversary-controlled in this codebase's threat model — the lint below
+//! holds this file to it, a relay path is bounded ([`MAX_PATH_LEN`])
+//! before its ids are read, and it is built through the fallible
+//! [`Path::from_ids`], so a path that names a node twice is a malformed
+//! frame like any other. The same frames travel over in-process
 //! channels un-encoded — the codec round-trip is exercised only by the TCP
 //! backend and the codec tests.
 //!
@@ -30,6 +34,11 @@
 //! connection. Corruption in the envelope part itself stays fatal, exactly
 //! as for `0x01`.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 use degradable::{AgreementValue, ByzMsg, Path, Val};
 use obs::TraceCtx;
 use simnet::NodeId;
@@ -38,6 +47,12 @@ use std::io::{self, Read, Write};
 /// Hard cap on a frame's payload size (1 MiB). A length prefix beyond this
 /// is treated as a corrupt stream rather than an allocation request.
 pub const MAX_FRAME_LEN: u32 = 1 << 20;
+
+/// Longest relay path a frame may carry: a path names each of its nodes
+/// once, and no tree this program can run has more than 64 (the arena's
+/// node ceiling). Checked before any id is read, so a length field cannot
+/// buy more decoding work than a 64-id path costs.
+pub const MAX_PATH_LEN: usize = 64;
 
 const TAG_ENVELOPE: u8 = 0x01;
 const TAG_MARK: u8 = 0x02;
@@ -201,13 +216,16 @@ pub fn decode(body: &[u8]) -> Result<Frame, FrameError> {
                 _ => return Err(FrameError::Malformed("unknown value tag")),
             };
             let path_len = cur.u32()? as usize;
-            if path_len == 0 {
-                return Err(FrameError::Malformed("empty relay path"));
+            if path_len > MAX_PATH_LEN {
+                return Err(FrameError::Malformed("relay path exceeds MAX_PATH_LEN"));
             }
-            let mut path = Path::root(NodeId::new(cur.u32()? as usize));
-            for _ in 1..path_len {
-                path = path.child(NodeId::new(cur.u32()? as usize));
+            let mut ids = [NodeId::new(0); MAX_PATH_LEN];
+            for id in &mut ids[..path_len] {
+                *id = NodeId::new(cur.u32()? as usize);
             }
+            let path = Path::from_ids(&ids[..path_len]).ok_or(FrameError::Malformed(
+                "relay path is empty or names a node twice",
+            ))?;
             let trace = if tag == TAG_TRACED {
                 // Observability metadata degrades instead of failing:
                 // whatever is wrong with the trace section, the envelope
@@ -298,25 +316,24 @@ struct Cursor<'a> {
 }
 
 impl Cursor<'_> {
-    fn take(&mut self, k: usize) -> Result<&[u8], FrameError> {
-        if self.pos + k > self.buf.len() {
-            return Err(FrameError::Truncated);
-        }
-        let s = &self.buf[self.pos..self.pos + k];
-        self.pos += k;
-        Ok(s)
+    /// The next `K` bytes, as the array the integer decoders take.
+    fn array<const K: usize>(&mut self) -> Result<[u8; K], FrameError> {
+        let rest = self.buf.get(self.pos..).unwrap_or_default();
+        let bytes = rest.first_chunk::<K>().ok_or(FrameError::Truncated)?;
+        self.pos += K;
+        Ok(*bytes)
     }
 
     fn u8(&mut self) -> Result<u8, FrameError> {
-        Ok(self.take(1)?[0])
+        self.array().map(u8::from_le_bytes)
     }
 
     fn u32(&mut self) -> Result<u32, FrameError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+        self.array().map(u32::from_le_bytes)
     }
 
     fn u64(&mut self) -> Result<u64, FrameError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+        self.array().map(u64::from_le_bytes)
     }
 }
 
@@ -445,6 +462,104 @@ mod tests {
         body.push(VAL_DEFAULT);
         put_u32(&mut body, 0);
         assert!(matches!(decode(&body), Err(FrameError::Malformed(_))));
+    }
+
+    /// The body of an envelope frame for `ids`, built by hand: no [`Path`]
+    /// can hold what these tests put on the wire.
+    fn envelope_body(src: u32, ids: &[u32]) -> Vec<u8> {
+        let mut body = vec![TAG_ENVELOPE];
+        put_u32(&mut body, src);
+        body.push(VAL_DEFAULT);
+        put_u32(&mut body, ids.len() as u32);
+        for &id in ids {
+            put_u32(&mut body, id);
+        }
+        body
+    }
+
+    #[test]
+    fn a_path_that_repeats_an_id_is_malformed_not_a_panic() {
+        // 18 bytes of body, 22 on the wire: the frame that used to assert
+        // inside `Path::child`, on the node's only thread.
+        let smallest = envelope_body(0, &[0, 0]);
+        assert_eq!(smallest.len(), 18);
+        assert!(matches!(decode(&smallest), Err(FrameError::Malformed(_))));
+        // A repeat of any earlier id, at every position of a 2-, 3- and
+        // 4-id path.
+        for len in 2..=4u32 {
+            let clean: Vec<u32> = (0..len).collect();
+            assert!(decode(&envelope_body(len - 1, &clean)).is_ok());
+            for at in 1..len as usize {
+                for of in 0..at {
+                    let mut ids = clean.clone();
+                    ids[at] = ids[of];
+                    assert!(
+                        matches!(
+                            decode(&envelope_body(0, &ids)),
+                            Err(FrameError::Malformed(_))
+                        ),
+                        "{ids:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_path_length_is_bounded_before_any_id_is_read() {
+        let distinct = |len: u32| envelope_body(0, &(0..len).collect::<Vec<_>>());
+        match decode(&distinct(MAX_PATH_LEN as u32)).unwrap() {
+            Frame::Envelope { msg, .. } => assert_eq!(msg.path.len(), MAX_PATH_LEN),
+            other => panic!("expected envelope, got {other:?}"),
+        }
+        // One past the bound, and the longest path a frame under
+        // `MAX_FRAME_LEN` can spell: chaining 262 140 distinct ids through
+        // `Path::child` took time quadratic in their number (seconds at
+        // 80 000).
+        for len in [MAX_PATH_LEN as u32 + 1, 262_140] {
+            let body = distinct(len);
+            assert!(body.len() <= MAX_FRAME_LEN as usize);
+            // The quickest of five tries: the bound is on the decoder, not
+            // on the scheduler.
+            let quickest = (0..5)
+                .map(|_| {
+                    let start = std::time::Instant::now();
+                    assert!(matches!(decode(&body), Err(FrameError::Malformed(_))));
+                    start.elapsed()
+                })
+                .min()
+                .unwrap();
+            assert!(
+                quickest < std::time::Duration::from_millis(1),
+                "refusing a path of {len} ids took {quickest:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn ten_thousand_mutated_frames_never_panic() {
+        let mut rng = simnet::SimRng::seed(0xF2A3E);
+        let valid: Vec<Vec<u8>> = sample_frames()
+            .iter()
+            .map(|f| encode(f)[4..].to_vec())
+            .collect();
+        for _ in 0..10_000 {
+            let mut body = rng.pick(&valid).unwrap().clone();
+            for _ in 0..=rng.below(3) {
+                let at = rng.below(body.len() as u64) as usize;
+                match rng.below(4) {
+                    0 => body[at] = rng.below(256) as u8,
+                    1 => body[at] ^= 1 << rng.below(8),
+                    2 => body.truncate(at.max(1)),
+                    _ => body.insert(at, rng.below(256) as u8),
+                }
+            }
+            // Whatever the verdict, it is a value; and a frame that
+            // decodes says the same thing encoded again.
+            if let Ok(frame) = decode(&body) {
+                assert_eq!(decode(&encode(&frame)[4..]).unwrap(), frame);
+            }
+        }
     }
 
     #[test]

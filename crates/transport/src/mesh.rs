@@ -110,22 +110,29 @@ struct Redial {
     me: NodeId,
 }
 
-/// Walks `bytes` frame by frame, handing every whole frame to `sink`, and
-/// returns how many bytes those frames took — the rest is the head of a
-/// frame still arriving. `None` is a corrupt stream (a length prefix past
-/// [`MAX_FRAME_LEN`], a body that does not decode): the frames before the
-/// bad one have been delivered, nothing after it may be.
-fn take_frames(bytes: &[u8], sink: &mut impl FnMut(Frame)) -> Option<usize> {
+/// Walks `bytes`, read off the link to `peer`, frame by frame, handing
+/// every whole frame to `sink`, and returns how many bytes those frames
+/// took — the rest is the head of a frame still arriving. `None` is a
+/// corrupt stream (a length prefix past [`MAX_FRAME_LEN`], a body that
+/// does not decode, a frame in another node's name): the frames before
+/// the bad one have been delivered, nothing after it may be.
+///
+/// The last is the transport half of the paper's assumption (c): the
+/// handshake named the node at the other end of this connection, so that
+/// is who every frame on it is from, whatever the frame says. This is the
+/// only way off a socket, so nothing downstream meets a forged origin.
+fn take_frames(bytes: &[u8], peer: NodeId, sink: &mut impl FnMut(Frame)) -> Option<usize> {
     let mut at = 0;
-    while bytes.len() - at >= 4 {
-        let len = u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4-byte slice")) as usize;
+    while let Some(prefix) = bytes[at..].first_chunk::<4>() {
+        let len = u32::from_le_bytes(*prefix) as usize;
         if len > MAX_FRAME_LEN as usize {
             return None;
         }
-        if bytes.len() - at < 4 + len {
+        let Some(body) = bytes[at + 4..].get(..len) else {
             break;
-        }
-        sink(frame::decode(&bytes[at + 4..at + 4 + len]).ok()?);
+        };
+        let frame = frame::decode(body).ok().filter(|f| f.src() == peer)?;
+        sink(frame);
         at += 4 + len;
     }
     Some(at)
@@ -133,6 +140,8 @@ fn take_frames(bytes: &[u8], sink: &mut impl FnMut(Frame)) -> Option<usize> {
 
 /// The receive half of one TCP link: bytes in, whole frames out.
 struct Intake {
+    /// The node the handshake named at the other end of the link.
+    peer: NodeId,
     /// The head of a frame whose tail has not arrived: after every
     /// [`absorb`](Self::absorb) a strict prefix of one frame, so never
     /// more than `4 + MAX_FRAME_LEN` bytes.
@@ -143,8 +152,9 @@ struct Intake {
 }
 
 impl Intake {
-    fn new() -> Self {
+    fn new(peer: NodeId) -> Self {
         Intake {
+            peer,
             acc: Vec::new(),
             open: true,
         }
@@ -155,10 +165,11 @@ impl Intake {
     /// where they lie and only a split frame's head is copied.
     fn absorb(&mut self, bytes: &[u8], sink: &mut impl FnMut(Frame)) {
         let whole = if self.acc.is_empty() {
-            take_frames(bytes, sink).map(|used| self.acc.extend_from_slice(&bytes[used..]))
+            take_frames(bytes, self.peer, sink)
+                .map(|used| self.acc.extend_from_slice(&bytes[used..]))
         } else {
             self.acc.extend_from_slice(bytes);
-            take_frames(&self.acc, sink).map(|used| drop(self.acc.drain(..used)))
+            take_frames(&self.acc, self.peer, sink).map(|used| drop(self.acc.drain(..used)))
         };
         if whole.is_none() {
             self.open = false;
@@ -196,13 +207,13 @@ enum SendStatus {
 }
 
 impl TcpLink {
-    fn new(stream: TcpStream, redial: Option<Redial>) -> Self {
+    fn new(peer: NodeId, stream: TcpStream, redial: Option<Redial>) -> Self {
         TcpLink {
             stream,
             redial,
             unflushed: Vec::new(),
             flushed: 0,
-            intake: Intake::new(),
+            intake: Intake::new(peer),
         }
     }
 
@@ -264,7 +275,7 @@ impl TcpLink {
         self.drain(sink);
         self.stream = stream;
         self.flushed = 0;
-        self.intake = Intake::new();
+        self.intake = Intake::new(self.intake.peer);
     }
 
     /// One `read`; whole frames go to `sink`. `true` if the buffer came
@@ -492,7 +503,8 @@ struct RunState {
     future: BTreeMap<usize, VecDeque<QueuedDelivery>>,
     /// Trace context of the most recently surfaced delivery.
     last_trace: Option<TraceCtx>,
-    /// Peers heard finishing each round.
+    /// Peers heard finishing each round, for rounds this endpoint had not
+    /// closed when the mark arrived.
     marks: BTreeMap<usize, BTreeSet<NodeId>>,
     stats: TransportStats,
 }
@@ -520,11 +532,19 @@ impl RunState {
         self.marks.get(&round).is_some_and(|m| m.contains(&peer))
     }
 
-    /// Files one frame off the wire into the local queues.
+    /// Files one frame into the local queues. Its `src` is the node it
+    /// came from: a channel endpoint's peers are this process's own
+    /// endpoints, a TCP link hands over no frame in another node's name
+    /// (see [`take_frames`]).
     fn ingest(&mut self, f: Frame) {
         match f {
             Frame::Mark { src, round } => {
-                self.marks.entry(round).or_default().insert(src);
+                // Only a round still to close can use a mark, so that is
+                // all that is kept: `depth` rounds of at most `n − 1`
+                // peers, whatever round numbers a peer makes up.
+                if (self.round..self.depth).contains(&round) {
+                    self.marks.entry(round).or_default().insert(src);
+                }
             }
             Frame::Envelope { src, msg, trace } => {
                 // The sending round is encoded in the path: a level-k
@@ -1072,10 +1092,8 @@ fn join_with_listener(
     let mut links = BTreeMap::new();
     for (peer, &addr) in addrs.iter().enumerate().take(me.index()) {
         let s = dial_with_retry(addr, me, config.dial_timeout)?;
-        links.insert(
-            NodeId::new(peer),
-            TcpLink::new(s, Some(Redial { addr, me })),
-        );
+        let peer = NodeId::new(peer);
+        links.insert(peer, TcpLink::new(peer, s, Some(Redial { addr, me })));
     }
     // The listener is never blocked on: peers that have not dialed yet are
     // waited for in short pauses, and not past `dial_timeout`.
@@ -1089,7 +1107,7 @@ fn join_with_listener(
                 let peer = accept_handshake(&mut s, me, n, left)?;
                 // A second connection under one id would silently overwrite
                 // the first and leave the mesh a peer short.
-                if links.insert(peer, TcpLink::new(s, None)).is_some() {
+                if links.insert(peer, TcpLink::new(peer, s, None)).is_some() {
                     return Err(io::Error::new(
                         io::ErrorKind::InvalidData,
                         "handshake announced a node id that is already connected",
@@ -1724,9 +1742,10 @@ mod tests {
         }
     }
 
-    /// Feeds `chunks` to a fresh intake, one absorb each.
+    /// Feeds `chunks` to a fresh intake of the link to node 1, one absorb
+    /// each.
     fn absorb_all(chunks: &[&[u8]]) -> (Intake, Vec<Frame>) {
-        let mut intake = Intake::new();
+        let mut intake = Intake::new(nid(1));
         let mut got = Vec::new();
         for chunk in chunks {
             intake.absorb(chunk, &mut |f| got.push(f));
@@ -1741,12 +1760,12 @@ mod tests {
             envelope(1, Path::root(nid(0)).child(nid(1)), 7),
             mark(1, 0),
             Frame::Envelope {
-                src: nid(2),
+                src: nid(1),
                 msg: ByzMsg {
                     path: Path::root(nid(0)),
                     value: AgreementValue::Default,
                 },
-                trace: Some(TraceCtx::new(3, vec![0, 2])),
+                trace: Some(TraceCtx::new(3, vec![0, 1])),
             },
         ];
         let mut wire = Vec::new();
@@ -1810,6 +1829,192 @@ mod tests {
             .collect();
         assert_eq!(got, before);
         assert!(!intake.open && intake.acc.is_empty());
+        // A frame that decodes but names a node other than the link's peer
+        // is the same thing: this stream is not node 1 speaking any more.
+        let mut wire = Vec::new();
+        for f in [mark(1, 0), mark(2, 0), mark(1, 1)] {
+            frame::encode_into(&mut wire, &f);
+        }
+        let (intake, got) = absorb_all(&[&wire]);
+        assert_eq!(got, [mark(1, 0)]);
+        assert!(!intake.open && intake.acc.is_empty());
+    }
+
+    #[test]
+    fn marks_for_rounds_that_cannot_close_any_more_are_not_kept() {
+        let (n, depth) = (4, 2);
+        let (tx, inbox) = channel();
+        let mut t = MeshTransport::new(
+            nid(0),
+            n,
+            depth,
+            LinkChaos::healthy(),
+            Wire::Channel {
+                inbox,
+                peers: BTreeMap::new(),
+            },
+            MeshConfig::default(),
+        );
+        assert_eq!(
+            t.poll(),
+            PollOutcome::Event(NodeEvent::Timeout { round: 0 })
+        );
+        // 10 003 marks: every peer's for rounds 0 and 1, and for 3 333
+        // rounds this instance does not have (a peer can name 2³² of them).
+        for round in 0..3_334 {
+            for peer in 1..n {
+                tx.send(mark(peer, round)).unwrap();
+            }
+        }
+        tx.send(mark(1, u32::MAX as usize)).unwrap();
+        assert_eq!(
+            t.poll(),
+            PollOutcome::Event(NodeEvent::Timeout { round: 1 })
+        );
+        let kept = |t: &MeshTransport| t.run.marks.values().map(BTreeSet::len).sum::<usize>();
+        assert_eq!(kept(&t), depth * (n - 1));
+        // Nor is a mark for a round already closed.
+        t.run.marks.clear();
+        tx.send(mark(1, 0)).unwrap();
+        assert_eq!(t.poll(), PollOutcome::Pending);
+        assert_eq!(kept(&t), 0);
+    }
+
+    /// Three honest nodes of BYZ(1,1) at N = 4 — node 0 sends 7 — each
+    /// joined and driven on its own thread as `dagree serve` would, and a
+    /// Byzantine node 3 played by hand: it dials all three, announces
+    /// itself, gives each its own marks for both rounds and no envelope
+    /// (f = 1 ≤ m, so D.1 binds), and writes `to_victim` at node 1 — all
+    /// of that well before it lets the sender start (node 0 waits for its
+    /// last peer to dial), so whatever `to_victim` can do to node 1 it
+    /// has done before the sender's value is on its way.
+    /// Returns the honest nodes' outcomes, event logs included.
+    fn run_against_a_hostile_node_3(to_victim: &[u8]) -> Vec<crate::NodeOutcome> {
+        use degradable::{ByzInstance, NodeStateMachine, Params};
+        let instance = ByzInstance::new(4, Params::new(1, 1).unwrap(), nid(0)).unwrap();
+        let listeners: Vec<TcpListener> = (0..3)
+            .map(|_| TcpListener::bind("127.0.0.1:0").unwrap())
+            .collect();
+        let mut addrs: Vec<SocketAddr> =
+            listeners.iter().map(|l| l.local_addr().unwrap()).collect();
+        addrs.push(addrs[0]); // nobody dials the highest node
+        let config = MeshConfig {
+            round_timeout: Duration::from_secs(3),
+            ..MeshConfig::default()
+        };
+        let drivers: Vec<_> = listeners
+            .into_iter()
+            .enumerate()
+            .map(|(i, listener)| {
+                let addrs = addrs.clone();
+                thread::spawn(move || {
+                    let chaos = LinkChaos::healthy();
+                    let endpoint = join_with_listener(
+                        nid(i),
+                        listener,
+                        &addrs,
+                        instance.depth(),
+                        chaos,
+                        config,
+                    )
+                    .expect("set-up");
+                    let machine =
+                        NodeStateMachine::new(&instance, nid(i), AgreementValue::Value(7), None);
+                    let options = crate::MeshDriveOptions {
+                        record_events: true,
+                        ..Default::default()
+                    };
+                    crate::drive_mesh(endpoint, machine, &options)
+                })
+            })
+            .collect();
+        let mut own_marks = Vec::new();
+        for round in 0..instance.depth() {
+            frame::encode_into(&mut own_marks, &mark(3, round));
+        }
+        let hostile: Vec<TcpStream> = [1, 2, 0]
+            .into_iter()
+            .map(|peer| {
+                if peer == 0 {
+                    thread::sleep(Duration::from_millis(150));
+                }
+                let mut s = TcpStream::connect(addrs[peer]).unwrap();
+                s.write_all(&3u32.to_le_bytes()).unwrap();
+                s.write_all(&own_marks).unwrap();
+                if peer == 1 {
+                    s.write_all(to_victim).unwrap();
+                }
+                s
+            })
+            .collect();
+        let outcomes = drivers
+            .into_iter()
+            .map(|d| d.join().expect("an honest node died"))
+            .collect();
+        drop(hostile);
+        outcomes
+    }
+
+    /// Every honest receiver decided the fault-free sender's 7, and every
+    /// round closed on marks.
+    fn assert_d1_held(outcomes: &[crate::NodeOutcome]) {
+        assert_eq!(outcomes[0].decision, None, "the sender does not decide");
+        for o in &outcomes[1..] {
+            assert_eq!(
+                o.decision,
+                Some(AgreementValue::Value(7)),
+                "node {}",
+                o.node
+            );
+        }
+        for o in outcomes {
+            assert_eq!(o.stats.false_timeouts, 0, "node {}", o.node);
+        }
+    }
+
+    #[test]
+    fn marks_forged_in_other_nodes_names_cannot_close_a_round() {
+        // Four 13-byte frames: with them believed, node 1 closes both
+        // rounds before node 0's value arrives and relays nothing, and both
+        // fault-free receivers decide V_d against a fault-free sender.
+        let mut forged = Vec::new();
+        for round in 0..2 {
+            for name in [0, 2] {
+                frame::encode_into(&mut forged, &mark(name, round));
+            }
+        }
+        assert_eq!(forged.len(), 4 * 13);
+        assert_d1_held(&run_against_a_hostile_node_3(&forged));
+    }
+
+    #[test]
+    fn an_envelope_forged_in_another_nodes_name_never_reaches_the_machine() {
+        // Node 2's relay of the sender's value, as node 3 would have it.
+        let label = Path::root(nid(0)).child(nid(2));
+        let forged = frame::encode(&envelope(2, label.clone(), 99));
+        let outcomes = run_against_a_hostile_node_3(&forged);
+        assert_d1_held(&outcomes);
+        let victim = &outcomes[1];
+        for event in &victim.events {
+            if let crate::LoggedEvent::Deliver { msg, .. } = event {
+                assert_eq!(msg.value, AgreementValue::Value(7), "{event:?}");
+            }
+        }
+        assert_eq!(victim.view.seen(&label), AgreementValue::Value(7));
+    }
+
+    #[test]
+    fn a_frame_whose_path_repeats_an_id_ends_the_link_not_the_node() {
+        // 22 bytes on the wire, mid-round: `01 | src | 00 | len=2 | 0 | 0`.
+        let mut hostile = 18u32.to_le_bytes().to_vec();
+        hostile.push(0x01);
+        hostile.extend_from_slice(&3u32.to_le_bytes());
+        hostile.push(0x00);
+        for word in [2u32, 0, 0] {
+            hostile.extend_from_slice(&word.to_le_bytes());
+        }
+        assert_eq!(hostile.len(), 22);
+        assert_d1_held(&run_against_a_hostile_node_3(&hostile));
     }
 
     #[test]
