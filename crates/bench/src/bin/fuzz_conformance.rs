@@ -47,102 +47,46 @@
 
 use degradable::adversary::Strategy;
 use degradable::{BatchInstance, BatchMsg, EpochPlan, Params, Val};
-use harness::fuzz::{
-    run_plan, run_plan_batch, run_plan_transport, shrink, FuzzFailure, FuzzPlan, FuzzViolation,
-    Mutation, ALL_MUTATIONS,
-};
+use harness::fuzz::{FaultSpec, FuzzConfig, FuzzFailure, Mutation, TrialReport, ALL_MUTATIONS};
 use harness::report::Table;
-use harness::{Report, RunArgs, SweepRunner, TransportKind};
+use harness::{Report, RunArgs, SweepRunner};
 use obs::{Obs, TimeMode};
 use simnet::{LinkFaultKind, LinkFaultPlan, NodeId, SimRng};
 use std::collections::BTreeMap;
 
-/// One conformance-sweep trial outcome: coverage plus any (shrunk)
-/// failure. Mirrors [`harness::fuzz_trial`] but keeps the generated
-/// plan's shape for the coverage table.
-struct FuzzRow {
-    n: usize,
-    faults: usize,
-    adaptive: bool,
-    crash: bool,
-    chaotic: bool,
-    early_stop: bool,
-    steps: usize,
-    failure: Option<FuzzFailure>,
-    backend_execs: usize,
-    backend_failure: Option<FuzzViolation>,
+/// What one trial adds to the coverage table, column by column after `n`:
+/// plans, faults, adaptive, crash, chaotic, early_stop, backend, steps.
+fn coverage(row: &TrialReport) -> [usize; 8] {
+    let plan = &row.plan;
+    let any = |kind: fn(&FaultSpec) -> bool| usize::from(plan.faults.values().any(kind));
+    [
+        1,
+        plan.faults.len(),
+        any(|f| matches!(f, FaultSpec::Adaptive(_))),
+        any(|f| matches!(f, FaultSpec::Crash { .. })),
+        usize::from(!plan.is_model_clean()),
+        usize::from(plan.early_stop),
+        row.backend_executions,
+        row.steps,
+    ]
 }
 
-/// Runs one conformance (or mutant) trial. Identical draw order to
-/// `harness::fuzz_trial`, so a failure here reproduces under
-/// `dagree fuzz` with the same master seed and trial index. With
-/// `backends`, every fourth trial is additionally replayed through the
-/// batched service and the TCP mesh under the same spec checker.
-fn fuzz_cell(
-    trial: usize,
-    mut rng: SimRng,
-    max_n: usize,
-    mutation: Option<Mutation>,
-    backends: bool,
-    obs: &mut Obs,
-) -> FuzzRow {
+/// One conformance (or mutant) trial — [`harness::fuzz_trial`], the trial
+/// `dagree fuzz` runs, so a failure here reproduces there under the same
+/// seed and trial index — with its coverage counted into the registry.
+fn fuzz_cell(config: &FuzzConfig, trial: usize, obs: &mut Obs) -> TrialReport {
     let span = obs.span("fuzz.trial", vec![("trial", trial as u64)]);
-    let plan = FuzzPlan::generate(&mut rng, max_n);
-    let report = run_plan(&plan, mutation);
-    let adaptive = plan
-        .faults
-        .values()
-        .any(|f| matches!(f, harness::FaultSpec::Adaptive(_)));
-    let crash = plan
-        .faults
-        .values()
-        .any(|f| matches!(f, harness::FaultSpec::Crash { .. }));
-    let failure = report.violation.as_ref().map(|_| {
-        let (shrunk, shrink_iters) = shrink(&plan, mutation);
-        let violation: FuzzViolation = run_plan(&shrunk, mutation)
-            .violation
-            .expect("the shrinker only returns failing plans");
-        FuzzFailure {
-            trial,
-            plan: plan.clone(),
-            shrunk,
-            violation,
-            shrink_iters,
-        }
-    });
-    let mut backend_execs = 0;
-    let mut backend_failure = None;
-    if backends && mutation.is_none() && trial.is_multiple_of(4) {
-        for rep in [
-            run_plan_batch(&plan),
-            run_plan_transport(&plan, TransportKind::Tcp),
-        ] {
-            backend_execs += 1;
-            if backend_failure.is_none() {
-                backend_failure = rep.violation;
-            }
-        }
-    }
-    obs.finish(span, report.steps as u64);
-    obs.add("fuzz.execs", 1);
-    obs.add("fuzz.backend_execs", backend_execs as u64);
-    obs.add("fuzz.steps", report.steps as u64);
-    obs.add("fuzz.adaptive_plans", u64::from(adaptive));
-    obs.add("fuzz.crash_plans", u64::from(crash));
-    obs.add("fuzz.chaos_plans", u64::from(!plan.is_model_clean()));
-    obs.add("fuzz.early_stop_plans", u64::from(plan.early_stop));
-    FuzzRow {
-        n: plan.n,
-        faults: plan.faults.len(),
-        adaptive,
-        crash,
-        chaotic: !plan.is_model_clean(),
-        early_stop: plan.early_stop,
-        steps: report.steps,
-        failure,
-        backend_execs,
-        backend_failure,
-    }
+    let row = harness::fuzz_trial(config, trial);
+    let [execs, _, adaptive, crash, chaotic, early_stop, backend, steps] = coverage(&row);
+    obs.finish(span, steps as u64);
+    obs.add("fuzz.execs", execs as u64);
+    obs.add("fuzz.backend_execs", backend as u64);
+    obs.add("fuzz.steps", steps as u64);
+    obs.add("fuzz.adaptive_plans", adaptive as u64);
+    obs.add("fuzz.crash_plans", crash as u64);
+    obs.add("fuzz.chaos_plans", chaotic as u64);
+    obs.add("fuzz.early_stop_plans", early_stop as u64);
+    row
 }
 
 /// One churn-sweep trial outcome (deterministic counters only).
@@ -266,19 +210,29 @@ fn main() {
     // expected. Same derive as `dagree fuzz`, so failures cross-repro.
     // Every fourth trial replays through the batched service and the
     // TCP mesh.
-    let fuzz_rows = runner.run_observed(master_seed, budget, &mut obs_rec, |trial, rng, obs| {
-        fuzz_cell(trial, rng, max_n, None, true, obs)
+    let campaign = |seed, budget, mutation: Option<Mutation>| FuzzConfig {
+        seed,
+        budget,
+        max_n,
+        mutation,
+        force_early_stop: false,
+        backends: mutation.is_none(),
+    };
+    let config = campaign(master_seed, budget, None);
+    let fuzz_rows = runner.run_observed(master_seed, budget, &mut obs_rec, |trial, _, obs| {
+        fuzz_cell(&config, trial, obs)
     });
 
     // Campaign 2: mutant battery — each seeded bug injected everywhere
     // over its own seed stream; the checker must catch all of them.
-    let mutant_rows: Vec<(Mutation, Vec<FuzzRow>)> = ALL_MUTATIONS
+    let mutant_rows: Vec<(Mutation, Vec<TrialReport>)> = ALL_MUTATIONS
         .iter()
         .enumerate()
         .map(|(i, &mutation)| {
             let seed = master_seed ^ 0xBADD ^ ((i as u64) << 16);
-            let rows = runner.run_observed(seed, mutant_budget, &mut obs_rec, |trial, rng, obs| {
-                fuzz_cell(trial, rng, max_n, Some(mutation), false, obs)
+            let config = campaign(seed, mutant_budget, Some(mutation));
+            let rows = runner.run_observed(seed, mutant_budget, &mut obs_rec, |trial, _, obs| {
+                fuzz_cell(&config, trial, obs)
             });
             (mutation, rows)
         })
@@ -290,43 +244,20 @@ fn main() {
         runner.run_observed(master_seed ^ 0xC4B2, churn_trials, &mut obs_rec, churn_cell);
 
     // Coverage table: one row per cluster size.
-    #[derive(Default)]
-    struct Cov {
-        plans: usize,
-        faults: usize,
-        adaptive: usize,
-        crash: usize,
-        chaotic: usize,
-        early_stop: usize,
-        backend: usize,
-        steps: usize,
-    }
-    let mut by_n: BTreeMap<usize, Cov> = BTreeMap::new();
+    let mut by_n: BTreeMap<usize, [usize; 8]> = BTreeMap::new();
     for row in &fuzz_rows {
-        let e = by_n.entry(row.n).or_default();
-        e.plans += 1;
-        e.faults += row.faults;
-        e.adaptive += usize::from(row.adaptive);
-        e.crash += usize::from(row.crash);
-        e.chaotic += usize::from(row.chaotic);
-        e.early_stop += usize::from(row.early_stop);
-        e.backend += row.backend_execs;
-        e.steps += row.steps;
+        let sums = by_n.entry(row.plan.n).or_default();
+        for (sum, x) in sums.iter_mut().zip(coverage(row)) {
+            *sum += x;
+        }
     }
     let coverage_rows: Vec<Vec<String>> = by_n
         .iter()
-        .map(|(n, c)| {
-            vec![
-                n.to_string(),
-                c.plans.to_string(),
-                c.faults.to_string(),
-                c.adaptive.to_string(),
-                c.crash.to_string(),
-                c.chaotic.to_string(),
-                c.early_stop.to_string(),
-                c.backend.to_string(),
-                c.steps.to_string(),
-            ]
+        .map(|(n, sums)| {
+            std::iter::once(n)
+                .chain(sums)
+                .map(usize::to_string)
+                .collect()
         })
         .collect();
     let churn_table_rows: Vec<Vec<String>> = churn_rows
@@ -345,12 +276,12 @@ fn main() {
         .collect();
 
     let fuzz_violations = fuzz_rows.iter().filter(|r| r.failure.is_some()).count();
-    let backend_executions: usize = fuzz_rows.iter().map(|r| r.backend_execs).sum();
+    let backend_executions: usize = fuzz_rows.iter().map(|r| r.backend_executions).sum();
     let backend_violations = fuzz_rows
         .iter()
-        .filter(|r| r.backend_failure.is_some())
+        .filter(|r| !r.backend_violations.is_empty())
         .count();
-    let early_stop_plans = fuzz_rows.iter().filter(|r| r.early_stop).count();
+    let early_stop_plans = fuzz_rows.iter().filter(|r| r.plan.early_stop).count();
     let battery: Vec<(Mutation, usize, usize)> = mutant_rows
         .iter()
         .map(|(mutation, rows)| {

@@ -679,11 +679,6 @@ impl EigEngine {
         self
     }
 
-    /// Whether the bitpacked VOTE path is armed.
-    pub fn packed_vote_enabled(&self) -> bool {
-        self.packed_vote
-    }
-
     /// The shared arena.
     pub fn arena(&self) -> &PathArena {
         &self.arena

@@ -123,13 +123,13 @@ pub use params::{Params, ParamsError};
 pub use path::{path_count, paths_of_length, Path};
 pub use protocol::{run_protocol, run_protocol_with, ByzMsg, ProtocolRun};
 pub use service::{
-    run_batch, BatchInstance, BatchMsg, BatchOptions, BatchRun, BatchTraceEvent, ServiceBatch,
-    ServiceConfig, ServiceError, ServiceState, ServiceStats,
+    run_batch, BatchInstance, BatchMsg, BatchOptions, BatchRun, ServiceBatch, ServiceConfig,
+    ServiceError, ServiceState, ServiceStats,
 };
 pub use sm::{run_sm, run_sm_honest, SmAdversary, SmRelayAction};
 pub use sparse::{
     run_sparse, run_sparse_chaotic, sender_cut_topology, RelayChaos, RelayCorruption, SparseRun,
 };
-pub use spec::{DeliveryClass, SpecChecker, SpecInstance, SpecViolation};
+pub use spec::{DeliveryClass, SpecChecker, SpecInstance, SpecViolation, Step};
 pub use value::{AgreementValue, Val};
 pub use vote::{k_of_n, majority, vote};

@@ -55,6 +55,8 @@ use crate::eig::{prunable_path, EigView};
 use crate::engine::{EigEngine, EigStore};
 use crate::params::Params;
 use crate::path::{admit, relay_fanout, Arrival, Path};
+use crate::protocol::ByzMsg;
+use crate::spec::Step;
 use crate::value::AgreementValue;
 use obs::{Obs, SpanRecord};
 use simnet::{EigPerf, NodeId, RoundEngine, Topology};
@@ -122,46 +124,6 @@ pub struct BatchRun<V: Ord> {
     pub spoofs_rejected: u64,
 }
 
-/// One observable moment of a batched execution, as a
-/// [`BatchOptions::trace`] sink receives it — the raw material for replaying a
-/// batch through one `SpecChecker` per instance.
-#[derive(Debug, Clone)]
-pub enum BatchTraceEvent<V> {
-    /// An envelope claiming `instance` was handed to `to`, folding at
-    /// the close of `round`. Emitted for every inbox envelope with an
-    /// in-range instance id, *before* any validation — the consumer's
-    /// checker performs its own classification (a cross-instance spoof
-    /// reads as malformed there too, since its path is not rooted at
-    /// the claimed instance's sender).
-    Deliver {
-        /// The claimed instance (in input order).
-        instance: usize,
-        /// The receiving node.
-        to: NodeId,
-        /// Transport-authenticated source.
-        src: NodeId,
-        /// The relay path.
-        path: Path,
-        /// The claimed value.
-        value: AgreementValue<V>,
-        /// The round at whose close this envelope folds.
-        round: usize,
-    },
-    /// Node `node` closed `round` for `instance`, emitting `sends`
-    /// (pre-chaos, possibly empty — emitted for every instance × node ×
-    /// round so phase tracking stays exact).
-    Close {
-        /// The instance (in input order).
-        instance: usize,
-        /// The closing node.
-        node: NodeId,
-        /// The closed round.
-        round: usize,
-        /// Every send of this instance at this close.
-        sends: Vec<(NodeId, Path, AgreementValue<V>)>,
-    },
-}
-
 /// Hook that customizes the simulated network before a run.
 type NetworkHook<'a, V> =
     Box<dyn FnOnce(RoundEngine<BatchMsg<V>>) -> RoundEngine<BatchMsg<V>> + 'a>;
@@ -174,7 +136,7 @@ pub struct BatchOptions<'a, V> {
     network: Option<NetworkHook<'a, V>>,
     workers: usize,
     early_stop: bool,
-    trace: Option<&'a mut dyn FnMut(BatchTraceEvent<V>)>,
+    trace: Option<&'a mut dyn FnMut(usize, Step<V>)>,
     obs: Option<&'a mut Obs>,
     views: Option<&'a mut Vec<BTreeMap<NodeId, EigView<V>>>>,
 }
@@ -223,10 +185,13 @@ impl<'a, V> BatchOptions<'a, V> {
         self
     }
 
-    /// Receives one [`BatchTraceEvent`] per delivery and per
-    /// instance × node × round close — everything a per-instance
-    /// `SpecChecker` replay needs.
-    pub fn trace(mut self, sink: &'a mut dyn FnMut(BatchTraceEvent<V>)) -> Self {
+    /// Receives `(instance, step)`, instances in input order: one
+    /// [`Step::Deliver`] per inbox envelope claiming an instance of the
+    /// batch, *before* any validation (a cross-instance spoof is malformed
+    /// to the claimed instance's checker too: its path is rooted
+    /// elsewhere), and one [`Step::Close`] per instance × node × round, so
+    /// that a per-instance `SpecChecker` sees every phase tick.
+    pub fn trace(mut self, sink: &'a mut dyn FnMut(usize, Step<V>)) -> Self {
         self.trace = Some(sink);
         self
     }
@@ -459,7 +424,7 @@ fn fill_and_resolve<V: Clone + Ord + Hash + Send + Sync>(
     strategies: &BTreeMap<NodeId, Strategy<V>>,
     engine: &mut RoundEngine<BatchMsg<V>>,
     early_stop: bool,
-    mut trace: Option<&mut dyn FnMut(BatchTraceEvent<V>)>,
+    mut trace: Option<&mut dyn FnMut(usize, Step<V>)>,
     obs: &mut Obs,
     engines: &[EigEngine],
     lease: &mut Lease<V>,
@@ -490,7 +455,7 @@ fn fill_and_resolve<V: Clone + Ord + Hash + Send + Sync>(
         let me = NodeId::new(i);
         let round = ctx.round();
         let strategy = strategies.get(&me);
-        let mut traced_sends: Vec<Vec<(NodeId, Path, AgreementValue<V>)>> = if trace.is_some() {
+        let mut traced_sends: Vec<Vec<(NodeId, ByzMsg<V>)>> = if trace.is_some() {
             vec![Vec::new(); instances.len()]
         } else {
             Vec::new()
@@ -504,14 +469,17 @@ fn fill_and_resolve<V: Clone + Ord + Hash + Send + Sync>(
                     continue; // no such instance: treated as absent
                 }
                 if let Some(trace) = trace.as_deref_mut() {
-                    trace(BatchTraceEvent::Deliver {
-                        instance: idx,
-                        to: me,
-                        src,
+                    let msg = ByzMsg {
                         path: msg.path.clone(),
                         value: msg.value.clone(),
+                    };
+                    let step = Step::Deliver {
+                        to: me,
+                        src,
+                        msg,
                         round,
-                    });
+                    };
+                    trace(idx, step);
                 }
                 // The crate's one admission rule (`crate::path`), shared
                 // with `NodeStateMachine`: a path of level `< round` is an
@@ -560,7 +528,11 @@ fn fill_and_resolve<V: Clone + Ord + Hash + Send + Sync>(
                     }
                     if let Some(v) = claim_for(strategy, &root, r, &inst.value) {
                         if !traced_sends.is_empty() {
-                            traced_sends[idx].push((r, root.clone(), v.clone()));
+                            let msg = ByzMsg {
+                                path: root.clone(),
+                                value: v.clone(),
+                            };
+                            traced_sends[idx].push((r, msg));
                         }
                         inst_sent[idx] += 1;
                         ctx.send(
@@ -587,7 +559,11 @@ fn fill_and_resolve<V: Clone + Ord + Hash + Send + Sync>(
                 for r in receivers {
                     if let Some(v) = claim_for(strategy, &child, r, &value) {
                         if !traced_sends.is_empty() {
-                            traced_sends[instance as usize].push((r, child.clone(), v.clone()));
+                            let msg = ByzMsg {
+                                path: child.clone(),
+                                value: v.clone(),
+                            };
+                            traced_sends[instance as usize].push((r, msg));
                         }
                         inst_sent[instance as usize] += 1;
                         ctx.send(
@@ -604,12 +580,12 @@ fn fill_and_resolve<V: Clone + Ord + Hash + Send + Sync>(
         }
         if let Some(trace) = trace.as_deref_mut() {
             for (idx, sends) in traced_sends.into_iter().enumerate() {
-                trace(BatchTraceEvent::Close {
-                    instance: idx,
+                let step = Step::Close {
                     node: me,
                     round,
                     sends,
-                });
+                };
+                trace(idx, step);
             }
         }
     });
@@ -1475,12 +1451,13 @@ mod tests {
         let mut closes = 0usize;
         let mut sent_in_trace = 0usize;
         let mut views = Vec::new();
-        let mut sink = |ev| match ev {
-            BatchTraceEvent::Deliver { .. } => delivers += 1,
-            BatchTraceEvent::Close { sends, .. } => {
+        let mut sink = |_, step| match step {
+            Step::Deliver { .. } => delivers += 1,
+            Step::Close { sends, .. } => {
                 closes += 1;
                 sent_in_trace += sends.len();
             }
+            Step::Decide { .. } | Step::View { .. } => unreachable!("the fill decides nothing"),
         };
         let run = run_batch(
             params(),

@@ -4,10 +4,11 @@
 //! optimized machinery — buffered inboxes, arena-interned paths, memoized
 //! folds. This module is the *referee*: a compact state machine written
 //! straight from the paper's text, deliberately sharing no code with the
-//! executors it judges. [`SpecChecker`] replays one execution —
-//! delivery by delivery, round close by round close, decision by
-//! decision — and reports every place the observed behaviour departs from
-//! what BYZ permits:
+//! executors it judges. An execution is recorded once, as a sequence of
+//! [`Step`]s — delivery by delivery, round close by round close, decision
+//! by decision, final view by final view — whatever drove it;
+//! [`SpecChecker::step`] replays that record and reports every place the
+//! observed behaviour departs from what BYZ permits:
 //!
 //! * **per-node phase** — rounds close in order `0..=m+1`, never skipped
 //!   or repeated, with the paper's absence detection closing each one;
@@ -192,6 +193,70 @@ impl fmt::Display for SpecViolation {
     }
 }
 
+/// One observed step of a BYZ execution — the one record a driver leaves
+/// for [`SpecChecker::step`], whether it drove lockstep machines, a
+/// transport backend or the batched service.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Step<V> {
+    /// An envelope was handed to `to`, before any validation (the checker
+    /// classifies it itself).
+    Deliver {
+        /// The receiving node.
+        to: NodeId,
+        /// Transport-authenticated source.
+        src: NodeId,
+        /// The envelope.
+        msg: ByzMsg<V>,
+        /// The round at whose close it folds.
+        round: usize,
+    },
+    /// `node` closed `round` (every node closes every round, with or
+    /// without sends).
+    Close {
+        /// The closing node.
+        node: NodeId,
+        /// The closed round.
+        round: usize,
+        /// Every send the close emitted, before any link fault acted: a
+        /// replay judges the node, not the network.
+        sends: Vec<(NodeId, ByzMsg<V>)>,
+    },
+    /// `node` came out of its final close with `value`.
+    Decide {
+        /// The deciding node.
+        node: NodeId,
+        /// Its decision (`None` = none made; the sender never decides).
+        value: Option<AgreementValue<V>>,
+    },
+    /// `node`'s materialized view at the end of the run.
+    View {
+        /// The node.
+        node: NodeId,
+        /// Every path it attributes a value to.
+        entries: Vec<(Path, AgreementValue<V>)>,
+    },
+}
+
+impl<V> fmt::Display for Step<V> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Step::Deliver {
+                to,
+                src,
+                msg,
+                round,
+            } => write!(
+                f,
+                "deliver round={round} to={to} src={src} path={}",
+                msg.path
+            ),
+            Step::Close { node, round, .. } => write!(f, "close node={node} round={round}"),
+            Step::Decide { node, .. } => write!(f, "decide node={node}"),
+            Step::View { node, .. } => write!(f, "check-view node={node}"),
+        }
+    }
+}
+
 /// Per-node abstract state: phase, recorded observations, and the relays
 /// owed at the current close.
 #[derive(Debug, Clone)]
@@ -208,11 +273,11 @@ struct SpecNode<V> {
 /// The conformance checker: `n` abstract node states advanced in lockstep
 /// with the implementation under test.
 ///
-/// Call [`SpecChecker::deliver`] for every envelope handed to an honest
-/// node, [`SpecChecker::close_round`] with the sends each close actually
-/// emitted, [`SpecChecker::decide`] for each decision, and finally
-/// [`SpecChecker::check_view`] against each honest node's materialized
-/// view. Violations accumulate in [`SpecChecker::violations`].
+/// Feed it the execution's [`Step`]s in order through
+/// [`SpecChecker::step`]: every envelope handed to a node, every close
+/// with the sends it actually emitted, every decision, and finally every
+/// node's materialized view. Violations accumulate in
+/// [`SpecChecker::violations`].
 #[derive(Debug, Clone)]
 pub struct SpecChecker<V> {
     inst: SpecInstance,
@@ -281,6 +346,24 @@ impl<V: Clone + Ord + Hash + fmt::Display> SpecChecker<V> {
         self.violations.first()
     }
 
+    /// Advances the abstract machine by one observed step, recording every
+    /// violation the step exposes.
+    pub fn step(&mut self, step: &Step<V>) {
+        match step {
+            Step::Deliver {
+                to,
+                src,
+                msg,
+                round,
+            } => {
+                self.deliver(*to, *src, msg, *round);
+            }
+            Step::Close { node, round, sends } => self.close_round(*node, *round, sends),
+            Step::Decide { node, value } => self.decide(*node, value.as_ref()),
+            Step::View { node, entries } => self.check_view(*node, entries),
+        }
+    }
+
     /// The spec's classification of an envelope delivered to `to` that
     /// will fold at the close of round `round` — exactly the paper's
     /// validation, restated (compare `crate::path::admit` and
@@ -318,13 +401,7 @@ impl<V: Clone + Ord + Hash + fmt::Display> SpecChecker<V> {
     /// Feeds one delivery to honest node `to`, folding at the close of
     /// `round`, and returns its classification. Faulty recipients are
     /// ignored (returns the classification without recording).
-    pub fn deliver(
-        &mut self,
-        to: NodeId,
-        src: NodeId,
-        msg: &ByzMsg<V>,
-        round: usize,
-    ) -> DeliveryClass {
+    fn deliver(&mut self, to: NodeId, src: NodeId, msg: &ByzMsg<V>, round: usize) -> DeliveryClass {
         let class = self.classify(to, src, msg, round);
         if !self.is_honest(to) {
             return class;
@@ -395,7 +472,7 @@ impl<V: Clone + Ord + Hash + fmt::Display> SpecChecker<V> {
     /// Checks the close of `round` on `node` against the spec: the sends
     /// actually emitted must equal the expected relay set exactly. Advances
     /// the node's phase. Faulty nodes advance without checks.
-    pub fn close_round(&mut self, node: NodeId, round: usize, sends: &[(NodeId, ByzMsg<V>)]) {
+    fn close_round(&mut self, node: NodeId, round: usize, sends: &[(NodeId, ByzMsg<V>)]) {
         let expected_phase = self.nodes[node.index()].phase;
         if round != expected_phase {
             self.violations.push(SpecViolation::PhaseSkew {
@@ -464,7 +541,7 @@ impl<V: Clone + Ord + Hash + fmt::Display> SpecChecker<V> {
     /// Checks honest receiver `node`'s final decision against the legal
     /// decision function. The sender never decides; faulty nodes are
     /// unchecked.
-    pub fn decide(&mut self, node: NodeId, decided: Option<&AgreementValue<V>>) {
+    fn decide(&mut self, node: NodeId, decided: Option<&AgreementValue<V>>) {
         if !self.is_honest(node) || node == self.inst.sender {
             return;
         }
@@ -480,17 +557,12 @@ impl<V: Clone + Ord + Hash + fmt::Display> SpecChecker<V> {
 
     /// Compares honest `node`'s materialized view (path → value entries)
     /// against the spec's record, flagging the first divergent path.
-    pub fn check_view<'a>(
-        &mut self,
-        node: NodeId,
-        entries: impl Iterator<Item = (&'a Path, &'a AgreementValue<V>)>,
-    ) where
-        V: 'a,
-    {
+    fn check_view(&mut self, node: NodeId, entries: &[(Path, AgreementValue<V>)]) {
         if !self.is_honest(node) {
             return;
         }
-        let got: BTreeMap<&Path, &AgreementValue<V>> = entries.collect();
+        let got: BTreeMap<&Path, &AgreementValue<V>> =
+            entries.iter().map(|(path, v)| (path, v)).collect();
         let spec = &self.nodes[node.index()].view;
         for (path, expected) in spec {
             match got.get(path) {
@@ -618,7 +690,11 @@ mod tests {
             }
         }
         for (i, machine) in machines.iter().enumerate() {
-            checker.check_view(nid(i), machine.view().entries());
+            let entries = machine.view().entries();
+            checker.step(&Step::View {
+                node: nid(i),
+                entries: entries.map(|(path, v)| (path.clone(), *v)).collect(),
+            });
         }
         checker
     }

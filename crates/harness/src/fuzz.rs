@@ -8,33 +8,39 @@
 //!   fault assignments, link chaos, adaptive overlays, churn crashes),
 //!   generated from a [`SimRng`] so the whole campaign replays from one
 //!   seed, and round-trippable through JSON for repro files;
-//! * [`run_plan`] — the lockstep driver: it advances `n` real
-//!   [`NodeStateMachine`]s round by round, routes their sends through the
-//!   message-keyed [`LinkChaos`] layer (including online
-//!   [`HotEdgeCutter`] overlays), lets adaptive adversaries rewrite the
-//!   claims of faulty nodes, crashes churned nodes mid-run — and validates
-//!   **every delivery, every round close, every decision and every final
-//!   view** against the spec machine, recording the first divergent step;
+//! * three *sources*, which only produce [`Step`]s — the lockstep machines
+//!   ([`run_plan`]: `n` real [`NodeStateMachine`]s round by round, sends
+//!   through the message-keyed [`LinkChaos`] layer with its online
+//!   [`HotEdgeCutter`] overlay, adaptive adversaries rewriting the claims
+//!   of faulty nodes, churned nodes crashing mid-run), a transport backend
+//!   ([`run_plan_transport`]) and the batched service
+//!   ([`run_plan_batch`]) — and one `Referee`, which feeds **every
+//!   delivery, every round close, every decision and every final view**
+//!   to the spec machine, records the first divergent step, and holds a
+//!   clean run's decisions to D.1–D.4;
 //! * [`Mutation`] — deliberate implementation bugs (relay suppression)
 //!   injected *without telling the checker*, proving the referee actually
 //!   catches non-conformance (the CI `fuzz-smoke` mutant gate);
 //! * [`shrink`] — greedy minimization of a failing plan (drop faults,
 //!   silence chaos, strip overlays) to a fixpoint that still fails;
+//! * [`fuzz_trial`] — the one trial every campaign is made of ([`fuzz`],
+//!   `dagree fuzz`, E18): plan, lockstep run, shrink on failure, backend
+//!   replays of every fourth plan;
 //! * repro files — minimized `(seed, plan)` pairs written to
 //!   `results/repros/` as schema-tagged JSON and replayed by
 //!   `dagree fuzz --replay`, printing the first divergent step.
 //!
 //! Every random choice is derived from `(master_seed, trial)` via
 //! [`SimRng::derive`], and every online component (adaptive adversaries,
-//! adaptive link overlays) mutates state only inside the lockstep driver's
+//! adaptive link overlays) mutates state only inside the lockstep source's
 //! fixed total order — so campaigns are bit-identical across worker
 //! counts, which experiment E18 asserts.
 
 use crate::report::JsonValue;
 use degradable::{
     adversary_by_id, check_degradable, run_batch, AdaptiveAdversary, BatchInstance, BatchOptions,
-    BatchTraceEvent, ByzInstance, ByzMsg, NodeAction, NodeEvent, NodeStateMachine, Params,
-    RunRecord, SpecChecker, SpecInstance, SpecViolation, Strategy, Val, Verdict,
+    ByzInstance, ByzMsg, EigView, NodeAction, NodeEvent, NodeStateMachine, Params, Path, RunRecord,
+    SpecChecker, SpecInstance, SpecViolation, Step, Strategy, Val, Verdict,
 };
 use simnet::{LinkFaultKind, LinkFaultPlan, NodeId, SimRng};
 use std::collections::{BTreeMap, BTreeSet};
@@ -42,7 +48,7 @@ use std::fmt;
 use std::io;
 use std::path::{Path as FsPath, PathBuf};
 use transport::{
-    Disposition, HotEdgeCutter, LinkChaos, LoggedEvent, MeshConfig, RunOptions, TransportKind,
+    Disposition, HotEdgeCutter, LinkChaos, MeshConfig, RunOptions, TransportKind, TransportStats,
 };
 
 /// The smallest cluster BYZ(1, 1) admits (`n ≥ 2m + u + 1`).
@@ -235,6 +241,11 @@ impl FuzzPlan {
         self.drop_p == 0.0 && self.hot_edge_threshold.is_none()
     }
 
+    /// The declared fault set.
+    fn faulty(&self) -> BTreeSet<NodeId> {
+        self.faults.keys().copied().collect()
+    }
+
     /// The chaos layer this plan installs.
     fn chaos(&self) -> LinkChaos {
         let plan = if self.drop_p > 0.0 {
@@ -395,32 +406,20 @@ pub struct FuzzViolation {
     pub trace: Option<obs::TraceCtx>,
 }
 
-/// The causal context of a delivery step: the envelope's claimed relay
-/// path, as the trace layer would have stamped it.
-fn delivery_ctx(instance: u64, msg: &ByzMsg<u64>) -> obs::TraceCtx {
-    obs::TraceCtx::new(
-        instance,
-        msg.path
-            .as_slice()
-            .iter()
-            .map(|id| id.index() as u64)
-            .collect(),
-    )
+/// A relay path of `instance` as the trace layer would have stamped it.
+fn path_ctx(instance: usize, path: &Path) -> obs::TraceCtx {
+    let hops = path.as_slice().iter().map(|id| id.index() as u64);
+    obs::TraceCtx::new(instance as u64, hops.collect())
 }
 
-/// The causal chain a spec complaint names, when it names one: the
-/// offending relay path of `instance` as a trace context.
-fn violation_ctx(instance: u64, v: &SpecViolation) -> Option<obs::TraceCtx> {
-    let path = match v {
+/// The relay path a spec complaint names, when it names one.
+fn violation_path(v: &SpecViolation) -> Option<&Path> {
+    match v {
         SpecViolation::UnexpectedRelay { path, .. }
         | SpecViolation::MissingRelay { path, .. }
-        | SpecViolation::ViewDivergence { path, .. } => path,
-        SpecViolation::WrongDecision { .. } | SpecViolation::PhaseSkew { .. } => return None,
-    };
-    Some(obs::TraceCtx::new(
-        instance,
-        path.as_slice().iter().map(|id| id.index() as u64).collect(),
-    ))
+        | SpecViolation::ViewDivergence { path, .. } => Some(path),
+        SpecViolation::WrongDecision { .. } | SpecViolation::PhaseSkew { .. } => None,
+    }
 }
 
 impl fmt::Display for FuzzViolation {
@@ -447,24 +446,182 @@ pub struct ExecReport {
     pub verdict_checked: bool,
 }
 
-/// Runs `plan` through real [`NodeStateMachine`]s in lockstep with the
-/// spec checker, optionally injecting `mutation`. Every delivered envelope,
-/// round close, decision and final view is validated; on model-clean plans
+/// The one judge of an execution, whatever drove it: one [`SpecChecker`]
+/// per instance fed every [`Step`] in its source's order, the ordinal and
+/// wording of the first step that exposed a violation, and the D.1–D.4
+/// verdict over instance 0's decisions at the end.
+struct Referee<'a> {
+    plan: &'a FuzzPlan,
+    /// The source's name in a step description (`""` for the lockstep
+    /// machines: theirs read as repro files record them).
+    label: String,
+    checkers: Vec<SpecChecker<u64>>,
+    steps: usize,
+    first: Option<FuzzViolation>,
+    /// What instance 0's nodes decided, read off its `Decide` steps.
+    decisions: BTreeMap<NodeId, Val>,
+}
+
+impl<'a> Referee<'a> {
+    /// A referee for the first `instances` of [`batch_instances`]: the
+    /// plan's own, and the shifted second one of the batch source.
+    fn new(plan: &'a FuzzPlan, label: String, instances: usize) -> Self {
+        let params = Params::new(plan.m, plan.u).expect("valid plan");
+        let checkers = batch_instances(plan)[..instances]
+            .iter()
+            .map(|bi| {
+                let inst = ByzInstance::new(plan.n, params, bi.sender).expect("valid plan");
+                let checker = SpecChecker::new(SpecInstance::of(&inst), bi.value, plan.faulty());
+                if plan.early_stop {
+                    checker.with_early_stop()
+                } else {
+                    checker
+                }
+            })
+            .collect();
+        Referee {
+            plan,
+            label,
+            checkers,
+            steps: 0,
+            first: None,
+            decisions: BTreeMap::new(),
+        }
+    }
+
+    /// Judges one step of instance `k` — the one place in the workspace
+    /// that feeds a [`SpecChecker`].
+    fn step(&mut self, k: usize, step: &Step<u64>) {
+        self.steps += 1;
+        self.checkers[k].step(step);
+        if let (0, Step::Decide { node, value }) = (k, step) {
+            self.decisions.extend(value.map(|v| (*node, v)));
+        }
+        if self.first.is_some() {
+            return;
+        }
+        let Some(v) = self.checkers[k].first_violation() else {
+            return;
+        };
+        // The causal chain: the path the complaint names, or else the
+        // one the envelope this step delivered claims.
+        let delivered = match step {
+            Step::Deliver { msg, .. } => Some(&msg.path),
+            _ => None,
+        };
+        let label = &self.label;
+        self.first = Some(FuzzViolation {
+            step: self.steps,
+            step_desc: match self.checkers.len() {
+                1 => format!("{label}{step}"),
+                _ => format!("{label}instance={k} {step}"),
+            },
+            violation: v.to_string(),
+            trace: violation_path(v)
+                .or(delivered)
+                .map(|path| path_ctx(k, path)),
+        });
+    }
+
+    /// The verdict tail: a run that departed from the spec nowhere, on
+    /// links as reliable between fault-free nodes as the paper assumes
+    /// (`model_holds`: no link chaos installed, no bug injected), is also
+    /// held to D.1–D.4 — [`check_degradable`] picks the regime, `f ≤ m` or
+    /// `m < f ≤ u`, from the declared fault set. Under chaos a dropped
+    /// honest→honest envelope is a fault outside that set, and the
+    /// conditions legitimately need not hold.
+    fn finish(mut self, model_holds: bool) -> ExecReport {
+        let plan = self.plan;
+        let verdict_checked = model_holds && self.first.is_none();
+        if verdict_checked {
+            let record = RunRecord {
+                params: Params::new(plan.m, plan.u).expect("valid plan"),
+                n: plan.n,
+                sender: plan.sender,
+                sender_value: Val::Value(plan.sender_value),
+                faulty: plan.faulty(),
+                decisions: self.decisions.clone(),
+            };
+            if let Verdict::Violated(v) = check_degradable(&record) {
+                self.steps += 1;
+                self.first = Some(FuzzViolation {
+                    step: self.steps,
+                    step_desc: format!("{}model-check", self.label),
+                    violation: format!("degradable agreement violated with f <= u: {v:?}"),
+                    trace: None,
+                });
+            }
+        }
+        ExecReport {
+            steps: self.steps,
+            violation: self.first,
+            decisions: self.decisions,
+            verdict_checked,
+        }
+    }
+}
+
+/// Runs `plan` through real [`NodeStateMachine`]s in lockstep, optionally
+/// injecting `mutation`, and has the `Referee` validate every delivered
+/// envelope, round close, decision and final view; on model-clean plans
 /// the fault-free decisions are additionally held to
 /// [`degradable::check_degradable`].
 pub fn run_plan(plan: &FuzzPlan, mutation: Option<Mutation>) -> ExecReport {
+    let mut referee = Referee::new(plan, String::new(), 1);
+    for step in lockstep_steps(plan, mutation) {
+        referee.step(0, &step);
+    }
+    referee.finish(plan.is_model_clean() && mutation.is_none())
+}
+
+/// Runs `plan` (coerced to static faults) over a real transport backend
+/// and has the same `Referee` judge what every node's machine saw and
+/// emitted — so the threaded meshes answer to the same spec as the
+/// in-process lockstep source. Early stopping arms machines and checker
+/// together.
+pub fn run_plan_transport(plan: &FuzzPlan, kind: TransportKind) -> ExecReport {
+    let mut referee = Referee::new(plan, format!("{kind:?} "), 1);
+    for step in transport_steps(plan, kind).0 {
+        referee.step(0, &step);
+    }
+    referee.finish(plan.is_model_clean())
+}
+
+/// Runs `plan` as a two-instance batched-service execution ([`run_batch`]
+/// with a trace sink), one [`SpecChecker`] per instance. The second
+/// instance shifts the sender by one and perturbs the value, so the
+/// multiplexer is exercised with genuinely distinct concurrent trees. Link
+/// chaos is not installed — the subject under test here is the
+/// multiplexer itself.
+pub fn run_plan_batch(plan: &FuzzPlan) -> ExecReport {
+    let mut referee = Referee::new(plan, "batch ".into(), 2);
+    for (k, step) in batch_steps(plan) {
+        referee.step(k, &step);
+    }
+    referee.finish(true)
+}
+
+/// A node's final view as the step that records it.
+fn view_step(node: NodeId, view: &EigView<u64>) -> Step<u64> {
+    let entries = view.entries().map(|(path, v)| (path.clone(), *v));
+    Step::View {
+        node,
+        entries: entries.collect(),
+    }
+}
+
+/// The lockstep source: `n` real [`NodeStateMachine`]s advanced round by
+/// round on the calling thread — sends routed through the plan's
+/// [`LinkChaos`] (adaptive overlay included: one thread, one total order),
+/// adaptive adversaries rewriting the claims of faulty nodes, churned
+/// nodes crashing mid-run, `mutation` injected into an honest node. Per
+/// round: every node's deliveries, then every node's close (and, at the
+/// last, its decision); every node's view at the end.
+fn lockstep_steps(plan: &FuzzPlan, mutation: Option<Mutation>) -> Vec<Step<u64>> {
     let inst = plan.instance();
     let n = plan.n;
     let depth = inst.depth();
-    let faulty: BTreeSet<NodeId> = plan.faults.keys().copied().collect();
-    let mut checker = SpecChecker::new(
-        SpecInstance::of(&inst),
-        Val::Value(plan.sender_value),
-        faulty.clone(),
-    );
-    if plan.early_stop {
-        checker = checker.with_early_stop();
-    }
+    let faulty = plan.faulty();
     let chaos = plan.chaos();
     let battery = Strategy::battery(plan.sender_value, plan.sender_value ^ 0xBAD, plan.seed);
     let mut adversaries: BTreeMap<NodeId, Box<dyn AdaptiveAdversary<u64>>> = BTreeMap::new();
@@ -491,51 +648,36 @@ pub fn run_plan(plan: &FuzzPlan, mutation: Option<Mutation>) -> ExecReport {
         })
         .collect();
 
-    let mut step = 0usize;
-    let mut first: Option<FuzzViolation> = None;
-    let mut note = |checker: &SpecChecker<u64>,
-                    step: usize,
-                    trace: Option<obs::TraceCtx>,
-                    desc: &dyn Fn() -> String| {
-        if first.is_none() {
-            if let Some(v) = checker.first_violation() {
-                first = Some(FuzzViolation {
-                    step,
-                    step_desc: desc(),
-                    violation: v.to_string(),
-                    trace: violation_ctx(0, v).or(trace),
-                });
-            }
-        }
-    };
-
+    let mut steps = Vec::new();
     // deliveries[r][i]: envelopes folding at node i's close of round r.
     type Mailboxes = Vec<Vec<Vec<(NodeId, ByzMsg<u64>)>>>;
     let mut deliveries: Mailboxes = vec![vec![Vec::new(); n]; depth + 1];
-    let mut decisions: BTreeMap<NodeId, Val> = BTreeMap::new();
     let mut mutated = false;
     let mut early_decision: Option<(NodeId, Val)> = None;
     for round in 0..=depth {
         for i in 0..n {
-            let node = NodeId::new(i);
+            let to = NodeId::new(i);
             for (src, msg) in std::mem::take(&mut deliveries[round][i]) {
-                step += 1;
-                checker.deliver(node, src, &msg, round);
-                note(&checker, step, Some(delivery_ctx(0, &msg)), &|| {
-                    format!(
-                        "deliver round={round} to={node} src={src} path={}",
-                        msg.path
-                    )
-                });
-                if let Some(adv) = adversaries.get_mut(&node) {
+                if let Some(adv) = adversaries.get_mut(&to) {
                     adv.observe(round, src, &msg.path, &msg.value);
                 }
-                machines[i].on_event(NodeEvent::Deliver { src, msg });
+                let event = NodeEvent::Deliver {
+                    src,
+                    msg: msg.clone(),
+                };
+                machines[i].on_event(event);
+                steps.push(Step::Deliver {
+                    to,
+                    src,
+                    msg,
+                    round,
+                });
             }
         }
         let mut outgoing: Vec<(NodeId, NodeId, ByzMsg<u64>)> = Vec::new();
         for (i, machine) in machines.iter_mut().enumerate() {
             let node = NodeId::new(i);
+            let honest = !faulty.contains(&node);
             let mut sends = Vec::new();
             let mut decided = None;
             for action in machine.on_event(NodeEvent::Timeout { round }) {
@@ -561,18 +703,14 @@ pub fn run_plan(plan: &FuzzPlan, mutation: Option<Mutation>) -> ExecReport {
                     .collect();
             }
             // The implementation bugs under test, injected once per
-            // execution into an honest node. The checker is NOT told.
+            // execution into an honest node. The referee is NOT told.
             match mutation {
-                Some(Mutation::SuppressRelay)
-                    if !mutated && checker.is_honest(node) && !sends.is_empty() =>
-                {
+                Some(Mutation::SuppressRelay) if !mutated && honest && !sends.is_empty() => {
                     // One relay silently never leaves the node.
                     sends.pop();
                     mutated = true;
                 }
-                Some(Mutation::WrongValueRelay)
-                    if !mutated && checker.is_honest(node) && !sends.is_empty() =>
-                {
+                Some(Mutation::WrongValueRelay) if !mutated && honest && !sends.is_empty() => {
                     // One outgoing claim is garbled in flight out of an
                     // honest node.
                     sends[0].1.value = match &sends[0].1.value {
@@ -584,7 +722,7 @@ pub fn run_plan(plan: &FuzzPlan, mutation: Option<Mutation>) -> ExecReport {
                 Some(Mutation::EarlyDecision)
                     if early_decision.is_none()
                         && round + 1 == depth
-                        && checker.is_honest(node)
+                        && honest
                         && node != plan.sender =>
                 {
                     // Snapshot the fold one round before the leaves
@@ -595,14 +733,8 @@ pub fn run_plan(plan: &FuzzPlan, mutation: Option<Mutation>) -> ExecReport {
                 }
                 _ => {}
             }
-            step += 1;
-            checker.close_round(node, round, &sends);
-            note(&checker, step, None, &|| {
-                format!("close node={node} round={round}")
-            });
-            for (to, msg) in sends {
-                outgoing.push((node, to, msg));
-            }
+            outgoing.extend(sends.iter().map(|(to, msg)| (node, *to, msg.clone())));
+            steps.push(Step::Close { node, round, sends });
             if round == depth {
                 let mut reported = decided;
                 match mutation {
@@ -614,10 +746,7 @@ pub fn run_plan(plan: &FuzzPlan, mutation: Option<Mutation>) -> ExecReport {
                         }
                     }
                     Some(Mutation::VoteOffByOne)
-                        if !mutated
-                            && checker.is_honest(node)
-                            && node != plan.sender
-                            && reported.is_some() =>
+                        if !mutated && honest && node != plan.sender && reported.is_some() =>
                     {
                         // Re-fold with the vote threshold raised by one
                         // (`m - 1` in the rule shifts every alpha up).
@@ -630,12 +759,8 @@ pub fn run_plan(plan: &FuzzPlan, mutation: Option<Mutation>) -> ExecReport {
                     }
                     _ => {}
                 }
-                step += 1;
-                checker.decide(node, reported.as_ref());
-                note(&checker, step, None, &|| format!("decide node={node}"));
-                if let Some(d) = reported {
-                    decisions.insert(node, d);
-                }
+                let value = reported;
+                steps.push(Step::Decide { node, value });
             }
         }
         for (from, to, msg) in outgoing {
@@ -655,39 +780,8 @@ pub fn run_plan(plan: &FuzzPlan, mutation: Option<Mutation>) -> ExecReport {
             }
         }
     }
-    for (i, machine) in machines.iter().enumerate() {
-        let node = NodeId::new(i);
-        step += 1;
-        checker.check_view(node, machine.view().entries());
-        note(&checker, step, None, &|| format!("check-view node={node}"));
-    }
-
-    let verdict_checked = plan.is_model_clean() && mutation.is_none() && first.is_none();
-    if verdict_checked {
-        let record = RunRecord {
-            params: Params::new(plan.m, plan.u).expect("valid plan"),
-            n,
-            sender: plan.sender,
-            sender_value: Val::Value(plan.sender_value),
-            faulty,
-            decisions: decisions.clone(),
-        };
-        if let Verdict::Violated(v) = check_degradable(&record) {
-            step += 1;
-            first = Some(FuzzViolation {
-                step,
-                step_desc: "model-check".into(),
-                violation: format!("degradable agreement violated with f <= u: {v:?}"),
-                trace: None,
-            });
-        }
-    }
-    ExecReport {
-        steps: step,
-        violation: first,
-        decisions,
-        verdict_checked,
-    }
+    steps.extend(machines.iter().map(|m| view_step(m.me(), m.view())));
+    steps
 }
 
 /// Coerces a plan's fault assignment to the static strategies the
@@ -695,7 +789,9 @@ pub fn run_plan(plan: &FuzzPlan, mutation: Option<Mutation>) -> ExecReport {
 /// adversaries map to their battery cousin by index, churn crashes to
 /// permanent silence. The *set* of faulty nodes is preserved, which is
 /// all conformance checking constrains — faulty behavior is arbitrary
-/// by definition.
+/// by definition. (Adaptive *links* are coerced the same way where they
+/// must be: a mesh endpoint keeps the keyed plan of the chaos it is given
+/// and drops the overlay; the simulator, one thread, keeps both.)
 fn static_strategies(plan: &FuzzPlan) -> BTreeMap<NodeId, Strategy<u64>> {
     let battery = Strategy::battery(plan.sender_value, plan.sender_value ^ 0xBAD, plan.seed);
     plan.faults
@@ -711,17 +807,12 @@ fn static_strategies(plan: &FuzzPlan) -> BTreeMap<NodeId, Strategy<u64>> {
         .collect()
 }
 
-/// Runs `plan` (coerced to static faults) over a real transport backend
-/// with event recording, then replays every node's log through a fresh
-/// [`SpecChecker`] in the driver's canonical `(round, node)` order — so
-/// the threaded meshes answer to the same referee as the in-process
-/// lockstep driver. Early stopping arms machines and checker together.
-pub fn run_plan_transport(plan: &FuzzPlan, kind: TransportKind) -> ExecReport {
+/// The transport source: one run of `plan` on backend `kind` with every
+/// node's machine logging its own steps, merged into the lockstep
+/// source's order, then the views. The run's traffic statistics ride
+/// along for the tests that compare replays.
+fn transport_steps(plan: &FuzzPlan, kind: TransportKind) -> (Vec<Step<u64>>, TransportStats) {
     let inst = plan.instance();
-    let n = plan.n;
-    let depth = inst.depth();
-    let strategies = static_strategies(plan);
-    let faulty: BTreeSet<NodeId> = plan.faults.keys().copied().collect();
     let options = RunOptions {
         early_stop: plan.early_stop,
         record_events: true,
@@ -731,220 +822,54 @@ pub fn run_plan_transport(plan: &FuzzPlan, kind: TransportKind) -> ExecReport {
         kind,
         &inst,
         Val::Value(plan.sender_value),
-        &strategies,
+        &static_strategies(plan),
         plan.chaos(),
         MeshConfig::default(),
         options,
     )
     .expect("loopback transports are available");
-
-    let mut checker = SpecChecker::new(
-        SpecInstance::of(&inst),
-        Val::Value(plan.sender_value),
-        faulty.clone(),
-    );
-    if plan.early_stop {
-        checker = checker.with_early_stop();
-    }
-    // Segment each node's log into per-round (deliveries, close)
-    // batches: deliveries recorded after the close of round r-1 fold at
-    // the close of round r, which is exactly the log order.
-    type Segment = (
-        Vec<(NodeId, ByzMsg<u64>)>,
-        Vec<(NodeId, ByzMsg<u64>)>,
-        Option<Val>,
-    );
-    let mut per_node: BTreeMap<NodeId, BTreeMap<usize, Segment>> = BTreeMap::new();
-    for (node, events) in &run.node_events {
-        let slots = per_node.entry(*node).or_default();
-        let mut pending: Vec<(NodeId, ByzMsg<u64>)> = Vec::new();
-        for ev in events {
-            match ev {
-                LoggedEvent::Deliver { src, msg } => pending.push((*src, msg.clone())),
-                LoggedEvent::Close {
-                    round,
-                    sends,
-                    decided,
-                } => {
-                    slots.insert(
-                        *round,
-                        (std::mem::take(&mut pending), sends.clone(), *decided),
-                    );
-                }
-            }
-        }
-    }
-
-    let mut step = 0usize;
-    let mut first: Option<FuzzViolation> = None;
-    let mut note = |checker: &SpecChecker<u64>,
-                    step: usize,
-                    trace: Option<obs::TraceCtx>,
-                    desc: &dyn Fn() -> String| {
-        if first.is_none() {
-            if let Some(v) = checker.first_violation() {
-                first = Some(FuzzViolation {
-                    step,
-                    step_desc: desc(),
-                    violation: v.to_string(),
-                    trace: violation_ctx(0, v).or(trace),
-                });
-            }
-        }
-    };
-    let mut decisions: BTreeMap<NodeId, Val> = BTreeMap::new();
-    for round in 0..=depth {
-        for i in 0..n {
-            let node = NodeId::new(i);
-            let Some((delivers, sends, decided)) =
-                per_node.get(&node).and_then(|slots| slots.get(&round))
-            else {
-                continue;
-            };
-            for (src, msg) in delivers {
-                step += 1;
-                checker.deliver(node, *src, msg, round);
-                note(&checker, step, Some(delivery_ctx(0, msg)), &|| {
-                    format!(
-                        "{kind:?} deliver round={round} to={node} src={src} path={}",
-                        msg.path
-                    )
-                });
-            }
-            step += 1;
-            checker.close_round(node, round, sends);
-            note(&checker, step, None, &|| {
-                format!("{kind:?} close node={node} round={round}")
-            });
-            if round == depth {
-                step += 1;
-                checker.decide(node, decided.as_ref());
-                note(&checker, step, None, &|| {
-                    format!("{kind:?} decide node={node}")
-                });
-                if let Some(d) = decided {
-                    decisions.insert(node, *d);
-                }
-            }
-        }
-    }
-    for (node, view) in &run.views {
-        step += 1;
-        checker.check_view(*node, view.entries());
-        note(&checker, step, None, &|| {
-            format!("{kind:?} check-view node={node}")
-        });
-    }
-
-    let verdict_checked = plan.is_model_clean() && first.is_none();
-    if verdict_checked {
-        let record = RunRecord {
-            params: Params::new(plan.m, plan.u).expect("valid plan"),
-            n,
-            sender: plan.sender,
-            sender_value: Val::Value(plan.sender_value),
-            faulty,
-            decisions: decisions.clone(),
-        };
-        if let Verdict::Violated(v) = check_degradable(&record) {
-            step += 1;
-            first = Some(FuzzViolation {
-                step,
-                step_desc: format!("{kind:?} model-check"),
-                violation: format!("degradable agreement violated with f <= u: {v:?}"),
-                trace: None,
-            });
-        }
-    }
-    ExecReport {
-        steps: step,
-        violation: first,
-        decisions,
-        verdict_checked,
-    }
+    // Each log is in its node's round order and the logs come in node
+    // order, so a stable sort by (round, deliveries before closes) is the
+    // lockstep source's order; a decision follows its node's last close.
+    let mut steps: Vec<Step<u64>> = run.node_events.into_values().flatten().collect();
+    steps.sort_by_key(|step| match step {
+        Step::Deliver { round, .. } => (*round, false),
+        Step::Close { round, .. } => (*round, true),
+        Step::Decide { .. } | Step::View { .. } => (inst.depth(), true),
+    });
+    steps.extend(run.views.iter().map(|(node, view)| view_step(*node, view)));
+    (steps, run.stats)
 }
 
-/// Runs `plan` as a two-instance batched-service execution
-/// ([`run_batch`] with a trace sink) and replays the trace through one
-/// [`SpecChecker`] per instance. The second instance shifts the sender
-/// by one and perturbs the value, so the multiplexer is exercised with
-/// genuinely distinct concurrent trees. Link chaos is not installed —
-/// the subject under test here is the multiplexer itself.
-pub fn run_plan_batch(plan: &FuzzPlan) -> ExecReport {
-    let params = Params::new(plan.m, plan.u).expect("valid plan");
-    let strategies = static_strategies(plan);
-    let faulty: BTreeSet<NodeId> = plan.faults.keys().copied().collect();
-    let sender2 = NodeId::new((plan.sender.index() + 1) % plan.n);
-    let instances = vec![
+/// The instances of the batch source — the plan's own, and a second that
+/// shifts the sender by one and perturbs the value. Every other source
+/// runs the first alone.
+fn batch_instances(plan: &FuzzPlan) -> [BatchInstance<u64>; 2] {
+    [
         BatchInstance {
             sender: plan.sender,
             value: Val::Value(plan.sender_value),
         },
         BatchInstance {
-            sender: sender2,
+            sender: NodeId::new((plan.sender.index() + 1) % plan.n),
             value: Val::Value(plan.sender_value ^ 1),
         },
-    ];
-    let mut checkers: Vec<SpecChecker<u64>> = instances
-        .iter()
-        .map(|bi| {
-            let inst = ByzInstance::new(plan.n, params, bi.sender).expect("valid plan");
-            let mut c = SpecChecker::new(SpecInstance::of(&inst), bi.value, faulty.clone());
-            if plan.early_stop {
-                c = c.with_early_stop();
-            }
-            c
-        })
-        .collect();
+    ]
+}
 
-    let mut step = 0usize;
-    let mut first: Option<FuzzViolation> = None;
+/// The batch source: `(instance, step)` as the fill's trace sink hands
+/// them over, then per instance every node's decision and every
+/// receiver's view.
+fn batch_steps(plan: &FuzzPlan) -> Vec<(usize, Step<u64>)> {
+    let instances = batch_instances(plan);
+    let mut steps = Vec::new();
     let mut views = Vec::new();
-    let mut sink = |ev| {
-        step += 1;
-        let (k, trace) = match ev {
-            BatchTraceEvent::Deliver {
-                instance,
-                to,
-                src,
-                path,
-                value,
-                round,
-            } => {
-                let msg = ByzMsg { path, value };
-                checkers[instance].deliver(to, src, &msg, round);
-                (instance, Some(delivery_ctx(instance as u64, &msg)))
-            }
-            BatchTraceEvent::Close {
-                instance,
-                node,
-                round,
-                sends,
-            } => {
-                let sends: Vec<(NodeId, ByzMsg<u64>)> = sends
-                    .into_iter()
-                    .map(|(to, path, value)| (to, ByzMsg { path, value }))
-                    .collect();
-                checkers[instance].close_round(node, round, &sends);
-                (instance, None)
-            }
-        };
-        if first.is_none() {
-            if let Some(v) = checkers[k].first_violation() {
-                first = Some(FuzzViolation {
-                    step,
-                    step_desc: format!("batch event instance={k}"),
-                    violation: v.to_string(),
-                    trace: violation_ctx(k as u64, v).or(trace),
-                });
-            }
-        }
-    };
+    let mut sink = |k, step| steps.push((k, step));
     let run = run_batch(
-        params,
+        Params::new(plan.m, plan.u).expect("valid plan"),
         plan.n,
         &instances,
-        &strategies,
+        &static_strategies(plan),
         plan.seed,
         BatchOptions::new()
             .early_stop(plan.early_stop)
@@ -952,63 +877,14 @@ pub fn run_plan_batch(plan: &FuzzPlan) -> ExecReport {
             .views(&mut views),
     )
     .expect("valid plan");
-    let mut note =
-        |checkers: &[SpecChecker<u64>], k: usize, step: usize, desc: &dyn Fn() -> String| {
-            if first.is_none() {
-                if let Some(v) = checkers[k].first_violation() {
-                    first = Some(FuzzViolation {
-                        step,
-                        step_desc: desc(),
-                        violation: v.to_string(),
-                        trace: violation_ctx(k as u64, v),
-                    });
-                }
-            }
-        };
-    for (k, _) in instances.iter().enumerate() {
-        for i in 0..plan.n {
-            let node = NodeId::new(i);
-            step += 1;
-            checkers[k].decide(node, run.decisions[k].get(&node));
-            note(&checkers, k, step, &|| {
-                format!("batch decide instance={k} node={node}")
-            });
+    for (k, views) in views.iter().enumerate() {
+        for node in NodeId::all(plan.n) {
+            let value = run.decisions[k].get(&node).copied();
+            steps.push((k, Step::Decide { node, value }));
         }
-        for (node, view) in &views[k] {
-            step += 1;
-            checkers[k].check_view(*node, view.entries());
-            note(&checkers, k, step, &|| {
-                format!("batch check-view instance={k} node={node}")
-            });
-        }
+        steps.extend(views.iter().map(|(node, view)| (k, view_step(*node, view))));
     }
-
-    let verdict_checked = first.is_none();
-    if verdict_checked {
-        let record = RunRecord {
-            params,
-            n: plan.n,
-            sender: plan.sender,
-            sender_value: Val::Value(plan.sender_value),
-            faulty,
-            decisions: run.decisions[0].clone(),
-        };
-        if let Verdict::Violated(v) = check_degradable(&record) {
-            step += 1;
-            first = Some(FuzzViolation {
-                step,
-                step_desc: "batch model-check".into(),
-                violation: format!("degradable agreement violated with f <= u: {v:?}"),
-                trace: None,
-            });
-        }
-    }
-    ExecReport {
-        steps: step,
-        violation: first,
-        decisions: run.decisions[0].clone(),
-        verdict_checked,
-    }
+    steps
 }
 
 /// The simplification ladder: each candidate is `plan` with one knob
@@ -1174,90 +1050,95 @@ impl FuzzOutcome {
     }
 }
 
-/// Runs one trial of a campaign: generate a plan from
-/// `SimRng::derive(seed, trial)`-compatible `rng`, execute it, and shrink
-/// on failure. Pure: campaigns are bit-identical however trials are
-/// scheduled (E18 runs this under [`crate::SweepRunner`]).
-pub fn fuzz_trial(
-    trial: usize,
-    mut rng: SimRng,
-    max_n: usize,
-    mutation: Option<Mutation>,
-    force_early_stop: bool,
-) -> Option<FuzzFailure> {
-    let mut plan = FuzzPlan::generate(&mut rng, max_n);
-    if force_early_stop {
+/// What one trial of a campaign produced.
+#[derive(Debug, Clone)]
+pub struct TrialReport {
+    /// The plan as generated — a campaign's coverage is read off it.
+    pub plan: FuzzPlan,
+    /// Steps the lockstep execution of `plan` drove.
+    pub steps: usize,
+    /// Its divergence, shrunk, if it had one.
+    pub failure: Option<FuzzFailure>,
+    /// Backend replays of `plan` performed on top.
+    pub backend_executions: usize,
+    /// The first divergent step of each replay that had one.
+    pub backend_violations: Vec<FuzzViolation>,
+}
+
+/// Runs trial `trial` of a campaign — the one trial every campaign is made
+/// of (`fuzz`, `dagree fuzz`, E18): generate a plan from
+/// `SimRng::derive(config.seed, trial)`, execute it on the lockstep
+/// source, shrink on failure, and, with [`FuzzConfig::backends`], replay
+/// every fourth mutation-free plan through the batched service and the
+/// TCP mesh under the same referee. Pure: campaigns are bit-identical
+/// however trials are scheduled (E18 runs this under
+/// [`crate::SweepRunner`]).
+pub fn fuzz_trial(config: &FuzzConfig, trial: usize) -> TrialReport {
+    let mutation = config.mutation;
+    let mut rng = SimRng::derive(config.seed, trial as u64);
+    let mut plan = FuzzPlan::generate(&mut rng, config.max_n);
+    if config.force_early_stop {
         plan.early_stop = true;
     }
     let report = run_plan(&plan, mutation);
-    report.violation.as_ref()?;
-    let (shrunk, shrink_iters) = shrink(&plan, mutation);
-    let violation = run_plan(&shrunk, mutation)
-        .violation
-        .expect("the shrinker only returns failing plans");
-    Some(FuzzFailure {
-        trial,
+    let failure = report.violation.is_some().then(|| {
+        let (shrunk, shrink_iters) = shrink(&plan, mutation);
+        let violation = run_plan(&shrunk, mutation)
+            .violation
+            .expect("the shrinker only returns failing plans");
+        FuzzFailure {
+            trial,
+            plan: plan.clone(),
+            shrunk,
+            violation,
+            shrink_iters,
+        }
+    });
+    let replays = if config.backends && mutation.is_none() && trial.is_multiple_of(4) {
+        vec![
+            run_plan_batch(&plan),
+            run_plan_transport(&plan, TransportKind::Tcp),
+        ]
+    } else {
+        Vec::new()
+    };
+    TrialReport {
+        steps: report.steps,
+        failure,
+        backend_executions: replays.len(),
+        backend_violations: replays.into_iter().filter_map(|r| r.violation).collect(),
         plan,
-        shrunk,
-        violation,
-        shrink_iters,
-    })
+    }
 }
 
 /// Runs a whole campaign sequentially. Stops early once 8 failures are
 /// collected (each is shrunk, which costs executions of its own).
 pub fn fuzz(config: &FuzzConfig) -> FuzzOutcome {
-    let mut failures = Vec::new();
-    let mut executions = 0usize;
-    let mut backend_executions = 0usize;
+    let mut outcome = FuzzOutcome {
+        executions: 0,
+        backend_executions: 0,
+        failures: Vec::new(),
+    };
     for trial in 0..config.budget {
-        executions += 1;
-        let rng = SimRng::derive(config.seed, trial as u64);
-        if let Some(failure) = fuzz_trial(
-            trial,
-            rng,
-            config.max_n,
-            config.mutation,
-            config.force_early_stop,
-        ) {
-            failures.push(failure);
-            if failures.len() >= 8 {
-                break;
-            }
+        let report = fuzz_trial(config, trial);
+        outcome.executions += 1;
+        outcome.backend_executions += report.backend_executions;
+        outcome.failures.extend(report.failure);
+        // A replay's divergence is reported on the plan as generated.
+        for violation in report.backend_violations {
+            outcome.failures.push(FuzzFailure {
+                trial,
+                plan: report.plan.clone(),
+                shrunk: report.plan.clone(),
+                violation,
+                shrink_iters: 0,
+            });
         }
-        if config.backends && config.mutation.is_none() && trial % 4 == 0 {
-            // Same derivation, same plan — the backend replays exercise
-            // the trial's exact shape.
-            let mut rng = SimRng::derive(config.seed, trial as u64);
-            let mut plan = FuzzPlan::generate(&mut rng, config.max_n);
-            if config.force_early_stop {
-                plan.early_stop = true;
-            }
-            for report in [
-                run_plan_batch(&plan),
-                run_plan_transport(&plan, TransportKind::Tcp),
-            ] {
-                backend_executions += 1;
-                if let Some(violation) = report.violation {
-                    failures.push(FuzzFailure {
-                        trial,
-                        plan: plan.clone(),
-                        shrunk: plan.clone(),
-                        violation,
-                        shrink_iters: 0,
-                    });
-                }
-            }
-            if failures.len() >= 8 {
-                break;
-            }
+        if outcome.failures.len() >= 8 {
+            break;
         }
     }
-    FuzzOutcome {
-        executions,
-        backend_executions,
-        failures,
-    }
+    outcome
 }
 
 /// Schema tag of repro files.
@@ -1685,6 +1566,85 @@ mod tests {
             assert_eq!(batch.violation, None, "batch: {:?}", batch.violation);
             let sim = run_plan_transport(&plan, TransportKind::Sim);
             assert_eq!(sim.violation, None, "sim: {:?}", sim.violation);
+        }
+    }
+
+    /// An execution as a multiset: what a step stream says once the order
+    /// scheduling decides — of arrivals within a round, and so of the
+    /// relays they owe — is taken out of it.
+    fn unordered(steps: impl IntoIterator<Item = Step<u64>>) -> Vec<String> {
+        let mut lines: Vec<String> = steps
+            .into_iter()
+            .map(|mut step| {
+                if let Step::Close { sends, .. } = &mut step {
+                    sends.sort_by_key(|(to, msg)| (*to, msg.path.clone()));
+                }
+                format!("{step:?}")
+            })
+            .collect();
+        lines.sort();
+        lines
+    }
+
+    #[test]
+    fn every_source_records_an_honest_run_as_the_same_steps() {
+        for (n, m, u, early_stop) in [(5, 1, 2, false), (5, 1, 2, true), (7, 2, 2, false)] {
+            let plan = FuzzPlan {
+                n,
+                m,
+                u,
+                sender: NodeId::new(1),
+                sender_value: 4,
+                faults: BTreeMap::new(),
+                drop_p: 0.0,
+                hot_edge_threshold: None,
+                seed: 9,
+                early_stop,
+            };
+            let lockstep = lockstep_steps(&plan, None);
+            // One thread, one event queue: the simulator's is the lockstep
+            // machines' stream, step for step.
+            let (sim, _) = transport_steps(&plan, TransportKind::Sim);
+            assert_eq!(sim, lockstep, "{plan:?}");
+            // The fill closes a round node by node with every instance's
+            // envelopes in one inbox: the same deliveries and closes, in
+            // another order within a round.
+            let fill = |step: &Step<u64>| matches!(step, Step::Deliver { .. } | Step::Close { .. });
+            let batch = batch_steps(&plan).into_iter();
+            let batch = batch.filter_map(|(k, step)| (k == 0).then_some(step));
+            assert_eq!(
+                unordered(batch.filter(fill)),
+                unordered(lockstep.into_iter().filter(fill)),
+                "{plan:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn twenty_tcp_replays_of_a_hot_edge_plan_are_one_execution() {
+        // Seven driver threads, each consulting the chaos layer as sender
+        // and again as receiver: only the keyed plan gives them one answer
+        // per envelope. A shared `HotEdgeCutter` would count each envelope
+        // twice, in whatever order the threads got to it.
+        let plan = FuzzPlan {
+            n: 7,
+            m: 2,
+            u: 2,
+            sender: NodeId::new(3),
+            sender_value: 6,
+            faults: BTreeMap::new(),
+            drop_p: 0.2,
+            hot_edge_threshold: Some(2),
+            seed: 5,
+            early_stop: false,
+        };
+        let replay = || {
+            let (steps, stats) = transport_steps(&plan, TransportKind::Tcp);
+            (stats.chaos_signature(), unordered(steps))
+        };
+        let first = replay();
+        for again in 1..20 {
+            assert_eq!(replay(), first, "replay {again}");
         }
     }
 

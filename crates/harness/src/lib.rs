@@ -51,7 +51,7 @@ pub use batch::BatchScenario;
 pub use executor::{Executor, ProtocolExecutor, ReferenceExecutor, TransportExecutor};
 pub use fuzz::{
     fuzz, fuzz_trial, replay, run_plan, shrink, write_repro, ExecReport, FaultSpec, FuzzConfig,
-    FuzzFailure, FuzzOutcome, FuzzPlan, FuzzViolation, Mutation, ReplayOutcome,
+    FuzzFailure, FuzzOutcome, FuzzPlan, FuzzViolation, Mutation, ReplayOutcome, TrialReport,
 };
 pub use report::{pct, print_csv, print_table, JsonValue, Report, Table};
 pub use scenario::{ChaosConfig, Scenario, ScenarioError};

@@ -201,12 +201,6 @@ impl Topology {
         &self.graph
     }
 
-    /// Mutable access to the underlying graph (for fault experiments that
-    /// sever links).
-    pub fn graph_mut(&mut self) -> &mut Graph {
-        &mut self.graph
-    }
-
     /// Number of nodes.
     pub fn node_count(&self) -> usize {
         self.graph.node_count()

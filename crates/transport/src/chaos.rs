@@ -34,7 +34,7 @@ use simnet::{LinkFaultKind, LinkFaultPlan, NodeId};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Why the chaos layer killed an envelope.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -71,8 +71,8 @@ pub enum Disposition {
 /// in a fixed total order (the simulator, the lockstep fuzz driver)
 /// reproduces the same rulings from the same seed. Thread-per-node meshes
 /// evaluate dispositions concurrently *and twice* (sender and receiver),
-/// so adaptive policies are not installed there — [`LinkChaos::is_pure`]
-/// is the guard drivers check.
+/// so a mesh endpoint keeps the keyed plan of the layer it is given and
+/// drops the policy ([`LinkChaos::is_pure`] holds of what it keeps).
 pub trait AdaptiveLink: Send {
     /// A stable name for reports and repro files.
     fn name(&self) -> &'static str;
@@ -197,10 +197,16 @@ impl LinkChaos {
     }
 
     /// Whether [`LinkChaos::disposition`] is a pure function of its
-    /// arguments (no adaptive overlay). Drivers that evaluate an envelope
-    /// more than once, or concurrently, must refuse impure layers.
+    /// arguments (no adaptive overlay) — the only kind of layer that may be
+    /// consulted more than once per envelope, or concurrently.
     pub fn is_pure(&self) -> bool {
         self.adaptive.is_none()
+    }
+
+    /// The keyed plan under its seed, without the adaptive overlay: what a
+    /// mesh endpoint holds.
+    pub(crate) fn keyed(&self) -> LinkChaos {
+        LinkChaos::new(self.plan.clone(), self.seed)
     }
 
     /// The fate of the envelope for `path` sent from `from` to `to` in
@@ -211,9 +217,12 @@ impl LinkChaos {
         let base = self.base_disposition(round, from, to, path);
         match &self.adaptive {
             None => base,
+            // Poison only says that a ruling panicked on another thread.
+            // What it left is still a policy — the worst a half-made
+            // update costs is determinism — so this ruling goes ahead.
             Some(policy) => policy
                 .lock()
-                .expect("adaptive link policy poisoned")
+                .unwrap_or_else(PoisonError::into_inner)
                 .ruling(round, from, to, path, base),
         }
     }

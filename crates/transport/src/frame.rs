@@ -19,8 +19,8 @@
 //! fixing the value type keeps the codec closed (no serde data format in
 //! the tree). Decoding is total and linear in the frame: every error is a
 //! [`FrameError`], never a panic, because bytes off a socket are
-//! adversary-controlled in this codebase's threat model — the lint below
-//! holds this file to it, a relay path is bounded ([`MAX_PATH_LEN`])
+//! adversary-controlled in this codebase's threat model — the crate's
+//! lint holds this file to it, a relay path is bounded ([`MAX_PATH_LEN`])
 //! before its ids are read, and it is built through the fallible
 //! [`Path::from_ids`], so a path that names a node twice is a malformed
 //! frame like any other. The same frames travel over in-process
@@ -34,15 +34,9 @@
 //! connection. Corruption in the envelope part itself stays fatal, exactly
 //! as for `0x01`.
 
-#![cfg_attr(
-    not(test),
-    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
-)]
-
 use degradable::{AgreementValue, ByzMsg, Path, Val};
 use obs::TraceCtx;
 use simnet::NodeId;
-use std::io::{self, Read, Write};
 
 /// Hard cap on a frame's payload size (1 MiB). A length prefix beyond this
 /// is treated as a corrupt stream rather than an allocation request.
@@ -97,8 +91,6 @@ impl Frame {
 /// Why a byte stream failed to parse as a frame.
 #[derive(Debug)]
 pub enum FrameError {
-    /// The underlying reader or writer failed.
-    Io(io::Error),
     /// The stream ended inside a frame.
     Truncated,
     /// A tag, length, or id field held an impossible value.
@@ -108,7 +100,6 @@ pub enum FrameError {
 impl std::fmt::Display for FrameError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            FrameError::Io(e) => write!(f, "frame io error: {e}"),
             FrameError::Truncated => write!(f, "frame truncated mid-stream"),
             FrameError::Malformed(what) => write!(f, "malformed frame: {what}"),
         }
@@ -116,12 +107,6 @@ impl std::fmt::Display for FrameError {
 }
 
 impl std::error::Error for FrameError {}
-
-impl From<io::Error> for FrameError {
-    fn from(e: io::Error) -> Self {
-        FrameError::Io(e)
-    }
-}
 
 /// Encodes `frame` as a length-prefixed byte vector.
 pub fn encode(frame: &Frame) -> Vec<u8> {
@@ -173,34 +158,6 @@ pub fn encode_into(out: &mut Vec<u8>, frame: &Frame) {
     }
     let body_len = (out.len() - start - 4) as u32;
     out[start..start + 4].copy_from_slice(&body_len.to_le_bytes());
-}
-
-/// Writes one encoded frame to `w` (a single `write_all`, so concurrent
-/// writers on a shared stream never interleave partial frames).
-pub fn write_frame(w: &mut impl Write, frame: &Frame) -> Result<(), FrameError> {
-    w.write_all(&encode(frame))?;
-    Ok(())
-}
-
-/// Reads one frame from `r`. `Ok(None)` on clean EOF at a frame boundary;
-/// [`FrameError::Truncated`] on EOF inside a frame.
-pub fn read_frame(r: &mut impl Read) -> Result<Option<Frame>, FrameError> {
-    let mut len_buf = [0u8; 4];
-    match read_exact_or_eof(r, &mut len_buf)? {
-        ReadOutcome::Eof => return Ok(None),
-        ReadOutcome::Partial => return Err(FrameError::Truncated),
-        ReadOutcome::Full => {}
-    }
-    let len = u32::from_le_bytes(len_buf);
-    if len > MAX_FRAME_LEN {
-        return Err(FrameError::Malformed("length prefix exceeds MAX_FRAME_LEN"));
-    }
-    let mut body = vec![0u8; len as usize];
-    match read_exact_or_eof(r, &mut body)? {
-        ReadOutcome::Full => {}
-        _ => return Err(FrameError::Truncated),
-    }
-    decode(&body).map(Some)
 }
 
 /// Decodes one frame body (the bytes after the length prefix). The whole
@@ -283,33 +240,6 @@ fn put_u32(out: &mut Vec<u8>, v: u32) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
-enum ReadOutcome {
-    Full,
-    Partial,
-    Eof,
-}
-
-/// `read_exact` that distinguishes a clean EOF before the first byte from
-/// an EOF mid-buffer.
-fn read_exact_or_eof(r: &mut impl Read, buf: &mut [u8]) -> Result<ReadOutcome, FrameError> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        match r.read(&mut buf[filled..]) {
-            Ok(0) => {
-                return Ok(if filled == 0 {
-                    ReadOutcome::Eof
-                } else {
-                    ReadOutcome::Partial
-                });
-            }
-            Ok(k) => filled += k,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e.into()),
-        }
-    }
-    Ok(ReadOutcome::Full)
-}
-
 struct Cursor<'a> {
     buf: &'a [u8],
     pos: usize,
@@ -382,19 +312,23 @@ mod tests {
         ]
     }
 
+    /// Splits a byte stream of whole frames at its length prefixes and
+    /// decodes each body.
+    fn decode_stream(mut wire: &[u8]) -> Vec<Frame> {
+        let mut frames = Vec::new();
+        while !wire.is_empty() {
+            let len = u32::from_le_bytes(*wire.first_chunk().unwrap()) as usize;
+            frames.push(decode(&wire[4..4 + len]).unwrap());
+            wire = &wire[4 + len..];
+        }
+        frames
+    }
+
     #[test]
     fn roundtrip_through_a_byte_stream() {
         let frames = sample_frames();
-        let mut wire = Vec::new();
-        for f in &frames {
-            write_frame(&mut wire, f).unwrap();
-        }
-        let mut r = wire.as_slice();
-        let mut back = Vec::new();
-        while let Some(f) = read_frame(&mut r).unwrap() {
-            back.push(f);
-        }
-        assert_eq!(back, frames);
+        let wire: Vec<u8> = frames.iter().flat_map(encode).collect();
+        assert_eq!(decode_stream(&wire), frames);
     }
 
     #[test]
@@ -407,39 +341,7 @@ mod tests {
             one_by_one.extend_from_slice(&encode(f));
         }
         assert_eq!(batch, one_by_one);
-        let mut r = &batch[1..];
-        for f in &frames {
-            assert_eq!(read_frame(&mut r).unwrap().as_ref(), Some(f));
-        }
-        assert!(read_frame(&mut r).unwrap().is_none());
-    }
-
-    #[test]
-    fn clean_eof_is_none() {
-        let mut r: &[u8] = &[];
-        assert!(read_frame(&mut r).unwrap().is_none());
-    }
-
-    #[test]
-    fn eof_inside_prefix_is_truncated() {
-        let wire = encode(&sample_frames()[0]);
-        let mut r = &wire[..2];
-        assert!(matches!(read_frame(&mut r), Err(FrameError::Truncated)));
-    }
-
-    #[test]
-    fn eof_inside_body_is_truncated() {
-        let wire = encode(&sample_frames()[0]);
-        let mut r = &wire[..wire.len() - 1];
-        assert!(matches!(read_frame(&mut r), Err(FrameError::Truncated)));
-    }
-
-    #[test]
-    fn oversized_prefix_is_malformed() {
-        let mut wire = Vec::new();
-        put_u32(&mut wire, MAX_FRAME_LEN + 1);
-        let mut r = wire.as_slice();
-        assert!(matches!(read_frame(&mut r), Err(FrameError::Malformed(_))));
+        assert_eq!(decode_stream(&batch[1..]), frames);
     }
 
     #[test]

@@ -32,6 +32,12 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Bytes off a socket, peers and their threads are adversary-controlled in
+// this crate's threat model: outside tests nothing here may panic on them.
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 pub mod chaos;
 pub mod frame;
@@ -47,7 +53,7 @@ pub use mesh::{
 };
 pub use runner::{
     drive_mesh, run_channel, run_channel_with, run_kind_with, run_sim, run_sim_with, run_tcp,
-    run_tcp_with, LoggedEvent, MeshDriveOptions, NodeOutcome, NodeTracer, RunOptions, TransportRun,
+    run_tcp_with, MeshDriveOptions, NodeOutcome, NodeTracer, RunOptions, TransportRun,
 };
 pub use sim::{RelaxedTiming, SimTransport, SimWorld};
 

@@ -510,11 +510,15 @@ struct RunState {
 }
 
 impl RunState {
-    fn new(me: NodeId, depth: usize, chaos: LinkChaos, round_timeout: Duration) -> Self {
+    /// An endpoint keeps `chaos`'s keyed plan and never its adaptive
+    /// overlay: sender and receiver each look an envelope's disposition up,
+    /// on their own threads, and only a pure function gives both the same
+    /// answer — and one answer per run.
+    fn new(me: NodeId, depth: usize, chaos: &LinkChaos, round_timeout: Duration) -> Self {
         RunState {
             me,
             depth,
-            chaos,
+            chaos: chaos.keyed(),
             round: 0,
             started: false,
             mark_due: false,
@@ -601,7 +605,7 @@ impl MeshTransport {
         me: NodeId,
         n: usize,
         depth: usize,
-        chaos: LinkChaos,
+        chaos: &LinkChaos,
         wire: Wire,
         config: MeshConfig,
     ) -> Self {
@@ -643,7 +647,7 @@ impl MeshTransport {
     /// re-armed.
     pub(crate) fn rearm(&mut self, depth: usize, chaos: &LinkChaos, config: MeshConfig) {
         self.config = config;
-        self.run = RunState::new(self.me, depth, chaos.clone(), config.round_timeout);
+        self.run = RunState::new(self.me, depth, chaos, config.round_timeout);
     }
 
     /// The health rule of a standing mesh: this TCP endpoint closed every
@@ -1015,7 +1019,7 @@ pub fn channel_mesh(
                 .map(|p| (p, txs[p.index()].clone()))
                 .collect();
             let wire = Wire::Channel { inbox, peers };
-            MeshTransport::new(me, n, depth, chaos.clone(), wire, config)
+            MeshTransport::new(me, n, depth, chaos, wire, config)
         })
         .collect()
 }
@@ -1050,7 +1054,10 @@ pub fn tcp_mesh(
         .collect();
     let mut out = Vec::with_capacity(n);
     for h in handles {
-        out.push(h.join().expect("tcp mesh setup thread panicked")?);
+        let joined = h
+            .join()
+            .map_err(|_| io::Error::other("tcp mesh set-up thread panicked"));
+        out.push(joined??);
     }
     Ok(out)
 }
@@ -1137,7 +1144,7 @@ fn join_with_listener(
         listener,
         knocking: Vec::new(),
     });
-    Ok(MeshTransport::new(me, n, depth, chaos, wire, config))
+    Ok(MeshTransport::new(me, n, depth, &chaos, wire, config))
 }
 
 /// The accepting side of the set-up handshake: Nagle off, then the
@@ -1313,7 +1320,7 @@ mod tests {
             nid(0),
             3,
             2,
-            LinkChaos::healthy(),
+            &LinkChaos::healthy(),
             Wire::Channel {
                 inbox,
                 peers: BTreeMap::new(),
@@ -1848,7 +1855,7 @@ mod tests {
             nid(0),
             n,
             depth,
-            LinkChaos::healthy(),
+            &LinkChaos::healthy(),
             Wire::Channel {
                 inbox,
                 peers: BTreeMap::new(),
@@ -1996,7 +2003,7 @@ mod tests {
         assert_d1_held(&outcomes);
         let victim = &outcomes[1];
         for event in &victim.events {
-            if let crate::LoggedEvent::Deliver { msg, .. } = event {
+            if let degradable::Step::Deliver { msg, .. } = event {
                 assert_eq!(msg.value, AgreementValue::Value(7), "{event:?}");
             }
         }
@@ -2174,6 +2181,27 @@ mod tests {
             other => panic!("expected delivery, got {other:?}"),
         }
         assert_eq!(n1.last_trace(), None);
+    }
+
+    #[test]
+    fn an_endpoint_keeps_the_keyed_plan_and_drops_the_adaptive_overlay() {
+        let cut = simnet::LinkFaultKind::Cut { from_round: 0 };
+        let plan = simnet::LinkFaultPlan::healthy().with(nid(0), nid(1), cut);
+        let impure = LinkChaos::new(plan, 3).with_adaptive(crate::HotEdgeCutter::new(1));
+        assert!(!impure.is_pure());
+        let root = Path::root(nid(0));
+        let holds_the_plan_alone = |t: &MeshTransport| {
+            t.run.chaos.is_pure()
+                && t.run.chaos.disposition(0, nid(0), nid(1), &root)
+                    == Disposition::Dropped(DropCause::Cut)
+        };
+        let mut mesh = channel_mesh(2, 2, &impure, MeshConfig::default());
+        mesh.extend(tcp_mesh(2, 2, &impure, MeshConfig::default()).unwrap());
+        assert!(mesh.iter().all(holds_the_plan_alone));
+        for t in &mut mesh {
+            t.rearm(2, &impure, MeshConfig::default());
+        }
+        assert!(mesh.iter().all(holds_the_plan_alone));
     }
 
     #[test]

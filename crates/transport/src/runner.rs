@@ -15,7 +15,7 @@ use crate::mesh::{channel_mesh, tcp_mesh, MeshConfig, MeshTransport};
 use crate::sim::{RelaxedTiming, SimWorld};
 use crate::{LinkChaos, PollOutcome, Transport, TransportKind, TransportStats};
 use degradable::{
-    AgreementValue, ByzInstance, ByzMsg, EigView, NodeAction, NodeStateMachine, Strategy, Val,
+    AgreementValue, ByzInstance, ByzMsg, EigView, NodeAction, NodeStateMachine, Step, Strategy, Val,
 };
 use obs::{Label, Obs, SpanRecord, TraceCtx};
 use simnet::NodeId;
@@ -33,9 +33,10 @@ pub struct RunOptions {
     /// prunable paths are skipped and the saving is reported in the
     /// run's prune counters.
     pub early_stop: bool,
-    /// Record a per-node [`LoggedEvent`] trace — the raw material for
-    /// replaying a threaded mesh run through `SpecChecker` one node at
-    /// a time.
+    /// Record every node's [`Step`]s — what its machine saw and what it
+    /// emitted, in machine order, sends as the machine handed them to the
+    /// transport (*before* any chaos disposition, so a `SpecChecker`
+    /// replay judges the node, not the network).
     pub record_events: bool,
     /// Stamp every outgoing envelope with a causal [`TraceCtx`] and
     /// record `trace.*` spans (send, deliver, close, decide) per node.
@@ -174,30 +175,6 @@ impl NodeTracer {
     }
 }
 
-/// One entry of a node's event log: exactly what the machine saw and
-/// what it emitted, in machine order. Sends are recorded as the machine
-/// handed them to the transport — *before* any chaos disposition — so a
-/// spec replay judges the node, not the network.
-#[derive(Debug, Clone)]
-pub enum LoggedEvent {
-    /// An envelope was delivered to the machine.
-    Deliver {
-        /// Transport-authenticated source.
-        src: NodeId,
-        /// The envelope.
-        msg: ByzMsg<u64>,
-    },
-    /// A round timeout closed on the machine.
-    Close {
-        /// The closed round.
-        round: usize,
-        /// Every send the close emitted, pre-chaos.
-        sends: Vec<(NodeId, ByzMsg<u64>)>,
-        /// The decision, if this close made one.
-        decided: Option<Val>,
-    },
-}
-
 /// What one node produced over one run.
 #[derive(Debug, Clone)]
 pub struct NodeOutcome {
@@ -209,13 +186,14 @@ pub struct NodeOutcome {
     pub view: EigView<u64>,
     /// Traffic attributed to its endpoint.
     pub stats: TransportStats,
-    /// Set when the endpoint's run degenerated into a clean error — every
-    /// peer permanently gone after the reconnect budget (mesh backends
-    /// only; always `None` on the simulator).
+    /// Set when the node's run degenerated into a clean error — every
+    /// peer permanently gone after the reconnect budget, or the thread
+    /// driving the node panicked (mesh backends only; always `None` on the
+    /// simulator).
     pub failure: Option<String>,
     /// The node's event log (empty unless
     /// [`RunOptions::record_events`]).
-    pub events: Vec<LoggedEvent>,
+    pub events: Vec<Step<u64>>,
     /// Subtrees this node declined to relay below (zero unless
     /// [`RunOptions::early_stop`]).
     pub subtrees_pruned: u64,
@@ -224,6 +202,24 @@ pub struct NodeOutcome {
     /// The node's trace recorder output (disabled unless
     /// [`RunOptions::trace`]).
     pub obs: Obs,
+}
+
+impl NodeOutcome {
+    /// What is left of a node whose driver thread panicked: no decision,
+    /// an empty view, and the failure that says why.
+    fn panicked(node: NodeId, n: usize, depth: usize) -> Self {
+        NodeOutcome {
+            node,
+            decision: None,
+            view: EigView::new(n, depth, node),
+            stats: TransportStats::default(),
+            failure: Some("mesh node thread panicked".to_owned()),
+            events: Vec::new(),
+            subtrees_pruned: 0,
+            messages_saved: 0,
+            obs: Obs::disabled(),
+        }
+    }
 }
 
 /// The outcome of one scenario on one backend.
@@ -242,7 +238,7 @@ pub struct TransportRun {
     /// Run-total sends skipped by early stopping.
     pub messages_saved: u64,
     /// Per-node event logs (empty unless [`RunOptions::record_events`]).
-    pub node_events: BTreeMap<NodeId, Vec<LoggedEvent>>,
+    pub node_events: BTreeMap<NodeId, Vec<Step<u64>>>,
     /// All nodes' trace recorders merged in node order (disabled unless
     /// [`RunOptions::trace`]); the deterministic input for critical-path
     /// reconstruction and the SLO layer.
@@ -308,18 +304,19 @@ fn machines_for(
         .collect()
 }
 
-/// Feeds `event`-produced actions back into the transport; returns the
-/// decision if the machine made one. With a log attached, records the
-/// delivery or the full close (round, pre-chaos sends, decision). With a
-/// tracer attached, stamps every send with its causal context and
-/// records the node's `trace.*` spans.
+/// Feeds `event`-produced actions back into the transport (the decision
+/// stays with the machine: [`NodeStateMachine::decided`]). With a log
+/// attached, records the delivery (to fold at the round the machine closes
+/// next) or the full close (round, pre-chaos sends) and, at the last one,
+/// the decision. With a tracer attached, stamps every send with its causal
+/// context and records the node's `trace.*` spans.
 fn perform<T: Transport>(
     transport: &mut T,
     machine: &mut NodeStateMachine<u64>,
     event: degradable::NodeEvent<u64>,
-    mut log: Option<&mut Vec<LoggedEvent>>,
+    mut log: Option<&mut Vec<Step<u64>>>,
     mut tracer: Option<&mut NodeTracer>,
-) -> Option<Val> {
+) {
     let closing_round = match &event {
         degradable::NodeEvent::Timeout { round } => {
             if let Some(t) = tracer.as_deref_mut() {
@@ -334,20 +331,21 @@ fn perform<T: Transport>(
                 t.record_deliver(*src, transport.last_trace());
             }
             if let Some(log) = log.as_deref_mut() {
-                log.push(LoggedEvent::Deliver {
+                log.push(Step::Deliver {
+                    to: machine.me(),
                     src: *src,
                     msg: msg.clone(),
+                    round: machine.next_round(),
                 });
             }
             None
         }
     };
-    let mut decision = None;
     let mut sends = Vec::new();
     for action in machine.on_event(event) {
         match action {
             NodeAction::Send { to, msg } => {
-                if log.is_some() && closing_round.is_some() {
+                if log.is_some() {
                     sends.push((to, msg.clone()));
                 }
                 match tracer.as_deref_mut() {
@@ -363,18 +361,17 @@ fn perform<T: Transport>(
                 if let Some(t) = tracer.as_deref_mut() {
                     t.record_decide(&value);
                 }
-                decision = Some(value);
             }
         }
     }
     if let (Some(round), Some(log)) = (closing_round, log) {
-        log.push(LoggedEvent::Close {
-            round,
-            sends,
-            decided: decision,
-        });
+        let node = machine.me();
+        log.push(Step::Close { node, round, sends });
+        if machine.is_done() {
+            let value = machine.decided().copied();
+            log.push(Step::Decide { node, value });
+        }
     }
-    decision
 }
 
 /// Runs the scenario on the deterministic simulator backend.
@@ -412,8 +409,7 @@ pub fn run_sim_with(
     let faulty: BTreeSet<NodeId> = strategies.keys().copied().collect();
     let mut endpoints = SimWorld::endpoints(n, instance.depth(), chaos, relaxed, faulty);
     let mut machines = machines_for(instance, sender_value, strategies, options);
-    let mut decisions: Vec<Option<Val>> = vec![None; n];
-    let mut logs: Vec<Vec<LoggedEvent>> = vec![Vec::new(); n];
+    let mut logs: Vec<Vec<Step<u64>>> = vec![Vec::new(); n];
     let mut tracers: Vec<Option<NodeTracer>> = (0..n)
         .map(|i| options.trace.then(|| NodeTracer::new(0, NodeId::new(i))))
         .collect();
@@ -433,15 +429,13 @@ pub fn run_sim_with(
                             continue;
                         }
                         let log = options.record_events.then_some(&mut logs[i]);
-                        if let Some(d) = perform(
+                        perform(
                             &mut endpoints[i],
                             &mut machines[i],
                             event,
                             log,
                             tracers[i].as_mut(),
-                        ) {
-                            decisions[i] = Some(d);
-                        }
+                        );
                     }
                     PollOutcome::Pending => {
                         all_closed = false;
@@ -451,10 +445,12 @@ pub fn run_sim_with(
                 }
             }
         }
-        if all_closed {
+        // No progress with events pending would be a world whose head
+        // nobody owns: the run ends there, and a node left short of its
+        // last round has decided nothing.
+        if all_closed || !progressed {
             break;
         }
-        assert!(progressed, "sim driver stalled with events pending");
     }
     let outcomes = machines
         .into_iter()
@@ -464,7 +460,7 @@ pub fn run_sim_with(
         .enumerate()
         .map(|(i, (((m, t), events), tracer))| NodeOutcome {
             node: NodeId::new(i),
-            decision: decisions[i],
+            decision: m.decided().copied(),
             stats: t.stats(),
             failure: None,
             events,
@@ -482,7 +478,7 @@ pub fn run_sim_with(
 /// `dagree serve`.
 #[derive(Debug, Clone, Default)]
 pub struct MeshDriveOptions {
-    /// Record a per-node [`LoggedEvent`] log.
+    /// Record the node's [`Step`] log.
     pub record_events: bool,
     /// Stamp sends with a [`TraceCtx`] and record `trace.*` spans.
     pub trace: bool,
@@ -517,7 +513,6 @@ fn drive(
     options: &MeshDriveOptions,
 ) -> NodeOutcome {
     let me = transport.me();
-    let mut decision = None;
     let mut events = Vec::new();
     let mut tracer = options.trace.then(|| NodeTracer::new(options.instance, me));
     let mut sink = options.metrics_out.as_ref().and_then(|path| {
@@ -541,9 +536,7 @@ fn drive(
                     degradable::NodeEvent::Deliver { .. } => None,
                 };
                 let log = options.record_events.then_some(&mut events);
-                if let Some(d) = perform(transport, &mut machine, event, log, tracer.as_mut()) {
-                    decision = Some(d);
-                }
+                perform(transport, &mut machine, event, log, tracer.as_mut());
                 if let (Some(round), Some(f)) = (closed_round, sink.as_mut()) {
                     if let Err(e) = write_metrics_line(f, me, round, tracer.as_ref(), transport) {
                         eprintln!("metrics-out: write failed, disabling: {e}");
@@ -557,7 +550,7 @@ fn drive(
     }
     NodeOutcome {
         node: me,
-        decision,
+        decision: machine.decided().copied(),
         stats: transport.stats(),
         failure: transport.failure().map(str::to_owned),
         events,
@@ -603,6 +596,7 @@ fn run_mesh(
     strategies: &BTreeMap<NodeId, Strategy<u64>>,
     options: RunOptions,
 ) -> (TransportRun, Option<Vec<MeshTransport>>) {
+    let (n, depth) = (instance.n(), instance.depth());
     let machines = machines_for(instance, sender_value, strategies, options);
     let options = MeshDriveOptions {
         record_events: options.record_events,
@@ -622,7 +616,13 @@ fn run_mesh(
         .collect();
     let (outcomes, mesh): (Vec<_>, Vec<_>) = handles
         .into_iter()
-        .map(|h| h.join().expect("mesh node thread panicked"))
+        .zip(NodeId::all(n))
+        .map(|(h, node)| {
+            // A driver that panicked took its endpoint down with it: the
+            // peers saw the links close, and the mesh is not kept.
+            h.join()
+                .unwrap_or_else(|_| (NodeOutcome::panicked(node, n, depth), None))
+        })
         .unzip();
     (
         TransportRun::assemble(kind, outcomes),
@@ -969,8 +969,8 @@ mod tests {
             let closes: Vec<usize> = events
                 .iter()
                 .filter_map(|e| match e {
-                    LoggedEvent::Close { round, .. } => Some(*round),
-                    LoggedEvent::Deliver { .. } => None,
+                    Step::Close { round, .. } => Some(*round),
+                    _ => None,
                 })
                 .collect();
             assert_eq!(closes, vec![0, 1, 2], "node {node}");
@@ -1140,17 +1140,16 @@ mod tests {
                         let outcome = drive(&mut t, m, &MeshDriveOptions::default());
                         return (outcome.decision, t);
                     }
-                    let mut decision = None;
                     loop {
                         match t.poll() {
                             PollOutcome::Event(event) => {
                                 if event == (degradable::NodeEvent::Timeout { round: last_round }) {
                                     thread::sleep(Duration::from_millis(200));
                                 }
-                                decision = perform(&mut t, &mut m, event, None, None).or(decision);
+                                perform(&mut t, &mut m, event, None, None);
                             }
                             PollOutcome::Pending => t.wait(),
-                            PollOutcome::Closed => return (decision, t),
+                            PollOutcome::Closed => return (m.decided().copied(), t),
                         }
                     }
                 })
@@ -1184,6 +1183,34 @@ mod tests {
             assert_eq!(t.stats().delivered, expected, "node {}", t.me());
             assert_eq!(t.stats().false_timeouts, 1, "node {}", t.me());
             assert!(!t.ended_clean(), "node {}", t.me());
+        }
+    }
+
+    #[test]
+    fn a_node_thread_that_panics_costs_its_node_not_the_caller() {
+        // A mesh armed for one round more than the machines have: every
+        // machine refuses the surplus timeout by panicking, on its own
+        // driver thread.
+        let inst = instance(4, 1, 1);
+        let mesh = channel_mesh(
+            4,
+            inst.depth() + 1,
+            &LinkChaos::healthy(),
+            MeshConfig::default(),
+        );
+        let (run, mesh) = run_mesh(
+            TransportKind::Channel,
+            mesh,
+            &inst,
+            Val::Value(7),
+            &BTreeMap::new(),
+            RunOptions::default(),
+        );
+        assert!(mesh.is_none(), "no endpoint outlives its driver");
+        assert!(run.decisions.is_empty(), "{:?}", run.decisions);
+        assert_eq!(run.views.len(), 4);
+        for (node, view) in &run.views {
+            assert_eq!(view.entries().count(), 0, "node {node}");
         }
     }
 

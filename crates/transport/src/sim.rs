@@ -221,14 +221,16 @@ impl SimWorld {
     }
 
     fn poll_for(&mut self, me: NodeId) -> PollOutcome {
-        match self.queue.peek() {
-            None => return PollOutcome::Closed,
+        let head = match self.queue.peek() {
             // Only the owner may pop the head: the queue's total order is
             // the run's event order no matter who polls when.
             Some(head) if head.payload.owner() != me => return PollOutcome::Pending,
-            Some(_) => {}
-        }
-        let ev = self.queue.pop().expect("peeked head vanished");
+            Some(_) => self.queue.pop(),
+            None => None,
+        };
+        let Some(ev) = head else {
+            return PollOutcome::Closed;
+        };
         match ev.payload {
             WorldEvent::Timer { round, .. } => PollOutcome::Event(NodeEvent::Timeout { round }),
             WorldEvent::Deliver {
