@@ -374,6 +374,29 @@ fn opt_usize(flags: &Flags<'_>, name: &str, default: usize) -> Result<usize, Par
     }
 }
 
+/// A node id off the command line: `None` for anything but an index in the
+/// id range — an argument naming node 65 539 is refused, never read as
+/// node 3.
+fn node_id(v: &str) -> Option<NodeId> {
+    v.parse::<usize>().ok().and_then(NodeId::try_new)
+}
+
+/// A system size off the command line (`what` names the flag): every one
+/// of its nodes must have an id.
+fn node_count(what: &str, nodes: usize) -> Result<usize, ParseError> {
+    if nodes > NodeId::MAX_INDEX + 1 {
+        return err(format!(
+            "`{what}` names {nodes} nodes; node ids end at {}",
+            NodeId::MAX_INDEX
+        ));
+    }
+    Ok(nodes)
+}
+
+fn req_nodes(flags: &Flags<'_>) -> Result<usize, ParseError> {
+    node_count("--nodes", req_usize(flags, "--nodes")?)
+}
+
 /// Parses a faulty-node specification (see [`USAGE`]).
 pub fn parse_faulty(spec: &str) -> Result<BTreeMap<NodeId, Strategy<u64>>, ParseError> {
     let mut out = BTreeMap::new();
@@ -385,9 +408,8 @@ pub fn parse_faulty(spec: &str) -> Result<BTreeMap<NodeId, Strategy<u64>>, Parse
         if parts.len() < 2 {
             return err(format!("faulty entry `{entry}` needs `node:strategy`"));
         }
-        let node: usize = parts[0]
-            .parse()
-            .map_err(|_| ParseError(format!("bad node id `{}`", parts[0])))?;
+        let node =
+            node_id(parts[0]).ok_or_else(|| ParseError(format!("bad node id `{}`", parts[0])))?;
         let strategy = match (parts[1], parts.len()) {
             ("silent", 2) => Strategy::Silent,
             ("truthful", 2) => Strategy::Truthful,
@@ -405,7 +427,7 @@ pub fn parse_faulty(spec: &str) -> Result<BTreeMap<NodeId, Strategy<u64>>, Parse
             },
             _ => return err(format!("unknown strategy spec `{entry}`")),
         };
-        out.insert(NodeId::new(node), strategy);
+        out.insert(node, strategy);
     }
     Ok(out)
 }
@@ -457,7 +479,7 @@ fn parse_service_flags<'a>(
     wave_default: usize,
     queue_default: usize,
 ) -> Result<(ServiceFlags, usize), ParseError> {
-    let nodes = req_usize(flags, "--nodes")?;
+    let nodes = req_nodes(flags)?;
     let wave = opt_usize(flags, wave_flag, wave_default)?;
     if wave == 0 {
         return err(format!("`{wave_flag}` must be at least 1"));
@@ -502,11 +524,11 @@ pub fn parse_args(argv: &[String]) -> Result<Command, ParseError> {
         "help" | "--help" | "-h" => Ok(Command::Help),
         "run" => {
             let flags = collect_flags(rest)?;
-            let nodes = req_usize(&flags, "--nodes")?;
+            let nodes = req_nodes(&flags)?;
             let explain = match flags.pairs.get("--explain") {
-                Some(v) => Some(NodeId::new(v.parse().map_err(|_| {
+                Some(v) => Some(node_id(v).ok_or_else(|| {
                     ParseError(format!("`--explain` expects a node id, got `{v}`"))
-                })?)),
+                })?),
                 None => None,
             };
             let transport = match flags.pairs.get("--transport") {
@@ -560,6 +582,7 @@ pub fn parse_args(argv: &[String]) -> Result<Command, ParseError> {
             if peers.len() < 2 {
                 return err("`--peers` needs at least two comma-separated HOST:PORT entries");
             }
+            node_count("--peers", peers.len())?;
             let index = req_usize(&flags, "--index")?;
             if index >= peers.len() {
                 return err(format!(
@@ -616,7 +639,7 @@ pub fn parse_args(argv: &[String]) -> Result<Command, ParseError> {
         }
         "batch" => {
             let flags = collect_flags(rest)?;
-            let nodes = req_usize(&flags, "--nodes")?;
+            let nodes = req_nodes(&flags)?;
             Ok(Command::Batch {
                 nodes,
                 m: req_usize(&flags, "--m")?,
@@ -646,7 +669,7 @@ pub fn parse_args(argv: &[String]) -> Result<Command, ParseError> {
                 other => return err(format!("unknown search method `{other}`")),
             };
             Ok(Command::Search {
-                nodes: req_usize(&flags, "--nodes")?,
+                nodes: req_nodes(&flags)?,
                 m: req_usize(&flags, "--m")?,
                 u: req_usize(&flags, "--u")?,
                 below_bound: flags.switches.contains(&"--below-bound"),
@@ -663,7 +686,7 @@ pub fn parse_args(argv: &[String]) -> Result<Command, ParseError> {
         "tradeoffs" => {
             let flags = collect_flags(rest)?;
             Ok(Command::Tradeoffs {
-                nodes: req_usize(&flags, "--nodes")?,
+                nodes: req_nodes(&flags)?,
             })
         }
         "certify" => {
@@ -718,7 +741,7 @@ pub fn parse_args(argv: &[String]) -> Result<Command, ParseError> {
                     .map(|v| parse_u64(v))
                     .transpose()?
                     .unwrap_or(0xF055_F0CC),
-                max_n: opt_usize(&flags, "--max-n", 9)?,
+                max_n: node_count("--max-n", opt_usize(&flags, "--max-n", 9)?)?,
                 mutate,
                 early_stop: flags.switches.contains(&"--early-stop"),
                 repro_dir: flags
@@ -1242,6 +1265,32 @@ mod tests {
     fn missing_flags_are_reported() {
         let e = parse_args(&sv(&["run", "--nodes", "5"])).unwrap_err();
         assert!(e.0.contains("--m"));
+    }
+
+    #[test]
+    fn a_node_beyond_the_id_range_is_refused_not_narrowed() {
+        // 65 539 = 65 536 + 3: none of these may come back as node 3.
+        let shape = ["--nodes", "5", "--m", "1", "--u", "2"];
+        for extra in [["--faulty", "65539:silent"], ["--explain", "65539"]] {
+            let mut argv = vec!["run"];
+            argv.extend(shape);
+            argv.extend(extra);
+            let e = parse_args(&sv(&argv)).unwrap_err();
+            assert!(e.0.contains("65539"), "{e}");
+        }
+        assert_eq!(
+            parse_faulty("65535:silent").unwrap().keys().next(),
+            Some(&NodeId::new(65_535))
+        );
+        for argv in [
+            vec!["run", "--nodes", "65537", "--m", "1", "--u", "2"],
+            vec!["batch", "--nodes", "65537", "--m", "1", "--u", "2"],
+            vec!["bombard", "--nodes", "65537", "--m", "1", "--u", "2"],
+            vec!["fuzz", "--max-n", "65537"],
+        ] {
+            let e = parse_args(&sv(&argv)).unwrap_err();
+            assert!(e.0.contains("node ids end at 65535"), "{argv:?}: {e}");
+        }
     }
 
     #[test]

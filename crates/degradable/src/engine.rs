@@ -13,10 +13,10 @@
 //!   indexed by compact `u32` [`PathId`]s. Children of a node are
 //!   contiguous, so interning a path is a walk of popcount ranks and
 //!   resolving an id back to its [`Path`] is a parent-chain walk.
-//! * [`EigStore`] is the dense slot table `store[σ][receiver]` filled
-//!   breadth-first from relay envelopes (first write wins, duplicates
-//!   fold idempotently — exactly the [`crate::EigView::record`]
-//!   semantics).
+//! * [`EigStore`] is the dense slot table `store[receiver][σ]` — one
+//!   contiguous column per receiver — filled breadth-first from relay
+//!   envelopes (first write wins, duplicates fold idempotently — exactly
+//!   the [`crate::EigView::record`] semantics).
 //! * [`EigEngine::resolve`] runs one bottom-up pass computing a
 //!   `Summary` per arena node covering **all receivers at once**.
 //!   Subtrees that look identical to every receiver collapse to a
@@ -288,7 +288,7 @@ impl PathArena {
             return None;
         }
         let mut id = 0u32;
-        for &nid in rest {
+        for (len, &nid) in rest.iter().enumerate() {
             let node = &self.nodes[id as usize];
             if node.child_count == 0 {
                 return None;
@@ -301,8 +301,12 @@ impl PathArena {
             if avail >> j & 1 == 0 {
                 return None;
             }
-            let rank = (avail & ((1u64 << j) - 1)).count_ones();
-            id = node.first_child + rank;
+            // Children are ordered by relayer over the nodes off the
+            // label: `j`'s rank is `j` less the label's nodes below it —
+            // a compare per node of a short prefix, where a population
+            // count of `avail` is a dozen instructions without `popcnt`.
+            let below = slice[..=len].iter().filter(|p| p.index() < j).count();
+            id = node.first_child + (j - below) as u32;
         }
         Some(PathId(id))
     }
@@ -327,6 +331,12 @@ impl PathArena {
         path
     }
 
+    /// The label `id` extends by its last relayer; `None` for the root.
+    pub(crate) fn parent(&self, id: PathId) -> Option<PathId> {
+        let parent = self.nodes[id.index()].parent;
+        (parent != u32::MAX).then_some(PathId(parent))
+    }
+
     /// Whether `node` lies on the path `id` was interned from.
     pub fn on_path(&self, id: PathId, node: NodeId) -> bool {
         node.index() < 64 && self.nodes[id.index()].members >> node.index() & 1 == 1
@@ -339,15 +349,26 @@ impl PathArena {
     }
 }
 
-/// Dense slot table `store[σ][receiver]` over a [`PathArena`].
+/// Dense slot table `store[receiver][σ]` over a [`PathArena`].
 ///
 /// `None` denotes an absent message and reads as `V_d` at resolution
 /// time, mirroring [`crate::EigView::seen`]. The first write to a slot
 /// wins; duplicates fold idempotently and are not counted as
 /// materialized.
+///
+/// The table is **receiver-major**: a node's column — everything it holds
+/// of the instance, in arena (BFS) order — is one contiguous run. The
+/// fill is what this is for: a simulated node's turn writes one column of
+/// each instance in flight, so its writes stay inside a few kilobytes
+/// instead of landing one slot per `n`-wide row across every store of the
+/// wave. The resolve pays for it with a strided gather per label
+/// ([`EigStore::row`]), over a single store that fits the first-level
+/// cache. [`EigStore::record`], [`EigStore::get`], [`EigStore::column`],
+/// [`EigStore::clear`] and `row` are the only places that index `slots`.
 #[derive(Debug, Clone)]
 pub struct EigStore<V> {
-    n: usize,
+    /// Interned labels per column (the arena's node count).
+    labels: usize,
     slots: Vec<Option<AgreementValue<V>>>,
     materialized: u64,
 }
@@ -358,7 +379,7 @@ impl<V> EigStore<V> {
         let mut slots = Vec::new();
         slots.resize_with(arena.node_count() * arena.n(), || None);
         EigStore {
-            n: arena.n(),
+            labels: arena.node_count(),
             slots,
             materialized: 0,
         }
@@ -383,7 +404,7 @@ impl<V> EigStore<V> {
             !arena.on_path(id, receiver),
             "receiver must not lie on the recorded path"
         );
-        let slot = &mut self.slots[id.index() * self.n + receiver.index()];
+        let slot = &mut self.slots[receiver.index() * self.labels + id.index()];
         if slot.is_none() {
             *slot = Some(value);
             self.materialized += 1;
@@ -395,7 +416,7 @@ impl<V> EigStore<V> {
 
     /// The value `receiver` holds for `id`, if any was recorded.
     pub fn get(&self, id: PathId, receiver: NodeId) -> Option<&AgreementValue<V>> {
-        self.slots[id.index() * self.n + receiver.index()].as_ref()
+        self.slots[receiver.index() * self.labels + id.index()].as_ref()
     }
 
     /// Iterator over the slots `receiver` holds — its *column* of the
@@ -407,12 +428,23 @@ impl<V> EigStore<V> {
         &self,
         receiver: NodeId,
     ) -> impl Iterator<Item = (PathId, &AgreementValue<V>)> + '_ {
-        let n = self.n;
-        let r = receiver.index();
-        self.slots
-            .chunks(n)
+        self.slots[receiver.index() * self.labels..][..self.labels]
+            .iter()
             .enumerate()
-            .filter_map(move |(i, row)| row[r].as_ref().map(|v| (PathId(i as u32), v)))
+            .filter_map(|(i, slot)| slot.as_ref().map(|v| (PathId(i as u32), v)))
+    }
+
+    /// The effective value every receiver holds for `id` (absent reads as
+    /// `V_d`), gathered into `buf` — one entry per node, indexed by
+    /// receiver.
+    fn row(&self, id: PathId, buf: &mut [AgreementValue<V>])
+    where
+        V: Clone,
+    {
+        let column_heads = self.slots[id.index()..].iter().step_by(self.labels);
+        for (own, slot) in buf.iter_mut().zip(column_heads) {
+            *own = slot.clone().unwrap_or_default();
+        }
     }
 
     /// Slots materialized so far (first writes only).
@@ -477,17 +509,14 @@ pub(crate) trait Lanes<V>: Sync {
 struct StoreLanes<'a, V> {
     store: &'a EigStore<V>,
     rule: VoteRule,
+    n: usize,
 }
 
 impl<V: Clone + Ord + Send + Sync> Lanes<V> for StoreLanes<'_, V> {
     type Code = AgreementValue<V>;
 
     fn row<'a>(&'a self, id: PathId, buf: &'a mut [Self::Code]) -> &'a [Self::Code] {
-        let n = self.store.n;
-        let slots = &self.store.slots[id.index() * n..][..n];
-        for (own, slot) in buf.iter_mut().zip(slots) {
-            *own = slot.clone().unwrap_or_default();
-        }
+        self.store.row(id, buf);
         buf
     }
 
@@ -500,12 +529,12 @@ impl<V: Clone + Ord + Send + Sync> Lanes<V> for StoreLanes<'_, V> {
     ) -> Self::Code {
         scratch.clear();
         scratch.push(a.clone());
-        scratch.resize(self.store.n - len, v.clone());
+        scratch.resize(self.n - len, v.clone());
         self.vote(len, scratch)
     }
 
     fn vote(&self, len: usize, gathered: &[Self::Code]) -> Self::Code {
-        self.rule.combine(self.store.n, len, gathered)
+        self.rule.combine(self.n, len, gathered)
     }
 
     fn decode(&self, code: &Self::Code) -> AgreementValue<V> {
@@ -853,7 +882,10 @@ impl EigEngine {
         };
         let (decisions, votes_evaluated, votes_memo_hit) = match &palette {
             Some(palette) => self.walk(palette, obs),
-            None => self.walk(&StoreLanes { store, rule }, obs),
+            None => {
+                let n = self.arena.n;
+                self.walk(&StoreLanes { store, rule, n }, obs)
+            }
         };
         let (subtrees_pruned, messages_saved) = self.prune_counters();
         let perf = EigPerf {

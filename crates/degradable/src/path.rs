@@ -39,7 +39,9 @@ const INLINE_CAP: usize = 4;
 
 /// Storage of a [`Path`]: a path travels in every protocol envelope and is
 /// cloned and extended once per relay, so the short ones live in the value
-/// itself.
+/// itself. The whole thing is 24 bytes — the spill's `Vec`, with the inline
+/// form (four 2-byte ids and a length) in the same space — and the
+/// service's layout guard holds it there.
 #[derive(Clone, Serialize, Deserialize)]
 enum Repr {
     /// `nodes[..len]` is the path; the rest is padding.

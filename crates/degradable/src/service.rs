@@ -50,6 +50,13 @@
 //! [`crate::reference_eval`] (the paper's recursion, no messages) and the
 //! sans-io [`crate::NodeStateMachine`] (the wire inbox).
 
+// Whatever a caller hands the service — shapes, senders, queue pressure —
+// comes back as a `ServiceError`; outside tests nothing here may panic on it.
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 use crate::adversary::{claim_for, Strategy};
 use crate::eig::{prunable_path, EigView};
 use crate::engine::{EigEngine, EigStore};
@@ -451,6 +458,9 @@ fn fill_and_resolve<V: Clone + Ord + Hash + Send + Sync>(
         ],
     );
     let fill_start = std::time::Instant::now();
+    // What a node's turn decides to relay, between its receive half and
+    // its send half: one buffer for the whole fill, emptied by every turn.
+    let mut to_relay: Vec<(u32, Path, AgreementValue<V>)> = Vec::new();
     let mut net = engine.run_with(depth + 1, |i, ctx| {
         let me = NodeId::new(i);
         let round = ctx.round();
@@ -461,7 +471,6 @@ fn fill_and_resolve<V: Clone + Ord + Hash + Send + Sync>(
             Vec::new()
         };
         // 1. Record this round's deliveries (level = round).
-        let mut to_relay: Vec<(u32, Path, AgreementValue<V>)> = Vec::new();
         if round >= 1 {
             for (src, msg) in ctx.take_inbox() {
                 let idx = msg.instance as usize;
@@ -547,7 +556,7 @@ fn fill_and_resolve<V: Clone + Ord + Hash + Send + Sync>(
                 }
             }
         } else {
-            for (instance, path, value) in to_relay {
+            for (instance, path, value) in to_relay.drain(..) {
                 // Certified-fault-set early stopping, mirroring
                 // `NodeStateMachine`: a path that exhausts the fault set
                 // with a fault-free last relayer fills its subtree
@@ -606,19 +615,15 @@ fn fill_and_resolve<V: Clone + Ord + Hash + Send + Sync>(
             resolve_start.map_or(0, |t| t.elapsed().as_nanos() as u64),
         )
     };
-    let mut resolved: Vec<Option<(crate::engine::EngineRun<V>, u64)>> =
-        (0..instances.len()).map(|_| None).collect();
-    if shard_workers <= 1 {
-        for (k, slot) in resolved.iter_mut().enumerate() {
-            *slot = Some(resolve(k));
-        }
+    let resolved: Vec<(crate::engine::EngineRun<V>, u64)> = if shard_workers <= 1 {
+        (0..instances.len()).map(resolve).collect()
     } else {
         let mut shards: Vec<Vec<usize>> = vec![Vec::new(); shard_workers];
         for k in 0..instances.len() {
             shards[engine_idx[k] % shard_workers].push(k);
         }
         let resolve = &resolve;
-        std::thread::scope(|s| {
+        let mut by_instance: Vec<(usize, _)> = std::thread::scope(|s| {
             let handles: Vec<_> = shards
                 .iter()
                 .filter(|shard| !shard.is_empty())
@@ -626,13 +631,21 @@ fn fill_and_resolve<V: Clone + Ord + Hash + Send + Sync>(
                     s.spawn(move || shard.iter().map(|&k| (k, resolve(k))).collect::<Vec<_>>())
                 })
                 .collect();
-            for handle in handles {
-                for (k, run) in handle.join().expect("resolve shard panicked") {
-                    resolved[k] = Some(run);
-                }
-            }
+            handles
+                .into_iter()
+                .flat_map(|handle| {
+                    // A shard that panicked is this drain panicking.
+                    handle
+                        .join()
+                        .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+                })
+                .collect()
         });
-    }
+        // Every instance sits in exactly one shard: sorted by index, the
+        // results line up with `instances`.
+        by_instance.sort_unstable_by_key(|&(k, _)| k);
+        by_instance.into_iter().map(|(_, run)| run).collect()
+    };
 
     // The fault regime is a whole-batch property: f = |faulty| nodes run a
     // strategy, so every instance lands on the same side of the paper's
@@ -651,8 +664,7 @@ fn fill_and_resolve<V: Clone + Ord + Hash + Send + Sync>(
     let attributed = if timing { instances.len() } else { 0 };
     let mut logicals = Vec::with_capacity(attributed);
     let mut walls = Vec::with_capacity(attributed);
-    for (k, inst) in instances.iter().enumerate() {
-        let (resolved_k, wall_k) = resolved[k].take().expect("every instance resolves");
+    for (k, (inst, (resolved_k, wall_k))) in instances.iter().zip(resolved).enumerate() {
         // With the recorder off there is nobody to attribute to: skip
         // building the span records altogether.
         if timing {
@@ -1088,6 +1100,18 @@ mod tests {
 
     fn params() -> Params {
         Params::new(1, 2).unwrap()
+    }
+
+    /// What a simulated message occupies in the network's buffers — the
+    /// element of `simnet`'s per-receiver `Vec<(NodeId, M)>` — is most of
+    /// what a fault-free fill costs (DESIGN §5k). It must not grow
+    /// silently.
+    #[test]
+    fn an_envelope_occupies_at_most_56_bytes() {
+        use std::mem::size_of;
+        assert!(size_of::<Path>() <= 24, "{}", size_of::<Path>());
+        assert!(size_of::<BatchMsg<u64>>() <= 48);
+        assert!(size_of::<(NodeId, BatchMsg<u64>)>() <= 56);
     }
 
     /// A healthy, unobserved batch on a valid shape.

@@ -16,10 +16,17 @@
 //! the two sides; [`run_sparse`] with `allow_below_bound` exposes that
 //! failure mode for the connectivity experiments.
 
+// A topology short of the connectivity bound is a `RelayError`; outside
+// tests nothing here may panic on one.
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 use crate::adversary::Strategy;
 use crate::byz::ByzInstance;
 use crate::conditions::RunRecord;
-use crate::path::{paths_of_length, Path};
+use crate::path::Path;
 use crate::value::AgreementValue;
 use simnet::routing::Delivery;
 use simnet::routing::{CopyAction, RelayError, RelayHop, RelayNetwork};
@@ -262,7 +269,6 @@ fn run_sparse_inner<V: Clone + Ord + Hash + Send + Sync>(
     };
     let n = instance.n();
     let sender = instance.sender();
-    let depth = instance.depth();
     let faulty: BTreeSet<NodeId> = strategies.keys().copied().collect();
     let mut degraded = 0usize;
     let mut chaos_events = 0usize;
@@ -296,7 +302,7 @@ fn run_sparse_inner<V: Clone + Ord + Hash + Send + Sync>(
         }
     };
 
-    // The shared arena slot table `store[σ][r]` (None = absent) replaces
+    // The shared arena slot table `store[r][σ]` (None = absent) replaces
     // the old `BTreeMap<Path, Vec<Option<_>>>`: the final fold is then a
     // single memoized resolution over all receivers at once.
     let eig_engine = instance.engine();
@@ -319,29 +325,27 @@ fn run_sparse_inner<V: Clone + Ord + Hash + Send + Sync>(
         }
     }
 
-    // Levels 2..=depth.
-    for level in 2..=depth {
-        for sigma in paths_of_length(sender, n, level - 1) {
-            let sigma_id = arena.intern(&sigma).expect("enumerated labels intern");
-            for child in sigma.children(n) {
-                let relayer = child.last();
-                let child_id = arena.intern(&child).expect("enumerated labels intern");
-                // What the relayer holds for sigma (absent reads as V_d).
-                let held: AgreementValue<V> =
-                    store.get(sigma_id, relayer).cloned().unwrap_or_default();
-                for r in NodeId::all(n) {
-                    if child.contains(r) {
-                        continue;
-                    }
-                    let claimed: Option<AgreementValue<V>> = match strategies.get(&relayer) {
-                        None => Some(held.clone()),
-                        Some(Strategy::Silent) => None,
-                        Some(s) => Some(s.claim(&child, r, &held)),
-                    };
-                    if let Some(v) = claimed.and_then(|v| send(relayer, r, &v, &mut degraded)) {
-                        store.record(arena, child_id, r, v);
-                    }
-                }
+    // Levels 2..=depth, label by label in arena order — level by level,
+    // a label's children by ascending relayer.
+    for child_id in arena.ids() {
+        let Some(sigma_id) = arena.parent(child_id) else {
+            continue; // the root: level 1, above
+        };
+        let child = arena.resolve_path(child_id);
+        let relayer = child.last();
+        // What the relayer holds for sigma (absent reads as V_d).
+        let held: AgreementValue<V> = store.get(sigma_id, relayer).cloned().unwrap_or_default();
+        for r in NodeId::all(n) {
+            if child.contains(r) {
+                continue;
+            }
+            let claimed: Option<AgreementValue<V>> = match strategies.get(&relayer) {
+                None => Some(held.clone()),
+                Some(Strategy::Silent) => None,
+                Some(s) => Some(s.claim(&child, r, &held)),
+            };
+            if let Some(v) = claimed.and_then(|v| send(relayer, r, &v, &mut degraded)) {
+                store.record(arena, child_id, r, v);
             }
         }
     }

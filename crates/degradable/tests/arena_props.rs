@@ -1,12 +1,14 @@
 //! Property-based invariants of the arena-backed EIG engine
 //! ([`degradable::engine`]): path interning is a bijection, the arena
-//! size matches the closed-form path census, and the memoized resolve is
-//! insensitive to the order in which relay envelopes filled the store.
+//! size matches the closed-form path census, the store is a first-write-wins
+//! map whatever its layout, and the memoized resolve is insensitive to the
+//! order in which relay envelopes filled the store.
 
 use degradable::engine::{EigEngine, EigStore, PathId};
 use degradable::{path_count, paths_of_length, Path, Val, VoteRule};
 use proptest::prelude::*;
 use simnet::{NodeId, SimRng};
+use std::collections::BTreeMap;
 
 /// Fisher–Yates driven by the deterministic simulation RNG.
 fn shuffle<T>(items: &mut [T], seed: u64) {
@@ -75,6 +77,65 @@ proptest! {
             prop_assert_eq!(path_count(n, len), product);
         }
         prop_assert_eq!(arena_nodes, expected);
+    }
+
+    /// The store against the map it stands for: random `record` / `get` /
+    /// `column` / `clear` sequences answer as a first-write-wins
+    /// `BTreeMap<(PathId, NodeId), _>` does — `column` in arena (BFS)
+    /// order, a cleared store as a fresh one — so nothing outside the
+    /// store can tell how its slots are laid out.
+    #[test]
+    fn store_is_a_first_write_wins_map(
+        n in 2usize..9,
+        depth in 1usize..4,
+        seed in 0u64..u64::MAX,
+    ) {
+        let engine = EigEngine::new(n, NodeId::new(0), depth);
+        let arena = engine.arena();
+        let ids: Vec<PathId> = arena.ids().collect();
+        let mut rng = SimRng::seed(seed);
+        let mut store: EigStore<u64> = EigStore::new(arena);
+        let mut model: BTreeMap<(PathId, NodeId), Val> = BTreeMap::new();
+        for _ in 0..400 {
+            let id = ids[rng.below(ids.len() as u64) as usize];
+            let r = NodeId::new(rng.below(n as u64) as usize);
+            match rng.below(16) {
+                0 => {
+                    store.clear();
+                    model.clear();
+                }
+                1..=3 => {
+                    let column: Vec<(PathId, Val)> = store.column(r).map(|(i, v)| (i, *v)).collect();
+                    let expected: Vec<(PathId, Val)> = ids
+                        .iter()
+                        .filter_map(|i| model.get(&(*i, r)).map(|v| (*i, *v)))
+                        .collect();
+                    prop_assert_eq!(column, expected);
+                }
+                4..=6 => prop_assert_eq!(store.get(id, r), model.get(&(id, r))),
+                _ if arena.on_path(id, r) => {}
+                draw => {
+                    let value = if draw == 7 { Val::Default } else { Val::Value(rng.below(5)) };
+                    let fresh = !model.contains_key(&(id, r));
+                    prop_assert_eq!(store.record(arena, id, r, value), fresh);
+                    model.entry((id, r)).or_insert(value);
+                }
+            }
+            prop_assert_eq!(store.materialized(), model.len() as u64);
+        }
+        // What the resolve reads is what the model holds, absent as V_d:
+        // a store filled from the model alone decides the same.
+        if depth <= n.div_ceil(2) {
+            let rule = VoteRule::Degradable { m: depth - 1 };
+            let mut refilled = EigStore::new(arena);
+            for (&(id, r), &v) in &model {
+                prop_assert!(refilled.record(arena, id, r, v));
+            }
+            prop_assert_eq!(
+                engine.resolve(rule, &store).decisions,
+                engine.resolve(rule, &refilled).decisions
+            );
+        }
     }
 
     /// Resolve is a pure function of the store *contents*: recording the

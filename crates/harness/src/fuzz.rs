@@ -336,7 +336,8 @@ impl FuzzPlan {
                     .as_u64()
                     .ok_or_else(|| format!("fault #{i}: field `{name}` is not an integer"))
             };
-            let node = NodeId::new(sub_uint("node")? as usize);
+            let node = NodeId::try_new(sub_uint("node")?)
+                .ok_or_else(|| format!("fault #{i}: field `node` is beyond the node id range"))?;
             let spec = match sub("kind")?.as_str() {
                 Some("static") => FaultSpec::Static(sub_uint("id")? as usize),
                 Some("adaptive") => FaultSpec::Adaptive(sub_uint("id")? as usize),
@@ -353,10 +354,14 @@ impl FuzzPlan {
             other => return Err(format!("field `drop_p` is not a number: {other:?}")),
         };
         Ok(FuzzPlan {
-            n: uint("n")? as usize,
+            n: usize::try_from(uint("n")?)
+                .ok()
+                .filter(|n| *n <= NodeId::MAX_INDEX + 1)
+                .ok_or("field `n` is beyond the node id range")?,
             m: uint("m")? as usize,
             u: uint("u")? as usize,
-            sender: NodeId::new(uint("sender")? as usize),
+            sender: NodeId::try_new(uint("sender")?)
+                .ok_or("field `sender` is beyond the node id range")?,
             sender_value: uint("sender_value")?,
             faults,
             drop_p,
@@ -1294,6 +1299,23 @@ mod tests {
             let text = plan.to_json().to_json_string();
             let back = FuzzPlan::from_json(&JsonValue::parse(&text).unwrap()).unwrap();
             assert_eq!(back, plan);
+        }
+    }
+
+    #[test]
+    fn a_plan_naming_a_node_beyond_the_id_range_is_refused() {
+        // 65 539 = 65 536 + 3: a repro file must not replay it as node 3.
+        let plan = FuzzPlan::generate(&mut SimRng::seed(42), DEFAULT_MAX_N);
+        let text = plan.to_json().to_json_string();
+        let sender = format!("\"sender\":{}", plan.sender.index());
+        assert!(text.contains(&sender), "{text}");
+        for (field, bad) in [
+            (sender.as_str(), "\"sender\":65539".to_string()),
+            (&format!("\"n\":{}", plan.n), "\"n\":65539".to_string()),
+        ] {
+            let edited = text.replacen(field, &bad, 1);
+            let e = FuzzPlan::from_json(&JsonValue::parse(&edited).unwrap()).unwrap_err();
+            assert!(e.contains("beyond the node id range"), "{e}");
         }
     }
 

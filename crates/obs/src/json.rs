@@ -15,6 +15,13 @@
 //! than erroring — matching how the emitter serializes out-of-range
 //! numbers.
 
+// The parser reads files this program did not write (`dagree obs`, fuzz
+// repros): outside tests nothing here may panic on them.
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 use std::fmt::Write as _;
 
 /// A JSON value with deterministic (insertion-ordered) object keys.
@@ -359,9 +366,7 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                                 match lo {
                                     Some(lo) => {
                                         let code = 0x1_0000 + ((hi - 0xD800) << 10) + (lo - 0xDC00);
-                                        out.push(
-                                            char::from_u32(code).expect("surrogate pair is valid"),
-                                        );
+                                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
                                         *pos += 6;
                                     }
                                     None => out.push('\u{fffd}'),
@@ -369,9 +374,7 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                             }
                             // Lone low surrogate.
                             0xDC00..=0xDFFF => out.push('\u{fffd}'),
-                            code => {
-                                out.push(char::from_u32(code).expect("non-surrogate BMP scalar"));
-                            }
+                            code => out.push(char::from_u32(code).unwrap_or('\u{fffd}')),
                         }
                     }
                     _ => return Err(format!("bad escape at byte {pos}", pos = *pos)),
@@ -381,14 +384,12 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
             Some(_) => {
                 // Advance over one UTF-8 scalar (input is a &str, so
                 // boundaries are valid).
-                let s = &bytes[*pos..];
-                let ch_len = std::str::from_utf8(s)
+                let ch = std::str::from_utf8(&bytes[*pos..])
                     .ok()
                     .and_then(|s| s.chars().next())
-                    .map(char::len_utf8)
                     .ok_or("invalid utf-8 in string")?;
-                out.push_str(std::str::from_utf8(&s[..ch_len]).expect("checked above"));
-                *pos += ch_len;
+                out.push(ch);
+                *pos += ch.len_utf8();
             }
         }
     }
@@ -413,7 +414,8 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
     {
         *pos += 1;
     }
-    let text = std::str::from_utf8(&bytes[start..*pos]).expect("ascii digits");
+    let text = std::str::from_utf8(&bytes[start..*pos])
+        .map_err(|_| format!("bad number at byte {start}"))?;
     if text.is_empty() || text == "-" {
         return Err(format!("expected a value at byte {start}"));
     }

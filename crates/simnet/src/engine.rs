@@ -42,7 +42,7 @@
 use crate::fault::{FaultPlan, FaultSchedule};
 use crate::id::NodeId;
 use crate::latency::LatencyModel;
-use crate::linkfault::{LinkFaultKind, LinkFaultPlan};
+use crate::linkfault::{LinkFaultKind, LinkFaultPlan, LinkFaultTable};
 use crate::rng::SimRng;
 use crate::sched::{EventClass, EventQueue, SimTime};
 use crate::topology::Topology;
@@ -384,7 +384,9 @@ struct Wire<M> {
     /// pre-chaos main stream (latency, omission), keeping historical
     /// seeded runs bit-identical.
     link_rng: SimRng,
-    link_faults: LinkFaultPlan,
+    /// The link-fault plan, laid out for the per-message path: built once,
+    /// in [`RoundEngine::with_link_faults`].
+    link_table: LinkFaultTable,
     corruptor: Option<Corruptor<M>>,
     latency: LatencyModel,
     deadline: u64,
@@ -415,6 +417,13 @@ struct Wire<M> {
     crashed: bool,
     omission_p: f64,
     extra_delay: u64,
+    /// Nothing configured can touch a message of this timer: no node fault
+    /// on the sender, no link fault on any of its outgoing edges, and a
+    /// run with zero latency, no deadline and no trace. Decided once per
+    /// timer; past the topology check [`Wire::carry`] lands such a
+    /// message without looking at the link table, the latency model or the
+    /// deadline.
+    clean: bool,
 }
 
 /// Appends to the trace if tracing is on. A free function over the field,
@@ -431,6 +440,13 @@ impl<M: Clone> Wire<M> {
     /// timer boundary.
     fn boundary(&self, round: usize) -> SimTime {
         round as SimTime * SimTime::from(self.deadline).saturating_add(1)
+    }
+
+    /// Whether this configuration applies nothing to a message beyond node
+    /// faults, the topology and link faults, and records nothing about it:
+    /// the run-wide half of [`Wire::clean`].
+    fn quiet(&self) -> bool {
+        self.trace.is_none() && self.latency == LatencyModel::Zero && self.deadline == u64::MAX
     }
 
     /// Decides the fate of one message from the node whose timer is in
@@ -461,11 +477,18 @@ impl<M: Clone> Wire<M> {
             record(&mut self.trace, TraceEvent::NoLink { round, src, dst });
             return;
         }
+        if self.clean {
+            // No kind on any of this sender's edges, zero latency against
+            // no deadline: nothing below can touch the message, and
+            // neither stream is drawn from (an absent fault draws nothing
+            // below either).
+            return self.land(dst, 0, 0, payload);
+        }
         // Link chaos: each configured kind on this directed edge acts in
         // insertion order, drawing only from the dedicated chaos stream.
         let mut duplicate = false;
         let mut extra_rounds = 0usize;
-        for &kind in self.link_faults.kinds(src, dst) {
+        for &kind in self.link_table.kinds(src, dst) {
             match kind {
                 LinkFaultKind::Cut { from_round } => {
                     if round >= from_round {
@@ -616,6 +639,7 @@ pub struct RoundEngine<M> {
     peers: Vec<Vec<NodeId>>,
     faults: FaultPlan,
     schedule: Option<FaultSchedule>,
+    link_faults: LinkFaultPlan,
     obs: Obs,
     wire: Wire<M>,
 }
@@ -626,7 +650,7 @@ impl<M> std::fmt::Debug for RoundEngine<M> {
             .field("topo", &self.topo)
             .field("faults", &self.faults)
             .field("schedule", &self.schedule)
-            .field("link_faults", &self.wire.link_faults)
+            .field("link_faults", &self.link_faults)
             .field("corruptor", &self.wire.corruptor.as_ref().map(|_| "<fn>"))
             .field("latency", &self.wire.latency)
             .field("deadline", &self.wire.deadline)
@@ -655,11 +679,12 @@ impl<M: Clone> RoundEngine<M> {
             peers,
             faults: FaultPlan::healthy(),
             schedule: None,
+            link_faults: LinkFaultPlan::healthy(),
             obs: Obs::disabled(),
             wire: Wire {
                 link_rng: rng.fork(LINK_CHAOS_STREAM),
                 rng,
-                link_faults: LinkFaultPlan::healthy(),
+                link_table: LinkFaultTable::default(),
                 corruptor: None,
                 latency: LatencyModel::Zero,
                 deadline: u64::MAX,
@@ -675,6 +700,7 @@ impl<M: Clone> RoundEngine<M> {
                 crashed: false,
                 omission_p: 0.0,
                 extra_delay: 0,
+                clean: false,
             },
         }
     }
@@ -706,7 +732,8 @@ impl<M: Clone> RoundEngine<M> {
     /// fork of the engine seed so runs without link faults are unaffected.
     #[must_use]
     pub fn with_link_faults(mut self, link_faults: LinkFaultPlan) -> Self {
-        self.wire.link_faults = link_faults;
+        self.wire.link_table = LinkFaultTable::new(&link_faults, self.topo.node_count());
+        self.link_faults = link_faults;
         self
     }
 
@@ -795,7 +822,7 @@ impl<M: Clone> RoundEngine<M> {
 
     /// The link-fault plan.
     pub fn link_faults(&self) -> &LinkFaultPlan {
-        &self.wire.link_faults
+        &self.link_faults
     }
 
     /// Runs `rounds` rounds where every node executes the same closure.
@@ -830,6 +857,7 @@ impl<M: Clone> RoundEngine<M> {
     ) -> Outcome {
         let n = self.topo.node_count();
         let wire = &mut self.wire;
+        let quiet = wire.quiet();
         wire.outcome = Outcome::default();
         wire.link_rng = wire.rng.fork(LINK_CHAOS_STREAM);
         // Whatever a previous run left in flight is lost; the buffers keep
@@ -908,6 +936,11 @@ impl<M: Clone> RoundEngine<M> {
                 wire.crashed = active.crashed(me, round);
                 wire.omission_p = active.omission_p(me);
                 wire.extra_delay = active.extra_delay(me);
+                wire.clean = quiet
+                    && !wire.crashed
+                    && wire.omission_p <= 0.0
+                    && wire.extra_delay == 0
+                    && !wire.link_table.touches(me);
                 let mut ctx = RoundCtx {
                     n,
                     inbox,
@@ -1327,6 +1360,106 @@ mod tests {
             run(LinkFaultPlan::healthy().with(n(2), n(3), LinkFaultKind::Duplicate { p: 1.0 }));
         assert_eq!(clean.dropped_omission, chaotic.dropped_omission);
         assert!(chaotic.duplicated > 0);
+    }
+
+    /// The clean-sender shortcut of [`Wire::carry`] against the full
+    /// pipeline. Turning the trace on is observationally inert and defeats
+    /// the shortcut for every sender, so the two runs of a configuration
+    /// must agree in everything a protocol can see — the [`Outcome`], every
+    /// (round, node) inbox — and leave the main stream at the same
+    /// position. The configurations mix senders the shortcut applies to
+    /// with crashed, omitting, delayed and chaos-linked ones, on topologies
+    /// with missing links, under static plans and schedules.
+    #[test]
+    fn clean_senders_are_carried_exactly_as_the_full_pipeline_carries_them() {
+        use rand::RngCore;
+        let mut shortcut_taken = 0;
+        for config in 0..64u64 {
+            let mut rng = SimRng::derive(0x00C1_EA11, config);
+            let nodes = 3 + rng.below(5) as usize;
+            let rounds = 2 + rng.below(4) as usize;
+            let build = |rng: &mut SimRng| {
+                let topo = match rng.below(4) {
+                    0 => Topology::ring(nodes),
+                    1 => Topology::star(nodes),
+                    _ => Topology::complete(nodes),
+                };
+                let mut links = LinkFaultPlan::healthy();
+                for _ in 0..rng.below(nodes as u64) {
+                    let (from, to) = (rng.below(nodes as u64), rng.below(nodes as u64));
+                    let kind = match rng.below(4) {
+                        0 => LinkFaultKind::Cut { from_round: 1 },
+                        1 => LinkFaultKind::Drop { p: 0.5 },
+                        2 => LinkFaultKind::Duplicate { p: 0.5 },
+                        _ => LinkFaultKind::Reorder { window: 2 },
+                    };
+                    if from != to {
+                        links = links.with(n(from as usize), n(to as usize), kind);
+                    }
+                }
+                let plan = |rng: &mut SimRng| {
+                    let mut plan = FaultPlan::healthy();
+                    let faulty = rng.below(3) as usize;
+                    for node in rng.choose_indices(nodes, faulty) {
+                        let kind = match rng.below(3) {
+                            0 => FaultKind::Crash {
+                                from_round: rng.below(rounds as u64) as usize,
+                            },
+                            1 => FaultKind::Omission { p: 0.4 },
+                            _ => FaultKind::Delay { extra: 3 },
+                        };
+                        plan.insert(n(node), kind);
+                    }
+                    plan
+                };
+                let engine =
+                    RoundEngine::<(u32, u32)>::new(topo, 77 + config).with_link_faults(links);
+                let engine = if rng.below(3) == 0 {
+                    let schedule = FaultSchedule::healthy().then_from(1, plan(rng));
+                    engine.with_fault_schedule(schedule)
+                } else {
+                    engine.with_faults(plan(rng))
+                };
+                // One configuration in eight is not quiet: no sender of it
+                // may take the shortcut, traced or not.
+                if rng.below(8) == 0 {
+                    engine
+                        .with_latency(LatencyModel::Uniform { lo: 0, hi: 6 })
+                        .with_deadline(4)
+                } else {
+                    engine
+                }
+            };
+            let run = |mut engine: RoundEngine<(u32, u32)>| {
+                let mut script = rng.fork(7);
+                let mut inboxes = Vec::new();
+                let mut clean_timers = 0;
+                let outcome = engine.run_with(rounds, |i, ctx| {
+                    inboxes.push((ctx.round(), i, ctx.inbox().to_vec()));
+                    clean_timers += usize::from(ctx.wire.clean);
+                    ctx.broadcast((ctx.round() as u32, u32::MAX));
+                    for k in 0..script.below(4) as u32 {
+                        // Non-neighbours and nodes that do not exist too.
+                        ctx.send(n(script.below(nodes as u64 + 1) as usize), (i as u32, k));
+                    }
+                });
+                (outcome, inboxes, engine.wire.rng.next_u64(), clean_timers)
+            };
+            let as_is = run(build(&mut rng.fork(1)));
+            let traced = run(build(&mut rng.fork(1)).with_trace());
+            assert_eq!(
+                traced.3, 0,
+                "config {config}: a traced run has no clean sender"
+            );
+            shortcut_taken += as_is.3;
+            assert_eq!(as_is.0, traced.0, "config {config}: outcome");
+            assert_eq!(as_is.1, traced.1, "config {config}: inboxes");
+            assert_eq!(as_is.2, traced.2, "config {config}: main stream position");
+        }
+        assert!(
+            shortcut_taken > 200,
+            "the shortcut ran: {shortcut_taken} timers"
+        );
     }
 
     #[test]

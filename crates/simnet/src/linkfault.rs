@@ -207,6 +207,53 @@ impl LinkFaultPlan {
     }
 }
 
+/// A [`LinkFaultPlan`] laid out for the engine's per-message path: the
+/// kinds on a directed edge are one indexed load, and whether a sender has
+/// any faulty outgoing edge at all is one more. Edges naming a node outside
+/// `0..n` carry no traffic (the topology check refuses them first) and are
+/// left out.
+#[derive(Debug, Default)]
+pub(crate) struct LinkFaultTable {
+    n: usize,
+    /// `edges[from * n + to]`; empty (nothing allocated) for a healthy plan.
+    edges: Vec<Vec<LinkFaultKind>>,
+    /// `faulty_from[from]`: some edge out of `from` carries a kind.
+    faulty_from: Vec<bool>,
+}
+
+impl LinkFaultTable {
+    pub(crate) fn new(plan: &LinkFaultPlan, n: usize) -> Self {
+        if plan.is_empty() {
+            return LinkFaultTable::default();
+        }
+        let mut table = LinkFaultTable {
+            n,
+            edges: vec![Vec::new(); n * n],
+            faulty_from: vec![false; n],
+        };
+        for ((from, to), kinds) in plan.iter() {
+            if from.index() < n && to.index() < n && !kinds.is_empty() {
+                table.edges[from.index() * n + to.index()] = kinds.to_vec();
+                table.faulty_from[from.index()] = true;
+            }
+        }
+        table
+    }
+
+    /// [`LinkFaultPlan::kinds`] for an edge between two nodes of `0..n`.
+    pub(crate) fn kinds(&self, from: NodeId, to: NodeId) -> &[LinkFaultKind] {
+        debug_assert!(self.edges.is_empty() || (from.index() < self.n && to.index() < self.n));
+        self.edges
+            .get(from.index() * self.n + to.index())
+            .map_or(&[], Vec::as_slice)
+    }
+
+    /// Whether any edge out of `from` carries a fault kind.
+    pub(crate) fn touches(&self, from: NodeId) -> bool {
+        self.faulty_from.get(from.index()) == Some(&true)
+    }
+}
+
 /// A minimum vertex separator of a graph, expressed as link cuts.
 ///
 /// Removing a vertex cut `S` disconnects the survivors; at the link level

@@ -229,8 +229,12 @@ impl TraceEvent {
                 .ok_or(format!("`{kind}` event missing u64 `{key}`"))
         };
         let round = num("round")? as usize;
-        let src = NodeId::new(num("src")? as usize);
-        let dst = NodeId::new(num("dst")? as usize);
+        let node = |key: &str| -> Result<NodeId, String> {
+            NodeId::try_new(num(key)?).ok_or(format!(
+                "`{kind}` event names a `{key}` beyond the node id range"
+            ))
+        };
+        let (src, dst) = (node("src")?, node("dst")?);
         Ok(match kind {
             "sent" => TraceEvent::Sent { round, src, dst },
             "delivered" => TraceEvent::Delivered {

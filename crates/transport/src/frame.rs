@@ -21,7 +21,8 @@
 //! [`FrameError`], never a panic, because bytes off a socket are
 //! adversary-controlled in this codebase's threat model — the crate's
 //! lint holds this file to it, a relay path is bounded ([`MAX_PATH_LEN`])
-//! before its ids are read, and it is built through the fallible
+//! before its ids are read, an id beyond [`NodeId::MAX_INDEX`] is refused
+//! rather than narrowed, and the path is built through the fallible
 //! [`Path::from_ids`], so a path that names a node twice is a malformed
 //! frame like any other. The same frames travel over in-process
 //! channels un-encoded — the codec round-trip is exercised only by the TCP
@@ -166,7 +167,7 @@ pub fn decode(body: &[u8]) -> Result<Frame, FrameError> {
     let mut cur = Cursor { buf: body, pos: 0 };
     let frame = match cur.u8()? {
         tag @ (TAG_ENVELOPE | TAG_TRACED) => {
-            let src = NodeId::new(cur.u32()? as usize);
+            let src = cur.node_id()?;
             let value: Val = match cur.u8()? {
                 VAL_DEFAULT => AgreementValue::Default,
                 VAL_VALUE => AgreementValue::Value(cur.u64()?),
@@ -178,7 +179,7 @@ pub fn decode(body: &[u8]) -> Result<Frame, FrameError> {
             }
             let mut ids = [NodeId::new(0); MAX_PATH_LEN];
             for id in &mut ids[..path_len] {
-                *id = NodeId::new(cur.u32()? as usize);
+                *id = cur.node_id()?;
             }
             let path = Path::from_ids(&ids[..path_len]).ok_or(FrameError::Malformed(
                 "relay path is empty or names a node twice",
@@ -203,7 +204,7 @@ pub fn decode(body: &[u8]) -> Result<Frame, FrameError> {
             }
         }
         TAG_MARK => {
-            let src = NodeId::new(cur.u32()? as usize);
+            let src = cur.node_id()?;
             let round = cur.u32()? as usize;
             Frame::Mark { src, round }
         }
@@ -264,6 +265,13 @@ impl Cursor<'_> {
 
     fn u64(&mut self) -> Result<u64, FrameError> {
         self.array().map(u64::from_le_bytes)
+    }
+
+    /// A node id as the wire carries it (`u32`). One beyond what a
+    /// [`NodeId`] holds names no node of any mesh: malformed, never
+    /// narrowed to the id it is congruent to.
+    fn node_id(&mut self) -> Result<NodeId, FrameError> {
+        NodeId::try_new(self.u32()?).ok_or(FrameError::Malformed("node id beyond the id range"))
     }
 }
 
@@ -405,6 +413,33 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn an_id_beyond_the_range_is_malformed_never_its_alias() {
+        // 65 539 = 65 536 + 3: narrowed to 16 bits it would be node 3, and
+        // `[0, 65 539]` from link 3 a frame `admit` accepts.
+        const ALIAS_OF_3: u32 = 65_539;
+        let refused = |body: &[u8]| matches!(decode(body), Err(FrameError::Malformed(_)));
+        for tag in [TAG_ENVELOPE, TAG_TRACED] {
+            let retag = |mut body: Vec<u8>| {
+                body[0] = tag;
+                body
+            };
+            assert!(decode(&retag(envelope_body(3, &[0, 3]))).is_ok());
+            assert!(refused(&retag(envelope_body(ALIAS_OF_3, &[0, 3]))), "src");
+            assert!(refused(&retag(envelope_body(3, &[0, ALIAS_OF_3]))), "id");
+            assert!(refused(&retag(envelope_body(3, &[ALIAS_OF_3, 1]))), "root");
+        }
+        let mark = |src: u32| {
+            let mut body = vec![TAG_MARK];
+            put_u32(&mut body, src);
+            put_u32(&mut body, 1);
+            body
+        };
+        assert!(decode(&mark(NodeId::MAX_INDEX as u32)).is_ok());
+        assert!(refused(&mark(ALIAS_OF_3)));
+        assert!(refused(&mark(u32::MAX)));
     }
 
     #[test]

@@ -430,11 +430,12 @@ impl TcpWire {
                 }
                 continue;
             }
-            let peer = NodeId::new(u32::from_le_bytes(knock.id) as usize);
-            // Only higher-indexed peers dial us, so only they re-dial.
-            if peer <= me {
+            // Only higher-indexed peers dial us, so only they re-dial; an id
+            // no `NodeId` holds is nobody's.
+            let Some(peer) = NodeId::try_new(u32::from_le_bytes(knock.id)).filter(|p| *p > me)
+            else {
                 continue;
-            }
+            };
             let Some(link) = self.links.get_mut(&peer) else {
                 continue;
             };
@@ -1170,15 +1171,16 @@ fn accept_handshake(
         ),
         _ => e,
     })?;
-    let peer = u32::from_le_bytes(id) as usize;
-    if peer <= me.index() || peer >= n {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "handshake announced a node id that does not dial this node",
-        ));
-    }
+    let peer = NodeId::try_new(u32::from_le_bytes(id))
+        .filter(|peer| *peer > me && peer.index() < n)
+        .ok_or_else(|| {
+            io::Error::new(
+                io::ErrorKind::InvalidData,
+                "handshake announced a node id that does not dial this node",
+            )
+        })?;
     s.set_nonblocking(true)?;
-    Ok(NodeId::new(peer))
+    Ok(peer)
 }
 
 fn dial_with_retry(addr: SocketAddr, me: NodeId, budget: Duration) -> io::Result<TcpStream> {
@@ -1700,7 +1702,7 @@ mod tests {
         let link_to_1 = tcp_stream(&n0, 1).peer_addr().unwrap();
         // Three liars — an id that does not dial node 0, one past the
         // mesh, one whose link is up — and a dialer that never speaks.
-        let _liars: Vec<TcpStream> = [0u32, 9, 1]
+        let _liars: Vec<TcpStream> = [0u32, 9, 1, 65_538]
             .into_iter()
             .map(|id| {
                 let mut s = TcpStream::connect(addr).unwrap();
