@@ -46,13 +46,23 @@ impl VoteRule {
         values: &[AgreementValue<V>],
     ) -> AgreementValue<V> {
         match *self {
-            VoteRule::Degradable { m } => {
-                let alpha = n
-                    .checked_sub(path_len + m)
-                    .expect("BYZ invariant n > path_len + m violated");
-                vote(alpha, values)
-            }
+            VoteRule::Degradable { .. } => vote(self.threshold(n, path_len), values),
             VoteRule::Majority => majority(values),
+        }
+    }
+
+    /// The `α` of the vote over the `n - path_len` values gathered at a
+    /// path of length `path_len`: `n - path_len - m`, or a strict majority.
+    ///
+    /// # Panics
+    ///
+    /// For [`VoteRule::Degradable`], if `n < path_len + m`.
+    pub(crate) fn threshold(&self, n: usize, path_len: usize) -> usize {
+        match *self {
+            VoteRule::Degradable { m } => n
+                .checked_sub(path_len + m)
+                .expect("BYZ invariant n > path_len + m violated"),
+            VoteRule::Majority => n.saturating_sub(path_len) / 2 + 1,
         }
     }
 }

@@ -17,13 +17,13 @@
 //!   contiguous column per receiver — filled breadth-first from relay
 //!   envelopes (first write wins, duplicates fold idempotently — exactly
 //!   the [`crate::EigView::record`] semantics).
-//! * [`EigEngine::resolve`] runs one bottom-up pass computing a
-//!   `Summary` per arena node covering **all receivers at once**.
-//!   Subtrees that look identical to every receiver collapse to a
-//!   single memoized `VOTE(n-ℓ-m, n-ℓ)` application instead of one per
-//!   receiver; the fan-out within a level is parallelized with
-//!   `std::thread::scope` behind a `workers` knob mirroring the harness
-//!   `SweepRunner`.
+//! * [`EigEngine::resolve`] runs one bottom-up pass computing, for
+//!   every internal label and **all receivers at once**, what each
+//!   receiver resolves it to. Subtrees that look identical to every
+//!   receiver collapse to a single memoized `VOTE(n-ℓ-m, n-ℓ)`
+//!   application instead of one per receiver; the fan-out within a level
+//!   is parallelized with `std::thread::scope` behind a `workers` knob
+//!   mirroring the harness `SweepRunner`.
 //!
 //! # Memoization soundness
 //!
@@ -33,36 +33,46 @@
 //! slot `store[σ][r]`, and the one child `σ·r` that `r` itself relayed
 //! (excluded from its own gather). Therefore, if every off-path slot of
 //! σ holds the same effective value `a` (absent slots read as `V_d`)
-//! and every child subtree resolved to the same value `v` **for every
-//! receiver**, then every receiver's multiset is `{a} ∪ {v × (n-ℓ-1)}`
-//! — identical — and one `VOTE` stands in for all `n-ℓ` of them. The
-//! collapse is re-checked per node from the actual stored values, which
-//! is why memoization can never leak across fault-set or
-//! adversary-table boundaries: a different fault set or lie table
-//! changes the stored values, the uniformity test fails, and the engine
-//! falls back to exact per-receiver votes (see DESIGN.md §5c).
+//! and every child resolved to the same value `v` **for every
+//! receiver** — a leaf child: every slot of it in the store; an internal
+//! child: its entry in the walk's `shared` table — then every receiver's
+//! multiset is `{a} ∪ {v × (n-ℓ-1)}` — identical — and one `VOTE` stands
+//! in for all `n-ℓ` of them. The collapse is re-checked per label from
+//! the actual stored values, which is why memoization can never leak
+//! across fault-set or adversary-table boundaries: a different fault set
+//! or lie table changes the stored values, the uniformity test fails, and
+//! the engine falls back to exact per-receiver votes (see DESIGN.md §5c).
 //!
 //! Decisions are **bit-identical** to the reference evaluator by
 //! construction: the slow path gathers exactly the reference multiset
-//! and calls the same [`VoteRule::combine`], and the fast path calls it
-//! once on the shared multiset. `tests/engine_equivalence.rs` checks
-//! this differentially over the full E10 certification space.
+//! and votes it with [`vote_scan`], which is [`crate::vote::vote`]
+//! without the map, and the fast path votes the shared multiset with
+//! [`vote_two`]. `tests/engine_equivalence.rs` checks this differentially
+//! over the full E10 certification space.
 //!
-//! # One walk, two lanes
+//! # One walk over columns
 //!
-//! The pass is written once, over a small crate-private `Lanes` trait:
-//! what a label's receivers hold, `VOTE` over the shared multiset, `VOTE`
-//! over one gather. The store is one lane (values, voted by
-//! [`VoteRule::combine`]); [`EigEngine::with_packed_vote`] arms the other
-//! (`u8` palette codes, see `packed.rs`). Everything that decides *which*
-//! votes are taken — level order, the uniformity test, the collapse, the
-//! early-stop frontier, the `workers` fan-out, spans and counters — is the
-//! walk's, so the two lanes agree in decisions, counters and spans because
-//! there is nothing else for them to differ in.
+//! The walk's results live in two tables over the internal labels only
+//! (every label above the deepest level — 13 of 145 at N = 13), allocated
+//! once per resolve: `per`, label-major, what each receiver resolves a
+//! label to, and `shared`, the one value all of a label's receivers
+//! resolve it to when they agree (`None` when they do not). A worker
+//! chunk writes one disjoint slice of each. Leaves get no entry: the store
+//! is receiver-major, so what receiver `r` gathers at a parent of leaves
+//! is already one contiguous run of its column — the parent's children,
+//! less the one `r` relayed itself — and is read from there. No label
+//! and no vote allocates: the tables and one gather buffer per chunk are
+//! all the walk holds.
+
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 use crate::eig::{Fabricate, VoteRule};
 use crate::path::{path_count, Path};
 use crate::value::AgreementValue;
+use crate::vote::{vote_scan, vote_two};
 use obs::{Obs, SpanRecord};
 use simnet::{EigPerf, NodeId};
 use std::collections::{BTreeMap, BTreeSet};
@@ -188,6 +198,7 @@ impl PathArena {
     /// If `n` is not in `1..=64`, `sender` is out of range, or `depth`
     /// is zero. Use [`PathArena::try_new`] to get a typed
     /// [`EngineError`] instead.
+    #[allow(clippy::panic)]
     pub fn new(n: usize, sender: NodeId, depth: usize) -> Self {
         Self::try_new(n, sender, depth).unwrap_or_else(|e| panic!("{e}"))
     }
@@ -314,21 +325,17 @@ impl PathArena {
     /// Reconstructs the [`Path`] an id was interned from (the inverse
     /// of [`PathArena::intern`] — a parent-chain walk).
     pub fn resolve_path(&self, id: PathId) -> Path {
+        // Every label but the root appends one relayer; the root is the
+        // sender.
         let mut rev = Vec::new();
-        let mut cur = id.0;
-        while cur != u32::MAX {
-            let node = &self.nodes[cur as usize];
-            rev.push(node.last);
-            cur = node.parent;
+        let mut cur = id;
+        while let Some(parent) = self.parent(cur) {
+            rev.push(self.nodes[cur.index()].last);
+            cur = parent;
         }
-        let mut it = rev.into_iter().rev();
-        let first = it.next().expect("arena nodes are non-empty paths");
-        debug_assert_eq!(first, self.sender);
-        let mut path = Path::root(self.sender);
-        for nid in it {
-            path = path.child(nid);
-        }
-        path
+        rev.into_iter()
+            .rev()
+            .fold(Path::root(self.sender), |path, nid| path.child(nid))
     }
 
     /// The label `id` extends by its last relayer; `None` for the root.
@@ -361,10 +368,11 @@ impl PathArena {
 /// fill is what this is for: a simulated node's turn writes one column of
 /// each instance in flight, so its writes stay inside a few kilobytes
 /// instead of landing one slot per `n`-wide row across every store of the
-/// wave. The resolve pays for it with a strided gather per label
-/// ([`EigStore::row`]), over a single store that fits the first-level
-/// cache. [`EigStore::record`], [`EigStore::get`], [`EigStore::column`],
-/// [`EigStore::clear`] and `row` are the only places that index `slots`.
+/// wave. The resolve reads the same columns: what a receiver gathers at a
+/// parent of leaves is one contiguous run of its column, and only a label's
+/// own slot is read across columns. [`EigStore::record`], [`EigStore::get`],
+/// [`EigStore::clear`] and the private `slots_of` are the only places that
+/// index `slots`.
 #[derive(Debug, Clone)]
 pub struct EigStore<V> {
     /// Interned labels per column (the arena's node count).
@@ -428,23 +436,16 @@ impl<V> EigStore<V> {
         &self,
         receiver: NodeId,
     ) -> impl Iterator<Item = (PathId, &AgreementValue<V>)> + '_ {
-        self.slots[receiver.index() * self.labels..][..self.labels]
+        self.slots_of(receiver.index())
             .iter()
             .enumerate()
             .filter_map(|(i, slot)| slot.as_ref().map(|v| (PathId(i as u32), v)))
     }
 
-    /// The effective value every receiver holds for `id` (absent reads as
-    /// `V_d`), gathered into `buf` — one entry per node, indexed by
-    /// receiver.
-    fn row(&self, id: PathId, buf: &mut [AgreementValue<V>])
-    where
-        V: Clone,
-    {
-        let column_heads = self.slots[id.index()..].iter().step_by(self.labels);
-        for (own, slot) in buf.iter_mut().zip(column_heads) {
-            *own = slot.clone().unwrap_or_default();
-        }
+    /// `receiver`'s column as it is stored: one slot per label, in arena
+    /// (BFS) order, `None` where nothing was recorded.
+    fn slots_of(&self, receiver: usize) -> &[Option<AgreementValue<V>>] {
+        &self.slots[receiver * self.labels..][..self.labels]
     }
 
     /// Slots materialized so far (first writes only).
@@ -464,102 +465,6 @@ impl<V> EigStore<V> {
             *slot = None;
         }
         self.materialized = 0;
-    }
-}
-
-/// What the bottom-up walk ([`EigEngine::resolve_observed`]) needs of a
-/// value representation — a *lane*. The walk owns every decision of the
-/// resolution (level order, the uniformity test, the fast/slow split, the
-/// collapse, the early-stop frontier, the thread fan-out, spans and
-/// counters); a lane only says what a label's receivers hold and what
-/// `VOTE` makes of a multiset, so two lanes cannot differ in anything but
-/// how a value is spelled. The store itself is one lane (values, voted by
-/// [`VoteRule::combine`]); `crate::packed` is the other (palette codes).
-pub(crate) trait Lanes<V>: Sync {
-    /// One receiver's value; `Default` is `V_d`, and equality is equality
-    /// of the values spelled.
-    type Code: Clone + Default + PartialEq + Send + Sync;
-
-    /// The effective value every receiver holds for `id`, indexed by
-    /// receiver (absent reads as `V_d`; on-path positions are never
-    /// read). `buf`, one slot per node, is there to be filled and
-    /// returned by a lane that has no such row lying around.
-    fn row<'a>(&'a self, id: PathId, buf: &'a mut [Self::Code]) -> &'a [Self::Code];
-
-    /// `VOTE` at a label of length `len` over the multiset every receiver
-    /// shares when nothing below the label tells them apart:
-    /// `{a} ∪ {v × (receivers − 1)}`.
-    fn vote_shared(
-        &self,
-        len: usize,
-        a: &Self::Code,
-        v: &Self::Code,
-        scratch: &mut Vec<Self::Code>,
-    ) -> Self::Code;
-
-    /// `VOTE` at a label of length `len` over one receiver's gather.
-    fn vote(&self, len: usize, gathered: &[Self::Code]) -> Self::Code;
-
-    /// The value a code spells.
-    fn decode(&self, code: &Self::Code) -> AgreementValue<V>;
-}
-
-/// The store as a lane: values as they were recorded, voted by the rule
-/// itself — the reference gather, and what every other lane is held to.
-struct StoreLanes<'a, V> {
-    store: &'a EigStore<V>,
-    rule: VoteRule,
-    n: usize,
-}
-
-impl<V: Clone + Ord + Send + Sync> Lanes<V> for StoreLanes<'_, V> {
-    type Code = AgreementValue<V>;
-
-    fn row<'a>(&'a self, id: PathId, buf: &'a mut [Self::Code]) -> &'a [Self::Code] {
-        self.store.row(id, buf);
-        buf
-    }
-
-    fn vote_shared(
-        &self,
-        len: usize,
-        a: &Self::Code,
-        v: &Self::Code,
-        scratch: &mut Vec<Self::Code>,
-    ) -> Self::Code {
-        scratch.clear();
-        scratch.push(a.clone());
-        scratch.resize(self.n - len, v.clone());
-        self.vote(len, scratch)
-    }
-
-    fn vote(&self, len: usize, gathered: &[Self::Code]) -> Self::Code {
-        self.rule.combine(self.n, len, gathered)
-    }
-
-    fn decode(&self, code: &Self::Code) -> AgreementValue<V> {
-        code.clone()
-    }
-}
-
-/// Per-node resolution result covering all receivers at once, in a
-/// lane's codes.
-///
-/// `Uniform(v)` means *every* off-path receiver resolves this subtree
-/// to `v` — the memoized case. `PerReceiver` keeps one resolution per
-/// receiver (slots of on-path nodes are never read).
-#[derive(Debug, Clone)]
-enum Summary<C> {
-    Uniform(C),
-    PerReceiver(Box<[C]>),
-}
-
-impl<C> Summary<C> {
-    fn value_for(&self, receiver: usize) -> &C {
-        match self {
-            Summary::Uniform(v) => v,
-            Summary::PerReceiver(vals) => &vals[receiver],
-        }
     }
 }
 
@@ -603,9 +508,6 @@ pub struct EigEngine {
     worker_spans: bool,
     /// Certified fault mask for early stopping; `None` disables it.
     early_stop: Option<u64>,
-    /// Route resolution through the bitpacked VOTE evaluator when the
-    /// value palette fits (falls back to the scalar path otherwise).
-    packed_vote: bool,
 }
 
 impl EigEngine {
@@ -617,6 +519,7 @@ impl EigEngine {
     /// On the shapes [`PathArena::new`] rejects (`n` outside `1..=64`,
     /// sender out of range, zero depth). Use [`EigEngine::try_new`] for
     /// a typed [`EngineError`] instead.
+    #[allow(clippy::panic)]
     pub fn new(n: usize, sender: NodeId, depth: usize) -> Self {
         Self::try_new(n, sender, depth).unwrap_or_else(|e| panic!("{e}"))
     }
@@ -630,7 +533,6 @@ impl EigEngine {
             workers: 1,
             worker_spans: false,
             early_stop: None,
-            packed_vote: false,
         })
     }
 
@@ -672,6 +574,7 @@ impl EigEngine {
     ///
     /// If any certified id is >= 64 (the `u64` mask ceiling). Use
     /// [`EigEngine::try_with_early_stop`] for a typed error.
+    #[allow(clippy::panic)]
     pub fn with_early_stop(self, faulty: &BTreeSet<NodeId>) -> Self {
         self.try_with_early_stop(faulty)
             .unwrap_or_else(|e| panic!("{e}"))
@@ -697,14 +600,11 @@ impl EigEngine {
         self.early_stop.is_some()
     }
 
-    /// Routes resolution through the bitpacked VOTE evaluator: store
-    /// values are interned into a `u8` palette (`0` = `V_d`/absent) and
-    /// votes are counted over packed `u64` words. Falls back to the
-    /// scalar resolver — bit-identically, it is the oracle — when the
-    /// palette overflows 255 distinct values or the rule is not
-    /// [`VoteRule::Degradable`].
-    pub fn with_packed_vote(mut self) -> Self {
-        self.packed_vote = true;
+    /// Does nothing; kept so that existing callers still build. It used to
+    /// route the resolve through a bitpacked palette VOTE, which was slower
+    /// than the one walk over the store on every workload and was removed
+    /// (DESIGN.md §5h).
+    pub fn with_packed_vote(self) -> Self {
         self
     }
 
@@ -782,6 +682,11 @@ impl EigEngine {
                     }
                 }
                 let relayer = node.last;
+                // The parent level recorded a value for every receiver off
+                // the parent's path, the relayer among them, and a parent
+                // the early stop skipped has its children skipped too: a
+                // missing slot here is a store shaped for another arena.
+                #[allow(clippy::expect_used)]
                 let truthful = store
                     .get(PathId(node.parent), relayer)
                     .cloned()
@@ -847,10 +752,11 @@ impl EigEngine {
         run
     }
 
-    /// Bottom-up resolution of a filled store: one `Summary` per
-    /// arena node, deepest level first, with the fan-out within each
-    /// level split across `workers` scoped threads. Decisions and the
-    /// deterministic counters are identical for every worker count.
+    /// Bottom-up resolution of a filled store: what every receiver
+    /// resolves every internal label to, deepest level first, with the
+    /// fan-out within each level split across `workers` scoped threads.
+    /// Decisions and the deterministic counters are identical for every
+    /// worker count.
     pub fn resolve<V: Clone + Ord + Send + Sync>(
         &self,
         rule: VoteRule,
@@ -872,21 +778,7 @@ impl EigEngine {
         obs: &mut Obs,
     ) -> EngineRun<V> {
         let resolve_start = Instant::now();
-        // The packed lane takes the rule it was written for and a store
-        // whose values fit its palette; the store itself takes anything.
-        let palette = match rule {
-            VoteRule::Degradable { m } if self.packed_vote => {
-                crate::packed::Palette::build(&self.arena, store, m)
-            }
-            _ => None,
-        };
-        let (decisions, votes_evaluated, votes_memo_hit) = match &palette {
-            Some(palette) => self.walk(palette, obs),
-            None => {
-                let n = self.arena.n;
-                self.walk(&StoreLanes { store, rule, n }, obs)
-            }
-        };
+        let (decisions, votes_evaluated, votes_memo_hit) = self.walk(rule, store, obs);
         let (subtrees_pruned, messages_saved) = self.prune_counters();
         let perf = EigPerf {
             arena_nodes: self.arena.node_count() as u64,
@@ -904,70 +796,80 @@ impl EigEngine {
         EngineRun { decisions, perf }
     }
 
-    /// The one bottom-up walk, over whichever lane spells the values:
-    /// every receiver's decision, and the votes evaluated and memo-hit on
-    /// the way.
-    fn walk<V, L: Lanes<V>>(
+    /// The one bottom-up walk: every receiver's decision, and the votes
+    /// evaluated and memo-hit on the way. Results go to the two tables of
+    /// the module docs, `per` and `shared`, indexed by the internal labels
+    /// (the ids below the deepest level's); the deepest level only gets
+    /// its span, since its labels are read from the store by their parents.
+    fn walk<V: Clone + Ord + Send + Sync>(
         &self,
-        lanes: &L,
+        rule: VoteRule,
+        store: &EigStore<V>,
         obs: &mut Obs,
     ) -> (BTreeMap<NodeId, AgreementValue<V>>, u64, u64) {
         // Chunk wall times are only sampled when someone will read them.
         let timed_chunks = obs.is_enabled() && self.worker_spans;
         let arena = &self.arena;
-        let mut summaries: Vec<Option<Summary<L::Code>>> = Vec::new();
-        summaries.resize_with(arena.node_count(), || None);
+        let n = arena.n;
+        let leaf_level = arena.levels.len() - 1;
+        let internal = arena.levels[leaf_level].start as usize;
+        let mut per = vec![AgreementValue::Default; internal * n];
+        let mut shared = vec![None; internal];
         let mut votes_evaluated = 0u64;
         let mut votes_memo_hit = 0u64;
 
         for level in (0..arena.levels.len()).rev() {
             let range = arena.levels[level].clone();
-            let count = (range.end - range.start) as usize;
+            let (start, end) = (range.start as usize, range.end as usize);
             let level_timer = obs.span(
                 "eig.resolve_level",
-                vec![("level", level as u64), ("width", count as u64)],
+                vec![("level", level as u64), ("width", (end - start) as u64)],
             );
-            let (head, deeper) = summaries.split_at_mut(range.end as usize);
-            let level_slice = &mut head[range.start as usize..];
-            let deeper_offset = range.end;
-            let chunk_len = count.div_ceil(self.workers).max(1);
-            let chunk_stats: Vec<(u64, u64, u64)> = if self.workers <= 1 || count <= chunk_len {
-                vec![resolve_chunk(
-                    arena,
-                    lanes,
-                    range.start,
-                    level_slice,
-                    &*deeper,
-                    deeper_offset,
-                    self.early_stop,
-                    timed_chunks,
-                )]
+            if level == leaf_level {
+                obs.finish(level_timer, 0);
+                continue;
+            }
+            let (per_level, per_deeper) = per[start * n..].split_at_mut((end - start) * n);
+            let (shared_level, shared_deeper) = shared[start..].split_at_mut(end - start);
+            let below = Below {
+                arena,
+                store,
+                rule,
+                early_stop: self.early_stop,
+                leaves: level + 1 == leaf_level,
+                per: per_deeper,
+                shared: shared_deeper,
+                first: end,
+            };
+            let chunk_len = (end - start).div_ceil(self.workers).max(1);
+            let chunks = per_level
+                .chunks_mut(chunk_len * n)
+                .zip(shared_level.chunks_mut(chunk_len))
+                .enumerate()
+                .map(|(i, (per, shared))| (range.start + (i * chunk_len) as u32, per, shared));
+            let below = &below;
+            let chunk_stats: Vec<(u64, u64, u64)> = if self.workers <= 1 || end - start <= chunk_len
+            {
+                chunks
+                    .map(|(first_id, per, shared)| {
+                        resolve_chunk(below, first_id, per, shared, timed_chunks)
+                    })
+                    .collect()
             } else {
-                let deeper_ref: &[Option<Summary<L::Code>>] = deeper;
-                let early = self.early_stop;
                 std::thread::scope(|scope| {
-                    let mut handles = Vec::new();
-                    for (i, chunk) in level_slice.chunks_mut(chunk_len).enumerate() {
-                        let first_id = range.start + (i * chunk_len) as u32;
-                        handles.push(scope.spawn(move || {
-                            resolve_chunk(
-                                arena,
-                                lanes,
-                                first_id,
-                                chunk,
-                                deeper_ref,
-                                deeper_offset,
-                                early,
-                                timed_chunks,
-                            )
-                        }));
-                    }
+                    let handles: Vec<_> = chunks
+                        .map(|(first_id, per, shared)| {
+                            scope.spawn(move || {
+                                resolve_chunk(below, first_id, per, shared, timed_chunks)
+                            })
+                        })
+                        .collect();
                     // Joining in spawn order keeps chunk-span recording
                     // deterministic for a fixed worker count.
                     handles
                         .into_iter()
-                        .map(|h| h.join().expect("resolver thread panicked"))
-                        .collect::<Vec<_>>()
+                        .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+                        .collect()
                 })
             };
             let mut level_votes = 0u64;
@@ -990,146 +892,175 @@ impl EigEngine {
             obs.finish(level_timer, level_votes);
         }
 
-        let root = summaries[0]
-            .as_ref()
-            .expect("root summary resolved by the last pass");
-        let mut decisions = BTreeMap::new();
-        for r in NodeId::all(arena.n) {
-            if r == arena.sender {
-                continue;
-            }
-            decisions.insert(r, lanes.decode(root.value_for(r.index())));
-        }
+        // The root's row; a root that is itself a leaf (depth 1) decides
+        // what each receiver holds.
+        let decisions = NodeId::all(n)
+            .filter(|&r| r != arena.sender)
+            .map(|r| {
+                let decision = per
+                    .get(r.index())
+                    .cloned()
+                    .unwrap_or_else(|| store.slots_of(r.index())[0].clone().unwrap_or_default());
+                (r, decision)
+            })
+            .collect();
         (decisions, votes_evaluated, votes_memo_hit)
     }
 }
 
-/// Resolves the contiguous id range starting at `first_id` into `out`,
-/// reading already-resolved deeper summaries from `deeper` (which
-/// starts at global id `deeper_offset`). Returns `(votes_evaluated,
+/// What every chunk of one level reads: the store, the rule, the early-stop
+/// mask, and the level below — leaves, read from the store's columns, or
+/// internal labels, read from the walk's tables from id `first` on.
+struct Below<'a, V> {
+    arena: &'a PathArena,
+    store: &'a EigStore<V>,
+    rule: VoteRule,
+    early_stop: Option<u64>,
+    /// Whether the labels one level down are leaves.
+    leaves: bool,
+    per: &'a [AgreementValue<V>],
+    shared: &'a [Option<AgreementValue<V>>],
+    first: usize,
+}
+
+/// Resolves the labels from `first_id` on, one per entry of `shared` and
+/// one `n`-wide row of `per` each. Returns `(votes_evaluated,
 /// votes_memo_hit, wall_nanos)` for the chunk; the wall time is only
 /// sampled when `timed` (zero otherwise), so untimed runs pay no clock
 /// reads in the fan-out hot path.
-#[allow(clippy::too_many_arguments)]
-fn resolve_chunk<V, L: Lanes<V>>(
-    arena: &PathArena,
-    lanes: &L,
+fn resolve_chunk<V: Clone + Ord>(
+    below: &Below<'_, V>,
     first_id: u32,
-    out: &mut [Option<Summary<L::Code>>],
-    deeper: &[Option<Summary<L::Code>>],
-    deeper_offset: u32,
-    early_stop: Option<u64>,
+    per: &mut [AgreementValue<V>],
+    shared: &mut [Option<AgreementValue<V>>],
     timed: bool,
 ) -> (u64, u64, u64) {
-    let chunk_start = if timed { Some(Instant::now()) } else { None };
+    let chunk_start = timed.then(Instant::now);
+    let Below { arena, store, .. } = *below;
     let n = arena.n;
+    let vd = AgreementValue::Default;
     let mut votes_evaluated = 0u64;
     let mut votes_memo_hit = 0u64;
-    let mut scratch: Vec<L::Code> = Vec::with_capacity(n);
-    // One row of own values and one of per-receiver votes, reused by
-    // every node of the chunk.
-    let mut own_buf = vec![L::Code::default(); n];
-    let mut per = vec![L::Code::default(); n];
+    // One receiver's gather, reused by every vote of the chunk.
+    let mut gather: Vec<AgreementValue<V>> = Vec::with_capacity(n);
 
-    for (slot, id) in out.iter_mut().zip(first_id..) {
-        let node = &arena.nodes[id as usize];
+    for ((out, shared), id) in per.chunks_mut(n).zip(shared).zip(first_id as usize..) {
+        let node = &arena.nodes[id];
         let len = node.len as usize;
 
         // Strictly below the early-stop frontier nothing was filled and
-        // no ancestor reads the summary (the cut is downward-closed and
-        // frontier nodes resolve as leaves): skip the node entirely.
-        if node.parent != u32::MAX {
-            if let Some(mask) = early_stop {
-                if prunable_node(&arena.nodes[node.parent as usize], mask) {
-                    continue;
-                }
+        // no ancestor reads the label (the cut is downward-closed and
+        // frontier labels resolve as leaves): skip it entirely.
+        if let (Some(mask), Some(parent)) = (below.early_stop, arena.parent(PathId(id as u32))) {
+            if prunable_node(&arena.nodes[parent.index()], mask) {
+                continue;
             }
         }
 
-        // Effective own values (absent reads as V_d), plus uniformity.
-        let own = lanes.row(PathId(id), &mut own_buf);
-        let mut receivers = (0..n).filter(|r| node.members >> r & 1 == 0);
-        let first_receiver = receivers.next();
-        let uniform = first_receiver.is_none_or(|f| receivers.all(|r| own[f] == own[r]));
+        // A label with children has a node off its path.
+        let receivers = (0..n).filter(|r| node.members >> r & 1 == 0);
+        let Some(first) = receivers.clone().next() else {
+            continue;
+        };
+        let own = |r: usize| or_vd(&store.slots_of(r)[id], &vd);
+        let a = own(first);
+        let uniform = receivers.clone().all(|r| own(r) == a);
 
-        let frontier = early_stop.is_some_and(|mask| prunable_node(node, mask));
-        if node.child_count == 0 || frontier {
-            // Leaf: the resolution *is* the stored value; no vote. A
-            // leaf whose path covers all n nodes has no receivers at
-            // all (depth >= n); nothing ever reads its summary, so any
-            // uniform value serves. Prunable nodes resolve as leaves
-            // too: their subtree vote is certain to collapse to the
-            // stored value (and the fill skipped the subtree), and cut
-            // nodes below the frontier — themselves prunable by
-            // downward closure — get an all-absent row summarizing to
-            // V_d that no ancestor ever reads.
-            debug_assert!(frontier || len == arena.levels.len());
-            *slot = Some(match first_receiver {
-                Some(r) if uniform => Summary::Uniform(own[r].clone()),
-                Some(_) => Summary::PerReceiver(own.into()),
-                None => Summary::Uniform(L::Code::default()),
-            });
+        if below
+            .early_stop
+            .is_some_and(|mask| prunable_node(node, mask))
+        {
+            // A frontier label resolves as a leaf: its subtree vote is
+            // certain to collapse to the stored value, and the fill
+            // skipped the subtree.
+            for r in receivers {
+                out[r] = own(r).clone();
+            }
+            *shared = uniform.then(|| a.clone());
             continue;
         }
 
-        let children = node.first_child..node.first_child + node.child_count;
-        let child = |c: u32| {
-            deeper[(c - deeper_offset) as usize]
-                .as_ref()
-                .expect("deeper levels resolved first")
+        let alpha = below.rule.threshold(n, len);
+        let (first_child, kids) = (node.first_child as usize, node.child_count as usize);
+        // Children are ordered by relayer over the nodes off the label, so
+        // `r`'s own relay is child number `r` less the label's nodes below
+        // `r`.
+        let own_relay = |r: usize| r - (node.members & ((1u64 << r) - 1)).count_ones() as usize;
+        // The children `r` reads at a parent of leaves: one run of its
+        // column, less its own relay.
+        let leaf_inputs = |r: usize| {
+            let run = &store.slots_of(r)[first_child..][..kids];
+            let (before, after) = run.split_at(own_relay(r));
+            before.iter().chain(&after[1..])
         };
-        let first_receiver = first_receiver.expect("internal nodes have receivers");
 
-        // Fast path: own slots uniform and every child subtree uniform
-        // with one shared value. Each receiver's gather is then the
-        // same multiset {own} ∪ {v × (receivers-1)} — one VOTE serves
-        // all of them (see module docs for the exclusion argument).
-        let child_uniform = match child(children.start) {
-            Summary::Uniform(v) if uniform => children
+        // Fast path: own slots uniform and every child resolving to one
+        // shared value for all its receivers. Each receiver's gather is
+        // then the same multiset {a} ∪ {v × (receivers-1)} — one VOTE
+        // serves all of them (see module docs for the exclusion argument).
+        // Leaves with no receivers (depth >= n) read as uniformly V_d.
+        let child_uniform = if !uniform {
+            None
+        } else if below.leaves {
+            let mut v = None;
+            receivers
                 .clone()
-                .all(|c| matches!(child(c), Summary::Uniform(w) if w == v))
-                .then_some(v),
-            _ => None,
+                .all(|r| {
+                    leaf_inputs(r)
+                        .all(|slot| *v.get_or_insert(or_vd(slot, &vd)) == or_vd(slot, &vd))
+                })
+                .then(|| v.unwrap_or(&vd))
+        } else {
+            let kids = &below.shared[first_child - below.first..][..kids];
+            match &kids[0] {
+                Some(v) if kids.iter().all(|w| w.as_ref() == Some(v)) => Some(v),
+                _ => None,
+            }
         };
 
         if let Some(v) = child_uniform {
-            let combined = lanes.vote_shared(len, &own[first_receiver], v, &mut scratch);
+            let combined = vote_two(alpha, a, v, n - len);
             votes_evaluated += 1;
             votes_memo_hit += (n - len) as u64 - 1;
-            *slot = Some(Summary::Uniform(combined));
+            out.fill(combined.clone());
+            *shared = Some(combined);
             continue;
         }
 
         // Slow path: exact per-receiver votes — the reference gather.
         let mut collapsed = true;
-        for r in (0..n).filter(|r| node.members >> r & 1 == 0) {
-            scratch.clear();
-            scratch.push(own[r].clone());
-            for c in children.clone() {
-                if arena.nodes[c as usize].last.index() != r {
-                    scratch.push(child(c).value_for(r).clone());
-                }
+        for r in receivers {
+            gather.clear();
+            gather.push(own(r).clone());
+            if below.leaves {
+                gather.extend(leaf_inputs(r).map(|slot| or_vd(slot, &vd).clone()));
+            } else {
+                let skip = own_relay(r);
+                let row = |k: usize| &below.per[(first_child - below.first + k) * n + r];
+                gather.extend((0..kids).filter(|&k| k != skip).map(|k| row(k).clone()));
             }
-            debug_assert_eq!(scratch.len(), n - len);
-            per[r] = lanes.vote(len, &scratch);
+            debug_assert_eq!(gather.len(), n - len);
+            out[r] = vote_scan(alpha, &gather);
             votes_evaluated += 1;
-            collapsed = collapsed && per[first_receiver] == per[r];
+            collapsed = collapsed && out[r] == out[first];
         }
         // Opportunistic collapse: if every receiver resolved to the
-        // same value anyway, store it uniformly so ancestors can take
-        // the fast path (the votes were still individually evaluated,
-        // so no memo hit is counted here).
-        *slot = Some(if collapsed {
-            Summary::Uniform(per[first_receiver].clone())
-        } else {
-            Summary::PerReceiver(per.as_slice().into())
-        });
+        // same value anyway, share it so ancestors can take the fast
+        // path (the votes were still individually evaluated, so no memo
+        // hit is counted here).
+        *shared = collapsed.then(|| out[first].clone());
     }
 
-    let wall_nanos = chunk_start
-        .map(|s| s.elapsed().as_nanos() as u64)
-        .unwrap_or(0);
+    let wall_nanos = chunk_start.map_or(0, |s| s.elapsed().as_nanos() as u64);
     (votes_evaluated, votes_memo_hit, wall_nanos)
+}
+
+/// A slot's effective value: absent reads as `V_d`.
+fn or_vd<'a, V>(
+    slot: &'a Option<AgreementValue<V>>,
+    vd: &'a AgreementValue<V>,
+) -> &'a AgreementValue<V> {
+    slot.as_ref().unwrap_or(vd)
 }
 
 #[cfg(test)]
@@ -1579,9 +1510,9 @@ mod tests {
         assert_eq!(run.perf.messages_saved, 0);
     }
 
-    /// Packed VOTE: decisions *and* deterministic counters bit-identical
-    /// to the scalar resolver over random adversaries, with and without
-    /// early stopping, across worker counts.
+    /// `with_packed_vote` is inert: decisions *and* deterministic counters
+    /// bit-identical to the plain engine over random adversaries, with and
+    /// without early stopping, across worker counts.
     #[test]
     fn packed_vote_is_bit_identical_to_scalar() {
         let mut rng = SimRng::seed(0xB17B);
@@ -1625,8 +1556,8 @@ mod tests {
         }
     }
 
-    /// Non-`Degradable` rules fall back to the scalar resolver: the
-    /// packed knob must be behaviour-preserving there too.
+    /// Strict majority through the engine's vote (`α = ⌊β/2⌋ + 1`) decides
+    /// as the reference does, and `with_packed_vote` is inert there too.
     #[test]
     fn packed_vote_falls_back_on_majority_rule() {
         let faulty: BTreeSet<NodeId> = [NodeId::new(3)].into();
@@ -1640,6 +1571,17 @@ mod tests {
         };
         let scalar = run_with(false);
         let packed = run_with(true);
+        let mut fab = |_: &Path, r: NodeId, _: &Val| Val::Value(r.index() as u64);
+        let reference = run_eig_full(
+            5,
+            NodeId::new(0),
+            2,
+            VoteRule::Majority,
+            &Val::Value(7),
+            &faulty,
+            &mut fab,
+        );
+        assert_eq!(scalar.decisions, reference.decisions);
         assert_eq!(packed.decisions, scalar.decisions);
         assert_eq!(
             packed.perf.deterministic_counters(),
@@ -1647,9 +1589,9 @@ mod tests {
         );
     }
 
-    /// The packed resolver emits the same spans (names, args, logical
-    /// costs) and registry counters as the scalar one: observability
-    /// output is knob-independent after timing scrub.
+    /// `with_packed_vote` leaves the spans (names, args, logical costs) and
+    /// registry counters as they are: observability output is
+    /// knob-independent after timing scrub.
     #[test]
     fn packed_observed_output_matches_scalar() {
         let run_obs = |packed: bool, early: bool| {

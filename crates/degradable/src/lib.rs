@@ -52,11 +52,11 @@
 //! | module | contents |
 //! |--------|----------|
 //! | [`value`] | [`AgreementValue`] with the distinguished default `V_d` |
-//! | [`mod@vote`] | the paper's `VOTE(α, β)` primitive, majority, `k`-of-`n` |
+//! | [`mod@vote`] | the paper's `VOTE(α, β)` primitive and the engine's allocation-free scan of it, majority, `k`-of-`n` |
 //! | [`params`] | [`Params`] = `(m, u)` plus the resource-bound formulas |
 //! | [`path`] | relay paths, and BYZ's per-envelope rules stated once: admission ([`Path::from_ids`], [`path::admit`], [`path::is_label`]) and relay fan-out |
 //! | [`eig`] | per-receiver views and their one fold, reference executor |
-//! | [`engine`] | arena-backed iterative EIG engine (shared-prefix memoization): one bottom-up walk over value lanes, the store's own or bitpacked palette codes |
+//! | [`engine`] | arena-backed iterative EIG engine (shared-prefix memoization): one allocation-free bottom-up walk over the store's receiver columns |
 //! | [`byz`] | [`ByzInstance`] — algorithm BYZ itself |
 //! | [`protocol`] | message-passing BYZ on the `simnet` round engine |
 //! | [`service`] | batched agreement: many instances multiplexed over one run |
@@ -88,7 +88,6 @@ pub mod explain;
 pub mod ic;
 pub mod lower_bound;
 pub mod node;
-mod packed;
 pub mod params;
 pub mod path;
 pub mod protocol;

@@ -51,6 +51,71 @@ pub fn vote<V: Clone + Ord>(alpha: usize, values: &[AgreementValue<V>]) -> Agree
     winner.cloned().unwrap_or(AgreementValue::Default)
 }
 
+/// [`vote`] without the map: the same `VOTE(α, β)`, allocating nothing
+/// when `2α > β`.
+///
+/// Above half the inputs at most one value can reach `α`, and if one does
+/// it is the strict majority — the candidate a Boyer–Moore pass leaves
+/// standing. One count then tells whether the candidate reaches `α`. Every
+/// vote BYZ takes is of this kind at `N ≥ 2m + u + 1`: an internal label has
+/// `ℓ ≤ m`, so `β = n − ℓ > 2m` and `α = β − m > β / 2` (and strict
+/// majority is `α = ⌊β/2⌋ + 1`). Any other threshold is handed to [`vote`].
+///
+/// # Panics
+///
+/// Panics if `alpha == 0`, as [`vote`] does.
+pub fn vote_scan<V: Clone + Ord>(alpha: usize, values: &[AgreementValue<V>]) -> AgreementValue<V> {
+    if 2 * alpha <= values.len() {
+        return vote(alpha, values);
+    }
+    let mut candidate = None;
+    let mut lead = 0usize;
+    for v in values {
+        if lead == 0 {
+            (candidate, lead) = (Some(v), 1);
+        } else if candidate == Some(v) {
+            lead += 1;
+        } else {
+            lead -= 1;
+        }
+    }
+    match candidate {
+        Some(c) if values.iter().filter(|v| *v == c).count() >= alpha => c.clone(),
+        _ => AgreementValue::Default,
+    }
+}
+
+/// `VOTE(α, k)` over the multiset `{a} ∪ {v × (k − 1)}` (`k ≥ 1`): two
+/// candidates, decided by arithmetic alone. This is the one vote the arena
+/// engine takes for all of a label's receivers when nothing below the label
+/// tells them apart.
+///
+/// # Panics
+///
+/// Panics if `alpha == 0`, as [`vote`] does.
+pub fn vote_two<V: Clone + Eq>(
+    alpha: usize,
+    a: &AgreementValue<V>,
+    v: &AgreementValue<V>,
+    k: usize,
+) -> AgreementValue<V> {
+    assert!(alpha > 0, "vote threshold must be positive");
+    if a == v {
+        // One distinct value, `k` times.
+        return if k >= alpha {
+            v.clone()
+        } else {
+            AgreementValue::Default
+        };
+    }
+    // `v` appears `k − 1` times, `a` once; both reaching `α` is a tie.
+    match (k > alpha, alpha == 1) {
+        (true, false) => v.clone(),
+        (false, true) => a.clone(),
+        _ => AgreementValue::Default,
+    }
+}
+
 /// Strict-majority vote: the value held by more than half the inputs, or
 /// `V_d` if none. This is the `majority` of Lamport's OM algorithm, with
 /// the paper's `V_d` in the role of OM's default (`RETREAT`).
@@ -155,6 +220,57 @@ mod tests {
         // Two values reaching k is a tie -> None:
         assert_eq!(k_of_n(2, &[5u64, 5, 9, 9]), None);
         assert_eq!(k_of_n::<u64>(1, &[]), None);
+    }
+
+    /// `vote_scan` against `vote` over directed cases: the paper's
+    /// `VOTE(2,4)` examples (the fallback, `2α = β`), unanimity at `α = β`,
+    /// all-`V_d` inputs, and a lone input. The broad sweep is
+    /// `arena_props::vote_scan_matches_vote`.
+    #[test]
+    fn vote_scan_directed_cases() {
+        let d = Val::Default;
+        let v = Val::Value;
+        let cases: Vec<(Vec<Val>, usize)> = vec![
+            (vals(&[1, 2, 2, 3]), 2),
+            (vals(&[1, 2, 0, 3]), 2),
+            (vals(&[1, 2, 2, 1]), 2),
+            (vec![d, d, v(1)], 2),
+            (vec![d; 17], 9),
+            (vals(&[5; 8]), 8),
+            (vals(&[5; 9]), 9),
+            (vals(&[5, 5, 5, 5, 5, 5, 5, 6]), 8),
+            (vals(&[1]), 1),
+            (vec![d], 1),
+        ];
+        for (values, alpha) in cases {
+            assert_eq!(
+                vote_scan(alpha, &values),
+                vote(alpha, &values),
+                "values={values:?} alpha={alpha}"
+            );
+        }
+    }
+
+    #[test]
+    fn vote_two_covers_the_shared_multiset_table() {
+        let (a, v) = (Val::Value(1), Val::Value(4));
+        // a == v: unanimous, or short of the threshold.
+        assert_eq!(vote_two(4, &v, &v, 6), v);
+        assert_eq!(vote_two(4, &v, &v, 3), Val::Default);
+        // v reaches alpha, a does not.
+        assert_eq!(vote_two(4, &a, &v, 6), v);
+        // Neither reaches alpha.
+        assert_eq!(vote_two(3, &a, &v, 3), Val::Default);
+        // alpha == 1 and two distinct values: a tie.
+        assert_eq!(vote_two(1, &a, &v, 6), Val::Default);
+        // alpha == 1 and v absent from the multiset: a alone wins.
+        assert_eq!(vote_two(1, &a, &v, 1), a);
+    }
+
+    #[test]
+    #[should_panic(expected = "threshold must be positive")]
+    fn vote_two_rejects_a_zero_threshold() {
+        vote_two(0, &Val::Value(1), &Val::Value(1), 1);
     }
 
     #[test]

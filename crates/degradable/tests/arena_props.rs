@@ -1,14 +1,16 @@
 //! Property-based invariants of the arena-backed EIG engine
 //! ([`degradable::engine`]): path interning is a bijection, the arena
 //! size matches the closed-form path census, the store is a first-write-wins
-//! map whatever its layout, and the memoized resolve is insensitive to the
-//! order in which relay envelopes filled the store.
+//! map whatever its layout, the memoized resolve is insensitive to the
+//! order in which relay envelopes filled the store, and the engine's
+//! allocation-free vote is the paper's `VOTE`.
 
 use degradable::engine::{EigEngine, EigStore, PathId};
-use degradable::{path_count, paths_of_length, Path, Val, VoteRule};
+use degradable::vote::{vote, vote_scan, vote_two};
+use degradable::{path_count, paths_of_length, prunable_path, EigView, Path, Val, VoteRule};
 use proptest::prelude::*;
 use simnet::{NodeId, SimRng};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Fisher–Yates driven by the deterministic simulation RNG.
 fn shuffle<T>(items: &mut [T], seed: u64) {
@@ -142,28 +144,65 @@ proptest! {
     /// same envelopes in any order — with same-value duplicates sprinkled
     /// in — yields bit-identical decisions AND bit-identical deterministic
     /// perf counters (the memoization collapse never depends on arrival
-    /// order).
+    /// order), for every worker count. The stores include what the
+    /// workloads never produce: whole absent subtrees (a silent or crashed
+    /// relayer, the sender included), early-stop frontiers below the first
+    /// relay level, and `depth ≥ n`, where the deepest labels have no
+    /// receivers. Every decision is the receiver's own fold of its column
+    /// ([`EigView::resolve`], or `resolve_pruned` under early stop), and
+    /// the votes settled are one per receiver of every label voted at.
     #[test]
     fn resolve_is_fill_order_independent(
-        n in 2usize..8,
-        depth in 2usize..4,
+        n in 2usize..10,
+        depth in 2usize..5,
         value_seed in 0u64..u64::MAX,
         order_seed in 0u64..u64::MAX,
+        silent in 0usize..16,
+        shape in 0usize..3,
     ) {
         let sender = NodeId::new(0);
-        // VOTE(n - path_len - m, ..) needs n > path_len + m at every
-        // internal level (path_len <= depth - 1, m = depth - 1), so clamp
-        // the depth to the feasible BYZ range for this n.
-        let depth = depth.min(n.div_ceil(2)).max(1);
+        // 0: BYZ's own shapes. VOTE(n - path_len - m, ..) needs
+        // n > path_len + m at every internal level (path_len <= depth - 1,
+        // m = depth - 1), so the depth is clamped to the feasible range.
+        // 1: the deepest such tree (up to 4 levels), with early stopping
+        // armed. 2: depth >= n with m = 0, the one rule those trees admit.
+        let (depth, m) = match shape {
+            2 => (n + depth % 2, 0),
+            1 => (n.div_ceil(2).min(4), n.div_ceil(2).min(4) - 1),
+            _ => {
+                let depth = depth.min(n.div_ceil(2)).max(1);
+                (depth, depth - 1)
+            }
+        };
+        let rule = VoteRule::Degradable { m };
         let engine = EigEngine::new(n, sender, depth);
         let arena = engine.arena();
-        let rule = VoteRule::Degradable { m: depth - 1 };
+        let mut rng = SimRng::seed(value_seed);
+        // Half the early-stop draws certify the sender and `depth - 3`
+        // others, which puts the frontier one level above the leaves — below
+        // the first relay level once the tree has four.
+        let faulty: BTreeSet<NodeId> = match shape {
+            1 if rng.chance(0.5) => rng
+                .choose_indices(n - 1, depth.saturating_sub(3))
+                .into_iter()
+                .map(|i| NodeId::new(i + 1))
+                .chain([sender])
+                .collect(),
+            1 => {
+                let f = rng.below(depth as u64) as usize;
+                rng.choose_indices(n, f).into_iter().map(NodeId::new).collect()
+            }
+            _ => BTreeSet::new(),
+        };
+        let early = (shape == 1).then_some(&faulty);
 
         // Draw one value per (path, receiver) slot in canonical order, so
-        // both fills record identical contents.
-        let mut rng = SimRng::seed(value_seed);
+        // both fills record identical contents. Nothing a silent node is on
+        // the path of was ever relayed.
+        let silent = NodeId::new(silent);
         let mut envelopes: Vec<(PathId, NodeId, Val)> = Vec::new();
         for id in arena.ids() {
+            let path = arena.resolve_path(id);
             for r in NodeId::all(n) {
                 if arena.on_path(id, r) {
                     continue;
@@ -172,17 +211,25 @@ proptest! {
                     0 => Val::Default,
                     v => Val::Value(v),
                 };
-                envelopes.push((id, r, value));
+                if !path.contains(silent) {
+                    envelopes.push((id, r, value));
+                }
             }
         }
 
-        let canonical = {
-            let mut store = EigStore::new(arena);
-            for (id, r, v) in &envelopes {
-                prop_assert!(store.record(arena, *id, *r, *v));
+        let resolve = |store: &EigStore<u64>, workers: usize| {
+            let engine = engine.clone().with_workers(workers);
+            match early {
+                Some(faulty) => engine.with_early_stop(faulty).resolve(rule, store),
+                None => engine.resolve(rule, store),
             }
-            engine.resolve(rule, &store)
         };
+
+        let mut store = EigStore::new(arena);
+        for (id, r, v) in &envelopes {
+            prop_assert!(store.record(arena, *id, *r, *v));
+        }
+        let canonical = resolve(&store, 1);
 
         let shuffled = {
             let mut order = envelopes.clone();
@@ -196,7 +243,7 @@ proptest! {
                     prop_assert!(!store.record(arena, *id, *r, *v));
                 }
             }
-            engine.resolve(rule, &store)
+            resolve(&store, 1)
         };
 
         prop_assert_eq!(&canonical.decisions, &shuffled.decisions);
@@ -204,69 +251,76 @@ proptest! {
             canonical.perf.deterministic_counters(),
             shuffled.perf.deterministic_counters()
         );
-    }
-
-    /// The bitpacked VOTE evaluator is a drop-in for the scalar
-    /// resolver: the same store yields bit-identical decisions AND
-    /// bit-identical deterministic counters. The draw space crosses the
-    /// packed word boundary (n − 1 receiver codes span one u64 lane at
-    /// n = 9) and flavors force the interesting columns — all-absent
-    /// words (code 0 throughout), uniform n−1 columns sitting exactly
-    /// on the vote threshold, and a high-cardinality palette that
-    /// overflows u8 interning and must fall back to the scalar oracle.
-    #[test]
-    fn packed_vote_matches_scalar_resolve(
-        n in 2usize..18,
-        depth in 2usize..4,
-        value_seed in 0u64..u64::MAX,
-        flavor in 0usize..3,
-    ) {
-        let sender = NodeId::new(0);
-        // Clamp to the feasible BYZ range (n > path_len + m throughout).
-        let depth = depth.min(n.div_ceil(2)).max(1);
-        let engine = EigEngine::new(n, sender, depth);
-        let packed_engine = engine.clone().with_packed_vote();
-        let arena = engine.arena();
-        let rule = VoteRule::Degradable { m: depth - 1 };
-
-        let mut rng = SimRng::seed(value_seed);
-        let mut store = EigStore::new(arena);
-        for id in arena.ids() {
-            // Per-node column shape: 0 = mixed small palette (near-tie
-            // votes), 1 = degenerate columns (all-absent or uniform),
-            // 2 = high-cardinality values (palette overflow on larger
-            // stores).
-            let degenerate = if flavor == 1 {
-                match rng.below(3) {
-                    0 => Some(Val::Default),
-                    1 => Some(Val::Value(rng.below(4) + 1)),
-                    _ => None,
-                }
-            } else {
-                None
-            };
-            for r in NodeId::all(n) {
-                if arena.on_path(id, r) {
-                    continue;
-                }
-                let value = match (&degenerate, flavor) {
-                    (Some(v), _) => *v,
-                    (None, 2) => Val::Value(rng.below(1 << 32)),
-                    _ => match rng.below(4) {
-                        0 => Val::Default,
-                        v => Val::Value(v),
-                    },
-                };
-                prop_assert!(store.record(arena, id, r, value));
-            }
+        for workers in [2usize, 8] {
+            let wide = resolve(&store, workers);
+            prop_assert_eq!(&wide.decisions, &canonical.decisions);
+            prop_assert_eq!(
+                wide.perf.deterministic_counters(),
+                canonical.perf.deterministic_counters()
+            );
         }
 
-        let scalar = engine.resolve(rule, &store);
-        let packed = packed_engine.resolve(rule, &store);
-        prop_assert_eq!(&scalar.decisions, &packed.decisions);
+        for r in NodeId::all(n).filter(|&r| r != sender) {
+            let mut view = EigView::new(n, depth, r);
+            for (id, v) in store.column(r) {
+                view.record(arena.resolve_path(id), *v);
+            }
+            let folded = match early {
+                Some(faulty) => view.resolve_pruned(sender, rule, faulty),
+                None => view.resolve(sender, rule),
+            };
+            prop_assert_eq!(canonical.decisions.get(&r), Some(&folded), "receiver {}", r);
+        }
+        let voted: usize = (1..depth.min(n))
+            .flat_map(|len| paths_of_length(sender, n, len))
+            .filter(|path| early.is_none_or(|faulty| !prunable_path(path, faulty)))
+            .map(|path| n - path.len())
+            .sum();
         prop_assert_eq!(
-            scalar.perf.deterministic_counters(),
-            packed.perf.deterministic_counters()
+            canonical.perf.votes_evaluated + canonical.perf.votes_memo_hit,
+            voted as u64
         );
+    }
+
+    /// The engine's vote is the paper's: [`vote_scan`] against
+    /// [`vote`] over multisets of `{V_d, 1..4}` of every length up to 63
+    /// and every threshold `α ∈ 1..=β` — so both the Boyer–Moore branch
+    /// (`2α > β`) and the fallback run, with ties and `V_d` winning among
+    /// the draws.
+    #[test]
+    fn vote_scan_matches_vote(values in proptest::collection::vec(0u64..5, 0..64)) {
+        let values: Vec<Val> = values
+            .into_iter()
+            .map(|v| if v == 0 { Val::Default } else { Val::Value(v) })
+            .collect();
+        for alpha in 1..=values.len().max(1) {
+            prop_assert_eq!(
+                vote_scan(alpha, &values),
+                vote(alpha, &values),
+                "alpha={} values={:?}", alpha, &values
+            );
+        }
+    }
+}
+
+/// The two-candidate rule against [`vote`] over `{a} ∪ {v × (k − 1)}`,
+/// for every `k ≤ 64` and `α ≤ k`, over every pair of `{V_d, 1, 2}`.
+#[test]
+fn vote_two_matches_vote() {
+    let domain = [Val::Default, Val::Value(1), Val::Value(2)];
+    for a in &domain {
+        for v in &domain {
+            for k in 1..=64usize {
+                let mut multiset = vec![*a];
+                multiset.resize(k, *v);
+                for alpha in 1..=k {
+                    assert_eq!(
+                        vote_two(alpha, a, v, k),
+                        vote(alpha, &multiset),
+                        "a={a:?} v={v:?} k={k} alpha={alpha}"
+                    );
+                }
+            }
+        }
     }
 }
