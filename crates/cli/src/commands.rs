@@ -128,7 +128,6 @@ pub fn dispatch(cmd: &Command) -> String {
             seed,
             max_n,
             mutate,
-            early_stop,
             repro_dir,
             replay,
         } => fuzz_cmd(
@@ -136,7 +135,6 @@ pub fn dispatch(cmd: &Command) -> String {
             *seed,
             *max_n,
             *mutate,
-            *early_stop,
             repro_dir,
             replay.as_deref(),
         ),
@@ -151,8 +149,7 @@ fn fuzz_plan_line(plan: &harness::FuzzPlan) -> String {
         .map(|(node, spec)| format!("{node}:{spec}"))
         .collect();
     format!(
-        "n={} m={} u={} sender={} value={} faults=[{}] drop_p={} hot_edge={} seed={:#x} \
-         early_stop={}",
+        "n={} m={} u={} sender={} value={} faults=[{}] drop_p={} hot_edge={} seed={:#x}",
         plan.n,
         plan.m,
         plan.u,
@@ -163,7 +160,6 @@ fn fuzz_plan_line(plan: &harness::FuzzPlan) -> String {
         plan.hot_edge_threshold
             .map_or("none".to_string(), |t| t.to_string()),
         plan.seed,
-        plan.early_stop,
     )
 }
 
@@ -212,7 +208,6 @@ fn fuzz_cmd(
     seed: u64,
     max_n: usize,
     mutate: Option<harness::Mutation>,
-    early_stop: bool,
     repro_dir: &str,
     replay: Option<&str>,
 ) -> String {
@@ -224,16 +219,14 @@ fn fuzz_cmd(
         budget,
         max_n,
         mutation: mutate,
-        force_early_stop: early_stop,
         backends: true,
     };
     let outcome = harness::fuzz(&config);
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "fuzz: budget={budget} seed={seed:#x} max_n={max_n} mutation={} early_stop={}",
+        "fuzz: budget={budget} seed={seed:#x} max_n={max_n} mutation={}",
         mutate.map_or("none", |m| m.name()),
-        if early_stop { "forced" } else { "mixed" },
     );
     let _ = writeln!(
         out,
@@ -598,6 +591,11 @@ fn run_cmd(
         run.stats.sent,
         run.stats.delivered
     );
+    // A mesh node whose driver panicked or lost every peer; the simulator
+    // has none.
+    for (node, failure) in &run.failures {
+        let _ = writeln!(out, "  node {node} failed: {failure}");
+    }
     for (r, v) in record.fault_free_decisions() {
         let _ = writeln!(out, "  fault-free {r} decided {v}");
     }
@@ -1704,7 +1702,7 @@ mod tests {
     #[test]
     fn fuzz_clean_campaign_reports_ok() {
         let dir = std::env::temp_dir().join(format!("dagree-fuzz-clean-{}", std::process::id()));
-        let out = fuzz_cmd(24, 0xD06, 6, None, false, dir.to_str().unwrap(), None);
+        let out = fuzz_cmd(24, 0xD06, 6, None, dir.to_str().unwrap(), None);
         assert!(out.contains("executions=24 "), "{out}");
         assert!(out.contains("backend_executions=12"), "{out}");
         assert!(out.contains("violations=0"), "{out}");
@@ -1721,7 +1719,6 @@ mod tests {
             0xBEEF,
             6,
             Some(harness::Mutation::SuppressRelay),
-            false,
             dir.to_str().unwrap(),
             None,
         );
@@ -1735,7 +1732,7 @@ mod tests {
             .find(|l| l.trim_start().starts_with("repro: "))
             .expect("a repro path is printed");
         let path = repro_line.trim_start().trim_start_matches("repro: ");
-        let replay_out = fuzz_cmd(0, 0, 9, None, false, "unused", Some(path));
+        let replay_out = fuzz_cmd(0, 0, 9, None, "unused", Some(path));
         std::fs::remove_dir_all(&dir).ok();
         assert!(replay_out.contains("REPRODUCED"), "{replay_out}");
         assert!(replay_out.contains("first divergent step"), "{replay_out}");
@@ -1751,15 +1748,7 @@ mod tests {
 
     #[test]
     fn fuzz_replay_errors_are_one_line() {
-        let out = fuzz_cmd(
-            0,
-            0,
-            9,
-            None,
-            false,
-            "unused",
-            Some("/nonexistent/repro.json"),
-        );
+        let out = fuzz_cmd(0, 0, 9, None, "unused", Some("/nonexistent/repro.json"));
         assert!(out.starts_with("error:"), "{out}");
         assert_eq!(out.trim_end().lines().count(), 1, "{out}");
     }

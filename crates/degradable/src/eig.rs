@@ -153,71 +153,34 @@ impl<V: Clone + Ord> EigView<V> {
     /// Folds the tree bottom-up from the root path `[sender]` and returns
     /// this receiver's decision.
     pub fn resolve(&self, sender: NodeId, rule: VoteRule) -> AgreementValue<V> {
-        self.fold(&Path::root(sender), rule, &|_| false, &mut |_, _, _| {})
+        self.fold(&Path::root(sender), rule, &mut |_, _, _| {})
     }
 
-    /// The one recursion behind [`EigView::resolve`],
-    /// [`EigView::resolve_pruned`] and [`EigView::resolve_traced`]: a path
-    /// at the tree's depth, or one `leaf` says to stop at, resolves to the
-    /// value stored for it; any other to the vote over that value and the
-    /// resolved sub-instances relayed by every other receiver of the path,
-    /// which `step` gets to see (path, gathered inputs, outcome).
+    /// The one recursion behind [`EigView::resolve`] and
+    /// [`EigView::resolve_traced`]: a path at the tree's depth resolves to
+    /// the value stored for it; any other to the vote over that value and
+    /// the resolved sub-instances relayed by every other receiver of the
+    /// path, which `step` gets to see (path, gathered inputs, outcome).
     fn fold(
         &self,
         path: &Path,
         rule: VoteRule,
-        leaf: &impl Fn(&Path) -> bool,
         step: &mut impl FnMut(&Path, Vec<AgreementValue<V>>, &AgreementValue<V>),
     ) -> AgreementValue<V> {
-        if path.len() >= self.depth || leaf(path) {
+        if path.len() >= self.depth {
             return self.seen(path);
         }
         let mut values = Vec::with_capacity(self.n - path.len());
         values.push(self.seen(path));
         for child in path.children(self.n) {
             if child.last() != self.me {
-                values.push(self.fold(&child, rule, leaf, step));
+                values.push(self.fold(&child, rule, step));
             }
         }
         debug_assert_eq!(values.len(), self.n - path.len());
         let result = rule.combine(self.n, path.len(), &values);
         step(path, values, &result);
         result
-    }
-}
-
-/// Whether early stopping may treat `path` as a leaf of the fold: every
-/// node of the certified fault set `faulty` already lies on `path`, and
-/// the relayer that appended the label (`path.last()`) is itself
-/// fault-free.
-///
-/// Under this condition every relayer strictly below `path` is
-/// fault-free (repetition-free paths cannot revisit the on-path faulty
-/// nodes), so on reliable links the whole subtree uniformly relays what
-/// its root delivered and the subtree vote collapses to the root value:
-/// `resolve(path) = seen(path)` exactly (DESIGN.md §5h). The predicate
-/// is downward-closed — once it holds, it holds for every extension —
-/// which is what lets relayers stop forwarding below the frontier
-/// entirely.
-pub fn prunable_path(path: &Path, faulty: &BTreeSet<NodeId>) -> bool {
-    !faulty.contains(&path.last()) && faulty.iter().all(|f| path.contains(*f))
-}
-
-impl<V: Clone + Ord> EigView<V> {
-    /// Folds the tree bottom-up like [`EigView::resolve`], but treats
-    /// every [`prunable_path`] label as a leaf (its stored value *is*
-    /// its resolution). This is the fold a node runs when the
-    /// early-stopping optimization suppressed relays below the prunable
-    /// frontier: the suppressed subtree slots are absent from the view,
-    /// and reading them would poison the vote with spurious `V_d`s.
-    pub fn resolve_pruned(
-        &self,
-        sender: NodeId,
-        rule: VoteRule,
-        faulty: &BTreeSet<NodeId>,
-    ) -> AgreementValue<V> {
-        let leaf = |path: &Path| prunable_path(path, faulty);
-        self.fold(&Path::root(sender), rule, &leaf, &mut |_, _, _| {})
     }
 }
 
@@ -250,7 +213,7 @@ impl<V: Clone + Ord + std::fmt::Display> EigView<V> {
                 result: result.clone(),
             })
         };
-        let decision = self.fold(&Path::root(sender), rule, &|_| false, &mut record);
+        let decision = self.fold(&Path::root(sender), rule, &mut record);
         (decision, steps)
     }
 }

@@ -113,7 +113,7 @@ pub use conditions::{
 /// The recursive per-receiver evaluator, preserved verbatim as the
 /// differential oracle for the arena engine (`tests/engine_equivalence.rs`).
 pub use eig::run_eig_full as reference_eval;
-pub use eig::{prunable_path, run_eig, run_eig_full, EigOutcome, EigView, FoldStep, VoteRule};
+pub use eig::{run_eig, run_eig_full, EigOutcome, EigView, FoldStep, VoteRule};
 pub use engine::{EigEngine, EigStore, EngineError, EngineRun, PathArena, PathId};
 pub use explain::explain_receiver;
 pub use ic::{check_degradable_ic, run_degradable_ic, IcOutcome, IcViolation};

@@ -27,12 +27,11 @@
 
 use crate::adversary::{claim_for, Strategy};
 use crate::byz::ByzInstance;
-use crate::eig::{prunable_path, EigView, VoteRule};
+use crate::eig::{EigView, VoteRule};
 use crate::path::{admit, is_label, relay_fanout, Arrival, Path};
 use crate::protocol::ByzMsg;
 use crate::value::AgreementValue;
 use simnet::NodeId;
-use std::collections::BTreeSet;
 use std::hash::Hash;
 
 /// An input to the state machine: something the transport observed.
@@ -92,9 +91,6 @@ pub struct NodeStateMachine<V> {
     pending: Vec<(NodeId, ByzMsg<V>)>,
     next_round: usize,
     decided: Option<AgreementValue<V>>,
-    early_stop: Option<BTreeSet<NodeId>>,
-    subtrees_pruned: u64,
-    messages_saved: u64,
 }
 
 impl<V: Clone + Ord + Hash> NodeStateMachine<V> {
@@ -120,41 +116,7 @@ impl<V: Clone + Ord + Hash> NodeStateMachine<V> {
             pending: Vec::new(),
             next_round: 0,
             decided: None,
-            early_stop: None,
-            subtrees_pruned: 0,
-            messages_saved: 0,
         }
-    }
-
-    /// Arms certified-fault-set early stopping (DESIGN.md §5h): a relay
-    /// whose received path `p` satisfies the prune criterion — `last(p)`
-    /// fault-free and every certified fault already on `p` — is skipped,
-    /// and the final decision folds through
-    /// [`EigView::resolve_pruned`], which stops at exactly those paths.
-    /// Every machine of a run must be armed with the *same* fault set,
-    /// or honest nodes would disagree about which slots are absent by
-    /// design versus absent by fault.
-    pub fn with_early_stop(mut self, faulty: &BTreeSet<NodeId>) -> Self {
-        self.early_stop = Some(faulty.clone());
-        self
-    }
-
-    /// Whether early stopping is armed.
-    pub fn early_stop_enabled(&self) -> bool {
-        self.early_stop.is_some()
-    }
-
-    /// Subtrees this node declined to relay below (zero unless early
-    /// stopping is armed). Every skip happens at a prune frontier: the
-    /// path was received at all only because its own parent was *not*
-    /// prunable.
-    pub fn subtrees_pruned(&self) -> u64 {
-        self.subtrees_pruned
-    }
-
-    /// Individual sends skipped by early stopping (zero unless armed).
-    pub fn messages_saved(&self) -> u64 {
-        self.messages_saved
     }
 
     /// This node's id.
@@ -271,17 +233,6 @@ impl<V: Clone + Ord + Hash> NodeStateMachine<V> {
             }
         } else {
             for (path, value) in to_relay {
-                if let Some(faulty) = &self.early_stop {
-                    if prunable_path(&path, faulty) {
-                        // The subtree below `path` fills uniformly with
-                        // the value every receiver already holds, so
-                        // the whole fan-out is traffic without
-                        // information.
-                        self.subtrees_pruned += 1;
-                        self.messages_saved += (self.n - path.len() - 1) as u64;
-                        continue;
-                    }
-                }
                 // The crate's one relay rule, as in `crate::service`: a
                 // Byzantine node fabricates per-receiver claims, `Silent`
                 // sends nothing.
@@ -294,10 +245,7 @@ impl<V: Clone + Ord + Hash> NodeStateMachine<V> {
             }
         }
         if round == self.depth && self.me != self.sender {
-            let value = match &self.early_stop {
-                Some(faulty) => self.view.resolve_pruned(self.sender, self.rule, faulty),
-                None => self.view.resolve(self.sender, self.rule),
-            };
+            let value = self.view.resolve(self.sender, self.rule);
             self.decided = Some(value.clone());
             actions.push(Action::Decide { value });
         }
@@ -392,88 +340,6 @@ mod tests {
                     reference, machines,
                     "N={nodes} m={m} u={u} strategies={strategies:?}"
                 );
-            }
-        }
-    }
-
-    /// Like `drive_lockstep`, with every machine armed for early
-    /// stopping against the strategy keys as the certified fault set.
-    /// Returns decisions plus the pruning totals across all machines.
-    fn drive_lockstep_early(
-        inst: &ByzInstance,
-        sender_value: &Val,
-        strategies: &BTreeMap<NodeId, Strategy<u64>>,
-    ) -> (BTreeMap<NodeId, Val>, u64, u64) {
-        let n = inst.n();
-        let faulty: std::collections::BTreeSet<NodeId> = strategies.keys().copied().collect();
-        let mut machines: Vec<NodeStateMachine<u64>> = (0..n)
-            .map(|i| {
-                NodeStateMachine::new(
-                    inst,
-                    nid(i),
-                    *sender_value,
-                    strategies.get(&nid(i)).cloned(),
-                )
-                .with_early_stop(&faulty)
-            })
-            .collect();
-        let mut mailboxes: Vec<Vec<(NodeId, ByzMsg<u64>)>> = vec![Vec::new(); n];
-        let mut decisions = BTreeMap::new();
-        for round in 0..machines[0].rounds() {
-            for (i, machine) in machines.iter_mut().enumerate() {
-                for (src, msg) in std::mem::take(&mut mailboxes[i]) {
-                    machine.on_event(Event::Deliver { src, msg });
-                }
-            }
-            let mut outgoing: Vec<(NodeId, NodeId, ByzMsg<u64>)> = Vec::new();
-            for (i, machine) in machines.iter_mut().enumerate() {
-                for action in machine.on_event(Event::Timeout { round }) {
-                    match action {
-                        Action::Send { to, msg } => outgoing.push((nid(i), to, msg)),
-                        Action::Decide { value } => {
-                            decisions.insert(nid(i), value);
-                        }
-                    }
-                }
-            }
-            for (src, to, msg) in outgoing {
-                mailboxes[to.index()].push((src, msg));
-            }
-        }
-        let pruned = machines.iter().map(|m| m.subtrees_pruned()).sum();
-        let saved = machines.iter().map(|m| m.messages_saved()).sum();
-        (decisions, pruned, saved)
-    }
-
-    #[test]
-    fn early_stopped_machines_match_run_protocol_and_save_messages() {
-        // Early stopping must be decision-invisible: armed machines
-        // decide exactly what the monolithic protocol decides, while
-        // genuinely skipping sends whenever the certified fault set is
-        // already exhausted on a path.
-        for (nodes, m, u) in [(4usize, 1usize, 1usize), (5, 1, 2), (7, 2, 2)] {
-            let inst = instance(nodes, m, u);
-            let mut batteries: Vec<BTreeMap<NodeId, Strategy<u64>>> = vec![BTreeMap::new()];
-            for (_, strat) in Strategy::battery(1, 2, 11) {
-                batteries.push([(nid(nodes - 1), strat.clone())].into_iter().collect());
-                batteries.push(
-                    [(nid(1), strat), (nid(2), Strategy::Silent)]
-                        .into_iter()
-                        .collect(),
-                );
-            }
-            for strategies in batteries {
-                let reference = run_protocol(&inst, &Val::Value(7), &strategies, 1).decisions;
-                let (decisions, pruned, saved) =
-                    drive_lockstep_early(&inst, &Val::Value(7), &strategies);
-                assert_eq!(
-                    reference, decisions,
-                    "N={nodes} m={m} u={u} strategies={strategies:?}"
-                );
-                if strategies.is_empty() {
-                    assert!(pruned > 0, "fault-free runs prune (N={nodes})");
-                    assert!(saved > 0, "fault-free runs save sends (N={nodes})");
-                }
             }
         }
     }

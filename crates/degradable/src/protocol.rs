@@ -88,7 +88,7 @@ pub fn run_protocol<V: Clone + Ord + Hash + Send + Sync>(
 }
 
 /// [`run_protocol`] with [`BatchOptions`]: a network hook (fault plan,
-/// latency model, deadline, tracing), early stopping, an obs recorder, or
+/// latency model, deadline, tracing), resolve workers, an obs recorder, or
 /// the receivers' materialized views (one map, for the one instance).
 ///
 /// Instances built with [`ByzInstance::new_below_bound`] run too — the

@@ -58,7 +58,7 @@
 )]
 
 use crate::adversary::{claim_for, Strategy};
-use crate::eig::{prunable_path, EigView};
+use crate::eig::EigView;
 use crate::engine::{EigEngine, EigStore};
 use crate::params::Params;
 use crate::path::{admit, relay_fanout, Arrival, Path};
@@ -137,12 +137,11 @@ type NetworkHook<'a, V> =
 
 /// Everything optional about one simulated-network execution — the one
 /// options surface of [`run_batch`] and [`crate::run_protocol_with`].
-/// The default is a healthy network, one resolve worker, no early
-/// stopping, and nothing traced, observed or materialized.
+/// The default is a healthy network, one resolve worker, and nothing
+/// traced, observed or materialized.
 pub struct BatchOptions<'a, V> {
     network: Option<NetworkHook<'a, V>>,
     workers: usize,
-    early_stop: bool,
     trace: Option<&'a mut dyn FnMut(usize, Step<V>)>,
     obs: Option<&'a mut Obs>,
     views: Option<&'a mut Vec<BTreeMap<NodeId, EigView<V>>>>,
@@ -153,7 +152,6 @@ impl<V> Default for BatchOptions<'_, V> {
         BatchOptions {
             network: None,
             workers: 1,
-            early_stop: false,
             trace: None,
             obs: None,
             views: None,
@@ -181,14 +179,6 @@ impl<'a, V> BatchOptions<'a, V> {
     /// counters and spans are independent of this knob.
     pub fn workers(mut self, workers: usize) -> Self {
         self.workers = workers;
-        self
-    }
-
-    /// Arms certified-fault-set early stopping against the strategy key
-    /// set, mirroring [`crate::NodeStateMachine::with_early_stop`]; the
-    /// savings land in [`EigPerf`] and the `svc.early_stop.*` counters.
-    pub fn early_stop(mut self, early_stop: bool) -> Self {
-        self.early_stop = early_stop;
         self
     }
 
@@ -262,12 +252,7 @@ pub(crate) fn run_unchecked<V: Clone + Ord + Hash + Send + Sync>(
     let depth = params.rounds();
     let mut pool = Pool::new();
     let mut lease = pool.lease(instances, |sender| {
-        let engine = EigEngine::new(n, sender, depth).with_workers(opts.workers);
-        if opts.early_stop {
-            engine.with_early_stop(&strategies.keys().copied().collect())
-        } else {
-            engine
-        }
+        EigEngine::new(n, sender, depth).with_workers(opts.workers)
     });
     let mut net = RoundEngine::new(Topology::complete(n), seed);
     if let Some(setup) = opts.network {
@@ -279,7 +264,6 @@ pub(crate) fn run_unchecked<V: Clone + Ord + Hash + Send + Sync>(
         instances,
         strategies,
         &mut net,
-        opts.early_stop,
         opts.trace,
         opts.obs.unwrap_or(&mut Obs::disabled()),
         &pool.engines,
@@ -418,10 +402,10 @@ impl<V> Pool<V> {
 /// engine-internal level fan-out of [`EigEngine::with_workers`] covers
 /// the `shard_workers == 1` one-shot path instead).
 ///
-/// Inlined into its two callers on purpose: the service passes constant
-/// `early_stop = false` / `trace = None`, and a drain that keeps those
-/// checks in the per-message closure decides about 5 % fewer instances
-/// per second on the perf ledger (`svc_faultfree_n13`).
+/// Inlined into its two callers on purpose: the service passes a constant
+/// `trace = None`, and a drain that keeps that check in the per-message
+/// closure decides about 5 % fewer instances per second on the perf ledger
+/// (`svc_faultfree_n13`).
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
 fn fill_and_resolve<V: Clone + Ord + Hash + Send + Sync>(
@@ -430,7 +414,6 @@ fn fill_and_resolve<V: Clone + Ord + Hash + Send + Sync>(
     instances: &[BatchInstance<V>],
     strategies: &BTreeMap<NodeId, Strategy<V>>,
     engine: &mut RoundEngine<BatchMsg<V>>,
-    early_stop: bool,
     mut trace: Option<&mut dyn FnMut(usize, Step<V>)>,
     obs: &mut Obs,
     engines: &[EigEngine],
@@ -557,13 +540,6 @@ fn fill_and_resolve<V: Clone + Ord + Hash + Send + Sync>(
             }
         } else {
             for (instance, path, value) in to_relay.drain(..) {
-                // Certified-fault-set early stopping, mirroring
-                // `NodeStateMachine`: a path that exhausts the fault set
-                // with a fault-free last relayer fills its subtree
-                // uniformly, so the fan-out below it is skipped.
-                if early_stop && prunable_path(&path, &faulty) {
-                    continue;
-                }
                 let (child, receivers) = relay_fanout(&path, me, n);
                 for r in receivers {
                     if let Some(v) = claim_for(strategy, &child, r, &value) {
@@ -727,11 +703,6 @@ fn fill_and_resolve<V: Clone + Ord + Hash + Send + Sync>(
     );
     obs.add("batch.spoofs_rejected", spoofs_rejected);
     obs.add("svc.batch.sent", net.sent as u64);
-    // Early-stop savings attribution: what certified-fault-set pruning
-    // bought this batch, in envelopes never sent and subtrees never
-    // fanned out (zero when early stopping is off or never fired).
-    obs.add("svc.early_stop.messages_saved", net.eig.messages_saved);
-    obs.add("svc.early_stop.subtrees_pruned", net.eig.subtrees_pruned);
     if let Some(registry) = obs.registry_mut() {
         net.eig.fold_into(registry);
     }
@@ -1047,7 +1018,6 @@ impl<V: Clone + Ord + Hash + Send + Sync> ServiceState<V> {
             &instances,
             strategies,
             &mut self.net,
-            false,
             None,
             obs,
             &self.pool.engines,
@@ -1424,16 +1394,15 @@ mod tests {
         let degraded = reg.histogram("svc.regime.degraded.messages").unwrap();
         assert_eq!(degraded.sum(), msgs.sum());
 
-        // A fault-free batch lands on the full side of the boundary and
-        // credits its early-stop savings.
+        // A fault-free batch lands on the full side of the boundary.
         let mut obs_full = Obs::enabled();
-        let run_full = run_batch(
+        run_batch(
             params(),
             5,
             &instances,
             &BTreeMap::new(),
             1,
-            BatchOptions::new().early_stop(true).obs(&mut obs_full),
+            BatchOptions::new().obs(&mut obs_full),
         )
         .unwrap();
         let reg_full = obs_full.registry();
@@ -1442,14 +1411,6 @@ mod tests {
             instances.len() as u64
         );
         assert_eq!(reg_full.counter("svc.regime.degraded.instances"), 0);
-        assert_eq!(
-            reg_full.counter("svc.early_stop.messages_saved"),
-            run_full.net.eig.messages_saved
-        );
-        assert_eq!(
-            reg_full.counter("svc.early_stop.subtrees_pruned"),
-            run_full.net.eig.subtrees_pruned
-        );
 
         // The decide spans anchor the causal chain: one per instance, in
         // instance order, carrying the decider fan-out.
@@ -1503,72 +1464,6 @@ mod tests {
         // exactly the engine's send count.
         assert_eq!(sent_in_trace, run.net.sent);
         assert_eq!(views.len(), instances.len());
-    }
-
-    fn early_stopped(
-        params: Params,
-        nodes: usize,
-        instances: &[BatchInstance<u64>],
-        strategies: &BTreeMap<NodeId, Strategy<u64>>,
-        seed: u64,
-    ) -> BatchRun<u64> {
-        let opts = BatchOptions::new().early_stop(true);
-        run_batch(params, nodes, instances, strategies, seed, opts).unwrap()
-    }
-
-    #[test]
-    fn early_stopped_batch_matches_and_saves_messages() {
-        // Fault-free: every level-1 subtree prunes, and every saved
-        // message is a real envelope the engine never sent.
-        let instances = vec![
-            BatchInstance {
-                sender: n(0),
-                value: Val::Value(7),
-            },
-            BatchInstance {
-                sender: n(0),
-                value: Val::Value(8),
-            },
-        ];
-        let baseline = plain(params(), 5, &instances, &BTreeMap::new(), 3);
-        let early = early_stopped(params(), 5, &instances, &BTreeMap::new(), 3);
-        assert_eq!(early.decisions, baseline.decisions);
-        assert!(early.net.eig.subtrees_pruned > 0);
-        assert!(early.net.eig.messages_saved > 0);
-        assert_eq!(
-            early.net.sent + early.net.eig.messages_saved as usize,
-            baseline.net.sent,
-            "conservation: sent + saved == baseline sent"
-        );
-    }
-
-    #[test]
-    fn early_stopped_batch_with_liars_stays_decision_identical() {
-        // Two relay liars at depth 2: no length-1 path can certify both
-        // faults, so the gate never fires — the runs must be identical.
-        let strategies = lying_strategies();
-        let instances = mixed_instances();
-        let full = plain(params(), 5, &instances, &strategies, 3);
-        let stopped = early_stopped(params(), 5, &instances, &strategies, 3);
-        assert_eq!(stopped.decisions, full.decisions);
-        assert_eq!(stopped.net.sent, full.net.sent);
-
-        // A lying *sender* is a certified fault every path carries, so
-        // a depth-3 run prunes below the first relay level even faulty.
-        let p2 = Params::new(2, 2).unwrap();
-        let strategies: BTreeMap<NodeId, Strategy<u64>> =
-            [(n(0), Strategy::ConstantLie(Val::Value(9)))]
-                .into_iter()
-                .collect();
-        let instances = vec![BatchInstance {
-            sender: n(0),
-            value: Val::Value(5),
-        }];
-        let full = plain(p2, 7, &instances, &strategies, 9);
-        let early = early_stopped(p2, 7, &instances, &strategies, 9);
-        assert_eq!(early.decisions, full.decisions);
-        assert!(early.net.eig.messages_saved > 0);
-        assert!(early.net.sent < full.net.sent);
     }
 
     fn inst(sender: usize, value: u64) -> BatchInstance<u64> {
@@ -1677,7 +1572,7 @@ mod tests {
             ServiceState::<u64>::new(params(), 4, ServiceConfig::default()).err(),
             Some(ServiceError::NodeBound { n: 4, min_nodes: 5 })
         );
-        // Engine ceiling: the u64 fault masks stop at n = 64.
+        // Engine ceiling: the u64 membership masks stop at n = 64.
         assert!(matches!(
             ServiceState::<u64>::new(params(), 65, ServiceConfig::default()),
             Err(ServiceError::Engine(

@@ -285,7 +285,6 @@ pub struct SpecChecker<V> {
     nodes: Vec<SpecNode<V>>,
     sender_value: AgreementValue<V>,
     violations: Vec<SpecViolation>,
-    early_stop: bool,
 }
 
 impl<V: Clone + Ord + Hash + fmt::Display> SpecChecker<V> {
@@ -308,27 +307,7 @@ impl<V: Clone + Ord + Hash + fmt::Display> SpecChecker<V> {
                 .collect(),
             sender_value,
             violations: Vec::new(),
-            early_stop: false,
         }
-    }
-
-    /// Judges an execution whose honest nodes run certified-fault-set
-    /// early stopping (DESIGN.md §5h): a relay below a *prunable* path —
-    /// `last(p)` outside the checker's fault set and every fault already
-    /// on `p` — is legally omitted rather than owed, and the legal
-    /// decision function stops its recursion at exactly those paths,
-    /// reading the direct observation. The checker's fault set must be
-    /// the one the implementation was armed with.
-    pub fn with_early_stop(mut self) -> Self {
-        self.early_stop = true;
-        self
-    }
-
-    /// The prune criterion, restated from DESIGN.md §5h independently of
-    /// `crate::eig` (this module shares no code with the machinery it
-    /// judges).
-    fn prunable(&self, path: &Path) -> bool {
-        !self.faulty.contains(&path.last()) && self.faulty.iter().all(|f| path.contains(*f))
     }
 
     /// Whether `node` is held to the spec.
@@ -409,15 +388,9 @@ impl<V: Clone + Ord + Hash + fmt::Display> SpecChecker<V> {
         match class {
             DeliveryClass::Malformed | DeliveryClass::Duplicate => {}
             DeliveryClass::OnTime => {
-                // Under early stopping, a fresh on-time envelope for a
-                // prunable path is recorded but owes no relay: the
-                // subtree below it fills uniformly by construction, so
-                // the spec permits (indeed requires) its omission.
-                let owes =
-                    round < self.inst.depth && !(self.early_stop && self.prunable(&msg.path));
                 let node = &mut self.nodes[to.index()];
                 node.view.insert(msg.path.clone(), msg.value.clone());
-                if owes {
+                if round < self.inst.depth {
                     node.owed.push((msg.path.clone(), msg.value.clone()));
                 }
             }
@@ -525,7 +498,7 @@ impl<V: Clone + Ord + Hash + fmt::Display> SpecChecker<V> {
             .get(path)
             .cloned()
             .unwrap_or_default();
-        if path.len() >= self.inst.depth || (self.early_stop && self.prunable(path)) {
+        if path.len() >= self.inst.depth {
             return seen;
         }
         let mut gathered = vec![seen];
@@ -629,34 +602,10 @@ mod tests {
         value: u64,
         mutate: impl Fn(NodeId, usize, &mut Vec<(NodeId, ByzMsg<u64>)>),
     ) -> SpecChecker<u64> {
-        drive_checked_with(n, m, u, value, false, false, mutate)
-    }
-
-    /// `drive_checked` with independent early-stop knobs for the
-    /// machines and the checker (conformance needs both or neither).
-    fn drive_checked_with(
-        n: usize,
-        m: usize,
-        u: usize,
-        value: u64,
-        machines_early: bool,
-        checker_early: bool,
-        mutate: impl Fn(NodeId, usize, &mut Vec<(NodeId, ByzMsg<u64>)>),
-    ) -> SpecChecker<u64> {
         let (inst, spec) = spec_inst(n, m, u);
         let mut checker = SpecChecker::new(spec, Val::Value(value), BTreeSet::new());
-        if checker_early {
-            checker = checker.with_early_stop();
-        }
         let mut machines: Vec<NodeStateMachine<u64>> = (0..n)
-            .map(|i| {
-                let machine = NodeStateMachine::new(&inst, nid(i), Val::Value(value), None);
-                if machines_early {
-                    machine.with_early_stop(&BTreeSet::new())
-                } else {
-                    machine
-                }
-            })
+            .map(|i| NodeStateMachine::new(&inst, nid(i), Val::Value(value), None))
             .collect();
         let mut mailboxes: Vec<Vec<(NodeId, ByzMsg<u64>)>> = vec![Vec::new(); n];
         for round in 0..=inst.depth() {
@@ -708,37 +657,29 @@ mod tests {
     }
 
     #[test]
-    fn early_stopped_execution_is_conformant_under_armed_checker() {
-        // Machines that legally prune relays pass an early-stop-aware
-        // checker with zero violations.
-        for (n, m, u) in [(4, 1, 1), (5, 1, 2), (7, 2, 2)] {
-            let checker = drive_checked_with(n, m, u, 42, true, true, |_, _, _| {});
-            assert_eq!(checker.violations(), &[], "N={n} m={m} u={u}");
-        }
-    }
-
-    #[test]
     fn pruned_relays_violate_the_strict_spec() {
-        // Sanity for the gate above: the same pruned execution judged by
-        // a strict (non-early-stop) checker is flagged as missing relays
-        // — the armed checker genuinely relaxes the relay obligation,
-        // not the whole check.
-        let checker = drive_checked_with(5, 1, 2, 42, true, false, |_, _, _| {});
-        assert!(
-            checker
-                .violations()
-                .iter()
-                .any(|v| matches!(v, SpecViolation::MissingRelay { .. })),
-            "{:?}",
-            checker.violations()
-        );
+        // A fault-free BYZ(2,2) run whose nodes all skip the last relay
+        // level — the traffic a pruning that knew the fault set was empty
+        // would cut — owes every one of those relays.
+        let checker = drive_checked(7, 2, 2, 42, |_, round, sends| {
+            if round == 2 {
+                sends.clear();
+            }
+        });
+        let missing = checker
+            .violations()
+            .iter()
+            .filter(|v| matches!(v, SpecViolation::MissingRelay { round: 2, .. }))
+            .count();
+        // 30 level-3 labels, each owed to the 4 receivers off its path.
+        assert_eq!(missing, 30 * 4, "{:?}", checker.violations());
     }
 
     #[test]
-    fn armed_checker_still_requires_the_frontier_relays() {
-        // Early stopping only excuses relays *below* prunable paths;
-        // dropping a frontier relay is still a violation.
-        let checker = drive_checked_with(5, 1, 2, 42, false, true, |node, round, sends| {
+    fn suppressed_root_broadcast_is_caught() {
+        // A sender that drops its round-0 broadcast owes every receiver
+        // the root envelope.
+        let checker = drive_checked(5, 1, 2, 42, |node, round, sends| {
             if node == nid(0) && round == 0 {
                 sends.clear();
             }

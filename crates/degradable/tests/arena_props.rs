@@ -7,10 +7,10 @@
 
 use degradable::engine::{EigEngine, EigStore, PathId};
 use degradable::vote::{vote, vote_scan, vote_two};
-use degradable::{path_count, paths_of_length, prunable_path, EigView, Path, Val, VoteRule};
+use degradable::{path_count, paths_of_length, EigView, Path, Val, VoteRule};
 use proptest::prelude::*;
 use simnet::{NodeId, SimRng};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// Fisher–Yates driven by the deterministic simulation RNG.
 fn shuffle<T>(items: &mut [T], seed: u64) {
@@ -146,11 +146,10 @@ proptest! {
     /// perf counters (the memoization collapse never depends on arrival
     /// order), for every worker count. The stores include what the
     /// workloads never produce: whole absent subtrees (a silent or crashed
-    /// relayer, the sender included), early-stop frontiers below the first
-    /// relay level, and `depth ≥ n`, where the deepest labels have no
-    /// receivers. Every decision is the receiver's own fold of its column
-    /// ([`EigView::resolve`], or `resolve_pruned` under early stop), and
-    /// the votes settled are one per receiver of every label voted at.
+    /// relayer, the sender included) and `depth ≥ n`, where the deepest
+    /// labels have no receivers. Every decision is the receiver's own fold
+    /// of its column ([`EigView::resolve`]), and the votes settled are one
+    /// per receiver of every label voted at.
     #[test]
     fn resolve_is_fill_order_independent(
         n in 2usize..10,
@@ -158,43 +157,23 @@ proptest! {
         value_seed in 0u64..u64::MAX,
         order_seed in 0u64..u64::MAX,
         silent in 0usize..16,
-        shape in 0usize..3,
+        shape in 0usize..2,
     ) {
         let sender = NodeId::new(0);
         // 0: BYZ's own shapes. VOTE(n - path_len - m, ..) needs
         // n > path_len + m at every internal level (path_len <= depth - 1,
         // m = depth - 1), so the depth is clamped to the feasible range.
-        // 1: the deepest such tree (up to 4 levels), with early stopping
-        // armed. 2: depth >= n with m = 0, the one rule those trees admit.
-        let (depth, m) = match shape {
-            2 => (n + depth % 2, 0),
-            1 => (n.div_ceil(2).min(4), n.div_ceil(2).min(4) - 1),
-            _ => {
-                let depth = depth.min(n.div_ceil(2)).max(1);
-                (depth, depth - 1)
-            }
+        // 1: depth >= n with m = 0, the one rule those trees admit.
+        let (depth, m) = if shape == 1 {
+            (n + depth % 2, 0)
+        } else {
+            let depth = depth.min(n.div_ceil(2)).max(1);
+            (depth, depth - 1)
         };
         let rule = VoteRule::Degradable { m };
         let engine = EigEngine::new(n, sender, depth);
         let arena = engine.arena();
         let mut rng = SimRng::seed(value_seed);
-        // Half the early-stop draws certify the sender and `depth - 3`
-        // others, which puts the frontier one level above the leaves — below
-        // the first relay level once the tree has four.
-        let faulty: BTreeSet<NodeId> = match shape {
-            1 if rng.chance(0.5) => rng
-                .choose_indices(n - 1, depth.saturating_sub(3))
-                .into_iter()
-                .map(|i| NodeId::new(i + 1))
-                .chain([sender])
-                .collect(),
-            1 => {
-                let f = rng.below(depth as u64) as usize;
-                rng.choose_indices(n, f).into_iter().map(NodeId::new).collect()
-            }
-            _ => BTreeSet::new(),
-        };
-        let early = (shape == 1).then_some(&faulty);
 
         // Draw one value per (path, receiver) slot in canonical order, so
         // both fills record identical contents. Nothing a silent node is on
@@ -217,13 +196,8 @@ proptest! {
             }
         }
 
-        let resolve = |store: &EigStore<u64>, workers: usize| {
-            let engine = engine.clone().with_workers(workers);
-            match early {
-                Some(faulty) => engine.with_early_stop(faulty).resolve(rule, store),
-                None => engine.resolve(rule, store),
-            }
-        };
+        let resolve =
+            |store: &EigStore<u64>, workers: usize| engine.clone().with_workers(workers).resolve(rule, store);
 
         let mut store = EigStore::new(arena);
         for (id, r, v) in &envelopes {
@@ -265,15 +239,11 @@ proptest! {
             for (id, v) in store.column(r) {
                 view.record(arena.resolve_path(id), *v);
             }
-            let folded = match early {
-                Some(faulty) => view.resolve_pruned(sender, rule, faulty),
-                None => view.resolve(sender, rule),
-            };
+            let folded = view.resolve(sender, rule);
             prop_assert_eq!(canonical.decisions.get(&r), Some(&folded), "receiver {}", r);
         }
         let voted: usize = (1..depth.min(n))
             .flat_map(|len| paths_of_length(sender, n, len))
-            .filter(|path| early.is_none_or(|faulty| !prunable_path(path, faulty)))
             .map(|path| n - path.len())
             .sum();
         prop_assert_eq!(

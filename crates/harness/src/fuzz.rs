@@ -165,10 +165,6 @@ pub struct FuzzPlan {
     pub hot_edge_threshold: Option<usize>,
     /// Seed for the chaos layer and any seeded static strategies.
     pub seed: u64,
-    /// When set, every machine *and* the checker run with
-    /// certified-fault-set early stopping armed (DESIGN.md §5h): pruned
-    /// relays become required omissions the referee enforces.
-    pub early_stop: bool,
 }
 
 impl FuzzPlan {
@@ -207,7 +203,6 @@ impl FuzzPlan {
         let drop_p = *rng.pick(&[0.0, 0.0, 0.05, 0.2]).expect("non-empty");
         let hot_edge_threshold = (rng.below(4) == 0).then(|| 2 + rng.below(4) as usize);
         let seed = rng.below(u64::MAX);
-        let early_stop = rng.below(2) == 0;
         FuzzPlan {
             n,
             m,
@@ -218,7 +213,6 @@ impl FuzzPlan {
             drop_p,
             hot_edge_threshold,
             seed,
-            early_stop,
         }
     }
 
@@ -303,7 +297,6 @@ impl FuzzPlan {
                 },
             ),
             ("seed".into(), self.seed.into()),
-            ("early_stop".into(), u64::from(self.early_stop).into()),
         ])
     }
 
@@ -311,8 +304,19 @@ impl FuzzPlan {
     ///
     /// # Errors
     ///
-    /// A message naming the missing or malformed field.
+    /// A message naming the missing or malformed field, or a plan that
+    /// recorded an execution this build can no longer run.
     pub fn from_json(v: &JsonValue) -> Result<FuzzPlan, String> {
+        // Repro files written while early stopping existed carry this key.
+        // A plan that ran with it recorded an execution no build replays.
+        if !matches!(
+            v.get("early_stop"),
+            None | Some(JsonValue::Null | JsonValue::UInt(0))
+        ) {
+            return Err("field `early_stop`: the plan ran with early stopping, \
+                        which was removed, so it cannot be replayed"
+                .into());
+        }
         let field = |name: &str| v.get(name).ok_or_else(|| format!("missing field `{name}`"));
         let uint = |name: &str| {
             field(name)?
@@ -375,17 +379,6 @@ impl FuzzPlan {
                 ),
             },
             seed: uint("seed")?,
-            // Absent in version-1 repro files written before early
-            // stopping existed: those executions ran without it.
-            early_stop: match v.get("early_stop") {
-                None | Some(JsonValue::Null) => false,
-                Some(other) => {
-                    other
-                        .as_u64()
-                        .ok_or("field `early_stop` is not an integer")?
-                        != 0
-                }
-            },
         })
     }
 }
@@ -476,12 +469,7 @@ impl<'a> Referee<'a> {
             .iter()
             .map(|bi| {
                 let inst = ByzInstance::new(plan.n, params, bi.sender).expect("valid plan");
-                let checker = SpecChecker::new(SpecInstance::of(&inst), bi.value, plan.faulty());
-                if plan.early_stop {
-                    checker.with_early_stop()
-                } else {
-                    checker
-                }
+                SpecChecker::new(SpecInstance::of(&inst), bi.value, plan.faulty())
             })
             .collect();
         Referee {
@@ -582,8 +570,7 @@ pub fn run_plan(plan: &FuzzPlan, mutation: Option<Mutation>) -> ExecReport {
 /// Runs `plan` (coerced to static faults) over a real transport backend
 /// and has the same `Referee` judge what every node's machine saw and
 /// emitted — so the threaded meshes answer to the same spec as the
-/// in-process lockstep source. Early stopping arms machines and checker
-/// together.
+/// in-process lockstep source.
 pub fn run_plan_transport(plan: &FuzzPlan, kind: TransportKind) -> ExecReport {
     let mut referee = Referee::new(plan, format!("{kind:?} "), 1);
     for step in transport_steps(plan, kind).0 {
@@ -643,13 +630,7 @@ fn lockstep_steps(plan: &FuzzPlan, mutation: Option<Mutation>) -> Vec<Step<u64>>
                 // their sends at the crash round.
                 Some(FaultSpec::Crash { .. }) | None => None,
             };
-            let machine =
-                NodeStateMachine::new(&inst, node, Val::Value(plan.sender_value), strategy);
-            if plan.early_stop {
-                machine.with_early_stop(&faulty)
-            } else {
-                machine
-            }
+            NodeStateMachine::new(&inst, node, Val::Value(plan.sender_value), strategy)
         })
         .collect();
 
@@ -756,10 +737,7 @@ fn lockstep_steps(plan: &FuzzPlan, mutation: Option<Mutation>) -> Vec<Step<u64>>
                         // Re-fold with the vote threshold raised by one
                         // (`m - 1` in the rule shifts every alpha up).
                         let rule = degradable::VoteRule::Degradable { m: plan.m - 1 };
-                        reported = Some(match plan.early_stop {
-                            true => machine.view().resolve_pruned(plan.sender, rule, &faulty),
-                            false => machine.view().resolve(plan.sender, rule),
-                        });
+                        reported = Some(machine.view().resolve(plan.sender, rule));
                         mutated = true;
                     }
                     _ => {}
@@ -819,7 +797,6 @@ fn static_strategies(plan: &FuzzPlan) -> BTreeMap<NodeId, Strategy<u64>> {
 fn transport_steps(plan: &FuzzPlan, kind: TransportKind) -> (Vec<Step<u64>>, TransportStats) {
     let inst = plan.instance();
     let options = RunOptions {
-        early_stop: plan.early_stop,
         record_events: true,
         ..RunOptions::default()
     };
@@ -876,10 +853,7 @@ fn batch_steps(plan: &FuzzPlan) -> Vec<(usize, Step<u64>)> {
         &instances,
         &static_strategies(plan),
         plan.seed,
-        BatchOptions::new()
-            .early_stop(plan.early_stop)
-            .trace(&mut sink)
-            .views(&mut views),
+        BatchOptions::new().trace(&mut sink).views(&mut views),
     )
     .expect("valid plan");
     for (k, views) in views.iter().enumerate() {
@@ -935,11 +909,6 @@ fn shrink_candidates(plan: &FuzzPlan) -> Vec<FuzzPlan> {
             p.faults.insert(*node, FaultSpec::Static(0));
             out.push(p);
         }
-    }
-    if plan.early_stop {
-        let mut p = plan.clone();
-        p.early_stop = false;
-        out.push(p);
     }
     if plan.hot_edge_threshold.is_some() {
         let mut p = plan.clone();
@@ -1013,9 +982,6 @@ pub struct FuzzConfig {
     pub max_n: usize,
     /// Deliberate bug to inject into every execution (mutant gate).
     pub mutation: Option<Mutation>,
-    /// Force [`FuzzPlan::early_stop`] on in every generated plan (the CI
-    /// fuzz-smoke early-stop campaign), instead of the generator's coin.
-    pub force_early_stop: bool,
     /// Additionally replay every 4th mutation-free trial through the
     /// batched service and the loopback TCP mesh, under the same
     /// referee (counted in [`FuzzOutcome::backend_executions`]).
@@ -1029,7 +995,6 @@ impl Default for FuzzConfig {
             budget: 200,
             max_n: DEFAULT_MAX_N,
             mutation: None,
-            force_early_stop: false,
             backends: true,
         }
     }
@@ -1081,10 +1046,7 @@ pub struct TrialReport {
 pub fn fuzz_trial(config: &FuzzConfig, trial: usize) -> TrialReport {
     let mutation = config.mutation;
     let mut rng = SimRng::derive(config.seed, trial as u64);
-    let mut plan = FuzzPlan::generate(&mut rng, config.max_n);
-    if config.force_early_stop {
-        plan.early_stop = true;
-    }
+    let plan = FuzzPlan::generate(&mut rng, config.max_n);
     let report = run_plan(&plan, mutation);
     let failure = report.violation.is_some().then(|| {
         let (shrunk, shrink_iters) = shrink(&plan, mutation);
@@ -1320,6 +1282,22 @@ mod tests {
     }
 
     #[test]
+    fn a_plan_that_ran_with_early_stopping_is_refused() {
+        // Repro files written while the mode existed carry the key: a plan
+        // that ran without it replays as recorded, one that ran with it
+        // recorded an execution this build cannot reproduce.
+        let plan = FuzzPlan::generate(&mut SimRng::seed(42), DEFAULT_MAX_N);
+        let text = plan.to_json().to_json_string();
+        assert!(!text.contains("early_stop"), "{text}");
+        let open = text.strip_suffix('}').unwrap();
+        let with = |flag: u64| format!("{open},\"early_stop\":{flag}}}");
+        let parse = |text: String| FuzzPlan::from_json(&JsonValue::parse(&text).unwrap());
+        assert_eq!(parse(with(0)), Ok(plan));
+        let e = parse(with(1)).unwrap_err();
+        assert!(e.contains("early stopping") && !e.contains('\n'), "{e}");
+    }
+
+    #[test]
     fn honest_plan_is_conformant() {
         let plan = FuzzPlan {
             n: 5,
@@ -1331,7 +1309,6 @@ mod tests {
             drop_p: 0.0,
             hot_edge_threshold: None,
             seed: 3,
-            early_stop: false,
         };
         let report = run_plan(&plan, None);
         assert_eq!(report.violation, None);
@@ -1349,7 +1326,6 @@ mod tests {
             budget: 48,
             max_n: 7,
             mutation: None,
-            force_early_stop: false,
             backends: false,
         };
         let a = fuzz(&config);
@@ -1374,7 +1350,6 @@ mod tests {
             budget: 16,
             max_n: 6,
             mutation: Some(Mutation::SuppressRelay),
-            force_early_stop: false,
             backends: false,
         };
         let outcome = fuzz(&config);
@@ -1397,7 +1372,6 @@ mod tests {
             budget: 8,
             max_n: 6,
             mutation: Some(Mutation::SuppressRelay),
-            force_early_stop: false,
             backends: false,
         };
         let outcome = fuzz(&config);
@@ -1424,7 +1398,6 @@ mod tests {
             budget: 16,
             max_n: 6,
             mutation: Some(Mutation::WrongValueRelay),
-            force_early_stop: false,
             backends: false,
         };
         let outcome = fuzz(&config);
@@ -1463,7 +1436,6 @@ mod tests {
             drop_p: 0.0,
             hot_edge_threshold: None,
             seed: 11,
-            early_stop: false,
         };
         let report = run_plan(&plan, None);
         assert_eq!(report.violation, None, "{:?}", report.violation);
@@ -1482,7 +1454,6 @@ mod tests {
             drop_p: 0.2,
             hot_edge_threshold: Some(2),
             seed: 5,
-            early_stop: false,
         };
         let report = run_plan(&plan, None);
         assert_eq!(report.violation, None, "{:?}", report.violation);
@@ -1526,7 +1497,6 @@ mod tests {
                 budget: 16,
                 max_n: 6,
                 mutation: Some(mutation),
-                force_early_stop: false,
                 backends: false,
             };
             let outcome = fuzz(&config);
@@ -1548,47 +1518,22 @@ mod tests {
     }
 
     #[test]
-    fn honest_early_stop_plan_is_conformant() {
+    fn backend_replays_match_the_spec_on_an_honest_plan() {
         let plan = FuzzPlan {
             n: 5,
             m: 1,
             u: 2,
-            sender: NodeId::new(0),
-            sender_value: 7,
+            sender: NodeId::new(1),
+            sender_value: 4,
             faults: BTreeMap::new(),
             drop_p: 0.0,
             hot_edge_threshold: None,
-            seed: 3,
-            early_stop: true,
+            seed: 9,
         };
-        let report = run_plan(&plan, None);
-        assert_eq!(report.violation, None, "{:?}", report.violation);
-        assert!(report.verdict_checked);
-        for d in report.decisions.values() {
-            assert_eq!(*d, Val::Value(7));
-        }
-    }
-
-    #[test]
-    fn backend_replays_match_the_spec_on_an_honest_plan() {
-        for early_stop in [false, true] {
-            let plan = FuzzPlan {
-                n: 5,
-                m: 1,
-                u: 2,
-                sender: NodeId::new(1),
-                sender_value: 4,
-                faults: BTreeMap::new(),
-                drop_p: 0.0,
-                hot_edge_threshold: None,
-                seed: 9,
-                early_stop,
-            };
-            let batch = run_plan_batch(&plan);
-            assert_eq!(batch.violation, None, "batch: {:?}", batch.violation);
-            let sim = run_plan_transport(&plan, TransportKind::Sim);
-            assert_eq!(sim.violation, None, "sim: {:?}", sim.violation);
-        }
+        let batch = run_plan_batch(&plan);
+        assert_eq!(batch.violation, None, "batch: {:?}", batch.violation);
+        let sim = run_plan_transport(&plan, TransportKind::Sim);
+        assert_eq!(sim.violation, None, "sim: {:?}", sim.violation);
     }
 
     /// An execution as a multiset: what a step stream says once the order
@@ -1610,7 +1555,7 @@ mod tests {
 
     #[test]
     fn every_source_records_an_honest_run_as_the_same_steps() {
-        for (n, m, u, early_stop) in [(5, 1, 2, false), (5, 1, 2, true), (7, 2, 2, false)] {
+        for (n, m, u) in [(5, 1, 2), (7, 2, 2)] {
             let plan = FuzzPlan {
                 n,
                 m,
@@ -1621,7 +1566,6 @@ mod tests {
                 drop_p: 0.0,
                 hot_edge_threshold: None,
                 seed: 9,
-                early_stop,
             };
             let lockstep = lockstep_steps(&plan, None);
             // One thread, one event queue: the simulator's is the lockstep
@@ -1658,7 +1602,6 @@ mod tests {
             drop_p: 0.2,
             hot_edge_threshold: Some(2),
             seed: 5,
-            early_stop: false,
         };
         let replay = || {
             let (steps, stats) = transport_steps(&plan, TransportKind::Tcp);
@@ -1677,7 +1620,6 @@ mod tests {
             budget: 8,
             max_n: 6,
             mutation: None,
-            force_early_stop: true,
             backends: true,
         };
         let outcome = fuzz(&config);
@@ -1709,7 +1651,6 @@ mod tests {
             drop_p: 0.0,
             hot_edge_threshold: None,
             seed: 1,
-            early_stop: false,
         };
         let reduced: Vec<_> = shrink_candidates(&plan)
             .into_iter()

@@ -272,7 +272,7 @@ impl Report {
         self
     }
 
-    /// Records the six deterministic counters of a
+    /// Records the four deterministic counters of a
     /// [`simnet::EigPerf`] under `eig_`-prefixed keys. The perf record is
     /// passed through [`obs::scrub_timing`] first, so wall-clock fields
     /// can never leak into the report even if this list grows.
@@ -283,8 +283,6 @@ impl Report {
             .set_perf("eig_votes_evaluated", perf.votes_evaluated)
             .set_perf("eig_votes_memo_hit", perf.votes_memo_hit)
             .set_perf("eig_messages_materialized", perf.messages_materialized)
-            .set_perf("eig_subtrees_pruned", perf.subtrees_pruned)
-            .set_perf("eig_messages_saved", perf.messages_saved)
     }
 
     /// Merges an [`obs::Registry`] snapshot into the report's `obs`
@@ -499,8 +497,6 @@ mod tests {
             votes_evaluated: 4,
             votes_memo_hit: 5,
             messages_materialized: 6,
-            subtrees_pruned: 2,
-            messages_saved: 8,
             fill_nanos: 999,
             resolve_nanos: 999,
         });
@@ -508,8 +504,7 @@ mod tests {
         let json = r.to_json_string();
         assert!(json.contains(
             "\"metrics\":{\"p\":1},\"perf\":{\"eig_arena_nodes\":3,\"eig_votes_evaluated\":4,\
-             \"eig_votes_memo_hit\":7,\"eig_messages_materialized\":6,\
-             \"eig_subtrees_pruned\":2,\"eig_messages_saved\":8},\"tables\":[]"
+             \"eig_votes_memo_hit\":7,\"eig_messages_materialized\":6},\"tables\":[]"
         ));
         // Wall times never leak through set_eig_perf (scrub_timing).
         assert!(!json.contains("999"));

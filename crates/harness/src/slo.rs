@@ -207,7 +207,7 @@ impl SloSpec {
         })
     }
 
-    /// Ratio floor: `num/den ≥ min_x100 %` (e.g. minimum pruning ratio).
+    /// Ratio floor: `num/den ≥ min_x100 %` (e.g. minimum memo-hit ratio).
     pub fn ratio_at_least(
         self,
         num: impl Into<String>,
@@ -320,7 +320,7 @@ mod tests {
     fn registry() -> obs::Registry {
         let mut reg = obs::Registry::new();
         reg.add("net.sent", 120);
-        reg.add("eig.subtrees_pruned", 30);
+        reg.add("eig.votes_memo_hit", 30);
         reg.add("eig.arena_nodes", 100);
         for v in [1u64, 2, 3, 4, 100] {
             reg.observe("lat", &[1, 2, 4, 8, 16, 128], v);
@@ -336,7 +336,7 @@ mod tests {
             .p99_at_most("lat", 128)
             .counter_at_most("net.sent", 200)
             .counter_at_least("net.sent", 100)
-            .ratio_at_least("eig.subtrees_pruned", "eig.arena_nodes", 25)
+            .ratio_at_least("eig.votes_memo_hit", "eig.arena_nodes", 25)
             .zero("spec.violations")
             .evaluate(&reg);
         assert!(report.passed(), "{:?}", report.failures());
@@ -353,7 +353,7 @@ mod tests {
             SloSpec::new("q").p50_at_most("lat", 1),
             SloSpec::new("max").counter_at_most("net.sent", 10),
             SloSpec::new("min").counter_at_least("net.sent", 1000),
-            SloSpec::new("ratio").ratio_at_least("eig.subtrees_pruned", "eig.arena_nodes", 31),
+            SloSpec::new("ratio").ratio_at_least("eig.votes_memo_hit", "eig.arena_nodes", 31),
             SloSpec::new("zero").zero("net.sent"),
         ] {
             let report = spec.evaluate(&reg);

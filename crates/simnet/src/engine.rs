@@ -202,15 +202,6 @@ pub struct EigPerf {
     /// Tree slots materialized from relay envelopes (first writes only;
     /// duplicates are folded idempotently and not counted).
     pub messages_materialized: u64,
-    /// Subtrees the early-stopping optimization cut at their frontier:
-    /// nodes whose certified-fault-set condition held and whose children
-    /// were therefore neither filled nor relayed. Zero when early
-    /// stopping is off.
-    pub subtrees_pruned: u64,
-    /// Relay messages that early stopping avoided sending (one per
-    /// receiver per skipped relay envelope). Zero when early stopping is
-    /// off.
-    pub messages_saved: u64,
     /// Wall time of the breadth-first fill phase, in nanoseconds.
     /// Ignored by `==`.
     pub fill_nanos: u64,
@@ -229,8 +220,6 @@ impl PartialEq for EigPerf {
             votes_evaluated,
             votes_memo_hit,
             messages_materialized,
-            subtrees_pruned,
-            messages_saved,
             fill_nanos: _,
             resolve_nanos: _,
         } = *self;
@@ -239,8 +228,6 @@ impl PartialEq for EigPerf {
             votes_evaluated: o_votes_evaluated,
             votes_memo_hit: o_votes_memo_hit,
             messages_materialized: o_messages_materialized,
-            subtrees_pruned: o_subtrees_pruned,
-            messages_saved: o_messages_saved,
             fill_nanos: _,
             resolve_nanos: _,
         } = *other;
@@ -248,8 +235,6 @@ impl PartialEq for EigPerf {
             && votes_evaluated == o_votes_evaluated
             && votes_memo_hit == o_votes_memo_hit
             && messages_materialized == o_messages_materialized
-            && subtrees_pruned == o_subtrees_pruned
-            && messages_saved == o_messages_saved
     }
 }
 
@@ -262,8 +247,6 @@ impl obs::ScrubTiming for EigPerf {
             votes_evaluated: _,
             votes_memo_hit: _,
             messages_materialized: _,
-            subtrees_pruned: _,
-            messages_saved: _,
             fill_nanos,
             resolve_nanos,
         } = self;
@@ -281,16 +264,14 @@ impl obs::ScrubTiming for Outcome {
 impl EigPerf {
     /// Deterministic counters only (everything `==` compares), in a
     /// stable order: arena nodes, votes evaluated, votes memo-hit,
-    /// messages materialized, subtrees pruned, messages saved. Handy for
-    /// reports that must stay bit-identical across worker counts.
-    pub fn deterministic_counters(&self) -> [u64; 6] {
+    /// messages materialized. Handy for reports that must stay
+    /// bit-identical across worker counts.
+    pub fn deterministic_counters(&self) -> [u64; 4] {
         [
             self.arena_nodes,
             self.votes_evaluated,
             self.votes_memo_hit,
             self.messages_materialized,
-            self.subtrees_pruned,
-            self.messages_saved,
         ]
     }
 
@@ -302,8 +283,6 @@ impl EigPerf {
         registry.add("eig.votes_evaluated", self.votes_evaluated);
         registry.add("eig.votes_memo_hit", self.votes_memo_hit);
         registry.add("eig.messages_materialized", self.messages_materialized);
-        registry.add("eig.subtrees_pruned", self.subtrees_pruned);
-        registry.add("eig.messages_saved", self.messages_saved);
     }
 
     /// Accumulate another run's counters into this one (timings add
@@ -313,8 +292,6 @@ impl EigPerf {
         self.votes_evaluated += other.votes_evaluated;
         self.votes_memo_hit += other.votes_memo_hit;
         self.messages_materialized += other.messages_materialized;
-        self.subtrees_pruned += other.subtrees_pruned;
-        self.messages_saved += other.messages_saved;
         self.fill_nanos += other.fill_nanos;
         self.resolve_nanos += other.resolve_nanos;
     }
@@ -1675,13 +1652,11 @@ mod tests {
             votes_evaluated: 2,
             votes_memo_hit: 3,
             messages_materialized: 4,
-            subtrees_pruned: 7,
-            messages_saved: 8,
             fill_nanos: 5,
             resolve_nanos: 6,
         };
         obs::scrub_timing(&mut perf);
-        assert_eq!(perf.deterministic_counters(), [1, 2, 3, 4, 7, 8]);
+        assert_eq!(perf.deterministic_counters(), [1, 2, 3, 4]);
         assert_eq!((perf.fill_nanos, perf.resolve_nanos), (0, 0));
         let mut reg = obs::Registry::new();
         perf.fold_into(&mut reg);

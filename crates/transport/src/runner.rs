@@ -28,11 +28,6 @@ use std::thread;
 /// Backend-independent run knobs (all off by default).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RunOptions {
-    /// Arm every machine with certified-fault-set early stopping
-    /// against the strategy key set (DESIGN.md §5h): relays below
-    /// prunable paths are skipped and the saving is reported in the
-    /// run's prune counters.
-    pub early_stop: bool,
     /// Record every node's [`Step`]s — what its machine saw and what it
     /// emitted, in machine order, sends as the machine handed them to the
     /// transport (*before* any chaos disposition, so a `SpecChecker`
@@ -47,14 +42,6 @@ pub struct RunOptions {
 }
 
 impl RunOptions {
-    /// Options with early stopping armed.
-    pub fn early_stop() -> Self {
-        RunOptions {
-            early_stop: true,
-            ..RunOptions::default()
-        }
-    }
-
     /// Options with causal tracing armed.
     pub fn traced() -> Self {
         RunOptions {
@@ -194,11 +181,6 @@ pub struct NodeOutcome {
     /// The node's event log (empty unless
     /// [`RunOptions::record_events`]).
     pub events: Vec<Step<u64>>,
-    /// Subtrees this node declined to relay below (zero unless
-    /// [`RunOptions::early_stop`]).
-    pub subtrees_pruned: u64,
-    /// Sends this node skipped via early stopping (zero unless armed).
-    pub messages_saved: u64,
     /// The node's trace recorder output (disabled unless
     /// [`RunOptions::trace`]).
     pub obs: Obs,
@@ -215,8 +197,6 @@ impl NodeOutcome {
             stats: TransportStats::default(),
             failure: Some("mesh node thread panicked".to_owned()),
             events: Vec::new(),
-            subtrees_pruned: 0,
-            messages_saved: 0,
             obs: Obs::disabled(),
         }
     }
@@ -233,10 +213,9 @@ pub struct TransportRun {
     pub views: BTreeMap<NodeId, EigView<u64>>,
     /// Run-total traffic statistics.
     pub stats: TransportStats,
-    /// Run-total subtrees pruned by early stopping.
-    pub subtrees_pruned: u64,
-    /// Run-total sends skipped by early stopping.
-    pub messages_saved: u64,
+    /// Every node whose run ended in a [`NodeOutcome::failure`] — a
+    /// panicked driver thread, or every peer gone — and why.
+    pub failures: BTreeMap<NodeId, String>,
     /// Per-node event logs (empty unless [`RunOptions::record_events`]).
     pub node_events: BTreeMap<NodeId, Vec<Step<u64>>>,
     /// All nodes' trace recorders merged in node order (disabled unless
@@ -250,8 +229,7 @@ impl TransportRun {
         let mut decisions = BTreeMap::new();
         let mut views = BTreeMap::new();
         let mut stats = TransportStats::default();
-        let mut subtrees_pruned = 0;
-        let mut messages_saved = 0;
+        let mut failures = BTreeMap::new();
         let mut node_events = BTreeMap::new();
         let mut obs = if outcomes.iter().any(|o| o.obs.is_enabled()) {
             Obs::enabled()
@@ -264,8 +242,9 @@ impl TransportRun {
             }
             views.insert(o.node, o.view);
             stats.merge(&o.stats);
-            subtrees_pruned += o.subtrees_pruned;
-            messages_saved += o.messages_saved;
+            if let Some(failure) = o.failure {
+                failures.insert(o.node, failure);
+            }
             obs.merge(&o.obs);
             if !o.events.is_empty() {
                 node_events.insert(o.node, o.events);
@@ -276,8 +255,7 @@ impl TransportRun {
             decisions,
             views,
             stats,
-            subtrees_pruned,
-            messages_saved,
+            failures,
             node_events,
             obs,
         }
@@ -288,19 +266,9 @@ fn machines_for(
     instance: &ByzInstance,
     sender_value: Val,
     strategies: &BTreeMap<NodeId, Strategy<u64>>,
-    options: RunOptions,
 ) -> Vec<NodeStateMachine<u64>> {
-    let faulty: BTreeSet<NodeId> = strategies.keys().copied().collect();
     NodeId::all(instance.n())
-        .map(|me| {
-            let machine =
-                NodeStateMachine::new(instance, me, sender_value, strategies.get(&me).cloned());
-            if options.early_stop {
-                machine.with_early_stop(&faulty)
-            } else {
-                machine
-            }
-        })
+        .map(|me| NodeStateMachine::new(instance, me, sender_value, strategies.get(&me).cloned()))
         .collect()
 }
 
@@ -408,7 +376,7 @@ pub fn run_sim_with(
     let n = instance.n();
     let faulty: BTreeSet<NodeId> = strategies.keys().copied().collect();
     let mut endpoints = SimWorld::endpoints(n, instance.depth(), chaos, relaxed, faulty);
-    let mut machines = machines_for(instance, sender_value, strategies, options);
+    let mut machines = machines_for(instance, sender_value, strategies);
     let mut logs: Vec<Vec<Step<u64>>> = vec![Vec::new(); n];
     let mut tracers: Vec<Option<NodeTracer>> = (0..n)
         .map(|i| options.trace.then(|| NodeTracer::new(0, NodeId::new(i))))
@@ -464,8 +432,6 @@ pub fn run_sim_with(
             stats: t.stats(),
             failure: None,
             events,
-            subtrees_pruned: m.subtrees_pruned(),
-            messages_saved: m.messages_saved(),
             obs: tracer.map_or_else(Obs::disabled, NodeTracer::into_obs),
             view: m.into_view(),
         })
@@ -554,8 +520,6 @@ fn drive(
         stats: transport.stats(),
         failure: transport.failure().map(str::to_owned),
         events,
-        subtrees_pruned: machine.subtrees_pruned(),
-        messages_saved: machine.messages_saved(),
         obs: tracer.map_or_else(Obs::disabled, NodeTracer::into_obs),
         view: machine.into_view(),
     }
@@ -597,7 +561,7 @@ fn run_mesh(
     options: RunOptions,
 ) -> (TransportRun, Option<Vec<MeshTransport>>) {
     let (n, depth) = (instance.n(), instance.depth());
-    let machines = machines_for(instance, sender_value, strategies, options);
+    let machines = machines_for(instance, sender_value, strategies);
     let options = MeshDriveOptions {
         record_events: options.record_events,
         trace: options.trace,
@@ -861,96 +825,6 @@ mod tests {
     }
 
     #[test]
-    fn early_stop_saves_real_messages_on_every_backend() {
-        // Fault-free BYZ(1,2): early stopping must leave decisions
-        // untouched while genuinely shrinking the wire traffic, on the
-        // simulator and on both threaded mesh backends.
-        let inst = instance(5, 1, 2);
-        let strategies = BTreeMap::new();
-        let baseline = run_sim(
-            &inst,
-            Val::Value(42),
-            &strategies,
-            LinkChaos::healthy(),
-            None,
-        );
-        let runs = [
-            run_sim_with(
-                &inst,
-                Val::Value(42),
-                &strategies,
-                LinkChaos::healthy(),
-                None,
-                RunOptions::early_stop(),
-            ),
-            run_channel_with(
-                &inst,
-                Val::Value(42),
-                &strategies,
-                LinkChaos::healthy(),
-                MeshConfig::default(),
-                RunOptions::early_stop(),
-            ),
-            run_tcp_with(
-                &inst,
-                Val::Value(42),
-                &strategies,
-                LinkChaos::healthy(),
-                MeshConfig::default(),
-                RunOptions::early_stop(),
-            )
-            .unwrap(),
-        ];
-        for run in &runs {
-            assert_eq!(run.decisions, baseline.decisions, "{:?}", run.kind);
-            assert!(run.messages_saved > 0, "{:?} saved nothing", run.kind);
-            assert!(run.subtrees_pruned > 0, "{:?} pruned nothing", run.kind);
-            assert_eq!(
-                run.stats.sent + run.messages_saved,
-                baseline.stats.sent,
-                "{:?}: every skipped send is accounted for",
-                run.kind
-            );
-        }
-    }
-
-    #[test]
-    fn early_stop_with_liars_matches_the_full_run() {
-        // Non-empty certified fault sets: pruning fires only on paths
-        // that already exhaust the set, and decisions always match the
-        // full protocol. With two relay faults at depth 3 no
-        // relay-eligible path can exhaust the set, so nothing prunes; a
-        // faulty *sender* makes every level-2 path `[s, x]` prunable.
-        let inst = instance(7, 2, 2);
-        let two_liars: BTreeMap<_, _> = [
-            (NodeId::new(3), Strategy::ConstantLie(Val::Value(9))),
-            (NodeId::new(5), Strategy::Silent),
-        ]
-        .into_iter()
-        .collect();
-        let lying_sender: BTreeMap<_, _> = [(NodeId::new(0), Strategy::ConstantLie(Val::Value(9)))]
-            .into_iter()
-            .collect();
-        for (strategies, prunes) in [(two_liars, false), (lying_sender, true)] {
-            let oracle = run_protocol(&inst, &Val::Value(1), &strategies, 7);
-            let run = run_sim_with(
-                &inst,
-                Val::Value(1),
-                &strategies,
-                LinkChaos::healthy(),
-                None,
-                RunOptions::early_stop(),
-            );
-            assert_eq!(run.decisions, oracle.decisions, "{strategies:?}");
-            assert_eq!(
-                run.messages_saved > 0,
-                prunes,
-                "pruning opportunity under {strategies:?}"
-            );
-        }
-    }
-
-    #[test]
     fn recorded_events_cover_every_round_close() {
         let inst = instance(4, 1, 1);
         let run = run_sim_with(
@@ -1124,12 +998,7 @@ mod tests {
             ..MeshConfig::default()
         };
         let mesh = tcp_mesh(4, inst.depth(), &LinkChaos::healthy(), config).unwrap();
-        let machines = machines_for(
-            &inst,
-            Val::Value(5),
-            &BTreeMap::new(),
-            RunOptions::default(),
-        );
+        let machines = machines_for(&inst, Val::Value(5), &BTreeMap::new());
         let last_round = inst.depth() - 1;
         let handles: Vec<_> = mesh
             .into_iter()
@@ -1208,6 +1077,11 @@ mod tests {
         );
         assert!(mesh.is_none(), "no endpoint outlives its driver");
         assert!(run.decisions.is_empty(), "{:?}", run.decisions);
+        let panicked = Some("mesh node thread panicked");
+        assert_eq!(run.failures.len(), 4, "{:?}", run.failures);
+        for node in NodeId::all(4) {
+            assert_eq!(run.failures.get(&node).map(String::as_str), panicked);
+        }
         assert_eq!(run.views.len(), 4);
         for (node, view) in &run.views {
             assert_eq!(view.entries().count(), 0, "node {node}");

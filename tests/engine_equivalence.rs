@@ -10,8 +10,6 @@
 //!    enumerated through the same [`choice_points`] function), the
 //!    engine's decisions must be bit-identical to the reference — and,
 //!    on the 4-node shape, bit-identical across 1/2/8 resolve workers.
-//!    The early-stop + packed-VOTE engine is held to the same oracle
-//!    over the same complete table space (DESIGN.md §5h soundness).
 //! 2. **Randomized protocol sweep** — `N ∈ {7..13}` with `m ∈ {1, 2}`
 //!    under random PR-2 link-chaos plans (drops, duplicates, reorders,
 //!    cuts): [`BatchOptions::views`] exposes every receiver's materialized
@@ -90,16 +88,6 @@ fn exhaust_shape(n: usize, m: usize, u: usize, check_workers: bool) -> u64 {
         ];
         for f in 0..=u {
             for faulty in subsets(n, f) {
-                // The optimized executor: certified-fault-set pruning
-                // plus the bitpacked VOTE path, rebuilt per fault set
-                // (the early-stop mask is per-run state). Its decisions
-                // must match the oracle for EVERY adversary drawn from
-                // `faulty` — the soundness claim of DESIGN.md §5h,
-                // checked here over the complete table space.
-                let pruned = instance
-                    .engine()
-                    .with_early_stop(&faulty)
-                    .with_packed_vote();
                 let points = choice_points(&instance, &faulty);
                 for_each_table(points.len(), domain.len(), |odo| {
                     tables += 1;
@@ -129,13 +117,6 @@ fn exhaust_shape(n: usize, m: usize, u: usize, check_workers: bool) -> u64 {
                         run.decisions, oracle,
                         "engine diverged from reference: n={n} m={m} u={u} \
                          sender={sender} faulty={faulty:?} table={table:?}"
-                    );
-                    let prun =
-                        instance.run_engine(&pruned, &Val::Value(1), &faulty, &mut fabricate);
-                    assert_eq!(
-                        prun.decisions, oracle,
-                        "early-stop + packed engine diverged from reference: \
-                         n={n} m={m} u={u} sender={sender} faulty={faulty:?} table={table:?}"
                     );
                     if check_workers {
                         for w in &wide {
@@ -196,144 +177,6 @@ fn random_plan(n: usize, rng: &mut SimRng) -> LinkFaultPlan {
         plan = plan.with(from, to, kind);
     }
     plan
-}
-
-#[test]
-fn early_stop_packed_matches_reference_across_random_adversaries() {
-    // Randomized differential at protocol scale: N ∈ {7..13}, m ∈ {1, 2},
-    // random fault sets that may include the sender (the case where
-    // certified-fault pruning fires below the root even with faults
-    // present), random battery strategies. The early-stop + packed
-    // engine must be bit-identical to reference_eval on every draw.
-    let mut rng = SimRng::seed(0xE19_0DD);
-    let mut saved_total = 0u64;
-    for n in 7..=13usize {
-        for m in [1usize, 2] {
-            let params = Params::new(m, m).expect("u = m");
-            let instance = ByzInstance::new(n, params, NodeId::new(0)).expect("n >= 3m + 1");
-            for trial in 0..4usize {
-                let battery = Strategy::battery(3, 9, rng.below(u64::MAX));
-                // Trial 0 is fault-free (the expected case pruning
-                // targets); later trials draw up to m + u faults over
-                // ALL nodes, sender included.
-                let fault_count = if trial == 0 {
-                    0
-                } else {
-                    rng.below(2 * m as u64 + 1) as usize
-                };
-                let strategies: BTreeMap<NodeId, Strategy<u64>> = rng
-                    .choose_indices(n, fault_count)
-                    .into_iter()
-                    .map(|i| {
-                        let strategy = rng.pick(&battery).expect("non-empty").1.clone();
-                        (NodeId::new(i), strategy)
-                    })
-                    .collect();
-                let faulty: BTreeSet<NodeId> = strategies.keys().copied().collect();
-                let mut fabricate = |path: &Path, r: NodeId, truthful: &Val| {
-                    strategies
-                        .get(&path.last())
-                        .expect("fabricate only called for faulty relayers")
-                        .claim(path, r, truthful)
-                };
-                let oracle = reference_eval(
-                    n,
-                    instance.sender(),
-                    instance.depth(),
-                    instance.rule(),
-                    &Val::Value(7),
-                    &faulty,
-                    &mut fabricate,
-                )
-                .decisions;
-                let pruned = instance
-                    .engine()
-                    .with_early_stop(&faulty)
-                    .with_packed_vote();
-                let run = instance.run_engine(&pruned, &Val::Value(7), &faulty, &mut fabricate);
-                assert_eq!(
-                    run.decisions, oracle,
-                    "early-stop + packed diverged: n={n} m={m} faulty={faulty:?}"
-                );
-                if faulty.is_empty() {
-                    assert!(
-                        run.perf.messages_saved > 0,
-                        "fault-free runs must prune: n={n} m={m}"
-                    );
-                }
-                saved_total += run.perf.messages_saved;
-            }
-        }
-    }
-    assert!(saved_total > 0);
-}
-
-#[test]
-fn early_stop_chaos_transport_folds_are_internally_consistent() {
-    // Early stopping under PR-2 link chaos: dropped or reordered
-    // envelopes change what honest nodes observe, so decisions need not
-    // match an unpruned run — but every receiver's decision must still
-    // be exactly the pruned recursive fold of its OWN materialized
-    // view, and fault-free runs must still report real savings.
-    use transport::{run_kind_with, LinkChaos, MeshConfig, RunOptions, TransportKind};
-    let mut rng = SimRng::seed(0xE19_C405);
-    for n in [5usize, 7, 9] {
-        for m in [1usize, 2] {
-            if n < 3 * m + 1 {
-                continue;
-            }
-            let params = Params::new(m, m).expect("u = m");
-            let instance = ByzInstance::new(n, params, NodeId::new(0)).expect("n >= 3m + 1");
-            for trial in 0..3usize {
-                let battery = Strategy::battery(3, 9, rng.below(u64::MAX));
-                let fault_count = if trial == 0 {
-                    0
-                } else {
-                    rng.below(m as u64 + 1) as usize
-                };
-                let strategies: BTreeMap<NodeId, Strategy<u64>> = rng
-                    .choose_indices(n - 1, fault_count)
-                    .into_iter()
-                    .map(|i| {
-                        let strategy = rng.pick(&battery).expect("non-empty").1.clone();
-                        (NodeId::new(i + 1), strategy)
-                    })
-                    .collect();
-                let faulty: BTreeSet<NodeId> = strategies.keys().copied().collect();
-                let chaos = LinkChaos::new(random_plan(n, &mut rng), rng.below(u64::MAX));
-                let run = run_kind_with(
-                    TransportKind::Sim,
-                    &instance,
-                    Val::Value(7),
-                    &strategies,
-                    chaos,
-                    MeshConfig::default(),
-                    RunOptions::early_stop(),
-                )
-                .expect("sim transport cannot fail");
-                for (r, view) in &run.views {
-                    if *r == instance.sender() {
-                        // The sender decides its own value directly; its
-                        // view holds no relays to fold.
-                        continue;
-                    }
-                    let folded = view.resolve_pruned(instance.sender(), instance.rule(), &faulty);
-                    assert_eq!(
-                        run.decisions.get(r),
-                        Some(&folded),
-                        "pruned transport decision diverged from the pruned fold of \
-                         receiver {r}'s own view: n={n} m={m} faulty={faulty:?}"
-                    );
-                }
-                if faulty.is_empty() {
-                    assert!(
-                        run.messages_saved > 0,
-                        "fault-free chaos runs must still prune: n={n} m={m}"
-                    );
-                }
-            }
-        }
-    }
 }
 
 #[test]
