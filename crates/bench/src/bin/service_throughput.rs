@@ -26,10 +26,11 @@
 //! arena reuse ≥ 95 % of pool requests after warmup (measured window —
 //! it is 100 % by construction, the gate guards the pooling contract),
 //! store reuse ≥ 95 %, zero sheds (waves never exceed the queue), zero
-//! decision mismatches against the oracle, and per-instance work tails
-//! `svc.instance.messages` p99 ≤ 2048 / `svc.instance.logical`
-//! p99 ≤ 1024 across every shape.
+//! decision mismatches against the oracle, and per-instance work at most
+//! the closed-form count of the largest shape: `svc.instance.messages`
+//! max ≤ 1 464 and `svc.instance.logical` max ≤ 144 at N = 13.
 
+use degradable::analysis::message_complexity;
 use degradable::{
     run_batch, BatchInstance, BatchOptions, Params, ServiceConfig, ServiceState, Strategy, Val,
 };
@@ -68,10 +69,10 @@ struct Row {
     arena_reuses: u64,
     store_reuses: u64,
     shed: u64,
-    p50_logical: u64,
-    p99_logical: u64,
-    p50_messages: u64,
-    p99_messages: u64,
+    /// `(min, max)` votes settled per instance.
+    logical: (u64, u64),
+    /// `(min, max)` messages sent per instance.
+    messages: (u64, u64),
     wall_nanos: u64,
     mismatches: usize,
 }
@@ -95,10 +96,10 @@ impl Row {
             self.arena_reuses.to_string(),
             self.store_reuses.to_string(),
             self.shed.to_string(),
-            self.p50_logical.to_string(),
-            self.p99_logical.to_string(),
-            self.p50_messages.to_string(),
-            self.p99_messages.to_string(),
+            self.logical.0.to_string(),
+            self.logical.1.to_string(),
+            self.messages.0.to_string(),
+            self.messages.1.to_string(),
         ];
         if timing {
             out.push(self.wall_nanos.to_string());
@@ -145,7 +146,7 @@ fn run_cell(cell: &Cell, workers: usize, seed: u64, timing: bool, obs: &mut Obs)
     let warmed = svc.stats();
 
     // Measured waves, one local recorder per cell so the table can show
-    // per-shape quantiles before everything merges into the report.
+    // per-shape extremes before everything merges into the report.
     let mut local = Obs::enabled();
     let mut mismatches = 0usize;
     let t0 = Instant::now();
@@ -169,18 +170,15 @@ fn run_cell(cell: &Cell, workers: usize, seed: u64, timing: bool, obs: &mut Obs)
     };
 
     let stats = svc.stats();
-    let quantiles = |name: &str| {
-        let h = local
-            .registry()
-            .histogram(name)
-            .expect("recorded histogram");
-        (
-            h.quantile(0.5).map_or(0, |v| v as u64),
-            h.quantile(0.99).map_or(0, |v| v as u64),
-        )
+    let extremes = |name: &str| {
+        let h = local.registry().histogram(name);
+        let h = h.expect("the measured waves recorded every instance");
+        (h.min().unwrap_or(0), h.max().unwrap_or(0))
     };
-    let (p50_logical, p99_logical) = quantiles("svc.instance.logical");
-    let (p50_messages, p99_messages) = quantiles("svc.instance.messages");
+    let (logical, messages) = (
+        extremes("svc.instance.logical"),
+        extremes("svc.instance.messages"),
+    );
     local.add("e21.decision_mismatches", mismatches as u64);
     obs.merge(&local);
 
@@ -193,10 +191,8 @@ fn run_cell(cell: &Cell, workers: usize, seed: u64, timing: bool, obs: &mut Obs)
         arena_reuses: stats.arena_reuses - warmed.arena_reuses,
         store_reuses: stats.store_reuses - warmed.store_reuses,
         shed: stats.shed,
-        p50_logical,
-        p99_logical,
-        p50_messages,
-        p99_messages,
+        logical,
+        messages,
         wall_nanos,
         mismatches,
     }
@@ -261,15 +257,22 @@ fn main() {
 
     // The declarative contract: pooling holds in the steady state, the
     // queue never sheds (waves are sized to capacity), the oracle never
-    // disagrees, and per-instance work tails stay bounded across shapes.
+    // disagrees, and no instance does more work than the largest swept
+    // shape's closed form: fault-free, a BYZ(m,m) instance sends every
+    // message of the depth-(m+1) unfolding and settles one vote per
+    // (internal label, receiver), the depth-m count.
+    let largest = |depth: fn(&Cell) -> usize| {
+        let per_cell = cells.iter().map(|c| message_complexity(c.n, depth(c)));
+        per_cell.max().unwrap_or(0) as u64
+    };
     let spec = SloSpec::new("e21-service-steady-state")
         .ratio_at_least("svc.pool.arena_reuses", "svc.pool.arena_requests", 95)
         .ratio_at_least("svc.pool.store_reuses", "svc.pool.store_requests", 95)
         .zero("svc.queue.shed")
         .zero("e21.decision_mismatches")
         .zero("batch.spoofs_rejected")
-        .p99_at_most("svc.instance.messages", 2048)
-        .p99_at_most("svc.instance.logical", 1024)
+        .max_at_most("svc.instance.messages", largest(|c| c.m + 1))
+        .max_at_most("svc.instance.logical", largest(|c| c.m))
         .counter_at_least("svc.pool.store_reuses", 1);
     let slo = spec.evaluate(obs_rec.registry());
     let slo_passed = slo.passed();
@@ -302,10 +305,10 @@ fn main() {
             "arena_reuses",
             "store_reuses",
             "shed",
-            "p50_logical",
-            "p99_logical",
-            "p50_msgs",
-            "p99_msgs",
+            "min_logical",
+            "max_logical",
+            "min_msgs",
+            "max_msgs",
             "wall_ns",
             "inst_per_sec",
         ],

@@ -461,7 +461,9 @@ fn summarize_trace(path: &str, trace: &obs::ParsedTrace, top: usize) -> String {
                 "name",
                 "count",
                 "sum",
+                "min",
                 "mean",
+                "max",
                 "buckets (<=bound: n, last = overflow)",
             ],
         );
@@ -473,16 +475,21 @@ fn summarize_trace(path: &str, trace: &obs::ParsedTrace, top: usize) -> String {
                 .map(|(b, n)| format!("<={b}: {n}"))
                 .collect();
             cells.push(format!(">: {}", h.buckets().last().copied().unwrap_or(0)));
-            let mean = if h.count() > 0 {
-                format!("{:.1}", h.sum() as f64 / h.count() as f64)
-            } else {
-                "-".into()
+            let (min, mean, max) = match (h.min(), h.max()) {
+                (Some(min), Some(max)) => (
+                    min.to_string(),
+                    format!("{:.1}", h.sum() as f64 / h.count() as f64),
+                    max.to_string(),
+                ),
+                _ => ("-".into(), "-".into(), "-".into()),
             };
             table.push_row(vec![
                 name.to_string(),
                 h.count().to_string(),
                 h.sum().to_string(),
+                min,
                 mean,
+                max,
                 cells.join("  "),
             ]);
         }
@@ -933,9 +940,9 @@ fn service_cmd(
         if let Some(h) = obs.registry().histogram(name) {
             let _ = writeln!(
                 out,
-                "{name}: p50 <= {}, p99 <= {}",
-                h.quantile(0.5).map_or(0, |v| v as u64),
-                h.quantile(0.99).map_or(0, |v| v as u64),
+                "{name}: min {}, max {}",
+                h.min().unwrap_or(0),
+                h.max().unwrap_or(0),
             );
         }
     }
@@ -1180,7 +1187,11 @@ mod tests {
         assert!(base.contains("mismatches 0"), "{base}");
         // 5 distinct senders -> 5 arena builds; everything else reuses.
         assert!(base.contains("arenas 5 built"), "{base}");
-        assert!(base.contains("svc.instance.logical: p50 <= "), "{base}");
+        // Every instance settles one vote per receiver of the root: 4.
+        assert!(
+            base.contains("svc.instance.logical: min 4, max 4"),
+            "{base}"
+        );
         assert!(!base.contains("timing:"), "{base}");
         // Identical modulo the banner line, which echoes the worker count.
         let strip = |s: &str| {
@@ -1640,8 +1651,12 @@ mod tests {
         assert!(resolve < fill, "{out}");
         assert!(out.contains("eig.votes_evaluated"), "{out}");
         assert!(out.contains("sweep.queue_depth"), "{out}");
-        // Observations 2 and 64 land in the <=8 and overflow buckets.
+        // Observations 2 and 64 land in the <=8 and overflow buckets; the
+        // row carries their exact min and max around the mean.
         assert!(out.contains("<=1: 0  <=8: 1  >: 1"), "{out}");
+        let row = out.lines().find(|l| l.starts_with("sim.latency")).unwrap();
+        let cells: Vec<&str> = row.split_whitespace().collect();
+        assert_eq!(cells[1..6], ["2", "66", "2", "33.0", "64"], "{row}");
     }
 
     #[test]

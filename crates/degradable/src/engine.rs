@@ -73,7 +73,7 @@ use crate::eig::{Fabricate, VoteRule};
 use crate::path::{path_count, Path};
 use crate::value::AgreementValue;
 use crate::vote::{vote_scan, vote_two};
-use obs::{Obs, SpanRecord};
+use obs::Obs;
 use simnet::{EigPerf, NodeId};
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
@@ -498,7 +498,6 @@ pub struct EngineRun<V> {
 pub struct EigEngine {
     arena: PathArena,
     workers: usize,
-    worker_spans: bool,
 }
 
 impl EigEngine {
@@ -522,7 +521,6 @@ impl EigEngine {
         Ok(EigEngine {
             arena: PathArena::try_new(n, sender, depth)?,
             workers: 1,
-            worker_spans: false,
         })
     }
 
@@ -531,16 +529,6 @@ impl EigEngine {
     /// wall time changes.
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers.max(1);
-        self
-    }
-
-    /// Also records one `eig.resolve_chunk` span per worker chunk in
-    /// observed runs. Chunking depends on the worker count, so these
-    /// spans are **not** worker-count-independent — leave this off
-    /// (the default) for golden traces and cross-worker diffing, turn
-    /// it on when profiling the fan-out itself.
-    pub fn with_worker_spans(mut self) -> Self {
-        self.worker_spans = true;
         self
     }
 
@@ -682,8 +670,7 @@ impl EigEngine {
 
     /// [`EigEngine::resolve`] with observability: one
     /// `eig.resolve_level` span per level (logical cost = votes
-    /// settled, i.e. evaluated + memo-hit — worker-count-independent),
-    /// optional per-chunk spans (see [`EigEngine::with_worker_spans`]),
+    /// settled, i.e. evaluated + memo-hit — worker-count-independent)
     /// and the run's [`EigPerf`] counters folded into the registry
     /// under `eig.*` names.
     pub fn resolve_observed<V: Clone + Ord + Send + Sync>(
@@ -719,8 +706,6 @@ impl EigEngine {
         store: &EigStore<V>,
         obs: &mut Obs,
     ) -> (BTreeMap<NodeId, AgreementValue<V>>, u64, u64) {
-        // Chunk wall times are only sampled when someone will read them.
-        let timed_chunks = obs.is_enabled() && self.worker_spans;
         let arena = &self.arena;
         let n = arena.n;
         let leaf_level = arena.levels.len() - 1;
@@ -759,24 +744,17 @@ impl EigEngine {
                 .enumerate()
                 .map(|(i, (per, shared))| (range.start + (i * chunk_len) as u32, per, shared));
             let below = &below;
-            let chunk_stats: Vec<(u64, u64, u64)> = if self.workers <= 1 || end - start <= chunk_len
-            {
+            let chunk_stats: Vec<(u64, u64)> = if self.workers <= 1 || end - start <= chunk_len {
                 chunks
-                    .map(|(first_id, per, shared)| {
-                        resolve_chunk(below, first_id, per, shared, timed_chunks)
-                    })
+                    .map(|(first_id, per, shared)| resolve_chunk(below, first_id, per, shared))
                     .collect()
             } else {
                 std::thread::scope(|scope| {
                     let handles: Vec<_> = chunks
                         .map(|(first_id, per, shared)| {
-                            scope.spawn(move || {
-                                resolve_chunk(below, first_id, per, shared, timed_chunks)
-                            })
+                            scope.spawn(move || resolve_chunk(below, first_id, per, shared))
                         })
                         .collect();
-                    // Joining in spawn order keeps chunk-span recording
-                    // deterministic for a fixed worker count.
                     handles
                         .into_iter()
                         .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
@@ -784,21 +762,10 @@ impl EigEngine {
                 })
             };
             let mut level_votes = 0u64;
-            for (chunk, &(e, h, wall_nanos)) in chunk_stats.iter().enumerate() {
+            for (e, h) in chunk_stats {
                 votes_evaluated += e;
                 votes_memo_hit += h;
                 level_votes += e + h;
-                if timed_chunks {
-                    obs.record_span(SpanRecord {
-                        name: "eig.resolve_chunk".into(),
-                        args: vec![
-                            ("level".into(), level as u64),
-                            ("chunk".into(), chunk as u64),
-                        ],
-                        logical: e + h,
-                        wall_nanos,
-                    });
-                }
             }
             obs.finish(level_timer, level_votes);
         }
@@ -835,17 +802,13 @@ struct Below<'a, V> {
 
 /// Resolves the labels from `first_id` on, one per entry of `shared` and
 /// one `n`-wide row of `per` each. Returns `(votes_evaluated,
-/// votes_memo_hit, wall_nanos)` for the chunk; the wall time is only
-/// sampled when `timed` (zero otherwise), so untimed runs pay no clock
-/// reads in the fan-out hot path.
+/// votes_memo_hit)` for the chunk.
 fn resolve_chunk<V: Clone + Ord>(
     below: &Below<'_, V>,
     first_id: u32,
     per: &mut [AgreementValue<V>],
     shared: &mut [Option<AgreementValue<V>>],
-    timed: bool,
-) -> (u64, u64, u64) {
-    let chunk_start = timed.then(Instant::now);
+) -> (u64, u64) {
     let Below { arena, store, .. } = *below;
     let n = arena.n;
     let vd = AgreementValue::Default;
@@ -938,8 +901,7 @@ fn resolve_chunk<V: Clone + Ord>(
         *shared = collapsed.then(|| out[first].clone());
     }
 
-    let wall_nanos = chunk_start.map_or(0, |s| s.elapsed().as_nanos() as u64);
-    (votes_evaluated, votes_memo_hit, wall_nanos)
+    (votes_evaluated, votes_memo_hit)
 }
 
 /// A slot's effective value: absent reads as `V_d`.
@@ -1166,11 +1128,8 @@ mod tests {
         assert!(run.perf.votes_memo_hit > 0);
     }
 
-    fn observed_run(workers: usize, worker_spans: bool) -> Obs {
-        let mut engine = EigEngine::new(5, NodeId::new(0), 3).with_workers(workers);
-        if worker_spans {
-            engine = engine.with_worker_spans();
-        }
+    fn observed_run(workers: usize) -> Obs {
+        let engine = EigEngine::new(5, NodeId::new(0), 3).with_workers(workers);
         let faulty: BTreeSet<NodeId> = [NodeId::new(2)].into();
         let mut fab = |_: &Path, r: NodeId, _: &Val| Val::Value(r.index() as u64);
         let mut obs = Obs::enabled();
@@ -1186,7 +1145,7 @@ mod tests {
 
     #[test]
     fn observed_run_records_fill_and_level_spans_and_counters() {
-        let obs = observed_run(1, false);
+        let obs = observed_run(1);
         let names: Vec<&str> = obs.spans().iter().map(|s| s.name.as_ref()).collect();
         // One fill span, then one resolve span per level, deepest first.
         assert_eq!(
@@ -1217,41 +1176,13 @@ mod tests {
 
     #[test]
     fn observed_output_is_worker_count_independent() {
-        let mut base = observed_run(1, false);
+        let mut base = observed_run(1);
         obs::scrub_timing(&mut base);
         for workers in [2usize, 8] {
-            let mut other = observed_run(workers, false);
+            let mut other = observed_run(workers);
             obs::scrub_timing(&mut other);
             assert_eq!(base, other, "workers={workers}");
         }
-    }
-
-    #[test]
-    fn worker_spans_are_opt_in_chunk_detail() {
-        let without = observed_run(2, false);
-        assert!(without
-            .spans()
-            .iter()
-            .all(|s| s.name != "eig.resolve_chunk"));
-        let with = observed_run(2, true);
-        let chunks: Vec<&SpanRecord> = with
-            .spans()
-            .iter()
-            .filter(|s| s.name == "eig.resolve_chunk")
-            .collect();
-        assert!(!chunks.is_empty());
-        // Chunk logical costs partition the owning level's span.
-        let level1_total: u64 = chunks
-            .iter()
-            .filter(|s| s.args.contains(&("level".into(), 1)))
-            .map(|s| s.logical)
-            .sum();
-        let level1_span = with
-            .spans()
-            .iter()
-            .find(|s| s.name == "eig.resolve_level" && s.args.contains(&("level".into(), 1)))
-            .unwrap();
-        assert_eq!(level1_total, level1_span.logical);
     }
 
     #[test]

@@ -71,28 +71,13 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::hash::Hash;
 
 /// Bucket bounds for the per-instance message-count histogram
-/// (`svc.instance.messages` and the regime split): powers of four from 8
-/// to half a million, wide enough for E16-scale batches.
+/// (`svc.instance.messages`): powers of four from 8 to half a million,
+/// wide enough for E16-scale batches.
 pub const SVC_MSG_BOUNDS: &[u64] = &[8, 32, 128, 512, 2048, 8192, 32768, 131_072, 524_288];
 
 /// Bucket bounds for the per-instance logical-cost histogram
 /// (`svc.instance.logical`): votes settled per instance.
 pub const SVC_LOGICAL_BOUNDS: &[u64] = &[16, 64, 256, 1024, 4096, 16384, 65536, 262_144, 1_048_576];
-
-/// Bucket bounds for the per-instance wall-latency histogram
-/// (`svc.instance.wall_ns`), 1µs to 10s. The name contains `wall`, so
-/// [`obs::ScrubTiming`] on the registry removes it under `--no-timing` —
-/// wall latency is carried for humans, never compared.
-pub const SVC_WALL_BOUNDS: &[u64] = &[
-    1_000,
-    10_000,
-    100_000,
-    1_000_000,
-    10_000_000,
-    100_000_000,
-    1_000_000_000,
-    10_000_000_000,
-];
 
 /// One instance of a batch: who sends what.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -196,8 +181,9 @@ impl<'a, V> BatchOptions<'a, V> {
     /// Records a `batch.fill` span over the engine run (logical cost =
     /// slots materialized across all instances), one `batch.resolve` and
     /// one `trace.decide` span per instance (logical cost = votes
-    /// settled), the `batch.*` / `svc.*` registry series and the
-    /// aggregated `eig.*` counters.
+    /// settled, wall = that instance's resolve), the `batch.*` /
+    /// `svc.instance.*` registry series and the aggregated `eig.*`
+    /// counters.
     pub fn obs(mut self, obs: &'a mut Obs) -> Self {
         self.obs = Some(obs);
         self
@@ -425,7 +411,6 @@ fn fill_and_resolve<V: Clone + Ord + Hash + Send + Sync>(
     let arena_builds = lease.arenas_built as usize;
     let depth = params.rounds();
     let rule = crate::eig::VoteRule::Degradable { m: params.m() };
-    let faulty: BTreeSet<NodeId> = strategies.keys().copied().collect();
     let mut spoofs_rejected = 0u64;
     // Per-instance protocol sends, accumulated during the fill so the
     // end-to-end histograms below can attribute network cost to the
@@ -623,30 +608,16 @@ fn fill_and_resolve<V: Clone + Ord + Hash + Send + Sync>(
         by_instance.into_iter().map(|(_, run)| run).collect()
     };
 
-    // The fault regime is a whole-batch property: f = |faulty| nodes run a
-    // strategy, so every instance lands on the same side of the paper's
-    // degradation boundary (full agreement at f ≤ m, degraded at
-    // m < f ≤ u). The regime-prefixed histograms let a sweep that mixes
-    // regimes across *batches* compare their latency profiles from one
-    // merged registry.
-    let regime = if faulty.len() <= params.m() {
-        "full"
-    } else {
-        "degraded"
-    };
     let mut decisions = Vec::with_capacity(instances.len());
     let mut agg = EigPerf::default();
-    // Per-instance logical cost and resolve wall, for the histograms.
-    let attributed = if timing { instances.len() } else { 0 };
-    let mut logicals = Vec::with_capacity(attributed);
-    let mut walls = Vec::with_capacity(attributed);
+    // Per-instance logical cost, for the histogram.
+    let mut logicals = Vec::with_capacity(if timing { instances.len() } else { 0 });
     for (k, (inst, (resolved_k, wall_k))) in instances.iter().zip(resolved).enumerate() {
         // With the recorder off there is nobody to attribute to: skip
         // building the span records altogether.
         if timing {
             let logical_k = resolved_k.perf.votes_evaluated + resolved_k.perf.votes_memo_hit;
             logicals.push(logical_k);
-            walls.push(wall_k);
             obs.record_span(SpanRecord {
                 name: "batch.resolve".into(),
                 args: vec![
@@ -676,23 +647,12 @@ fn fill_and_resolve<V: Clone + Ord + Hash + Send + Sync>(
     net.eig = agg;
 
     // End-to-end attribution per instance: ingest (fill sends) to decision
-    // (resolve), as message count, deterministic logical cost, and wall
-    // latency (resolve share; the fill is batch-shared and reported by the
-    // `batch.fill` span). One histogram lookup per series, not per
-    // instance.
-    if timing && !instances.is_empty() {
-        let sent = || inst_sent.iter().copied();
-        obs.observe_many("svc.instance.messages", SVC_MSG_BOUNDS, sent());
-        obs.observe_many(
-            "svc.instance.logical",
-            SVC_LOGICAL_BOUNDS,
-            logicals.iter().copied(),
-        );
-        obs.observe_many("svc.instance.wall_ns", SVC_WALL_BOUNDS, walls);
-        let series = |what: &str| format!("svc.regime.{regime}.{what}");
-        obs.observe_many(&series("messages"), SVC_MSG_BOUNDS, sent());
-        obs.observe_many(&series("logical"), SVC_LOGICAL_BOUNDS, logicals);
-        obs.add(&series("instances"), instances.len() as u64);
+    // (resolve), as message count and deterministic logical cost. Wall
+    // latency stays on the `batch.resolve` spans. One histogram lookup per
+    // series, not per instance.
+    if timing {
+        obs.observe_many("svc.instance.messages", SVC_MSG_BOUNDS, inst_sent);
+        obs.observe_many("svc.instance.logical", SVC_LOGICAL_BOUNDS, logicals);
     }
 
     obs.add("batch.instances", instances.len() as u64);
@@ -702,7 +662,6 @@ fn fill_and_resolve<V: Clone + Ord + Hash + Send + Sync>(
         (instances.len() - arena_builds) as u64,
     );
     obs.add("batch.spoofs_rejected", spoofs_rejected);
-    obs.add("svc.batch.sent", net.sent as u64);
     if let Some(registry) = obs.registry_mut() {
         net.eig.fold_into(registry);
     }
@@ -736,11 +695,6 @@ fn check_service_bounds(params: Params, n: usize) -> Result<(), ServiceError> {
     }
     Ok(())
 }
-
-/// Bucket bounds for the queue-depth histogram (`svc.queue.depth`):
-/// pending instances observed at each drain, powers of four up to the
-/// 10k-in-flight scale the service bench drives.
-pub const SVC_QUEUE_BOUNDS: &[u64] = &[1, 4, 16, 64, 256, 1024, 4096, 16384, 65536];
 
 /// Typed failures of [`run_batch`] and the persistent agreement service.
 /// Everything a caller can provoke with bad or
@@ -984,9 +938,9 @@ impl<V: Clone + Ord + Hash + Send + Sync> ServiceState<V> {
     /// and retained); after the resolve every store is cleared and
     /// returned to its free list. On top of the usual `batch.*` /
     /// `svc.instance.*` evidence this records the pooling counters
-    /// (`svc.pool.{arena,store}_{builds,reuses,requests}`), the sheds
-    /// since the last drain (`svc.queue.shed`) and the drained depth
-    /// (`svc.queue.depth`).
+    /// (`svc.pool.arena_{builds,reuses,requests}`,
+    /// `svc.pool.store_{reuses,requests}`) and the sheds since the last
+    /// drain (`svc.queue.shed`).
     pub fn drain_observed(
         &mut self,
         strategies: &BTreeMap<NodeId, Strategy<V>>,
@@ -1039,11 +993,9 @@ impl<V: Clone + Ord + Hash + Send + Sync> ServiceState<V> {
         obs.add("svc.pool.arena_builds", arenas_built);
         obs.add("svc.pool.arena_reuses", arenas_reused);
         obs.add("svc.pool.arena_requests", arenas_built + arenas_reused);
-        obs.add("svc.pool.store_builds", stores_built);
         obs.add("svc.pool.store_reuses", stores_reused);
         obs.add("svc.pool.store_requests", stores_built + stores_reused);
         obs.add("svc.queue.shed", std::mem::take(&mut self.shed_unreported));
-        obs.observe("svc.queue.depth", SVC_QUEUE_BOUNDS, queue_depth);
 
         ServiceBatch {
             ids,
@@ -1355,7 +1307,7 @@ mod tests {
     }
 
     #[test]
-    fn observed_batch_attributes_latency_per_instance_and_regime() {
+    fn observed_batch_attributes_messages_and_votes_per_instance() {
         let mut obs = Obs::enabled();
         let instances = mixed_instances();
         let run = run_batch(
@@ -1381,36 +1333,28 @@ mod tests {
             logical.sum(),
             run.net.eig.votes_evaluated + run.net.eig.votes_memo_hit
         );
-        assert!(reg.histogram("svc.instance.wall_ns").is_some());
+        // Only exact, logical series: no wall time, no fault-regime label.
+        let series: Vec<&str> = reg.histograms().map(|(name, _)| name).collect();
+        assert_eq!(series, ["svc.instance.logical", "svc.instance.messages"]);
 
-        // f = 2 liars > m = 1: the whole batch runs in the degraded
-        // regime, and the full-regime series stays untouched.
-        assert_eq!(
-            reg.counter("svc.regime.degraded.instances"),
-            instances.len() as u64
-        );
-        assert_eq!(reg.counter("svc.regime.full.instances"), 0);
-        assert!(reg.histogram("svc.regime.full.messages").is_none());
-        let degraded = reg.histogram("svc.regime.degraded.messages").unwrap();
-        assert_eq!(degraded.sum(), msgs.sum());
-
-        // A fault-free batch lands on the full side of the boundary.
-        let mut obs_full = Obs::enabled();
+        // Fault-free, every instance sends the closed-form count and
+        // settles one vote per (internal label, receiver): 4 at N = 5.
+        let mut obs_free = Obs::enabled();
         run_batch(
             params(),
             5,
             &instances,
             &BTreeMap::new(),
             1,
-            BatchOptions::new().obs(&mut obs_full),
+            BatchOptions::new().obs(&mut obs_free),
         )
         .unwrap();
-        let reg_full = obs_full.registry();
-        assert_eq!(
-            reg_full.counter("svc.regime.full.instances"),
-            instances.len() as u64
-        );
-        assert_eq!(reg_full.counter("svc.regime.degraded.instances"), 0);
+        let single = crate::analysis::message_complexity(5, params().rounds()) as u64;
+        let reg_free = obs_free.registry();
+        let msgs = reg_free.histogram("svc.instance.messages").unwrap();
+        assert_eq!((msgs.min(), msgs.max()), (Some(single), Some(single)));
+        let logical = reg_free.histogram("svc.instance.logical").unwrap();
+        assert_eq!((logical.min(), logical.max()), (Some(4), Some(4)));
 
         // The decide spans anchor the causal chain: one per instance, in
         // instance order, carrying the decider fan-out.

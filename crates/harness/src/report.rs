@@ -27,6 +27,8 @@
 //!
 //! ### Version history
 //!
+//! * **v7** — exact histograms. Histograms in the `obs` section carry
+//!   exact `min`/`max` (emitted when non-empty) and no estimates.
 //! * **v6** — SLO-aware reports. An optional `slo` object sits between
 //!   `obs` and `tables`, carrying an evaluated [`crate::slo::SloSpec`]
 //!   (`{"name", "passed", "objectives": [...]}` — see
@@ -35,12 +37,11 @@
 //!   so the section is bit-identical across worker counts; it is omitted
 //!   when no spec was evaluated, leaving a v5-shaped body under the v6
 //!   tag.
-//! * **v5** — quantile-annotated registry snapshots. Histograms in the
-//!   `obs` section gained `count`, `sum`, and fixed-point quantile
-//!   estimates (`p50_x100`/`p90_x100`/`p99_x100`) alongside the bucket
-//!   arrays (see `obs::Histogram::to_json`). Purely additive inside the
-//!   `obs` object, but strict consumers that enumerated histogram keys
-//!   must now skip the annotations, hence the bump.
+//! * **v5** — annotated registry snapshots. Histograms in the `obs`
+//!   section gained `count`, `sum`, and fixed-point estimates
+//!   interpolated from the buckets (dropped in v7). Purely additive
+//!   inside the `obs` object, but strict consumers that enumerated
+//!   histogram keys had to skip the annotations, hence the bump.
 //! * **v4** — observability-aware reports. An optional `obs` object sits
 //!   between `perf` and `tables`, carrying an [`obs::Registry`] snapshot
 //!   (sorted-name counters/gauges/histograms — see
@@ -89,7 +90,7 @@ pub const SCHEMA: &str = "degradable-harness-report";
 
 /// Version of the report file format; bump on breaking layout changes.
 /// See the module docs for the version history.
-pub const SCHEMA_VERSION: u64 = 6;
+pub const SCHEMA_VERSION: u64 = 7;
 
 /// A titled table: the unit shared by ASCII printing and JSON reports.
 #[derive(Debug, Clone, PartialEq)]
@@ -457,7 +458,7 @@ mod tests {
         r.add_table(t);
         let json = r.to_json_string();
         assert!(json.starts_with(
-            "{\"schema\":\"degradable-harness-report\",\"version\":6,\"experiment\":\"smoke\""
+            "{\"schema\":\"degradable-harness-report\",\"version\":7,\"experiment\":\"smoke\""
         ));
         assert!(json.contains("\"meta\":{\"master_seed\":7,\"trials\":10}"));
         assert!(json.contains("\"metrics\":{\"p\":0.5}"));

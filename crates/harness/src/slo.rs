@@ -2,19 +2,19 @@
 //! [`obs::Registry`] snapshots.
 //!
 //! An [`SloSpec`] is a named list of objectives over the deterministic
-//! quantities an experiment records in its registry — latency-quantile
-//! bounds on histograms, ceilings and floors on counters, minimum ratios
-//! between counters, and "must be zero" invariants. Evaluating a spec
+//! quantities an experiment records in its registry — ceilings on a
+//! histogram's exact maximum, ceilings and floors on counters, minimum
+//! ratios between counters, and "must be zero" invariants. Evaluating a spec
 //! ([`SloSpec::evaluate`]) produces an [`SloReport`]: one pass/fail row
 //! per objective plus an overall verdict, which lands in the report JSON
 //! as the schema-v6 `slo` section (see [`crate::report`]) so bench
 //! binaries can gate on it (`dagree`'s CI does exactly this for E20).
 //!
-//! Everything here is integer arithmetic over registry contents:
-//! quantiles compare in `×100` fixed point ([`obs::Histogram::quantile_x100`])
-//! and ratios cross-multiply, so an SLO verdict is bit-identical across
-//! worker counts and reruns whenever the registry is — the same
-//! determinism contract the rest of the reporting stack keeps.
+//! Everything here is integer arithmetic over exact registry contents:
+//! maxima and counters compare as recorded and ratios cross-multiply, so
+//! an SLO verdict is bit-identical across worker counts and reruns
+//! whenever the registry is — the same determinism contract the rest of
+//! the reporting stack keeps.
 //!
 //! Missing instrumentation fails closed: an objective over a histogram
 //! that was never observed is a **violation**, not a vacuous pass, because
@@ -26,14 +26,11 @@ use crate::report::JsonValue;
 /// One objective over a registry snapshot.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SloObjective {
-    /// The `q`-quantile estimate of histogram `hist` must be ≤ `bound`
-    /// (value units; the comparison happens in ×100 fixed point).
-    /// Fails if the histogram is absent or empty.
-    QuantileAtMost {
+    /// The largest value observed into histogram `hist` must be ≤
+    /// `bound`. Fails if the histogram is absent or empty.
+    MaxAtMost {
         /// Histogram name in the registry.
         hist: String,
-        /// Quantile in ×100 fixed point (50 = p50, 99 = p99).
-        q_x100: u64,
         /// Inclusive upper bound, in the histogram's value units.
         bound: u64,
     },
@@ -73,16 +70,10 @@ pub enum SloObjective {
 
 impl SloObjective {
     /// A stable, human-readable label for report rows
-    /// (e.g. `p99(svc.instance.logical) <= 4096`).
+    /// (e.g. `max(svc.instance.logical) <= 144`).
     pub fn label(&self) -> String {
         match self {
-            SloObjective::QuantileAtMost {
-                hist,
-                q_x100,
-                bound,
-            } => {
-                format!("p{q_x100}({hist}) <= {bound}")
-            }
+            SloObjective::MaxAtMost { hist, bound } => format!("max({hist}) <= {bound}"),
             SloObjective::CounterAtMost { counter, bound } => format!("{counter} <= {bound}"),
             SloObjective::CounterAtLeast { counter, bound } => format!("{counter} >= {bound}"),
             SloObjective::RatioAtLeast { num, den, min_x100 } => {
@@ -97,14 +88,9 @@ impl SloObjective {
     /// verdict.
     pub fn evaluate(&self, registry: &obs::Registry) -> SloResult {
         let (observed, pass) = match self {
-            SloObjective::QuantileAtMost {
-                hist,
-                q_x100,
-                bound,
-            } => {
-                let q = *q_x100 as f64 / 100.0;
-                match registry.histogram(hist).and_then(|h| h.quantile_x100(q)) {
-                    Some(est_x100) => (Some(est_x100), est_x100 <= bound * 100),
+            SloObjective::MaxAtMost { hist, bound } => {
+                match registry.histogram(hist).and_then(obs::Histogram::max) {
+                    Some(max) => (Some(max), max <= *bound),
                     None => (None, false),
                 }
             }
@@ -173,20 +159,10 @@ impl SloSpec {
         self
     }
 
-    /// p50 of `hist` must be ≤ `bound` (value units).
-    pub fn p50_at_most(self, hist: impl Into<String>, bound: u64) -> Self {
-        self.objective(SloObjective::QuantileAtMost {
+    /// Every value observed into `hist` must be ≤ `bound` (value units).
+    pub fn max_at_most(self, hist: impl Into<String>, bound: u64) -> Self {
+        self.objective(SloObjective::MaxAtMost {
             hist: hist.into(),
-            q_x100: 50,
-            bound,
-        })
-    }
-
-    /// p99 of `hist` must be ≤ `bound` (value units).
-    pub fn p99_at_most(self, hist: impl Into<String>, bound: u64) -> Self {
-        self.objective(SloObjective::QuantileAtMost {
-            hist: hist.into(),
-            q_x100: 99,
             bound,
         })
     }
@@ -248,8 +224,8 @@ pub struct SloResult {
     /// The objective's [`SloObjective::label`].
     pub label: String,
     /// The observed value the bound compared against — a counter value, a
-    /// quantile estimate in ×100 fixed point, or a ratio in ×100 fixed
-    /// point. `None` when the quantity was absent (which fails).
+    /// histogram's maximum, or a ratio in ×100 fixed point. `None` when
+    /// the quantity was absent (which fails).
     pub observed: Option<u64>,
     /// Whether the objective held.
     pub pass: bool,
@@ -332,25 +308,25 @@ mod tests {
     fn objectives_evaluate_against_the_registry() {
         let reg = registry();
         let report = SloSpec::new("smoke")
-            .p50_at_most("lat", 4)
-            .p99_at_most("lat", 128)
+            .max_at_most("lat", 100)
             .counter_at_most("net.sent", 200)
             .counter_at_least("net.sent", 100)
             .ratio_at_least("eig.votes_memo_hit", "eig.arena_nodes", 25)
             .zero("spec.violations")
             .evaluate(&reg);
         assert!(report.passed(), "{:?}", report.failures());
-        assert_eq!(report.results.len(), 6);
-        // Counters observe their raw value; ratios observe ×100.
-        assert_eq!(report.results[2].observed, Some(120));
-        assert_eq!(report.results[4].observed, Some(30));
+        assert_eq!(report.results.len(), 5);
+        // Maxima and counters observe their raw value; ratios observe ×100.
+        assert_eq!(report.results[0].observed, Some(100));
+        assert_eq!(report.results[1].observed, Some(120));
+        assert_eq!(report.results[3].observed, Some(30));
     }
 
     #[test]
     fn each_objective_kind_can_fail() {
         let reg = registry();
         for spec in [
-            SloSpec::new("q").p50_at_most("lat", 1),
+            SloSpec::new("hist").max_at_most("lat", 99),
             SloSpec::new("max").counter_at_most("net.sent", 10),
             SloSpec::new("min").counter_at_least("net.sent", 1000),
             SloSpec::new("ratio").ratio_at_least("eig.votes_memo_hit", "eig.arena_nodes", 31),
@@ -364,14 +340,16 @@ mod tests {
 
     #[test]
     fn missing_instrumentation_fails_closed() {
-        let reg = obs::Registry::new();
+        let empty =
+            "{\"histograms\":{\"empty\":{\"bounds\":[1],\"buckets\":[0,0],\"count\":0,\"sum\":0}}}";
+        let reg = obs::Registry::from_json(&JsonValue::parse(empty).unwrap()).unwrap();
         let report = SloSpec::new("absent")
-            .p99_at_most("no.such.hist", 1_000_000)
+            .max_at_most("no.such.hist", 1_000_000)
+            .max_at_most("empty", 1_000_000)
             .ratio_at_least("a", "b", 1)
             .evaluate(&reg);
         assert!(!report.passed());
-        assert_eq!(report.results[0].observed, None);
-        assert_eq!(report.results[1].observed, None);
+        assert!(report.results.iter().all(|r| r.observed.is_none()));
         // But absent counters read 0, so ceilings and zero-invariants
         // over them pass.
         assert!(SloSpec::new("ok")
@@ -386,7 +364,7 @@ mod tests {
         let reg = registry();
         let json = SloSpec::new("gate")
             .zero("net.sent")
-            .p50_at_most("missing", 1)
+            .max_at_most("missing", 1)
             .evaluate(&reg)
             .to_json()
             .to_json_string();
@@ -394,7 +372,7 @@ mod tests {
             json,
             "{\"name\":\"gate\",\"passed\":false,\"objectives\":[\
              {\"objective\":\"net.sent == 0\",\"observed\":120,\"pass\":false},\
-             {\"objective\":\"p50(missing) <= 1\",\"observed\":\"absent\",\"pass\":false}]}"
+             {\"objective\":\"max(missing) <= 1\",\"observed\":\"absent\",\"pass\":false}]}"
         );
     }
 

@@ -1,11 +1,12 @@
 //! The metric registry: named counters, gauges and fixed-bucket
 //! histograms with deterministic snapshots.
 //!
-//! Everything in a [`Registry`] is *logical* — event counts, vote
-//! counts, queue depths — never wall time, so a snapshot of a
-//! deterministic run is bit-identical across machines and worker
-//! counts. Wall time lives on spans ([`crate::SpanRecord`]), carried
-//! but excluded from equality.
+//! Everything in a [`Registry`] is *logical* and *exact* — event
+//! counts, vote counts, message counts, and histograms that keep their
+//! count, sum, min and max — never wall time and never an estimate, so a
+//! snapshot of a deterministic run is bit-identical across machines and
+//! worker counts. Wall time lives on spans ([`crate::SpanRecord`]),
+//! carried but excluded from equality.
 //!
 //! Names are free-form dotted strings (`"eig.votes_evaluated"`,
 //! `"sim.dropped.crash"`). Storage is `BTreeMap`-backed, so iteration,
@@ -16,7 +17,9 @@ use crate::json::JsonValue;
 use std::collections::BTreeMap;
 
 /// A fixed-bucket histogram: cumulative-style upper bounds plus an
-/// implicit overflow bucket, a total count and a sum.
+/// implicit overflow bucket, a total count, a sum, and the exact smallest
+/// and largest observation. Every field is exact; nothing is estimated
+/// from the buckets.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Histogram {
     /// Inclusive upper bounds of the finite buckets, ascending.
@@ -28,6 +31,8 @@ pub struct Histogram {
     count: u64,
     /// Sum of all observed values.
     sum: u64,
+    /// `(min, max)` of the observed values; `None` while empty.
+    extremes: Option<(u64, u64)>,
 }
 
 impl Histogram {
@@ -47,19 +52,33 @@ impl Histogram {
             buckets: vec![0; bounds.len() + 1],
             count: 0,
             sum: 0,
+            extremes: None,
         }
     }
 
     /// Records one observation.
     pub fn observe(&mut self, value: u64) {
-        let idx = self
-            .bounds
-            .iter()
-            .position(|&b| value <= b)
-            .unwrap_or(self.bounds.len());
+        let idx = self.bucket_of(value);
         self.buckets[idx] += 1;
         self.count += 1;
         self.sum += value;
+        self.widen(value, value);
+    }
+
+    /// The index of the bucket `value` falls in.
+    fn bucket_of(&self, value: u64) -> usize {
+        self.bounds
+            .iter()
+            .position(|&b| value <= b)
+            .unwrap_or(self.bounds.len())
+    }
+
+    /// Extends the recorded extremes to cover `[lo, hi]`.
+    fn widen(&mut self, lo: u64, hi: u64) {
+        self.extremes = Some(match self.extremes {
+            Some((min, max)) => (min.min(lo), max.max(hi)),
+            None => (lo, hi),
+        });
     }
 
     /// The bucket upper bounds.
@@ -83,67 +102,37 @@ impl Histogram {
         self.sum
     }
 
-    /// A deterministic quantile estimate by linear interpolation within
-    /// the bucket holding the `q`-th observation (`0.0 < q <= 1.0`).
-    /// Observations in the overflow bucket are estimated at the last
-    /// finite bound (a stated underestimate — pick bounds that cover the
-    /// expected range). `None` when nothing was observed.
-    ///
-    /// The estimate is pure integer-count arithmetic over the bucket
-    /// table, so for a deterministic run it is bit-identical across
-    /// machines and worker counts — which is what lets SLO gates and
-    /// snapshots rely on it.
-    pub fn quantile(&self, q: f64) -> Option<f64> {
-        if self.count == 0 || !(0.0..=1.0).contains(&q) || q == 0.0 {
-            return None;
-        }
-        // 1-based rank of the target observation.
-        let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
-        let mut seen = 0u64;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            if c == 0 {
-                continue;
-            }
-            let before = seen;
-            seen += c;
-            if rank <= seen {
-                if i == self.bounds.len() {
-                    // Overflow bucket: no upper bound to interpolate to.
-                    return Some(self.bounds[self.bounds.len() - 1] as f64);
-                }
-                let lower = if i == 0 { 0 } else { self.bounds[i - 1] } as f64;
-                let upper = self.bounds[i] as f64;
-                let frac = (rank - before) as f64 / c as f64;
-                return Some(lower + (upper - lower) * frac);
-            }
-        }
-        None
+    /// The smallest observed value; `None` when nothing was observed.
+    pub fn min(&self) -> Option<u64> {
+        self.extremes.map(|(min, _)| min)
     }
 
-    /// [`Histogram::quantile`] in the workspace's fixed-point `_x100`
-    /// convention (rounded to the nearest hundredth), the form snapshots
-    /// embed so registry JSON stays integer-only.
-    pub fn quantile_x100(&self, q: f64) -> Option<u64> {
-        self.quantile(q).map(|v| (v * 100.0).round() as u64)
+    /// The largest observed value; `None` when nothing was observed.
+    pub fn max(&self) -> Option<u64> {
+        self.extremes.map(|(_, max)| max)
     }
 
-    /// Folds another histogram in. Bucket-wise when the bounds match;
-    /// otherwise the other histogram's sum/count are preserved by
-    /// re-observing its mean per observation (a lossy but total merge —
-    /// mismatched bounds indicate a naming collision, which the caller
-    /// should avoid).
+    /// Folds another histogram in; count, sum, min and max stay exact.
+    /// Buckets add when the bounds match. Otherwise the other
+    /// histogram's observations all land in the bucket of its mean — the
+    /// values behind its buckets are gone — so only the bucket split is
+    /// approximate. Mismatched bounds mean two tables for one name, which
+    /// callers avoid by keeping one `const` table per name.
     pub fn merge(&mut self, other: &Histogram) {
+        let Some((lo, hi)) = other.extremes else {
+            return;
+        };
         if self.bounds == other.bounds {
             for (mine, theirs) in self.buckets.iter_mut().zip(&other.buckets) {
                 *mine += theirs;
             }
-            self.count += other.count;
-            self.sum += other.sum;
-        } else if let Some(mean) = other.sum.checked_div(other.count) {
-            for _ in 0..other.count {
-                self.observe(mean);
-            }
+        } else {
+            let idx = self.bucket_of(other.sum / other.count);
+            self.buckets[idx] += other.count;
         }
+        self.count += other.count;
+        self.sum += other.sum;
+        self.widen(lo, hi);
     }
 }
 
@@ -288,19 +277,14 @@ impl Registry {
     ///   "gauges": {"sweep.queue_depth_peak": 8},
     ///   "histograms": {
     ///     "span.logical": {"bounds": [10, 100], "buckets": [1, 2, 0],
-    ///                      "count": 3, "sum": 140,
-    ///                      "p50_x100": 5500, "p90_x100": 9100, "p99_x100": 9910}
+    ///                      "count": 3, "sum": 140, "min": 5, "max": 90}
     ///   }
     /// }
     /// ```
     ///
     /// Sections are omitted when empty; keys are in sorted-name order,
-    /// so two equal registries serialize to identical bytes. The
-    /// `p50/p90/p99` fields are [`Histogram::quantile_x100`] estimates —
-    /// derived from the buckets (consumers no longer re-derive them),
-    /// emitted only when the histogram is non-empty, and ignored by
-    /// [`Registry::from_json`] (recomputed on re-serialization, so the
-    /// snapshot still round-trips byte-identically).
+    /// so two equal registries serialize to identical bytes. A
+    /// histogram's `min` and `max` are emitted only when it is non-empty.
     pub fn to_json(&self) -> JsonValue {
         let mut fields = Vec::new();
         if !self.counters.is_empty() {
@@ -338,12 +322,9 @@ impl Registry {
                                 ("count".into(), h.count.into()),
                                 ("sum".into(), h.sum.into()),
                             ];
-                            for (key, q) in
-                                [("p50_x100", 0.5), ("p90_x100", 0.9), ("p99_x100", 0.99)]
-                            {
-                                if let Some(v) = h.quantile_x100(q) {
-                                    fields.push((key.into(), v.into()));
-                                }
+                            if let Some((min, max)) = h.extremes {
+                                fields.push(("min".into(), min.into()));
+                                fields.push(("max".into(), max.into()));
                             }
                             (k.clone(), JsonValue::Object(fields))
                         })
@@ -356,10 +337,14 @@ impl Registry {
 
     /// Rebuilds a registry from a [`Registry::to_json`] snapshot (the
     /// inverse; used by `cli obs` to summarize and diff report files).
+    /// Snapshots come from outside the program, so a histogram must be
+    /// one [`Histogram::observe`] could have produced: strictly ascending
+    /// bounds, buckets summing to `count`, and — when non-empty — `min`
+    /// and `max` with `min <= sum / count <= max`.
     ///
     /// # Errors
     ///
-    /// Returns a description of the first malformed section.
+    /// Returns a one-line description of the first malformed entry.
     pub fn from_json(value: &JsonValue) -> Result<Registry, String> {
         let mut reg = Registry::new();
         if let Some(counters) = value.get("counters") {
@@ -391,39 +376,61 @@ impl Registry {
                         .map(|x| x.as_u64().ok_or(format!("bad `{key}` in `{name}`")))
                         .collect()
                 };
+                let num = |key: &str| -> Result<Option<u64>, String> {
+                    v.get(key)
+                        .map(|x| x.as_u64().ok_or(format!("bad `{key}` in `{name}`")))
+                        .transpose()
+                };
                 let bounds = nums("bounds")?;
                 let buckets = nums("buckets")?;
+                let (Some(count), Some(sum)) = (num("count")?, num("sum")?) else {
+                    return Err(format!("histogram `{name}` missing `count` or `sum`"));
+                };
+                if bounds.is_empty() || !bounds.windows(2).all(|w| w[0] < w[1]) {
+                    return Err(format!("histogram `{name}` bounds not strictly ascending"));
+                }
                 if buckets.len() != bounds.len() + 1 {
                     return Err(format!("histogram `{name}` bucket/bound length mismatch"));
                 }
-                let mut h = Histogram::new(&bounds);
-                h.buckets = buckets;
-                h.count = v
-                    .get("count")
-                    .and_then(JsonValue::as_u64)
-                    .ok_or(format!("histogram `{name}` missing `count`"))?;
-                h.sum = v
-                    .get("sum")
-                    .and_then(JsonValue::as_u64)
-                    .ok_or(format!("histogram `{name}` missing `sum`"))?;
-                reg.histograms.insert(name.clone(), h);
+                if buckets.iter().map(|&b| b as u128).sum::<u128>() != count as u128 {
+                    return Err(format!("histogram `{name}` buckets do not sum to `count`"));
+                }
+                let extremes = match (num("min")?, num("max")?) {
+                    (None, None) if count == 0 && sum == 0 => None,
+                    (Some(min), Some(max)) if count > 0 => {
+                        if min > max {
+                            return Err(format!("histogram `{name}` has `min` > `max`"));
+                        }
+                        let (n, total) = (count as u128, sum as u128);
+                        if total < n * min as u128 || total > n * max as u128 {
+                            return Err(format!(
+                                "histogram `{name}` sum outside [min, max] × count"
+                            ));
+                        }
+                        Some((min, max))
+                    }
+                    _ if count == 0 => {
+                        return Err(format!("histogram `{name}` is empty but has a value"))
+                    }
+                    _ => {
+                        return Err(format!(
+                            "histogram `{name}` is non-empty but lacks `min`/`max`"
+                        ))
+                    }
+                };
+                reg.histograms.insert(
+                    name.clone(),
+                    Histogram {
+                        bounds,
+                        buckets,
+                        count,
+                        sum,
+                        extremes,
+                    },
+                );
             }
         }
         Ok(reg)
-    }
-}
-
-impl crate::ScrubTiming for Registry {
-    fn scrub_timing(&mut self) {
-        // Registries hold logical quantities by convention, with one
-        // sanctioned exception: metrics whose dotted name contains
-        // "wall" (e.g. `svc.instance.wall_ns`) carry wall-clock
-        // measurements for humans. Scrubbing removes those entries
-        // wholesale — a zeroed wall histogram would still perturb
-        // bucket counts, so removal is the only byte-stable scrub.
-        self.counters.retain(|k, _| !k.contains("wall"));
-        self.gauges.retain(|k, _| !k.contains("wall"));
-        self.histograms.retain(|k, _| !k.contains("wall"));
     }
 }
 
@@ -539,62 +546,88 @@ mod tests {
         assert_eq!(back.to_json().to_json_string(), json.to_json_string());
     }
 
+    /// A deterministic stream for the property test (splitmix64).
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
     #[test]
-    fn quantile_interpolates_within_buckets() {
-        let mut h = Histogram::new(&[10, 100]);
-        assert_eq!(h.quantile(0.5), None, "empty histogram has no quantiles");
-        for v in [1, 2, 3, 4, 5, 6, 7, 8, 9, 10] {
-            h.observe(v);
+    fn count_sum_min_max_are_exact_under_merge_and_round_trip() {
+        const BOUNDS: &[u64] = &[8, 64, 512];
+        let mut rng = 0x0b5_u64;
+        for trial in 0..400 {
+            let len = (splitmix(&mut rng) % 24) as usize;
+            let values: Vec<u64> = match trial % 5 {
+                0 => Vec::new(),
+                1 => vec![splitmix(&mut rng) % 1_000],
+                2 => vec![splitmix(&mut rng) % 600; len + 2],
+                // Every value past the last bound: all in the overflow bucket.
+                3 => (0..=len)
+                    .map(|_| 513 + splitmix(&mut rng) % 100_000)
+                    .collect(),
+                _ => (0..len).map(|_| splitmix(&mut rng) % 2_000).collect(),
+            };
+            let exact = (
+                values.len() as u64,
+                values.iter().sum::<u64>(),
+                values.iter().min().copied(),
+                values.iter().max().copied(),
+            );
+            let facts = |h: &Histogram| (h.count(), h.sum(), h.min(), h.max());
+
+            // Three parts, folded in every order.
+            let mut parts = vec![Histogram::new(BOUNDS); 3];
+            for &v in &values {
+                parts[(splitmix(&mut rng) % 3) as usize].observe(v);
+            }
+            for order in [
+                [0, 1, 2],
+                [0, 2, 1],
+                [1, 0, 2],
+                [1, 2, 0],
+                [2, 0, 1],
+                [2, 1, 0],
+            ] {
+                let mut merged = Histogram::new(BOUNDS);
+                for i in order {
+                    merged.merge(&parts[i]);
+                }
+                assert_eq!(facts(&merged), exact, "{values:?} merged as {order:?}");
+                assert_eq!(merged.buckets().iter().sum::<u64>(), exact.0);
+            }
+
+            let mut reg = Registry::new();
+            let mut whole = Histogram::new(BOUNDS);
+            values.iter().for_each(|&v| whole.observe(v));
+            assert_eq!(facts(&whole), exact, "{values:?}");
+            reg.histograms.insert("h".into(), whole);
+            let text = reg.to_json().to_json_string();
+            assert_eq!(text.contains("\"min\""), !values.is_empty(), "{text}");
+            let back = Registry::from_json(&JsonValue::parse(&text).unwrap()).unwrap();
+            assert_eq!(back, reg);
+            assert_eq!(back.to_json().to_json_string(), text);
         }
-        // All ten observations sit in the (0, 10] bucket: the median is
-        // rank 5 of 10 → halfway through the bucket.
-        assert_eq!(h.quantile(0.5), Some(5.0));
-        assert_eq!(h.quantile(1.0), Some(10.0));
-        assert_eq!(h.quantile_x100(0.5), Some(500));
-        // Out-of-range q is refused.
-        assert_eq!(h.quantile(0.0), None);
-        assert_eq!(h.quantile(1.5), None);
     }
 
     #[test]
-    fn quantile_overflow_saturates_at_last_bound() {
-        let mut h = Histogram::new(&[10]);
-        h.observe(5);
-        h.observe(1_000);
-        // p99 lands in the overflow bucket: estimate saturates at the
-        // last finite bound (documented underestimate).
-        assert_eq!(h.quantile(0.99), Some(10.0));
-    }
-
-    #[test]
-    fn snapshot_embeds_quantiles_and_still_round_trips() {
-        let mut r = Registry::new();
-        r.observe("lat", &[10, 100], 5);
-        r.observe("lat", &[10, 100], 50);
-        let text = r.to_json().to_json_string();
-        assert!(text.contains("\"p50_x100\""), "{text}");
-        assert!(text.contains("\"p99_x100\""), "{text}");
-        // The quantile fields are derived: the parser ignores them and
-        // re-serialization recomputes identical bytes.
-        let back = Registry::from_json(&JsonValue::parse(&text).unwrap()).unwrap();
-        assert_eq!(back, r);
-        assert_eq!(back.to_json().to_json_string(), text);
-    }
-
-    #[test]
-    fn scrub_timing_removes_wall_metrics_only() {
-        let mut r = Registry::new();
-        r.add("svc.instances", 4);
-        r.add("svc.batch.wall_ns_total", 999);
-        r.set_gauge("svc.wall_peak", 7);
-        r.observe("svc.instance.logical", &[10], 3);
-        r.observe("svc.instance.wall_ns", &[1000], 250);
-        crate::scrub_timing(&mut r);
-        assert_eq!(r.counter("svc.instances"), 4);
-        assert_eq!(r.counter("svc.batch.wall_ns_total"), 0);
-        assert_eq!(r.gauge("svc.wall_peak"), None);
-        assert!(r.histogram("svc.instance.logical").is_some());
-        assert!(r.histogram("svc.instance.wall_ns").is_none());
+    fn merge_across_mismatched_bounds_keeps_count_sum_min_max() {
+        let mut a = Histogram::new(&[10, 100]);
+        a.observe(3);
+        let mut b = Histogram::new(&[50]);
+        for v in [7, 8, 200] {
+            b.observe(v);
+        }
+        a.merge(&b);
+        assert_eq!((a.count(), a.sum()), (4, 218));
+        assert_eq!((a.min(), a.max()), (Some(3), Some(200)));
+        // b's three observations land in the bucket of its mean, 71.
+        assert_eq!(a.buckets(), &[1, 3, 0]);
+        a.merge(&Histogram::new(&[1]));
+        assert_eq!((a.count(), a.min(), a.max()), (4, Some(3), Some(200)));
     }
 
     #[test]
@@ -613,6 +646,35 @@ mod tests {
         ] {
             let v = JsonValue::parse(bad).unwrap();
             assert!(Registry::from_json(&v).is_err(), "{bad}");
+        }
+        // Histograms no `observe` sequence could have produced.
+        for (fields, why) in [
+            (
+                r#"[1],"buckets":[1,1],"count":1,"sum":1,"min":1,"max":1"#,
+                "sum to",
+            ),
+            (
+                r#"[1],"buckets":[1,1],"count":2,"sum":5,"min":4,"max":1"#,
+                "> `max`",
+            ),
+            (
+                r#"[1],"buckets":[0,1],"count":1,"sum":5"#,
+                "lacks `min`/`max`",
+            ),
+            (
+                r#"[1],"buckets":[0,0],"count":0,"sum":0,"min":0"#,
+                "empty but",
+            ),
+            (r#"[1],"buckets":[0,0],"count":0,"sum":4"#, "empty but"),
+            (
+                r#"[1],"buckets":[0,2],"count":2,"sum":3,"min":2,"max":2"#,
+                "sum outside",
+            ),
+            (r#"[5,1],"buckets":[0,0,0],"count":0,"sum":0"#, "ascending"),
+        ] {
+            let bad = format!("{{\"histograms\":{{\"h\":{{\"bounds\":{fields}}}}}}}");
+            let err = Registry::from_json(&JsonValue::parse(&bad).unwrap()).unwrap_err();
+            assert!(err.contains(why) && !err.contains('\n'), "{bad}: {err}");
         }
     }
 }
