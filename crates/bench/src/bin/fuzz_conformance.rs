@@ -7,7 +7,7 @@
 //! schema v5):
 //!
 //! 1. **Conformance sweep** — `--trials` (default 200) randomized
-//!    [`FuzzPlan`]s with N ∈ {4..`--max-n`}: random valid `(m, u)`
+//!    [`FuzzPlan`](harness::FuzzPlan)s with N ∈ {4..`--max-n`}: random valid `(m, u)`
 //!    shapes, mixed static / adaptive / crash faults, optional
 //!    message-keyed link chaos and a hot-edge-cutting online adversary. Every delivered message, every
 //!    per-round relay set, and every final decision is validated by

@@ -9,7 +9,7 @@
 //! carried but excluded from equality.
 //!
 //! Names are free-form dotted strings (`"eig.votes_evaluated"`,
-//! `"sim.dropped.crash"`). Storage is `BTreeMap`-backed, so iteration,
+//! `"net.sent"`). Storage is `BTreeMap`-backed, so iteration,
 //! snapshots and JSON emission are in sorted-name order regardless of
 //! recording order.
 

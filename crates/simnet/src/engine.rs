@@ -36,8 +36,11 @@
 //! sends meet the network in the order they are made, which is the order
 //! they were always processed in.
 //!
-//! Processes are either closures (see [`RoundEngine::run`]) or stateful
-//! [`Process`] implementations (see [`RoundEngine::run_processes`]).
+//! The engine keeps one record of a run: the [`Outcome`], one counter per
+//! fate a message can meet. A message sent is dropped under exactly one
+//! cause, or lands and is booked as delivered once per copy when it
+//! reaches a receiver's buffer; DESIGN §5b states the conservation law
+//! these counters obey, and the copies it leaves uncounted.
 
 use crate::fault::{FaultPlan, FaultSchedule};
 use crate::id::NodeId;
@@ -46,8 +49,6 @@ use crate::linkfault::{LinkFaultKind, LinkFaultPlan, LinkFaultTable};
 use crate::rng::SimRng;
 use crate::sched::{EventClass, EventQueue, SimTime};
 use crate::topology::Topology;
-use crate::trace::{LateCause, Trace, TraceConfig, TraceEvent};
-use obs::Obs;
 
 /// Protocol-supplied mutator applied to messages hit by
 /// [`LinkFaultKind::Corrupt`]. Returning `Some` delivers the garbled
@@ -65,14 +66,11 @@ const LINK_CHAOS_STREAM: u64 = 0x4C49_4E4B;
 /// per-node round timer.
 enum EngineEvent<M> {
     /// A copy held back by [`LinkFaultKind::Reorder`] arriving at `dst`.
-    /// It is booked (counter + trace) when it lands, not when it was sent
-    /// — matching when the receiver, and any observer tailing the trace,
-    /// first sees it.
+    /// It is booked as delivered when it lands, not when it was sent — a
+    /// copy still held when the run ends is never booked.
     Held {
         dst: NodeId,
         src: NodeId,
-        sent_round: usize,
-        latency: u64,
         payload: M,
     },
     /// Node `node`'s round-`round` timeout fires: whatever has not arrived
@@ -161,19 +159,6 @@ impl<'a, M: Clone> RoundCtx<'a, M> {
         for (&p, copy) in peers.iter().zip(std::iter::repeat_n(msg, peers.len())) {
             self.wire.carry(p, copy);
         }
-    }
-}
-
-/// A stateful per-node process.
-pub trait Process<M> {
-    /// Called once per round with the messages delivered this round; queue
-    /// outgoing messages through the context.
-    fn on_round(&mut self, ctx: &mut RoundCtx<'_, M>);
-}
-
-impl<M, F: FnMut(&mut RoundCtx<'_, M>)> Process<M> for F {
-    fn on_round(&mut self, ctx: &mut RoundCtx<'_, M>) {
-        self(ctx)
     }
 }
 
@@ -367,7 +352,6 @@ struct Wire<M> {
     corruptor: Option<Corruptor<M>>,
     latency: LatencyModel,
     deadline: u64,
-    trace: Option<Trace>,
     /// `linked[a][b]`: the topology has the edge `a`–`b`. One indexed load
     /// per message instead of an ordered-set lookup.
     linked: Vec<Vec<bool>>,
@@ -396,19 +380,11 @@ struct Wire<M> {
     extra_delay: u64,
     /// Nothing configured can touch a message of this timer: no node fault
     /// on the sender, no link fault on any of its outgoing edges, and a
-    /// run with zero latency, no deadline and no trace. Decided once per
+    /// run with zero latency and no deadline. Decided once per
     /// timer; past the topology check [`Wire::carry`] lands such a
     /// message without looking at the link table, the latency model or the
     /// deadline.
     clean: bool,
-}
-
-/// Appends to the trace if tracing is on. A free function over the field,
-/// so it can be called while other fields of the [`Wire`] are borrowed.
-fn record(trace: &mut Option<Trace>, event: TraceEvent) {
-    if let Some(t) = trace {
-        t.record(event);
-    }
 }
 
 impl<M: Clone> Wire<M> {
@@ -420,10 +396,10 @@ impl<M: Clone> Wire<M> {
     }
 
     /// Whether this configuration applies nothing to a message beyond node
-    /// faults, the topology and link faults, and records nothing about it:
-    /// the run-wide half of [`Wire::clean`].
+    /// faults, the topology and link faults: the run-wide half of
+    /// [`Wire::clean`].
     fn quiet(&self) -> bool {
-        self.trace.is_none() && self.latency == LatencyModel::Zero && self.deadline == u64::MAX
+        self.latency == LatencyModel::Zero && self.deadline == u64::MAX
     }
 
     /// Decides the fate of one message from the node whose timer is in
@@ -431,27 +407,16 @@ impl<M: Clone> Wire<M> {
     fn carry(&mut self, dst: NodeId, mut payload: M) {
         let (src, round) = (self.src, self.round);
         self.outcome.sent += 1;
-        record(&mut self.trace, TraceEvent::Sent { round, src, dst });
         if self.crashed {
             self.outcome.dropped_crash += 1;
-            record(
-                &mut self.trace,
-                TraceEvent::DroppedCrash { round, src, dst },
-            );
             return;
         }
         if self.omission_p > 0.0 && self.rng.chance(self.omission_p) {
             self.outcome.dropped_omission += 1;
-            record(
-                &mut self.trace,
-                TraceEvent::DroppedOmission { round, src, dst },
-            );
             return;
         }
-        let linked = self.linked[src.index()].get(dst.index()) == Some(&true);
-        if !linked {
+        if self.linked[src.index()].get(dst.index()) != Some(&true) {
             self.outcome.no_link += 1;
-            record(&mut self.trace, TraceEvent::NoLink { round, src, dst });
             return;
         }
         if self.clean {
@@ -459,7 +424,7 @@ impl<M: Clone> Wire<M> {
             // no deadline: nothing below can touch the message, and
             // neither stream is drawn from (an absent fault draws nothing
             // below either).
-            return self.land(dst, 0, 0, payload);
+            return self.land(dst, 0, payload);
         }
         // Link chaos: each configured kind on this directed edge acts in
         // insertion order, drawing only from the dedicated chaos stream.
@@ -470,14 +435,12 @@ impl<M: Clone> Wire<M> {
                 LinkFaultKind::Cut { from_round } => {
                     if round >= from_round {
                         self.outcome.dropped_link_cut += 1;
-                        record(&mut self.trace, TraceEvent::LinkCut { round, src, dst });
                         return;
                     }
                 }
                 LinkFaultKind::Drop { p } => {
                     if p > 0.0 && self.link_rng.chance(p) {
                         self.outcome.dropped_link_loss += 1;
-                        record(&mut self.trace, TraceEvent::LinkDropped { round, src, dst });
                         return;
                     }
                 }
@@ -487,13 +450,6 @@ impl<M: Clone> Wire<M> {
                             .corruptor
                             .as_mut()
                             .and_then(|c| c(&payload, &mut self.link_rng));
-                        let event = TraceEvent::LinkCorrupted {
-                            round,
-                            src,
-                            dst,
-                            delivered: garbled.is_some(),
-                        };
-                        record(&mut self.trace, event);
                         match garbled {
                             Some(g) => {
                                 payload = g;
@@ -510,10 +466,6 @@ impl<M: Clone> Wire<M> {
                     if p > 0.0 && !duplicate && self.link_rng.chance(p) {
                         duplicate = true;
                         self.outcome.duplicated += 1;
-                        record(
-                            &mut self.trace,
-                            TraceEvent::LinkDuplicated { round, src, dst },
-                        );
                     }
                 }
                 LinkFaultKind::Reorder { window } => {
@@ -522,79 +474,37 @@ impl<M: Clone> Wire<M> {
                         if d > 0 {
                             extra_rounds = d;
                             self.outcome.reordered += 1;
-                            let event = TraceEvent::LinkReordered {
-                                round,
-                                src,
-                                dst,
-                                delay: d,
-                            };
-                            record(&mut self.trace, event);
                         }
                     }
                 }
             }
         }
-        let base_latency = self.latency.sample(&mut self.rng);
-        let latency = base_latency + self.extra_delay;
-        if latency > self.deadline {
+        if self.latency.sample(&mut self.rng) + self.extra_delay > self.deadline {
             self.outcome.late += 1;
-            let cause = if base_latency <= self.deadline {
-                LateCause::DelayFault
-            } else {
-                LateCause::Deadline
-            };
-            record(
-                &mut self.trace,
-                TraceEvent::Late {
-                    round,
-                    src,
-                    dst,
-                    latency,
-                    cause,
-                },
-            );
             return;
         }
         if duplicate {
-            self.land(dst, latency, extra_rounds, payload.clone());
+            self.land(dst, extra_rounds, payload.clone());
         }
-        self.land(dst, latency, extra_rounds, payload);
+        self.land(dst, extra_rounds, payload);
     }
 
     /// Puts one surviving copy on its way to `dst`.
-    fn land(&mut self, dst: NodeId, latency: u64, extra_rounds: usize, payload: M) {
+    fn land(&mut self, dst: NodeId, extra_rounds: usize, payload: M) {
         let (src, round) = (self.src, self.round);
         if extra_rounds > 0 {
             // Delivery shifts from round+1 to round+1+extra_rounds; events
             // scheduled past the final timer are never popped — messages
             // still in flight when the run ends are lost.
             let at = self.boundary(round + 1 + extra_rounds);
-            self.queue.schedule(
-                at,
-                EventClass::Deliver,
-                EngineEvent::Held {
-                    dst,
-                    src,
-                    sent_round: round,
-                    latency,
-                    payload,
-                },
-            );
+            let held = EngineEvent::Held { dst, src, payload };
+            self.queue.schedule(at, EventClass::Deliver, held);
             return;
         }
         // On time: booked now and put straight into the receiver's
         // next-round buffer (see the module docs for why this is the
         // queue's pop order).
         self.outcome.delivered += 1;
-        record(
-            &mut self.trace,
-            TraceEvent::Delivered {
-                round,
-                src,
-                dst,
-                latency,
-            },
-        );
         self.next[dst.index()].push((src, payload));
     }
 }
@@ -616,8 +526,6 @@ pub struct RoundEngine<M> {
     peers: Vec<Vec<NodeId>>,
     faults: FaultPlan,
     schedule: Option<FaultSchedule>,
-    link_faults: LinkFaultPlan,
-    obs: Obs,
     wire: Wire<M>,
 }
 
@@ -627,7 +535,7 @@ impl<M> std::fmt::Debug for RoundEngine<M> {
             .field("topo", &self.topo)
             .field("faults", &self.faults)
             .field("schedule", &self.schedule)
-            .field("link_faults", &self.link_faults)
+            .field("link_faults", &self.wire.link_table)
             .field("corruptor", &self.wire.corruptor.as_ref().map(|_| "<fn>"))
             .field("latency", &self.wire.latency)
             .field("deadline", &self.wire.deadline)
@@ -656,8 +564,6 @@ impl<M: Clone> RoundEngine<M> {
             peers,
             faults: FaultPlan::healthy(),
             schedule: None,
-            link_faults: LinkFaultPlan::healthy(),
-            obs: Obs::disabled(),
             wire: Wire {
                 link_rng: rng.fork(LINK_CHAOS_STREAM),
                 rng,
@@ -665,7 +571,6 @@ impl<M: Clone> RoundEngine<M> {
                 corruptor: None,
                 latency: LatencyModel::Zero,
                 deadline: u64::MAX,
-                trace: None,
                 linked,
                 queue: EventQueue::new(),
                 arriving: per_node(),
@@ -710,7 +615,6 @@ impl<M: Clone> RoundEngine<M> {
     #[must_use]
     pub fn with_link_faults(mut self, link_faults: LinkFaultPlan) -> Self {
         self.wire.link_table = LinkFaultTable::new(&link_faults, self.topo.node_count());
-        self.link_faults = link_faults;
         self
     }
 
@@ -740,90 +644,9 @@ impl<M: Clone> RoundEngine<M> {
         self
     }
 
-    /// Enables event tracing with unbounded retention.
-    #[must_use]
-    pub fn with_trace(mut self) -> Self {
-        self.wire.trace = Some(Trace::new());
-        self
-    }
-
-    /// Enables event tracing with an explicit retention policy
-    /// (bounded configs ring-buffer the most recent events and count
-    /// evictions — see [`TraceConfig`]).
-    #[must_use]
-    pub fn with_trace_config(mut self, config: TraceConfig) -> Self {
-        self.wire.trace = Some(Trace::with_config(config));
-        self
-    }
-
-    /// Enables observability recording: per-round spans (logical cost
-    /// = messages processed) plus disposition counters under `sim.*`
-    /// names, retrievable via [`RoundEngine::obs`].
-    #[must_use]
-    pub fn with_obs(mut self) -> Self {
-        self.obs = Obs::enabled();
-        self
-    }
-
-    /// The recorded trace, if tracing was enabled.
-    pub fn trace(&self) -> Option<&Trace> {
-        self.wire.trace.as_ref()
-    }
-
-    /// The observability recorder (disabled and empty unless
-    /// [`RoundEngine::with_obs`] was called).
-    pub fn obs(&self) -> &Obs {
-        &self.obs
-    }
-
-    /// Takes the recorded observability data, leaving a fresh recorder
-    /// in the same enabled state (so callers can drain per-run).
-    pub fn take_obs(&mut self) -> Obs {
-        let fresh = if self.obs.is_enabled() {
-            Obs::enabled()
-        } else {
-            Obs::disabled()
-        };
-        std::mem::replace(&mut self.obs, fresh)
-    }
-
-    /// The topology this engine runs on.
-    pub fn topology(&self) -> &Topology {
-        &self.topo
-    }
-
-    /// The fault plan.
-    pub fn faults(&self) -> &FaultPlan {
-        &self.faults
-    }
-
-    /// The link-fault plan.
-    pub fn link_faults(&self) -> &LinkFaultPlan {
-        &self.link_faults
-    }
-
     /// Runs `rounds` rounds where every node executes the same closure.
     pub fn run(&mut self, rounds: usize, mut step: impl FnMut(&mut RoundCtx<'_, M>)) -> Outcome {
         self.run_with(rounds, |_, ctx| step(ctx))
-    }
-
-    /// Runs `rounds` rounds with per-node stateful processes;
-    /// `processes[i]` drives node `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `processes.len()` differs from the node count.
-    pub fn run_processes(
-        &mut self,
-        rounds: usize,
-        processes: &mut [Box<dyn Process<M>>],
-    ) -> Outcome {
-        assert_eq!(
-            processes.len(),
-            self.topo.node_count(),
-            "one process per node required"
-        );
-        self.run_with(rounds, |i, ctx| processes[i].on_round(ctx))
     }
 
     /// Core loop: `step(i, ctx)` is invoked for node `i` each round.
@@ -858,8 +681,6 @@ impl<M: Clone> RoundEngine<M> {
 
         for round in 0..rounds {
             let boundary = wire.boundary(round);
-            let round_timer = self.obs.span("sim.round", vec![("round", round as u64)]);
-            let work_before = wire.outcome.sent + wire.outcome.delivered;
             let active: &FaultPlan = match &self.schedule {
                 Some(s) => s.active(round),
                 None => &self.faults,
@@ -872,23 +693,8 @@ impl<M: Clone> RoundEngine<M> {
             while wire.queue.peek_time() == Some(boundary) {
                 let event = wire.queue.pop().expect("peeked event exists");
                 let i = match event.payload {
-                    EngineEvent::Held {
-                        dst,
-                        src,
-                        sent_round,
-                        latency,
-                        payload,
-                    } => {
+                    EngineEvent::Held { dst, src, payload } => {
                         wire.outcome.delivered += 1;
-                        record(
-                            &mut wire.trace,
-                            TraceEvent::Delivered {
-                                round: sent_round,
-                                src,
-                                dst,
-                                latency,
-                            },
-                        );
                         wire.held[dst.index()].push((src, payload));
                         continue;
                     }
@@ -932,33 +738,8 @@ impl<M: Clone> RoundEngine<M> {
                 wire.arriving[i] = spent;
             }
             wire.outcome.rounds_run += 1;
-            let logical = (wire.outcome.sent + wire.outcome.delivered - work_before) as u64;
-            self.obs.finish(round_timer, logical);
         }
-        let outcome = wire.outcome;
-        if self.obs.is_enabled() {
-            for (name, value) in [
-                ("sim.rounds", outcome.rounds_run),
-                ("sim.sent", outcome.sent),
-                ("sim.delivered", outcome.delivered),
-                ("sim.dropped.crash", outcome.dropped_crash),
-                ("sim.dropped.omission", outcome.dropped_omission),
-                ("sim.dropped.late", outcome.late),
-                ("sim.dropped.no_link", outcome.no_link),
-                ("sim.dropped.link_cut", outcome.dropped_link_cut),
-                ("sim.dropped.link_loss", outcome.dropped_link_loss),
-                ("sim.dropped.corrupt", outcome.dropped_corrupt),
-                ("sim.link.duplicated", outcome.duplicated),
-                ("sim.link.reordered", outcome.reordered),
-                ("sim.link.corrupted", outcome.corrupted),
-            ] {
-                self.obs.add(name, value as u64);
-            }
-            if let Some(trace) = &wire.trace {
-                self.obs.set_counter("sim.trace_dropped", trace.dropped());
-            }
-        }
-        outcome
+        wire.outcome
     }
 }
 
@@ -1064,22 +845,6 @@ mod tests {
     }
 
     #[test]
-    fn trace_records_dispositions() {
-        let mut engine = RoundEngine::<u8>::new(Topology::complete(2), 1).with_trace();
-        engine.run_with(2, |_, ctx| {
-            if ctx.round() == 0 {
-                ctx.broadcast(1);
-            }
-        });
-        let trace = engine.trace().unwrap();
-        assert_eq!(trace.count(|e| matches!(e, TraceEvent::Sent { .. })), 2);
-        assert_eq!(
-            trace.count(|e| matches!(e, TraceEvent::Delivered { .. })),
-            2
-        );
-    }
-
-    #[test]
     fn fault_schedule_bursts_and_recovers() {
         use crate::fault::FaultSchedule;
         // Node 0 crashes only during rounds 1..3.
@@ -1107,7 +872,7 @@ mod tests {
 
     /// A chaotic configuration that exercises every kind of engine state a
     /// run can leave behind: held copies in flight past the end, on-time
-    /// sends of the final round, a trace, both random streams.
+    /// sends of the final round, both random streams.
     fn chaotic_engine(seed: u64) -> RoundEngine<u64> {
         let links = LinkFaultPlan::uniform_complete(
             4,
@@ -1120,23 +885,19 @@ mod tests {
             .with_link_faults(links)
             .with_latency(LatencyModel::Uniform { lo: 0, hi: 9 })
             .with_deadline(7)
-            .with_trace()
     }
 
-    /// Every inbox in timer order, the outcome, and the trace of one run.
-    type Observed = (Vec<Vec<(NodeId, u64)>>, Outcome, Vec<TraceEvent>);
+    /// Every inbox in timer order, and the outcome of one run.
+    type Observed = (Vec<Vec<(NodeId, u64)>>, Outcome);
 
-    /// Runs `rounds` rounds of all-to-all chatter; the trace is what this
-    /// run alone recorded.
+    /// Runs `rounds` rounds of all-to-all chatter.
     fn chatter(engine: &mut RoundEngine<u64>, rounds: usize) -> Observed {
-        let before = engine.trace().map_or(0, Trace::len);
         let mut seen = Vec::new();
         let outcome = engine.run_with(rounds, |i, ctx| {
             seen.push(ctx.inbox().to_vec());
             ctx.broadcast((ctx.round() * 10 + i) as u64);
         });
-        let events = engine.trace().unwrap().events().skip(before).copied();
-        (seen, outcome, events.collect())
+        (seen, outcome)
     }
 
     #[test]
@@ -1182,9 +943,7 @@ mod tests {
     #[test]
     fn link_cut_drops_from_its_round() {
         let plan = LinkFaultPlan::healthy().with(n(0), n(1), LinkFaultKind::Cut { from_round: 1 });
-        let mut engine = RoundEngine::<u8>::new(Topology::complete(2), 1)
-            .with_link_faults(plan)
-            .with_trace();
+        let mut engine = RoundEngine::<u8>::new(Topology::complete(2), 1).with_link_faults(plan);
         let mut heard = [false; 3];
         let outcome = engine.run_with(3, |i, ctx| {
             ctx.broadcast(1);
@@ -1195,8 +954,6 @@ mod tests {
         assert!(heard[1], "round-0 send predates the cut");
         assert!(!heard[2], "round-1 send hits the cut");
         assert_eq!(outcome.dropped_link_cut, 2); // rounds 1 and 2
-        let trace = engine.trace().unwrap();
-        assert_eq!(trace.count(|e| matches!(e, TraceEvent::LinkCut { .. })), 2);
     }
 
     #[test]
@@ -1272,9 +1029,7 @@ mod tests {
     #[test]
     fn corrupt_without_corruptor_reads_as_absence() {
         let plan = LinkFaultPlan::healthy().with(n(0), n(1), LinkFaultKind::Corrupt { p: 1.0 });
-        let mut engine = RoundEngine::<u8>::new(Topology::complete(2), 1)
-            .with_link_faults(plan)
-            .with_trace();
+        let mut engine = RoundEngine::<u8>::new(Topology::complete(2), 1).with_link_faults(plan);
         let mut heard = false;
         let outcome = engine.run_with(2, |i, ctx| {
             if ctx.round() == 0 && i == 0 {
@@ -1285,17 +1040,7 @@ mod tests {
             }
         });
         assert!(!heard, "corruption without a corruptor is absence");
-        assert_eq!(outcome.dropped_corrupt, 1);
-        assert_eq!(
-            engine.trace().unwrap().count(|e| matches!(
-                e,
-                TraceEvent::LinkCorrupted {
-                    delivered: false,
-                    ..
-                }
-            )),
-            1
-        );
+        assert_eq!((outcome.dropped_corrupt, outcome.corrupted), (1, 0));
     }
 
     #[test]
@@ -1340,8 +1085,9 @@ mod tests {
     }
 
     /// The clean-sender shortcut of [`Wire::carry`] against the full
-    /// pipeline. Turning the trace on is observationally inert and defeats
-    /// the shortcut for every sender, so the two runs of a configuration
+    /// pipeline. Stacking a never-firing `Drop { p: 0.0 }` on every edge is
+    /// observationally inert — it draws nothing — and defeats the shortcut
+    /// for every sender, so the two runs of a configuration
     /// must agree in everything a protocol can see — the [`Outcome`], every
     /// (round, node) inbox — and leave the main stream at the same
     /// position. The configurations mix senders the shortcut applies to
@@ -1355,7 +1101,7 @@ mod tests {
             let mut rng = SimRng::derive(0x00C1_EA11, config);
             let nodes = 3 + rng.below(5) as usize;
             let rounds = 2 + rng.below(4) as usize;
-            let build = |rng: &mut SimRng| {
+            let build = |rng: &mut SimRng, defeat_shortcut: bool| {
                 let topo = match rng.below(4) {
                     0 => Topology::ring(nodes),
                     1 => Topology::star(nodes),
@@ -1373,6 +1119,10 @@ mod tests {
                     if from != to {
                         links = links.with(n(from as usize), n(to as usize), kind);
                     }
+                }
+                if defeat_shortcut {
+                    let inert = [LinkFaultKind::Drop { p: 0.0 }];
+                    links = links.stacked_with(&LinkFaultPlan::uniform_complete(nodes, &inert));
                 }
                 let plan = |rng: &mut SimRng| {
                     let mut plan = FaultPlan::healthy();
@@ -1398,7 +1148,7 @@ mod tests {
                     engine.with_faults(plan(rng))
                 };
                 // One configuration in eight is not quiet: no sender of it
-                // may take the shortcut, traced or not.
+                // may take the shortcut, defeated or not.
                 if rng.below(8) == 0 {
                     engine
                         .with_latency(LatencyModel::Uniform { lo: 0, hi: 6 })
@@ -1422,64 +1172,18 @@ mod tests {
                 });
                 (outcome, inboxes, engine.wire.rng.next_u64(), clean_timers)
             };
-            let as_is = run(build(&mut rng.fork(1)));
-            let traced = run(build(&mut rng.fork(1)).with_trace());
-            assert_eq!(
-                traced.3, 0,
-                "config {config}: a traced run has no clean sender"
-            );
+            let as_is = run(build(&mut rng.fork(1), false));
+            let full = run(build(&mut rng.fork(1), true));
+            assert_eq!(full.3, 0, "config {config}: every sender is linked");
             shortcut_taken += as_is.3;
-            assert_eq!(as_is.0, traced.0, "config {config}: outcome");
-            assert_eq!(as_is.1, traced.1, "config {config}: inboxes");
-            assert_eq!(as_is.2, traced.2, "config {config}: main stream position");
+            assert_eq!(as_is.0, full.0, "config {config}: outcome");
+            assert_eq!(as_is.1, full.1, "config {config}: inboxes");
+            assert_eq!(as_is.2, full.2, "config {config}: main stream position");
         }
         assert!(
             shortcut_taken > 200,
             "the shortcut ran: {shortcut_taken} timers"
         );
-    }
-
-    #[test]
-    fn late_cause_distinguishes_deadline_from_delay_fault() {
-        use crate::trace::LateCause;
-        let run = |faults: FaultPlan, deadline: u64| {
-            let mut engine = RoundEngine::<u8>::new(Topology::complete(2), 3)
-                .with_faults(faults)
-                .with_latency(LatencyModel::Fixed(10))
-                .with_deadline(deadline)
-                .with_trace();
-            engine.run_with(2, |_, ctx| {
-                if ctx.round() == 0 {
-                    ctx.broadcast(1);
-                }
-            });
-            let trace = engine.trace().unwrap();
-            (
-                trace.count(|e| {
-                    matches!(
-                        e,
-                        TraceEvent::Late {
-                            cause: LateCause::DelayFault,
-                            ..
-                        }
-                    )
-                }),
-                trace.count(|e| {
-                    matches!(
-                        e,
-                        TraceEvent::Late {
-                            cause: LateCause::Deadline,
-                            ..
-                        }
-                    )
-                }),
-            )
-        };
-        // Node 0's delay fault pushes an otherwise on-time message over.
-        let faults = FaultPlan::healthy().with(n(0), FaultKind::Delay { extra: 100 });
-        assert_eq!(run(faults, 50), (1, 0));
-        // Same base latency, tight deadline, no faults: pure deadline miss.
-        assert_eq!(run(FaultPlan::healthy(), 5), (0, 2));
     }
 
     #[test]
@@ -1499,8 +1203,7 @@ mod tests {
         assert_eq!(schedule.peak_fault_count(), 1, "link cuts add no faults");
         let mut engine = RoundEngine::<u8>::new(Topology::complete(2), 1)
             .with_fault_schedule(schedule)
-            .with_link_faults(plan)
-            .with_trace();
+            .with_link_faults(plan);
         let outcome = engine.run_with(4, |_, ctx| {
             ctx.broadcast(1);
         });
@@ -1541,108 +1244,6 @@ mod tests {
         });
         // 1->0 is never cut: only node 1's round-1 crash silences it.
         assert_eq!(zero_heard_in, vec![1, 3]);
-    }
-
-    #[test]
-    fn stateful_processes_via_trait_objects() {
-        // A per-node counter process: counts messages it has received and
-        // gossips its running total.
-        struct Counter {
-            received: usize,
-        }
-        impl Process<u64> for Counter {
-            fn on_round(&mut self, ctx: &mut RoundCtx<'_, u64>) {
-                self.received += ctx.inbox().len();
-                ctx.broadcast(self.received as u64);
-            }
-        }
-        let mut engine = RoundEngine::<u64>::new(Topology::complete(3), 1);
-        let mut procs: Vec<Box<dyn Process<u64>>> = (0..3)
-            .map(|_| Box::new(Counter { received: 0 }) as Box<dyn Process<u64>>)
-            .collect();
-        let out = engine.run_processes(3, &mut procs);
-        assert_eq!(out.rounds_run, 3);
-        // every node broadcasts each round: 3 nodes x 2 peers x 3 rounds
-        assert_eq!(out.sent, 18);
-        assert_eq!(out.delivered, 18);
-    }
-
-    #[test]
-    #[should_panic(expected = "one process per node")]
-    fn process_count_checked() {
-        let mut engine = RoundEngine::<u64>::new(Topology::complete(3), 1);
-        let mut procs: Vec<Box<dyn Process<u64>>> = Vec::new();
-        engine.run_processes(1, &mut procs);
-    }
-
-    #[test]
-    fn obs_records_round_spans_and_disposition_counters() {
-        let faults = FaultPlan::healthy().with(n(0), FaultKind::Crash { from_round: 1 });
-        let mut engine = RoundEngine::<u8>::new(Topology::complete(3), 1)
-            .with_faults(faults)
-            .with_obs();
-        let outcome = engine.run_with(3, |_, ctx| ctx.broadcast(1));
-        let obs = engine.obs();
-        let spans = obs.spans();
-        assert_eq!(spans.len(), 3, "one span per round");
-        assert_eq!(spans[0].name, "sim.round");
-        assert_eq!(spans[0].args, vec![("round".into(), 0)]);
-        // Round 0: 6 sends, each accepted for delivery as it is
-        // processed (deliveries are counted at send time).
-        assert_eq!(spans[0].logical, 12);
-        let reg = obs.registry();
-        assert_eq!(reg.counter("sim.sent"), outcome.sent as u64);
-        assert_eq!(reg.counter("sim.delivered"), outcome.delivered as u64);
-        assert_eq!(
-            reg.counter("sim.dropped.crash"),
-            outcome.dropped_crash as u64
-        );
-        assert_eq!(reg.counter("sim.rounds"), 3);
-        assert!(outcome.dropped_crash > 0);
-    }
-
-    #[test]
-    fn disabled_obs_stays_empty_and_take_obs_drains() {
-        let mut engine = RoundEngine::<u8>::new(Topology::complete(2), 1);
-        engine.run_with(2, |_, ctx| ctx.broadcast(1));
-        assert!(engine.obs().registry().is_empty());
-        assert!(engine.obs().spans().is_empty());
-
-        let mut engine = RoundEngine::<u8>::new(Topology::complete(2), 1).with_obs();
-        engine.run_with(2, |_, ctx| ctx.broadcast(1));
-        let drained = engine.take_obs();
-        assert_eq!(drained.spans().len(), 2);
-        assert!(engine.obs().spans().is_empty());
-        assert!(engine.obs().is_enabled(), "enabled state survives draining");
-    }
-
-    #[test]
-    fn bounded_trace_feeds_dropped_counter_into_registry() {
-        let mut engine = RoundEngine::<u8>::new(Topology::complete(3), 1)
-            .with_trace_config(TraceConfig::bounded(4))
-            .with_obs();
-        engine.run_with(3, |_, ctx| ctx.broadcast(1));
-        let trace = engine.trace().unwrap();
-        assert_eq!(trace.len(), 4, "ring retains exactly the capacity");
-        assert!(trace.dropped() > 0);
-        assert_eq!(
-            engine.obs().registry().counter("sim.trace_dropped"),
-            trace.dropped()
-        );
-    }
-
-    #[test]
-    fn obs_round_spans_are_deterministic_across_runs() {
-        let run = |seed: u64| {
-            let mut engine = RoundEngine::<u8>::new(Topology::complete(4), seed)
-                .with_faults(FaultPlan::healthy().with(n(1), FaultKind::Omission { p: 0.5 }))
-                .with_obs();
-            engine.run_with(3, |_, ctx| ctx.broadcast(0));
-            engine.take_obs()
-        };
-        // Same seed: identical spans (logical dimension) and registry,
-        // even though wall times differ between the two executions.
-        assert_eq!(run(9), run(9));
     }
 
     #[test]

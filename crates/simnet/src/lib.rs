@@ -17,11 +17,12 @@
 //!   computation ([`connectivity`]) and **vertex-disjoint path** extraction
 //!   (Menger), needed for the paper's Theorem 3 (connectivity `>= m+u+1`).
 //! * [`engine`] — the event-driven round engine: a deterministic priority
-//!   queue ([`sched`]) of per-message delivery events and per-node timeout
-//!   timers. Rounds are emergent from the timers; every process sends in
+//!   queue ([`sched`]) of per-node timeout timers and reorder-held message
+//!   copies. Rounds are emergent from the timers; every process sends in
 //!   round `r`, messages are delivered at the start of round `r+1`, and a
-//!   missing message is *detectably absent* (its delivery event did not
-//!   fire before the receiver's timer), matching assumption (2).
+//!   missing message is *detectably absent* (it was not in the receiver's
+//!   inbox when its timer fired), matching assumption (2). A run's one
+//!   record is its [`Outcome`]: one counter per fate a message can meet.
 //! * [`fault`] — fault plans: crash, omission, delay and Byzantine
 //!   markers, applied by the engine independently of process logic.
 //! * [`latency`] — per-message latency models and round deadlines, used to
@@ -65,7 +66,6 @@ pub mod rng;
 pub mod routing;
 pub mod sched;
 pub mod topology;
-pub mod trace;
 
 pub use connectivity::{
     local_connectivity, minimum_vertex_cut, vertex_connectivity, vertex_disjoint_paths,
@@ -80,7 +80,6 @@ pub use rng::SimRng;
 pub use routing::{DegradableLink, Delivery, RelayNetwork};
 pub use sched::{EventClass, EventQueue, Scheduled, SimTime};
 pub use topology::Topology;
-pub use trace::{LateCause, Trace, TraceEvent};
 
 /// Convenience glob import for downstream crates and examples.
 pub mod prelude {
@@ -97,5 +96,4 @@ pub mod prelude {
     pub use crate::routing::{DegradableLink, Delivery, RelayNetwork};
     pub use crate::sched::{EventClass, EventQueue, Scheduled, SimTime};
     pub use crate::topology::Topology;
-    pub use crate::trace::{LateCause, Trace, TraceEvent};
 }

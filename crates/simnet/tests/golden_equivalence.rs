@@ -1,12 +1,16 @@
 //! Golden-equivalence test for the round engine's delivery path.
 //!
-//! The digests in `tests/golden/delivery_order.txt` were recorded on the
-//! engine that scheduled *every* delivery through the `EventQueue` (one
-//! heap entry per message, popped in `(time, Deliver, seq)` order). Each
-//! digest covers everything a protocol or an observer can see of a run:
-//! the per-node per-round inbox sequence of `(src, payload)`, the
-//! [`Outcome`], and the full [`Trace`]. Any later change to how the engine
-//! lands messages must leave all of them unchanged.
+//! Each digest in `tests/golden/delivery_order.txt` covers everything a
+//! protocol or an observer can see of a run: the per-node per-round inbox
+//! sequence of `(src, payload)` and the [`Outcome`]. They were recorded,
+//! with exactly this rendering, on the last engine that could also keep a
+//! per-message event trace (commit `05bfe93`, tracing off), and that
+//! engine's own digests — which included the trace — had been recorded on
+//! the engine that scheduled *every* delivery through the `EventQueue`.
+//! Unlike those, these cover the clean-sender shortcut too: a
+//! configuration with zero latency and no deadline takes it. Any later
+//! change to how the engine lands messages must leave all of them
+//! unchanged.
 //!
 //! To re-record (only when a behaviour change is intended):
 //! `cargo test -p simnet --test golden_equivalence -- --ignored --nocapture print_digests`
@@ -69,9 +73,19 @@ fn random_fault_plan(rng: &mut SimRng, nodes: usize, rounds: usize, deadline: u6
     plan
 }
 
-/// Builds the `config`-th seeded engine and runs it, returning the
-/// canonical rendering of everything observable.
-fn run_config(config: u64) -> String {
+/// What one configuration's run leaves behind.
+struct Run {
+    /// The canonical rendering of everything observable: every inbox in
+    /// timer order, then the [`Outcome`].
+    text: String,
+    outcome: Outcome,
+    /// Some edge of the link plan carries a [`LinkFaultKind::Reorder`] or
+    /// a [`LinkFaultKind::Duplicate`]: a copy can be lost in flight.
+    reorders_or_duplicates: bool,
+}
+
+/// Builds the `config`-th seeded engine and runs it.
+fn run_config(config: u64) -> Run {
     let mut rng = SimRng::derive(0x0060_1DE2, config);
     let nodes = 3 + rng.below(5) as usize;
     let rounds = 3 + rng.below(4) as usize;
@@ -118,12 +132,19 @@ fn run_config(config: u64) -> String {
         ];
         links = links.stacked_with(&LinkFaultPlan::uniform_complete(nodes, &kinds));
     }
+    let reorders_or_duplicates = links.iter().any(|(_, kinds)| {
+        kinds.iter().any(|k| {
+            matches!(
+                k,
+                LinkFaultKind::Reorder { .. } | LinkFaultKind::Duplicate { .. }
+            )
+        })
+    });
 
     let mut engine = RoundEngine::<Vec<u32>>::new(topo, 1000 + config)
         .with_link_faults(links)
         .with_latency(latency)
-        .with_deadline(deadline)
-        .with_trace();
+        .with_deadline(deadline);
     engine = if rng.below(3) == 0 {
         let mut schedule = FaultSchedule::healthy();
         let mut from = rng.below(2) as usize;
@@ -172,21 +193,21 @@ fn run_config(config: u64) -> String {
 
     let mut text = seen;
     text.push_str(&format!("{outcome:?}\n"));
-    let trace = engine.trace().expect("tracing is on");
-    for event in trace.events() {
-        text.push_str(&format!("{event:?}\n"));
+    Run {
+        text,
+        outcome,
+        reorders_or_duplicates,
     }
-    text
 }
 
 fn digests() -> Vec<String> {
     (0..CONFIGS)
-        .map(|c| format!("{c:02} {:016x}", fnv1a(&run_config(c))))
+        .map(|c| format!("{c:02} {:016x}", fnv1a(&run_config(c).text)))
         .collect()
 }
 
 #[test]
-fn delivery_order_outcome_and_trace_match_recorded_digests() {
+fn delivery_order_and_outcome_match_recorded_digests() {
     let golden: Vec<&str> = GOLDEN.lines().filter(|l| !l.starts_with('#')).collect();
     assert_eq!(golden.len() as u64, CONFIGS, "one digest per configuration");
     let actual = digests();
@@ -203,33 +224,77 @@ fn delivery_order_outcome_and_trace_match_recorded_digests() {
     );
 }
 
+/// Every copy a run puts on the wire — each message sent, plus the extra
+/// copy of each message duplication fires on — is delivered, dropped for
+/// exactly one counted cause, or lost in flight. A copy is lost in flight
+/// when a reorder holds it past the last timer, or when it is the extra
+/// copy of a duplicated message that a later kind or the deadline then
+/// drops: the drop is counted once, for the message. So the copies no
+/// counter accounts for number none when the plan has neither kind, and at
+/// most `duplicated + reordered` when it has. A message counted under two
+/// causes, or under none, breaks the equality or the bounds.
+#[test]
+fn outcome_conservation_law_holds_on_every_configuration() {
+    let mut exact = 0;
+    for config in 0..CONFIGS {
+        let Run {
+            outcome: o,
+            reorders_or_duplicates,
+            ..
+        } = run_config(config);
+        let counted = o.delivered
+            + o.dropped_crash
+            + o.dropped_omission
+            + o.late
+            + o.no_link
+            + o.dropped_link_cut
+            + o.dropped_link_loss
+            + o.dropped_corrupt;
+        let copies = o.sent + o.duplicated;
+        assert!(counted <= copies, "config {config}: {o:?}");
+        let lost_in_flight = copies - counted;
+        if reorders_or_duplicates {
+            assert!(
+                lost_in_flight <= o.duplicated + o.reordered,
+                "config {config}: {o:?}"
+            );
+        } else {
+            assert_eq!(lost_in_flight, 0, "config {config}: {o:?}");
+            exact += 1;
+        }
+    }
+    assert_eq!(exact, 24, "configurations that pin the law exactly");
+}
+
 /// The recorded configurations actually exercise what they claim to.
 #[test]
 fn configurations_cover_every_disposition() {
-    let all: String = (0..CONFIGS).map(run_config).collect();
-    for needle in [
-        "Delivered",
-        "DroppedCrash",
-        "DroppedOmission",
-        "NoLink",
-        "LinkCut",
-        "LinkDropped",
-        "LinkDuplicated",
-        "LinkReordered",
-        "delivered: true",
-        "delivered: false",
-        "cause: Deadline",
-        "cause: DelayFault",
-        "2989", // 0xBAD: a garbled payload reached an inbox
+    let runs: Vec<Run> = (0..CONFIGS).map(run_config).collect();
+    let seen = |count: fn(&Outcome) -> usize| runs.iter().any(|r| count(&r.outcome) > 0);
+    for (counter, covered) in [
+        ("sent", seen(|o| o.sent)),
+        ("delivered", seen(|o| o.delivered)),
+        ("dropped_crash", seen(|o| o.dropped_crash)),
+        ("dropped_omission", seen(|o| o.dropped_omission)),
+        ("late", seen(|o| o.late)),
+        ("no_link", seen(|o| o.no_link)),
+        ("dropped_link_cut", seen(|o| o.dropped_link_cut)),
+        ("dropped_link_loss", seen(|o| o.dropped_link_loss)),
+        ("duplicated", seen(|o| o.duplicated)),
+        ("reordered", seen(|o| o.reordered)),
+        ("corrupted", seen(|o| o.corrupted)),
+        ("dropped_corrupt", seen(|o| o.dropped_corrupt)),
     ] {
-        assert!(all.contains(needle), "no configuration produced {needle}");
+        assert!(covered, "no configuration counted {counter}");
     }
+    // 0xBAD: a garbled payload reached an inbox.
+    assert!(runs.iter().any(|r| r.text.contains("2989")));
 }
 
 #[test]
 #[ignore = "prints the digest file; run by hand to re-record"]
 fn print_digests() {
-    println!("# config fnv1a(inboxes + Outcome + Trace); see golden_equivalence.rs");
+    println!("# config fnv1a(inboxes + Outcome); see golden_equivalence.rs");
     for line in digests() {
         println!("{line}");
     }
@@ -242,9 +307,7 @@ fn print_digests() {
 #[test]
 fn in_flight_at_the_final_round_is_lost() {
     let run = |links: LinkFaultPlan| {
-        let mut engine = RoundEngine::<u8>::new(Topology::complete(2), 1)
-            .with_link_faults(links)
-            .with_trace();
+        let mut engine = RoundEngine::<u8>::new(Topology::complete(2), 1).with_link_faults(links);
         let mut seen = 0usize;
         let outcome = engine.run_with(2, |i, ctx| {
             seen += ctx.inbox().len();
@@ -252,26 +315,16 @@ fn in_flight_at_the_final_round_is_lost() {
                 ctx.send(n(1), 7);
             }
         });
-        let delivered_events = engine
-            .trace()
-            .unwrap()
-            .count(|e| matches!(e, TraceEvent::Delivered { .. }));
-        (outcome, seen, delivered_events)
+        (outcome, seen)
     };
-    let (on_time, seen, events) = run(LinkFaultPlan::healthy());
-    assert_eq!(
-        (on_time.sent, on_time.delivered, seen, events),
-        (1, 1, 0, 1)
-    );
+    let (on_time, seen) = run(LinkFaultPlan::healthy());
+    assert_eq!((on_time.sent, on_time.delivered, seen), (1, 1, 0));
 
     // A window this wide draws a non-zero delay with probability 1000/1001.
     let held = LinkFaultPlan::healthy().with(n(0), n(1), LinkFaultKind::Reorder { window: 1000 });
-    let (held_out, seen, events) = run(held);
+    let (held_out, seen) = run(held);
     assert_eq!(held_out.reordered, 1, "seed-checked: a delay was drawn");
-    assert_eq!(
-        (held_out.sent, held_out.delivered, seen, events),
-        (1, 0, 0, 0)
-    );
+    assert_eq!((held_out.sent, held_out.delivered, seen), (1, 0, 0));
 }
 
 /// A message whose latency equals the deadline arrives exactly when the

@@ -52,8 +52,8 @@ pub use mesh::{
     RECONNECT_DELAY_CAP,
 };
 pub use runner::{
-    drive_mesh, run_channel, run_channel_with, run_kind_with, run_sim, run_sim_with, run_tcp,
-    run_tcp_with, MeshDriveOptions, NodeOutcome, NodeTracer, RunOptions, TransportRun,
+    drive_mesh, run_channel, run_kind_with, run_sim, run_tcp, MeshDriveOptions, NodeOutcome,
+    NodeTracer, RunOptions, TransportRun,
 };
 pub use sim::{RelaxedTiming, SimTransport, SimWorld};
 
@@ -100,7 +100,7 @@ pub trait Transport {
     /// A message sent and never followed by a `poll` may never leave.
     fn send(&mut self, to: NodeId, msg: ByzMsg<u64>);
 
-    /// [`send`](Self::send) with an attached causal [`TraceCtx`].
+    /// [`send`](Self::send) with an attached causal [`TraceCtx`](obs::TraceCtx).
     ///
     /// Tracing is observability, not protocol: the default implementation
     /// drops the context and delegates to `send`, so backends that cannot

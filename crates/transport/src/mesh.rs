@@ -765,7 +765,7 @@ impl MeshTransport {
     }
 
     /// Blocks until something can have changed, the round deadline passes
-    /// or [`WAIT_SLICE`] elapses, whichever is first — what a driver does
+    /// or `WAIT_SLICE` elapses, whichever is first — what a driver does
     /// on [`PollOutcome::Pending`] instead of sleeping blind. It only
     /// waits and reads: the next [`poll`](Transport::poll) acts on it.
     ///
@@ -973,7 +973,7 @@ impl Drop for MeshTransport {
     /// heard every live peer's last mark has nothing left to arrive and
     /// closes at once. One that ran to its end without — it closed the
     /// last round by deadline — keeps reading those peers until their
-    /// end-of-stream or [`LINGER`], so that a slow peer's late frames do
+    /// end-of-stream or `LINGER`, so that a slow peer's late frames do
     /// not meet a closed socket and bounce back as a reset.
     fn drop(&mut self) {
         let Wire::Tcp(tcp) = &mut self.wire else {

@@ -365,7 +365,7 @@ pub fn run_sim(
 }
 
 /// [`run_sim`] with explicit [`RunOptions`].
-pub fn run_sim_with(
+fn run_sim_with(
     instance: &ByzInstance,
     sender_value: Val,
     strategies: &BTreeMap<NodeId, Strategy<u64>>,
@@ -613,7 +613,7 @@ pub fn run_channel(
 }
 
 /// [`run_channel`] with explicit [`RunOptions`].
-pub fn run_channel_with(
+fn run_channel_with(
     instance: &ByzInstance,
     sender_value: Val,
     strategies: &BTreeMap<NodeId, Strategy<u64>>,
@@ -673,7 +673,7 @@ fn standing_mesh() -> MutexGuard<'static, Option<Vec<MeshTransport>>> {
 /// reconnected, gone or timed out — any other ending closes it, so a
 /// fresh mesh is the one recovery path and no frame of one instance can
 /// meet the next.
-pub fn run_tcp_with(
+fn run_tcp_with(
     instance: &ByzInstance,
     sender_value: Val,
     strategies: &BTreeMap<NodeId, Strategy<u64>>,

@@ -11,7 +11,7 @@
 use degradable::{check_degradable, run_protocol_with, BatchOptions, ByzInstance, Params, Val};
 use simnet::{
     FaultKind, FaultPlan, FaultSchedule, LinkFaultKind, LinkFaultPlan, NodeId, RoundEngine,
-    Topology, TraceEvent,
+    Topology,
 };
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -126,11 +126,13 @@ fn recovery_after_burst_is_clean_for_fresh_instances() {
 }
 
 #[test]
-fn drop_causes_are_attributed_distinctly_in_the_trace() {
-    // Node 1 crashes mid-run AND the 2->3 link is cut mid-run: the trace
-    // must attribute every lost message to exactly one explicit cause —
-    // node fault (DroppedCrash) or link fault (LinkCut) — never both, and
-    // the outcome counters must agree with the trace.
+fn drop_causes_are_attributed_distinctly() {
+    // Node 1 crashes mid-run AND the 2->3 link is cut mid-run: every lost
+    // message is counted under exactly one cause — node fault or link
+    // fault, never both — so the totals come out exact. N = 5 nodes
+    // broadcast for 3 rounds: 5 x 4 x 3 = 60 sends; node 1's rounds 1-2
+    // are crash drops (2 x 4), 2->3 in rounds 1-2 are cuts (2), and the
+    // other 50 are delivered.
     let schedule = FaultSchedule::healthy().then_from(1, crash_from(1, 0));
     let links = LinkFaultPlan::healthy().with(
         NodeId::new(2),
@@ -139,30 +141,36 @@ fn drop_causes_are_attributed_distinctly_in_the_trace() {
     );
     let mut engine = RoundEngine::<u64>::new(Topology::complete(5), 3)
         .with_fault_schedule(schedule)
-        .with_link_faults(links)
-        .with_trace();
-    let outcome = engine.run(3, |ctx| ctx.broadcast(ctx.me().index() as u64));
-    let trace = engine.trace().expect("tracing enabled");
+        .with_link_faults(links);
+    let mut inboxes = Vec::new();
+    let outcome = engine.run(3, |ctx| {
+        let heard: Vec<NodeId> = ctx.inbox().iter().map(|(src, _)| *src).collect();
+        inboxes.push((ctx.round(), ctx.me(), heard));
+        ctx.broadcast(ctx.me().index() as u64);
+    });
+    assert_eq!(outcome.sent, 60);
+    assert_eq!(outcome.dropped_crash, 8);
+    assert_eq!(outcome.dropped_link_cut, 2);
+    assert_eq!(outcome.delivered, 50);
+    assert_eq!(
+        outcome.sent,
+        outcome.delivered + outcome.dropped_crash + outcome.dropped_link_cut
+    );
 
-    let crashes = trace.count(|e| matches!(e, TraceEvent::DroppedCrash { .. }));
-    let cuts = trace.count(|e| matches!(e, TraceEvent::LinkCut { .. }));
-    assert_eq!(crashes, outcome.dropped_crash);
-    assert_eq!(cuts, outcome.dropped_link_cut);
-    assert!(crashes > 0 && cuts > 0);
-
-    for event in trace.events() {
-        match *event {
-            // Only the crashed node's sends are attributed to the crash.
-            TraceEvent::DroppedCrash { src, .. } => assert_eq!(src, NodeId::new(1)),
-            // Only the cut edge, only from its activation round — and a
-            // crashed sender's messages never reach the link layer, so
-            // they are not double-attributed here.
-            TraceEvent::LinkCut { round, src, dst } => {
-                assert_eq!((src, dst), (NodeId::new(2), NodeId::new(3)));
-                assert!(round >= 1);
-            }
-            _ => {}
+    let (node1, node2, node3) = (NodeId::new(1), NodeId::new(2), NodeId::new(3));
+    for (round, me, heard) in &inboxes {
+        // Round 0's inbox is empty; round 1's holds every round-0 send.
+        let expected = if *round == 0 { 0 } else { 4 };
+        let mut missing = 0;
+        if *round >= 2 && *me != node1 {
+            assert!(!heard.contains(&node1), "r{round} {me} heard node 1");
+            missing += 1;
         }
+        if *round >= 2 && *me == node3 {
+            assert!(!heard.contains(&node2), "r{round} node 3 heard node 2");
+            missing += 1;
+        }
+        assert_eq!(heard.len(), expected - missing, "r{round} {me}: {heard:?}");
     }
 }
 
