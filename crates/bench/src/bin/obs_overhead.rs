@@ -19,8 +19,9 @@
 //! The recorder's wall-clock cost is measured in one place only: the perf
 //! ledger's `obs.recorder_overhead_ratio` (`benchmark/`), on the real
 //! service path. This bin reads no clock, so its report is deterministic:
-//! bit-identical across `--workers 1/2/8` and across reruns. It is written
-//! to **`results/obs_overhead.json`** (override with `--out`).
+//! bit-identical across reruns. Every instance has one sender, so the
+//! resolve is one shard and `--workers` has nothing to split. The report
+//! is written to **`results/obs_overhead.json`** (override with `--out`).
 
 use degradable::analysis::message_complexity;
 use degradable::{run_batch, BatchInstance, BatchOptions, Params, Val};
@@ -53,9 +54,6 @@ fn main() {
     }
     let master_seed = args.seed_or(0xE20);
     let k = args.trials_or(16);
-    // The worker count parallelizes per-instance resolution inside the
-    // batch. It must not change any output.
-    let workers = args.workers_or(1);
 
     let params = Params::new(2, 2).expect("BYZ(2,2) is valid");
     assert!(params.admits(n), "--n must satisfy n >= 2m + u + 1 = 7");
@@ -73,8 +71,7 @@ fn main() {
         let seed = master_seed
             .wrapping_add(rep as u64)
             .wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        let options = || BatchOptions::new().workers(workers);
-        let plain = run_batch(params, n, &instances, &no_faults, seed, options())
+        let plain = run_batch(params, n, &instances, &no_faults, seed, BatchOptions::new())
             .expect("n >= 3m + 1, sender 0");
         let traced = run_batch(
             params,
@@ -82,7 +79,7 @@ fn main() {
             &instances,
             &no_faults,
             seed,
-            options().obs(&mut obs_rec),
+            BatchOptions::new().obs(&mut obs_rec),
         )
         .expect("n >= 3m + 1, sender 0");
         matched.push(traced.decisions == plain.decisions);

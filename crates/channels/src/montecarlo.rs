@@ -235,7 +235,7 @@ mod tests {
 
     #[test]
     fn results_are_worker_count_independent() {
-        let with_workers = |workers| {
+        let run_on = |workers| {
             run_monte_carlo(
                 deg(),
                 MonteCarloConfig {
@@ -246,9 +246,9 @@ mod tests {
                 },
             )
         };
-        let reference = with_workers(1);
-        assert_eq!(with_workers(2), reference);
-        assert_eq!(with_workers(8), reference);
+        let reference = run_on(1);
+        assert_eq!(run_on(2), reference);
+        assert_eq!(run_on(8), reference);
     }
 
     #[test]

@@ -4,7 +4,7 @@ use crate::args::{Command, SearchMethod, USAGE};
 use degradable::analysis::{min_nodes_table, tradeoffs, MinNodesCell};
 use degradable::{
     check_degradable, explain_receiver, AdversaryRun, ByzInstance, ExhaustiveSearch,
-    HillClimbSearch, Params, RandomizedSearch, Val, Verdict,
+    HillClimbSearch, Params, PathArena, RandomizedSearch, Val, Verdict,
 };
 use simnet::{vertex_connectivity, NodeId, Topology};
 use std::fmt::Write as _;
@@ -979,6 +979,11 @@ fn search_cmd(nodes: usize, m: usize, u: usize, below_bound: bool, method: Searc
         Ok(i) => i,
         Err(e) => return format!("error: {e}"),
     };
+    // Every search runs through the arena engine, whose shape limits
+    // (`n <= 64`, `u32` label ids) `ByzInstance` does not impose.
+    if let Err(e) = PathArena::check_shape(nodes, instance.sender(), instance.depth()) {
+        return format!("error: {e}");
+    }
     let faulty: std::collections::BTreeSet<NodeId> =
         (nodes.saturating_sub(u)..nodes).map(NodeId::new).collect();
     let domain = vec![Val::Default, Val::Value(1), Val::Value(2)];
@@ -1557,6 +1562,24 @@ mod tests {
         assert!(out.contains("no violating adversary"), "{out}");
     }
 
+    /// Past the arena's 64-node ceiling every method answers with one
+    /// error line (it used to panic inside the arena for the two
+    /// randomized ones), while `run` needs no arena and still decides.
+    #[test]
+    fn search_past_the_node_ceiling_is_an_error_not_a_panic() {
+        for method in [
+            SearchMethod::Exhaustive,
+            SearchMethod::Random,
+            SearchMethod::HillClimb,
+        ] {
+            let out = search_cmd(70, 1, 1, false, method);
+            assert!(out.starts_with("error: "), "{method:?}: {out}");
+            assert!(out.contains("n = 70"), "{method:?}: {out}");
+        }
+        let run = run_cmd(70, 1, 1, 7, &Default::default(), None, TransportKind::Sim);
+        assert!(run.contains("decided"), "{run}");
+    }
+
     #[test]
     fn table_renders() {
         let out = table_cmd(2, 3);
@@ -1623,10 +1646,10 @@ mod tests {
     fn sample_obs() -> obs::Obs {
         let mut o = obs::Obs::enabled();
         for (i, logical) in [(0u64, 5u64), (1, 7)] {
-            let t = o.span("eig.resolve_level", vec![("level", i)]);
+            let t = o.span("batch.resolve", vec![("instance", i)]);
             o.finish(t, logical);
         }
-        let t = o.span("eig.fill", vec![]);
+        let t = o.span("batch.fill", vec![]);
         o.finish(t, 3);
         o.add("eig.votes_evaluated", 12);
         o.gauge_max("sweep.queue_depth", 4);
@@ -1646,8 +1669,8 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
         assert!(out.contains("3 spans"), "{out}");
         // Sorted by total logical cost: the resolve group (12) first.
-        let resolve = out.find("eig.resolve_level").unwrap();
-        let fill = out.find("eig.fill").unwrap();
+        let resolve = out.find("batch.resolve").unwrap();
+        let fill = out.find("batch.fill").unwrap();
         assert!(resolve < fill, "{out}");
         assert!(out.contains("eig.votes_evaluated"), "{out}");
         assert!(out.contains("sweep.queue_depth"), "{out}");
@@ -1665,10 +1688,10 @@ mod tests {
         let trace = obs::parse_trace(&obs::jsonl(&o)).unwrap();
         let out = summarize_trace("t", &trace, 1);
         assert!(out.contains("top 1 of 2 span groups"), "{out}");
-        assert!(out.contains("eig.resolve_level"), "{out}");
+        assert!(out.contains("batch.resolve"), "{out}");
         // The smaller group is cut from the table (only the count line
         // and the table title may mention groups).
-        assert!(!out.contains("eig.fill"), "{out}");
+        assert!(!out.contains("batch.fill"), "{out}");
     }
 
     #[test]

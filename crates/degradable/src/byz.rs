@@ -193,7 +193,7 @@ impl ByzInstance {
     /// Runs BYZ via the arena-backed engine: decisions bit-identical to
     /// [`ByzInstance::run_reference`], evaluated iteratively with
     /// shared-prefix memoization (see [`crate::engine`]).
-    pub fn run_engine<V: Clone + Ord + Send + Sync>(
+    pub fn run_engine<V: Clone + Ord>(
         &self,
         engine: &crate::engine::EigEngine,
         sender_value: &AgreementValue<V>,

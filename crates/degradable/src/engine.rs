@@ -21,9 +21,9 @@
 //!   every internal label and **all receivers at once**, what each
 //!   receiver resolves it to. Subtrees that look identical to every
 //!   receiver collapse to a single memoized `VOTE(n-ℓ-m, n-ℓ)`
-//!   application instead of one per receiver; the fan-out within a level
-//!   is parallelized with `std::thread::scope` behind a `workers` knob
-//!   mirroring the harness `SweepRunner`.
+//!   application instead of one per receiver. The walk is sequential; the
+//!   crate's one parallel resolve shards whole instances by sender
+//!   ([`crate::service`]).
 //!
 //! # Memoization soundness
 //!
@@ -56,13 +56,13 @@
 //! (every label above the deepest level — 13 of 145 at N = 13), allocated
 //! once per resolve: `per`, label-major, what each receiver resolves a
 //! label to, and `shared`, the one value all of a label's receivers
-//! resolve it to when they agree (`None` when they do not). A worker
-//! chunk writes one disjoint slice of each. Leaves get no entry: the store
-//! is receiver-major, so what receiver `r` gathers at a parent of leaves
-//! is already one contiguous run of its column — the parent's children,
-//! less the one `r` relayed itself — and is read from there. No label
-//! and no vote allocates: the tables and one gather buffer per chunk are
-//! all the walk holds.
+//! resolve it to when they agree (`None` when they do not). Each level
+//! writes its own slice of both and reads the deeper ones. Leaves get no
+//! entry: the store is receiver-major, so what receiver `r` gathers at a
+//! parent of leaves is already one contiguous run of its column — the
+//! parent's children, less the one `r` relayed itself — and is read from
+//! there. No label and no vote allocates: the tables and one gather
+//! buffer per level are all the walk holds.
 
 #![cfg_attr(
     not(test),
@@ -73,7 +73,6 @@ use crate::eig::{Fabricate, VoteRule};
 use crate::path::{path_count, Path};
 use crate::value::AgreementValue;
 use crate::vote::{vote_scan, vote_two};
-use obs::Obs;
 use simnet::{EigPerf, NodeId};
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
@@ -202,20 +201,7 @@ impl PathArena {
     /// assume `n <= 64`; wider configurations come back as
     /// [`EngineError::TooManyNodes`] instead of a shift panic.
     pub fn try_new(n: usize, sender: NodeId, depth: usize) -> Result<Self, EngineError> {
-        if !(1..=64).contains(&n) {
-            return Err(EngineError::TooManyNodes { n });
-        }
-        if sender.index() >= n {
-            return Err(EngineError::SenderOutOfRange { sender, n });
-        }
-        if depth == 0 {
-            return Err(EngineError::ZeroDepth);
-        }
-        let expected: u128 = (1..=depth).map(|l| path_count(n, l)).sum();
-        if expected >= u32::MAX as u128 {
-            return Err(EngineError::ArenaOverflow { labels: expected });
-        }
-
+        let expected = Self::check_shape(n, sender, depth)?;
         let mask = u64::MAX >> (64 - n);
         let mut nodes = vec![ArenaNode {
             last: sender,
@@ -260,6 +246,25 @@ impl PathArena {
             nodes,
             levels,
         })
+    }
+
+    /// The checks of [`PathArena::try_new`] without building anything:
+    /// `Ok` with the label count iff an arena of this shape can exist.
+    pub fn check_shape(n: usize, sender: NodeId, depth: usize) -> Result<u128, EngineError> {
+        if !(1..=64).contains(&n) {
+            return Err(EngineError::TooManyNodes { n });
+        }
+        if sender.index() >= n {
+            return Err(EngineError::SenderOutOfRange { sender, n });
+        }
+        if depth == 0 {
+            return Err(EngineError::ZeroDepth);
+        }
+        let labels: u128 = (1..=depth).map(|l| path_count(n, l)).sum();
+        if labels >= u32::MAX as u128 {
+            return Err(EngineError::ArenaOverflow { labels });
+        }
+        Ok(labels)
     }
 
     /// System size.
@@ -471,8 +476,8 @@ pub struct EngineRun<V> {
     pub perf: EigPerf,
 }
 
-/// The arena-backed EIG engine: an interned [`PathArena`] plus a
-/// `workers` knob for the resolution fan-out.
+/// The arena-backed EIG engine: an interned [`PathArena`] and one
+/// sequential bottom-up walk over it.
 ///
 /// Build once per instance shape and reuse across runs — the arena
 /// depends only on `(n, sender, depth)`, never on values, fault sets or
@@ -497,12 +502,11 @@ pub struct EngineRun<V> {
 #[derive(Debug, Clone)]
 pub struct EigEngine {
     arena: PathArena,
-    workers: usize,
 }
 
 impl EigEngine {
-    /// Single-threaded engine for an `n`-node system with the given
-    /// sender and tree depth.
+    /// Engine for an `n`-node system with the given sender and tree
+    /// depth.
     ///
     /// # Panics
     ///
@@ -520,21 +524,7 @@ impl EigEngine {
     pub fn try_new(n: usize, sender: NodeId, depth: usize) -> Result<Self, EngineError> {
         Ok(EigEngine {
             arena: PathArena::try_new(n, sender, depth)?,
-            workers: 1,
         })
-    }
-
-    /// Sets the resolution worker count (0 is clamped to 1). Results
-    /// and deterministic counters are independent of this knob; only
-    /// wall time changes.
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = workers.max(1);
-        self
-    }
-
-    /// The configured worker count.
-    pub fn workers(&self) -> usize {
-        self.workers
     }
 
     /// Does nothing; kept so that existing callers still build. It used to
@@ -615,72 +605,27 @@ impl EigEngine {
 
     /// Fills a fresh store via [`EigEngine::fill`] and resolves it —
     /// the engine counterpart of [`crate::reference_eval`].
-    pub fn run<V: Clone + Ord + Send + Sync>(
+    pub fn run<V: Clone + Ord>(
         &self,
         rule: VoteRule,
         sender_value: &AgreementValue<V>,
         faulty: &BTreeSet<NodeId>,
         fabricate: Fabricate<'_, V>,
     ) -> EngineRun<V> {
-        self.run_observed(rule, sender_value, faulty, fabricate, &mut Obs::disabled())
-    }
-
-    /// [`EigEngine::run`] with observability: records an `eig.fill`
-    /// span (logical cost = slots materialized), the per-level resolve
-    /// spans of [`EigEngine::resolve_observed`], and the `eig.*`
-    /// registry counters. With a disabled recorder this is exactly
-    /// `run` — no clock reads beyond the `EigPerf` phase timings.
-    pub fn run_observed<V: Clone + Ord + Send + Sync>(
-        &self,
-        rule: VoteRule,
-        sender_value: &AgreementValue<V>,
-        faulty: &BTreeSet<NodeId>,
-        fabricate: Fabricate<'_, V>,
-        obs: &mut Obs,
-    ) -> EngineRun<V> {
-        let fill_timer = obs.span(
-            "eig.fill",
-            vec![
-                ("n", self.arena.n as u64),
-                ("depth", self.arena.depth as u64),
-            ],
-        );
         let fill_start = Instant::now();
         let mut store = EigStore::new(&self.arena);
         self.fill(&mut store, sender_value, faulty, fabricate);
         let fill_nanos = fill_start.elapsed().as_nanos() as u64;
-        obs.finish(fill_timer, store.materialized());
-        let mut run = self.resolve_observed(rule, &store, obs);
+        let mut run = self.resolve(rule, &store);
         run.perf.fill_nanos = fill_nanos;
         run
     }
 
     /// Bottom-up resolution of a filled store: what every receiver
-    /// resolves every internal label to, deepest level first, with the
-    /// fan-out within each level split across `workers` scoped threads.
-    /// Decisions and the deterministic counters are identical for every
-    /// worker count.
-    pub fn resolve<V: Clone + Ord + Send + Sync>(
-        &self,
-        rule: VoteRule,
-        store: &EigStore<V>,
-    ) -> EngineRun<V> {
-        self.resolve_observed(rule, store, &mut Obs::disabled())
-    }
-
-    /// [`EigEngine::resolve`] with observability: one
-    /// `eig.resolve_level` span per level (logical cost = votes
-    /// settled, i.e. evaluated + memo-hit — worker-count-independent)
-    /// and the run's [`EigPerf`] counters folded into the registry
-    /// under `eig.*` names.
-    pub fn resolve_observed<V: Clone + Ord + Send + Sync>(
-        &self,
-        rule: VoteRule,
-        store: &EigStore<V>,
-        obs: &mut Obs,
-    ) -> EngineRun<V> {
+    /// resolves every internal label to, deepest level first.
+    pub fn resolve<V: Clone + Ord>(&self, rule: VoteRule, store: &EigStore<V>) -> EngineRun<V> {
         let resolve_start = Instant::now();
-        let (decisions, votes_evaluated, votes_memo_hit) = self.walk(rule, store, obs);
+        let (decisions, votes_evaluated, votes_memo_hit) = self.walk(rule, store);
         let perf = EigPerf {
             arena_nodes: self.arena.node_count() as u64,
             votes_evaluated,
@@ -689,22 +634,18 @@ impl EigEngine {
             fill_nanos: 0,
             resolve_nanos: resolve_start.elapsed().as_nanos() as u64,
         };
-        if let Some(registry) = obs.registry_mut() {
-            perf.fold_into(registry);
-        }
         EngineRun { decisions, perf }
     }
 
     /// The one bottom-up walk: every receiver's decision, and the votes
     /// evaluated and memo-hit on the way. Results go to the two tables of
     /// the module docs, `per` and `shared`, indexed by the internal labels
-    /// (the ids below the deepest level's); the deepest level only gets
-    /// its span, since its labels are read from the store by their parents.
-    fn walk<V: Clone + Ord + Send + Sync>(
+    /// (the ids below the deepest level's); the deepest level is not
+    /// walked, since its labels are read from the store by their parents.
+    fn walk<V: Clone + Ord>(
         &self,
         rule: VoteRule,
         store: &EigStore<V>,
-        obs: &mut Obs,
     ) -> (BTreeMap<NodeId, AgreementValue<V>>, u64, u64) {
         let arena = &self.arena;
         let n = arena.n;
@@ -715,17 +656,9 @@ impl EigEngine {
         let mut votes_evaluated = 0u64;
         let mut votes_memo_hit = 0u64;
 
-        for level in (0..arena.levels.len()).rev() {
+        for level in (0..leaf_level).rev() {
             let range = arena.levels[level].clone();
             let (start, end) = (range.start as usize, range.end as usize);
-            let level_timer = obs.span(
-                "eig.resolve_level",
-                vec![("level", level as u64), ("width", (end - start) as u64)],
-            );
-            if level == leaf_level {
-                obs.finish(level_timer, 0);
-                continue;
-            }
             let (per_level, per_deeper) = per[start * n..].split_at_mut((end - start) * n);
             let (shared_level, shared_deeper) = shared[start..].split_at_mut(end - start);
             let below = Below {
@@ -737,37 +670,9 @@ impl EigEngine {
                 shared: shared_deeper,
                 first: end,
             };
-            let chunk_len = (end - start).div_ceil(self.workers).max(1);
-            let chunks = per_level
-                .chunks_mut(chunk_len * n)
-                .zip(shared_level.chunks_mut(chunk_len))
-                .enumerate()
-                .map(|(i, (per, shared))| (range.start + (i * chunk_len) as u32, per, shared));
-            let below = &below;
-            let chunk_stats: Vec<(u64, u64)> = if self.workers <= 1 || end - start <= chunk_len {
-                chunks
-                    .map(|(first_id, per, shared)| resolve_chunk(below, first_id, per, shared))
-                    .collect()
-            } else {
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = chunks
-                        .map(|(first_id, per, shared)| {
-                            scope.spawn(move || resolve_chunk(below, first_id, per, shared))
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
-                        .collect()
-                })
-            };
-            let mut level_votes = 0u64;
-            for (e, h) in chunk_stats {
-                votes_evaluated += e;
-                votes_memo_hit += h;
-                level_votes += e + h;
-            }
-            obs.finish(level_timer, level_votes);
+            let (evaluated, memo_hit) = resolve_level(&below, start, per_level, shared_level);
+            votes_evaluated += evaluated;
+            votes_memo_hit += memo_hit;
         }
 
         // The root's row; a root that is itself a leaf (depth 1) decides
@@ -786,9 +691,9 @@ impl EigEngine {
     }
 }
 
-/// What every chunk of one level reads: the store, the rule, and the level
-/// below — leaves, read from the store's columns, or internal labels, read
-/// from the walk's tables from id `first` on.
+/// What one level reads: the store, the rule, and the level below —
+/// leaves, read from the store's columns, or internal labels, read from
+/// the walk's tables from id `first` on.
 struct Below<'a, V> {
     arena: &'a PathArena,
     store: &'a EigStore<V>,
@@ -800,12 +705,12 @@ struct Below<'a, V> {
     first: usize,
 }
 
-/// Resolves the labels from `first_id` on, one per entry of `shared` and
-/// one `n`-wide row of `per` each. Returns `(votes_evaluated,
-/// votes_memo_hit)` for the chunk.
-fn resolve_chunk<V: Clone + Ord>(
+/// Resolves one level, whose labels start at id `first_id`: one entry of
+/// `shared` and one `n`-wide row of `per` each. Returns
+/// `(votes_evaluated, votes_memo_hit)` for the level.
+fn resolve_level<V: Clone + Ord>(
     below: &Below<'_, V>,
-    first_id: u32,
+    first_id: usize,
     per: &mut [AgreementValue<V>],
     shared: &mut [Option<AgreementValue<V>>],
 ) -> (u64, u64) {
@@ -814,10 +719,10 @@ fn resolve_chunk<V: Clone + Ord>(
     let vd = AgreementValue::Default;
     let mut votes_evaluated = 0u64;
     let mut votes_memo_hit = 0u64;
-    // One receiver's gather, reused by every vote of the chunk.
+    // One receiver's gather, reused by every vote of the level.
     let mut gather: Vec<AgreementValue<V>> = Vec::with_capacity(n);
 
-    for ((out, shared), id) in per.chunks_mut(n).zip(shared).zip(first_id as usize..) {
+    for ((out, shared), id) in per.chunks_mut(n).zip(shared).zip(first_id..) {
         let node = &arena.nodes[id];
         let len = node.len as usize;
 
@@ -1053,7 +958,7 @@ mod tests {
     }
 
     /// Differential micro-check: engine vs reference on a randomized
-    /// adversary, all worker counts, plus the vote-count invariant
+    /// adversary, plus the vote-count invariant
     /// evaluated + memo_hit == Σ_{l=1}^{depth-1} path_count(n, l)·(n-l).
     #[test]
     fn engine_matches_reference_and_counts_votes() {
@@ -1084,29 +989,21 @@ mod tests {
                 };
                 let reference =
                     run_eig_full(n, sender, depth, rule, &Val::Value(7), &faulty, &mut fab);
-                for workers in [1usize, 2, 8] {
-                    let engine = EigEngine::new(n, sender, depth).with_workers(workers);
-                    let mut fab = |path: &Path, r: NodeId, truthful: &Val| {
-                        strategies
-                            .get(&path.last())
-                            .map(|s| s.claim(path, r, truthful))
-                            .unwrap_or(*truthful)
-                    };
-                    let run = engine.run(rule, &Val::Value(7), &faulty, &mut fab);
-                    assert_eq!(run.decisions, reference.decisions, "n={n} depth={depth}");
-                    let total_votes: u128 =
-                        (1..depth).map(|l| path_count(n, l) * (n - l) as u128).sum();
-                    assert_eq!(
-                        (run.perf.votes_evaluated + run.perf.votes_memo_hit) as u128,
-                        total_votes,
-                        "vote accounting at n={n} depth={depth}"
-                    );
-                    let slots: u128 = (1..=depth)
-                        .map(|l| path_count(n, l) * (n - l) as u128)
-                        .sum();
-                    assert_eq!(run.perf.messages_materialized as u128, slots);
-                    assert_eq!(run.perf.arena_nodes, engine.arena().node_count() as u64);
-                }
+                let engine = EigEngine::new(n, sender, depth);
+                let run = engine.run(rule, &Val::Value(7), &faulty, &mut fab);
+                assert_eq!(run.decisions, reference.decisions, "n={n} depth={depth}");
+                let total_votes: u128 =
+                    (1..depth).map(|l| path_count(n, l) * (n - l) as u128).sum();
+                assert_eq!(
+                    (run.perf.votes_evaluated + run.perf.votes_memo_hit) as u128,
+                    total_votes,
+                    "vote accounting at n={n} depth={depth}"
+                );
+                let slots: u128 = (1..=depth)
+                    .map(|l| path_count(n, l) * (n - l) as u128)
+                    .sum();
+                assert_eq!(run.perf.messages_materialized as u128, slots);
+                assert_eq!(run.perf.arena_nodes, engine.arena().node_count() as u64);
             }
         }
     }
@@ -1126,75 +1023,6 @@ mod tests {
         let internal: u128 = (1..3).map(|l| path_count(7, l)).sum();
         assert_eq!(run.perf.votes_evaluated as u128, internal);
         assert!(run.perf.votes_memo_hit > 0);
-    }
-
-    fn observed_run(workers: usize) -> Obs {
-        let engine = EigEngine::new(5, NodeId::new(0), 3).with_workers(workers);
-        let faulty: BTreeSet<NodeId> = [NodeId::new(2)].into();
-        let mut fab = |_: &Path, r: NodeId, _: &Val| Val::Value(r.index() as u64);
-        let mut obs = Obs::enabled();
-        engine.run_observed(
-            VoteRule::Degradable { m: 1 },
-            &Val::Value(7),
-            &faulty,
-            &mut fab,
-            &mut obs,
-        );
-        obs
-    }
-
-    #[test]
-    fn observed_run_records_fill_and_level_spans_and_counters() {
-        let obs = observed_run(1);
-        let names: Vec<&str> = obs.spans().iter().map(|s| s.name.as_ref()).collect();
-        // One fill span, then one resolve span per level, deepest first.
-        assert_eq!(
-            names,
-            vec![
-                "eig.fill",
-                "eig.resolve_level",
-                "eig.resolve_level",
-                "eig.resolve_level"
-            ]
-        );
-        let fill = &obs.spans()[0];
-        let slots: u128 = (1..=3).map(|l| path_count(5, l) * (5 - l) as u128).sum();
-        assert_eq!(fill.logical as u128, slots, "fill logical = materialized");
-        // Level spans settle every vote exactly once.
-        let settled: u64 = obs.spans()[1..].iter().map(|s| s.logical).sum();
-        let total_votes: u128 = (1..3).map(|l| path_count(5, l) * (5 - l) as u128).sum();
-        assert_eq!(settled as u128, total_votes);
-        // Registry counters mirror EigPerf's deterministic counters.
-        let reg = obs.registry();
-        assert_eq!(
-            reg.counter("eig.votes_evaluated") + reg.counter("eig.votes_memo_hit"),
-            settled
-        );
-        assert_eq!(reg.counter("eig.messages_materialized") as u128, slots);
-        assert!(reg.counter("eig.arena_nodes") > 0);
-    }
-
-    #[test]
-    fn observed_output_is_worker_count_independent() {
-        let mut base = observed_run(1);
-        obs::scrub_timing(&mut base);
-        for workers in [2usize, 8] {
-            let mut other = observed_run(workers);
-            obs::scrub_timing(&mut other);
-            assert_eq!(base, other, "workers={workers}");
-        }
-    }
-
-    #[test]
-    fn workers_knob_is_observable_but_inert() {
-        let engine = EigEngine::new(4, NodeId::new(0), 2).with_workers(0);
-        assert_eq!(engine.workers(), 1, "zero clamps to one");
-        assert_eq!(
-            EigEngine::new(4, NodeId::new(0), 2)
-                .with_workers(8)
-                .workers(),
-            8
-        );
     }
 
     /// Random adversaries per shape: fault set, per-node strategies and
@@ -1222,8 +1050,7 @@ mod tests {
     }
 
     /// `with_packed_vote` is inert: decisions *and* deterministic counters
-    /// bit-identical to the plain engine over random adversaries, across
-    /// worker counts.
+    /// bit-identical to the plain engine over random adversaries.
     #[test]
     fn packed_vote_is_bit_identical_to_scalar() {
         let mut rng = SimRng::seed(0xB17B);
@@ -1232,8 +1059,8 @@ mod tests {
             let rule = VoteRule::Degradable { m };
             for _ in 0..8 {
                 let (faulty, strategies) = random_adversary(&mut rng, n, m);
-                let run_with = |packed: bool, workers: usize| {
-                    let mut engine = EigEngine::new(n, sender, depth).with_workers(workers);
+                let run_with = |packed: bool| {
+                    let mut engine = EigEngine::new(n, sender, depth);
                     if packed {
                         engine = engine.with_packed_vote();
                     }
@@ -1245,19 +1072,17 @@ mod tests {
                     };
                     engine.run(rule, &Val::Value(7), &faulty, &mut fab)
                 };
-                let scalar = run_with(false, 1);
-                for workers in [1usize, 3] {
-                    let packed = run_with(true, workers);
-                    assert_eq!(
-                        packed.decisions, scalar.decisions,
-                        "n={n} workers={workers} faulty={faulty:?}"
-                    );
-                    assert_eq!(
-                        packed.perf.deterministic_counters(),
-                        scalar.perf.deterministic_counters(),
-                        "n={n} workers={workers} faulty={faulty:?}"
-                    );
-                }
+                let scalar = run_with(false);
+                let packed = run_with(true);
+                assert_eq!(
+                    packed.decisions, scalar.decisions,
+                    "n={n} faulty={faulty:?}"
+                );
+                assert_eq!(
+                    packed.perf.deterministic_counters(),
+                    scalar.perf.deterministic_counters(),
+                    "n={n} faulty={faulty:?}"
+                );
             }
         }
     }
@@ -1293,31 +1118,5 @@ mod tests {
             packed.perf.deterministic_counters(),
             scalar.perf.deterministic_counters()
         );
-    }
-
-    /// `with_packed_vote` leaves the spans (names, args, logical costs) and
-    /// registry counters as they are: observability output is
-    /// knob-independent after timing scrub.
-    #[test]
-    fn packed_observed_output_matches_scalar() {
-        let run_obs = |packed: bool| {
-            let faulty: BTreeSet<NodeId> = [NodeId::new(2)].into();
-            let mut engine = EigEngine::new(5, NodeId::new(0), 3);
-            if packed {
-                engine = engine.with_packed_vote();
-            }
-            let mut fab = |_: &Path, r: NodeId, _: &Val| Val::Value(r.index() as u64);
-            let mut obs = Obs::enabled();
-            engine.run_observed(
-                VoteRule::Degradable { m: 1 },
-                &Val::Value(7),
-                &faulty,
-                &mut fab,
-                &mut obs,
-            );
-            obs::scrub_timing(&mut obs);
-            obs
-        };
-        assert_eq!(run_obs(true), run_obs(false));
     }
 }

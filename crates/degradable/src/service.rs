@@ -122,7 +122,7 @@ type NetworkHook<'a, V> =
 
 /// Everything optional about one simulated-network execution — the one
 /// options surface of [`run_batch`] and [`crate::run_protocol_with`].
-/// The default is a healthy network, one resolve worker, and nothing
+/// The default is a healthy network, one resolve shard, and nothing
 /// traced, observed or materialized.
 pub struct BatchOptions<'a, V> {
     network: Option<NetworkHook<'a, V>>,
@@ -160,8 +160,10 @@ impl<'a, V> BatchOptions<'a, V> {
         self
     }
 
-    /// Resolution threads per instance. Decisions, deterministic
-    /// counters and spans are independent of this knob.
+    /// Resolution shards: instances are resolved in parallel across this
+    /// many threads, sharded by sender, as [`ServiceConfig::workers`]
+    /// does per drain. Decisions, deterministic counters and spans are
+    /// independent of this knob; only wall time changes.
     pub fn workers(mut self, workers: usize) -> Self {
         self.workers = workers;
         self
@@ -237,9 +239,7 @@ pub(crate) fn run_unchecked<V: Clone + Ord + Hash + Send + Sync>(
 ) -> BatchRun<V> {
     let depth = params.rounds();
     let mut pool = Pool::new();
-    let mut lease = pool.lease(instances, |sender| {
-        EigEngine::new(n, sender, depth).with_workers(opts.workers)
-    });
+    let mut lease = pool.lease(instances, |sender| EigEngine::new(n, sender, depth));
     let mut net = RoundEngine::new(Topology::complete(n), seed);
     if let Some(setup) = opts.network {
         net = setup(net);
@@ -254,7 +254,7 @@ pub(crate) fn run_unchecked<V: Clone + Ord + Hash + Send + Sync>(
         opts.obs.unwrap_or(&mut Obs::disabled()),
         &pool.engines,
         &mut lease,
-        1,
+        opts.workers,
     );
     if let Some(out) = opts.views {
         *out = materialize_views(params, n, instances, &pool.engines, &lease);
@@ -384,9 +384,10 @@ impl<V> Pool<V> {
 /// the resolution is sharded *by sender* across worker threads — every
 /// instance of a sender resolves on the thread that owns its arena — and
 /// results are folded back in instance order, so decisions, deterministic
-/// counters and spans are independent of the shard count (the
-/// engine-internal level fan-out of [`EigEngine::with_workers`] covers
-/// the `shard_workers == 1` one-shot path instead).
+/// counters and spans are independent of the shard count. Both callers
+/// pass their `workers` ([`BatchOptions::workers`],
+/// [`ServiceConfig::workers`]) here; this is the crate's one parallel
+/// resolve.
 ///
 /// Inlined into its two callers on purpose: the service passes a constant
 /// `trace = None`, and a drain that keeps that check in the per-message

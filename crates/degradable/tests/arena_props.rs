@@ -144,12 +144,12 @@ proptest! {
     /// same envelopes in any order — with same-value duplicates sprinkled
     /// in — yields bit-identical decisions AND bit-identical deterministic
     /// perf counters (the memoization collapse never depends on arrival
-    /// order), for every worker count. The stores include what the
-    /// workloads never produce: whole absent subtrees (a silent or crashed
-    /// relayer, the sender included) and `depth ≥ n`, where the deepest
-    /// labels have no receivers. Every decision is the receiver's own fold
-    /// of its column ([`EigView::resolve`]), and the votes settled are one
-    /// per receiver of every label voted at.
+    /// order). The stores include what the workloads never produce: whole
+    /// absent subtrees (a silent or crashed relayer, the sender included)
+    /// and `depth ≥ n`, where the deepest labels have no receivers. Every
+    /// decision is the receiver's own fold of its column
+    /// ([`EigView::resolve`]), and the votes settled are one per receiver
+    /// of every label voted at.
     #[test]
     fn resolve_is_fill_order_independent(
         n in 2usize..10,
@@ -196,14 +196,11 @@ proptest! {
             }
         }
 
-        let resolve =
-            |store: &EigStore<u64>, workers: usize| engine.clone().with_workers(workers).resolve(rule, store);
-
         let mut store = EigStore::new(arena);
         for (id, r, v) in &envelopes {
             prop_assert!(store.record(arena, *id, *r, *v));
         }
-        let canonical = resolve(&store, 1);
+        let canonical = engine.resolve(rule, &store);
 
         let shuffled = {
             let mut order = envelopes.clone();
@@ -217,7 +214,7 @@ proptest! {
                     prop_assert!(!store.record(arena, *id, *r, *v));
                 }
             }
-            resolve(&store, 1)
+            engine.resolve(rule, &store)
         };
 
         prop_assert_eq!(&canonical.decisions, &shuffled.decisions);
@@ -225,14 +222,6 @@ proptest! {
             canonical.perf.deterministic_counters(),
             shuffled.perf.deterministic_counters()
         );
-        for workers in [2usize, 8] {
-            let wide = resolve(&store, workers);
-            prop_assert_eq!(&wide.decisions, &canonical.decisions);
-            prop_assert_eq!(
-                wide.perf.deterministic_counters(),
-                canonical.perf.deterministic_counters()
-            );
-        }
 
         for r in NodeId::all(n).filter(|&r| r != sender) {
             let mut view = EigView::new(n, depth, r);

@@ -38,7 +38,6 @@
 #![warn(missing_docs)]
 
 pub mod args;
-pub mod batch;
 pub mod executor;
 pub mod fuzz;
 pub mod report;
@@ -47,7 +46,6 @@ pub mod slo;
 pub mod sweep;
 
 pub use args::RunArgs;
-pub use batch::BatchScenario;
 pub use executor::{Executor, ProtocolExecutor, ReferenceExecutor, TransportExecutor};
 pub use fuzz::{
     fuzz, fuzz_trial, replay, run_plan, shrink, write_repro, ExecReport, FaultSpec, FuzzConfig,

@@ -1,6 +1,6 @@
-//! Golden-trace test for the observability layer: a tiny N = 4 engine
-//! run, observed and exported as a logical-clock Chrome trace, must be
-//! **bit-identical** at 1, 2, and 8 resolve workers once wall times are
+//! Golden-trace test for the observability layer: a tiny N = 4 batch,
+//! observed and exported as a logical-clock Chrome trace, must be
+//! **bit-identical** at 1, 2, and 8 resolve shards once wall times are
 //! scrubbed — the `--no-timing` contract, pinned against a checked-in
 //! snapshot.
 //!
@@ -10,28 +10,36 @@
 //! UPDATE_GOLDEN=1 cargo test --test obs_trace
 //! ```
 
-use degradable::{EigEngine, Path, Val, VoteRule};
+use degradable::{run_batch, BatchInstance, BatchOptions, Params, Strategy, Val};
 use obs::{chrome_trace_json, parse_trace, Obs, TimeMode};
 use simnet::NodeId;
-use std::collections::BTreeSet;
+use std::collections::BTreeMap;
 
 const GOLDEN_PATH: &str = "tests/golden/obs_trace_n4.json";
 
-/// The tiny deterministic scenario: N = 4, depth 2 (m = 1), node 2
-/// faulty with a receiver-dependent lie.
+/// The tiny deterministic scenario: BYZ(1, 1) at N = 4 with one instance
+/// per node as its sender — four arenas, so 2 and 8 workers resolve in
+/// shards — and node 2 two-faced.
 fn observed_n4_run(workers: usize) -> Obs {
-    let engine = EigEngine::new(4, NodeId::new(0), 2).with_workers(workers);
-    let faulty: BTreeSet<NodeId> = [NodeId::new(2)].into();
-    let mut fabricate = |_: &Path, receiver: NodeId, _: &Val| Val::Value(receiver.index() as u64);
+    let params = Params::new(1, 1).expect("u >= m");
+    let instances: Vec<BatchInstance<u64>> = (0..4)
+        .map(|i| BatchInstance {
+            sender: NodeId::new(i),
+            value: Val::Value(7 + i as u64),
+        })
+        .collect();
+    let two_faced = Strategy::TwoFaced {
+        even: Val::Value(1),
+        odd: Val::Value(2),
+    };
+    let strategies: BTreeMap<NodeId, Strategy<u64>> = [(NodeId::new(2), two_faced)].into();
     let mut obs = Obs::enabled();
-    let run = engine.run_observed(
-        VoteRule::Degradable { m: 1 },
-        &Val::Value(7),
-        &faulty,
-        &mut fabricate,
-        &mut obs,
+    let opts = BatchOptions::new().workers(workers).obs(&mut obs);
+    let run = run_batch(params, 4, &instances, &strategies, 0x0B5, opts).expect("N = 4 is valid");
+    assert!(
+        run.decisions.iter().all(|d| d.len() == 3),
+        "three receivers per instance"
     );
-    assert_eq!(run.decisions.len(), 3, "three fault-free receivers");
     obs
 }
 
