@@ -143,7 +143,8 @@ fn churn_cell(trial: usize, mut rng: SimRng, obs: &mut Obs) -> ChurnRow {
                     .with_corruptor(|msg: &BatchMsg<u64>, _| {
                         Some(BatchMsg {
                             instance: if msg.instance == 0 { 1 } else { msg.instance },
-                            path: msg.path.clone(),
+                            label: msg.label,
+                            root: msg.root,
                             value: msg.value,
                         })
                     })

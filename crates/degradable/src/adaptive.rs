@@ -21,7 +21,9 @@
 //! real scheduling), which mirrors how [`crate::spec`] is only attached to
 //! deterministic drivers.
 
+use crate::engine::PathArena;
 use crate::path::Path;
+use crate::service::BatchMsg;
 use crate::value::AgreementValue;
 use simnet::NodeId;
 use std::collections::BTreeMap;
@@ -227,23 +229,43 @@ pub fn adversary_by_id<V: Clone + Ord + Send + 'static>(
 /// by the adversary's claim (or absorbed when the adversary withholds —
 /// `None` reads as absence, the oral-message axiom).
 ///
-/// The engine does not expose the destination of an in-flight envelope, so
-/// the claim is keyed by the path's root — equivocation across receivers
-/// comes from per-link `Corrupt` flags, withholding/value choice from the
-/// adversary's observed state. Determinism: the engine invokes corruptors
-/// in its single-threaded delivery order derived from [`simnet::SimRng`].
+/// An envelope carries its relay path as a label in its root's arena
+/// ([`crate::service::BatchMsg`]) and the adversary reads [`Path`]s, so
+/// the corruptor decodes every label through the arena of shape
+/// `(n, depth)` rooted at the envelope's root, built the first time that
+/// root is seen and kept for the run. A label no such arena holds is
+/// passed on untouched (the fill reads it as absent). The engine does not
+/// expose the destination of an in-flight envelope, so the claim is
+/// addressed to the root — equivocation across receivers comes from
+/// per-link `Corrupt` flags, withholding/value choice from the
+/// adversary's observed state. The re-claimed envelope keeps its instance,
+/// root and label. Determinism: the engine invokes corruptors in its
+/// single-threaded delivery order derived from [`simnet::SimRng`].
 pub fn engine_corruptor<V: Clone + Ord + Send + 'static>(
+    n: usize,
+    depth: usize,
     mut adversary: Box<dyn AdaptiveAdversary<V>>,
-) -> impl FnMut(&crate::service::BatchMsg<V>, &mut simnet::SimRng) -> Option<crate::service::BatchMsg<V>>
-{
+) -> impl FnMut(&BatchMsg<V>, &mut simnet::SimRng) -> Option<BatchMsg<V>> {
+    let mut arenas: BTreeMap<NodeId, Option<PathArena>> = BTreeMap::new();
     move |msg, _rng| {
-        let round = msg.path.len();
-        adversary.observe(round, msg.path.last(), &msg.path, &msg.value);
+        let arena = arenas
+            .entry(msg.root)
+            .or_insert_with(|| PathArena::try_new(n, msg.root, depth).ok());
+        let Some(path) = arena
+            .as_ref()
+            .filter(|arena| msg.label.index() < arena.node_count())
+            .map(|arena| arena.resolve_path(msg.label))
+        else {
+            return Some(msg.clone());
+        };
+        let round = path.len();
+        adversary.observe(round, path.last(), &path, &msg.value);
         adversary
-            .claim(round, &msg.path, msg.path.sender(), &msg.value)
-            .map(|value| crate::service::BatchMsg {
+            .claim(round, &path, msg.root, &msg.value)
+            .map(|value| BatchMsg {
                 instance: msg.instance,
-                path: msg.path.clone(),
+                root: msg.root,
+                label: msg.label,
                 value,
             })
     }

@@ -360,7 +360,8 @@ mod tests {
                         .with_corruptor(|msg: &BatchMsg<u64>, _| {
                             Some(BatchMsg {
                                 instance: if msg.instance == 0 { 1 } else { msg.instance },
-                                path: msg.path.clone(),
+                                label: msg.label,
+                                root: msg.root,
                                 value: msg.value,
                             })
                         })
@@ -438,9 +439,11 @@ mod tests {
                     &mut Obs::disabled(),
                     |_, eng| {
                         eng.with_link_faults(plan.clone()).with_corruptor(
-                            crate::adaptive::engine_corruptor(crate::adaptive::adversary_by_id::<
-                                u64,
-                            >(0)),
+                            crate::adaptive::engine_corruptor(
+                                5,
+                                params().rounds(),
+                                crate::adaptive::adversary_by_id::<u64>(0),
+                            ),
                         )
                     },
                 )

@@ -70,7 +70,7 @@
 )]
 
 use crate::eig::{Fabricate, VoteRule};
-use crate::path::{path_count, Path};
+use crate::path::{admit_label, path_count, Arrival, Path};
 use crate::value::AgreementValue;
 use crate::vote::{vote_scan, vote_two};
 use simnet::{EigPerf, NodeId};
@@ -323,23 +323,74 @@ impl PathArena {
     /// Reconstructs the [`Path`] an id was interned from (the inverse
     /// of [`PathArena::intern`] — a parent-chain walk).
     pub fn resolve_path(&self, id: PathId) -> Path {
-        // Every label but the root appends one relayer; the root is the
-        // sender.
-        let mut rev = Vec::new();
+        // A label holds at most `n <= 64` distinct nodes: the chain is
+        // written back to front into the stack, the root's slot last.
+        let mut ids = [self.sender; 64];
+        let len = usize::from(self.nodes[id.index()].len);
         let mut cur = id;
-        while let Some(parent) = self.parent(cur) {
-            rev.push(self.nodes[cur.index()].last);
-            cur = parent;
+        for slot in ids[1..len].iter_mut().rev() {
+            *slot = self.nodes[cur.index()].last;
+            cur = PathId(self.nodes[cur.index()].parent);
         }
-        rev.into_iter()
-            .rev()
-            .fold(Path::root(self.sender), |path, nid| path.child(nid))
+        // Arena labels are repetition-free by construction.
+        #[allow(clippy::expect_used)]
+        Path::from_ids(&ids[..len]).expect("an arena label names no node twice")
     }
 
     /// The label `id` extends by its last relayer; `None` for the root.
     pub(crate) fn parent(&self, id: PathId) -> Option<PathId> {
         let parent = self.nodes[id.index()].parent;
         (parent != u32::MAX).then_some(PathId(parent))
+    }
+
+    /// The label `id` extended by relayer `j` — what
+    /// `intern(&resolve_path(id).child(j))` returns, in O(1): `None` where
+    /// [`Path::child`] would assert (`j` on the label) or the child would
+    /// be deeper than the tree, or `j` is not a node of the system.
+    #[inline]
+    pub(crate) fn child(&self, id: PathId, j: NodeId) -> Option<PathId> {
+        let node = &self.nodes[id.index()];
+        let j = j.index();
+        if j >= self.n || node.child_count == 0 || node.members >> j & 1 == 1 {
+            return None;
+        }
+        // Children are ordered by relayer over the nodes off the label.
+        let below = (node.members & ((1u64 << j) - 1)).count_ones();
+        Some(PathId(node.first_child + j as u32 - below))
+    }
+
+    /// [`crate::path::admit`] of the label `id`, read off its arena node:
+    /// whether honest `me`, closing `round`, accepts it from `src`.
+    #[inline]
+    pub(crate) fn admit(
+        &self,
+        id: PathId,
+        src: NodeId,
+        me: NodeId,
+        round: usize,
+    ) -> Option<Arrival> {
+        let node = &self.nodes[id.index()];
+        admit_label(
+            usize::from(node.len),
+            node.last,
+            self.on_path(id, me),
+            src,
+            round,
+        )
+    }
+
+    /// The nodes off the label `id`, ascending — the receivers of a relay
+    /// that goes out under it.
+    #[inline]
+    pub(crate) fn off_label(&self, id: PathId) -> impl Iterator<Item = NodeId> {
+        let mut free = !self.nodes[id.index()].members & self.mask;
+        std::iter::from_fn(move || {
+            (free != 0).then(|| {
+                let r = free.trailing_zeros() as usize;
+                free &= free - 1;
+                NodeId::new(r)
+            })
+        })
     }
 
     /// Whether `node` lies on the path `id` was interned from.
@@ -866,6 +917,53 @@ mod tests {
         // Out-of-range node.
         let foreign = Path::root(NodeId::new(0)).child(NodeId::new(9));
         assert_eq!(arena.intern(&foreign), None);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// The simulated network's inbox admits and relays arena labels,
+        /// not paths. Over random arenas — trees deeper than `n` included —
+        /// the label forms must agree with the path forms at every id: the
+        /// admission rule read off the arena node with
+        /// [`crate::path::admit`] of the decoded path, `child` with
+        /// interning the path's child (`None` exactly where `Path::child`
+        /// would assert, the child would be deeper than the tree, or the
+        /// relayer is not a node), and `off_label` with the nodes off the
+        /// path.
+        #[test]
+        fn label_admission_and_relay_agree_with_the_path_forms(
+            n in 3usize..9, depth in 1usize..6, sender in 0usize..8, seed in 0u64..100_000,
+        ) {
+            let arena = PathArena::new(n, NodeId::new(sender % n), depth);
+            let mut rng = SimRng::seed(seed);
+            let mut node = || NodeId::new(rng.below(n as u64) as usize);
+            for id in arena.ids() {
+                let path = arena.resolve_path(id);
+                for round in 0..=depth + 1 {
+                    let (src, me) = (node(), node());
+                    proptest::prop_assert_eq!(
+                        arena.admit(id, src, me, round),
+                        crate::path::admit(&path, src, me, round)
+                    );
+                    let (last, me) = (path.last(), node());
+                    proptest::prop_assert_eq!(
+                        arena.admit(id, last, me, round),
+                        crate::path::admit(&path, last, me, round)
+                    );
+                }
+                let off: Vec<NodeId> = NodeId::all(n).filter(|r| !path.contains(*r)).collect();
+                proptest::prop_assert_eq!(arena.off_label(id).collect::<Vec<_>>(), off);
+                for j in NodeId::all(n + 2) {
+                    let refused = path.contains(j) || path.len() == depth || j.index() >= n;
+                    let interned = (!path.contains(j))
+                        .then(|| arena.intern(&path.child(j)))
+                        .flatten();
+                    proptest::prop_assert_eq!(arena.child(id, j), interned);
+                    proptest::prop_assert_eq!(arena.child(id, j).is_none(), refused);
+                }
+            }
+        }
     }
 
     #[test]

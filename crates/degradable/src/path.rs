@@ -18,13 +18,19 @@
 //! * **what an honest node accepts** — [`Path::from_ids`] (the only way a
 //!   path is built from bytes), [`admit`] (the protocol half of the
 //!   paper's assumption (c): a receiver knows who sent it a message) and
-//!   [`is_label`] (the label exists in the instance's tree). The simulated
-//!   network's inbox ([`crate::service`]) and the sans-io machine
-//!   ([`crate::node`]) both call them; [`crate::spec`] restates them
-//!   independently, as the referee, and a property test holds the three
-//!   statements and [`crate::PathArena::intern`] to each other.
-//! * **whom it relays to** — `relay_fanout`, with the value each receiver
-//!   is told coming from `crate::adversary::claim_for`.
+//!   [`is_label`] (the label exists in the instance's tree). The sans-io
+//!   machine ([`crate::node`]) calls them on a [`Path`]; the simulated
+//!   network's inbox ([`crate::service`]) carries arena labels, which are
+//!   tree labels by construction, and calls [`admit`]'s rule on the facts
+//!   of the label's arena node; [`crate::spec`] restates them
+//!   independently, as the referee, and property tests hold the three
+//!   statements, [`crate::PathArena::intern`] and the arena's label form
+//!   of [`admit`] to each other.
+//! * **whom it relays to** — every node off the child label `path + [me]`:
+//!   `relay_fanout` over a [`Path`], the arena's O(1) child and member mask
+//!   over a label (held to [`Path::child`] by a property test in
+//!   `engine.rs`), with the value each receiver is told coming from
+//!   `crate::adversary::claim_for`.
 
 use serde::{Deserialize, Serialize};
 use simnet::NodeId;
@@ -226,10 +232,24 @@ pub enum Arrival {
 /// all is [`is_label`]'s question.
 #[inline]
 pub fn admit(path: &Path, src: NodeId, me: NodeId, round: usize) -> Option<Arrival> {
-    if path.len() > round || path.last() != src || path.contains(me) {
+    admit_label(path.len(), path.last(), path.contains(me), src, round)
+}
+
+/// [`admit`] over the three facts it reads of a label: its length, its
+/// last relayer, and whether the receiver is on it. The simulated
+/// network's inbox reads them off an arena node instead of a [`Path`].
+#[inline]
+pub(crate) fn admit_label(
+    len: usize,
+    last: NodeId,
+    holds_me: bool,
+    src: NodeId,
+    round: usize,
+) -> Option<Arrival> {
+    if len > round || last != src || holds_me {
         return None;
     }
-    Some(if path.len() == round {
+    Some(if len == round {
         Arrival::OnTime
     } else {
         Arrival::Late

@@ -26,18 +26,29 @@
 //! [`run_batch`], [`crate::run_protocol`] (a one-instance batch),
 //! [`crate::run_churn`] (one batch per epoch) and [`ServiceState`] (one
 //! batch per drain) all validate, record and relay through the same round
-//! closure. An honest node accepts an envelope only if its path ends in
-//! the true source (the engine stamps sources, so a faulty node cannot
-//! impersonate — assumption (c) of the paper), does not contain the
-//! receiver, is not from a future level — [`crate::path::admit`], the
-//! rule [`crate::NodeStateMachine`] applies too — and is rooted at the
-//! claimed instance's sender. Without the last check a Byzantine relayer can
-//! *re-tag* a genuine envelope with a different instance id
-//! (cross-instance spoofing); the resolution never reads foreign-rooted
-//! slots, but honest nodes would still relay the spoof and amplify it
-//! ([`BatchRun::spoofs_rejected`] counts the rejections). Anything else
-//! is dropped, which maps a protocol-confused faulty node onto the
-//! silent/absent case. Duplicated envelopes fold idempotently (first
+//! closure.
+//!
+//! A [`BatchMsg`] carries its relay path as a *label*: a root node and a
+//! [`PathId`] in the arena of that root's instances. Every label that
+//! decodes — the root has an arena in the batch and the id is one of its
+//! labels — is a label of that root's EIG tree by construction, so what
+//! [`crate::path::is_label`] asks of a wire path never needs asking here;
+//! a label that does not decode names nothing and is dropped. An honest
+//! node accepts a decoded label only if it ends in the true source (the
+//! engine stamps sources, so a faulty node cannot impersonate — assumption
+//! (c) of the paper), does not contain the receiver, and is not from a
+//! future level — [`crate::path::admit`], the rule
+//! [`crate::NodeStateMachine`] applies too, read off the label's arena
+//! node — and only if its root is the claimed instance's sender. Without
+//! the last check a Byzantine relayer can *re-tag* a genuine envelope with
+//! a different instance id (cross-instance spoofing); the resolution never
+//! reads foreign-rooted slots, but honest nodes would still relay the
+//! spoof and amplify it ([`BatchRun::spoofs_rejected`] counts the
+//! rejections). Anything else is dropped, which maps a protocol-confused
+//! faulty node onto the silent/absent case. A relay goes out under the
+//! label's child by the relayer, to the nodes off that child; only a
+//! faulty relayer's strategy, and a trace sink, ever see the label as a
+//! [`Path`]. Duplicated envelopes fold idempotently (first
 //! write per (instance, path, receiver) slot wins), envelopes that arrive
 //! late still fold as direct observations but are never relayed, and
 //! corruption reads as absence (oral-message axiom). Everything optional
@@ -59,9 +70,9 @@
 
 use crate::adversary::{claim_for, Strategy};
 use crate::eig::EigView;
-use crate::engine::{EigEngine, EigStore};
+use crate::engine::{EigEngine, EigStore, PathArena, PathId};
 use crate::params::Params;
-use crate::path::{admit, relay_fanout, Arrival, Path};
+use crate::path::{Arrival, Path};
 use crate::protocol::ByzMsg;
 use crate::spec::Step;
 use crate::value::AgreementValue;
@@ -88,13 +99,20 @@ pub struct BatchInstance<V> {
     pub value: AgreementValue<V>,
 }
 
-/// A multiplexed protocol message.
+/// A multiplexed protocol message. Its relay path travels as coordinates
+/// in the arena of the path's root: `label` is the path's [`PathId`] in the
+/// [`crate::engine::PathArena`] rooted at `root`, which every instance of
+/// that sender in the execution shares, so a receiver reads the label's
+/// length, last relayer and members off the arena instead of re-deriving
+/// an id from a [`Path`]. The wire ([`ByzMsg`]) still carries the `Path`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BatchMsg<V> {
     /// Which instance this envelope belongs to.
     pub instance: u32,
-    /// Relay path within that instance.
-    pub path: Path,
+    /// The node the relay path starts at.
+    pub root: NodeId,
+    /// The relay path, as an id in `root`'s arena.
+    pub label: PathId,
     /// Claimed value.
     pub value: AgreementValue<V>,
 }
@@ -171,10 +189,14 @@ impl<'a, V> BatchOptions<'a, V> {
 
     /// Receives `(instance, step)`, instances in input order: one
     /// [`Step::Deliver`] per inbox envelope claiming an instance of the
-    /// batch, *before* any validation (a cross-instance spoof is malformed
-    /// to the claimed instance's checker too: its path is rooted
-    /// elsewhere), and one [`Step::Close`] per instance × node × round, so
-    /// that a per-instance `SpecChecker` sees every phase tick.
+    /// batch, carrying the path its label decodes to, *before* any
+    /// validation (a cross-instance spoof is malformed to the claimed
+    /// instance's checker too: its path is rooted elsewhere), and one
+    /// [`Step::Close`] per instance × node × round, so that a per-instance
+    /// `SpecChecker` sees every phase tick. An envelope whose label does not
+    /// decode — a root with no arena in the batch, or an id past its
+    /// arena's labels, which neither honest code nor any corruptor in this
+    /// repository produces — is dropped untraced.
     pub fn trace(mut self, sink: &'a mut dyn FnMut(usize, Step<V>)) -> Self {
         self.trace = Some(sink);
         self
@@ -427,9 +449,15 @@ fn fill_and_resolve<V: Clone + Ord + Hash + Send + Sync>(
         ],
     );
     let fill_start = std::time::Instant::now();
+    // Every label of the fill is decoded under its root's arena: one per
+    // sender of the batch, looked up by root.
+    let mut arena_of_root: Vec<Option<&PathArena>> = vec![None; n];
+    for (inst, &e) in instances.iter().zip(engine_idx) {
+        arena_of_root[inst.sender.index()] = Some(engines[e].arena());
+    }
     // What a node's turn decides to relay, between its receive half and
     // its send half: one buffer for the whole fill, emptied by every turn.
-    let mut to_relay: Vec<(u32, Path, AgreementValue<V>)> = Vec::new();
+    let mut to_relay: Vec<(u32, PathId, AgreementValue<V>)> = Vec::new();
     let mut net = engine.run_with(depth + 1, |i, ctx| {
         let me = NodeId::new(i);
         let round = ctx.round();
@@ -446,9 +474,19 @@ fn fill_and_resolve<V: Clone + Ord + Hash + Send + Sync>(
                 if idx >= instances.len() {
                     continue; // no such instance: treated as absent
                 }
+                // A label that does not decode — a root with no arena in
+                // the batch, an id past its arena's labels — names no
+                // node of any tree here and is treated as absent. Every
+                // label that does is a label of its root's tree.
+                let Some(arena) = arena_of_root.get(msg.root.index()).copied().flatten() else {
+                    continue;
+                };
+                if msg.label.index() >= arena.node_count() {
+                    continue;
+                }
                 if let Some(trace) = trace.as_deref_mut() {
                     let msg = ByzMsg {
-                        path: msg.path.clone(),
+                        path: arena.resolve_path(msg.label),
                         value: msg.value.clone(),
                     };
                     let step = Step::Deliver {
@@ -459,37 +497,32 @@ fn fill_and_resolve<V: Clone + Ord + Hash + Send + Sync>(
                     };
                     trace(idx, step);
                 }
-                // The crate's one admission rule (`crate::path`), shared
-                // with `NodeStateMachine`: a path of level `< round` is an
-                // envelope the network delivered late (link reordering) —
-                // its relay slot has passed, but the direct observation is
-                // still genuine, so it folds into the store. Anything it
-                // refuses — impersonated or self-referential paths, or
-                // paths from a future level — is treated as absent.
-                let Some(arrival) = admit(&msg.path, src, me, round) else {
+                // The crate's one admission rule (`crate::path::admit`),
+                // shared with `NodeStateMachine`, on the label's arena
+                // node: a label of level `< round` is an envelope the
+                // network delivered late (link reordering) — its relay
+                // slot has passed, but the direct observation is still
+                // genuine, so it folds into the store. Anything it refuses
+                // — impersonated or self-referential labels, or labels
+                // from a future level — is treated as absent.
+                let Some(arrival) = arena.admit(msg.label, src, me, round) else {
                     continue;
                 };
                 // Cross-instance spoofing: the claimed instance pins the
-                // path root. A mismatched root is a re-tagged envelope
-                // and must read as absent *before* any recording, so a
-                // spoof never consumes relay bandwidth.
-                if msg.path.sender() != instances[idx].sender {
+                // root. A mismatched root is a re-tagged envelope and must
+                // read as absent *before* any recording, so a spoof never
+                // consumes relay bandwidth. Past this check `arena` is the
+                // claimed instance's own.
+                if msg.root != instances[idx].sender {
                     spoofs_rejected += 1;
                     continue;
                 }
-                let eng = &engines[engine_idx[idx]];
-                // `intern` decides `crate::path::is_label` on the way to
-                // the id the store needs: only labels of this instance's
-                // tree intern, and the resolution reads nothing else.
-                let Some(id) = eng.arena().intern(&msg.path) else {
-                    continue;
-                };
                 // First write wins: duplicated envelopes (link-level
                 // duplication, or a late copy overtaken by chaos) are
                 // discarded by the idempotent fold.
-                let fresh = stores[idx].record(eng.arena(), id, me, msg.value.clone());
+                let fresh = stores[idx].record(arena, msg.label, me, msg.value.clone());
                 if fresh && arrival == Arrival::OnTime && round < depth {
-                    to_relay.push((msg.instance, msg.path, msg.value));
+                    to_relay.push((msg.instance, msg.label, msg.value));
                 }
             }
         }
@@ -517,7 +550,8 @@ fn fill_and_resolve<V: Clone + Ord + Hash + Send + Sync>(
                             r,
                             BatchMsg {
                                 instance: idx as u32,
-                                path: root.clone(),
+                                root: me,
+                                label: PathId::ROOT,
                                 value: v,
                             },
                         );
@@ -525,23 +559,37 @@ fn fill_and_resolve<V: Clone + Ord + Hash + Send + Sync>(
                 }
             }
         } else {
-            for (instance, path, value) in to_relay.drain(..) {
-                let (child, receivers) = relay_fanout(&path, me, n);
-                for r in receivers {
-                    if let Some(v) = claim_for(strategy, &child, r, &value) {
+            for (instance, label, value) in to_relay.drain(..) {
+                let k = instance as usize;
+                let (root, arena) = (instances[k].sender, engines[engine_idx[k]].arena());
+                // An on-time label below the deepest level that `me` is
+                // off always has the child `me` relays it under.
+                let Some(child) = arena.child(label, me) else {
+                    continue;
+                };
+                // A faulty relayer's strategy reads the child label as a
+                // `Path`: decoded once per relay, never for an honest one.
+                let lie_path = strategy.map(|_| arena.resolve_path(child));
+                for r in arena.off_label(child) {
+                    let claimed = match &lie_path {
+                        Some(path) => claim_for(strategy, path, r, &value),
+                        None => Some(value.clone()),
+                    };
+                    if let Some(v) = claimed {
                         if !traced_sends.is_empty() {
                             let msg = ByzMsg {
-                                path: child.clone(),
+                                path: arena.resolve_path(child),
                                 value: v.clone(),
                             };
-                            traced_sends[instance as usize].push((r, msg));
+                            traced_sends[k].push((r, msg));
                         }
-                        inst_sent[instance as usize] += 1;
+                        inst_sent[k] += 1;
                         ctx.send(
                             r,
                             BatchMsg {
                                 instance,
-                                path: child.clone(),
+                                root,
+                                label: child,
                                 value: v,
                             },
                         );
@@ -1030,11 +1078,12 @@ mod tests {
     /// what a fault-free fill costs (DESIGN §5k). It must not grow
     /// silently.
     #[test]
-    fn an_envelope_occupies_at_most_56_bytes() {
+    fn an_envelope_occupies_at_most_40_bytes() {
         use std::mem::size_of;
+        // The wire's envelope still carries a `Path`.
         assert!(size_of::<Path>() <= 24, "{}", size_of::<Path>());
-        assert!(size_of::<BatchMsg<u64>>() <= 48);
-        assert!(size_of::<(NodeId, BatchMsg<u64>)>() <= 56);
+        assert!(size_of::<BatchMsg<u64>>() <= 32);
+        assert!(size_of::<(NodeId, BatchMsg<u64>)>() <= 40);
     }
 
     /// A healthy, unobserved batch on a valid shape.
@@ -1250,7 +1299,8 @@ mod tests {
                     .with_corruptor(|msg: &BatchMsg<u64>, _| {
                         Some(BatchMsg {
                             instance: (msg.instance + 1) % 2,
-                            path: msg.path.clone(),
+                            label: msg.label,
+                            root: msg.root,
                             value: msg.value,
                         })
                     })
