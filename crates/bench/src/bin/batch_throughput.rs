@@ -15,10 +15,9 @@
 //! Decisions must be bit-identical between the two, and the batch's
 //! total message count must equal the sequential sum (multiplexing is
 //! pure transport fusion). The report lands in
-//! **`BENCH_batch_throughput.json`** at the repo root (override with
-//! `--out`). Flags beyond the shared [`RunArgs`]: `--max-n N` caps the
-//! sweep (CI smoke uses `--max-n 8`), `--no-timing` drops wall columns
-//! and the wall gate so the report is bit-identical across
+//! `results/batch_throughput.json` (override with `--out`); `--max-n N`
+//! caps the sweep (CI smoke uses `--max-n 8`). It holds only
+//! deterministic counters, so it is bit-identical across
 //! `--workers 1/2/8`.
 //!
 //! Acceptance: zero decision mismatches between the two, and
@@ -27,21 +26,16 @@
 //! materialization: per trial, one-at-a-time execution materializes K
 //! arenas of interned path labels where the single-sender batch
 //! materializes exactly one, so at K = 16 the advantage is 16×
-//! (`arena_reuse_k16_x100`) — deterministic, enforced in every mode.
-//! Wall times are reported for the trajectory (`x_seq`) and not gated:
-//! end-to-end wall is dominated by the shared per-envelope transport
-//! cost, which the batch neither adds to nor removes, and CI wall clocks
-//! are noisy.
+//! (`arena_reuse_k16_x100`). The batch's wall-time advantage is the
+//! ledger's `service.batch_speedup` row (`benchmark/`).
 
 use degradable::adversary::Strategy;
 use degradable::{run_batch, run_protocol, BatchInstance, BatchOptions, ByzInstance, Params, Val};
 use harness::report::Table;
 use harness::{Report, RunArgs, SweepRunner};
-use obs::{Obs, TimeMode};
+use obs::Obs;
 use simnet::{EigPerf, NodeId, SimRng};
 use std::collections::BTreeMap;
-use std::path::Path;
-use std::time::Instant;
 
 /// One sweep cell: a BYZ(m,m) shape and a stream length.
 #[derive(Debug, Clone, Copy)]
@@ -60,8 +54,6 @@ struct Row {
     perf: EigPerf,
     arena_builds: usize,
     batch_sent: usize,
-    batch_nanos: u64,
-    seq_nanos: u64,
     mismatches: usize,
 }
 
@@ -75,15 +67,8 @@ impl Row {
         (self.k * self.trials) as f64 / self.arena_builds as f64
     }
 
-    fn speedup_seq(&self) -> f64 {
-        if self.batch_nanos == 0 {
-            return 0.0;
-        }
-        self.seq_nanos as f64 / self.batch_nanos as f64
-    }
-
-    fn cells(&self, timing: bool) -> Vec<String> {
-        let mut out = vec![
+    fn cells(&self) -> Vec<String> {
+        vec![
             self.m.to_string(),
             self.n.to_string(),
             self.k.to_string(),
@@ -94,19 +79,11 @@ impl Row {
             self.perf.messages_materialized.to_string(),
             self.perf.votes_evaluated.to_string(),
             self.perf.votes_memo_hit.to_string(),
-        ];
-        if timing {
-            out.push(self.batch_nanos.to_string());
-            out.push(self.seq_nanos.to_string());
-            out.push(format!("{:.2}", self.speedup_seq()));
-        } else {
-            out.extend(std::iter::repeat_n("-".to_string(), 3));
-        }
-        out
+        ]
     }
 }
 
-fn run_cell(cell: &Cell, trials: usize, timing: bool, mut rng: SimRng, obs: &mut Obs) -> Row {
+fn run_cell(cell: &Cell, trials: usize, mut rng: SimRng, obs: &mut Obs) -> Row {
     let span = obs.span(
         "bench.batch_cell",
         vec![
@@ -128,8 +105,6 @@ fn run_cell(cell: &Cell, trials: usize, timing: bool, mut rng: SimRng, obs: &mut
     let mut perf = EigPerf::default();
     let mut arena_builds = 0usize;
     let mut batch_sent = 0usize;
-    let mut batch_nanos = 0u64;
-    let mut seq_nanos = 0u64;
     let mut mismatches = 0usize;
 
     for _ in 0..trials {
@@ -148,11 +123,9 @@ fn run_cell(cell: &Cell, trials: usize, timing: bool, mut rng: SimRng, obs: &mut
             .collect();
         let seed = rng.below(u64::MAX);
 
-        let t0 = Instant::now();
         let opts = BatchOptions::new();
         let batch = run_batch(params, n, &instances, &strategies, seed, opts)
             .expect("n >= 3m + 1, sender 0");
-        let t1 = Instant::now();
         let single = ByzInstance::new(n, params, sender).expect("n >= 3m + 1");
         let mut seq_sent = 0usize;
         for (slot, inst) in instances.iter().enumerate() {
@@ -162,13 +135,8 @@ fn run_cell(cell: &Cell, trials: usize, timing: bool, mut rng: SimRng, obs: &mut
                 mismatches += 1;
             }
         }
-        let t2 = Instant::now();
         if batch.net.sent != seq_sent {
             mismatches += 1; // transport fusion must not change traffic
-        }
-        if timing {
-            batch_nanos += (t1 - t0).as_nanos() as u64;
-            seq_nanos += (t2 - t1).as_nanos() as u64;
         }
         perf.absorb(&batch.net.eig);
         arena_builds += batch.arena_builds;
@@ -188,8 +156,6 @@ fn run_cell(cell: &Cell, trials: usize, timing: bool, mut rng: SimRng, obs: &mut
         perf,
         arena_builds,
         batch_sent,
-        batch_nanos,
-        seq_nanos,
         mismatches,
     }
 }
@@ -197,25 +163,7 @@ fn run_cell(cell: &Cell, trials: usize, timing: bool, mut rng: SimRng, obs: &mut
 fn main() {
     println!("E16: batched agreement throughput — arena batch vs sequential run_protocol");
     let args = RunArgs::parse();
-    let mut max_n = 13usize;
-    let mut timing = true;
-    let mut raw = std::env::args().skip(1);
-    while let Some(arg) = raw.next() {
-        match arg.as_str() {
-            "--no-timing" => timing = false,
-            "--max-n" => {
-                if let Some(v) = raw.next().and_then(|v| v.parse().ok()) {
-                    max_n = v;
-                }
-            }
-            _ => {
-                if let Some(v) = arg.strip_prefix("--max-n=").and_then(|v| v.parse().ok()) {
-                    max_n = v;
-                }
-            }
-        }
-    }
-
+    let max_n = args.max_n_or(13);
     let master_seed = args.seed_or(0xE16);
     let trials = args.trials_or(8);
     let runner = SweepRunner::new(args.workers_or(1));
@@ -231,7 +179,7 @@ fn main() {
     }
     let mut obs_rec = Obs::enabled();
     let rows = runner.map_observed(master_seed, &cells, &mut obs_rec, |_, cell, rng, obs| {
-        run_cell(cell, trials, timing, rng, obs)
+        run_cell(cell, trials, rng, obs)
     });
 
     let mut total = EigPerf::default();
@@ -240,8 +188,6 @@ fn main() {
         total.absorb(&row.perf);
         mismatches += row.mismatches;
     }
-    obs::scrub_timing(&mut total);
-    let gate_row = rows.iter().find(|r| r.n == 13 && r.m == 2 && r.k == 16);
     let reuse_k16 = rows
         .iter()
         .filter(|r| r.k == 16)
@@ -259,16 +205,12 @@ fn main() {
         "messages",
         "votes_evaluated",
         "votes_memo_hit",
-        "batch_ns",
-        "seq_ns",
-        "x_seq",
     ];
     let mut report = Report::new("batch_throughput");
     report
         .set_meta("master_seed", master_seed)
         .set_meta("trials_per_cell", trials)
         .set_meta("max_n", max_n)
-        .set_meta("timing", timing)
         .set_metric("decision_mismatches", mismatches)
         .set_metric("arena_reuse_k16_x100", (reuse_k16 * 100.0).round() as u64)
         // The acceptance gate: interned path-label materializations,
@@ -277,56 +219,31 @@ fn main() {
             "materialization_advantage_k16_x100",
             (reuse_k16 * 100.0).round() as u64,
         )
-        .set_eig_perf(&total);
-    if timing {
-        if let Some(r) = gate_row {
-            report.set_metric(
-                "speedup_seq_n13_m2_k16_x100",
-                (r.speedup_seq() * 100.0).round() as u64,
-            );
-        }
-    }
-    report.set_obs_registry(obs_rec.registry());
-    report.add_table(Table::with_rows(
-        "arena batch vs sequential run_protocol \
-         (per-cell totals; timing columns '-' under --no-timing)",
-        &headers,
-        rows.iter().map(|r| r.cells(timing)).collect(),
-    ));
+        .set_eig_perf(&total)
+        .set_obs_registry(obs_rec.registry())
+        .add_table(Table::with_rows(
+            "arena batch vs sequential run_protocol (per-cell totals)",
+            &headers,
+            rows.iter().map(Row::cells).collect(),
+        ));
     report.print_tables();
     if let Some(trace_path) = args.trace_out_path() {
-        let mode = if timing {
-            TimeMode::Wall
-        } else {
-            obs::scrub_timing(&mut obs_rec);
-            TimeMode::Logical
-        };
-        match std::fs::write(trace_path, obs::chrome_trace_json(&obs_rec, mode)) {
+        match std::fs::write(trace_path, obs::chrome_trace_json(&obs_rec)) {
             Ok(()) => println!("\ntrace: {}", trace_path.display()),
             Err(e) => eprintln!("\ntrace write failed: {e}"),
         }
     }
-    let default_out = Path::new("BENCH_batch_throughput.json");
-    let out = args.out_path().unwrap_or(default_out);
-    match report.write(Some(out)) {
+    match report.write(args.out_path()) {
         Ok(path) => println!("\nreport: {}", path.display()),
         Err(e) => eprintln!("\nreport write failed: {e}"),
     }
 
     // Gates: decisions and the >=2x materialization advantage, both
-    // deterministic. Wall time is reported, not gated.
-    let reuse_ok = reuse_k16 >= 2.0;
-    if mismatches == 0 && reuse_ok {
-        match gate_row.map(Row::speedup_seq) {
-            Some(s) if timing => println!(
-                "\nRESULT: batch and sequential bit-identical, {reuse_k16:.0}x arena reuse \
-                 at K=16, {s:.2}x vs sequential at N=13 m=2 K=16"
-            ),
-            _ => println!(
-                "\nRESULT: batch and sequential bit-identical, {reuse_k16:.0}x arena reuse \
-                 at K=16 (timing suppressed)"
-            ),
-        }
+    // deterministic.
+    if mismatches == 0 && reuse_k16 >= 2.0 {
+        println!(
+            "\nRESULT: batch and sequential bit-identical, {reuse_k16:.0}x arena reuse at K=16"
+        );
     } else {
         println!("\nRESULT: FAIL (mismatches={mismatches}, reuse_k16={reuse_k16:.1})");
         std::process::exit(1);

@@ -31,7 +31,7 @@ use degradable::{
 };
 use harness::report::Table;
 use harness::{ChaosConfig, ProtocolExecutor, Report, RunArgs, Scenario, SweepRunner};
-use obs::{Obs, TimeMode};
+use obs::Obs;
 use simnet::linkfault::Partition;
 use simnet::{vertex_connectivity, NodeId};
 use std::collections::BTreeMap;
@@ -348,12 +348,7 @@ fn main() {
     report.set_obs_registry(obs_rec.registry());
     report.print_tables();
     if let Some(trace_path) = args.trace_out_path() {
-        // Logical timestamps keep the file deterministic; wall times ride
-        // along in span args for anyone who wants them.
-        match std::fs::write(
-            trace_path,
-            obs::chrome_trace_json(&obs_rec, TimeMode::Logical),
-        ) {
+        match std::fs::write(trace_path, obs::chrome_trace_json(&obs_rec)) {
             Ok(()) => println!("\ntrace: {}", trace_path.display()),
             Err(e) => eprintln!("\ntrace write failed: {e}"),
         }

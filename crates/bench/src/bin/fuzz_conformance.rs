@@ -34,9 +34,7 @@
 //! Flags beyond the shared [`RunArgs`]:
 //!
 //! * `--max-n N` — cluster-size ceiling for generated plans (CI trims);
-//! * `--mutant-budget B` — executions in the mutant gate;
-//! * `--no-timing` — logical-clock trace under `--trace-out`, wall
-//!   times scrubbed from the obs registry.
+//! * `--mutant-budget B` — executions in the mutant gate.
 //!
 //! The report contains no worker-count field and only deterministic
 //! counters (plan coverage, violation counts, spoof counts) — it is
@@ -49,7 +47,7 @@ use degradable::{BatchInstance, BatchMsg, EpochPlan, Params, Val};
 use harness::fuzz::{FaultSpec, FuzzConfig, FuzzFailure, Mutation, TrialReport, ALL_MUTATIONS};
 use harness::report::Table;
 use harness::{Report, RunArgs, SweepRunner};
-use obs::{Obs, TimeMode};
+use obs::Obs;
 use simnet::{LinkFaultKind, LinkFaultPlan, NodeId, SimRng};
 use std::collections::BTreeMap;
 
@@ -171,34 +169,18 @@ fn main() {
     let budget = args.trials_or(200);
     let runner = SweepRunner::new(args.workers_or(4));
 
-    // Binary-specific flags (RunArgs skips what it does not recognize).
-    let mut max_n = 9usize;
+    let max_n = args.max_n_or(9);
+    // The one flag beyond RunArgs (which skips what it does not recognize).
     let mut mutant_budget = 24usize;
-    let mut timing = true;
     let mut raw = std::env::args().skip(1);
     while let Some(arg) = raw.next() {
-        match arg.as_str() {
-            "--no-timing" => timing = false,
-            "--max-n" => {
-                if let Some(v) = raw.next().and_then(|v| v.parse().ok()) {
-                    max_n = v;
-                }
-            }
-            "--mutant-budget" => {
-                if let Some(v) = raw.next().and_then(|v| v.parse().ok()) {
-                    mutant_budget = v;
-                }
-            }
-            _ => {
-                if let Some(v) = arg.strip_prefix("--max-n=").and_then(|v| v.parse().ok()) {
-                    max_n = v;
-                } else if let Some(v) = arg
-                    .strip_prefix("--mutant-budget=")
-                    .and_then(|v| v.parse().ok())
-                {
-                    mutant_budget = v;
-                }
-            }
+        let value = match arg.strip_prefix("--mutant-budget=") {
+            Some(v) => Some(v.to_string()),
+            None if arg == "--mutant-budget" => raw.next(),
+            None => None,
+        };
+        if let Some(v) = value.and_then(|v| v.parse().ok()) {
+            mutant_budget = v;
         }
     }
 
@@ -363,19 +345,11 @@ fn main() {
                 "sent",
             ],
             churn_table_rows,
-        ));
-    if !timing {
-        obs::scrub_timing(&mut obs_rec);
-    }
-    report.set_obs_registry(obs_rec.registry());
+        ))
+        .set_obs_registry(obs_rec.registry());
     report.print_tables();
     if let Some(trace_path) = args.trace_out_path() {
-        let mode = if timing {
-            TimeMode::Wall
-        } else {
-            TimeMode::Logical
-        };
-        match std::fs::write(trace_path, obs::chrome_trace_json(&obs_rec, mode)) {
+        match std::fs::write(trace_path, obs::chrome_trace_json(&obs_rec)) {
             Ok(()) => println!("\ntrace: {}", trace_path.display()),
             Err(e) => eprintln!("\ntrace write failed: {e}"),
         }

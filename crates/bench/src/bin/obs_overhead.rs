@@ -27,7 +27,7 @@ use degradable::analysis::message_complexity;
 use degradable::{run_batch, BatchInstance, BatchOptions, Params, Val};
 use harness::report::Table;
 use harness::{Report, RunArgs, SloSpec};
-use obs::{Obs, TimeMode};
+use obs::Obs;
 use simnet::NodeId;
 use std::collections::BTreeMap;
 
@@ -87,9 +87,6 @@ fn main() {
 
     let mismatches = matched.iter().filter(|ok| !**ok).count();
     obs_rec.add("e20.decision_mismatches", mismatches as u64);
-    // Span walls are the recorder's only clock reading; this report does
-    // not use them.
-    obs::scrub_timing(&mut obs_rec);
 
     // The SLO contract this cell promises, evaluated over the merged
     // traced registry (reps × k fault-free instances). Fault-free, every
@@ -129,7 +126,7 @@ fn main() {
     report.print_tables();
 
     if let Some(trace_path) = args.trace_out_path() {
-        let trace = obs::chrome_trace_json(&obs_rec, TimeMode::Logical);
+        let trace = obs::chrome_trace_json(&obs_rec);
         match std::fs::write(trace_path, trace) {
             Ok(()) => println!("\ntrace: {}", trace_path.display()),
             Err(e) => eprintln!("\ntrace write failed: {e}"),

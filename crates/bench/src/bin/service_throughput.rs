@@ -14,13 +14,13 @@
 //! the one-shot [`degradable::run_batch`] oracle on identical inputs as
 //! a live decision-equivalence sample.
 //!
-//! The report lands in **`BENCH_service_throughput.json`** at the repo
-//! root (override with `--out`). Flags beyond the shared
-//! [`RunArgs`]: `--max-n N` caps the sweep (CI smoke), `--no-timing`
-//! drops the wall columns so the report is bit-identical across
+//! The report lands in `results/service_throughput.json` (override with
+//! `--out`); `--max-n N` caps the sweep (CI smoke). It holds only
+//! deterministic counters, so it is bit-identical across
 //! `--workers 1/2/8` (the worker count is the service's resolve shard
 //! count; decisions and counters are worker-count-independent by
-//! construction).
+//! construction). Sustained decisions per second are the ledger's
+//! `svc_*` workloads (`decisions_per_s`, `benchmark/`).
 //!
 //! Acceptance (declarative [`SloSpec`], recorded in the report):
 //! arena reuse ≥ 95 % of pool requests after warmup (measured window —
@@ -36,11 +36,9 @@ use degradable::{
 };
 use harness::report::Table;
 use harness::{Report, RunArgs, SloSpec, SweepRunner};
-use obs::{Obs, TimeMode};
+use obs::Obs;
 use simnet::NodeId;
 use std::collections::BTreeMap;
-use std::path::Path;
-use std::time::Instant;
 
 /// One sweep cell: a BYZ(m,m) shape and its in-flight target.
 #[derive(Debug, Clone, Copy)]
@@ -73,21 +71,12 @@ struct Row {
     logical: (u64, u64),
     /// `(min, max)` messages sent per instance.
     messages: (u64, u64),
-    wall_nanos: u64,
     mismatches: usize,
 }
 
 impl Row {
-    /// Sustained decisions per second over the measured waves.
-    fn rate(&self) -> f64 {
-        if self.wall_nanos == 0 {
-            return 0.0;
-        }
-        self.decided as f64 * 1e9 / self.wall_nanos as f64
-    }
-
-    fn cells(&self, timing: bool) -> Vec<String> {
-        let mut out = vec![
+    fn cells(&self) -> Vec<String> {
+        vec![
             self.m.to_string(),
             self.n.to_string(),
             self.in_flight.to_string(),
@@ -100,18 +89,11 @@ impl Row {
             self.logical.1.to_string(),
             self.messages.0.to_string(),
             self.messages.1.to_string(),
-        ];
-        if timing {
-            out.push(self.wall_nanos.to_string());
-            out.push(format!("{:.0}", self.rate()));
-        } else {
-            out.extend(std::iter::repeat_n("-".to_string(), 2));
-        }
-        out
+        ]
     }
 }
 
-fn run_cell(cell: &Cell, workers: usize, seed: u64, timing: bool, obs: &mut Obs) -> Row {
+fn run_cell(cell: &Cell, workers: usize, seed: u64, obs: &mut Obs) -> Row {
     let Cell { m, n, in_flight } = *cell;
     let params = Params::new(m, m).expect("u = m is valid");
     let config = ServiceConfig {
@@ -149,7 +131,6 @@ fn run_cell(cell: &Cell, workers: usize, seed: u64, timing: bool, obs: &mut Obs)
     // per-shape extremes before everything merges into the report.
     let mut local = Obs::enabled();
     let mut mismatches = 0usize;
-    let t0 = Instant::now();
     for wave_idx in 0..MEASURED_WAVES {
         let wave = offer_wave(&mut svc);
         let drain_seed = seed ^ (wave_idx as u64 + 1);
@@ -163,11 +144,6 @@ fn run_cell(cell: &Cell, workers: usize, seed: u64, timing: bool, obs: &mut Obs)
             }
         }
     }
-    let wall_nanos = if timing {
-        t0.elapsed().as_nanos() as u64
-    } else {
-        0
-    };
 
     let stats = svc.stats();
     let extremes = |name: &str| {
@@ -193,7 +169,6 @@ fn run_cell(cell: &Cell, workers: usize, seed: u64, timing: bool, obs: &mut Obs)
         shed: stats.shed,
         logical,
         messages,
-        wall_nanos,
         mismatches,
     }
 }
@@ -201,25 +176,7 @@ fn run_cell(cell: &Cell, workers: usize, seed: u64, timing: bool, obs: &mut Obs)
 fn main() {
     println!("E21: persistent service throughput — pooled ServiceState under sustained load");
     let args = RunArgs::parse();
-    let mut max_n = 13usize;
-    let mut timing = true;
-    let mut raw = std::env::args().skip(1);
-    while let Some(arg) = raw.next() {
-        match arg.as_str() {
-            "--no-timing" => timing = false,
-            "--max-n" => {
-                if let Some(v) = raw.next().and_then(|v| v.parse().ok()) {
-                    max_n = v;
-                }
-            }
-            _ => {
-                if let Some(v) = arg.strip_prefix("--max-n=").and_then(|v| v.parse().ok()) {
-                    max_n = v;
-                }
-            }
-        }
-    }
-
+    let max_n = args.max_n_or(13);
     let master_seed = args.seed_or(0xE21);
     let workers = args.workers_or(1);
     let runner = SweepRunner::new(workers);
@@ -238,7 +195,7 @@ fn main() {
         master_seed,
         &cells,
         &mut obs_rec,
-        |_, cell, mut rng, obs| run_cell(cell, workers, rng.below(u64::MAX), timing, obs),
+        |_, cell, mut rng, obs| run_cell(cell, workers, rng.below(u64::MAX), obs),
     );
 
     let mismatches: usize = rows.iter().map(|r| r.mismatches).sum();
@@ -251,9 +208,6 @@ fn main() {
             .checked_div(requests)
             .unwrap_or(0)
     };
-    if !timing {
-        obs::scrub_timing(&mut obs_rec);
-    }
 
     // The declarative contract: pooling holds in the steady state, the
     // queue never sheds (waves are sized to capacity), the oracle never
@@ -283,52 +237,37 @@ fn main() {
         .set_meta("master_seed", master_seed)
         .set_meta("max_n", max_n)
         .set_meta("measured_waves", MEASURED_WAVES)
-        .set_meta("timing", timing)
         .set_metric("decision_mismatches", mismatches)
         .set_metric("instances_decided", decided)
-        .set_metric("arena_reuse_measured_x100", arena_reuse_x100);
-    if timing {
-        let peak = rows.iter().map(Row::rate).fold(0.0f64, f64::max);
-        report.set_metric("peak_instances_per_sec", peak.round() as u64);
-    }
-    report.set_obs_registry(obs_rec.registry());
-    report.set_slo(slo);
-    report.add_table(Table::with_rows(
-        "persistent service, measured waves after one warmup wave \
-         (timing columns '-' under --no-timing)",
-        &[
-            "m",
-            "n",
-            "in_flight",
-            "decided",
-            "arena_builds",
-            "arena_reuses",
-            "store_reuses",
-            "shed",
-            "min_logical",
-            "max_logical",
-            "min_msgs",
-            "max_msgs",
-            "wall_ns",
-            "inst_per_sec",
-        ],
-        rows.iter().map(|r| r.cells(timing)).collect(),
-    ));
+        .set_metric("arena_reuse_measured_x100", arena_reuse_x100)
+        .set_obs_registry(obs_rec.registry())
+        .set_slo(slo)
+        .add_table(Table::with_rows(
+            "persistent service, measured waves after one warmup wave",
+            &[
+                "m",
+                "n",
+                "in_flight",
+                "decided",
+                "arena_builds",
+                "arena_reuses",
+                "store_reuses",
+                "shed",
+                "min_logical",
+                "max_logical",
+                "min_msgs",
+                "max_msgs",
+            ],
+            rows.iter().map(Row::cells).collect(),
+        ));
     report.print_tables();
     if let Some(trace_path) = args.trace_out_path() {
-        let mode = if timing {
-            TimeMode::Wall
-        } else {
-            TimeMode::Logical
-        };
-        match std::fs::write(trace_path, obs::chrome_trace_json(&obs_rec, mode)) {
+        match std::fs::write(trace_path, obs::chrome_trace_json(&obs_rec)) {
             Ok(()) => println!("\ntrace: {}", trace_path.display()),
             Err(e) => eprintln!("\ntrace write failed: {e}"),
         }
     }
-    let default_out = Path::new("BENCH_service_throughput.json");
-    let out = args.out_path().unwrap_or(default_out);
-    match report.write(Some(out)) {
+    match report.write(args.out_path()) {
         Ok(path) => println!("\nreport: {}", path.display()),
         Err(e) => eprintln!("\nreport write failed: {e}"),
     }

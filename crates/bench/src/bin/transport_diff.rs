@@ -23,9 +23,7 @@
 //!
 //! Flags beyond the shared [`RunArgs`]:
 //!
-//! * `--max-n N` — cap the backend sweep's node count (CI smoke trims);
-//! * `--no-timing` — logical-clock trace under `--trace-out`, wall times
-//!   scrubbed from the obs registry.
+//! * `--max-n N` — cap the backend sweep's node count (CI smoke trims).
 //!
 //! The report contains no worker-count field and only deterministic
 //! counters (decisions, keyed-chaos signatures, simulator false-timeout
@@ -40,7 +38,7 @@ use degradable::{
 };
 use harness::report::Table;
 use harness::{Report, RunArgs, SweepRunner};
-use obs::{Obs, TimeMode};
+use obs::Obs;
 use simnet::{LinkFaultKind, LinkFaultPlan, NodeId};
 use std::collections::BTreeMap;
 use transport::{
@@ -307,25 +305,7 @@ fn main() {
     let trials = args.trials_or(8);
     let runner = SweepRunner::new(args.workers_or(4));
 
-    // Binary-specific flags (RunArgs skips what it does not recognize).
-    let mut max_n = 9usize;
-    let mut timing = true;
-    let mut raw = std::env::args().skip(1);
-    while let Some(arg) = raw.next() {
-        match arg.as_str() {
-            "--no-timing" => timing = false,
-            "--max-n" => {
-                if let Some(v) = raw.next().and_then(|v| v.parse().ok()) {
-                    max_n = v;
-                }
-            }
-            _ => {
-                if let Some(v) = arg.strip_prefix("--max-n=").and_then(|v| v.parse().ok()) {
-                    max_n = v;
-                }
-            }
-        }
-    }
+    let max_n = args.max_n_or(9);
 
     // Campaign 1: backend sweep over every shape and plan.
     let diff_cells: Vec<DiffCell> = SHAPES
@@ -388,19 +368,11 @@ fn main() {
             "backend sweep: sim vs channel vs loopback TCP (keyed chaos, shared seed)",
             &diff_headers,
             diff_rows.iter().map(|r| r.cells.clone()).collect(),
-        ));
-    if !timing {
-        obs::scrub_timing(&mut obs_rec);
-    }
-    report.set_obs_registry(obs_rec.registry());
+        ))
+        .set_obs_registry(obs_rec.registry());
     report.print_tables();
     if let Some(trace_path) = args.trace_out_path() {
-        let mode = if timing {
-            TimeMode::Wall
-        } else {
-            TimeMode::Logical
-        };
-        match std::fs::write(trace_path, obs::chrome_trace_json(&obs_rec, mode)) {
+        match std::fs::write(trace_path, obs::chrome_trace_json(&obs_rec)) {
             Ok(()) => println!("\ntrace: {}", trace_path.display()),
             Err(e) => eprintln!("\ntrace write failed: {e}"),
         }

@@ -16,12 +16,8 @@ USAGE:
   dagree serve --index I --peers HOST:PORT,... --m M --u U [--value V]
                [--faulty SPEC] [--round-timeout-ms T] [--trace]
                [--metrics-out PATH] [--trace-out PATH]
-  dagree serve --service --nodes N --m M --u U [--instances K] [--batch B]
-               [--queue C] [--workers W] [--seed S] [--faulty SPEC]
-               [--no-timing] [--metrics-out PATH]
   dagree bombard --nodes N --m M --u U [--instances K] [--burst B] [--queue C]
-                 [--workers W] [--seed S] [--faulty SPEC] [--no-timing]
-                 [--metrics-out PATH]
+                 [--workers W] [--seed S] [--faulty SPEC] [--metrics-out PATH]
   dagree batch --nodes N --m M --u U [--k K] [--value V] [--faulty SPEC] [--seed S]
   dagree search --nodes N --m M --u U [--below-bound] [--method exhaustive|random|hillclimb]
   dagree table [--max-m M] [--max-u U]
@@ -52,18 +48,16 @@ TRANSPORT:
   --index; all flags but --index must match across processes.
 
 SERVICE MODE:
-  `serve --service` runs the persistent in-process agreement service
-  instead: a pooled ServiceState ingests a seeded stream of K instances
-  (senders round-robin) in waves of --batch, draining after each wave.
-  Arenas and stores are pooled across drains (stores cleared, never
-  rebuilt) and the bounded queue (--queue) sheds excess load with a
-  counted error instead of growing. `bombard` is the matching load
-  generator: same pipeline, but each wave offers --burst instances, so
-  a --burst above --queue exercises the shed path deliberately. Both
-  sample every 4th drain against one-shot `dagree batch` semantics
-  (run_batch) and report decision mismatches; both write a scrubbed,
-  worker-count-independent registry/span JSONL with --metrics-out when
-  --no-timing is given.
+  `bombard` drives the persistent in-process agreement service: a pooled
+  ServiceState ingests a seeded stream of K instances (senders
+  round-robin) in waves of --burst, draining after each wave. Arenas and
+  stores are pooled across drains (stores cleared, never rebuilt) and
+  the bounded queue (--queue) sheds excess load with a counted error
+  instead of growing, so a --burst above --queue (the default) exercises
+  the shed path deliberately. Every 4th drain is sampled against
+  one-shot `dagree batch` semantics (run_batch) and decision mismatches
+  are reported; --metrics-out writes the worker-count-independent
+  registry/span JSONL.
 
 EXAMPLES:
   dagree run --nodes 5 --m 1 --u 2 --value 42 --faulty 3:constant-lie:7,4:constant-lie:7
@@ -148,32 +142,6 @@ pub enum Command {
         /// Write this node's trace spans (JSONL) to this path at exit.
         trace_out: Option<String>,
     },
-    /// `dagree serve --service` — the persistent in-process agreement
-    /// service with pooled arenas/stores and a bounded ingest queue.
-    ServeService {
-        /// Node count.
-        nodes: usize,
-        /// Strong threshold.
-        m: usize,
-        /// Degraded threshold.
-        u: usize,
-        /// Total instances to offer over the run.
-        instances: usize,
-        /// Instances offered per wave (one drain per wave).
-        batch: usize,
-        /// Bounded ingest-queue capacity; excess offers are shed.
-        queue: usize,
-        /// Resolve shard workers (decisions are worker-count-independent).
-        workers: usize,
-        /// Value-stream seed.
-        seed: u64,
-        /// Faulty nodes with strategies.
-        faulty: BTreeMap<NodeId, Strategy<u64>>,
-        /// Suppress wall-clock lines and scrub timing from metrics output.
-        no_timing: bool,
-        /// Write the final scrubbed-or-not registry/span JSONL here.
-        metrics_out: Option<String>,
-    },
     /// `dagree bombard` — load generator for the service: offers bursts
     /// that may exceed the queue, exercising the shed path.
     Bombard {
@@ -195,9 +163,7 @@ pub enum Command {
         seed: u64,
         /// Faulty nodes with strategies.
         faulty: BTreeMap<NodeId, Strategy<u64>>,
-        /// Suppress wall-clock lines and scrub timing from metrics output.
-        no_timing: bool,
-        /// Write the final scrubbed-or-not registry/span JSONL here.
+        /// Write the final registry/span JSONL here.
         metrics_out: Option<String>,
     },
     /// `dagree batch`
@@ -335,7 +301,7 @@ fn collect_flags(args: &[String]) -> Result<Flags<'_>, ParseError> {
             return err(format!("unexpected argument `{a}`"));
         }
         match a {
-            "--below-bound" | "--critical-path" | "--trace" | "--service" | "--no-timing" => {
+            "--below-bound" | "--critical-path" | "--trace" => {
                 switches.push(a);
                 i += 1;
             }
@@ -452,63 +418,6 @@ fn parse_u64(s: &str) -> Result<u64, ParseError> {
         .map_err(|_| ParseError(format!("expected a number, got `{s}`")))
 }
 
-/// Flags shared by `serve --service` and `bombard`.
-struct ServiceFlags {
-    nodes: usize,
-    m: usize,
-    u: usize,
-    instances: usize,
-    queue: usize,
-    workers: usize,
-    seed: u64,
-    faulty: BTreeMap<NodeId, Strategy<u64>>,
-    no_timing: bool,
-    metrics_out: Option<String>,
-}
-
-/// Parses the common service/load-generator flag set plus the per-mode
-/// wave-size flag (`--batch` for serve --service, `--burst` for bombard).
-fn parse_service_flags<'a>(
-    flags: &Flags<'a>,
-    wave_flag: &str,
-    wave_default: usize,
-    queue_default: usize,
-) -> Result<(ServiceFlags, usize), ParseError> {
-    let nodes = req_nodes(flags)?;
-    let wave = opt_usize(flags, wave_flag, wave_default)?;
-    if wave == 0 {
-        return err(format!("`{wave_flag}` must be at least 1"));
-    }
-    let queue = opt_usize(flags, "--queue", queue_default)?;
-    if queue == 0 {
-        return err("`--queue` must be at least 1");
-    }
-    let workers = opt_usize(flags, "--workers", 1)?;
-    if workers == 0 {
-        return err("`--workers` must be at least 1");
-    }
-    Ok((
-        ServiceFlags {
-            nodes,
-            m: req_usize(flags, "--m")?,
-            u: req_usize(flags, "--u")?,
-            instances: opt_usize(flags, "--instances", 256)?,
-            queue,
-            workers,
-            seed: flags
-                .pairs
-                .get("--seed")
-                .map(|v| parse_u64(v))
-                .transpose()?
-                .unwrap_or(1),
-            faulty: faulty_flag(flags, nodes)?,
-            no_timing: flags.switches.contains(&"--no-timing"),
-            metrics_out: flags.pairs.get("--metrics-out").map(|s| s.to_string()),
-        },
-        wave,
-    ))
-}
-
 /// Parses a full argument vector (without the program name).
 pub fn parse_args(argv: &[String]) -> Result<Command, ParseError> {
     let Some(sub) = argv.first() else {
@@ -547,24 +456,6 @@ pub fn parse_args(argv: &[String]) -> Result<Command, ParseError> {
         }
         "serve" => {
             let flags = collect_flags(rest)?;
-            if flags.switches.contains(&"--service") {
-                // Wave size defaults to 64 with a roomy queue: plain
-                // service mode should not shed unless asked to.
-                let (common, wave) = parse_service_flags(&flags, "--batch", 64, 10_000)?;
-                return Ok(Command::ServeService {
-                    nodes: common.nodes,
-                    m: common.m,
-                    u: common.u,
-                    instances: common.instances,
-                    batch: wave,
-                    queue: common.queue,
-                    workers: common.workers,
-                    seed: common.seed,
-                    faulty: common.faulty,
-                    no_timing: common.no_timing,
-                    metrics_out: common.metrics_out,
-                });
-            }
             let peers: Vec<String> = match flags.pairs.get("--peers") {
                 None => return err("missing required flag `--peers`"),
                 Some(list) => list
@@ -615,21 +506,30 @@ pub fn parse_args(argv: &[String]) -> Result<Command, ParseError> {
         }
         "bombard" => {
             let flags = collect_flags(rest)?;
+            let nodes = req_nodes(&flags)?;
             // Burst 96 over queue 64 by default: the generator exists to
             // exercise the shed path, so the defaults guarantee sheds.
-            let (common, burst) = parse_service_flags(&flags, "--burst", 96, 64)?;
+            let at_least_one = |name: &str, default: usize| match opt_usize(&flags, name, default)?
+            {
+                0 => err(format!("`{name}` must be at least 1")),
+                v => Ok(v),
+            };
             Ok(Command::Bombard {
-                nodes: common.nodes,
-                m: common.m,
-                u: common.u,
-                instances: common.instances,
-                burst,
-                queue: common.queue,
-                workers: common.workers,
-                seed: common.seed,
-                faulty: common.faulty,
-                no_timing: common.no_timing,
-                metrics_out: common.metrics_out,
+                nodes,
+                m: req_usize(&flags, "--m")?,
+                u: req_usize(&flags, "--u")?,
+                instances: opt_usize(&flags, "--instances", 256)?,
+                burst: at_least_one("--burst", 96)?,
+                queue: at_least_one("--queue", 64)?,
+                workers: at_least_one("--workers", 1)?,
+                seed: flags
+                    .pairs
+                    .get("--seed")
+                    .map(|v| parse_u64(v))
+                    .transpose()?
+                    .unwrap_or(1),
+                faulty: faulty_flag(&flags, nodes)?,
+                metrics_out: flags.pairs.get("--metrics-out").map(|s| s.to_string()),
             })
         }
         "batch" => {
@@ -952,47 +852,6 @@ mod tests {
     }
 
     #[test]
-    fn parse_serve_service_mode() {
-        let cmd = parse_args(&sv(&[
-            "serve",
-            "--service",
-            "--nodes",
-            "5",
-            "--m",
-            "1",
-            "--u",
-            "2",
-        ]))
-        .unwrap();
-        match cmd {
-            Command::ServeService {
-                nodes,
-                m,
-                u,
-                instances,
-                batch,
-                queue,
-                workers,
-                seed,
-                faulty,
-                no_timing,
-                metrics_out,
-            } => {
-                assert_eq!((nodes, m, u), (5, 1, 2));
-                assert_eq!(
-                    (instances, batch, queue, workers, seed),
-                    (256, 64, 10_000, 1, 1)
-                );
-                assert!(faulty.is_empty() && !no_timing && metrics_out.is_none());
-            }
-            other => panic!("{other:?}"),
-        }
-        // Without --service, serve still demands a peer list.
-        let e = parse_args(&sv(&["serve", "--nodes", "5", "--m", "1", "--u", "2"])).unwrap_err();
-        assert!(e.0.contains("--peers"), "{e}");
-    }
-
-    #[test]
     fn parse_bombard_defaults_guarantee_sheds() {
         match parse_args(&sv(&["bombard", "--nodes", "5", "--m", "1", "--u", "2"])).unwrap() {
             Command::Bombard { burst, queue, .. } => {
@@ -1022,7 +881,6 @@ mod tests {
             "8",
             "--seed",
             "9",
-            "--no-timing",
             "--metrics-out",
             "svc.jsonl",
             "--faulty",
@@ -1040,13 +898,11 @@ mod tests {
                 workers,
                 seed,
                 faulty,
-                no_timing,
                 metrics_out,
             } => {
                 assert_eq!((nodes, m, u, instances), (7, 2, 2, 512));
                 assert_eq!((burst, queue, workers, seed), (32, 16, 8, 9));
                 assert_eq!(faulty.len(), 1);
-                assert!(no_timing);
                 assert_eq!(metrics_out.as_deref(), Some("svc.jsonl"));
             }
             other => panic!("{other:?}"),
@@ -1122,12 +978,7 @@ mod tests {
     #[test]
     fn phantom_faulty_ids_are_rejected_by_every_command() {
         let shape = ["--nodes", "5", "--m", "1", "--u", "2"];
-        for sub in [
-            vec!["run"],
-            vec!["batch"],
-            vec!["serve", "--service"],
-            vec!["bombard"],
-        ] {
+        for sub in [vec!["run"], vec!["batch"], vec!["bombard"]] {
             let args = |spec: &'static str| {
                 let mut v = sub.clone();
                 v.extend(shape);

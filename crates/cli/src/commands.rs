@@ -45,32 +45,6 @@ pub fn dispatch(cmd: &Command) -> String {
             metrics_out.as_deref(),
             trace_out.as_deref(),
         ),
-        Command::ServeService {
-            nodes,
-            m,
-            u,
-            instances,
-            batch,
-            queue,
-            workers,
-            seed,
-            faulty,
-            no_timing,
-            metrics_out,
-        } => service_cmd(
-            "service",
-            *nodes,
-            *m,
-            *u,
-            *instances,
-            *batch,
-            *queue,
-            *workers,
-            *seed,
-            faulty,
-            *no_timing,
-            metrics_out.as_deref(),
-        ),
         Command::Bombard {
             nodes,
             m,
@@ -81,10 +55,8 @@ pub fn dispatch(cmd: &Command) -> String {
             workers,
             seed,
             faulty,
-            no_timing,
             metrics_out,
-        } => service_cmd(
-            "bombard",
+        } => bombard_cmd(
             *nodes,
             *m,
             *u,
@@ -94,7 +66,6 @@ pub fn dispatch(cmd: &Command) -> String {
             *workers,
             *seed,
             faulty,
-            *no_timing,
             metrics_out.as_deref(),
         ),
         Command::Batch {
@@ -413,15 +384,14 @@ fn summarize_trace(path: &str, trace: &obs::ParsedTrace, top: usize) -> String {
 
     // Group spans by name, preserving first-appearance order before
     // sorting, so ties break deterministically.
-    let mut groups: Vec<(&str, u64, u64, u64)> = Vec::new(); // name, count, logical, wall
+    let mut groups: Vec<(&str, u64, u64)> = Vec::new(); // name, count, logical
     for span in &trace.spans {
         match groups.iter_mut().find(|(n, ..)| *n == span.name) {
-            Some((_, count, logical, wall)) => {
+            Some((_, count, logical)) => {
                 *count += 1;
                 *logical += span.logical;
-                *wall += span.wall_nanos;
             }
-            None => groups.push((&span.name, 1, span.logical, span.wall_nanos)),
+            None => groups.push((&span.name, 1, span.logical)),
         }
     }
     groups.sort_by_key(|g| std::cmp::Reverse(g.2));
@@ -431,14 +401,13 @@ fn summarize_trace(path: &str, trace: &obs::ParsedTrace, top: usize) -> String {
             "top {shown} of {} span groups by logical cost",
             groups.len()
         ),
-        &["span", "count", "logical", "wall_ms"],
+        &["span", "count", "logical"],
     );
-    for (name, count, logical, wall) in groups.iter().take(top) {
+    for (name, count, logical) in groups.iter().take(top) {
         spans_table.push_row(vec![
             name.to_string(),
             count.to_string(),
             logical.to_string(),
-            format!("{:.3}", *wall as f64 / 1e6),
         ]);
     }
     out.push_str(&spans_table.to_ascii());
@@ -821,17 +790,16 @@ fn batch_cmd(
     out
 }
 
-/// The `serve --service` / `bombard` driver: offers `instances` seeded
+/// The `bombard` driver: offers `instances` seeded
 /// agreement instances to a persistent [`degradable::ServiceState`] in
 /// waves of `wave`, draining after each wave. Senders round-robin over
 /// the cluster, values cycle a small domain so store memoization has
 /// something to reuse, and every 4th drain is re-decided through the
 /// one-shot [`degradable::run_batch`] oracle as a live equivalence
-/// sample. With `no_timing` the report (and any `--metrics-out` JSONL)
-/// is deterministic and worker-count-independent.
+/// sample. The report (and any `--metrics-out` JSONL) is deterministic
+/// and worker-count-independent.
 #[allow(clippy::too_many_arguments)]
-fn service_cmd(
-    mode: &str,
+fn bombard_cmd(
     nodes: usize,
     m: usize,
     u: usize,
@@ -841,7 +809,6 @@ fn service_cmd(
     workers: usize,
     seed: u64,
     faulty: &std::collections::BTreeMap<NodeId, degradable::Strategy<u64>>,
-    no_timing: bool,
     metrics_out: Option<&str>,
 ) -> String {
     let params = match Params::new(m, u) {
@@ -858,7 +825,6 @@ fn service_cmd(
             Err(e) => return format!("error: {e}"),
         };
     let mut obs = obs::Obs::enabled();
-    let started = std::time::Instant::now();
 
     // Mirror of the accepted-but-undrained queue, in ingestion order, so
     // equivalence samples can replay the exact drained batch through the
@@ -908,7 +874,7 @@ fn service_cmd(
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "{mode}: BYZ({m},{u}) with n = {nodes}, f = {} — offered {instances} instance(s) \
+        "bombard: BYZ({m},{u}) with n = {nodes}, f = {} — offered {instances} instance(s) \
          in wave(s) of {wave} (queue {queue}, workers {workers})",
         faulty.len()
     );
@@ -949,19 +915,7 @@ fn service_cmd(
     for e in &errors {
         let _ = writeln!(out, "error: {e}");
     }
-    if !no_timing {
-        let elapsed = started.elapsed();
-        let rate = stats.decided as f64 / elapsed.as_secs_f64().max(1e-9);
-        let _ = writeln!(
-            out,
-            "timing: {:.1} ms wall, {rate:.0} instances/sec",
-            elapsed.as_secs_f64() * 1e3
-        );
-    }
     if let Some(path) = metrics_out {
-        if no_timing {
-            obs::scrub_timing(&mut obs);
-        }
         match std::fs::write(path, obs::jsonl(&obs)) {
             Ok(()) => {
                 let _ = writeln!(out, "metrics: wrote registry JSONL to {path}");
@@ -1187,7 +1141,7 @@ mod tests {
     #[test]
     fn service_mode_report_is_worker_count_independent() {
         let faulty = parse_faulty("3:constant-lie:7").unwrap();
-        let base = service_cmd("service", 5, 1, 2, 48, 16, 100, 1, 7, &faulty, true, None);
+        let base = bombard_cmd(5, 1, 2, 48, 16, 100, 1, 7, &faulty, None);
         assert!(base.contains("48 offered, 48 accepted, 0 shed"), "{base}");
         assert!(base.contains("mismatches 0"), "{base}");
         // 5 distinct senders -> 5 arena builds; everything else reuses.
@@ -1206,9 +1160,7 @@ mod tests {
                 .join("\n")
         };
         for workers in [2, 8] {
-            let other = service_cmd(
-                "service", 5, 1, 2, 48, 16, 100, workers, 7, &faulty, true, None,
-            );
+            let other = bombard_cmd(5, 1, 2, 48, 16, 100, workers, 7, &faulty, None);
             assert_eq!(strip(&base), strip(&other), "workers={workers}");
         }
     }
@@ -1216,20 +1168,7 @@ mod tests {
     #[test]
     fn bombard_sheds_without_losing_equivalence() {
         // Burst 24 against queue 16: every full wave sheds 8.
-        let out = service_cmd(
-            "bombard",
-            5,
-            1,
-            2,
-            72,
-            24,
-            16,
-            2,
-            3,
-            &Default::default(),
-            true,
-            None,
-        );
+        let out = bombard_cmd(5, 1, 2, 72, 24, 16, 2, 3, &Default::default(), None);
         assert!(out.contains("72 offered, 48 accepted, 24 shed"), "{out}");
         assert!(out.contains("mismatches 0"), "{out}");
         assert!(out.contains("(0 queued at exit)"), "{out}");
@@ -1241,8 +1180,7 @@ mod tests {
         let read = |workers: usize| {
             let path = dir.join(format!("dagree_svc_metrics_{workers}.jsonl"));
             let path = path.to_str().unwrap().to_string();
-            let out = service_cmd(
-                "service",
+            let out = bombard_cmd(
                 5,
                 1,
                 2,
@@ -1252,7 +1190,6 @@ mod tests {
                 workers,
                 5,
                 &Default::default(),
-                true,
                 Some(&path),
             );
             assert!(out.contains("metrics: wrote registry JSONL"), "{out}");
@@ -1267,35 +1204,9 @@ mod tests {
 
     #[test]
     fn service_mode_rejects_bad_shapes() {
-        let out = service_cmd(
-            "service",
-            4,
-            1,
-            2,
-            8,
-            4,
-            16,
-            1,
-            1,
-            &Default::default(),
-            true,
-            None,
-        );
+        let out = bombard_cmd(4, 1, 2, 8, 4, 16, 1, 1, &Default::default(), None);
         assert!(out.contains("error"), "{out}");
-        let out = service_cmd(
-            "service",
-            70,
-            1,
-            2,
-            8,
-            4,
-            16,
-            1,
-            1,
-            &Default::default(),
-            true,
-            None,
-        );
+        let out = bombard_cmd(70, 1, 2, 8, 4, 16, 1, 1, &Default::default(), None);
         assert!(out.contains("error"), "{out}");
         assert!(out.contains("64"), "{out}");
     }
@@ -1306,7 +1217,7 @@ mod tests {
         assert!(out.contains("error"), "{out}");
         assert!(out.contains("at least 5 nodes"), "{out}");
         // Beyond the 64-node engine ceiling: a typed error line, as
-        // `serve --service` prints, not an arena panic.
+        // `bombard` prints, not an arena panic.
         let out = batch_cmd(70, 1, 1, 2, 42, &Default::default(), 1);
         assert!(out.starts_with("error: "), "{out}");
         assert!(out.contains("64"), "{out}");
@@ -1496,7 +1407,6 @@ mod tests {
                 name: name.into(),
                 args,
                 logical: clock,
-                wall_nanos: 0,
             });
         };
         let root = obs::TraceCtx::new(0, vec![0]);
@@ -1537,7 +1447,6 @@ mod tests {
             name: "trace.send".into(),
             args,
             logical: 1,
-            wall_nanos: 0,
         });
         let trace = obs::parse_trace(&obs::jsonl(&o)).unwrap();
         let out = critical_path_report("t", &trace);
@@ -1664,7 +1573,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("dagree-obs-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("trace.json");
-        std::fs::write(&path, obs::chrome_trace_json(&o, obs::TimeMode::Logical)).unwrap();
+        std::fs::write(&path, obs::chrome_trace_json(&o)).unwrap();
         let out = obs_cmd(path.to_str().unwrap(), 10, false);
         std::fs::remove_dir_all(&dir).ok();
         assert!(out.contains("3 spans"), "{out}");
@@ -1728,7 +1637,7 @@ mod tests {
 
         // A real Chrome trace cut off mid-write, the way a killed
         // experiment leaves it.
-        let full = obs::chrome_trace_json(&sample_obs(), obs::TimeMode::Logical);
+        let full = obs::chrome_trace_json(&sample_obs());
         let truncated = dir.join("truncated.json");
         std::fs::write(&truncated, &full[..full.len() / 2]).unwrap();
         let out = obs_cmd(truncated.to_str().unwrap(), 5, false);

@@ -205,7 +205,7 @@ impl<'a, V> BatchOptions<'a, V> {
     /// Records a `batch.fill` span over the engine run (logical cost =
     /// slots materialized across all instances), one `batch.resolve` and
     /// one `trace.decide` span per instance (logical cost = votes
-    /// settled, wall = that instance's resolve), the `batch.*` /
+    /// settled), the `batch.*` /
     /// `svc.instance.*` registry series and the aggregated `eig.*`
     /// counters.
     pub fn obs(mut self, obs: &'a mut Obs) -> Self {
@@ -615,17 +615,10 @@ fn fill_and_resolve<V: Clone + Ord + Hash + Send + Sync>(
     // sender's shared arena — inline, or sharded by sender across
     // `shard_workers` threads (results fold back in instance order, so
     // everything but wall time is shard-count-independent).
-    let timing = obs.is_enabled();
+    let observed = obs.is_enabled();
     let stores: &[EigStore<V>] = stores;
-    let resolve = |k: usize| {
-        let resolve_start = timing.then(std::time::Instant::now);
-        let run = engines[engine_idx[k]].resolve(rule, &stores[k]);
-        (
-            run,
-            resolve_start.map_or(0, |t| t.elapsed().as_nanos() as u64),
-        )
-    };
-    let resolved: Vec<(crate::engine::EngineRun<V>, u64)> = if shard_workers <= 1 {
+    let resolve = |k: usize| engines[engine_idx[k]].resolve(rule, &stores[k]);
+    let resolved: Vec<crate::engine::EngineRun<V>> = if shard_workers <= 1 {
         (0..instances.len()).map(resolve).collect()
     } else {
         let mut shards: Vec<Vec<usize>> = vec![Vec::new(); shard_workers];
@@ -660,11 +653,11 @@ fn fill_and_resolve<V: Clone + Ord + Hash + Send + Sync>(
     let mut decisions = Vec::with_capacity(instances.len());
     let mut agg = EigPerf::default();
     // Per-instance logical cost, for the histogram.
-    let mut logicals = Vec::with_capacity(if timing { instances.len() } else { 0 });
-    for (k, (inst, (resolved_k, wall_k))) in instances.iter().zip(resolved).enumerate() {
+    let mut logicals = Vec::with_capacity(if observed { instances.len() } else { 0 });
+    for (k, (inst, resolved_k)) in instances.iter().zip(resolved).enumerate() {
         // With the recorder off there is nobody to attribute to: skip
         // building the span records altogether.
-        if timing {
+        if observed {
             let logical_k = resolved_k.perf.votes_evaluated + resolved_k.perf.votes_memo_hit;
             logicals.push(logical_k);
             obs.record_span(SpanRecord {
@@ -674,7 +667,6 @@ fn fill_and_resolve<V: Clone + Ord + Hash + Send + Sync>(
                     ("sender".into(), inst.sender.index() as u64),
                 ],
                 logical: logical_k,
-                wall_nanos: wall_k,
             });
             // The decision anchor of the causal chain: `trace.send` /
             // `trace.deliver` spans (transport layer) lead here.
@@ -685,7 +677,6 @@ fn fill_and_resolve<V: Clone + Ord + Hash + Send + Sync>(
                     ("deciders".into(), resolved_k.decisions.len() as u64),
                 ],
                 logical: logical_k,
-                wall_nanos: wall_k,
             });
         }
 
@@ -696,10 +687,9 @@ fn fill_and_resolve<V: Clone + Ord + Hash + Send + Sync>(
     net.eig = agg;
 
     // End-to-end attribution per instance: ingest (fill sends) to decision
-    // (resolve), as message count and deterministic logical cost. Wall
-    // latency stays on the `batch.resolve` spans. One histogram lookup per
-    // series, not per instance.
-    if timing {
+    // (resolve), as message count and deterministic logical cost. One
+    // histogram lookup per series, not per instance.
+    if observed {
         obs.observe_many("svc.instance.messages", SVC_MSG_BOUNDS, inst_sent);
         obs.observe_many("svc.instance.logical", SVC_LOGICAL_BOUNDS, logicals);
     }
@@ -1471,7 +1461,7 @@ mod tests {
     /// Restart/drain semantics: ingest, drain, re-ingest on the same
     /// `ServiceState` decides identically to a fresh one-shot
     /// `run_batch` per wave, and the whole observable output is
-    /// bit-identical across worker counts 1/2/8 after timing scrub.
+    /// bit-identical across worker counts 1/2/8.
     #[test]
     fn service_drain_matches_one_shot_batch_across_workers() {
         let strategies = lying_strategies();
@@ -1512,7 +1502,6 @@ mod tests {
             assert_eq!(batch_b.stores_reused, 1);
             assert_eq!(batch_b.stores_built, 1);
 
-            obs::scrub_timing(&mut obs);
             outputs.push(obs);
         }
         assert_eq!(outputs[0], outputs[1], "workers 1 vs 2");

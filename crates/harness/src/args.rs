@@ -9,6 +9,7 @@ use std::path::PathBuf;
 /// * `--trials N` — trial count override (CI smoke runs use a small one);
 /// * `--workers N` — worker-thread count for [`crate::SweepRunner`];
 /// * `--seed N` — master seed;
+/// * `--max-n N` — cap on the sweep's node count (CI smoke runs trim);
 /// * `--out PATH` — where to write the JSON report (default
 ///   `results/<experiment>.json`);
 /// * `--trace-out PATH` — where to write a Chrome `trace_event` file of
@@ -24,6 +25,8 @@ pub struct RunArgs {
     pub workers: Option<usize>,
     /// `--seed` override.
     pub seed: Option<u64>,
+    /// `--max-n` override.
+    pub max_n: Option<usize>,
     /// `--out` override.
     pub out: Option<PathBuf>,
     /// `--trace-out` override.
@@ -50,7 +53,7 @@ impl RunArgs {
                 (flag.to_string(), value.to_string())
             } else if matches!(
                 arg,
-                "--trials" | "--workers" | "--seed" | "--out" | "--trace-out"
+                "--trials" | "--workers" | "--seed" | "--max-n" | "--out" | "--trace-out"
             ) {
                 match iter.next() {
                     Some(v) => (arg.to_string(), v.as_ref().to_string()),
@@ -63,6 +66,7 @@ impl RunArgs {
                 "--trials" => out.trials = value.parse().ok(),
                 "--workers" => out.workers = value.parse().ok(),
                 "--seed" => out.seed = value.parse().ok(),
+                "--max-n" => out.max_n = value.parse().ok(),
                 "--out" => out.out = Some(PathBuf::from(value)),
                 "--trace-out" => out.trace_out = Some(PathBuf::from(value)),
                 _ => {}
@@ -86,6 +90,11 @@ impl RunArgs {
         self.seed.unwrap_or(default)
     }
 
+    /// The node-count cap, with `default` when not overridden.
+    pub fn max_n_or(&self, default: usize) -> usize {
+        self.max_n.unwrap_or(default)
+    }
+
     /// The report output path override, if any.
     pub fn out_path(&self) -> Option<&std::path::Path> {
         self.out.as_deref()
@@ -103,9 +112,18 @@ mod tests {
 
     #[test]
     fn parses_both_flag_styles() {
-        let a = RunArgs::parse_from(["--trials", "50", "--seed=9", "--out", "results/x.json"]);
+        let a = RunArgs::parse_from([
+            "--trials",
+            "50",
+            "--seed=9",
+            "--out",
+            "results/x.json",
+            "--max-n",
+            "10",
+        ]);
         assert_eq!(a.trials, Some(50));
         assert_eq!(a.seed, Some(9));
+        assert_eq!(a.max_n_or(16), 10);
         assert_eq!(a.out, Some(PathBuf::from("results/x.json")));
         assert_eq!(a.workers, None);
     }

@@ -54,13 +54,11 @@
 //! * **v3** — perf-aware reports. An optional `perf` object sits between
 //!   `metrics` and `tables`, carrying deterministic work counters from
 //!   the arena-backed EIG engine (`simnet::EigPerf`: arena nodes, votes
-//!   evaluated, votes memo-hit, messages materialized) and, when the
-//!   experiment opts in, aggregated wall times. `perf` is omitted when
-//!   empty, so experiments that record nothing there emit a v2-shaped
-//!   body under the v3 version tag. Reports remain bit-identical across
-//!   `--workers` values: only deterministic counters belong in `perf`
-//!   unless the experiment explicitly separates timing output (e.g.
-//!   `perf_baseline --no-timing` for the CI comparison).
+//!   evaluated, votes memo-hit, messages materialized). `perf` is
+//!   omitted when empty, so experiments that record nothing there emit
+//!   a v2-shaped body under the v3 version tag. Reports remain
+//!   bit-identical across `--workers` values: only deterministic
+//!   counters belong in `perf`.
 //! * **v2** — chaos-aware reports. Experiments that inject link faults
 //!   record per-trial injected-fault counts in `meta`/`metrics`
 //!   (`injected_faults_total`, plus per-kind counters such as
@@ -260,9 +258,8 @@ impl Report {
 
     /// Records a perf counter (schema v3). Re-setting a key overwrites
     /// it in place. The `perf` object is emitted only when at least one
-    /// counter was recorded. Record deterministic counters here; keep
-    /// wall times out unless the experiment explicitly separates timing
-    /// output, so reports stay bit-identical across worker counts.
+    /// counter was recorded. Record deterministic counters only, so
+    /// reports stay bit-identical across worker counts.
     pub fn set_perf(&mut self, key: impl Into<String>, value: impl Into<JsonValue>) -> &mut Self {
         let (key, value) = (key.into(), value.into());
         if let Some(slot) = self.perf.iter_mut().find(|(k, _)| *k == key) {
@@ -274,12 +271,9 @@ impl Report {
     }
 
     /// Records the four deterministic counters of a
-    /// [`simnet::EigPerf`] under `eig_`-prefixed keys. The perf record is
-    /// passed through [`obs::scrub_timing`] first, so wall-clock fields
-    /// can never leak into the report even if this list grows.
+    /// [`simnet::EigPerf`] under `eig_`-prefixed keys; its wall-time
+    /// stamps never enter the report.
     pub fn set_eig_perf(&mut self, perf: &simnet::EigPerf) -> &mut Self {
-        let mut perf = *perf;
-        obs::scrub_timing(&mut perf);
         self.set_perf("eig_arena_nodes", perf.arena_nodes)
             .set_perf("eig_votes_evaluated", perf.votes_evaluated)
             .set_perf("eig_votes_memo_hit", perf.votes_memo_hit)
@@ -290,9 +284,8 @@ impl Report {
     /// section (schema v4). Counters add, gauges keep their max, and
     /// histograms merge bucket-wise, so calling this once per phase
     /// accumulates. The section is emitted only when non-empty. Registries
-    /// hold deterministic quantities by construction (wall times live in
-    /// spans, not the registry), so this keeps reports bit-identical
-    /// across worker counts.
+    /// hold deterministic quantities by construction, so this keeps
+    /// reports bit-identical across worker counts.
     pub fn set_obs_registry(&mut self, registry: &obs::Registry) -> &mut Self {
         self.obs.merge(registry);
         self
@@ -507,7 +500,7 @@ mod tests {
             "\"metrics\":{\"p\":1},\"perf\":{\"eig_arena_nodes\":3,\"eig_votes_evaluated\":4,\
              \"eig_votes_memo_hit\":7,\"eig_messages_materialized\":6},\"tables\":[]"
         ));
-        // Wall times never leak through set_eig_perf (scrub_timing).
+        // Wall times never leak through set_eig_perf.
         assert!(!json.contains("999"));
     }
 

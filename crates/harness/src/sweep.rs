@@ -2,7 +2,6 @@
 
 use obs::{Obs, SpanRecord};
 use simnet::SimRng;
-use std::time::Instant;
 
 /// Runs independent trials across worker threads with **worker-count
 /// independent** results.
@@ -64,8 +63,8 @@ impl SweepRunner {
     /// registry-visible artifact stays worker-count independent. On top
     /// of whatever the trial records, the runner contributes:
     ///
-    /// * a `sweep.trial` span per trial (logical cost 1, wall = trial
-    ///   elapsed), merged in trial order;
+    /// * a `sweep.trial` span per trial (logical cost 1), merged in
+    ///   trial order;
     /// * a `sweep.queue_depth` gauge peaking at the number of trials
     ///   queued, and a `sweep.trials` counter;
     /// * one `sweep.worker` span per worker thread (logical cost = its
@@ -101,7 +100,6 @@ impl SweepRunner {
                 rest = tail;
                 let base = start;
                 handles.push(scope.spawn(move || {
-                    let worker_start = if enabled { Some(Instant::now()) } else { None };
                     for (offset, slot) in chunk.iter_mut().enumerate() {
                         let index = base + offset;
                         let rng = SimRng::derive(master_seed, index as u64);
@@ -119,9 +117,6 @@ impl SweepRunner {
                         name: "sweep.worker".into(),
                         args: vec![("worker".into(), w as u64), ("trials".into(), len as u64)],
                         logical: len as u64,
-                        wall_nanos: worker_start
-                            .map(|s| s.elapsed().as_nanos() as u64)
-                            .unwrap_or(0),
                     }
                 }));
                 start += len;
@@ -207,7 +202,6 @@ impl SweepRunner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use obs::ScrubTiming as _;
 
     fn trial_value(i: usize, mut rng: SimRng) -> u64 {
         rng.below(1_000_000) ^ (i as u64)
@@ -250,15 +244,14 @@ mod tests {
         assert_eq!(a, b);
     }
 
-    /// Runs an observed sweep and returns its recorder with wall times
-    /// scrubbed, so observed output can be compared across worker counts.
+    /// Runs an observed sweep and returns its recorder, so observed
+    /// output can be compared across worker counts.
     fn observed(workers: usize, trials: usize) -> (Vec<u64>, Obs) {
         let mut obs = Obs::enabled();
         let got = SweepRunner::new(workers).run_observed(5, trials, &mut obs, |i, rng, obs| {
             obs.add("trial.work", (i as u64) + 1);
             trial_value(i, rng)
         });
-        obs.scrub_timing();
         (got, obs)
     }
 

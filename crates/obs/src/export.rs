@@ -1,51 +1,35 @@
 //! Exporters: Chrome `trace_event` JSON and flat JSONL, plus the
 //! parser `cli obs` uses to read either format back.
 //!
-//! Both exporters are pure functions of an [`Obs`] recorder, so after
-//! [`crate::scrub_timing`] their output is bit-identical across
-//! machines and worker counts (the golden-trace tests pin exactly
-//! this).
+//! Both exporters are pure functions of an [`Obs`] recorder, and a
+//! recorder holds no clock reading, so their output is bit-identical
+//! across machines, reruns and worker counts (the golden-trace tests
+//! pin exactly this).
 
 use crate::json::JsonValue;
 use crate::registry::Registry;
 use crate::span::{Obs, SpanRecord};
 
-/// Which duration dimension the Chrome exporter maps onto `ts`/`dur`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TimeMode {
-    /// `ts`/`dur` come from recorded wall nanoseconds (in µs, as the
-    /// trace_event spec expects). Human-friendly, non-deterministic.
-    Wall,
-    /// `ts`/`dur` come from cumulative logical cost (one logical unit
-    /// rendered as one "µs"). Deterministic: identical runs produce
-    /// identical bytes.
-    Logical,
-}
-
 /// Renders the recorder as Chrome `trace_event` JSON, loadable in
 /// `chrome://tracing` or Perfetto.
 ///
 /// Spans become complete (`"ph":"X"`) events laid out sequentially on
-/// one track; each carries its attributes plus `logical` and
-/// `wall_nanos` in `args`, so the trace is lossless regardless of
-/// `mode`. Registry counters and gauges become counter (`"ph":"C"`)
+/// one track by logical cost (one logical unit rendered as one "µs"),
+/// so identical runs produce identical bytes; each carries its
+/// attributes plus `logical` in `args`. Registry counters and gauges become counter (`"ph":"C"`)
 /// events, and the full registry snapshot rides a metadata
 /// (`"ph":"M"`) event named `obs.registry`.
-pub fn chrome_trace_json(obs: &Obs, mode: TimeMode) -> String {
+pub fn chrome_trace_json(obs: &Obs) -> String {
     let mut events = Vec::new();
     let mut cursor_us: u64 = 0;
     for span in obs.spans() {
-        let dur = match mode {
-            TimeMode::Wall => span.wall_nanos / 1_000,
-            TimeMode::Logical => span.logical,
-        };
+        let dur = span.logical;
         let mut args: Vec<(String, JsonValue)> = span
             .args
             .iter()
             .map(|(k, v)| (k.to_string(), JsonValue::UInt(*v)))
             .collect();
         args.push(("logical".into(), span.logical.into()));
-        args.push(("wall_nanos".into(), span.wall_nanos.into()));
         events.push(JsonValue::Object(vec![
             ("name".into(), JsonValue::Str(span.name.to_string())),
             ("ph".into(), JsonValue::Str("X".into())),
@@ -170,7 +154,6 @@ fn parse_chrome_events(events: &JsonValue) -> Result<ParsedTrace, String> {
                         .ok_or(format!("span arg `{key}` not a u64"))?;
                     match key.as_str() {
                         "logical" => span.logical = value,
-                        "wall_nanos" => span.wall_nanos = value,
                         _ => span.args.push((key.clone().into(), value)),
                     }
                 }
@@ -212,7 +195,6 @@ fn parse_jsonl(text: &str) -> Result<ParsedTrace, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scrub_timing;
 
     fn sample_obs() -> Obs {
         let mut obs = Obs::enabled();
@@ -220,13 +202,11 @@ mod tests {
             name: "fill".into(),
             args: vec![("n".into(), 4)],
             logical: 10,
-            wall_nanos: 2_500,
         });
         obs.record_span(SpanRecord {
             name: "resolve_level".into(),
             args: vec![("level".into(), 1)],
             logical: 6,
-            wall_nanos: 1_200,
         });
         obs.add("eig.votes_evaluated", 16);
         obs.gauge_max("queue_depth", 3);
@@ -237,7 +217,7 @@ mod tests {
     #[test]
     fn chrome_trace_has_required_fields_and_layout() {
         let obs = sample_obs();
-        let text = chrome_trace_json(&obs, TimeMode::Logical);
+        let text = chrome_trace_json(&obs);
         let root = JsonValue::parse(&text).unwrap();
         let events = root.get("traceEvents").unwrap().as_array().unwrap();
         let spans: Vec<_> = events
@@ -250,7 +230,7 @@ mod tests {
                 assert!(event.get(key).is_some(), "span event missing `{key}`");
             }
         }
-        // Logical mode: sequential layout in logical units.
+        // Sequential layout in logical units.
         assert_eq!(spans[0].get("ts").unwrap().as_u64(), Some(0));
         assert_eq!(spans[0].get("dur").unwrap().as_u64(), Some(10));
         assert_eq!(spans[1].get("ts").unwrap().as_u64(), Some(10));
@@ -261,24 +241,11 @@ mod tests {
     }
 
     #[test]
-    fn wall_mode_uses_wall_microseconds() {
-        let obs = sample_obs();
-        let root = JsonValue::parse(&chrome_trace_json(&obs, TimeMode::Wall)).unwrap();
-        let events = root.get("traceEvents").unwrap().as_array().unwrap();
-        let first = events
-            .iter()
-            .find(|e| e.get("ph").and_then(JsonValue::as_str) == Some("X"))
-            .unwrap();
-        assert_eq!(first.get("dur").unwrap().as_u64(), Some(2)); // 2_500ns -> 2µs
-    }
-
-    #[test]
     fn chrome_trace_round_trips() {
         let obs = sample_obs();
-        let text = chrome_trace_json(&obs, TimeMode::Logical);
+        let text = chrome_trace_json(&obs);
         let parsed = parse_trace(&text).unwrap();
         assert_eq!(parsed.spans, obs.spans());
-        assert_eq!(parsed.spans[0].wall_nanos, 2_500); // lossless, not just Eq
         assert_eq!(&parsed.registry, obs.registry());
     }
 
@@ -290,32 +257,6 @@ mod tests {
         let parsed = parse_trace(&text).unwrap();
         assert_eq!(parsed.spans, obs.spans());
         assert_eq!(&parsed.registry, obs.registry());
-    }
-
-    fn sample_obs_with_wall(wall_nanos: u64) -> Obs {
-        let mut obs = Obs::enabled();
-        for mut span in sample_obs().spans().iter().cloned() {
-            span.wall_nanos = wall_nanos;
-            obs.record_span(span);
-        }
-        obs.add("eig.votes_evaluated", 16);
-        obs.gauge_max("queue_depth", 3);
-        obs.observe("chunk.sizes", &[8, 64], 6);
-        obs
-    }
-
-    #[test]
-    fn logical_export_is_identical_after_scrub() {
-        // Different wall times, same logical work.
-        let mut a = sample_obs_with_wall(1);
-        let mut b = sample_obs_with_wall(999);
-        scrub_timing(&mut a);
-        scrub_timing(&mut b);
-        assert_eq!(
-            chrome_trace_json(&a, TimeMode::Logical),
-            chrome_trace_json(&b, TimeMode::Logical)
-        );
-        assert_eq!(jsonl(&a), jsonl(&b));
     }
 
     #[test]

@@ -1,22 +1,17 @@
-//! Spans with logical/wall duality, and the [`Obs`] recorder that
-//! collects them alongside a metric [`Registry`].
+//! Spans with a logical cost, and the [`Obs`] recorder that collects
+//! them alongside a metric [`Registry`].
 //!
-//! A span measures one named unit of work twice:
+//! A span measures one named unit of work by its **logical cost** — a
+//! deterministic count of the work done (events delivered, votes
+//! evaluated, messages materialized). It reads no clock, so a recorded
+//! run is a pure function of code and seed: reports compare spans and
+//! golden tests pin them byte for byte.
 //!
-//! * **logical cost** — a deterministic count of the work done
-//!   (events delivered, votes evaluated, messages materialized).
-//!   This is the dimension reports compare and golden tests pin.
-//! * **wall nanos** — what the clock said. Carried for humans and
-//!   for the Chrome-trace exporter's wall mode, but excluded from
-//!   equality, generalizing the `EigPerf` convention.
-//!
-//! The cheap path matters: a disabled [`Obs`] never calls
-//! `Instant::now()` and never allocates, so instrumented hot loops
-//! cost a branch when observability is off.
+//! The cheap path matters: a disabled [`Obs`] records nothing, so
+//! instrumented hot loops cost a branch when observability is off.
 
 use crate::json::JsonValue;
 use crate::registry::Registry;
-use std::time::Instant;
 
 /// A span or attribute name. Recorders name their spans with literals,
 /// which are borrowed — recording a span allocates only its attribute
@@ -24,13 +19,8 @@ use std::time::Instant;
 pub type Label = std::borrow::Cow<'static, str>;
 
 /// One finished span: a named, attributed unit of work with its
-/// logical cost and wall time.
-///
-/// Equality and hashing consider everything *except* `wall_nanos`
-/// (see the manual [`PartialEq`] impl, which destructures
-/// exhaustively so a new field is a compile error until the impl
-/// decides its fate).
-#[derive(Debug, Clone, Default)]
+/// logical cost.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SpanRecord {
     /// Span name, e.g. `"resolve_level"`.
     pub name: Label,
@@ -38,40 +28,14 @@ pub struct SpanRecord {
     pub args: Vec<(Label, u64)>,
     /// Deterministic logical cost of the work (events/votes/messages).
     pub logical: u64,
-    /// Elapsed wall-clock nanoseconds. Excluded from equality; zeroed
-    /// by [`crate::scrub_timing`].
-    pub wall_nanos: u64,
 }
-
-impl PartialEq for SpanRecord {
-    fn eq(&self, other: &Self) -> bool {
-        // Exhaustive destructuring: adding a field to SpanRecord
-        // without deciding whether it participates in equality fails
-        // to compile here.
-        let SpanRecord {
-            name,
-            args,
-            logical,
-            wall_nanos: _,
-        } = self;
-        let SpanRecord {
-            name: other_name,
-            args: other_args,
-            logical: other_logical,
-            wall_nanos: _,
-        } = other;
-        name == other_name && args == other_args && logical == other_logical
-    }
-}
-
-impl Eq for SpanRecord {}
 
 impl SpanRecord {
     /// The span as a flat JSON object (the JSONL exporter's line
     /// shape):
     ///
     /// ```json
-    /// {"span":"resolve_level","args":{"level":2},"logical":96,"wall_nanos":1234}
+    /// {"span":"resolve_level","args":{"level":2},"logical":96}
     /// ```
     pub fn to_json(&self) -> JsonValue {
         let mut fields = vec![("span".to_string(), JsonValue::Str(self.name.to_string()))];
@@ -87,7 +51,6 @@ impl SpanRecord {
             ));
         }
         fields.push(("logical".to_string(), JsonValue::UInt(self.logical)));
-        fields.push(("wall_nanos".to_string(), JsonValue::UInt(self.wall_nanos)));
         JsonValue::Object(fields)
     }
 
@@ -116,15 +79,10 @@ impl SpanRecord {
             .get("logical")
             .and_then(JsonValue::as_u64)
             .ok_or("span record missing u64 `logical`")?;
-        let wall_nanos = value
-            .get("wall_nanos")
-            .and_then(JsonValue::as_u64)
-            .unwrap_or(0);
         Ok(SpanRecord {
             name,
             args,
             logical,
-            wall_nanos,
         })
     }
 }
@@ -139,15 +97,13 @@ impl SpanRecord {
 pub struct SpanTimer {
     name: &'static str,
     args: Vec<(&'static str, u64)>,
-    start: Option<Instant>,
 }
 
 /// The observability recorder: a metric [`Registry`] plus an ordered
 /// list of finished spans.
 ///
 /// A disabled recorder (the [`Obs::disabled`] default) makes every
-/// call a no-op — no clock reads, no allocation — so call sites can be
-/// instrumented unconditionally.
+/// call a no-op, so call sites can be instrumented unconditionally.
 ///
 /// The unbounded default retains every span. [`Obs::enabled_bounded`]
 /// caps retention: once full, recording a span evicts the oldest
@@ -247,15 +203,7 @@ impl Obs {
     /// Starts a span. Prefer the [`span!`](crate::span!) macro, which
     /// stringifies attribute names for you.
     pub fn span(&self, name: &'static str, args: Vec<(&'static str, u64)>) -> SpanTimer {
-        SpanTimer {
-            name,
-            args,
-            start: if self.enabled {
-                Some(Instant::now())
-            } else {
-                None
-            },
-        }
+        SpanTimer { name, args }
     }
 
     /// Finishes a span with its deterministic logical cost, recording
@@ -264,21 +212,15 @@ impl Obs {
         if !self.enabled {
             return;
         }
-        let wall_nanos = timer
-            .start
-            .map(|s| s.elapsed().as_nanos() as u64)
-            .unwrap_or(0);
         self.push_span(SpanRecord {
             name: timer.name.into(),
             args: timer.args.into_iter().map(|(k, v)| (k.into(), v)).collect(),
             logical,
-            wall_nanos,
         });
     }
 
-    /// Records an already-measured span (used when wall time was
-    /// captured elsewhere, e.g. inside a worker thread). No-op when
-    /// disabled.
+    /// Records an already-built span (e.g. one assembled inside a
+    /// worker thread). No-op when disabled.
     pub fn record_span(&mut self, span: SpanRecord) {
         if self.enabled {
             self.push_span(span);
@@ -379,29 +321,6 @@ impl Obs {
     }
 }
 
-impl crate::ScrubTiming for SpanRecord {
-    fn scrub_timing(&mut self) {
-        // Exhaustive destructuring: a new field must be classified as
-        // logical (kept) or timing (scrubbed) here to compile.
-        let SpanRecord {
-            name: _,
-            args: _,
-            logical: _,
-            wall_nanos,
-        } = self;
-        *wall_nanos = 0;
-    }
-}
-
-impl crate::ScrubTiming for Obs {
-    fn scrub_timing(&mut self) {
-        // The registry holds no wall time: only spans carry a clock.
-        for span in &mut self.spans {
-            crate::ScrubTiming::scrub_timing(span);
-        }
-    }
-}
-
 /// Starts a span on an [`Obs`] recorder, stringifying attribute names:
 ///
 /// ```
@@ -422,22 +341,6 @@ macro_rules! span {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scrub_timing;
-
-    #[test]
-    fn equality_ignores_wall_nanos() {
-        let a = SpanRecord {
-            name: "fill".into(),
-            args: vec![("n".into(), 7)],
-            logical: 42,
-            wall_nanos: 1_000,
-        };
-        let mut b = a.clone();
-        b.wall_nanos = 999_999;
-        assert_eq!(a, b);
-        b.logical = 43;
-        assert_ne!(a, b);
-    }
 
     #[test]
     fn span_json_round_trips() {
@@ -445,21 +348,21 @@ mod tests {
             name: "resolve_level".into(),
             args: vec![("level".into(), 2), ("width".into(), 12)],
             logical: 96,
-            wall_nanos: 12_345,
         };
         let json = span.to_json();
         let back = SpanRecord::from_json(&json).unwrap();
         assert_eq!(back, span);
-        assert_eq!(back.wall_nanos, span.wall_nanos);
         assert_eq!(back.to_json().to_json_string(), json.to_json_string());
     }
 
     #[test]
     fn span_json_wall_nanos_is_optional() {
-        let v = JsonValue::parse("{\"span\":\"x\",\"logical\":3}").unwrap();
-        let span = SpanRecord::from_json(&v).unwrap();
+        // A line written before spans stopped reading the clock still
+        // parses: the old field is simply not read.
+        let old = r#"{"span":"x","args":{"level":2},"logical":3,"wall_nanos":1234}"#;
+        let span = SpanRecord::from_json(&JsonValue::parse(old).unwrap()).unwrap();
         assert_eq!(span.logical, 3);
-        assert_eq!(span.wall_nanos, 0);
+        assert_eq!(span.args, vec![("level".into(), 2)]);
         assert!(SpanRecord::from_json(&JsonValue::parse("{\"logical\":3}").unwrap()).is_err());
     }
 
@@ -467,7 +370,6 @@ mod tests {
     fn disabled_recorder_records_nothing() {
         let mut obs = Obs::disabled();
         let timer = span!(obs, "work", 1u64);
-        assert!(timer.start.is_none());
         obs.finish(timer, 10);
         obs.add("c", 5);
         obs.gauge_max("g", 5);
@@ -510,7 +412,6 @@ mod tests {
             name: name.into(),
             args: vec![],
             logical: 1,
-            wall_nanos: 0,
         }
     }
 
@@ -573,19 +474,5 @@ mod tests {
         wrapped.record_span(named("x"));
         wrapped.record_span(named("a"));
         assert_ne!(wrapped, plain, "an eviction is observable state");
-    }
-
-    #[test]
-    fn scrub_timing_zeroes_wall_only() {
-        let mut obs = Obs::enabled();
-        obs.record_span(SpanRecord {
-            name: "w".into(),
-            args: vec![],
-            logical: 5,
-            wall_nanos: 77,
-        });
-        scrub_timing(&mut obs);
-        assert_eq!(obs.spans()[0].wall_nanos, 0);
-        assert_eq!(obs.spans()[0].logical, 5);
     }
 }

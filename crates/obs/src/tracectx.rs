@@ -9,9 +9,8 @@
 //! the full send → deliver → fill → resolve → decide chain of any
 //! message after the fact.
 //!
-//! Everything here is plain deterministic data: under
-//! [`TimeMode::Logical`](crate::TimeMode) a traced run serializes
-//! bit-identically across reruns and worker counts. Span attributes are
+//! Everything here is plain deterministic data: a traced run
+//! serializes bit-identically across reruns and worker counts. Span attributes are
 //! `u64`-valued, so the context flattens to the args
 //! `instance`, `hop`, `path_len`, `p0`.. `p{len-1}` and parses back via
 //! [`TraceCtx::from_span_args`].

@@ -113,7 +113,6 @@ impl NodeTracer {
             name: name.into(),
             args,
             logical: self.clock,
-            wall_nanos: 0,
         });
     }
 

@@ -1,8 +1,8 @@
 //! Golden-trace test for the observability layer: a tiny N = 4 batch,
-//! observed and exported as a logical-clock Chrome trace, must be
-//! **bit-identical** at 1, 2, and 8 resolve shards once wall times are
-//! scrubbed — the `--no-timing` contract, pinned against a checked-in
-//! snapshot.
+//! observed and exported as a Chrome trace laid out by logical cost,
+//! must be **bit-identical** at 1, 2, and 8 resolve shards as recorded —
+//! spans read no clock, so nothing needs scrubbing — pinned against a
+//! checked-in snapshot.
 //!
 //! Regenerate the snapshot after an intentional format change with:
 //!
@@ -11,7 +11,7 @@
 //! ```
 
 use degradable::{run_batch, BatchInstance, BatchOptions, Params, Strategy, Val};
-use obs::{chrome_trace_json, parse_trace, Obs, TimeMode};
+use obs::{chrome_trace_json, parse_trace, Obs};
 use simnet::NodeId;
 use std::collections::BTreeMap;
 
@@ -43,11 +43,9 @@ fn observed_n4_run(workers: usize) -> Obs {
     obs
 }
 
-/// The scrubbed logical-clock export — everything `--no-timing` emits.
+/// The exported trace, straight from the recorder.
 fn logical_trace(workers: usize) -> String {
-    let mut obs = observed_n4_run(workers);
-    obs::scrub_timing(&mut obs);
-    chrome_trace_json(&obs, TimeMode::Logical)
+    chrome_trace_json(&observed_n4_run(workers))
 }
 
 #[test]
@@ -57,7 +55,7 @@ fn golden_trace_is_bit_identical_across_worker_counts() {
         assert_eq!(
             logical_trace(workers),
             reference,
-            "scrubbed logical trace differs at {workers} workers"
+            "logical trace differs at {workers} workers"
         );
     }
 }
@@ -82,11 +80,7 @@ fn golden_trace_matches_checked_in_snapshot() {
 fn golden_trace_round_trips_losslessly() {
     let text = logical_trace(2);
     let parsed = parse_trace(&text).expect("exporter output parses");
-    let obs = {
-        let mut o = observed_n4_run(2);
-        obs::scrub_timing(&mut o);
-        o
-    };
+    let obs = observed_n4_run(2);
     assert_eq!(parsed.spans, obs.spans());
     assert_eq!(&parsed.registry, obs.registry());
 }
