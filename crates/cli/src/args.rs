@@ -28,6 +28,8 @@ USAGE:
   dagree obs TRACE [--top N] [--critical-path]
   dagree fuzz [--budget B] [--seed S] [--max-n N] [--mutate MUTATION]
               [--repro-dir DIR] [--replay FILE]
+  dagree exp ID [--workers W] [--out PATH] [--trace-out PATH]
+  dagree check
   dagree help
 
 FAULTY SPEC:
@@ -67,7 +69,19 @@ EXAMPLES:
   dagree run --nodes 5 --m 1 --u 2 --faulty 4:silent --explain 1
   dagree search --nodes 4 --m 1 --u 2 --below-bound --method exhaustive
   dagree topology --kind harary:4:8 --m 1 --u 2
-  dagree obs results/perf_baseline.trace.json --top 10
+  dagree exp E14 --trace-out perf_baseline.trace.json
+  dagree obs perf_baseline.trace.json --top 10
+
+EXPERIMENTS:
+  `exp` runs one experiment of the paper reproduction (T1, F1, F2, E3-E13,
+  P1, A1, A2, E14, E16-E18, E20, E21; see DESIGN.md) at its default size
+  on --workers sweep workers (default 4), prints its tables and writes
+  its report to --out (default results/<name>.json). `--trace-out` writes
+  the spans of an experiment that traces (E13, E14, E16-E18, E20, E21).
+  `check` runs every experiment at 1 and at 8 workers and requires its
+  verdict to pass and both reports to equal the committed
+  results/<name>.json byte for byte; it writes nothing. Both exit 1 when
+  an experiment fails.
 
 OBS:
   summarizes a trace file written by an experiment's --trace-out flag
@@ -94,7 +108,9 @@ FUZZ:
   `--mutate M` injects a deliberate implementation bug the checker must
   catch (the CI mutant gate); M is one of relay-suppression,
   wrong-value-relay, early-decision, vote-off-by-one. `--replay FILE`
-  re-runs a repro file and prints the first divergent step.
+  re-runs a repro file and prints the first divergent step. Exits 1 when
+  a clean campaign finds a violation, a mutant goes uncaught, or a
+  replay does not reproduce.
 ";
 
 /// A parsed subcommand.
@@ -254,6 +270,19 @@ pub enum Command {
         /// Repro file to re-run instead of fuzzing.
         replay: Option<String>,
     },
+    /// `dagree exp` — one experiment of the reproduction.
+    Exp {
+        /// The experiment id (`T1`, `E14`, ...).
+        id: String,
+        /// Sweep workers; the report does not depend on the count.
+        workers: usize,
+        /// Where to write the report instead of `results/<name>.json`.
+        out: Option<String>,
+        /// Where to write the run's trace, for experiments that trace.
+        trace_out: Option<String>,
+    },
+    /// `dagree check` — every experiment against its committed report.
+    Check,
     /// `dagree help`
     Help,
 }
@@ -291,7 +320,13 @@ struct Flags<'a> {
     switches: Vec<&'a str>,
 }
 
-fn collect_flags(args: &[String]) -> Result<Flags<'_>, ParseError> {
+/// Collects the flags of subcommand `sub`, refusing any not named in
+/// `allowed` (space-separated).
+fn collect_flags<'a>(
+    sub: &str,
+    args: &'a [String],
+    allowed: &str,
+) -> Result<Flags<'a>, ParseError> {
     let mut pairs = BTreeMap::new();
     let mut switches = Vec::new();
     let mut i = 0;
@@ -299,6 +334,9 @@ fn collect_flags(args: &[String]) -> Result<Flags<'_>, ParseError> {
         let a = args[i].as_str();
         if !a.starts_with("--") {
             return err(format!("unexpected argument `{a}`"));
+        }
+        if !allowed.split(' ').any(|flag| flag == a) {
+            return err(format!("unknown flag `{a}` for `{sub}`"));
         }
         match a {
             "--below-bound" | "--critical-path" | "--trace" => {
@@ -427,7 +465,11 @@ pub fn parse_args(argv: &[String]) -> Result<Command, ParseError> {
     match sub.as_str() {
         "help" | "--help" | "-h" => Ok(Command::Help),
         "run" => {
-            let flags = collect_flags(rest)?;
+            let flags = collect_flags(
+                sub,
+                rest,
+                "--nodes --m --u --value --faulty --explain --transport",
+            )?;
             let nodes = req_nodes(&flags)?;
             let explain = match flags.pairs.get("--explain") {
                 Some(v) => Some(node_id(v).ok_or_else(|| {
@@ -455,7 +497,11 @@ pub fn parse_args(argv: &[String]) -> Result<Command, ParseError> {
             })
         }
         "serve" => {
-            let flags = collect_flags(rest)?;
+            let flags = collect_flags(
+                sub,
+                rest,
+                "--index --peers --m --u --value --faulty --round-timeout-ms --trace --metrics-out --trace-out",
+            )?;
             let peers: Vec<String> = match flags.pairs.get("--peers") {
                 None => return err("missing required flag `--peers`"),
                 Some(list) => list
@@ -505,7 +551,11 @@ pub fn parse_args(argv: &[String]) -> Result<Command, ParseError> {
             })
         }
         "bombard" => {
-            let flags = collect_flags(rest)?;
+            let flags = collect_flags(
+                sub,
+                rest,
+                "--nodes --m --u --instances --burst --queue --workers --seed --faulty --metrics-out",
+            )?;
             let nodes = req_nodes(&flags)?;
             // Burst 96 over queue 64 by default: the generator exists to
             // exercise the shed path, so the defaults guarantee sheds.
@@ -533,7 +583,7 @@ pub fn parse_args(argv: &[String]) -> Result<Command, ParseError> {
             })
         }
         "batch" => {
-            let flags = collect_flags(rest)?;
+            let flags = collect_flags(sub, rest, "--nodes --m --u --k --value --faulty --seed")?;
             let nodes = req_nodes(&flags)?;
             Ok(Command::Batch {
                 nodes,
@@ -556,7 +606,7 @@ pub fn parse_args(argv: &[String]) -> Result<Command, ParseError> {
             })
         }
         "search" => {
-            let flags = collect_flags(rest)?;
+            let flags = collect_flags(sub, rest, "--nodes --m --u --below-bound --method")?;
             let method = match flags.pairs.get("--method").copied().unwrap_or("exhaustive") {
                 "exhaustive" => SearchMethod::Exhaustive,
                 "random" => SearchMethod::Random,
@@ -572,20 +622,20 @@ pub fn parse_args(argv: &[String]) -> Result<Command, ParseError> {
             })
         }
         "table" => {
-            let flags = collect_flags(rest)?;
+            let flags = collect_flags(sub, rest, "--max-m --max-u")?;
             Ok(Command::Table {
                 max_m: opt_usize(&flags, "--max-m", 3)?,
                 max_u: opt_usize(&flags, "--max-u", 6)?,
             })
         }
         "tradeoffs" => {
-            let flags = collect_flags(rest)?;
+            let flags = collect_flags(sub, rest, "--nodes")?;
             Ok(Command::Tradeoffs {
                 nodes: req_nodes(&flags)?,
             })
         }
         "certify" => {
-            let flags = collect_flags(rest)?;
+            let flags = collect_flags(sub, rest, "--m --u --budget")?;
             let budget = match flags.pairs.get("--budget") {
                 None => 50_000_000u128,
                 Some(v) => v
@@ -599,7 +649,7 @@ pub fn parse_args(argv: &[String]) -> Result<Command, ParseError> {
             })
         }
         "flight" => {
-            let flags = collect_flags(rest)?;
+            let flags = collect_flags(sub, rest, "--arch")?;
             let arch = flags
                 .pairs
                 .get("--arch")
@@ -615,7 +665,7 @@ pub fn parse_args(argv: &[String]) -> Result<Command, ParseError> {
             if path.starts_with("--") {
                 return err("`obs` needs a trace file path before any flags");
             }
-            let flags = collect_flags(rest)?;
+            let flags = collect_flags(sub, rest, "--top --critical-path")?;
             Ok(Command::Obs {
                 path: path.clone(),
                 top: opt_usize(&flags, "--top", 10)?,
@@ -623,7 +673,11 @@ pub fn parse_args(argv: &[String]) -> Result<Command, ParseError> {
             })
         }
         "fuzz" => {
-            let flags = collect_flags(rest)?;
+            let flags = collect_flags(
+                sub,
+                rest,
+                "--budget --seed --max-n --mutate --repro-dir --replay",
+            )?;
             let mutate = match flags.pairs.get("--mutate") {
                 None => None,
                 Some(name) => Some(harness::Mutation::from_name(name).map_err(ParseError)?),
@@ -648,7 +702,7 @@ pub fn parse_args(argv: &[String]) -> Result<Command, ParseError> {
             })
         }
         "topology" => {
-            let flags = collect_flags(rest)?;
+            let flags = collect_flags(sub, rest, "--kind --m --u")?;
             let kind = flags
                 .pairs
                 .get("--kind")
@@ -667,6 +721,33 @@ pub fn parse_args(argv: &[String]) -> Result<Command, ParseError> {
             };
             Ok(Command::Topology { kind, params })
         }
+        "exp" => {
+            let Some((id, rest)) = rest.split_first() else {
+                return err("`exp` needs an experiment id");
+            };
+            if agreement_bench::find(id).is_none() {
+                let ids: Vec<&str> = agreement_bench::EXPERIMENTS.iter().map(|e| e.id).collect();
+                return err(format!(
+                    "unknown experiment `{id}` (one of {})",
+                    ids.join(", ")
+                ));
+            }
+            let flags = collect_flags(sub, rest, "--workers --out --trace-out")?;
+            let workers = match opt_usize(&flags, "--workers", 4)? {
+                0 => return err("`--workers` must be at least 1"),
+                w => w,
+            };
+            Ok(Command::Exp {
+                id: id.clone(),
+                workers,
+                out: flags.pairs.get("--out").map(|s| s.to_string()),
+                trace_out: flags.pairs.get("--trace-out").map(|s| s.to_string()),
+            })
+        }
+        "check" => {
+            collect_flags(sub, rest, "")?;
+            Ok(Command::Check)
+        }
         other => err(format!("unknown subcommand `{other}`")),
     }
 }
@@ -677,6 +758,12 @@ mod tests {
 
     fn sv(args: &[&str]) -> Vec<String> {
         args.iter().map(|s| s.to_string()).collect()
+    }
+
+    /// A misspelt or foreign flag is refused by name, never dropped.
+    fn refuses(argv: &[&str], flag: &str) {
+        let e = parse_args(&sv(argv)).unwrap_err();
+        assert_eq!(e.0, format!("unknown flag `{flag}` for `{}`", argv[0]));
     }
 
     #[test]
@@ -738,6 +825,21 @@ mod tests {
         ]))
         .unwrap_err();
         assert!(e.0.contains("unknown transport"), "{e}");
+        // `--trnasport tcp` used to run on `sim` without a word.
+        refuses(
+            &[
+                "run",
+                "--nodes",
+                "4",
+                "--m",
+                "1",
+                "--u",
+                "1",
+                "--trnasport",
+                "tcp",
+            ],
+            "--trnasport",
+        );
     }
 
     #[test]
@@ -778,6 +880,22 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
+        refuses(
+            &[
+                "serve",
+                "--index",
+                "0",
+                "--peers",
+                "a:1,b:2",
+                "--m",
+                "1",
+                "--u",
+                "1",
+                "--round-timout-ms",
+                "9",
+            ],
+            "--round-timout-ms",
+        );
     }
 
     #[test]
@@ -928,6 +1046,12 @@ mod tests {
         ] {
             assert!(parse_args(&sv(bad)).is_err(), "{bad:?}");
         }
+        refuses(
+            &[
+                "bombard", "--nodes", "5", "--m", "1", "--u", "2", "--bursts", "9",
+            ],
+            "--bursts",
+        );
     }
 
     #[test]
@@ -1047,6 +1171,10 @@ mod tests {
                 method: SearchMethod::HillClimb,
             }
         );
+        refuses(
+            &["search", "--nodes", "4", "--m", "1", "--u", "2", "--below"],
+            "--below",
+        );
     }
 
     #[test]
@@ -1070,6 +1198,10 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
+        refuses(
+            &["batch", "--nodes", "5", "--m", "1", "--u", "2", "--K", "8"],
+            "--K",
+        );
     }
 
     #[test]
@@ -1078,6 +1210,9 @@ mod tests {
             parse_args(&sv(&["table"])).unwrap(),
             Command::Table { max_m: 3, max_u: 6 }
         );
+        refuses(&["table", "--max-n", "3"], "--max-n");
+        // `tradeoffs` takes `--nodes` and nothing else.
+        refuses(&["tradeoffs", "--nodes", "7", "--m", "2"], "--m");
     }
 
     #[test]
@@ -1099,6 +1234,7 @@ mod tests {
                 params: Some((1, 2)),
             }
         );
+        refuses(&["topology", "--kinds", "ring:5"], "--kinds");
     }
 
     #[test]
@@ -1156,6 +1292,10 @@ mod tests {
                 budget: 99
             }
         );
+        refuses(
+            &["certify", "--m", "1", "--u", "1", "--budgte", "9"],
+            "--budgte",
+        );
     }
 
     #[test]
@@ -1172,6 +1312,7 @@ mod tests {
                 arch: "degradable".into()
             }
         );
+        refuses(&["flight", "--architecture", "byzantine"], "--architecture");
     }
 
     #[test]
@@ -1194,6 +1335,7 @@ mod tests {
         );
         assert!(parse_args(&sv(&["obs"])).is_err());
         assert!(parse_args(&sv(&["obs", "--top", "3"])).is_err());
+        refuses(&["obs", "t.json", "--critical"], "--critical");
     }
 
     #[test]
@@ -1249,11 +1391,57 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
+        refuses(&["fuzz", "--trials", "3"], "--trials");
     }
 
     #[test]
     fn empty_argv_is_help() {
         assert_eq!(parse_args(&[]).unwrap(), Command::Help);
+    }
+
+    #[test]
+    fn parse_exp_and_check() {
+        assert_eq!(
+            parse_args(&sv(&["exp", "E14"])).unwrap(),
+            Command::Exp {
+                id: "E14".into(),
+                workers: 4,
+                out: None,
+                trace_out: None,
+            }
+        );
+        assert_eq!(
+            parse_args(&sv(&[
+                "exp",
+                "T1",
+                "--workers",
+                "8",
+                "--out",
+                "t1.json",
+                "--trace-out",
+                "t1.trace.json",
+            ]))
+            .unwrap(),
+            Command::Exp {
+                id: "T1".into(),
+                workers: 8,
+                out: Some("t1.json".into()),
+                trace_out: Some("t1.trace.json".into()),
+            }
+        );
+        let e = parse_args(&sv(&["exp", "E15"])).unwrap_err();
+        assert!(
+            e.0.starts_with("unknown experiment `E15` (one of T1, F1, F2,"),
+            "{e}"
+        );
+        assert!(parse_args(&sv(&["exp"])).is_err());
+        assert!(parse_args(&sv(&["exp", "E7", "--workers", "0"])).is_err());
+        // The per-experiment size flags are gone: `--trails 3` and
+        // `--trials abc` used to run the default size and exit 0.
+        refuses(&["exp", "E7", "--trails", "3"], "--trails");
+        refuses(&["exp", "E7", "--trials", "abc"], "--trials");
+        assert_eq!(parse_args(&sv(&["check"])).unwrap(), Command::Check);
+        refuses(&["check", "--workers", "2"], "--workers");
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! Subcommand implementations; each returns the text to print.
+//! Subcommand implementations; each returns the text to print, or — for
+//! the subcommands with a verdict — that text as an error when it failed.
 
 use crate::args::{Command, SearchMethod, USAGE};
 use degradable::analysis::{min_nodes_table, tradeoffs, MinNodesCell};
@@ -10,8 +11,14 @@ use simnet::{vertex_connectivity, NodeId, Topology};
 use std::fmt::Write as _;
 
 /// Runs the parsed command and returns its output.
-pub fn dispatch(cmd: &Command) -> String {
-    match cmd {
+///
+/// # Errors
+///
+/// The output of a run whose verdict failed: a fuzz campaign that found a
+/// violation or missed its mutant, a replay that did not reproduce, or an
+/// experiment that failed.
+pub fn dispatch(cmd: &Command) -> Result<String, String> {
+    Ok(match cmd {
         Command::Help => USAGE.to_string(),
         Command::Run {
             nodes,
@@ -101,14 +108,102 @@ pub fn dispatch(cmd: &Command) -> String {
             mutate,
             repro_dir,
             replay,
-        } => fuzz_cmd(
-            *budget,
-            *seed,
-            *max_n,
-            *mutate,
-            repro_dir,
-            replay.as_deref(),
-        ),
+        } => {
+            return fuzz_cmd(
+                *budget,
+                *seed,
+                *max_n,
+                *mutate,
+                repro_dir,
+                replay.as_deref(),
+            )
+        }
+        Command::Exp {
+            id,
+            workers,
+            out,
+            trace_out,
+        } => {
+            let exp = agreement_bench::find(id).expect("the parser accepts known ids only");
+            return exp_cmd(
+                exp,
+                &(exp.run)(*workers),
+                out.as_deref(),
+                trace_out.as_deref(),
+            );
+        }
+        Command::Check => return check_cmd(),
+    })
+}
+
+/// Prints a finished run's tables, writes its report (and trace, when
+/// asked) and renders its verdict.
+fn exp_cmd(
+    exp: &agreement_bench::Experiment,
+    run: &agreement_bench::Run,
+    out: Option<&str>,
+    trace_out: Option<&str>,
+) -> Result<String, String> {
+    let mut text = format!("{} ({})\n", exp.id, exp.name);
+    for table in run.report.tables() {
+        text.push_str(&table.to_ascii());
+    }
+    match run.report.write(out.map(std::path::Path::new)) {
+        Ok(path) => {
+            let _ = writeln!(text, "\nreport: {}", path.display());
+        }
+        Err(e) => return Err(format!("{text}\nerror: report write failed: {e}")),
+    }
+    if let Some(path) = trace_out {
+        let Some(trace) = run.trace_json() else {
+            return Err(format!("{text}error: {} records no trace", exp.id));
+        };
+        if let Err(e) = std::fs::write(path, trace) {
+            return Err(format!("{text}error: trace write failed: {e}"));
+        }
+        let _ = writeln!(text, "trace: {path}");
+    }
+    if run.verdict.passed() {
+        let _ = write!(text, "verdict: pass");
+        Ok(text)
+    } else {
+        let _ = write!(text, "verdict: FAIL ({})", run.verdict.failed().join(", "));
+        Err(text)
+    }
+}
+
+/// Runs every experiment through [`agreement_bench::check`] against its
+/// committed report under `results/`.
+fn check_cmd() -> Result<String, String> {
+    let mut text = String::new();
+    let mut failed = 0usize;
+    for exp in &agreement_bench::EXPERIMENTS {
+        let golden = std::path::Path::new("results").join(format!("{}.json", exp.name));
+        match agreement_bench::check(exp, &golden) {
+            Ok(()) => {
+                let _ = writeln!(text, "{:<4} {:<20} ok", exp.id, exp.name);
+            }
+            Err(problems) => {
+                failed += 1;
+                let _ = writeln!(text, "{:<4} {:<20} FAIL", exp.id, exp.name);
+                for line in problems.lines() {
+                    let _ = writeln!(text, "     {line}");
+                }
+            }
+        }
+    }
+    let workers = agreement_bench::CHECK_WORKERS.map(|w| w.to_string());
+    let _ = write!(
+        text,
+        "check: {} of {} experiments reproduce their committed reports at {} workers",
+        agreement_bench::EXPERIMENTS.len() - failed,
+        agreement_bench::EXPERIMENTS.len(),
+        workers.join(" and "),
+    );
+    if failed == 0 {
+        Ok(text)
+    } else {
+        Err(text)
     }
 }
 
@@ -134,15 +229,11 @@ fn fuzz_plan_line(plan: &harness::FuzzPlan) -> String {
     )
 }
 
-fn fuzz_replay_cmd(path: &str) -> String {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => return format!("error: cannot read `{path}`: {e}"),
-    };
-    let outcome = match harness::replay(&text) {
-        Ok(o) => o,
-        Err(e) => return format!("error: `{path}` is not a usable repro: {}", one_line(&e)),
-    };
+fn fuzz_replay_cmd(path: &str) -> Result<String, String> {
+    let text =
+        std::fs::read_to_string(path).map_err(|e| format!("error: cannot read `{path}`: {e}"))?;
+    let outcome = harness::replay(&text)
+        .map_err(|e| format!("error: `{path}` is not a usable repro: {}", one_line(&e)))?;
     let mut out = String::new();
     let _ = writeln!(out, "replaying {path}");
     let _ = writeln!(out, "plan: {}", fuzz_plan_line(&outcome.plan));
@@ -162,6 +253,7 @@ fn fuzz_replay_cmd(path: &str) -> String {
                 let _ = writeln!(out, "  causal chain: {chain}");
             }
             let _ = writeln!(out, "REPRODUCED ({} steps driven)", outcome.report.steps);
+            Ok(out)
         }
         None => {
             let _ = writeln!(
@@ -169,9 +261,9 @@ fn fuzz_replay_cmd(path: &str) -> String {
                 "NO LONGER REPRODUCES — {} steps driven, all conformant (fixed?)",
                 outcome.report.steps
             );
+            Err(out)
         }
     }
-    out
 }
 
 fn fuzz_cmd(
@@ -181,7 +273,7 @@ fn fuzz_cmd(
     mutate: Option<harness::Mutation>,
     repro_dir: &str,
     replay: Option<&str>,
-) -> String {
+) -> Result<String, String> {
     if let Some(path) = replay {
         return fuzz_replay_cmd(path);
     }
@@ -226,18 +318,33 @@ fn fuzz_cmd(
             }
         }
     }
-    let _ = writeln!(
-        out,
-        "conformance: {}",
-        if outcome.clean() {
-            "OK — every execution matched the abstract BYZ(m, u) machine"
-        } else if mutate.is_some() {
-            "MUTANT CAUGHT — the checker detected the injected bug"
-        } else {
-            "VIOLATED — see repro files above"
-        }
-    );
-    out
+    let (verdict, passed) = fuzz_verdict(outcome.clean(), mutate.is_some());
+    let _ = writeln!(out, "conformance: {verdict}");
+    if passed {
+        Ok(out)
+    } else {
+        Err(out)
+    }
+}
+
+/// A campaign's verdict line, and whether it passed: a clean campaign
+/// must find nothing, a mutated one must catch its mutant.
+fn fuzz_verdict(clean: bool, mutated: bool) -> (&'static str, bool) {
+    match (clean, mutated) {
+        (true, false) => (
+            "OK — every execution matched the abstract BYZ(m, u) machine",
+            true,
+        ),
+        (false, true) => (
+            "MUTANT CAUGHT — the checker detected the injected bug",
+            true,
+        ),
+        (false, false) => ("VIOLATED — see repro files above", false),
+        (true, true) => (
+            "MUTANT MISSED — no execution caught the injected bug",
+            false,
+        ),
+    }
 }
 
 fn obs_cmd(path: &str, top: usize, critical_path: bool) -> String {
@@ -1547,7 +1654,7 @@ mod tests {
 
     #[test]
     fn dispatch_help() {
-        assert!(dispatch(&Command::Help).contains("USAGE"));
+        assert!(dispatch(&Command::Help).unwrap().contains("USAGE"));
     }
 
     /// Builds a recorder with two span groups and a few metrics, the way
@@ -1649,7 +1756,7 @@ mod tests {
     #[test]
     fn fuzz_clean_campaign_reports_ok() {
         let dir = std::env::temp_dir().join(format!("dagree-fuzz-clean-{}", std::process::id()));
-        let out = fuzz_cmd(24, 0xD06, 6, None, dir.to_str().unwrap(), None);
+        let out = fuzz_cmd(24, 0xD06, 6, None, dir.to_str().unwrap(), None).unwrap();
         assert!(out.contains("executions=24 "), "{out}");
         assert!(out.contains("backend_executions=12"), "{out}");
         assert!(out.contains("violations=0"), "{out}");
@@ -1668,7 +1775,8 @@ mod tests {
             Some(harness::Mutation::SuppressRelay),
             dir.to_str().unwrap(),
             None,
-        );
+        )
+        .unwrap();
         assert!(out.contains("MUTANT CAUGHT"), "{out}");
         assert!(out.contains("failed to relay"), "{out}");
         // A relay violation names an offending path, so the failure
@@ -1679,7 +1787,7 @@ mod tests {
             .find(|l| l.trim_start().starts_with("repro: "))
             .expect("a repro path is printed");
         let path = repro_line.trim_start().trim_start_matches("repro: ");
-        let replay_out = fuzz_cmd(0, 0, 9, None, "unused", Some(path));
+        let replay_out = fuzz_cmd(0, 0, 9, None, "unused", Some(path)).unwrap();
         std::fs::remove_dir_all(&dir).ok();
         assert!(replay_out.contains("REPRODUCED"), "{replay_out}");
         assert!(replay_out.contains("first divergent step"), "{replay_out}");
@@ -1695,8 +1803,32 @@ mod tests {
 
     #[test]
     fn fuzz_replay_errors_are_one_line() {
-        let out = fuzz_cmd(0, 0, 9, None, "unused", Some("/nonexistent/repro.json"));
+        let out = fuzz_cmd(0, 0, 9, None, "unused", Some("/nonexistent/repro.json")).unwrap_err();
         assert!(out.starts_with("error:"), "{out}");
         assert_eq!(out.trim_end().lines().count(), 1, "{out}");
+    }
+
+    #[test]
+    fn only_a_clean_campaign_without_violations_or_a_caught_mutant_passes() {
+        assert!(fuzz_verdict(true, false).1);
+        assert!(fuzz_verdict(false, true).1);
+        let (line, passed) = fuzz_verdict(false, false);
+        assert!(!passed && line.starts_with("VIOLATED"), "{line}");
+        let (line, passed) = fuzz_verdict(true, true);
+        assert!(!passed && line.starts_with("MUTANT MISSED"), "{line}");
+    }
+
+    #[test]
+    fn a_failed_experiment_verdict_is_an_error_with_its_tables() {
+        let exp = agreement_bench::find("F2").unwrap();
+        let dir = std::env::temp_dir().join(format!("dagree-exp-fail-{}", std::process::id()));
+        let out = dir.join("f2.json");
+        let mut run = (exp.run)(1);
+        assert!(run.verdict.passed());
+        run.verdict.require("forced false", false);
+        let text = exp_cmd(exp, &run, Some(out.to_str().unwrap()), None).unwrap_err();
+        std::fs::remove_dir_all(&dir).ok();
+        assert!(text.contains("== scenario executions =="), "{text}");
+        assert!(text.ends_with("verdict: FAIL (forced false)"), "{text}");
     }
 }

@@ -9,12 +9,12 @@
 //!   generated from a [`SimRng`] so the whole campaign replays from one
 //!   seed, and round-trippable through JSON for repro files;
 //! * three *sources*, which only produce [`Step`]s — the lockstep machines
-//!   ([`run_plan`]: `n` real [`NodeStateMachine`]s round by round, sends
+//!   (`run_plan`: `n` real [`NodeStateMachine`]s round by round, sends
 //!   through the message-keyed [`LinkChaos`] layer with its online
 //!   [`HotEdgeCutter`] overlay, adaptive adversaries rewriting the claims
 //!   of faulty nodes, churned nodes crashing mid-run), a transport backend
-//!   ([`run_plan_transport`]) and the batched service
-//!   ([`run_plan_batch`]) — and one `Referee`, which feeds **every
+//!   (`run_plan_transport`) and the batched service
+//!   (`run_plan_batch`) — and one `Referee`, which feeds **every
 //!   delivery, every round close, every decision and every final view**
 //!   to the spec machine, records the first divergent step, and holds a
 //!   clean run's decisions to D.1–D.4;
@@ -52,10 +52,10 @@ use transport::{
 };
 
 /// The smallest cluster BYZ(1, 1) admits (`n ≥ 2m + u + 1`).
-pub const MIN_N: usize = 4;
+const MIN_N: usize = 4;
 
 /// Default cluster-size ceiling for generated plans (inclusive).
-pub const DEFAULT_MAX_N: usize = 9;
+const DEFAULT_MAX_N: usize = 9;
 
 /// How one faulty node misbehaves in a generated execution.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -170,7 +170,7 @@ pub struct FuzzPlan {
 impl FuzzPlan {
     /// Generates one plan from a trial RNG. All choices (shape, faults,
     /// chaos intensity) consume randomness only from `rng`.
-    pub fn generate(rng: &mut SimRng, max_n: usize) -> FuzzPlan {
+    fn generate(rng: &mut SimRng, max_n: usize) -> FuzzPlan {
         let max_n = max_n.max(MIN_N);
         let n = MIN_N + rng.below((max_n - MIN_N + 1) as u64) as usize;
         let mut pairs = Vec::new();
@@ -559,7 +559,7 @@ impl<'a> Referee<'a> {
 /// envelope, round close, decision and final view; on model-clean plans
 /// the fault-free decisions are additionally held to
 /// [`degradable::check_degradable`].
-pub fn run_plan(plan: &FuzzPlan, mutation: Option<Mutation>) -> ExecReport {
+fn run_plan(plan: &FuzzPlan, mutation: Option<Mutation>) -> ExecReport {
     let mut referee = Referee::new(plan, String::new(), 1);
     for step in lockstep_steps(plan, mutation) {
         referee.step(0, &step);
@@ -571,7 +571,7 @@ pub fn run_plan(plan: &FuzzPlan, mutation: Option<Mutation>) -> ExecReport {
 /// and has the same `Referee` judge what every node's machine saw and
 /// emitted — so the threaded meshes answer to the same spec as the
 /// in-process lockstep source.
-pub fn run_plan_transport(plan: &FuzzPlan, kind: TransportKind) -> ExecReport {
+fn run_plan_transport(plan: &FuzzPlan, kind: TransportKind) -> ExecReport {
     let mut referee = Referee::new(plan, format!("{kind:?} "), 1);
     for step in transport_steps(plan, kind).0 {
         referee.step(0, &step);
@@ -585,7 +585,7 @@ pub fn run_plan_transport(plan: &FuzzPlan, kind: TransportKind) -> ExecReport {
 /// multiplexer is exercised with genuinely distinct concurrent trees. Link
 /// chaos is not installed — the subject under test here is the
 /// multiplexer itself.
-pub fn run_plan_batch(plan: &FuzzPlan) -> ExecReport {
+fn run_plan_batch(plan: &FuzzPlan) -> ExecReport {
     let mut referee = Referee::new(plan, "batch ".into(), 2);
     for (k, step) in batch_steps(plan) {
         referee.step(k, &step);
@@ -1109,20 +1109,16 @@ pub fn fuzz(config: &FuzzConfig) -> FuzzOutcome {
 }
 
 /// Schema tag of repro files.
-pub const REPRO_SCHEMA: &str = "dagree-fuzz-repro";
+const REPRO_SCHEMA: &str = "dagree-fuzz-repro";
 /// Version of the repro file format. v2 added the `trace` field: the
 /// causal [`obs::TraceCtx`] of the first divergent step (`null` when the
 /// step was not a delivery). v1 files still replay — the field is
 /// optional on read.
-pub const REPRO_VERSION: u64 = 2;
+const REPRO_VERSION: u64 = 2;
 
 /// Renders a failure as a repro file: the minimized `(seed, plan)` pair
 /// plus enough context to re-run it bit-identically.
-pub fn repro_json(
-    failure: &FuzzFailure,
-    master_seed: u64,
-    mutation: Option<Mutation>,
-) -> JsonValue {
+fn repro_json(failure: &FuzzFailure, master_seed: u64, mutation: Option<Mutation>) -> JsonValue {
     JsonValue::Object(vec![
         ("schema".into(), REPRO_SCHEMA.into()),
         ("version".into(), REPRO_VERSION.into()),

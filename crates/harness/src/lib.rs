@@ -17,9 +17,9 @@
 //!   [`SimRng::derive(master_seed, trial_index)`](simnet::SimRng::derive),
 //!   never from the worker id, so results are **bit-identical for any
 //!   worker count** (see `tests/determinism.rs`).
-//! * [`report`] — ASCII tables, CSV, and versioned JSON reports written to
-//!   `results/*.json` (schema [`report::SCHEMA`], version
-//!   [`report::SCHEMA_VERSION`]).
+//! * [`report`] — ASCII tables and versioned JSON reports written to
+//!   `results/*.json` (schema `degradable-harness-report`, versioned; see
+//!   [`report`]).
 //!
 //! ```
 //! use harness::{Executor, ReferenceExecutor, Scenario, SweepRunner};
@@ -37,7 +37,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod args;
 pub mod executor;
 pub mod fuzz;
 pub mod report;
@@ -45,14 +44,9 @@ pub mod scenario;
 pub mod slo;
 pub mod sweep;
 
-pub use args::RunArgs;
 pub use executor::{Executor, ProtocolExecutor, ReferenceExecutor, TransportExecutor};
-pub use fuzz::{
-    fuzz, fuzz_trial, replay, run_plan, shrink, write_repro, ExecReport, FaultSpec, FuzzConfig,
-    FuzzFailure, FuzzOutcome, FuzzPlan, FuzzViolation, Mutation, ReplayOutcome, TrialReport,
-};
-pub use report::{pct, print_csv, print_table, JsonValue, Report, Table};
-pub use scenario::{ChaosConfig, Scenario, ScenarioError};
-pub use slo::{SloObjective, SloReport, SloResult, SloSpec};
+pub use fuzz::{fuzz, fuzz_trial, replay, write_repro, FuzzConfig, FuzzPlan, Mutation};
+pub use report::{JsonValue, Report, Table};
+pub use scenario::{ChaosConfig, Scenario};
+pub use slo::SloSpec;
 pub use sweep::SweepRunner;
-pub use transport::TransportKind;

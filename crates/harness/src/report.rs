@@ -1,5 +1,5 @@
-//! Experiment reporting: ASCII tables, CSV blocks, and versioned JSON
-//! files under `results/`.
+//! Experiment reporting: ASCII tables and versioned JSON files under
+//! `results/`.
 //!
 //! ## The JSON schema
 //!
@@ -8,9 +8,9 @@
 //! ```json
 //! {
 //!   "schema": "degradable-harness-report",
-//!   "version": 2,
+//!   "version": 8,
 //!   "experiment": "reliability",
-//!   "meta": { "master_seed": 232, "trials": 4000, "workers": 8 },
+//!   "meta": { "master_seed": 232, "trials": 4000 },
 //!   "metrics": { "p_incorrect_overall": 0.0 },
 //!   "perf": { "eig_votes_evaluated": 1200, "eig_votes_memo_hit": 3400 },
 //!   "obs": { "counters": { "sweep.trials": 4000 } },
@@ -27,6 +27,10 @@
 //!
 //! ### Version history
 //!
+//! * **v8** — reports are goldens. `meta` records no run parameter that
+//!   leaves the result unchanged (the worker count is gone), so a report
+//!   is byte-identical for any `--workers` value and the committed
+//!   `results/*.json` are compared byte for byte.
 //! * **v7** — exact histograms. Histograms in the `obs` section carry
 //!   exact `min`/`max` (emitted when non-empty) and no estimates.
 //! * **v6** — SLO-aware reports. An optional `slo` object sits between
@@ -84,11 +88,11 @@ use std::path::{Path, PathBuf};
 pub use obs::JsonValue;
 
 /// Identifier of the report file format.
-pub const SCHEMA: &str = "degradable-harness-report";
+const SCHEMA: &str = "degradable-harness-report";
 
 /// Version of the report file format; bump on breaking layout changes.
 /// See the module docs for the version history.
-pub const SCHEMA_VERSION: u64 = 7;
+const SCHEMA_VERSION: u64 = 8;
 
 /// A titled table: the unit shared by ASCII printing and JSON reports.
 #[derive(Debug, Clone, PartialEq)]
@@ -112,7 +116,7 @@ impl Table {
     }
 
     /// A table populated with the given rows (the common case in
-    /// experiment binaries that build all rows up front).
+    /// experiments that build all rows up front).
     pub fn with_rows(title: impl Into<String>, headers: &[&str], rows: Vec<Vec<String>>) -> Self {
         let mut table = Table::new(title, headers);
         table.rows = rows;
@@ -148,8 +152,8 @@ impl Table {
     }
 
     /// The table rendered as fixed-width ASCII (title banner, header row,
-    /// separator, data rows; trailing newline). [`Table::print`] emits
-    /// exactly this string, and `cli obs` reuses it for trace summaries.
+    /// separator, data rows; trailing newline): what `dagree exp` prints,
+    /// and `dagree obs` reuses it for trace summaries.
     pub fn to_ascii(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "\n== {} ==", self.title);
@@ -178,11 +182,6 @@ impl Table {
         out
     }
 
-    /// Prints the table as fixed-width ASCII to stdout.
-    pub fn print(&self) {
-        print!("{}", self.to_ascii());
-    }
-
     /// The table as a JSON object (`title`, `headers`, `rows`).
     pub fn to_json(&self) -> JsonValue {
         JsonValue::Object(vec![
@@ -205,9 +204,8 @@ impl Table {
 }
 
 /// A versioned experiment report: metadata, scalar metrics, and tables.
-///
-/// Build one per experiment run, [`Report::print_tables`] for the human,
-/// then [`Report::write`] for the machines.
+/// Build one per experiment run; [`Report::tables`] is what a human
+/// reads, [`Report::write`] what the machines do.
 #[derive(Debug, Clone, Default)]
 pub struct Report {
     experiment: String,
@@ -228,12 +226,7 @@ impl Report {
         }
     }
 
-    /// The experiment name.
-    pub fn experiment(&self) -> &str {
-        &self.experiment
-    }
-
-    /// Records a metadata field (seed, trial count, worker count, ...).
+    /// Records a metadata field (seed, trial count, sweep size, ...).
     /// Re-setting a key overwrites it in place (order preserved).
     pub fn set_meta(&mut self, key: impl Into<String>, value: impl Into<JsonValue>) -> &mut Self {
         let (key, value) = (key.into(), value.into());
@@ -260,7 +253,7 @@ impl Report {
     /// it in place. The `perf` object is emitted only when at least one
     /// counter was recorded. Record deterministic counters only, so
     /// reports stay bit-identical across worker counts.
-    pub fn set_perf(&mut self, key: impl Into<String>, value: impl Into<JsonValue>) -> &mut Self {
+    fn set_perf(&mut self, key: impl Into<String>, value: impl Into<JsonValue>) -> &mut Self {
         let (key, value) = (key.into(), value.into());
         if let Some(slot) = self.perf.iter_mut().find(|(k, _)| *k == key) {
             slot.1 = value;
@@ -291,11 +284,6 @@ impl Report {
         self
     }
 
-    /// The report's accumulated observability registry.
-    pub fn obs_registry(&self) -> &obs::Registry {
-        &self.obs
-    }
-
     /// Records an evaluated SLO spec (schema v6). The `slo` section is
     /// emitted only when set; a second call replaces the first (one
     /// verdict per report — evaluate one composite spec if an experiment
@@ -303,11 +291,6 @@ impl Report {
     pub fn set_slo(&mut self, slo: crate::slo::SloReport) -> &mut Self {
         self.slo = Some(slo);
         self
-    }
-
-    /// The evaluated SLO spec, if one was recorded.
-    pub fn slo(&self) -> Option<&crate::slo::SloReport> {
-        self.slo.as_ref()
     }
 
     /// Appends a table.
@@ -319,13 +302,6 @@ impl Report {
     /// The tables recorded so far.
     pub fn tables(&self) -> &[Table] {
         &self.tables
-    }
-
-    /// Prints every table as ASCII to stdout.
-    pub fn print_tables(&self) {
-        for table in &self.tables {
-            table.print();
-        }
     }
 
     /// The full report as a JSON value (see the module docs for the
@@ -360,12 +336,12 @@ impl Report {
     }
 
     /// The default output path: `results/<experiment>.json`.
-    pub fn default_path(&self) -> PathBuf {
+    fn default_path(&self) -> PathBuf {
         PathBuf::from("results").join(format!("{}.json", self.experiment))
     }
 
     /// Writes the report to `path` (creating parent directories), or to
-    /// [`Report::default_path`] when `path` is `None`. Returns the path
+    /// `results/<experiment>.json` when `path` is `None`. Returns the path
     /// written.
     ///
     /// # Errors
@@ -385,27 +361,9 @@ impl Report {
     }
 }
 
-/// Prints a fixed-width ASCII table with a header row and separator.
-/// Column widths cover the widest row, even when rows are wider than the
-/// header list.
-pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
-    let mut table = Table::new(title, headers);
-    table.rows = rows.to_vec();
-    table.print();
-}
-
 /// Formats a fraction as a percentage with one decimal.
 pub fn pct(x: f64) -> String {
     format!("{:.1}%", 100.0 * x)
-}
-
-/// Emits a CSV block to stdout (for machine-readable capture by `tee`).
-pub fn print_csv(name: &str, headers: &[&str], rows: &[Vec<String>]) {
-    println!("\n#csv {name}");
-    println!("{}", headers.join(","));
-    for row in rows {
-        println!("{}", row.join(","));
-    }
 }
 
 #[cfg(test)]
@@ -437,7 +395,7 @@ mod tests {
         let widths = t.column_widths();
         assert_eq!(widths.len(), 2);
         assert_eq!(widths[1], "a-cell-much-wider-than-8".len());
-        t.print(); // must not panic
+        assert!(t.to_ascii().ends_with("x  a-cell-much-wider-than-8\n"));
     }
 
     #[test]
@@ -451,7 +409,7 @@ mod tests {
         r.add_table(t);
         let json = r.to_json_string();
         assert!(json.starts_with(
-            "{\"schema\":\"degradable-harness-report\",\"version\":7,\"experiment\":\"smoke\""
+            "{\"schema\":\"degradable-harness-report\",\"version\":8,\"experiment\":\"smoke\""
         ));
         assert!(json.contains("\"meta\":{\"master_seed\":7,\"trials\":10}"));
         assert!(json.contains("\"metrics\":{\"p\":0.5}"));
@@ -471,7 +429,7 @@ mod tests {
         r.set_slo(
             crate::slo::SloSpec::new("gate")
                 .counter_at_least("sweep.trials", 9)
-                .evaluate(r.obs_registry()),
+                .evaluate(&reg),
         );
         let json = r.to_json_string();
         assert!(json.contains(
@@ -479,7 +437,6 @@ mod tests {
              \"slo\":{\"name\":\"gate\",\"passed\":true,\"objectives\":[\
              {\"objective\":\"sweep.trials >= 9\",\"observed\":9,\"pass\":true}]},\"tables\":[]"
         ));
-        assert!(r.slo().unwrap().passed());
     }
 
     #[test]
@@ -534,6 +491,16 @@ mod tests {
         assert!(ascii.contains("h1  long-header"));
         assert!(ascii.contains("--  -----------"));
         assert!(ascii.ends_with("a   b\n"));
+        // A data cell wider than its header widens the column.
+        let t = Table::with_rows(
+            "t",
+            &["a", "bee"],
+            vec![vec!["1".into(), "2".into()], vec!["333".into(), "4".into()]],
+        );
+        assert_eq!(
+            t.to_ascii(),
+            "\n== t ==\na    bee\n---  ---\n1    2\n333  4\n"
+        );
     }
 
     #[test]

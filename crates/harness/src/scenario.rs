@@ -42,7 +42,7 @@ impl ChaosConfig {
     }
 
     /// Whether every knob is zero (nothing would be injected).
-    pub fn is_quiet(&self) -> bool {
+    fn is_quiet(&self) -> bool {
         self.drop_p == 0.0
             && self.duplicate_p == 0.0
             && self.reorder_window == 0
@@ -51,7 +51,7 @@ impl ChaosConfig {
 
     /// The non-zero knobs as link-fault kinds (in a fixed application
     /// order: drop, duplicate, reorder, corrupt).
-    pub fn kinds(&self) -> Vec<LinkFaultKind> {
+    fn kinds(&self) -> Vec<LinkFaultKind> {
         let mut kinds = Vec::new();
         if self.drop_p > 0.0 {
             kinds.push(LinkFaultKind::Drop { p: self.drop_p });
@@ -74,7 +74,7 @@ impl ChaosConfig {
 
     /// Expands the knobs into a plan covering every directed pair of `n`
     /// nodes (the complete execution topology of the protocol executor).
-    pub fn plan_for_complete(&self, n: usize) -> LinkFaultPlan {
+    fn plan_for_complete(&self, n: usize) -> LinkFaultPlan {
         LinkFaultPlan::uniform_complete(n, &self.kinds())
     }
 }
@@ -206,12 +206,6 @@ impl Scenario {
             chaos: None,
             transport: TransportKind::default(),
         }
-    }
-
-    /// Replaces the sender.
-    pub fn with_sender(mut self, sender: NodeId) -> Self {
-        self.sender = sender;
-        self
     }
 
     /// Replaces the sender's value.
@@ -357,11 +351,13 @@ mod tests {
 
     #[test]
     fn builder_roundtrip() {
-        let s = Scenario::new(5, 1, 2)
-            .with_sender(NodeId::new(2))
-            .with_sender_value(Val::Value(9))
-            .with_strategy(NodeId::new(4), Strategy::Silent)
-            .with_master_seed(7);
+        let s = Scenario {
+            sender: NodeId::new(2),
+            ..Scenario::new(5, 1, 2)
+        }
+        .with_sender_value(Val::Value(9))
+        .with_strategy(NodeId::new(4), Strategy::Silent)
+        .with_master_seed(7);
         assert_eq!(s.sender, NodeId::new(2));
         assert_eq!(s.sender_value, Val::Value(9));
         assert_eq!(s.f(), 1);

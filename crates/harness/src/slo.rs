@@ -7,8 +7,8 @@
 //! ratios between counters, and "must be zero" invariants. Evaluating a spec
 //! ([`SloSpec::evaluate`]) produces an [`SloReport`]: one pass/fail row
 //! per objective plus an overall verdict, which lands in the report JSON
-//! as the schema-v6 `slo` section (see [`crate::report`]) so bench
-//! binaries can gate on it (`dagree`'s CI does exactly this for E20).
+//! as the schema-v6 `slo` section (see [`crate::report`]) so an
+//! experiment's verdict can gate on it (E20 and E21 do).
 //!
 //! Everything here is integer arithmetic over exact registry contents:
 //! maxima and counters compare as recorded and ratios cross-multiply, so
@@ -25,20 +25,13 @@ use crate::report::JsonValue;
 
 /// One objective over a registry snapshot.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SloObjective {
+enum SloObjective {
     /// The largest value observed into histogram `hist` must be ≤
     /// `bound`. Fails if the histogram is absent or empty.
     MaxAtMost {
         /// Histogram name in the registry.
         hist: String,
         /// Inclusive upper bound, in the histogram's value units.
-        bound: u64,
-    },
-    /// Counter `counter` must be ≤ `bound`. An absent counter reads 0.
-    CounterAtMost {
-        /// Counter name in the registry.
-        counter: String,
-        /// Inclusive upper bound.
         bound: u64,
     },
     /// Counter `counter` must be ≥ `bound`. An absent counter reads 0.
@@ -71,10 +64,9 @@ pub enum SloObjective {
 impl SloObjective {
     /// A stable, human-readable label for report rows
     /// (e.g. `max(svc.instance.logical) <= 144`).
-    pub fn label(&self) -> String {
+    fn label(&self) -> String {
         match self {
             SloObjective::MaxAtMost { hist, bound } => format!("max({hist}) <= {bound}"),
-            SloObjective::CounterAtMost { counter, bound } => format!("{counter} <= {bound}"),
             SloObjective::CounterAtLeast { counter, bound } => format!("{counter} >= {bound}"),
             SloObjective::RatioAtLeast { num, den, min_x100 } => {
                 format!("{num}/{den} >= {min_x100}%")
@@ -86,17 +78,13 @@ impl SloObjective {
     /// Evaluates this objective against `registry`, returning the
     /// observed value (`None` when the quantity does not exist) and the
     /// verdict.
-    pub fn evaluate(&self, registry: &obs::Registry) -> SloResult {
+    fn evaluate(&self, registry: &obs::Registry) -> SloResult {
         let (observed, pass) = match self {
             SloObjective::MaxAtMost { hist, bound } => {
                 match registry.histogram(hist).and_then(obs::Histogram::max) {
                     Some(max) => (Some(max), max <= *bound),
                     None => (None, false),
                 }
-            }
-            SloObjective::CounterAtMost { counter, bound } => {
-                let v = registry.counter(counter);
-                (Some(v), v <= *bound)
             }
             SloObjective::CounterAtLeast { counter, bound } => {
                 let v = registry.counter(counter);
@@ -143,18 +131,7 @@ impl SloSpec {
         }
     }
 
-    /// The spec's name (becomes the `name` field of the `slo` section).
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// The objectives in declaration order.
-    pub fn objectives(&self) -> &[SloObjective] {
-        &self.objectives
-    }
-
-    /// Adds an arbitrary objective.
-    pub fn objective(mut self, o: SloObjective) -> Self {
+    fn objective(mut self, o: SloObjective) -> Self {
         self.objectives.push(o);
         self
     }
@@ -163,14 +140,6 @@ impl SloSpec {
     pub fn max_at_most(self, hist: impl Into<String>, bound: u64) -> Self {
         self.objective(SloObjective::MaxAtMost {
             hist: hist.into(),
-            bound,
-        })
-    }
-
-    /// Counter ceiling: `counter ≤ bound` (e.g. max messages).
-    pub fn counter_at_most(self, counter: impl Into<String>, bound: u64) -> Self {
-        self.objective(SloObjective::CounterAtMost {
-            counter: counter.into(),
             bound,
         })
     }
@@ -220,15 +189,15 @@ impl SloSpec {
 /// One evaluated objective: its label, what the registry held, and the
 /// verdict.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SloResult {
-    /// The objective's [`SloObjective::label`].
-    pub label: String,
+struct SloResult {
+    /// The objective's label.
+    label: String,
     /// The observed value the bound compared against — a counter value, a
     /// histogram's maximum, or a ratio in ×100 fixed point. `None` when
     /// the quantity was absent (which fails).
-    pub observed: Option<u64>,
+    observed: Option<u64>,
     /// Whether the objective held.
-    pub pass: bool,
+    pass: bool,
 }
 
 /// The outcome of evaluating an [`SloSpec`]: per-objective rows plus an
@@ -236,24 +205,15 @@ pub struct SloResult {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SloReport {
     /// The spec's name.
-    pub name: String,
+    name: String,
     /// Per-objective outcomes, in declaration order.
-    pub results: Vec<SloResult>,
+    results: Vec<SloResult>,
 }
 
 impl SloReport {
     /// `true` when every objective held. An empty spec passes vacuously.
     pub fn passed(&self) -> bool {
         self.results.iter().all(|r| r.pass)
-    }
-
-    /// The failing objectives' labels, for error messages and gate logs.
-    pub fn failures(&self) -> Vec<&str> {
-        self.results
-            .iter()
-            .filter(|r| !r.pass)
-            .map(|r| r.label.as_str())
-            .collect()
     }
 
     /// The section as JSON:
@@ -309,17 +269,16 @@ mod tests {
         let reg = registry();
         let report = SloSpec::new("smoke")
             .max_at_most("lat", 100)
-            .counter_at_most("net.sent", 200)
             .counter_at_least("net.sent", 100)
             .ratio_at_least("eig.votes_memo_hit", "eig.arena_nodes", 25)
             .zero("spec.violations")
             .evaluate(&reg);
-        assert!(report.passed(), "{:?}", report.failures());
-        assert_eq!(report.results.len(), 5);
+        assert!(report.passed(), "{report:?}");
+        assert_eq!(report.results.len(), 4);
         // Maxima and counters observe their raw value; ratios observe ×100.
         assert_eq!(report.results[0].observed, Some(100));
         assert_eq!(report.results[1].observed, Some(120));
-        assert_eq!(report.results[3].observed, Some(30));
+        assert_eq!(report.results[2].observed, Some(30));
     }
 
     #[test]
@@ -327,14 +286,13 @@ mod tests {
         let reg = registry();
         for spec in [
             SloSpec::new("hist").max_at_most("lat", 99),
-            SloSpec::new("max").counter_at_most("net.sent", 10),
             SloSpec::new("min").counter_at_least("net.sent", 1000),
             SloSpec::new("ratio").ratio_at_least("eig.votes_memo_hit", "eig.arena_nodes", 31),
             SloSpec::new("zero").zero("net.sent"),
         ] {
             let report = spec.evaluate(&reg);
             assert!(!report.passed(), "{} should fail", report.name);
-            assert_eq!(report.failures().len(), 1);
+            assert_eq!(report.results.iter().filter(|r| !r.pass).count(), 1);
         }
     }
 
@@ -350,10 +308,8 @@ mod tests {
             .evaluate(&reg);
         assert!(!report.passed());
         assert!(report.results.iter().all(|r| r.observed.is_none()));
-        // But absent counters read 0, so ceilings and zero-invariants
-        // over them pass.
+        // But absent counters read 0, so zero-invariants over them pass.
         assert!(SloSpec::new("ok")
-            .counter_at_most("no.such.counter", 5)
             .zero("no.such.counter")
             .evaluate(&reg)
             .passed());
