@@ -19,9 +19,8 @@
 //! The recorder's wall-clock cost is measured in one place only: the perf
 //! ledger's `obs.recorder_overhead_ratio` (`benchmark/`), on the real
 //! service path. This experiment reads no clock, so its report
-//! (`results/obs_overhead.json`) is deterministic. Every instance has one
-//! sender, so the resolve is one shard and the worker count has nothing
-//! to split.
+//! (`results/obs_overhead.json`) is deterministic. It runs one-shot
+//! batches, each one shard, so the worker count has nothing to split.
 
 use crate::Run;
 use degradable::analysis::message_complexity;

@@ -15,8 +15,8 @@
 //! a live decision-equivalence sample.
 //!
 //! The report (`results/service_throughput.json`) holds only
-//! deterministic counters: the worker count is the service's resolve
-//! shard count, and decisions and counters are worker-count-independent
+//! deterministic counters: the worker count is the service's shard
+//! count per drain, and decisions and counters are worker-count-independent
 //! by construction. Sustained decisions per second are the ledger's
 //! `svc_*` workloads (`decisions_per_s`, `benchmark/`).
 //!

@@ -1,6 +1,6 @@
 //! Hand-rolled argument parsing for `dagree`.
 
-use degradable::{Strategy, Val};
+use degradable::{ServiceConfig, Strategy, Val};
 use simnet::NodeId;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -56,10 +56,11 @@ SERVICE MODE:
   stores are pooled across drains (stores cleared, never rebuilt) and
   the bounded queue (--queue) sheds excess load with a counted error
   instead of growing, so a --burst above --queue (the default) exercises
-  the shed path deliberately. Every 4th drain is sampled against
-  one-shot `dagree batch` semantics (run_batch) and decision mismatches
-  are reported; --metrics-out writes the worker-count-independent
-  registry/span JSONL.
+  the shed path deliberately. Each drain is split into --workers shards
+  that run on their own threads (default: the host's core count). Every
+  4th drain is sampled against one-shot `dagree batch` semantics
+  (run_batch) and decision mismatches are reported; --metrics-out writes
+  the worker-count-independent registry/span JSONL.
 
 EXAMPLES:
   dagree run --nodes 5 --m 1 --u 2 --value 42 --faulty 3:constant-lie:7,4:constant-lie:7
@@ -173,7 +174,7 @@ pub enum Command {
         burst: usize,
         /// Bounded ingest-queue capacity; bursts above it shed.
         queue: usize,
-        /// Resolve shard workers (decisions are worker-count-independent).
+        /// Shards per drain (decisions are worker-count-independent).
         workers: usize,
         /// Value-stream seed.
         seed: u64,
@@ -571,7 +572,7 @@ pub fn parse_args(argv: &[String]) -> Result<Command, ParseError> {
                 instances: opt_usize(&flags, "--instances", 256)?,
                 burst: at_least_one("--burst", 96)?,
                 queue: at_least_one("--queue", 64)?,
-                workers: at_least_one("--workers", 1)?,
+                workers: at_least_one("--workers", ServiceConfig::default().workers)?,
                 seed: flags
                     .pairs
                     .get("--seed")
@@ -1045,6 +1046,13 @@ mod tests {
             ][..],
         ] {
             assert!(parse_args(&sv(bad)).is_err(), "{bad:?}");
+        }
+        // Without `--workers`, the service's own default.
+        match parse_args(&sv(&["bombard", "--nodes", "5", "--m", "1", "--u", "2"])).unwrap() {
+            Command::Bombard { workers, .. } => {
+                assert_eq!(workers, ServiceConfig::default().workers);
+            }
+            other => panic!("{other:?}"),
         }
         refuses(
             &[

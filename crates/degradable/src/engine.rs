@@ -22,8 +22,8 @@
 //!   receiver resolves it to. Subtrees that look identical to every
 //!   receiver collapse to a single memoized `VOTE(n-ℓ-m, n-ℓ)`
 //!   application instead of one per receiver. The walk is sequential; the
-//!   crate's one parallel resolve shards whole instances by sender
-//!   ([`crate::service`]).
+//!   crate's one parallel stage shards whole executions — fill and
+//!   resolve — across a service's workers ([`crate::service`]).
 //!
 //! # Memoization soundness
 //!

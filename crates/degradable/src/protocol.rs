@@ -89,8 +89,7 @@ pub fn run_protocol<V: Clone + Ord + Hash + Send + Sync>(
 
 /// [`run_protocol`] with [`BatchOptions`]: a network hook (fault plan,
 /// latency model, deadline, tracing), an obs recorder, or the receivers'
-/// materialized views (one map, for the one instance). One instance is
-/// one resolve shard, so [`BatchOptions::workers`] changes nothing here.
+/// materialized views (one map, for the one instance).
 ///
 /// Instances built with [`ByzInstance::new_below_bound`] run too — the
 /// node bound is the constructor's to enforce, not this function's.

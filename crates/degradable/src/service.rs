@@ -25,8 +25,8 @@
 //! This module holds the **one** simulated-network inbox of the crate:
 //! [`run_batch`], [`crate::run_protocol`] (a one-instance batch),
 //! [`crate::run_churn`] (one batch per epoch) and [`ServiceState`] (one
-//! batch per drain) all validate, record and relay through the same round
-//! closure.
+//! batch per shard of a drain) all validate, record and relay through the
+//! same round closure.
 //!
 //! A [`BatchMsg`] carries its relay path as a *label*: a root node and a
 //! [`PathId`] in the arena of that root's instances. Every label that
@@ -70,7 +70,7 @@
 
 use crate::adversary::{claim_for, Strategy};
 use crate::eig::EigView;
-use crate::engine::{EigEngine, EigStore, PathArena, PathId};
+use crate::engine::{EigEngine, EigStore, EngineRun, PathArena, PathId};
 use crate::params::Params;
 use crate::path::{Arrival, Path};
 use crate::protocol::ByzMsg;
@@ -78,8 +78,12 @@ use crate::spec::Step;
 use crate::value::AgreementValue;
 use obs::{Obs, SpanRecord};
 use simnet::{EigPerf, NodeId, RoundEngine, Topology};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, HashSet};
 use std::hash::Hash;
+use std::panic::AssertUnwindSafe;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::thread::JoinHandle;
+use std::time::Instant;
 
 /// Bucket bounds for the per-instance message-count histogram
 /// (`svc.instance.messages`): powers of four from 8 to half a million,
@@ -140,11 +144,10 @@ type NetworkHook<'a, V> =
 
 /// Everything optional about one simulated-network execution — the one
 /// options surface of [`run_batch`] and [`crate::run_protocol_with`].
-/// The default is a healthy network, one resolve shard, and nothing
-/// traced, observed or materialized.
+/// The default is a healthy network and nothing traced, observed or
+/// materialized.
 pub struct BatchOptions<'a, V> {
     network: Option<NetworkHook<'a, V>>,
-    workers: usize,
     trace: Option<&'a mut dyn FnMut(usize, Step<V>)>,
     obs: Option<&'a mut Obs>,
     views: Option<&'a mut Vec<BTreeMap<NodeId, EigView<V>>>>,
@@ -154,7 +157,6 @@ impl<V> Default for BatchOptions<'_, V> {
     fn default() -> Self {
         BatchOptions {
             network: None,
-            workers: 1,
             trace: None,
             obs: None,
             views: None,
@@ -175,15 +177,6 @@ impl<'a, V> BatchOptions<'a, V> {
         setup: impl FnOnce(RoundEngine<BatchMsg<V>>) -> RoundEngine<BatchMsg<V>> + 'a,
     ) -> Self {
         self.network = Some(Box::new(setup));
-        self
-    }
-
-    /// Resolution shards: instances are resolved in parallel across this
-    /// many threads, sharded by sender, as [`ServiceConfig::workers`]
-    /// does per drain. Decisions, deterministic counters and spans are
-    /// independent of this knob; only wall time changes.
-    pub fn workers(mut self, workers: usize) -> Self {
-        self.workers = workers;
         self
     }
 
@@ -251,6 +244,9 @@ pub fn run_batch<V: Clone + Ord + Hash + Send + Sync>(
 /// [`run_batch`] behind its shape checks. [`crate::run_protocol`] enters
 /// here: a [`crate::ByzInstance`] has validated its sender and may sit
 /// below the node bound on purpose (the lower-bound experiments).
+///
+/// A one-shot batch is one [`Shard`]: its network hook is `FnOnce` and its
+/// trace sink is not `Send`, so neither could be split across shards.
 pub(crate) fn run_unchecked<V: Clone + Ord + Hash + Send + Sync>(
     params: Params,
     n: usize,
@@ -262,21 +258,30 @@ pub(crate) fn run_unchecked<V: Clone + Ord + Hash + Send + Sync>(
     let depth = params.rounds();
     let mut pool = Pool::new();
     let mut lease = pool.lease(instances, |sender| EigEngine::new(n, sender, depth));
-    let mut net = RoundEngine::new(Topology::complete(n), seed);
+    let mut shard = Shard::new(n, seed);
     if let Some(setup) = opts.network {
-        net = setup(net);
+        shard.net = setup(shard.net);
     }
-    let run = fill_and_resolve(
+    let start = Instant::now();
+    let ran = fill_and_resolve(
         params,
         n,
         instances,
         strategies,
-        &mut net,
+        &mut shard,
         opts.trace,
-        opts.obs.unwrap_or(&mut Obs::disabled()),
         &pool.engines,
-        &mut lease,
-        opts.workers,
+        &lease.engine_idx,
+        &mut lease.stores,
+    );
+    let run = fold(
+        n,
+        depth,
+        instances,
+        vec![ran],
+        start,
+        lease.arenas_built,
+        opts.obs.unwrap_or(&mut Obs::disabled()),
     );
     if let Some(out) = opts.views {
         *out = materialize_views(params, n, instances, &pool.engines, &lease);
@@ -290,7 +295,7 @@ fn materialize_views<V: Clone + Ord>(
     params: Params,
     n: usize,
     instances: &[BatchInstance<V>],
-    engines: &[EigEngine],
+    engines: &[Arc<EigEngine>],
     lease: &Lease<V>,
 ) -> Vec<BTreeMap<NodeId, EigView<V>>> {
     let depth = params.rounds();
@@ -320,8 +325,9 @@ fn materialize_views<V: Clone + Ord>(
 /// one-shot [`run_batch`] builds one and drops it.
 #[derive(Debug)]
 struct Pool<V> {
-    /// One engine per sender ever seen, append-only.
-    engines: Vec<EigEngine>,
+    /// One engine per sender ever seen, append-only; shared with the
+    /// helper threads of a drain.
+    engines: Vec<Arc<EigEngine>>,
     engine_of_sender: BTreeMap<NodeId, usize>,
     /// Per-engine free lists of cleared stores.
     free_stores: Vec<Vec<EigStore<V>>>,
@@ -369,7 +375,7 @@ impl<V> Pool<V> {
                 Some(&e) => e,
                 None => {
                     let e = self.engines.len();
-                    self.engines.push(build(inst.sender));
+                    self.engines.push(Arc::new(build(inst.sender)));
                     self.free_stores.push(Vec::new());
                     self.engine_of_sender.insert(inst.sender, e);
                     lease.arenas_built += 1;
@@ -398,67 +404,323 @@ impl<V> Pool<V> {
     }
 }
 
-/// The one execution of the crate's simulated-network protocol, shared
-/// by the one-shot [`run_batch`] and the persistent [`ServiceState`]: one
-/// multiplexed fill on the provided (fresh or long-lived) network
-/// `engine` over the leased (fresh or pooled) engines and stores, then
-/// one memoized bottom-up resolve per instance. With `shard_workers > 1`
-/// the resolution is sharded *by sender* across worker threads — every
-/// instance of a sender resolves on the thread that owns its arena — and
-/// results are folded back in instance order, so decisions, deterministic
-/// counters and spans are independent of the shard count. Both callers
-/// pass their `workers` ([`BatchOptions::workers`],
-/// [`ServiceConfig::workers`]) here; this is the crate's one parallel
-/// resolve.
+/// What a shard owns across executions: the simulated network its
+/// instances fill over, and the fill's relay buffer. A one-shot
+/// [`run_batch`] builds one and drops it; a [`ServiceState`] and each of
+/// its helper threads keep one, re-seeded per drain, so both stay
+/// allocated (§5k of DESIGN.md).
+#[derive(Debug)]
+struct Shard<V> {
+    net: RoundEngine<BatchMsg<V>>,
+    /// What a node's turn decides to relay, between its receive half and
+    /// its send half: emptied by every turn.
+    to_relay: Vec<(u32, PathId, AgreementValue<V>)>,
+}
+
+impl<V: Clone> Shard<V> {
+    fn new(n: usize, seed: u64) -> Self {
+        Shard {
+            net: RoundEngine::new(Topology::complete(n), seed),
+            to_relay: Vec::new(),
+        }
+    }
+}
+
+/// What one shard's execution yields: per instance of its chunk, in
+/// order, the resolve and the protocol sends; the network's counters; and
+/// when the fill ended, on the shard's own thread.
+struct ShardRun<V> {
+    resolved: Vec<EngineRun<V>>,
+    sent: Vec<u64>,
+    net: simnet::Outcome,
+    spoofs_rejected: u64,
+    fill_end: Instant,
+}
+
+/// Runs `instances` as `shards` independent executions, one per shard over
+/// a contiguous chunk of near-equal size (the first `K mod shards` chunks
+/// take one instance more). The calling thread runs shard 0 over `shard`
+/// while the crew's helpers start on the others; then it runs every shard
+/// no helper has started yet, and only then waits for the helpers still
+/// running — a drain waits for a helper that is running, never for one
+/// that has yet to be scheduled. `stores` holds the chunks' stores in
+/// instance order, and does again on return; the runs come back in shard
+/// order, which is instance order.
 ///
-/// Inlined into its two callers on purpose: the service passes a constant
+/// Splitting cannot change a decision, a counter or a span: the service's
+/// network has no fault, latency or corruptor and so draws no randomness,
+/// [`Strategy::claim`] is a function of (path, receiver), and the slot
+/// fold is first-write-wins per instance — every instance sees exactly the
+/// message subsequence it sees in one multiplexed run.
+#[allow(clippy::too_many_arguments)]
+fn run_sharded<V: Clone + Ord + Hash + Send + Sync + 'static>(
+    params: Params,
+    n: usize,
+    instances: &[BatchInstance<V>],
+    strategies: &BTreeMap<NodeId, Strategy<V>>,
+    seed: u64,
+    shards: usize,
+    shard: &mut Shard<V>,
+    crew: &Crew<V>,
+    engines: &[Arc<EigEngine>],
+    engine_idx: &[usize],
+    stores: &mut Vec<EigStore<V>>,
+) -> Vec<ShardRun<V>> {
+    let k = instances.len();
+    let start = |p: usize| p * (k / shards) + p.min(k % shards);
+    if shards > 1 {
+        let strategies = Arc::new(strategies.clone());
+        // Stores leave from the tail, so the last shard is posted first
+        // and shard 1 is the first to be started.
+        crew.post((1..shards).rev().map(|p| {
+            let chunk = start(p)..start(p + 1);
+            Job {
+                index: p,
+                params,
+                n,
+                seed,
+                instances: instances[chunk.clone()].to_vec(),
+                strategies: Arc::clone(&strategies),
+                engines: engines.to_vec(),
+                engine_idx: engine_idx[chunk.clone()].to_vec(),
+                stores: stores.split_off(chunk.start),
+            }
+        }));
+    }
+    let own = start(1);
+    shard.net.reseed(seed);
+    let mut runs = Vec::with_capacity(shards);
+    runs.push(fill_and_resolve(
+        params,
+        n,
+        &instances[..own],
+        strategies,
+        shard,
+        None,
+        engines,
+        &engine_idx[..own],
+        stores,
+    ));
+    if shards > 1 {
+        for (chunk_stores, run) in crew.finish(shard) {
+            stores.extend(chunk_stores);
+            runs.push(run);
+        }
+    }
+    runs
+}
+
+/// One shard of a drain, owned, so that whichever thread starts it first
+/// can run it.
+struct Job<V> {
+    /// The shard's place in the drain.
+    index: usize,
+    params: Params,
+    n: usize,
+    seed: u64,
+    instances: Vec<BatchInstance<V>>,
+    strategies: Arc<BTreeMap<NodeId, Strategy<V>>>,
+    engines: Vec<Arc<EigEngine>>,
+    engine_idx: Vec<usize>,
+    stores: Vec<EigStore<V>>,
+}
+
+/// What a [`Job`] gives back: its stores, filled, and its run.
+type JobDone<V> = (Vec<EigStore<V>>, ShardRun<V>);
+
+impl<V: Clone + Ord + Hash> Job<V> {
+    /// Runs the job over `shard`, whichever thread's shard that is.
+    fn run(mut self, shard: &mut Shard<V>) -> JobDone<V> {
+        shard.net.reseed(self.seed);
+        let run = fill_and_resolve(
+            self.params,
+            self.n,
+            &self.instances,
+            &self.strategies,
+            shard,
+            None,
+            &self.engines,
+            &self.engine_idx,
+            &mut self.stores,
+        );
+        (self.stores, run)
+    }
+}
+
+/// The helper threads of a [`ServiceState`]: each owns a [`Shard`] and
+/// sleeps until a drain posts shards, then runs them one at a time until
+/// none is left unstarted.
+struct Crew<V> {
+    shared: Arc<(Mutex<Queue<V>>, Condvar)>,
+    threads: Vec<JoinHandle<()>>,
+}
+
+/// What a drain and its crew share.
+struct Queue<V> {
+    /// Shards posted and not started; the next to start is last.
+    posted: Vec<Job<V>>,
+    /// Shards a helper has started and not finished.
+    running: usize,
+    /// Shards the helpers finished, or panicked in.
+    done: Vec<(usize, std::thread::Result<JobDone<V>>)>,
+    /// The helpers are to exit.
+    closed: bool,
+}
+
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    // A job's panic is caught outside the lock, so nothing poisons it.
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+fn wait<'a, T>(changed: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
+    changed.wait(guard).unwrap_or_else(PoisonError::into_inner)
+}
+
+impl<V: Clone + Ord + Hash + Send + Sync + 'static> Crew<V> {
+    fn new() -> Self {
+        let queue = Queue {
+            posted: Vec::new(),
+            running: 0,
+            done: Vec::new(),
+            closed: false,
+        };
+        Crew {
+            shared: Arc::new((Mutex::new(queue), Condvar::new())),
+            threads: Vec::new(),
+        }
+    }
+
+    /// Spawns helpers, each with a shard over `n` nodes, until there are
+    /// `helpers`.
+    fn grow(&mut self, helpers: usize, n: usize) {
+        while self.threads.len() < helpers {
+            let shared = Arc::clone(&self.shared);
+            self.threads.push(std::thread::spawn(move || {
+                let (queue, changed) = &*shared;
+                let mut shard = Shard::new(n, 0);
+                loop {
+                    let job = {
+                        let mut state = lock(queue);
+                        loop {
+                            if state.closed {
+                                return;
+                            }
+                            if let Some(job) = state.posted.pop() {
+                                state.running += 1;
+                                break job;
+                            }
+                            state = wait(changed, state);
+                        }
+                    };
+                    let index = job.index;
+                    let ran = std::panic::catch_unwind(AssertUnwindSafe(|| job.run(&mut shard)));
+                    let mut state = lock(queue);
+                    state.running -= 1;
+                    state.done.push((index, ran));
+                    drop(state);
+                    changed.notify_all();
+                }
+            }));
+        }
+    }
+
+    fn post(&self, jobs: impl Iterator<Item = Job<V>>) {
+        let (queue, changed) = &*self.shared;
+        lock(queue).posted.extend(jobs);
+        changed.notify_all();
+    }
+
+    /// Runs every posted job no helper has started over `shard`, waits for
+    /// the ones that have been, and returns them all in shard order. A job
+    /// that panicked on a helper is this drain panicking.
+    fn finish(&self, shard: &mut Shard<V>) -> Vec<JobDone<V>> {
+        let (queue, changed) = &*self.shared;
+        let mut finished = Vec::new();
+        let mut state = lock(queue);
+        loop {
+            if let Some(job) = state.posted.pop() {
+                drop(state);
+                finished.push((job.index, Ok(job.run(shard))));
+                state = lock(queue);
+            } else if state.running > 0 {
+                state = wait(changed, state);
+            } else {
+                break;
+            }
+        }
+        finished.append(&mut state.done);
+        drop(state);
+        finished.sort_unstable_by_key(|&(index, _)| index);
+        finished
+            .into_iter()
+            .map(|(_, ran)| ran.unwrap_or_else(|payload| std::panic::resume_unwind(payload)))
+            .collect()
+    }
+}
+
+impl<V> Drop for Crew<V> {
+    fn drop(&mut self) {
+        let (queue, changed) = &*self.shared;
+        lock(queue).closed = true;
+        changed.notify_all();
+        for thread in self.threads.drain(..) {
+            // The threads catch their jobs' panics; none can fail here.
+            let _ = thread.join();
+        }
+    }
+}
+
+impl<V> std::fmt::Debug for Crew<V> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Crew")
+            .field("helpers", &self.threads.len())
+            .finish_non_exhaustive()
+    }
+}
+
+/// The one execution of the crate's simulated-network protocol, shared
+/// by the one-shot [`run_batch`] and every shard of a [`ServiceState`]
+/// drain: one multiplexed fill of `instances` on the shard's (fresh or
+/// long-lived) network over the leased (fresh or pooled) engines and
+/// stores — `engine_idx` and `stores` are index-aligned with `instances`
+/// — then one memoized bottom-up resolve per instance, in order.
+///
+/// Inlined into its callers on purpose: the service passes a constant
 /// `trace = None`, and a drain that keeps that check in the per-message
 /// closure decides about 5 % fewer instances per second on the perf ledger
 /// (`svc_faultfree_n13`).
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
-fn fill_and_resolve<V: Clone + Ord + Hash + Send + Sync>(
+fn fill_and_resolve<V: Clone + Ord + Hash>(
     params: Params,
     n: usize,
     instances: &[BatchInstance<V>],
     strategies: &BTreeMap<NodeId, Strategy<V>>,
-    engine: &mut RoundEngine<BatchMsg<V>>,
+    shard: &mut Shard<V>,
     mut trace: Option<&mut dyn FnMut(usize, Step<V>)>,
-    obs: &mut Obs,
-    engines: &[EigEngine],
-    lease: &mut Lease<V>,
-    shard_workers: usize,
-) -> BatchRun<V> {
-    let engine_idx: &[usize] = &lease.engine_idx;
-    let stores: &mut [EigStore<V>] = &mut lease.stores;
-    let arena_builds = lease.arenas_built as usize;
+    engines: &[Arc<EigEngine>],
+    engine_idx: &[usize],
+    stores: &mut [EigStore<V>],
+) -> ShardRun<V> {
+    let Shard {
+        net: engine,
+        to_relay,
+    } = shard;
     let depth = params.rounds();
     let rule = crate::eig::VoteRule::Degradable { m: params.m() };
     let mut spoofs_rejected = 0u64;
     // Per-instance protocol sends, accumulated during the fill so the
-    // end-to-end histograms below can attribute network cost to the
-    // instance that incurred it.
-    let mut inst_sent: Vec<u64> = vec![0; instances.len()];
+    // end-to-end histograms can attribute network cost to the instance
+    // that incurred it.
+    let mut sent: Vec<u64> = vec![0; instances.len()];
 
-    let fill_timer = obs.span(
-        "batch.fill",
-        vec![
-            ("n", n as u64),
-            ("instances", instances.len() as u64),
-            ("depth", depth as u64),
-        ],
-    );
-    let fill_start = std::time::Instant::now();
     // Every label of the fill is decoded under its root's arena: one per
     // sender of the batch, looked up by root.
     let mut arena_of_root: Vec<Option<&PathArena>> = vec![None; n];
     for (inst, &e) in instances.iter().zip(engine_idx) {
         arena_of_root[inst.sender.index()] = Some(engines[e].arena());
     }
-    // What a node's turn decides to relay, between its receive half and
-    // its send half: one buffer for the whole fill, emptied by every turn.
-    let mut to_relay: Vec<(u32, PathId, AgreementValue<V>)> = Vec::new();
-    let mut net = engine.run_with(depth + 1, |i, ctx| {
+    let net = engine.run_with(depth + 1, |i, ctx| {
         let me = NodeId::new(i);
         let round = ctx.round();
         let strategy = strategies.get(&me);
@@ -545,7 +807,7 @@ fn fill_and_resolve<V: Clone + Ord + Hash + Send + Sync>(
                             };
                             traced_sends[idx].push((r, msg));
                         }
-                        inst_sent[idx] += 1;
+                        sent[idx] += 1;
                         ctx.send(
                             r,
                             BatchMsg {
@@ -583,7 +845,7 @@ fn fill_and_resolve<V: Clone + Ord + Hash + Send + Sync>(
                             };
                             traced_sends[k].push((r, msg));
                         }
-                        inst_sent[k] += 1;
+                        sent[k] += 1;
                         ctx.send(
                             r,
                             BatchMsg {
@@ -608,52 +870,77 @@ fn fill_and_resolve<V: Clone + Ord + Hash + Send + Sync>(
             }
         }
     });
-    let fill_nanos = fill_start.elapsed().as_nanos() as u64;
-    obs.finish(fill_timer, stores.iter().map(EigStore::materialized).sum());
+    let fill_end = Instant::now();
 
     // 3. Memoized bottom-up resolve, one pass per instance over its
-    // sender's shared arena — inline, or sharded by sender across
-    // `shard_workers` threads (results fold back in instance order, so
-    // everything but wall time is shard-count-independent).
+    // sender's shared arena.
+    let resolved = (0..instances.len())
+        .map(|k| engines[engine_idx[k]].resolve(rule, &stores[k]))
+        .collect();
+    ShardRun {
+        resolved,
+        sent,
+        net,
+        spoofs_rejected,
+        fill_end,
+    }
+}
+
+/// Folds the shards of one execution, begun at `start` on the calling
+/// thread, back into one [`BatchRun`] in instance order, and only then
+/// records its evidence: one `batch.fill` span, then a `batch.resolve` and
+/// a `trace.decide` span per instance, then the registry series — the same
+/// record for any number of shards. Called as soon as the last shard is
+/// joined: `fill_nanos` is the calling thread's wall from `start` to the
+/// end of shard 0's fill, `resolve_nanos` the rest of its wall up to here,
+/// so the two never sum across threads and nest inside the caller's.
+fn fold<V: Clone + Ord>(
+    n: usize,
+    depth: usize,
+    instances: &[BatchInstance<V>],
+    shards: Vec<ShardRun<V>>,
+    start: Instant,
+    arenas_built: u64,
+    obs: &mut Obs,
+) -> BatchRun<V> {
+    let wall = start.elapsed().as_nanos() as u64;
+    let fill_nanos = shards.first().map_or(0, |shard| {
+        shard.fill_end.saturating_duration_since(start).as_nanos() as u64
+    });
+    let arena_builds = arenas_built as usize;
     let observed = obs.is_enabled();
-    let stores: &[EigStore<V>] = stores;
-    let resolve = |k: usize| engines[engine_idx[k]].resolve(rule, &stores[k]);
-    let resolved: Vec<crate::engine::EngineRun<V>> = if shard_workers <= 1 {
-        (0..instances.len()).map(resolve).collect()
-    } else {
-        let mut shards: Vec<Vec<usize>> = vec![Vec::new(); shard_workers];
-        for k in 0..instances.len() {
-            shards[engine_idx[k] % shard_workers].push(k);
+
+    let mut net = simnet::Outcome::default();
+    let mut spoofs_rejected = 0u64;
+    let mut sent = Vec::with_capacity(if observed { instances.len() } else { 0 });
+    let mut materialized = 0u64;
+    for shard in &shards {
+        absorb_concurrent(&mut net, &shard.net);
+        spoofs_rejected += shard.spoofs_rejected;
+        if observed {
+            sent.extend_from_slice(&shard.sent);
         }
-        let resolve = &resolve;
-        let mut by_instance: Vec<(usize, _)> = std::thread::scope(|s| {
-            let handles: Vec<_> = shards
-                .iter()
-                .filter(|shard| !shard.is_empty())
-                .map(|shard| {
-                    s.spawn(move || shard.iter().map(|&k| (k, resolve(k))).collect::<Vec<_>>())
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|handle| {
-                    // A shard that panicked is this drain panicking.
-                    handle
-                        .join()
-                        .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
-                })
-                .collect()
-        });
-        // Every instance sits in exactly one shard: sorted by index, the
-        // results line up with `instances`.
-        by_instance.sort_unstable_by_key(|&(k, _)| k);
-        by_instance.into_iter().map(|(_, run)| run).collect()
-    };
+        materialized += shard
+            .resolved
+            .iter()
+            .map(|run| run.perf.messages_materialized)
+            .sum::<u64>();
+    }
+    let fill_timer = obs.span(
+        "batch.fill",
+        vec![
+            ("n", n as u64),
+            ("instances", instances.len() as u64),
+            ("depth", depth as u64),
+        ],
+    );
+    obs.finish(fill_timer, materialized);
 
     let mut decisions = Vec::with_capacity(instances.len());
     let mut agg = EigPerf::default();
     // Per-instance logical cost, for the histogram.
     let mut logicals = Vec::with_capacity(if observed { instances.len() } else { 0 });
+    let resolved = shards.into_iter().flat_map(|shard| shard.resolved);
     for (k, (inst, resolved_k)) in instances.iter().zip(resolved).enumerate() {
         // With the recorder off there is nobody to attribute to: skip
         // building the span records altogether.
@@ -684,13 +971,14 @@ fn fill_and_resolve<V: Clone + Ord + Hash + Send + Sync>(
         decisions.push(resolved_k.decisions);
     }
     agg.fill_nanos = fill_nanos;
+    agg.resolve_nanos = wall.saturating_sub(fill_nanos);
     net.eig = agg;
 
     // End-to-end attribution per instance: ingest (fill sends) to decision
     // (resolve), as message count and deterministic logical cost. One
     // histogram lookup per series, not per instance.
     if observed {
-        obs.observe_many("svc.instance.messages", SVC_MSG_BOUNDS, inst_sent);
+        obs.observe_many("svc.instance.messages", SVC_MSG_BOUNDS, sent);
         obs.observe_many("svc.instance.logical", SVC_LOGICAL_BOUNDS, logicals);
     }
 
@@ -711,6 +999,43 @@ fn fill_and_resolve<V: Clone + Ord + Hash + Send + Sync>(
         arena_builds,
         spoofs_rejected,
     }
+}
+
+/// Adds the network counters of a shard that ran beside the others to
+/// `total`: the shards step through the same rounds side by side, so the
+/// rounds run are any one shard's, and every message counter is a sum.
+/// (`eig` is left alone; [`fold`] sets it.)
+fn absorb_concurrent(total: &mut simnet::Outcome, shard: &simnet::Outcome) {
+    // Exhaustive, so that a counter added to `Outcome` must be placed here.
+    let simnet::Outcome {
+        rounds_run,
+        sent,
+        delivered,
+        dropped_crash,
+        dropped_omission,
+        late,
+        no_link,
+        dropped_link_cut,
+        dropped_link_loss,
+        duplicated,
+        reordered,
+        corrupted,
+        dropped_corrupt,
+        eig: _,
+    } = *shard;
+    total.rounds_run = total.rounds_run.max(rounds_run);
+    total.sent += sent;
+    total.delivered += delivered;
+    total.dropped_crash += dropped_crash;
+    total.dropped_omission += dropped_omission;
+    total.late += late;
+    total.no_link += no_link;
+    total.dropped_link_cut += dropped_link_cut;
+    total.dropped_link_loss += dropped_link_loss;
+    total.duplicated += duplicated;
+    total.reordered += reordered;
+    total.corrupted += corrupted;
+    total.dropped_corrupt += dropped_corrupt;
 }
 
 fn check_sender(sender: NodeId, n: usize) -> Result<(), ServiceError> {
@@ -816,11 +1141,13 @@ pub struct ServiceConfig {
     /// with [`ServiceError::QueueFull`] once this many instances are
     /// pending.
     pub queue_capacity: usize,
-    /// Resolution shards per drain: instances are resolved in parallel
-    /// across this many threads, sharded by sender (each sender's
-    /// instances stay on the thread that owns its arena). Decisions,
-    /// deterministic counters and spans are independent of this knob;
-    /// only wall time changes.
+    /// Threads per drain: a drain of K instances splits them into
+    /// `min(2 × workers, K)` contiguous shards of near-equal size, each a
+    /// whole execution — fill and resolve — run by the calling thread or
+    /// one of up to `workers − 1` helper threads the service keeps.
+    /// Decisions, counters and spans are independent of this knob; only
+    /// wall time changes. Defaults to the host's available parallelism
+    /// (1 if unknown).
     pub workers: usize,
 }
 
@@ -828,7 +1155,7 @@ impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig {
             queue_capacity: 10_000,
-            workers: 1,
+            workers: std::thread::available_parallelism().map_or(1, |cores| cores.get()),
         }
     }
 }
@@ -887,10 +1214,11 @@ pub struct ServiceBatch<V: Ord> {
 /// up to [`ServiceConfig::queue_capacity`] instances and sheds beyond
 /// that with a counted [`ServiceError::QueueFull`] — the queue never
 /// grows without bound. [`ServiceState::drain`] decides everything
-/// pending in one multiplexed execution, sharding resolution by sender
-/// across [`ServiceConfig::workers`] threads; for the same instances
-/// and seed the decisions are bit-identical to a fresh one-shot
-/// [`run_batch`], independent of the worker count.
+/// pending, split into contiguous shards that each run their own
+/// multiplexed execution, on up to [`ServiceConfig::workers`] threads; for
+/// the same instances and seed the decisions, counters and spans are
+/// bit-identical to a fresh one-shot [`run_batch`], independent of the
+/// worker count.
 ///
 /// [`PathArena`]: crate::engine::PathArena
 #[derive(Debug)]
@@ -900,17 +1228,22 @@ pub struct ServiceState<V> {
     config: ServiceConfig,
     /// Engines and cleared stores, kept across drains.
     pool: Pool<V>,
-    /// The simulated network every drain fills over, re-seeded per drain;
-    /// long-lived so its message buffers are allocated once.
-    net: RoundEngine<BatchMsg<V>>,
+    /// The calling thread's network and relay buffer: shard 0 of every
+    /// drain. Long-lived, so its buffers are allocated once.
+    shard: Shard<V>,
+    /// The helper threads, `workers − 1` once a drain has had that many
+    /// shards to spare, each with a shard of its own.
+    crew: Crew<V>,
     pending: Vec<(u64, BatchInstance<V>)>,
-    pending_ids: BTreeSet<u64>,
+    /// The pending ids, for the duplicate check only (never iterated);
+    /// `clear` keeps its capacity from drain to drain.
+    pending_ids: HashSet<u64>,
     stats: ServiceStats,
     /// Sheds since the last drain (reported as `svc.queue.shed` there).
     shed_unreported: u64,
 }
 
-impl<V: Clone + Ord + Hash + Send + Sync> ServiceState<V> {
+impl<V: Clone + Ord + Hash + Send + Sync + 'static> ServiceState<V> {
     /// A fresh service for `params` over `n` nodes. The node bound and
     /// the 64-node engine ceiling are validated here, so later drains
     /// cannot fail on shape.
@@ -921,9 +1254,10 @@ impl<V: Clone + Ord + Hash + Send + Sync> ServiceState<V> {
             n,
             config,
             pool: Pool::new(),
-            net: RoundEngine::new(Topology::complete(n), 0),
+            shard: Shard::new(n, 0),
+            crew: Crew::new(),
             pending: Vec::new(),
-            pending_ids: BTreeSet::new(),
+            pending_ids: HashSet::new(),
             stats: ServiceStats::default(),
             shed_unreported: 0,
         })
@@ -970,9 +1304,14 @@ impl<V: Clone + Ord + Hash + Send + Sync> ServiceState<V> {
         self.drain_observed(strategies, seed, &mut Obs::disabled())
     }
 
-    /// Decides everything pending in one multiplexed execution and
-    /// empties the queue. An empty drain is a valid no-op batch.
+    /// Decides everything pending and empties the queue. An empty drain
+    /// is a valid no-op batch.
     ///
+    /// The K pending instances run as `min(2 × workers, K)` shards (at
+    /// least one), each a whole multiplexed execution over a contiguous
+    /// chunk: shard 0 on the calling thread, the others on the service's
+    /// helper threads, unless the calling thread gets to them first. The result,
+    /// and everything recorded in `obs`, is the one-shard result.
     /// Engines and stores come from the pool (missing ones are built
     /// and retained); after the resolve every store is cleared and
     /// returned to its free list. On top of the usual `batch.*` /
@@ -1004,19 +1343,27 @@ impl<V: Clone + Ord + Hash + Send + Sync> ServiceState<V> {
             .lease(&instances, |sender| EigEngine::new(n, sender, depth));
 
         let queue_depth = instances.len() as u64;
-        self.net.reseed(seed);
-        let run = fill_and_resolve(
+        // Two shards per worker: a helper that starts late or stalls holds
+        // back half its share, not all of it, and every shard's network
+        // buffers are half the size (DESIGN §5j).
+        let workers = self.config.workers.max(1);
+        let shards = workers.saturating_mul(2).min(instances.len()).max(1);
+        self.crew.grow(workers.min(shards) - 1, n);
+        let start = Instant::now();
+        let shards = run_sharded(
             self.params,
             n,
             &instances,
             strategies,
-            &mut self.net,
-            None,
-            obs,
+            seed,
+            shards,
+            &mut self.shard,
+            &self.crew,
             &self.pool.engines,
-            &mut lease,
-            self.config.workers.max(1),
+            &lease.engine_idx,
+            &mut lease.stores,
         );
+        let run = fold(n, depth, &instances, shards, start, lease.arenas_built, obs);
         let (arenas_built, stores_built) = (lease.arenas_built, lease.stores_built);
         let (arenas_reused, stores_reused) =
             (queue_depth - arenas_built, queue_depth - stores_built);
@@ -1315,7 +1662,7 @@ mod tests {
             &instances,
             &lying_strategies(),
             1,
-            BatchOptions::new().workers(2).obs(&mut obs),
+            BatchOptions::new().obs(&mut obs),
         )
         .unwrap();
         let quiet = plain(params(), 5, &instances, &lying_strategies(), 1);
@@ -1461,7 +1808,10 @@ mod tests {
     /// Restart/drain semantics: ingest, drain, re-ingest on the same
     /// `ServiceState` decides identically to a fresh one-shot
     /// `run_batch` per wave, and the whole observable output is
-    /// bit-identical across worker counts 1/2/8.
+    /// bit-identical across worker counts 1/2/3/8. Then the shard grid:
+    /// workers {1, 2, 3, 8} × K {0, 1, 2, 5, 16} under every strategy of
+    /// the battery, each drain equal to the one-shard drain and to the
+    /// one-shot batch in decisions, `Outcome`, spoofs, stats and `Obs`.
     #[test]
     fn service_drain_matches_one_shot_batch_across_workers() {
         let strategies = lying_strategies();
@@ -1471,7 +1821,7 @@ mod tests {
         let oracle_b = plain(params(), 5, &wave_b, &strategies, 12);
 
         let mut outputs = Vec::new();
-        for workers in [1usize, 2, 8] {
+        for workers in [1usize, 2, 3, 8] {
             let config = ServiceConfig {
                 queue_capacity: 16,
                 workers,
@@ -1485,7 +1835,7 @@ mod tests {
             let batch_a = svc.drain_observed(&strategies, 11, &mut obs);
             assert_eq!(batch_a.ids, vec![0, 1, 2]);
             assert_eq!(batch_a.run.decisions, oracle_a.decisions, "w={workers}");
-            assert_eq!(batch_a.run.net.sent, oracle_a.net.sent);
+            assert_eq!(batch_a.run.net, oracle_a.net, "w={workers}");
 
             // Re-ingest on the *same* state: ids are free again, pooled
             // arenas and stores serve the second wave.
@@ -1494,6 +1844,7 @@ mod tests {
             }
             let batch_b = svc.drain_observed(&strategies, 12, &mut obs);
             assert_eq!(batch_b.run.decisions, oracle_b.decisions, "w={workers}");
+            assert_eq!(batch_b.run.net, oracle_b.net, "w={workers}");
             // Wave A warmed senders {0, 1}; wave B brings sender 4 (one
             // fresh arena, one fresh store — pools are per sender) and
             // serves sender 1 entirely from wave A's cleared pool.
@@ -1502,10 +1853,143 @@ mod tests {
             assert_eq!(batch_b.stores_reused, 1);
             assert_eq!(batch_b.stores_built, 1);
 
-            outputs.push(obs);
+            outputs.push((obs, svc.stats()));
         }
-        assert_eq!(outputs[0], outputs[1], "workers 1 vs 2");
-        assert_eq!(outputs[0], outputs[2], "workers 1 vs 8");
+        for (w, output) in outputs.iter().enumerate().skip(1) {
+            assert_eq!(outputs[0], *output, "workers 1 vs shard count #{w}");
+        }
+
+        // The grid, at N = 7 with two faulty nodes; senders rotate over
+        // every node, the faulty ones included.
+        let nodes = 7;
+        for (name, strategy) in Strategy::battery(1, 2, 5) {
+            let strategies: BTreeMap<NodeId, Strategy<u64>> =
+                [(n(2), strategy.clone()), (n(5), strategy)].into();
+            for k in [0usize, 1, 2, 5, 16] {
+                let instances: Vec<BatchInstance<u64>> =
+                    (0..k).map(|i| inst(i % nodes, 100 + i as u64)).collect();
+                let seed = 40 + k as u64;
+                let mut oracle_obs = Obs::enabled();
+                let oracle = run_batch(
+                    params(),
+                    nodes,
+                    &instances,
+                    &strategies,
+                    seed,
+                    BatchOptions::new().obs(&mut oracle_obs),
+                )
+                .unwrap();
+                let mut one_shard = None;
+                for workers in [1usize, 2, 3, 8] {
+                    let at = format!("{name}, K = {k}, workers = {workers}");
+                    let config = ServiceConfig {
+                        queue_capacity: 16,
+                        workers,
+                    };
+                    let mut svc: ServiceState<u64> =
+                        ServiceState::new(params(), nodes, config).unwrap();
+                    for (id, i) in instances.iter().enumerate() {
+                        svc.ingest(id as u64, i.clone()).unwrap();
+                    }
+                    let mut obs = Obs::enabled();
+                    let batch = svc.drain_observed(&strategies, seed, &mut obs);
+                    assert_eq!(svc.crew.threads.len(), workers.min(k).max(1) - 1, "{at}");
+                    assert_eq!(batch.run.decisions, oracle.decisions, "{at}");
+                    assert_eq!(batch.run.net, oracle.net, "{at}");
+                    assert_eq!(batch.run.spoofs_rejected, oracle.spoofs_rejected, "{at}");
+                    assert_eq!(batch.run.arena_builds, oracle.arena_builds, "{at}");
+                    assert_eq!(obs.spans(), oracle_obs.spans(), "{at}");
+                    // The service's registry is the batch's plus its own
+                    // pool and queue counters.
+                    let mut expected = oracle_obs.registry().clone();
+                    for (series, value) in obs.registry().counters() {
+                        if series.starts_with("svc.pool.") || series.starts_with("svc.queue.") {
+                            expected.set_counter(series, value);
+                        }
+                    }
+                    assert_eq!(obs.registry(), &expected, "{at}");
+                    let output = (obs, svc.stats());
+                    match &one_shard {
+                        None => one_shard = Some(output),
+                        Some(reference) => assert_eq!(&output, reference, "{at}"),
+                    }
+                }
+            }
+        }
+    }
+
+    /// A posted shard runs wherever it is started first, and decides the
+    /// same there. Both ends are forced: with no helper, the calling
+    /// thread runs every shard in `finish`; with two, the helpers have run
+    /// every shard before the calling thread looks.
+    #[test]
+    fn a_posted_shard_runs_wherever_it_is_started_first() {
+        let (nodes, seed) = (5, 3);
+        let strategies = Arc::new(lying_strategies());
+        let instances: Vec<BatchInstance<u64>> =
+            (0..6).map(|i| inst(i % nodes, 60 + i as u64)).collect();
+        let oracle = plain(params(), nodes, &instances, &strategies, seed);
+        for helpers in [0usize, 2] {
+            let mut pool = Pool::new();
+            let lease = pool.lease(&instances, |s| EigEngine::new(nodes, s, params().rounds()));
+            let mut crew = Crew::new();
+            crew.grow(helpers, nodes);
+            // One shard per instance.
+            let jobs = lease.stores.into_iter().zip(&lease.engine_idx);
+            crew.post(jobs.enumerate().map(|(k, (store, &e))| Job {
+                index: k,
+                params: params(),
+                n: nodes,
+                seed,
+                instances: vec![instances[k].clone()],
+                strategies: Arc::clone(&strategies),
+                engines: pool.engines.clone(),
+                engine_idx: vec![e],
+                stores: vec![store],
+            }));
+            let (queue, changed) = &*crew.shared;
+            let mut state = lock(queue);
+            while helpers > 0 && (!state.posted.is_empty() || state.running > 0) {
+                state = wait(changed, state);
+            }
+            assert_eq!(state.done.len(), if helpers > 0 { 6 } else { 0 });
+            drop(state);
+            let done = crew.finish(&mut Shard::new(nodes, 0));
+            let decisions: Vec<_> = done
+                .into_iter()
+                .flat_map(|(_, run)| run.resolved)
+                .map(|run| run.decisions)
+                .collect();
+            assert_eq!(decisions, oracle.decisions, "{helpers} helpers");
+        }
+    }
+
+    /// The fill/resolve split of a sharded drain is two walls on the
+    /// calling thread, never sums across threads: together they fit in
+    /// the drain's own wall, which is what keeps the perf ledger's
+    /// `service.drain.fill` / `.resolve` spans inside their parent.
+    #[test]
+    fn sharded_drain_phase_walls_nest_inside_the_drain() {
+        let config = ServiceConfig {
+            queue_capacity: 64,
+            workers: 4,
+        };
+        let mut svc: ServiceState<u64> = ServiceState::new(params(), 7, config).unwrap();
+        for wave in 0..8u64 {
+            for id in 0..32u64 {
+                svc.ingest(id, inst((id % 7) as usize, wave + id)).unwrap();
+            }
+            let start = Instant::now();
+            let batch = svc.drain(&lying_strategies(), wave);
+            let wall = start.elapsed().as_nanos() as u64;
+            assert_eq!(svc.crew.threads.len(), 3);
+            let eig = batch.run.net.eig;
+            assert!(eig.fill_nanos > 0, "wave {wave}: {eig:?}");
+            assert!(
+                eig.fill_nanos + eig.resolve_nanos <= wall,
+                "wave {wave}: {eig:?} > {wall} ns"
+            );
+        }
     }
 
     #[test]

@@ -54,8 +54,9 @@ use crate::topology::Topology;
 /// [`LinkFaultKind::Corrupt`]. Returning `Some` delivers the garbled
 /// payload; returning `None` drops the message (absence — the engine's
 /// default when no corruptor is installed, matching the oral-message axiom
-/// that detectably damaged messages read as absent).
-pub type Corruptor<M> = Box<dyn FnMut(&M, &mut SimRng) -> Option<M>>;
+/// that detectably damaged messages read as absent). `Send`, so that an
+/// engine can run on another thread than the one that configured it.
+pub type Corruptor<M> = Box<dyn FnMut(&M, &mut SimRng) -> Option<M> + Send>;
 
 /// Stream label for the dedicated link-chaos RNG fork: chaos draws must not
 /// perturb the engine's main stream (latency, omission), so existing seeded
@@ -604,7 +605,7 @@ impl<M: Clone> RoundEngine<M> {
     #[must_use]
     pub fn with_corruptor(
         mut self,
-        corruptor: impl FnMut(&M, &mut SimRng) -> Option<M> + 'static,
+        corruptor: impl FnMut(&M, &mut SimRng) -> Option<M> + Send + 'static,
     ) -> Self {
         self.wire.corruptor = Some(Box::new(corruptor));
         self
@@ -641,9 +642,9 @@ impl<M: Clone> RoundEngine<M> {
         let quiet = wire.quiet();
         wire.outcome = Outcome::default();
         wire.link_rng = wire.rng.fork(LINK_CHAOS_STREAM);
-        // Whatever a previous run left in flight is lost; the buffers keep
-        // their allocations.
-        wire.queue = EventQueue::new();
+        // Whatever a previous run left in flight is lost; the queue and the
+        // buffers keep their allocations.
+        wire.queue.clear();
         for buffers in [&mut wire.arriving, &mut wire.next, &mut wire.held] {
             buffers.iter_mut().for_each(Vec::clear);
         }

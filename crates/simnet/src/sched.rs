@@ -178,6 +178,15 @@ impl<P> EventQueue<P> {
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
     }
+
+    /// Drops every pending event and rewinds to the state of
+    /// [`EventQueue::new`] — virtual time zero, sequence numbers from
+    /// zero — keeping the heap's allocation.
+    pub fn clear(&mut self) {
+        self.heap.clear();
+        self.next_seq = 0;
+        self.now = 0;
+    }
 }
 
 #[cfg(test)]
@@ -193,6 +202,20 @@ mod tests {
         let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|e| e.payload).collect();
         assert_eq!(order, vec!["t1", "t3", "t5"]);
         assert_eq!(q.now(), 5);
+    }
+
+    #[test]
+    fn clear_rewinds_to_a_fresh_queue() {
+        let mut q = EventQueue::new();
+        q.schedule(4, EventClass::Timer, "old");
+        q.schedule(9, EventClass::Timer, "pending");
+        q.pop();
+        q.clear();
+        assert!(q.is_empty());
+        assert_eq!(q.now(), 0);
+        // Time zero is no longer in the past, and sequence numbers restart.
+        assert_eq!(q.schedule(0, EventClass::Timer, "new"), 0);
+        assert_eq!(q.pop().map(|e| e.payload), Some("new"));
     }
 
     #[test]
