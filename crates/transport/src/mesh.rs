@@ -5,7 +5,7 @@
 //! blocks is [`MeshTransport::wait`], on the one socket that can end the
 //! wait. An endpoint can therefore sit idle between instances at no cost,
 //! which is what lets a mesh outlive its instance (`run_tcp` keeps one
-//! standing).
+//! standing, each endpoint with its driver parked until the next one).
 //!
 //! Both share [`MeshTransport`], which implements the paper's
 //! message-absence detection (assumption (b)) with a **round-barrier
@@ -774,9 +774,10 @@ impl MeshTransport {
     /// current round is missing: the round cannot close before that mark
     /// or the deadline, and whatever the other peers send meanwhile sits
     /// in kernel buffers until the next `poll`. After the wait it lets in
-    /// peers that re-dialed — after a wait, not on every `poll`: the
-    /// listener costs a system call to ask, and a healthy round asks
-    /// nothing of it.
+    /// peers that re-dialed, so every TCP `wait` ends in one `accept` on
+    /// the non-blocking listener, which a healthy mesh answers with
+    /// `WouldBlock`. That is one system call per wait; `poll` asks the
+    /// listener only while some peer is gone, not on every call.
     pub fn wait(&mut self) {
         let run = &mut self.run;
         let patience = run
@@ -1025,16 +1026,29 @@ pub fn channel_mesh(
         .collect()
 }
 
-/// Builds an `n`-node mesh over loopback TCP with ephemeral ports: binds
-/// `n` listeners, performs the full dial/accept handshake on worker
-/// threads, and returns node `i`'s endpoint at element `i`. The workers
-/// are gone when it returns; the mesh itself runs no thread.
+/// Builds an `n`-node mesh over loopback TCP with ephemeral ports and
+/// returns node `i`'s endpoint at element `i`, all on the calling thread:
+/// it binds `n` listeners, makes every node dial every lower-indexed peer,
+/// then lets every node accept its higher-indexed ones. No accept waits:
+/// each dial has completed in the kernel and sits in the listener's accept
+/// queue, id handshake and all, before the first accept. That needs a
+/// listener to queue `n − 1` pending connections — 63 at the `n = 64` the
+/// arena engines stop at — and `std` listens with a backlog of 128
+/// (`LISTEN_BACKLOG`). A larger mesh is refused with `InvalidInput`: its
+/// dials would wait in `connect` for accepts that only come after them.
+/// The mesh itself runs no thread.
 pub fn tcp_mesh(
     n: usize,
     depth: usize,
     chaos: &LinkChaos,
     config: MeshConfig,
 ) -> io::Result<Vec<MeshTransport>> {
+    if n > LISTEN_BACKLOG + 1 {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            "a loopback mesh this large overflows a listener's accept queue",
+        ));
+    }
     let mut listeners = Vec::with_capacity(n);
     let mut addrs = Vec::with_capacity(n);
     for _ in 0..n {
@@ -1042,25 +1056,17 @@ pub fn tcp_mesh(
         addrs.push(l.local_addr()?);
         listeners.push(l);
     }
-    let handles: Vec<_> = listeners
-        .into_iter()
-        .enumerate()
-        .map(|(i, listener)| {
-            let addrs = addrs.clone();
-            let chaos = chaos.clone();
-            thread::spawn(move || {
-                join_with_listener(NodeId::new(i), listener, &addrs, depth, chaos, config)
-            })
+    let dialed = NodeId::all(n)
+        .map(|me| dial_lower(me, &addrs, config.dial_timeout))
+        .collect::<io::Result<Vec<_>>>()?;
+    NodeId::all(n)
+        .zip(listeners)
+        .zip(dialed)
+        .map(|((me, listener), links)| {
+            accept_higher(me, n, listener, links, config.dial_timeout)
+                .map(|wire| MeshTransport::new(me, n, depth, chaos, wire, config))
         })
-        .collect();
-    let mut out = Vec::with_capacity(n);
-    for h in handles {
-        let joined = h
-            .join()
-            .map_err(|_| io::Error::other("tcp mesh set-up thread panicked"));
-        out.push(joined??);
-    }
-    Ok(out)
+        .collect()
 }
 
 /// Joins a TCP mesh as node `me` of `addrs.len()` nodes at explicit
@@ -1077,36 +1083,54 @@ pub fn tcp_join(
     config: MeshConfig,
 ) -> io::Result<MeshTransport> {
     let listener = TcpListener::bind(addrs[me.index()])?;
-    join_with_listener(me, listener, addrs, depth, chaos, config)
+    let links = dial_lower(me, addrs, config.dial_timeout)?;
+    let n = addrs.len();
+    let wire = accept_higher(me, n, listener, links, config.dial_timeout)?;
+    Ok(MeshTransport::new(me, n, depth, &chaos, wire, config))
 }
+
+/// The backlog `std` passes to `listen(2)` on Linux: how many dialed
+/// connections a listener holds before its first accept.
+const LISTEN_BACKLOG: usize = 128;
 
 /// The pause between two tries at something a peer has to do first: a
 /// dial before the peer listens, an accept before the peer dials.
 const RETRY_PAUSE: Duration = Duration::from_millis(20);
 
-/// The shared dial-lower/accept-higher handshake. Every connection opens
-/// with a 4-byte little-endian node index from the dialer, so the acceptor
-/// knows who it is talking to (transport-level authentication, the paper's
-/// oral-message assumption (c) — good enough on loopback).
-fn join_with_listener(
+/// The dialing half of the set-up handshake: `me` connects to every
+/// lower-indexed peer at `addrs`, retrying each for up to `budget`. Every
+/// connection opens with a 4-byte little-endian node index from the
+/// dialer, so the acceptor knows who it is talking to (transport-level
+/// authentication, the paper's oral-message assumption (c) — good enough
+/// on loopback).
+fn dial_lower(
     me: NodeId,
-    listener: TcpListener,
     addrs: &[SocketAddr],
-    depth: usize,
-    chaos: LinkChaos,
-    config: MeshConfig,
-) -> io::Result<MeshTransport> {
-    let n = addrs.len();
+    budget: Duration,
+) -> io::Result<BTreeMap<NodeId, TcpLink>> {
     let mut links = BTreeMap::new();
     for (peer, &addr) in addrs.iter().enumerate().take(me.index()) {
-        let s = dial_with_retry(addr, me, config.dial_timeout)?;
+        let s = dial_with_retry(addr, me, budget)?;
         let peer = NodeId::new(peer);
         links.insert(peer, TcpLink::new(peer, s, Some(Redial { addr, me })));
     }
+    Ok(links)
+}
+
+/// The accepting half: `me` adds a link from every higher-indexed peer of
+/// `n` to the `links` it dialed, waiting for them no longer than
+/// `patience`, and keeps `listener` for the peers that re-dial later.
+fn accept_higher(
+    me: NodeId,
+    n: usize,
+    listener: TcpListener,
+    mut links: BTreeMap<NodeId, TcpLink>,
+    patience: Duration,
+) -> io::Result<Wire> {
     // The listener is never blocked on: peers that have not dialed yet are
-    // waited for in short pauses, and not past `dial_timeout`.
+    // waited for in short pauses, and not past `patience`.
     listener.set_nonblocking(true)?;
-    let deadline = Instant::now() + config.dial_timeout;
+    let deadline = Instant::now() + patience;
     let mut pause = Duration::from_micros(50);
     while links.len() < n - 1 {
         match listener.accept() {
@@ -1140,12 +1164,11 @@ fn join_with_listener(
     }
     // The listener stays open for the endpoint's whole life: peers whose
     // outgoing link to us breaks re-dial it, and `wait` lets them in.
-    let wire = Wire::Tcp(TcpWire {
+    Ok(Wire::Tcp(TcpWire {
         links,
         listener,
         knocking: Vec::new(),
-    });
-    Ok(MeshTransport::new(me, n, depth, &chaos, wire, config))
+    }))
 }
 
 /// The accepting side of the set-up handshake: Nagle off, then the
@@ -1595,18 +1618,19 @@ mod tests {
         }
     }
 
-    /// Binds a listener for node 0 of an `n`-node mesh and runs the set-up
-    /// handshake on a worker thread, handing back the address a hostile
-    /// dialer should connect to.
+    /// Binds a listener for node 0 of an `n`-node mesh and runs the
+    /// accepting half of the set-up handshake on a worker thread, handing
+    /// back the address a hostile dialer should connect to.
     fn join_as_node_0(
         n: usize,
         config: MeshConfig,
     ) -> (SocketAddr, thread::JoinHandle<io::Result<MeshTransport>>) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        let addrs = vec![addr; n];
         let join = thread::spawn(move || {
-            join_with_listener(nid(0), listener, &addrs, 1, LinkChaos::healthy(), config)
+            let wire = accept_higher(nid(0), n, listener, BTreeMap::new(), config.dial_timeout)?;
+            let chaos = LinkChaos::healthy();
+            Ok(MeshTransport::new(nid(0), n, 1, &chaos, wire, config))
         });
         (addr, join)
     }
@@ -1635,6 +1659,19 @@ mod tests {
         second.write_all(&1u32.to_le_bytes()).unwrap();
         let err = join.join().unwrap().err().expect("duplicate id refused");
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn a_mesh_that_would_overflow_an_accept_queue_is_refused() {
+        let err = tcp_mesh(
+            LISTEN_BACKLOG + 2,
+            1,
+            &LinkChaos::healthy(),
+            MeshConfig::default(),
+        )
+        .err()
+        .expect("refused before any listener is bound");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
     }
 
     #[test]
@@ -1917,16 +1954,13 @@ mod tests {
             .map(|(i, listener)| {
                 let addrs = addrs.clone();
                 thread::spawn(move || {
+                    let (me, n, patience) = (nid(i), addrs.len(), config.dial_timeout);
+                    let wire = dial_lower(me, &addrs, patience)
+                        .and_then(|links| accept_higher(me, n, listener, links, patience))
+                        .expect("set-up");
                     let chaos = LinkChaos::healthy();
-                    let endpoint = join_with_listener(
-                        nid(i),
-                        listener,
-                        &addrs,
-                        instance.depth(),
-                        chaos,
-                        config,
-                    )
-                    .expect("set-up");
+                    let endpoint =
+                        MeshTransport::new(me, n, instance.depth(), &chaos, wire, config);
                     let machine =
                         NodeStateMachine::new(&instance, nid(i), AgreementValue::Value(7), None);
                     let options = crate::MeshDriveOptions {

@@ -6,10 +6,15 @@
 //! endpoints on the calling thread (the shared event queue dictates the
 //! order, so the sweep pattern is irrelevant), while [`run_channel`] and
 //! [`run_tcp`] give every node its own OS thread and let real scheduling
-//! happen. All three return a [`TransportRun`] carrying decisions, the
-//! per-node EIG views (the reference fold's input, for re-deriving
-//! decisions through `EigView::resolve`), and merged traffic stats — the
-//! differential suite's raw material.
+//! happen. That thread is a `Driver`: it owns the node's endpoint and runs
+//! one instance per job posted to it through a one-slot handoff. A channel
+//! mesh is built per call, with drivers spawned for it that exit after its
+//! one instance; the drivers of the mesh `run_tcp` keeps standing stay
+//! parked between instances, so a decision on it spawns no thread. All
+//! three return a [`TransportRun`] carrying decisions, the per-node EIG
+//! views (the reference fold's input, for re-deriving decisions through
+//! `EigView::resolve`), and merged traffic stats — the differential
+//! suite's raw material.
 
 use crate::mesh::{channel_mesh, tcp_mesh, MeshConfig, MeshTransport};
 use crate::sim::{RelaxedTiming, SimWorld};
@@ -22,8 +27,8 @@ use simnet::NodeId;
 use std::collections::{BTreeMap, BTreeSet};
 use std::io::{self, Write};
 use std::path::PathBuf;
-use std::sync::{Mutex, MutexGuard, PoisonError};
-use std::thread;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::thread::{self, JoinHandle};
 
 /// Backend-independent run knobs (all off by default).
 #[derive(Debug, Clone, Copy, Default)]
@@ -468,10 +473,10 @@ pub fn drive_mesh(
     drive(&mut transport, machine, options)
 }
 
-/// One instance on one endpoint: the body of [`drive_mesh`] and, per node,
-/// of [`run_channel`]/[`run_tcp`]. The endpoint is only borrowed, so that
-/// [`run_tcp`] can keep a TCP endpoint that ended clean; every other
-/// caller drops it when this returns.
+/// One instance on one endpoint: the body of [`drive_mesh`] and of every
+/// `Driver` job. The endpoint is only borrowed, so that a driver can keep
+/// a TCP endpoint that ended clean for its next job; every other caller
+/// drops it when this returns.
 fn drive(
     transport: &mut MeshTransport,
     mut machine: NodeStateMachine<u64>,
@@ -547,50 +552,194 @@ fn write_metrics_line(
     writeln!(f, "{}", line.to_json_string())
 }
 
-/// One instance on `mesh`, one driver thread per node, each gone when
-/// this returns. The mesh comes back only if every endpoint of it
-/// [ended clean](MeshTransport::ended_clean); an endpoint that did not is
-/// closed by its own driver, so lingering teardowns overlap.
+/// What every endpoint of a mesh is re-armed with for one instance, and
+/// how its driver records it.
+#[derive(Debug, Clone)]
+struct Arming {
+    depth: usize,
+    chaos: LinkChaos,
+    config: MeshConfig,
+    options: MeshDriveOptions,
+}
+
+impl Arming {
+    /// The arming an instance asks for.
+    fn for_instance(
+        instance: &ByzInstance,
+        chaos: LinkChaos,
+        config: MeshConfig,
+        options: RunOptions,
+    ) -> Self {
+        Arming {
+            depth: instance.depth(),
+            chaos,
+            config,
+            options: MeshDriveOptions {
+                record_events: options.record_events,
+                trace: options.trace,
+                ..MeshDriveOptions::default()
+            },
+        }
+    }
+}
+
+/// One instance's work for one [`Driver`].
+struct Job {
+    machine: NodeStateMachine<u64>,
+    arming: Arming,
+}
+
+/// A driver's answer to a [`Job`]: the node's outcome, and whether its
+/// endpoint [ended clean](MeshTransport::ended_clean).
+type Reply = (NodeOutcome, bool);
+
+/// What a caller and its driver hand each other: one job slot and one
+/// reply slot under one lock, and the condition either side waits on.
+/// Every update is one assignment, so a lock poisoned by a panicking
+/// driver still guards valid slots.
+#[derive(Default)]
+struct Handoff {
+    slots: Mutex<Slots>,
+    changed: Condvar,
+}
+
+/// The contents of a [`Handoff`].
+#[derive(Default)]
+struct Slots {
+    job: Option<Job>,
+    reply: Option<Reply>,
+    /// Set by the caller: no job will come.
+    closed: bool,
+    /// Set as the driver's thread ends, however it ends.
+    gone: bool,
+}
+
+impl Handoff {
+    fn update(&self, change: impl FnOnce(&mut Slots)) {
+        change(&mut self.slots.lock().unwrap_or_else(PoisonError::into_inner));
+        self.changed.notify_all();
+    }
+
+    /// Blocks until `take` finds what it waits for in the slots.
+    fn wait_for<T>(&self, mut take: impl FnMut(&mut Slots) -> Option<T>) -> T {
+        let mut slots = self.slots.lock().unwrap_or_else(PoisonError::into_inner);
+        loop {
+            if let Some(taken) = take(&mut slots) {
+                return taken;
+            }
+            slots = self
+                .changed
+                .wait(slots)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+}
+
+/// Marks the handoff's driver gone when its thread ends, by a panic too.
+struct Gone(Arc<Handoff>);
+
+impl Drop for Gone {
+    fn drop(&mut self) {
+        self.0.update(|slots| slots.gone = true);
+    }
+}
+
+/// One node's long-lived driver thread. It owns the node's endpoint and
+/// runs one instance per job: re-arm the endpoint, [`drive`] it, reply.
+/// The [`Handoff`] holds one job and one reply: a caller posts a job and
+/// takes its reply before it posts the next, and nothing is allocated per
+/// instance. The thread exits after an ending that is not clean, closing
+/// the endpoint on its own thread, and once the caller closes the handoff;
+/// dropping the `Driver` closes it and joins the thread.
+struct Driver {
+    handoff: Arc<Handoff>,
+    thread: Option<JoinHandle<()>>,
+}
+
+impl Driver {
+    fn spawn(mut endpoint: MeshTransport) -> Self {
+        let handoff = Arc::new(Handoff::default());
+        let gone = Gone(Arc::clone(&handoff));
+        let thread = thread::spawn(move || {
+            let next = |slots: &mut Slots| match slots.job.take() {
+                Some(job) => Some(Some(job)),
+                None => slots.closed.then_some(None),
+            };
+            while let Some(Job { machine, arming }) = gone.0.wait_for(next) {
+                endpoint.rearm(arming.depth, &arming.chaos, arming.config);
+                let outcome = drive(&mut endpoint, machine, &arming.options);
+                let clean = endpoint.ended_clean();
+                gone.0.update(|slots| slots.reply = Some((outcome, clean)));
+                if !clean {
+                    break;
+                }
+            }
+        });
+        Driver {
+            handoff,
+            thread: Some(thread),
+        }
+    }
+
+    /// Hands the driver its next job; one that has exited never takes it,
+    /// and its [`reply`](Self::reply) says so.
+    fn post(&self, job: Job) {
+        self.handoff.update(|slots| slots.job = Some(job));
+    }
+
+    /// Waits for the reply to the job posted last: `None` if the driver
+    /// panicked on it, or had exited before it.
+    fn reply(&self) -> Option<Reply> {
+        self.handoff.wait_for(|slots| match slots.reply.take() {
+            Some(reply) => Some(Some(reply)),
+            None => slots.gone.then_some(None),
+        })
+    }
+}
+
+impl Drop for Driver {
+    fn drop(&mut self) {
+        self.handoff.update(|slots| slots.closed = true);
+        if let Some(thread) = self.thread.take() {
+            // A panic was reported as the node's failure already.
+            let _ = thread.join();
+        }
+    }
+}
+
+/// One instance on a mesh's `drivers`: one job per node, every endpoint
+/// re-armed with `arming`, the replies collected in node order. Returns
+/// the run and whether every endpoint ended clean — only then may the
+/// drivers run another instance.
 fn run_mesh(
     kind: TransportKind,
-    mesh: Vec<MeshTransport>,
+    drivers: &[Driver],
     instance: &ByzInstance,
     sender_value: Val,
     strategies: &BTreeMap<NodeId, Strategy<u64>>,
-    options: RunOptions,
-) -> (TransportRun, Option<Vec<MeshTransport>>) {
+    arming: &Arming,
+) -> (TransportRun, bool) {
     let (n, depth) = (instance.n(), instance.depth());
     let machines = machines_for(instance, sender_value, strategies);
-    let options = MeshDriveOptions {
-        record_events: options.record_events,
-        trace: options.trace,
-        ..MeshDriveOptions::default()
-    };
-    let handles: Vec<_> = mesh
-        .into_iter()
-        .zip(machines)
-        .map(|(mut t, m)| {
-            let options = options.clone();
-            thread::spawn(move || {
-                let outcome = drive(&mut t, m, &options);
-                (outcome, t.ended_clean().then_some(t))
-            })
-        })
-        .collect();
-    let (outcomes, mesh): (Vec<_>, Vec<_>) = handles
-        .into_iter()
+    for (driver, machine) in drivers.iter().zip(machines) {
+        let arming = arming.clone();
+        driver.post(Job { machine, arming });
+    }
+    let mut clean = true;
+    let outcomes = drivers
+        .iter()
         .zip(NodeId::all(n))
-        .map(|(h, node)| {
+        .map(|(driver, node)| {
             // A driver that panicked took its endpoint down with it: the
             // peers saw the links close, and the mesh is not kept.
-            h.join()
-                .unwrap_or_else(|_| (NodeOutcome::panicked(node, n, depth), None))
+            let (outcome, ended_clean) = driver
+                .reply()
+                .unwrap_or_else(|| (NodeOutcome::panicked(node, n, depth), false));
+            clean &= ended_clean;
+            outcome
         })
-        .unzip();
-    (
-        TransportRun::assemble(kind, outcomes),
-        mesh.into_iter().collect(),
-    )
+        .collect();
+    (TransportRun::assemble(kind, outcomes), clean)
 }
 
 /// Runs the scenario with one OS thread per node over in-process channels.
@@ -620,16 +769,13 @@ fn run_channel_with(
     config: MeshConfig,
     options: RunOptions,
 ) -> TransportRun {
-    let mesh = channel_mesh(instance.n(), instance.depth(), &chaos, config);
-    run_mesh(
-        TransportKind::Channel,
-        mesh,
-        instance,
-        sender_value,
-        strategies,
-        options,
-    )
-    .0
+    let arming = Arming::for_instance(instance, chaos, config, options);
+    let drivers: Vec<Driver> = channel_mesh(instance.n(), arming.depth, &arming.chaos, config)
+        .into_iter()
+        .map(Driver::spawn)
+        .collect();
+    let kind = TransportKind::Channel;
+    run_mesh(kind, &drivers, instance, sender_value, strategies, &arming).0
 }
 
 /// Runs the scenario with one OS thread per node over loopback TCP.
@@ -652,26 +798,17 @@ pub fn run_tcp(
 
 /// The loopback mesh the last healthy [`run_tcp`] instance left standing,
 /// for the next one to run on: 21 connections at `N = 7` that are not
-/// dialed, and not left in `TIME_WAIT`, once per decision. Empty while a
-/// call has the mesh checked out. An idle standing mesh is sockets only —
-/// it runs no thread.
-static STANDING_MESH: Mutex<Option<Vec<MeshTransport>>> = Mutex::new(None);
+/// dialed, and not left in `TIME_WAIT`, once per decision, and one driver
+/// per node that is not spawned and joined once per decision. Empty while
+/// a call has the mesh checked out. An idle standing mesh is its sockets
+/// and `n` drivers parked on their handoffs.
+static STANDING_MESH: Mutex<Option<Vec<Driver>>> = Mutex::new(None);
 
-fn standing_mesh() -> MutexGuard<'static, Option<Vec<MeshTransport>>> {
+fn standing_mesh() -> MutexGuard<'static, Option<Vec<Driver>>> {
     STANDING_MESH.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// [`run_tcp`] with explicit [`RunOptions`].
-///
-/// The instance runs on the standing mesh if there is one of the same
-/// size, and on a mesh built for it otherwise (none standing, another
-/// call using it, a different `n`); either way the endpoints are re-armed
-/// for this instance — its depth, chaos and `config` — and driven by the
-/// same code. The mesh is left standing only if **every** endpoint
-/// closed every round by marks and has nothing buffered, unflushed,
-/// reconnected, gone or timed out — any other ending closes it, so a
-/// fresh mesh is the one recovery path and no frame of one instance can
-/// meet the next.
 fn run_tcp_with(
     instance: &ByzInstance,
     sender_value: Val,
@@ -680,32 +817,44 @@ fn run_tcp_with(
     config: MeshConfig,
     options: RunOptions,
 ) -> io::Result<TransportRun> {
-    let (n, depth) = (instance.n(), instance.depth());
+    let arming = Arming::for_instance(instance, chaos, config, options);
+    run_on_standing_mesh(instance, sender_value, strategies, &arming)
+}
+
+/// The instance runs on the standing mesh if there is one of the same
+/// size, and on a mesh built for it, with a driver spawned per node,
+/// otherwise (none standing, another call using it, a different `n`);
+/// either way every driver re-arms its endpoint with `arming` — the
+/// instance's depth, chaos and `config` — and drives it with the same
+/// code. The mesh is left standing only if **every** endpoint closed every
+/// round by marks and has nothing buffered, unflushed, reconnected, gone
+/// or timed out — any other ending closes it and joins its drivers, so a
+/// fresh mesh is the one recovery path and no frame of one instance can
+/// meet the next.
+fn run_on_standing_mesh(
+    instance: &ByzInstance,
+    sender_value: Val,
+    strategies: &BTreeMap<NodeId, Strategy<u64>>,
+    arming: &Arming,
+) -> io::Result<TransportRun> {
+    let n = instance.n();
     // One slot, and the latest healthy mesh is the one worth keeping: a
     // standing mesh of another size is closed, once the slot's lock is
     // released.
     let taken = standing_mesh().take();
-    let mut mesh = match taken.filter(|mesh| mesh.len() == n) {
-        Some(mesh) => mesh,
-        None => tcp_mesh(n, depth, &chaos, config)?,
+    let drivers = match taken.filter(|drivers| drivers.len() == n) {
+        Some(drivers) => drivers,
+        None => tcp_mesh(n, arming.depth, &arming.chaos, arming.config)?
+            .into_iter()
+            .map(Driver::spawn)
+            .collect(),
     };
-    // A mesh just built was armed by `tcp_mesh` already; arming it again
-    // is the price of one path for both.
-    for endpoint in &mut mesh {
-        endpoint.rearm(depth, &chaos, config);
-    }
-    let (run, mesh) = run_mesh(
-        TransportKind::Tcp,
-        mesh,
-        instance,
-        sender_value,
-        strategies,
-        options,
-    );
-    if mesh.is_some() {
+    let kind = TransportKind::Tcp;
+    let (run, clean) = run_mesh(kind, &drivers, instance, sender_value, strategies, arming);
+    if clean {
         // Whatever a concurrent call left meanwhile is closed outside the
         // lock.
-        let replaced = std::mem::replace(&mut *standing_mesh(), mesh);
+        let replaced = standing_mesh().replace(drivers);
         drop(replaced);
     }
     Ok(run)
@@ -934,22 +1083,23 @@ mod tests {
         }
     }
 
+    /// A driver per endpoint of `mesh`.
+    fn drivers(mesh: Vec<MeshTransport>) -> Vec<Driver> {
+        mesh.into_iter().map(Driver::spawn).collect()
+    }
+
+    /// What an instance of `inst` asks its endpoints to be armed with,
+    /// under `config`.
+    fn arming(inst: &ByzInstance, config: MeshConfig) -> Arming {
+        Arming::for_instance(inst, LinkChaos::healthy(), config, RunOptions::default())
+    }
+
     #[test]
     fn a_mesh_that_ran_clean_runs_the_next_instance_and_any_other_ending_closes_it() {
         let inst = instance(4, 1, 1);
         let liar: BTreeMap<_, _> = [(NodeId::new(2), Strategy::ConstantLie(Val::Value(6)))]
             .into_iter()
             .collect();
-        let on = |mesh, value, strategies: &BTreeMap<_, _>| {
-            run_mesh(
-                TransportKind::Tcp,
-                mesh,
-                &inst,
-                Val::Value(value),
-                strategies,
-                RunOptions::default(),
-            )
-        };
         let mesh = tcp_mesh(
             4,
             inst.depth(),
@@ -957,32 +1107,37 @@ mod tests {
             MeshConfig::default(),
         )
         .unwrap();
-        let (first, mesh) = on(mesh, 7, &BTreeMap::new());
+        let drivers = drivers(mesh);
+        let on = |value, strategies: &BTreeMap<_, _>, config| {
+            run_mesh(
+                TransportKind::Tcp,
+                &drivers,
+                &inst,
+                Val::Value(value),
+                strategies,
+                &arming(&inst, config),
+            )
+        };
+        let (first, clean) = on(7, &BTreeMap::new(), MeshConfig::default());
         assert!(first.decisions.values().all(|d| *d == Val::Value(7)));
-        let mut mesh = mesh.expect("a clean instance leaves its mesh standing");
-        // The same sockets, re-armed: the second instance sees none of
-        // the first (its views are the simulator's, slot for slot).
-        for t in &mut mesh {
-            t.rearm(inst.depth(), &LinkChaos::healthy(), MeshConfig::default());
-        }
-        let (second, mesh) = on(mesh, 8, &liar);
+        assert!(clean, "a clean instance leaves its mesh standing");
+        // The same sockets and drivers, re-armed: the second instance sees
+        // none of the first (its views are the simulator's, slot for slot).
+        let (second, clean) = on(8, &liar, MeshConfig::default());
         let sim = run_sim(&inst, Val::Value(8), &liar, LinkChaos::healthy(), None);
         assert_eq!(second.decisions, sim.decisions);
         assert_eq!(second.views, sim.views);
         assert_eq!(second.stats.false_timeouts, 0);
-        let mut mesh = mesh.expect("and so does the second");
+        assert!(clean, "and so does the second");
         // A deadline no mark can beat: every node times its peers out,
         // and a mesh that saw a timeout is not kept.
         let rushed = MeshConfig {
             round_timeout: Duration::from_nanos(1),
             ..MeshConfig::default()
         };
-        for t in &mut mesh {
-            t.rearm(inst.depth(), &LinkChaos::healthy(), rushed);
-        }
-        let (third, mesh) = on(mesh, 9, &BTreeMap::new());
+        let (third, clean) = on(9, &BTreeMap::new(), rushed);
         assert!(third.stats.false_timeouts > 0);
-        assert!(mesh.is_none(), "a timed-out instance closes its mesh");
+        assert!(!clean, "a timed-out instance closes its mesh");
     }
 
     #[test]
@@ -1054,37 +1209,78 @@ mod tests {
         }
     }
 
+    /// Every node of `run` lost to a panic of its driver thread, which
+    /// left no decision and an empty view behind.
+    fn assert_every_node_panicked(run: &TransportRun, n: usize) {
+        assert!(run.decisions.is_empty(), "{:?}", run.decisions);
+        let panicked = Some("mesh node thread panicked");
+        assert_eq!(run.failures.len(), n, "{:?}", run.failures);
+        for node in NodeId::all(n) {
+            assert_eq!(run.failures.get(&node).map(String::as_str), panicked);
+        }
+        assert_eq!(run.views.len(), n);
+        for (node, view) in &run.views {
+            assert_eq!(view.entries().count(), 0, "node {node}");
+        }
+    }
+
     #[test]
     fn a_node_thread_that_panics_costs_its_node_not_the_caller() {
         // A mesh armed for one round more than the machines have: every
         // machine refuses the surplus timeout by panicking, on its own
         // driver thread.
         let inst = instance(4, 1, 1);
-        let mesh = channel_mesh(
-            4,
-            inst.depth() + 1,
-            &LinkChaos::healthy(),
-            MeshConfig::default(),
-        );
-        let (run, mesh) = run_mesh(
+        let deeper = Arming {
+            depth: inst.depth() + 1,
+            ..arming(&inst, MeshConfig::default())
+        };
+        let mesh = channel_mesh(4, deeper.depth, &deeper.chaos, deeper.config);
+        let (run, clean) = run_mesh(
             TransportKind::Channel,
-            mesh,
+            &drivers(mesh),
             &inst,
             Val::Value(7),
             &BTreeMap::new(),
-            RunOptions::default(),
+            &deeper,
         );
-        assert!(mesh.is_none(), "no endpoint outlives its driver");
-        assert!(run.decisions.is_empty(), "{:?}", run.decisions);
-        let panicked = Some("mesh node thread panicked");
-        assert_eq!(run.failures.len(), 4, "{:?}", run.failures);
-        for node in NodeId::all(4) {
-            assert_eq!(run.failures.get(&node).map(String::as_str), panicked);
-        }
-        assert_eq!(run.views.len(), 4);
-        for (node, view) in &run.views {
-            assert_eq!(view.entries().count(), 0, "node {node}");
-        }
+        assert!(!clean, "no endpoint outlives its driver");
+        assert_every_node_panicked(&run, 4);
+    }
+
+    #[test]
+    fn a_tcp_mesh_whose_drivers_panic_is_not_kept_and_the_next_run_gets_a_fresh_one() {
+        // The channel test's surplus round, on the standing-mesh path, at
+        // a size no other test of this module runs: the slot can only
+        // hold a six-node mesh this test left there.
+        let inst = instance(6, 1, 2);
+        let deeper = Arming {
+            depth: inst.depth() + 1,
+            ..arming(&inst, MeshConfig::default())
+        };
+        let run = run_on_standing_mesh(&inst, Val::Value(7), &BTreeMap::new(), &deeper).unwrap();
+        assert_every_node_panicked(&run, 6);
+        let kept = standing_mesh().as_ref().map(Vec::len);
+        assert_ne!(kept, Some(6), "a mesh whose drivers panicked is not kept");
+        let strategies = BTreeMap::new();
+        let healthy = LinkChaos::healthy();
+        let run = run_tcp(
+            &inst,
+            Val::Value(7),
+            &strategies,
+            healthy,
+            MeshConfig::default(),
+        )
+        .unwrap();
+        let sim = run_sim(
+            &inst,
+            Val::Value(7),
+            &strategies,
+            LinkChaos::healthy(),
+            None,
+        );
+        assert_eq!(run.decisions, sim.decisions);
+        assert_eq!(run.views, sim.views);
+        assert_eq!(run.stats.false_timeouts, 0);
     }
 
     #[test]

@@ -6,13 +6,14 @@
 //! three BYZ(2,2) rounds took ≈ 130 ms whatever the processor. The bound
 //! below sits between the two regimes: it trips on the timer, not on a
 //! slow host. The others pin what a run leaves behind. `run_tcp` keeps the
-//! mesh of a healthy instance standing for the next one, and a mesh
-//! endpoint owns no thread, so consecutive healthy runs lose no frame and
-//! grow nothing: not the thread count, not the descriptor table, not the
-//! kernel's `TIME_WAIT` list. Any other ending closes the mesh, and the
-//! next call builds one. An endpoint that is closed after one instance —
-//! `drive_mesh`, the life of a `dagree serve` node — still loses no frame
-//! to its teardown, however the closes race.
+//! mesh of a healthy instance standing for the next one, with one driver
+//! thread per node parked until then, and a mesh endpoint owns no other
+//! thread, so consecutive healthy runs lose no frame and grow nothing: not
+//! the thread count, not the descriptor table, not the kernel's
+//! `TIME_WAIT` list. Any other ending closes the mesh and joins its
+//! drivers, and the next call builds one. An endpoint that is closed after
+//! one instance — `drive_mesh`, the life of a `dagree serve` node — still
+//! loses no frame to its teardown, however the closes race.
 //!
 //! The tests share the process's loopback stack, thread table and standing
 //! mesh, so they take turns.
@@ -60,6 +61,34 @@ fn fault_free_run(m: usize, value: u64, config: MeshConfig) -> TransportRun {
 /// The workload's instance: BYZ(2,2) at N = 7, default configuration.
 fn healthy_run(value: u64) -> TransportRun {
     fault_free_run(2, value, MeshConfig::default())
+}
+
+/// A BYZ(2,2) instance at N = 7 under a deadline no mark can beat: every
+/// round closes on it, so no endpoint ends clean and the mesh is closed.
+fn rushed_run() -> TransportRun {
+    let instance = ByzInstance::new(N, Params::new(2, 2).unwrap(), NodeId::new(3)).unwrap();
+    run_tcp(
+        &instance,
+        Val::Value(4),
+        &BTreeMap::new(),
+        LinkChaos::healthy(),
+        MeshConfig {
+            round_timeout: Duration::from_nanos(1),
+            ..MeshConfig::default()
+        },
+    )
+    .expect("loopback mesh set-up")
+}
+
+/// The process's thread count, as the kernel reports it.
+#[cfg(target_os = "linux")]
+fn thread_count() -> usize {
+    let status = std::fs::read_to_string("/proc/self/status").expect("procfs");
+    let line = status
+        .lines()
+        .find_map(|l| l.strip_prefix("Threads:"))
+        .expect("a Threads: line");
+    line.trim().parse().expect("a thread count")
 }
 
 #[test]
@@ -141,20 +170,8 @@ fn a_different_size_or_a_timed_out_instance_gets_a_fresh_mesh() {
         0
     );
     assert_eq!(healthy_run(3).stats.false_timeouts, 0);
-    // A deadline no mark can beat: every round closes on it. Whatever
-    // that instance decided, its mesh is not the next instance's.
-    let instance = ByzInstance::new(N, Params::new(2, 2).unwrap(), NodeId::new(3)).unwrap();
-    let rushed = run_tcp(
-        &instance,
-        Val::Value(4),
-        &BTreeMap::new(),
-        LinkChaos::healthy(),
-        MeshConfig {
-            round_timeout: Duration::from_nanos(1),
-            ..MeshConfig::default()
-        },
-    )
-    .expect("loopback mesh set-up");
+    // Whatever that instance decided, its mesh is not the next instance's.
+    let rushed = rushed_run();
     assert!(rushed.stats.false_timeouts > 0);
     for i in 5..8 {
         let run = healthy_run(i);
@@ -206,8 +223,8 @@ fn finished_runs_leave_no_thread_behind() {
     for i in 0..40 {
         healthy_run(i);
     }
-    // Each run spawned seven drivers and joined them; the standing mesh
-    // runs nothing. Exact, and at once.
+    // Every run was driven by the standing mesh's seven drivers, and
+    // spawned none. Exact, and at once.
     assert_eq!(threads(), before, "threads after 40 runs");
 }
 
@@ -244,4 +261,70 @@ fn consecutive_healthy_runs_grow_no_time_wait_and_no_descriptors() {
     let grown = time_wait() - tw_before;
     assert!(grown < 50, "TIME_WAIT grew by {grown} over 200 runs");
     assert_eq!(descriptors(), fds_after_10, "descriptors after 200 runs");
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn a_standing_mesh_keeps_one_driver_per_node_and_another_size_replaces_them() {
+    let _turn = turn();
+    // The first runs let the test harness finish starting and stopping its
+    // own threads, as in `finished_runs_leave_no_thread_behind`.
+    for i in 0..10 {
+        healthy_run(i);
+    }
+    // No mesh stands after an instance that timed out: its drivers exited
+    // and were joined.
+    assert!(rushed_run().stats.false_timeouts > 0);
+    let before = thread_count();
+    healthy_run(1);
+    assert_eq!(thread_count(), before + N, "a seven-node mesh standing");
+    healthy_run(2);
+    assert_eq!(thread_count(), before + N, "a run on it spawns nothing");
+    // Another `n`: the seven drivers are joined, four take their place.
+    fault_free_run(1, 3, MeshConfig::default());
+    assert_eq!(thread_count(), before + 4, "a four-node mesh standing");
+    // Leave the workload's size standing, as the other tests do.
+    healthy_run(4);
+    assert_eq!(thread_count(), before + N, "a seven-node mesh standing");
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn set_up_runs_on_the_calling_thread_and_thirteen_nodes_decide() {
+    let _turn = turn();
+    // The harness's threads settle, and a seven-node mesh stands.
+    for i in 0..10 {
+        healthy_run(i);
+    }
+    // Every node dials its lower peers, then accepts its higher ones: node
+    // 0's listener queues twelve connections before its first accept.
+    let before = thread_count();
+    let mesh = tcp_mesh(13, 3, &LinkChaos::healthy(), MeshConfig::default())
+        .expect("loopback mesh set-up");
+    assert_eq!(mesh.len(), 13);
+    assert_eq!(thread_count(), before, "tcp_mesh spawned a thread");
+    drop(mesh);
+    // BYZ(2,8) at N = 13: 12 + 12·11 + 12·11·10 envelopes.
+    let instance = ByzInstance::new(13, Params::new(2, 8).unwrap(), NodeId::new(0)).unwrap();
+    let run = run_tcp(
+        &instance,
+        Val::Value(13),
+        &BTreeMap::new(),
+        LinkChaos::healthy(),
+        MeshConfig::default(),
+    )
+    .expect("loopback mesh set-up");
+    assert_eq!(run.stats.sent, 1_464);
+    assert_eq!(run.stats.delivered, 1_464);
+    assert_eq!(run.stats.false_timeouts, 0);
+    assert_eq!(run.decisions.len(), 12);
+    for (node, decision) in &run.decisions {
+        assert_eq!(*decision, Val::Value(13), "node {node}");
+    }
+    assert_eq!(thread_count(), before - N + 13, "thirteen drivers stand");
+    // Leave the workload's size standing, as the other tests do: a
+    // thirteen-node mesh closed in another test would fill its
+    // `TIME_WAIT` count.
+    healthy_run(5);
+    assert_eq!(thread_count(), before, "seven drivers stand");
 }
