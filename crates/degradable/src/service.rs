@@ -26,7 +26,8 @@
 //! [`run_batch`], [`crate::run_protocol`] (a one-instance batch),
 //! [`crate::run_churn`] (one batch per epoch) and [`ServiceState`] (one
 //! batch per shard of a drain) all validate, record and relay through the
-//! same round closure.
+//! same round closure. A drain's shards run on a [`simnet::crew::Crew`];
+//! a shard that panics fails its drain, never the next one.
 //!
 //! A [`BatchMsg`] carries its relay path as a *label*: a root node and a
 //! [`PathId`] in the arena of that root's instances. Every label that
@@ -77,12 +78,12 @@ use crate::protocol::ByzMsg;
 use crate::spec::Step;
 use crate::value::AgreementValue;
 use obs::{Obs, SpanRecord};
+use simnet::crew::{Crew, Job};
 use simnet::{EigPerf, NodeId, RoundEngine, Topology};
 use std::collections::{BTreeMap, HashSet};
 use std::hash::Hash;
-use std::panic::AssertUnwindSafe;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
-use std::thread::JoinHandle;
+use std::ops::Range;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Bucket bounds for the per-instance message-count histogram
@@ -437,245 +438,73 @@ struct ShardRun<V> {
     fill_end: Instant,
 }
 
-/// Runs `instances` as `shards` independent executions, one per shard over
-/// a contiguous chunk of near-equal size (the first `K mod shards` chunks
-/// take one instance more). The calling thread runs shard 0 over `shard`
-/// while the crew's helpers start on the others; then it runs every shard
-/// no helper has started yet, and only then waits for the helpers still
-/// running — a drain waits for a helper that is running, never for one
-/// that has yet to be scheduled. `stores` holds the chunks' stores in
-/// instance order, and does again on return; the runs come back in shard
-/// order, which is instance order.
-///
-/// Splitting cannot change a decision, a counter or a span: the service's
-/// network has no fault, latency or corruptor and so draws no randomness,
-/// [`Strategy::claim`] is a function of (path, receiver), and the slot
-/// fold is first-write-wins per instance — every instance sees exactly the
-/// message subsequence it sees in one multiplexed run.
-#[allow(clippy::too_many_arguments)]
-fn run_sharded<V: Clone + Ord + Hash + Send + Sync + 'static>(
-    params: Params,
-    n: usize,
-    instances: &[BatchInstance<V>],
-    strategies: &BTreeMap<NodeId, Strategy<V>>,
-    seed: u64,
-    shards: usize,
-    shard: &mut Shard<V>,
-    crew: &Crew<V>,
-    engines: &[Arc<EigEngine>],
-    engine_idx: &[usize],
-    stores: &mut Vec<EigStore<V>>,
-) -> Vec<ShardRun<V>> {
-    let k = instances.len();
-    let start = |p: usize| p * (k / shards) + p.min(k % shards);
-    if shards > 1 {
-        let strategies = Arc::new(strategies.clone());
-        // Stores leave from the tail, so the last shard is posted first
-        // and shard 1 is the first to be started.
-        crew.post((1..shards).rev().map(|p| {
-            let chunk = start(p)..start(p + 1);
-            Job {
-                index: p,
-                params,
-                n,
-                seed,
-                instances: instances[chunk.clone()].to_vec(),
-                strategies: Arc::clone(&strategies),
-                engines: engines.to_vec(),
-                engine_idx: engine_idx[chunk.clone()].to_vec(),
-                stores: stores.split_off(chunk.start),
-            }
-        }));
-    }
-    let own = start(1);
-    shard.net.reseed(seed);
-    let mut runs = Vec::with_capacity(shards);
-    runs.push(fill_and_resolve(
-        params,
-        n,
-        &instances[..own],
-        strategies,
-        shard,
-        None,
-        engines,
-        &engine_idx[..own],
-        stores,
-    ));
-    if shards > 1 {
-        for (chunk_stores, run) in crew.finish(shard) {
-            stores.extend(chunk_stores);
-            runs.push(run);
-        }
-    }
-    runs
-}
-
-/// One shard of a drain, owned, so that whichever thread starts it first
-/// can run it.
-struct Job<V> {
-    /// The shard's place in the drain.
-    index: usize,
+/// What every shard of one drain reads: the drain's instances, strategies,
+/// engines and seed, shared by its [`ShardJob`]s.
+struct Drain<V> {
     params: Params,
     n: usize,
     seed: u64,
     instances: Vec<BatchInstance<V>>,
-    strategies: Arc<BTreeMap<NodeId, Strategy<V>>>,
+    strategies: BTreeMap<NodeId, Strategy<V>>,
     engines: Vec<Arc<EigEngine>>,
     engine_idx: Vec<usize>,
+}
+
+/// One shard of a drain: a contiguous chunk of its instances and their
+/// stores, run by whichever thread of the service's crew starts it first,
+/// over that thread's [`Shard`].
+struct ShardJob<V> {
+    drain: Arc<Drain<V>>,
+    chunk: Range<usize>,
     stores: Vec<EigStore<V>>,
 }
 
-/// What a [`Job`] gives back: its stores, filled, and its run.
-type JobDone<V> = (Vec<EigStore<V>>, ShardRun<V>);
+impl<V: Clone + Ord + Hash + Send + Sync + 'static> Job for ShardJob<V> {
+    type State = Shard<V>;
+    /// The chunk's stores, filled, and its run.
+    type Output = (Vec<EigStore<V>>, ShardRun<V>);
 
-impl<V: Clone + Ord + Hash> Job<V> {
-    /// Runs the job over `shard`, whichever thread's shard that is.
-    fn run(mut self, shard: &mut Shard<V>) -> JobDone<V> {
-        shard.net.reseed(self.seed);
+    fn run(mut self, shard: &mut Shard<V>) -> Self::Output {
+        let drain = &*self.drain;
+        shard.net.reseed(drain.seed);
         let run = fill_and_resolve(
-            self.params,
-            self.n,
-            &self.instances,
-            &self.strategies,
+            drain.params,
+            drain.n,
+            &drain.instances[self.chunk.clone()],
+            &drain.strategies,
             shard,
             None,
-            &self.engines,
-            &self.engine_idx,
+            &drain.engines,
+            &drain.engine_idx[self.chunk],
             &mut self.stores,
         );
         (self.stores, run)
     }
 }
 
-/// The helper threads of a [`ServiceState`]: each owns a [`Shard`] and
-/// sleeps until a drain posts shards, then runs them one at a time until
-/// none is left unstarted.
-struct Crew<V> {
-    shared: Arc<(Mutex<Queue<V>>, Condvar)>,
-    threads: Vec<JoinHandle<()>>,
-}
-
-/// What a drain and its crew share.
-struct Queue<V> {
-    /// Shards posted and not started; the next to start is last.
-    posted: Vec<Job<V>>,
-    /// Shards a helper has started and not finished.
-    running: usize,
-    /// Shards the helpers finished, or panicked in.
-    done: Vec<(usize, std::thread::Result<JobDone<V>>)>,
-    /// The helpers are to exit.
-    closed: bool,
-}
-
-fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    // A job's panic is caught outside the lock, so nothing poisons it.
-    mutex.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-fn wait<'a, T>(changed: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
-    changed.wait(guard).unwrap_or_else(PoisonError::into_inner)
-}
-
-impl<V: Clone + Ord + Hash + Send + Sync + 'static> Crew<V> {
-    fn new() -> Self {
-        let queue = Queue {
-            posted: Vec::new(),
-            running: 0,
-            done: Vec::new(),
-            closed: false,
-        };
-        Crew {
-            shared: Arc::new((Mutex::new(queue), Condvar::new())),
-            threads: Vec::new(),
-        }
-    }
-
-    /// Spawns helpers, each with a shard over `n` nodes, until there are
-    /// `helpers`.
-    fn grow(&mut self, helpers: usize, n: usize) {
-        while self.threads.len() < helpers {
-            let shared = Arc::clone(&self.shared);
-            self.threads.push(std::thread::spawn(move || {
-                let (queue, changed) = &*shared;
-                let mut shard = Shard::new(n, 0);
-                loop {
-                    let job = {
-                        let mut state = lock(queue);
-                        loop {
-                            if state.closed {
-                                return;
-                            }
-                            if let Some(job) = state.posted.pop() {
-                                state.running += 1;
-                                break job;
-                            }
-                            state = wait(changed, state);
-                        }
-                    };
-                    let index = job.index;
-                    let ran = std::panic::catch_unwind(AssertUnwindSafe(|| job.run(&mut shard)));
-                    let mut state = lock(queue);
-                    state.running -= 1;
-                    state.done.push((index, ran));
-                    drop(state);
-                    changed.notify_all();
-                }
-            }));
-        }
-    }
-
-    fn post(&self, jobs: impl Iterator<Item = Job<V>>) {
-        let (queue, changed) = &*self.shared;
-        lock(queue).posted.extend(jobs);
-        changed.notify_all();
-    }
-
-    /// Runs every posted job no helper has started over `shard`, waits for
-    /// the ones that have been, and returns them all in shard order. A job
-    /// that panicked on a helper is this drain panicking.
-    fn finish(&self, shard: &mut Shard<V>) -> Vec<JobDone<V>> {
-        let (queue, changed) = &*self.shared;
-        let mut finished = Vec::new();
-        let mut state = lock(queue);
-        loop {
-            if let Some(job) = state.posted.pop() {
-                drop(state);
-                finished.push((job.index, Ok(job.run(shard))));
-                state = lock(queue);
-            } else if state.running > 0 {
-                state = wait(changed, state);
-            } else {
-                break;
-            }
-        }
-        finished.append(&mut state.done);
-        drop(state);
-        finished.sort_unstable_by_key(|&(index, _)| index);
-        finished
-            .into_iter()
-            .map(|(_, ran)| ran.unwrap_or_else(|payload| std::panic::resume_unwind(payload)))
-            .collect()
-    }
-}
-
-impl<V> Drop for Crew<V> {
-    fn drop(&mut self) {
-        let (queue, changed) = &*self.shared;
-        lock(queue).closed = true;
-        changed.notify_all();
-        for thread in self.threads.drain(..) {
-            // The threads catch their jobs' panics; none can fail here.
-            let _ = thread.join();
-        }
-    }
-}
-
-impl<V> std::fmt::Debug for Crew<V> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Crew")
-            .field("helpers", &self.threads.len())
-            .finish_non_exhaustive()
-    }
+/// Splits `drain` into `shards` jobs, one per contiguous chunk of
+/// near-equal size (the first `K mod shards` chunks take one instance
+/// more), each carrying its chunk's stores out of `stores`.
+///
+/// Splitting cannot change a decision, a counter or a span: the service's
+/// network has no fault, latency or corruptor and so draws no randomness,
+/// [`Strategy::claim`] is a function of (path, receiver), and the slot
+/// fold is first-write-wins per instance — every instance sees exactly the
+/// message subsequence it sees in one multiplexed run.
+fn shard_jobs<V>(
+    drain: &Arc<Drain<V>>,
+    shards: usize,
+    stores: &mut Vec<EigStore<V>>,
+) -> Vec<ShardJob<V>> {
+    let k = drain.instances.len();
+    let start = |p: usize| p * (k / shards) + p.min(k % shards);
+    (0..shards)
+        .map(|p| ShardJob {
+            drain: Arc::clone(drain),
+            chunk: start(p)..start(p + 1),
+            stores: stores.drain(..start(p + 1) - start(p)).collect(),
+        })
+        .collect()
 }
 
 /// The one execution of the crate's simulated-network protocol, shared
@@ -1222,7 +1051,7 @@ pub struct ServiceBatch<V: Ord> {
 ///
 /// [`PathArena`]: crate::engine::PathArena
 #[derive(Debug)]
-pub struct ServiceState<V> {
+pub struct ServiceState<V: Clone + Ord + Hash + Send + Sync + 'static> {
     params: Params,
     n: usize,
     config: ServiceConfig,
@@ -1233,7 +1062,7 @@ pub struct ServiceState<V> {
     shard: Shard<V>,
     /// The helper threads, `workers − 1` once a drain has had that many
     /// shards to spare, each with a shard of its own.
-    crew: Crew<V>,
+    crew: Crew<ShardJob<V>>,
     pending: Vec<(u64, BatchInstance<V>)>,
     /// The pending ids, for the duplicate check only (never iterated);
     /// `clear` keeps its capacity from drain to drain.
@@ -1255,7 +1084,7 @@ impl<V: Clone + Ord + Hash + Send + Sync + 'static> ServiceState<V> {
             config,
             pool: Pool::new(),
             shard: Shard::new(n, 0),
-            crew: Crew::new(),
+            crew: Crew::new(0, move || Shard::new(n, 0)),
             pending: Vec::new(),
             pending_ids: HashSet::new(),
             stats: ServiceStats::default(),
@@ -1312,6 +1141,12 @@ impl<V: Clone + Ord + Hash + Send + Sync + 'static> ServiceState<V> {
     /// chunk: shard 0 on the calling thread, the others on the service's
     /// helper threads, unless the calling thread gets to them first. The result,
     /// and everything recorded in `obs`, is the one-shard result.
+    ///
+    /// A panic inside a shard fails the drain, not the service: the drain
+    /// re-raises the first shard's panic once every shard has ended, and
+    /// each thread whose shard panicked has built its network afresh, so
+    /// the next drain decides exactly as a fresh one-shot [`run_batch`].
+    /// The panicked drain's instances are lost, and its stores with them.
     /// Engines and stores come from the pool (missing ones are built
     /// and retained); after the resolve every store is cleared and
     /// returned to its free list. On top of the usual `batch.*` /
@@ -1348,22 +1183,29 @@ impl<V: Clone + Ord + Hash + Send + Sync + 'static> ServiceState<V> {
         // buffers are half the size (DESIGN §5j).
         let workers = self.config.workers.max(1);
         let shards = workers.saturating_mul(2).min(instances.len()).max(1);
-        self.crew.grow(workers.min(shards) - 1, n);
+        self.crew.grow(workers.min(shards) - 1);
         let start = Instant::now();
-        let shards = run_sharded(
-            self.params,
+        let drain = Arc::new(Drain {
+            params: self.params,
             n,
-            &instances,
-            strategies,
             seed,
-            shards,
-            &mut self.shard,
-            &self.crew,
-            &self.pool.engines,
-            &lease.engine_idx,
-            &mut lease.stores,
-        );
-        let run = fold(n, depth, &instances, shards, start, lease.arenas_built, obs);
+            instances,
+            strategies: strategies.clone(),
+            engines: self.pool.engines.clone(),
+            engine_idx: lease.engine_idx.clone(),
+        });
+        let jobs = shard_jobs(&drain, shards, &mut lease.stores);
+        let mut runs = Vec::with_capacity(shards);
+        for ended in self.crew.run(jobs, Some(&mut self.shard)) {
+            // Every shard has ended, and every thread whose shard panicked
+            // has built its network afresh: the drain fails, the service
+            // does not.
+            let (stores, run) = ended.unwrap_or_else(|payload| std::panic::resume_unwind(payload));
+            lease.stores.extend(stores);
+            runs.push(run);
+        }
+        let instances = &drain.instances;
+        let run = fold(n, depth, instances, runs, start, lease.arenas_built, obs);
         let (arenas_built, stores_built) = (lease.arenas_built, lease.stores_built);
         let (arenas_reused, stores_reused) =
             (queue_depth - arenas_built, queue_depth - stores_built);
@@ -1893,7 +1735,7 @@ mod tests {
                     }
                     let mut obs = Obs::enabled();
                     let batch = svc.drain_observed(&strategies, seed, &mut obs);
-                    assert_eq!(svc.crew.threads.len(), workers.min(k).max(1) - 1, "{at}");
+                    assert_eq!(svc.crew.workers(), workers.min(k).max(1) - 1, "{at}");
                     assert_eq!(batch.run.decisions, oracle.decisions, "{at}");
                     assert_eq!(batch.run.net, oracle.net, "{at}");
                     assert_eq!(batch.run.spoofs_rejected, oracle.spoofs_rejected, "{at}");
@@ -1920,47 +1762,159 @@ mod tests {
 
     /// A posted shard runs wherever it is started first, and decides the
     /// same there. Both ends are forced: with no helper, the calling
-    /// thread runs every shard in `finish`; with two, the helpers have run
-    /// every shard before the calling thread looks.
+    /// thread runs every shard; with two, the calling thread holds its
+    /// first shard until the helpers have run every other one.
     #[test]
     fn a_posted_shard_runs_wherever_it_is_started_first() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::thread::{self, ThreadId};
+
+        /// A shard that reports the thread it ran on; the held one waits
+        /// until `others` shards have ended.
+        struct Placed {
+            job: ShardJob<u64>,
+            hold_for: Option<usize>,
+            ended: Arc<AtomicUsize>,
+        }
+        impl Job for Placed {
+            type State = Shard<u64>;
+            type Output = (ThreadId, ShardRun<u64>);
+            fn run(self, shard: &mut Shard<u64>) -> Self::Output {
+                if let Some(others) = self.hold_for {
+                    let deadline = Instant::now() + std::time::Duration::from_secs(10);
+                    while self.ended.load(Ordering::SeqCst) < others {
+                        assert!(Instant::now() < deadline, "the helpers never ran");
+                        thread::yield_now();
+                    }
+                }
+                let (_, run) = self.job.run(shard);
+                self.ended.fetch_add(1, Ordering::SeqCst);
+                (thread::current().id(), run)
+            }
+        }
+
         let (nodes, seed) = (5, 3);
-        let strategies = Arc::new(lying_strategies());
         let instances: Vec<BatchInstance<u64>> =
             (0..6).map(|i| inst(i % nodes, 60 + i as u64)).collect();
-        let oracle = plain(params(), nodes, &instances, &strategies, seed);
+        let oracle = plain(params(), nodes, &instances, &lying_strategies(), seed);
         for helpers in [0usize, 2] {
             let mut pool = Pool::new();
-            let lease = pool.lease(&instances, |s| EigEngine::new(nodes, s, params().rounds()));
-            let mut crew = Crew::new();
-            crew.grow(helpers, nodes);
-            // One shard per instance.
-            let jobs = lease.stores.into_iter().zip(&lease.engine_idx);
-            crew.post(jobs.enumerate().map(|(k, (store, &e))| Job {
-                index: k,
+            let mut lease = pool.lease(&instances, |s| EigEngine::new(nodes, s, params().rounds()));
+            let drain = Arc::new(Drain {
                 params: params(),
                 n: nodes,
                 seed,
-                instances: vec![instances[k].clone()],
-                strategies: Arc::clone(&strategies),
+                instances: instances.clone(),
+                strategies: lying_strategies(),
                 engines: pool.engines.clone(),
-                engine_idx: vec![e],
-                stores: vec![store],
-            }));
-            let (queue, changed) = &*crew.shared;
-            let mut state = lock(queue);
-            while helpers > 0 && (!state.posted.is_empty() || state.running > 0) {
-                state = wait(changed, state);
-            }
-            assert_eq!(state.done.len(), if helpers > 0 { 6 } else { 0 });
-            drop(state);
-            let done = crew.finish(&mut Shard::new(nodes, 0));
+                engine_idx: lease.engine_idx.clone(),
+            });
+            // One shard per instance.
+            let ended = Arc::new(AtomicUsize::new(0));
+            let jobs = shard_jobs(&drain, 6, &mut lease.stores);
+            let jobs = jobs.into_iter().enumerate().map(|(k, job)| Placed {
+                job,
+                hold_for: (helpers > 0 && k == 0).then_some(5),
+                ended: Arc::clone(&ended),
+            });
+            let mut crew = Crew::new(helpers, move || Shard::new(nodes, 0));
+            let done = crew.run(jobs, Some(&mut Shard::new(nodes, 0)));
+            let done: Vec<_> = done.into_iter().map(|ran| ran.unwrap()).collect();
+            let caller = thread::current().id();
+            let on_helpers = done.iter().filter(|(ran_on, _)| *ran_on != caller).count();
+            assert_eq!(on_helpers, if helpers > 0 { 5 } else { 0 });
             let decisions: Vec<_> = done
                 .into_iter()
                 .flat_map(|(_, run)| run.resolved)
                 .map(|run| run.decisions)
                 .collect();
             assert_eq!(decisions, oracle.decisions, "{helpers} helpers");
+        }
+    }
+
+    /// A drain whose shard panics fails, and the next drain on the same
+    /// service decides exactly as a fresh one-shot batch: nothing of the
+    /// failed drain — a shard still queued, a run still to be collected,
+    /// a relay buffer the panic left full — reaches it. The panic is a
+    /// value's `Clone` on one sentinel instance, while the fill runs, on
+    /// the calling thread or a helper, at the head, the middle or the tail
+    /// of the drain.
+    #[test]
+    fn a_drain_that_panics_leaves_the_next_drain_correct() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+
+        static ARMED: AtomicBool = AtomicBool::new(false);
+        const SENTINEL: u64 = 7_777;
+
+        /// A value whose clone panics on [`SENTINEL`] while [`ARMED`].
+        #[derive(Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+        struct Fragile(u64);
+        impl Clone for Fragile {
+            fn clone(&self) -> Self {
+                let armed = ARMED.load(Ordering::SeqCst);
+                assert!(!(armed && self.0 == SENTINEL), "cloned the sentinel");
+                Fragile(self.0)
+            }
+        }
+
+        const K: usize = 16;
+        let nodes = 5;
+        let strategies: BTreeMap<NodeId, Strategy<Fragile>> = [
+            (
+                n(3),
+                Strategy::ConstantLie(AgreementValue::Value(Fragile(9))),
+            ),
+            (
+                n(4),
+                Strategy::TwoFaced {
+                    even: AgreementValue::Value(Fragile(1)),
+                    odd: AgreementValue::Value(Fragile(2)),
+                },
+            ),
+        ]
+        .into();
+        let wave = |first: u64, sentinel: Option<usize>| -> Vec<BatchInstance<Fragile>> {
+            (0..K)
+                .map(|i| BatchInstance {
+                    sender: n(i % nodes),
+                    value: AgreementValue::Value(Fragile(if sentinel == Some(i) {
+                        SENTINEL
+                    } else {
+                        first + i as u64
+                    })),
+                })
+                .collect()
+        };
+        for workers in [1usize, 2, 3, 8] {
+            for sentinel in [0, K / 2 - 1, K - 1] {
+                let at = format!("workers = {workers}, sentinel at {sentinel}");
+                let config = ServiceConfig {
+                    queue_capacity: K,
+                    workers,
+                };
+                let mut svc: ServiceState<Fragile> =
+                    ServiceState::new(params(), nodes, config).unwrap();
+                for (id, i) in wave(100, Some(sentinel)).into_iter().enumerate() {
+                    svc.ingest(id as u64, i).unwrap();
+                }
+                ARMED.store(true, Ordering::SeqCst);
+                let drain = std::panic::AssertUnwindSafe(|| svc.drain(&strategies, 5));
+                let failed = std::panic::catch_unwind(drain);
+                ARMED.store(false, Ordering::SeqCst);
+                assert!(failed.is_err(), "{at}");
+
+                let next = wave(200, None);
+                for (id, i) in next.iter().enumerate() {
+                    svc.ingest(id as u64, i.clone()).unwrap();
+                }
+                let batch = svc.drain(&strategies, 6);
+                let oracle =
+                    run_batch(params(), nodes, &next, &strategies, 6, BatchOptions::new()).unwrap();
+                assert_eq!(batch.ids, (0..K as u64).collect::<Vec<_>>(), "{at}");
+                assert_eq!(batch.run.decisions, oracle.decisions, "{at}");
+                assert_eq!(batch.run.net, oracle.net, "{at}");
+                assert_eq!(batch.run.spoofs_rejected, oracle.spoofs_rejected, "{at}");
+            }
         }
     }
 
@@ -1982,7 +1936,7 @@ mod tests {
             let start = Instant::now();
             let batch = svc.drain(&lying_strategies(), wave);
             let wall = start.elapsed().as_nanos() as u64;
-            assert_eq!(svc.crew.threads.len(), 3);
+            assert_eq!(svc.crew.workers(), 3);
             let eig = batch.run.net.eig;
             assert!(eig.fill_nanos > 0, "wave {wave}: {eig:?}");
             assert!(

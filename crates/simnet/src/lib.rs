@@ -29,6 +29,9 @@
 //!   reproduce Section 6's *relaxed* absence detection (a fault-free node
 //!   may falsely time out another fault-free node when more than `m` nodes
 //!   are faulty).
+//! * [`crew`] — the workspace's one pool of long-lived worker threads:
+//!   one queue per call, a job's panic returned as a value, close and
+//!   join on drop.
 //! * [`routing`] — point-to-point relay over vertex-disjoint paths with the
 //!   *degradable delivery* acceptance rule (correct when `f <= m`,
 //!   correct-or-absent when `f <= u`), the mechanism that makes agreement
@@ -56,6 +59,7 @@
 #![warn(missing_docs)]
 
 pub mod connectivity;
+pub mod crew;
 pub mod engine;
 pub mod fault;
 pub mod graph;

@@ -5,16 +5,16 @@
 //! — but the concurrency shape differs: [`run_sim`] multiplexes all `n`
 //! endpoints on the calling thread (the shared event queue dictates the
 //! order, so the sweep pattern is irrelevant), while [`run_channel`] and
-//! [`run_tcp`] give every node its own OS thread and let real scheduling
-//! happen. That thread is a `Driver`: it owns the node's endpoint and runs
-//! one instance per job posted to it through a one-slot handoff. A channel
-//! mesh is built per call, with drivers spawned for it that exit after its
-//! one instance; the drivers of the mesh `run_tcp` keeps standing stay
-//! parked between instances, so a decision on it spawns no thread. All
-//! three return a [`TransportRun`] carrying decisions, the per-node EIG
-//! views (the reference fold's input, for re-deriving decisions through
-//! `EigView::resolve`), and merged traffic stats — the differential
-//! suite's raw material.
+//! [`run_tcp`] give every node a worker of a [`simnet::crew::Crew`] and let
+//! real scheduling happen. An instance is one job per node that carries
+//! the node's endpoint and gives it back if it ended clean; a node whose
+//! thread panicked is that node's failure, never the caller's. A channel
+//! mesh gets a crew per call; the crew of the mesh `run_tcp` keeps
+//! standing stays parked between instances, so a decision on it spawns no
+//! thread. All three return a [`TransportRun`] carrying decisions, the
+//! per-node EIG views (the reference fold's input, for re-deriving
+//! decisions through `EigView::resolve`), and merged traffic stats — the
+//! differential suite's raw material.
 
 use crate::mesh::{channel_mesh, tcp_mesh, MeshConfig, MeshTransport};
 use crate::sim::{RelaxedTiming, SimWorld};
@@ -23,12 +23,12 @@ use degradable::{
     AgreementValue, ByzInstance, ByzMsg, EigView, NodeAction, NodeStateMachine, Step, Strategy, Val,
 };
 use obs::{Label, Obs, SpanRecord, TraceCtx};
+use simnet::crew::{Crew, Job};
 use simnet::NodeId;
 use std::collections::{BTreeMap, BTreeSet};
 use std::io::{self, Write};
 use std::path::PathBuf;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
-use std::thread::{self, JoinHandle};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Backend-independent run knobs (all off by default).
 #[derive(Debug, Clone, Copy, Default)]
@@ -474,9 +474,9 @@ pub fn drive_mesh(
 }
 
 /// One instance on one endpoint: the body of [`drive_mesh`] and of every
-/// `Driver` job. The endpoint is only borrowed, so that a driver can keep
-/// a TCP endpoint that ended clean for its next job; every other caller
-/// drops it when this returns.
+/// [`NodeJob`]. The endpoint is only borrowed, so that a job can give back
+/// a TCP endpoint that ended clean for the next instance; every other
+/// caller drops it when this returns.
 fn drive(
     transport: &mut MeshTransport,
     mut machine: NodeStateMachine<u64>,
@@ -553,7 +553,7 @@ fn write_metrics_line(
 }
 
 /// What every endpoint of a mesh is re-armed with for one instance, and
-/// how its driver records it.
+/// how its node's job records it.
 #[derive(Debug, Clone)]
 struct Arming {
     depth: usize,
@@ -583,163 +583,90 @@ impl Arming {
     }
 }
 
-/// One instance's work for one [`Driver`].
-struct Job {
+/// One instance's work for one node of a [`Mesh`]: its endpoint, its
+/// machine and what to arm the endpoint with.
+struct NodeJob {
+    endpoint: MeshTransport,
     machine: NodeStateMachine<u64>,
     arming: Arming,
 }
 
-/// A driver's answer to a [`Job`]: the node's outcome, and whether its
-/// endpoint [ended clean](MeshTransport::ended_clean).
-type Reply = (NodeOutcome, bool);
+impl Job for NodeJob {
+    type State = ();
+    /// The node's outcome, and its endpoint if it [ended
+    /// clean](MeshTransport::ended_clean).
+    type Output = (NodeOutcome, Option<MeshTransport>);
 
-/// What a caller and its driver hand each other: one job slot and one
-/// reply slot under one lock, and the condition either side waits on.
-/// Every update is one assignment, so a lock poisoned by a panicking
-/// driver still guards valid slots.
-#[derive(Default)]
-struct Handoff {
-    slots: Mutex<Slots>,
-    changed: Condvar,
-}
-
-/// The contents of a [`Handoff`].
-#[derive(Default)]
-struct Slots {
-    job: Option<Job>,
-    reply: Option<Reply>,
-    /// Set by the caller: no job will come.
-    closed: bool,
-    /// Set as the driver's thread ends, however it ends.
-    gone: bool,
-}
-
-impl Handoff {
-    fn update(&self, change: impl FnOnce(&mut Slots)) {
-        change(&mut self.slots.lock().unwrap_or_else(PoisonError::into_inner));
-        self.changed.notify_all();
-    }
-
-    /// Blocks until `take` finds what it waits for in the slots.
-    fn wait_for<T>(&self, mut take: impl FnMut(&mut Slots) -> Option<T>) -> T {
-        let mut slots = self.slots.lock().unwrap_or_else(PoisonError::into_inner);
-        loop {
-            if let Some(taken) = take(&mut slots) {
-                return taken;
-            }
-            slots = self
-                .changed
-                .wait(slots)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
+    /// Re-arms the endpoint, [`drive`]s it and gives it back if it ended
+    /// clean. Any other ending closes it here, on the thread that ran it,
+    /// so the closes of a mesh's endpoints run side by side.
+    fn run(mut self, (): &mut ()) -> Self::Output {
+        let arming = &self.arming;
+        let endpoint = &mut self.endpoint;
+        endpoint.rearm(arming.depth, &arming.chaos, arming.config);
+        let outcome = drive(endpoint, self.machine, &arming.options);
+        let kept = self.endpoint.ended_clean().then_some(self.endpoint);
+        (outcome, kept)
     }
 }
 
-/// Marks the handoff's driver gone when its thread ends, by a panic too.
-struct Gone(Arc<Handoff>);
+/// A mesh's endpoints, in node order, and the crew that drives them: one
+/// worker per node, and node `k` on worker `k` instance after instance, so
+/// that an endpoint's buffers stay with one thread's allocator.
+struct Mesh {
+    endpoints: Vec<MeshTransport>,
+    crew: Crew<NodeJob>,
+}
 
-impl Drop for Gone {
-    fn drop(&mut self) {
-        self.0.update(|slots| slots.gone = true);
+impl Mesh {
+    fn new(endpoints: Vec<MeshTransport>) -> Self {
+        let crew = Crew::new(endpoints.len(), || ());
+        Mesh { endpoints, crew }
     }
 }
 
-/// One node's long-lived driver thread. It owns the node's endpoint and
-/// runs one instance per job: re-arm the endpoint, [`drive`] it, reply.
-/// The [`Handoff`] holds one job and one reply: a caller posts a job and
-/// takes its reply before it posts the next, and nothing is allocated per
-/// instance. The thread exits after an ending that is not clean, closing
-/// the endpoint on its own thread, and once the caller closes the handoff;
-/// dropping the `Driver` closes it and joins the thread.
-struct Driver {
-    handoff: Arc<Handoff>,
-    thread: Option<JoinHandle<()>>,
-}
-
-impl Driver {
-    fn spawn(mut endpoint: MeshTransport) -> Self {
-        let handoff = Arc::new(Handoff::default());
-        let gone = Gone(Arc::clone(&handoff));
-        let thread = thread::spawn(move || {
-            let next = |slots: &mut Slots| match slots.job.take() {
-                Some(job) => Some(Some(job)),
-                None => slots.closed.then_some(None),
-            };
-            while let Some(Job { machine, arming }) = gone.0.wait_for(next) {
-                endpoint.rearm(arming.depth, &arming.chaos, arming.config);
-                let outcome = drive(&mut endpoint, machine, &arming.options);
-                let clean = endpoint.ended_clean();
-                gone.0.update(|slots| slots.reply = Some((outcome, clean)));
-                if !clean {
-                    break;
-                }
-            }
-        });
-        Driver {
-            handoff,
-            thread: Some(thread),
-        }
-    }
-
-    /// Hands the driver its next job; one that has exited never takes it,
-    /// and its [`reply`](Self::reply) says so.
-    fn post(&self, job: Job) {
-        self.handoff.update(|slots| slots.job = Some(job));
-    }
-
-    /// Waits for the reply to the job posted last: `None` if the driver
-    /// panicked on it, or had exited before it.
-    fn reply(&self) -> Option<Reply> {
-        self.handoff.wait_for(|slots| match slots.reply.take() {
-            Some(reply) => Some(Some(reply)),
-            None => slots.gone.then_some(None),
-        })
-    }
-}
-
-impl Drop for Driver {
-    fn drop(&mut self) {
-        self.handoff.update(|slots| slots.closed = true);
-        if let Some(thread) = self.thread.take() {
-            // A panic was reported as the node's failure already.
-            let _ = thread.join();
-        }
-    }
-}
-
-/// One instance on a mesh's `drivers`: one job per node, every endpoint
-/// re-armed with `arming`, the replies collected in node order. Returns
-/// the run and whether every endpoint ended clean — only then may the
-/// drivers run another instance.
+/// One instance on `mesh`: one job per node, every endpoint re-armed with
+/// `arming`, the outcomes collected in node order. Returns the run, and
+/// the mesh back only if every endpoint ended clean — only then may it run
+/// another instance.
 fn run_mesh(
     kind: TransportKind,
-    drivers: &[Driver],
+    mut mesh: Mesh,
     instance: &ByzInstance,
     sender_value: Val,
     strategies: &BTreeMap<NodeId, Strategy<u64>>,
     arming: &Arming,
-) -> (TransportRun, bool) {
+) -> (TransportRun, Option<Mesh>) {
     let (n, depth) = (instance.n(), instance.depth());
     let machines = machines_for(instance, sender_value, strategies);
-    for (driver, machine) in drivers.iter().zip(machines) {
-        let arming = arming.clone();
-        driver.post(Job { machine, arming });
-    }
-    let mut clean = true;
-    let outcomes = drivers
-        .iter()
+    let endpoints = std::mem::take(&mut mesh.endpoints);
+    let jobs = endpoints
+        .into_iter()
+        .zip(machines)
+        .map(|(endpoint, machine)| NodeJob {
+            endpoint,
+            machine,
+            arming: arming.clone(),
+        });
+    let mut kept = Vec::with_capacity(n);
+    let outcomes = mesh
+        .crew
+        .run(jobs, None)
+        .into_iter()
         .zip(NodeId::all(n))
-        .map(|(driver, node)| {
-            // A driver that panicked took its endpoint down with it: the
-            // peers saw the links close, and the mesh is not kept.
-            let (outcome, ended_clean) = driver
-                .reply()
-                .unwrap_or_else(|| (NodeOutcome::panicked(node, n, depth), false));
-            clean &= ended_clean;
-            outcome
+        .map(|(ended, node)| match ended {
+            Ok((outcome, endpoint)) => {
+                kept.extend(endpoint);
+                outcome
+            }
+            // A node whose thread panicked took its endpoint down with
+            // it: the peers saw the links close, and the mesh is not kept.
+            Err(_) => NodeOutcome::panicked(node, n, depth),
         })
         .collect();
-    (TransportRun::assemble(kind, outcomes), clean)
+    let (run, clean) = (TransportRun::assemble(kind, outcomes), kept.len() == n);
+    mesh.endpoints = kept;
+    (run, clean.then_some(mesh))
 }
 
 /// Runs the scenario with one OS thread per node over in-process channels.
@@ -770,12 +697,9 @@ fn run_channel_with(
     options: RunOptions,
 ) -> TransportRun {
     let arming = Arming::for_instance(instance, chaos, config, options);
-    let drivers: Vec<Driver> = channel_mesh(instance.n(), arming.depth, &arming.chaos, config)
-        .into_iter()
-        .map(Driver::spawn)
-        .collect();
-    let kind = TransportKind::Channel;
-    run_mesh(kind, &drivers, instance, sender_value, strategies, &arming).0
+    let endpoints = channel_mesh(instance.n(), arming.depth, &arming.chaos, config);
+    let (kind, mesh) = (TransportKind::Channel, Mesh::new(endpoints));
+    run_mesh(kind, mesh, instance, sender_value, strategies, &arming).0
 }
 
 /// Runs the scenario with one OS thread per node over loopback TCP.
@@ -798,13 +722,13 @@ pub fn run_tcp(
 
 /// The loopback mesh the last healthy [`run_tcp`] instance left standing,
 /// for the next one to run on: 21 connections at `N = 7` that are not
-/// dialed, and not left in `TIME_WAIT`, once per decision, and one driver
-/// per node that is not spawned and joined once per decision. Empty while
-/// a call has the mesh checked out. An idle standing mesh is its sockets
-/// and `n` drivers parked on their handoffs.
-static STANDING_MESH: Mutex<Option<Vec<Driver>>> = Mutex::new(None);
+/// dialed, and not left in `TIME_WAIT`, once per decision, and a crew of
+/// one worker per node that is not spawned and joined once per decision.
+/// Empty while a call has the mesh checked out. An idle standing mesh is
+/// its sockets and `n` workers parked on the crew's queue.
+static STANDING_MESH: Mutex<Option<Mesh>> = Mutex::new(None);
 
-fn standing_mesh() -> MutexGuard<'static, Option<Vec<Driver>>> {
+fn standing_mesh() -> MutexGuard<'static, Option<Mesh>> {
     STANDING_MESH.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
@@ -822,15 +746,14 @@ fn run_tcp_with(
 }
 
 /// The instance runs on the standing mesh if there is one of the same
-/// size, and on a mesh built for it, with a driver spawned per node,
+/// size, and on a mesh built for it, with a crew spawned for it,
 /// otherwise (none standing, another call using it, a different `n`);
-/// either way every driver re-arms its endpoint with `arming` — the
-/// instance's depth, chaos and `config` — and drives it with the same
-/// code. The mesh is left standing only if **every** endpoint closed every
-/// round by marks and has nothing buffered, unflushed, reconnected, gone
-/// or timed out — any other ending closes it and joins its drivers, so a
-/// fresh mesh is the one recovery path and no frame of one instance can
-/// meet the next.
+/// either way every endpoint is re-armed with `arming` — the instance's
+/// depth, chaos and `config` — and driven by the same code. The mesh is
+/// left standing only if **every** endpoint closed every round by marks
+/// and has nothing buffered, unflushed, reconnected, gone or timed out —
+/// any other ending closes it and joins its crew, so a fresh mesh is the
+/// one recovery path and no frame of one instance can meet the next.
 fn run_on_standing_mesh(
     instance: &ByzInstance,
     sender_value: Val,
@@ -842,19 +765,16 @@ fn run_on_standing_mesh(
     // standing mesh of another size is closed, once the slot's lock is
     // released.
     let taken = standing_mesh().take();
-    let drivers = match taken.filter(|drivers| drivers.len() == n) {
-        Some(drivers) => drivers,
-        None => tcp_mesh(n, arming.depth, &arming.chaos, arming.config)?
-            .into_iter()
-            .map(Driver::spawn)
-            .collect(),
+    let mesh = match taken.filter(|mesh| mesh.endpoints.len() == n) {
+        Some(mesh) => mesh,
+        None => Mesh::new(tcp_mesh(n, arming.depth, &arming.chaos, arming.config)?),
     };
     let kind = TransportKind::Tcp;
-    let (run, clean) = run_mesh(kind, &drivers, instance, sender_value, strategies, arming);
-    if clean {
+    let (run, kept) = run_mesh(kind, mesh, instance, sender_value, strategies, arming);
+    if let Some(mesh) = kept {
         // Whatever a concurrent call left meanwhile is closed outside the
         // lock.
-        let replaced = standing_mesh().replace(drivers);
+        let replaced = standing_mesh().replace(mesh);
         drop(replaced);
     }
     Ok(run)
@@ -898,6 +818,7 @@ pub fn run_kind_with(
 mod tests {
     use super::*;
     use degradable::{run_protocol, Params};
+    use std::thread;
     use std::time::Duration;
 
     fn instance(n: usize, m: usize, u: usize) -> ByzInstance {
@@ -1083,11 +1004,6 @@ mod tests {
         }
     }
 
-    /// A driver per endpoint of `mesh`.
-    fn drivers(mesh: Vec<MeshTransport>) -> Vec<Driver> {
-        mesh.into_iter().map(Driver::spawn).collect()
-    }
-
     /// What an instance of `inst` asks its endpoints to be armed with,
     /// under `config`.
     fn arming(inst: &ByzInstance, config: MeshConfig) -> Arming {
@@ -1107,21 +1023,25 @@ mod tests {
             MeshConfig::default(),
         )
         .unwrap();
-        let drivers = drivers(mesh);
-        let on = |value, strategies: &BTreeMap<_, _>, config| {
-            run_mesh(
+        // The mesh an instance gave back, for the next one to run on.
+        let mut standing = Some(Mesh::new(mesh));
+        let mut on = |value, strategies: &BTreeMap<_, _>, config| {
+            let (run, kept) = run_mesh(
                 TransportKind::Tcp,
-                &drivers,
+                standing.take().expect("the last instance kept its mesh"),
                 &inst,
                 Val::Value(value),
                 strategies,
                 &arming(&inst, config),
-            )
+            );
+            let clean = kept.is_some();
+            standing = kept;
+            (run, clean)
         };
         let (first, clean) = on(7, &BTreeMap::new(), MeshConfig::default());
         assert!(first.decisions.values().all(|d| *d == Val::Value(7)));
         assert!(clean, "a clean instance leaves its mesh standing");
-        // The same sockets and drivers, re-armed: the second instance sees
+        // The same sockets and crew, re-armed: the second instance sees
         // none of the first (its views are the simulator's, slot for slot).
         let (second, clean) = on(8, &liar, MeshConfig::default());
         let sim = run_sim(&inst, Val::Value(8), &liar, LinkChaos::healthy(), None);
@@ -1235,14 +1155,15 @@ mod tests {
             ..arming(&inst, MeshConfig::default())
         };
         let mesh = channel_mesh(4, deeper.depth, &deeper.chaos, deeper.config);
-        let (run, clean) = run_mesh(
+        let (run, kept) = run_mesh(
             TransportKind::Channel,
-            &drivers(mesh),
+            Mesh::new(mesh),
             &inst,
             Val::Value(7),
             &BTreeMap::new(),
             &deeper,
         );
+        let clean = kept.is_some();
         assert!(!clean, "no endpoint outlives its driver");
         assert_every_node_panicked(&run, 4);
     }
@@ -1259,7 +1180,7 @@ mod tests {
         };
         let run = run_on_standing_mesh(&inst, Val::Value(7), &BTreeMap::new(), &deeper).unwrap();
         assert_every_node_panicked(&run, 6);
-        let kept = standing_mesh().as_ref().map(Vec::len);
+        let kept = standing_mesh().as_ref().map(|mesh| mesh.endpoints.len());
         assert_ne!(kept, Some(6), "a mesh whose drivers panicked is not kept");
         let strategies = BTreeMap::new();
         let healthy = LinkChaos::healthy();
