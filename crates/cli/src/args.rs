@@ -43,7 +43,7 @@ TOPOLOGY KIND:
 
 TRANSPORT:
   sim     — deterministic virtual-time simulator (default)
-  channel — one OS thread per node over in-process channels
+  channel — one OS thread per node over in-process byte pipes
   tcp     — one OS thread per node over loopback TCP
   `serve` runs ONE node of a multi-process TCP mesh: every process gets
   the same --peers list (node i binds the i-th address) and its own

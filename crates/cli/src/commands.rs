@@ -987,7 +987,8 @@ fn bombard_cmd(
     );
     let _ = writeln!(
         out,
-        "load: {offered} offered, {accepted} accepted, {shed} shed ({} queued at exit)",
+        "load: {offered} offered, {accepted} accepted, {shed} shed, {} lost ({} queued at exit)",
+        stats.lost,
         svc.pending_len()
     );
     let _ = writeln!(

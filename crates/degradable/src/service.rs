@@ -998,9 +998,13 @@ pub struct ServiceStats {
     pub shed: u64,
     /// Instances decided across all drains.
     pub decided: u64,
+    /// Instances of drains that panicked: taken off the queue, never
+    /// decided, never re-queued. `ingested = decided + pending + lost`.
+    pub lost: u64,
     /// Drains executed (including empty ones).
     pub batches: u64,
-    /// Arenas built — one per sender first seen, ever.
+    /// Arenas built — one per sender first seen, ever, and so the number
+    /// of engines the service holds, a panicked drain's too.
     pub arena_builds: u64,
     /// Instances served by an arena that already existed.
     pub arena_reuses: u64,
@@ -1146,9 +1150,11 @@ impl<V: Clone + Ord + Hash + Send + Sync + 'static> ServiceState<V> {
     /// re-raises the first shard's panic once every shard has ended, and
     /// each thread whose shard panicked has built its network afresh, so
     /// the next drain decides exactly as a fresh one-shot [`run_batch`].
-    /// The panicked drain's instances are lost, and its stores with them.
-    /// Engines and stores come from the pool (missing ones are built
-    /// and retained); after the resolve every store is cleared and
+    /// The panicked drain's instances are counted [`ServiceStats::lost`],
+    /// the engines and stores it built are counted, and the stores of the
+    /// shards that ended go back to the pool; the panicked shards' stores
+    /// are lost. Engines and stores come from the pool (missing ones are
+    /// built and retained); after the resolve every store is cleared and
     /// returned to its free list. On top of the usual `batch.*` /
     /// `svc.instance.*` evidence this records the pooling counters
     /// (`svc.pool.arena_{builds,reuses,requests}`,
@@ -1195,14 +1201,33 @@ impl<V: Clone + Ord + Hash + Send + Sync + 'static> ServiceState<V> {
             engine_idx: lease.engine_idx.clone(),
         });
         let jobs = shard_jobs(&drain, shards, &mut lease.stores);
+        let chunks: Vec<Range<usize>> = jobs.iter().map(|job| job.chunk.clone()).collect();
+        let ended = self.crew.run(jobs, Some(&mut self.shard));
         let mut runs = Vec::with_capacity(shards);
-        for ended in self.crew.run(jobs, Some(&mut self.shard)) {
+        let (mut clean, mut failed) = (Vec::new(), None);
+        for (ended, chunk) in ended.into_iter().zip(chunks) {
+            match ended {
+                Ok((stores, run)) => {
+                    lease.stores.extend(stores);
+                    runs.push(run);
+                    clean.push(chunk);
+                }
+                Err(payload) => {
+                    failed.get_or_insert(payload);
+                }
+            }
+        }
+        if let Some(payload) = failed {
             // Every shard has ended, and every thread whose shard panicked
             // has built its network afresh: the drain fails, the service
-            // does not.
-            let (stores, run) = ended.unwrap_or_else(|payload| std::panic::resume_unwind(payload));
-            lease.stores.extend(stores);
-            runs.push(run);
+            // does not, and its books still add up.
+            self.stats.lost += queue_depth;
+            self.stats.arena_builds += lease.arenas_built;
+            self.stats.store_builds += lease.stores_built;
+            let kept = clean.into_iter().flatten();
+            lease.engine_idx = kept.map(|k| lease.engine_idx[k]).collect();
+            self.pool.give_back(lease);
+            std::panic::resume_unwind(payload);
         }
         let instances = &drain.instances;
         let run = fold(n, depth, instances, runs, start, lease.arenas_built, obs);
@@ -1914,6 +1939,123 @@ mod tests {
                 assert_eq!(batch.run.decisions, oracle.decisions, "{at}");
                 assert_eq!(batch.run.net, oracle.net, "{at}");
                 assert_eq!(batch.run.spoofs_rejected, oracle.spoofs_rejected, "{at}");
+            }
+        }
+    }
+
+    /// A value whose clone panics on [`Brittle::SENTINEL`]: planted in one
+    /// instance of a drain, it panics the shard whose fill sends it.
+    #[derive(Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+    struct Brittle(u64);
+
+    impl Brittle {
+        const SENTINEL: u64 = 7_777;
+    }
+
+    impl Clone for Brittle {
+        fn clone(&self) -> Self {
+            assert_ne!(self.0, Brittle::SENTINEL, "cloned the sentinel");
+            Brittle(self.0)
+        }
+    }
+
+    /// One random run of a service at `workers`: ingests (past the queue's
+    /// capacity, so some shed), clean drains and drains with a sentinel
+    /// planted, in the order `seed` draws them. After every step
+    /// `ingested = decided + pending + lost` and the service has counted
+    /// every engine its pool holds; every clean drain decides as a
+    /// one-shot [`run_batch`] of what it drained.
+    fn books_balance(seed: u64, workers: usize) {
+        let nodes = 5;
+        let strategies: BTreeMap<NodeId, Strategy<Brittle>> = [
+            (
+                n(3),
+                Strategy::ConstantLie(AgreementValue::Value(Brittle(9))),
+            ),
+            (
+                n(4),
+                Strategy::TwoFaced {
+                    even: AgreementValue::Value(Brittle(1)),
+                    odd: AgreementValue::Value(Brittle(2)),
+                },
+            ),
+        ]
+        .into();
+        let capacity = 12;
+        let config = ServiceConfig {
+            queue_capacity: capacity,
+            workers,
+        };
+        let mut svc: ServiceState<Brittle> = ServiceState::new(params(), nodes, config).unwrap();
+        let mut rng = simnet::SimRng::seed(seed);
+        // What is pending, as the oracle would run it (no sentinel here).
+        let mut mirror: Vec<BatchInstance<Brittle>> = Vec::new();
+        let mut next_id = 0u64;
+        let draw = |rng: &mut simnet::SimRng, value: u64| BatchInstance {
+            sender: n(rng.below(nodes as u64) as usize),
+            value: AgreementValue::Value(Brittle(value)),
+        };
+        for step in 0..24 {
+            let at = format!("seed {seed}, workers {workers}, step {step}");
+            match rng.below(4) {
+                0 | 1 => {
+                    for _ in 0..1 + rng.below(8) {
+                        let inst = draw(&mut rng, next_id % 50);
+                        let full = svc.pending_len() == capacity;
+                        match svc.ingest(next_id, inst.clone()) {
+                            Ok(()) => mirror.push(inst),
+                            Err(ServiceError::QueueFull { .. }) => assert!(full, "{at}"),
+                            Err(e) => panic!("{at}: {e}"),
+                        }
+                        next_id += 1;
+                    }
+                }
+                2 => {
+                    let drained = std::mem::take(&mut mirror);
+                    let drain_seed = rng.below(1 << 20);
+                    let batch = svc.drain(&strategies, drain_seed);
+                    let opts = BatchOptions::new();
+                    let oracle =
+                        run_batch(params(), nodes, &drained, &strategies, drain_seed, opts)
+                            .unwrap();
+                    assert_eq!(batch.ids.len(), drained.len(), "{at}");
+                    assert_eq!(batch.run.decisions, oracle.decisions, "{at}");
+                    assert_eq!(batch.run.net, oracle.net, "{at}");
+                    assert_eq!(batch.run.spoofs_rejected, oracle.spoofs_rejected, "{at}");
+                }
+                _ => {
+                    if svc.pending_len() == capacity {
+                        continue;
+                    }
+                    // An honest sender: a faulty one sends its strategy's
+                    // values, never the sentinel.
+                    let sentinel = BatchInstance {
+                        sender: n(rng.below(3) as usize),
+                        value: AgreementValue::Value(Brittle(Brittle::SENTINEL)),
+                    };
+                    svc.ingest(next_id, sentinel).unwrap();
+                    next_id += 1;
+                    mirror.clear();
+                    let drain = std::panic::AssertUnwindSafe(|| svc.drain(&strategies, 5));
+                    assert!(std::panic::catch_unwind(drain).is_err(), "{at}");
+                    assert_eq!(svc.pending_len(), 0, "{at}");
+                }
+            }
+            let stats = svc.stats();
+            let pending = svc.pending_len() as u64;
+            assert_eq!(stats.ingested, stats.decided + pending + stats.lost, "{at}");
+            assert_eq!(stats.arena_builds, svc.pool.engines.len() as u64, "{at}");
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(8))]
+
+        /// [`books_balance`] at workers 1, 2, 3 and 8.
+        #[test]
+        fn the_books_balance_through_sheds_drains_and_drains_that_panic(seed in 0u64..1 << 40) {
+            for workers in [1, 2, 3, 8] {
+                books_balance(seed, workers);
             }
         }
     }

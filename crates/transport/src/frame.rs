@@ -24,9 +24,7 @@
 //! before its ids are read, an id beyond [`NodeId::MAX_INDEX`] is refused
 //! rather than narrowed, and the path is built through the fallible
 //! [`Path::from_ids`], so a path that names a node twice is a malformed
-//! frame like any other. The same frames travel over in-process
-//! channels un-encoded — the codec round-trip is exercised only by the TCP
-//! backend and the codec tests.
+//! frame like any other.
 //!
 //! Trace context is observability metadata, not protocol state, so its
 //! failure domain is deliberately smaller: a `0x03` frame whose envelope

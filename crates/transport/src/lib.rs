@@ -8,7 +8,7 @@
 //! | backend | module | concurrency | determinism |
 //! |---------|--------|-------------|-------------|
 //! | [`SimTransport`] | [`sim`] | none (virtual time) | bit-exact, replayable |
-//! | channel mesh | [`mesh`] | one thread per node | decisions deterministic |
+//! | channel mesh | [`mesh`] | one thread per node + in-process byte pipes | decisions deterministic |
 //! | TCP mesh | [`mesh`] | one thread per node + real sockets | decisions deterministic |
 //!
 //! All three see the **same fault pattern** for a given
@@ -138,7 +138,8 @@ pub enum TransportKind {
     /// Deterministic virtual-time simulator (the default).
     #[default]
     Sim,
-    /// One OS thread per node, `std::sync::mpsc` links.
+    /// One OS thread per node, length-prefixed frames over in-process
+    /// byte pipes, through the TCP mesh's link code.
     Channel,
     /// One OS thread per node, length-prefixed frames over loopback TCP.
     Tcp,

@@ -1,11 +1,14 @@
 //! Real-concurrency backends: one OS thread per node, over in-process
-//! channels or loopback TCP — the node's driver, and no other: a
-//! [`MeshTransport`] owns no thread. A TCP endpoint's sockets are
-//! non-blocking and it reads them itself, in `poll`; the one place it
-//! blocks is [`MeshTransport::wait`], on the one socket that can end the
-//! wait. An endpoint can therefore sit idle between instances at no cost,
-//! which is what lets a mesh outlive its instance (`run_tcp` keeps one
-//! standing, each endpoint with its driver parked until the next one).
+//! byte pipes or loopback TCP — the node's driver, and no other: a
+//! [`MeshTransport`] owns no thread. Both meshes run one link code over a
+//! byte stream: every frame crosses the codec in [`frame`], a link hands
+//! over no frame in another node's name, and its writes are bounded and
+//! flushed in order. An endpoint's streams are non-blocking and it reads
+//! them itself, in `poll`; the one place it blocks is
+//! [`MeshTransport::wait`], on the one stream that can end the wait. An
+//! endpoint can therefore sit idle between instances at no cost, which is
+//! what lets a mesh outlive its instance (`run_tcp` keeps one standing,
+//! each endpoint with its driver parked until the next one).
 //!
 //! Both share [`MeshTransport`], which implements the paper's
 //! message-absence detection (assumption (b)) with a **round-barrier
@@ -15,9 +18,9 @@
 //! 2. after the driver has dispatched the machine's sends for round `r`,
 //!    the next `poll` broadcasts `Mark(r)` — FIFO links guarantee every
 //!    round-`r` envelope precedes it. That `poll` is also the **flush
-//!    point** of a TCP link: `send` only encodes into the link's buffer,
+//!    point** of a link: `send` only encodes into the link's buffer,
 //!    and the poll writes the round's envelopes and the mark behind them
-//!    with one `write` per link, so nothing reaches a socket until the
+//!    with one `write` per link, so nothing reaches a stream until the
 //!    driver polls (what a full socket does not take stays queued for the
 //!    next poll — a peer that stops reading cannot stall the node);
 //! 3. a node closes round `r` (emits `Timeout { r + 1 }`) once it holds
@@ -48,10 +51,10 @@ use crate::{Disposition, DropCause, PollOutcome, Transport, TransportStats};
 use degradable::{ByzMsg, NodeEvent};
 use obs::TraceCtx;
 use simnet::NodeId;
+use std::any::Any;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::mpsc::{channel, Receiver, Sender};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -118,9 +121,10 @@ struct Redial {
 /// the bad one have been delivered, nothing after it may be.
 ///
 /// The last is the transport half of the paper's assumption (c): the
-/// handshake named the node at the other end of this connection, so that
-/// is who every frame on it is from, whatever the frame says. This is the
-/// only way off a socket, so nothing downstream meets a forged origin.
+/// mesh named the node at the other end of this link (the TCP handshake,
+/// or the pipe's place in the channel mesh), so that is who every frame on
+/// it is from, whatever the frame says. This is the only way off a link,
+/// so nothing downstream meets a forged origin.
 fn take_frames(bytes: &[u8], peer: NodeId, sink: &mut impl FnMut(Frame)) -> Option<usize> {
     let mut at = 0;
     while let Some(prefix) = bytes[at..].first_chunk::<4>() {
@@ -138,16 +142,16 @@ fn take_frames(bytes: &[u8], peer: NodeId, sink: &mut impl FnMut(Frame)) -> Opti
     Some(at)
 }
 
-/// The receive half of one TCP link: bytes in, whole frames out.
+/// The receive half of one link: bytes in, whole frames out.
 struct Intake {
-    /// The node the handshake named at the other end of the link.
+    /// The node the mesh named at the other end of the link.
     peer: NodeId,
     /// The head of a frame whose tail has not arrived: after every
     /// [`absorb`](Self::absorb) a strict prefix of one frame, so never
     /// more than `4 + MAX_FRAME_LEN` bytes.
     acc: Vec<u8>,
     /// Cleared at end-of-stream, on a read error and on a corrupt frame;
-    /// nothing is read from the connection after that.
+    /// nothing is read from the stream after that.
     open: bool,
 }
 
@@ -178,13 +182,126 @@ impl Intake {
     }
 }
 
-/// One loopback TCP connection, non-blocking, read and written by the
-/// endpoint that owns it.
-struct TcpLink {
-    stream: TcpStream,
+/// The byte stream under a [`Link`]: a loopback TCP connection or one end
+/// of an in-process [`Pipe`]. Reads and writes may answer `WouldBlock`; a
+/// read of no bytes is end-of-stream.
+trait ByteStream: Any + Send {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize>;
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize>;
+    /// A [`read`](Self::read) that waits at most `patience` for bytes;
+    /// zero does not wait.
+    fn read_within(&mut self, buf: &mut [u8], patience: Duration) -> io::Result<usize>;
+    /// Ends this direction: the far end reads end-of-stream behind
+    /// everything already written.
+    fn shutdown_write(&mut self);
+}
+
+impl ByteStream for TcpStream {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        Read::read(self, buf)
+    }
+
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        Write::write(self, buf)
+    }
+
+    /// Makes the socket blocking for the one read.
+    fn read_within(&mut self, buf: &mut [u8], patience: Duration) -> io::Result<usize> {
+        // A zero timeout is an error to the socket API, not "do not wait".
+        if patience.is_zero() {
+            return Read::read(self, buf);
+        }
+        self.set_nonblocking(false)?;
+        let read = self
+            .set_read_timeout(Some(patience))
+            .and_then(|()| Read::read(self, buf));
+        let _ = self.set_nonblocking(true);
+        read
+    }
+
+    fn shutdown_write(&mut self) {
+        let _ = self.shutdown(Shutdown::Write);
+    }
+}
+
+/// One end of an in-process duplex byte pipe: a queue of byte chunks each
+/// way, and end-of-stream once the far end has shut its write half or
+/// dropped.
+struct Pipe {
+    tx: Option<std::sync::mpsc::Sender<Vec<u8>>>,
+    rx: std::sync::mpsc::Receiver<Vec<u8>>,
+    /// The chunk being read, and how much of it has been.
+    held: Vec<u8>,
+    at: usize,
+}
+
+/// Both ends of a fresh pipe.
+fn pipe() -> (Pipe, Pipe) {
+    let ((a_tx, b_rx), (b_tx, a_rx)) = (std::sync::mpsc::channel(), std::sync::mpsc::channel());
+    let end = |tx, rx| Pipe {
+        tx: Some(tx),
+        rx,
+        held: Vec::new(),
+        at: 0,
+    };
+    (end(a_tx, a_rx), end(b_tx, b_rx))
+}
+
+impl ByteStream for Pipe {
+    /// Fills `buf` from the queued chunks, as a socket read takes all it
+    /// holds. An empty chunk reads as nothing: only a far end that shut
+    /// down or dropped reads as end-of-stream.
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let mut k = 0;
+        while k < buf.len() {
+            if self.at == self.held.len() {
+                match self.rx.try_recv() {
+                    Ok(chunk) => (self.held, self.at) = (chunk, 0),
+                    Err(_) if k > 0 => break,
+                    Err(std::sync::mpsc::TryRecvError::Disconnected) => return Ok(0),
+                    Err(_) => return Err(io::ErrorKind::WouldBlock.into()),
+                }
+            }
+            let take = (buf.len() - k).min(self.held.len() - self.at);
+            buf[k..k + take].copy_from_slice(&self.held[self.at..self.at + take]);
+            (k, self.at) = (k + take, self.at + take);
+        }
+        Ok(k)
+    }
+
+    /// Takes all of `buf`, as one chunk.
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        match &self.tx {
+            Some(tx) if tx.send(buf.to_vec()).is_ok() => Ok(buf.len()),
+            _ => Err(io::ErrorKind::BrokenPipe.into()),
+        }
+    }
+
+    fn read_within(&mut self, buf: &mut [u8], patience: Duration) -> io::Result<usize> {
+        if self.at == self.held.len() && !patience.is_zero() {
+            match self.rx.recv_timeout(patience) {
+                Ok(chunk) => (self.held, self.at) = (chunk, 0),
+                Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
+                    return Err(io::ErrorKind::WouldBlock.into())
+                }
+                Err(_) => return Ok(0),
+            }
+        }
+        self.read(buf)
+    }
+
+    fn shutdown_write(&mut self) {
+        self.tx = None;
+    }
+}
+
+/// One connection to a peer, non-blocking, read and written by the
+/// endpoint that owns it: a TCP socket or a pipe, through the same code.
+struct Link {
+    stream: Box<dyn ByteStream>,
     /// Links this endpoint dialed carry [`Redial`] material for mid-run
     /// reconnects; accepted links are repaired by the peer re-dialing us
-    /// instead.
+    /// instead, and a pipe is never repaired.
     redial: Option<Redial>,
     /// Encoded frames queued for the wire, in send order, from a frame
     /// boundary on.
@@ -196,7 +313,7 @@ struct TcpLink {
     intake: Intake,
 }
 
-/// What one link-level send or flush concluded.
+/// What one link-level flush concluded.
 enum SendStatus {
     /// Delivered to the link (possibly into a buffer, ours or the OS's).
     Sent,
@@ -206,10 +323,10 @@ enum SendStatus {
     Gone,
 }
 
-impl TcpLink {
-    fn new(peer: NodeId, stream: TcpStream, redial: Option<Redial>) -> Self {
-        TcpLink {
-            stream,
+impl Link {
+    fn new(peer: NodeId, stream: impl ByteStream, redial: Option<Redial>) -> Self {
+        Link {
+            stream: Box::new(stream),
             redial,
             unflushed: Vec::new(),
             flushed: 0,
@@ -222,7 +339,7 @@ impl TcpLink {
         self.intake.open && self.intake.acc.is_empty() && self.unflushed.is_empty()
     }
 
-    /// Writes what the socket takes. A full socket is not an error: the
+    /// Writes what the stream takes. A full socket is not an error: the
     /// rest stays queued for a later flush, so a peer that stops reading
     /// costs its own link's frames and never the node's round deadline.
     fn write_queued(&mut self) -> io::Result<()> {
@@ -251,8 +368,9 @@ impl TcpLink {
             return SendStatus::Sent;
         }
         let Some(redial) = self.redial else {
-            // An accepted link: the dialing side owns reconnection, and
-            // `TcpWire::admit` swaps its new connection in if it comes back.
+            // An accepted link or a pipe: the dialing side owns
+            // reconnection, and `MeshTransport::admit` swaps its new
+            // connection in if it comes back.
             return SendStatus::Gone;
         };
         for attempt in 0..config.reconnect_attempts {
@@ -271,18 +389,19 @@ impl TcpLink {
     /// Swaps in a fresh connection: whole frames the old one still holds
     /// are read out first, a frame it delivered half of is discarded, and
     /// the write queue starts over.
-    fn replace_stream(&mut self, stream: TcpStream, sink: &mut impl FnMut(Frame)) {
+    fn replace_stream(&mut self, stream: impl ByteStream, sink: &mut impl FnMut(Frame)) {
         self.drain(sink);
-        self.stream = stream;
+        self.stream = Box::new(stream);
         self.flushed = 0;
         self.intake = Intake::new(self.intake.peer);
     }
 
-    /// One `read`; whole frames go to `sink`. `true` if the buffer came
-    /// back full, that is, if the socket may hold more.
-    fn read_once(&mut self, sink: &mut impl FnMut(Frame)) -> bool {
+    /// One read, waiting at most `patience` for bytes; whole frames go to
+    /// `sink`. `true` if the buffer came back full, that is, if the stream
+    /// may hold more.
+    fn read_once(&mut self, patience: Duration, sink: &mut impl FnMut(Frame)) -> bool {
         let mut buf = [0u8; 4096];
-        match self.stream.read(&mut buf) {
+        match self.stream.read_within(&mut buf, patience) {
             Ok(0) => self.intake.open = false,
             Ok(k) => {
                 self.intake.absorb(&buf[..k], sink);
@@ -300,22 +419,9 @@ impl TcpLink {
         false
     }
 
-    /// Reads whatever the socket holds, without blocking.
+    /// Reads whatever the stream holds, without blocking.
     fn drain(&mut self, sink: &mut impl FnMut(Frame)) {
-        while self.intake.open && self.read_once(sink) {}
-    }
-
-    /// Blocks for at most `patience` until this connection has bytes, and
-    /// reads them.
-    fn await_bytes(&mut self, patience: Duration, sink: &mut impl FnMut(Frame)) {
-        // A zero timeout is an error to the socket API, not "do not wait".
-        if patience.is_zero() || self.stream.set_nonblocking(false).is_err() {
-            return;
-        }
-        if self.stream.set_read_timeout(Some(patience)).is_ok() {
-            self.read_once(sink);
-        }
-        let _ = self.stream.set_nonblocking(true);
+        while self.intake.open && self.read_once(Duration::ZERO, sink) {}
     }
 
     /// After the half-close: reads and discards until the peer's
@@ -323,16 +429,13 @@ impl TcpLink {
     /// arriving, makes the kernel answer with a reset, which can cost the
     /// peer frames of ours it has not read yet.
     fn linger(&mut self, until: Instant) {
-        if !self.intake.open || self.stream.set_nonblocking(false).is_err() {
-            return;
-        }
         let mut buf = [0u8; 4096];
-        loop {
+        while self.intake.open {
             let left = until.saturating_duration_since(Instant::now());
-            if left.is_zero() || self.stream.set_read_timeout(Some(left)).is_err() {
+            if left.is_zero() {
                 return;
             }
-            match self.stream.read(&mut buf) {
+            match self.stream.read_within(&mut buf, left) {
                 Ok(k) if k > 0 => {}
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 _ => return,
@@ -364,7 +467,7 @@ const WAIT_SLICE: Duration = Duration::from_millis(2);
 const KNOCK_PATIENCE: Duration = Duration::from_millis(500);
 
 /// How long an endpoint that timed a live peer out of its last round
-/// keeps reading after its half-close (see [`TcpLink::linger`]).
+/// keeps reading after its half-close (see [`Link::linger`]).
 const LINGER: Duration = Duration::from_millis(50);
 
 /// A connection accepted mid-run that has not finished announcing who it
@@ -375,111 +478,6 @@ struct Knock {
     since: Instant,
     id: [u8; 4],
     have: usize,
-}
-
-/// The TCP side of an endpoint: its links, and the listener it joined on.
-struct TcpWire {
-    links: BTreeMap<NodeId, TcpLink>,
-    /// Non-blocking, open for the endpoint's whole life: a peer whose
-    /// link to us breaks re-dials it with the same id handshake.
-    listener: TcpListener,
-    knocking: Vec<Knock>,
-}
-
-impl TcpWire {
-    /// Lets re-dialing peers in, without ever blocking: accepts what the
-    /// listener holds (at most `n − 1` unannounced connections at once),
-    /// reads what id bytes have arrived, and swaps a connection that named
-    /// a peer whose link has ended into that link — whatever the old
-    /// connection had not flushed stays queued, ahead of anything sent
-    /// later. A connection that stays mute past [`KNOCK_PATIENCE`], names
-    /// a node that does not dial us, or names one whose link is still up
-    /// (a duplicate) is dropped. Returns the peers that got a new link.
-    fn admit(&mut self, me: NodeId, n: usize, sink: &mut impl FnMut(Frame)) -> Vec<NodeId> {
-        while self.knocking.len() < n - 1 {
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    if stream.set_nonblocking(true).is_ok() && stream.set_nodelay(true).is_ok() {
-                        self.knocking.push(Knock {
-                            stream,
-                            since: Instant::now(),
-                            id: [0; 4],
-                            have: 0,
-                        });
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(_) => break,
-            }
-        }
-        let mut admitted = Vec::new();
-        for mut knock in std::mem::take(&mut self.knocking) {
-            match knock.stream.read(&mut knock.id[knock.have..]) {
-                Ok(0) => continue,
-                Ok(k) => knock.have += k,
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        io::ErrorKind::WouldBlock | io::ErrorKind::Interrupted
-                    ) => {}
-                Err(_) => continue,
-            }
-            if knock.have < knock.id.len() {
-                if knock.since.elapsed() < KNOCK_PATIENCE {
-                    self.knocking.push(knock);
-                }
-                continue;
-            }
-            // Only higher-indexed peers dial us, so only they re-dial; an id
-            // no `NodeId` holds is nobody's.
-            let Some(peer) = NodeId::try_new(u32::from_le_bytes(knock.id)).filter(|p| *p > me)
-            else {
-                continue;
-            };
-            let Some(link) = self.links.get_mut(&peer) else {
-                continue;
-            };
-            link.drain(sink);
-            if !link.intake.open {
-                link.replace_stream(knock.stream, sink);
-                admitted.push(peer);
-            }
-        }
-        admitted
-    }
-}
-
-/// How an endpoint's frames move.
-enum Wire {
-    /// In-process: frames pass through `mpsc` channels un-encoded, every
-    /// peer's sender feeding the one inbox.
-    Channel {
-        inbox: Receiver<Frame>,
-        peers: BTreeMap<NodeId, Sender<Frame>>,
-    },
-    /// Loopback TCP: frames cross the codec in [`frame`].
-    Tcp(TcpWire),
-}
-
-impl Wire {
-    /// Queues `frame` behind everything already sent to `to`. A channel
-    /// delivers at once (a closed channel means the peer thread is gone
-    /// for good); a TCP link only encodes — the bytes move at the next
-    /// flush.
-    fn send(&mut self, to: NodeId, frame: &Frame) -> SendStatus {
-        match self {
-            Wire::Channel { peers, .. } => match peers.get(&to) {
-                Some(tx) if tx.send(frame.clone()).is_err() => SendStatus::Gone,
-                _ => SendStatus::Sent,
-            },
-            Wire::Tcp(tcp) => {
-                if let Some(link) = tcp.links.get_mut(&to) {
-                    frame::encode_into(&mut link.unflushed, frame);
-                }
-                SendStatus::Sent
-            }
-        }
-    }
 }
 
 /// An envelope awaiting delivery to the local machine: source, message,
@@ -538,9 +536,8 @@ impl RunState {
     }
 
     /// Files one frame into the local queues. Its `src` is the node it
-    /// came from: a channel endpoint's peers are this process's own
-    /// endpoints, a TCP link hands over no frame in another node's name
-    /// (see [`take_frames`]).
+    /// came from: a link hands over no frame in another node's name (see
+    /// [`take_frames`]).
     fn ingest(&mut self, f: Frame) {
         match f {
             Frame::Mark { src, round } => {
@@ -590,7 +587,12 @@ pub struct MeshTransport {
     me: NodeId,
     n: usize,
     config: MeshConfig,
-    wire: Wire,
+    links: BTreeMap<NodeId, Link>,
+    /// A TCP endpoint's listener, non-blocking and open for the
+    /// endpoint's whole life: a peer whose link to us breaks re-dials it
+    /// with the same id handshake. A channel endpoint has none.
+    listener: Option<TcpListener>,
+    knocking: Vec<Knock>,
     run: RunState,
     /// Peers declared permanently gone (link dead, reconnect budget
     /// exhausted). The round barrier stops waiting for them.
@@ -607,14 +609,17 @@ impl MeshTransport {
         n: usize,
         depth: usize,
         chaos: &LinkChaos,
-        wire: Wire,
+        links: BTreeMap<NodeId, Link>,
+        listener: Option<TcpListener>,
         config: MeshConfig,
     ) -> Self {
         MeshTransport {
             me,
             n,
             config,
-            wire,
+            links,
+            listener,
+            knocking: Vec::new(),
             run: RunState::new(me, depth, chaos, config.round_timeout),
             gone: BTreeSet::new(),
             reconnects: 0,
@@ -651,28 +656,25 @@ impl MeshTransport {
         self.run = RunState::new(self.me, depth, chaos, config.round_timeout);
     }
 
-    /// The health rule of a standing mesh: this TCP endpoint closed every
+    /// The health rule of a standing mesh: this endpoint closed every
     /// round of its instance by marks — no deadline, no peer gone, no
     /// reconnect — and has nothing queued, half-read, unflushed or
     /// knocking. Every frame of an instance precedes its sender's last
     /// mark (`send_traced` sees to it), so when *every* endpoint of a
-    /// mesh ended clean, every socket of it is empty in both directions.
+    /// mesh ended clean, every link of it is empty in both directions.
     pub(crate) fn ended_clean(&self) -> bool {
-        let Wire::Tcp(tcp) = &self.wire else {
-            return false;
-        };
         self.run.round == self.run.depth
             && self.run.stats.false_timeouts == 0
             && self.gone.is_empty()
             && self.reconnects == 0
             && self.run.deliver_queue.is_empty()
             && self.run.future.is_empty()
-            && tcp.knocking.is_empty()
-            && tcp.links.values().all(TcpLink::is_idle)
+            && self.knocking.is_empty()
+            && self.links.values().all(Link::is_idle)
     }
 
-    /// Books what a link-level send or flush concluded: reconnects are
-    /// counted, a dead link declares its peer gone.
+    /// Books what a flush concluded: reconnects are counted, a dead link
+    /// declares its peer gone.
     fn note(&mut self, to: NodeId, status: SendStatus) {
         match status {
             SendStatus::Sent => {}
@@ -693,14 +695,14 @@ impl MeshTransport {
         }
     }
 
-    /// Sends one frame on one link. Gone peers are skipped: their link is
-    /// not touched again until a replacement un-declares them.
+    /// Queues one frame behind everything already sent on the link to
+    /// `to`; the bytes move at the next flush. Gone peers are skipped:
+    /// their link is not touched again until a replacement un-declares
+    /// them.
     fn link_send(&mut self, to: NodeId, frame: &Frame) {
-        if self.gone.contains(&to) {
-            return;
+        if let Some(link) = self.links.get_mut(&to).filter(|_| !self.gone.contains(&to)) {
+            frame::encode_into(&mut link.unflushed, frame);
         }
-        let status = self.wire.send(to, frame);
-        self.note(to, status);
     }
 
     fn broadcast_mark(&mut self, round: usize) {
@@ -714,15 +716,12 @@ impl MeshTransport {
         }
     }
 
-    /// Flushes every live TCP link: the one point at which a link's bytes
-    /// reach its socket (a no-op for links with nothing queued).
+    /// Flushes every live link: the one point at which a link's bytes
+    /// reach its stream (a no-op for links with nothing queued).
     fn flush_links(&mut self) {
-        let Wire::Tcp(tcp) = &mut self.wire else {
-            return;
-        };
         let run = &mut self.run;
         let mut noted = Vec::new();
-        for (&peer, link) in &mut tcp.links {
+        for (&peer, link) in &mut self.links {
             if self.gone.contains(&peer) {
                 continue;
             }
@@ -736,31 +735,19 @@ impl MeshTransport {
         }
     }
 
-    /// Whether a live TCP link still holds bytes its socket did not take.
+    /// Whether a live link still holds bytes its stream did not take.
     fn flush_pending(&self) -> bool {
-        let Wire::Tcp(tcp) = &self.wire else {
-            return false;
-        };
-        tcp.links
+        self.links
             .iter()
             .any(|(peer, link)| !link.unflushed.is_empty() && !self.gone.contains(peer))
     }
 
-    /// Moves everything that has arrived into the local queues, without
-    /// blocking: the inbox of a channel endpoint, every socket of a TCP one.
+    /// Moves everything that has arrived on every link into the local
+    /// queues, without blocking.
     fn drain(&mut self) {
         let run = &mut self.run;
-        match &mut self.wire {
-            Wire::Channel { inbox, .. } => {
-                while let Ok(f) = inbox.try_recv() {
-                    run.ingest(f);
-                }
-            }
-            Wire::Tcp(tcp) => {
-                for link in tcp.links.values_mut() {
-                    link.drain(&mut |f| run.ingest(f));
-                }
-            }
+        for link in self.links.values_mut() {
+            link.drain(&mut |f| run.ingest(f));
         }
     }
 
@@ -769,50 +756,93 @@ impl MeshTransport {
     /// on [`PollOutcome::Pending`] instead of sleeping blind. It only
     /// waits and reads: the next [`poll`](Transport::poll) acts on it.
     ///
-    /// A channel endpoint waits on its inbox. A TCP endpoint waits on
-    /// *one* socket, that of the first live peer whose mark for the
-    /// current round is missing: the round cannot close before that mark
-    /// or the deadline, and whatever the other peers send meanwhile sits
-    /// in kernel buffers until the next `poll`. After the wait it lets in
-    /// peers that re-dialed, so every TCP `wait` ends in one `accept` on
-    /// the non-blocking listener, which a healthy mesh answers with
-    /// `WouldBlock`. That is one system call per wait; `poll` asks the
-    /// listener only while some peer is gone, not on every call.
+    /// An endpoint waits on *one* link, that of the first live peer whose
+    /// mark for the current round is missing: the round cannot close
+    /// before that mark or the deadline, and whatever the other peers send
+    /// meanwhile waits in their links until the next `poll`. After the
+    /// wait it lets in peers that re-dialed, so every TCP `wait` ends in
+    /// one `accept` on the non-blocking listener, which a healthy mesh
+    /// answers with `WouldBlock`. That is one system call per wait; `poll`
+    /// asks the listener only while some peer is gone, not on every call.
     pub fn wait(&mut self) {
         let run = &mut self.run;
         let patience = run
             .deadline
             .saturating_duration_since(Instant::now())
             .min(WAIT_SLICE);
-        match &mut self.wire {
-            Wire::Channel { inbox, .. } => {
-                if let Ok(f) = inbox.recv_timeout(patience) {
-                    run.ingest(f);
-                }
+        let awaited = self.links.iter_mut().find(|(peer, link)| {
+            link.intake.open && !self.gone.contains(*peer) && !run.heard(**peer, run.round)
+        });
+        match awaited {
+            Some((_, link)) => {
+                link.read_once(patience, &mut |f| run.ingest(f));
             }
-            Wire::Tcp(tcp) => {
-                let awaited = tcp.links.iter_mut().find(|(peer, link)| {
-                    link.intake.open && !self.gone.contains(*peer) && !run.heard(**peer, run.round)
-                });
-                match awaited {
-                    Some((_, link)) => link.await_bytes(patience, &mut |f| run.ingest(f)),
-                    None => thread::sleep(patience),
-                }
-                self.admit();
-            }
+            None => thread::sleep(patience),
         }
+        self.admit();
     }
 
-    /// Lets in peers that re-dialed our listener (see [`TcpWire::admit`])
-    /// and un-declares them gone.
+    /// Lets re-dialing peers in, without ever blocking: accepts what the
+    /// listener holds (at most `n − 1` unannounced connections at once),
+    /// reads what id bytes have arrived, and swaps a connection that named
+    /// a peer whose link has ended into that link — whatever the old
+    /// connection had not flushed stays queued, ahead of anything sent
+    /// later — and un-declares that peer gone. A connection that stays
+    /// mute past [`KNOCK_PATIENCE`], names a node that does not dial us,
+    /// or names one whose link is still up (a duplicate) is dropped.
     fn admit(&mut self) {
-        let Wire::Tcp(tcp) = &mut self.wire else {
-            return;
-        };
+        if let Some(listener) = &self.listener {
+            while self.knocking.len() < self.n - 1 {
+                match listener.accept() {
+                    Ok((stream, _)) => {
+                        if stream.set_nonblocking(true).is_ok() && stream.set_nodelay(true).is_ok()
+                        {
+                            self.knocking.push(Knock {
+                                stream,
+                                since: Instant::now(),
+                                id: [0; 4],
+                                have: 0,
+                            });
+                        }
+                    }
+                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                    Err(_) => break,
+                }
+            }
+        }
         let run = &mut self.run;
-        for peer in tcp.admit(self.me, self.n, &mut |f| run.ingest(f)) {
-            if self.gone.remove(&peer) {
-                self.failure = None;
+        for mut knock in std::mem::take(&mut self.knocking) {
+            match Read::read(&mut knock.stream, &mut knock.id[knock.have..]) {
+                Ok(0) => continue,
+                Ok(k) => knock.have += k,
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        io::ErrorKind::WouldBlock | io::ErrorKind::Interrupted
+                    ) => {}
+                Err(_) => continue,
+            }
+            if knock.have < knock.id.len() {
+                if knock.since.elapsed() < KNOCK_PATIENCE {
+                    self.knocking.push(knock);
+                }
+                continue;
+            }
+            // Only higher-indexed peers dial us, so only they re-dial; an id
+            // no `NodeId` holds is nobody's.
+            let Some(peer) = NodeId::try_new(u32::from_le_bytes(knock.id)).filter(|p| *p > self.me)
+            else {
+                continue;
+            };
+            let Some(link) = self.links.get_mut(&peer) else {
+                continue;
+            };
+            link.drain(&mut |f| run.ingest(f));
+            if !link.intake.open {
+                link.replace_stream(knock.stream, &mut |f| run.ingest(f));
+                if self.gone.remove(&peer) {
+                    self.failure = None;
+                }
             }
         }
     }
@@ -969,26 +999,23 @@ impl Transport for MeshTransport {
 }
 
 impl Drop for MeshTransport {
-    /// Half-closes every TCP link: the FIN travels behind everything
-    /// already written, so no flushed frame is lost. An endpoint that
-    /// heard every live peer's last mark has nothing left to arrive and
-    /// closes at once. One that ran to its end without — it closed the
+    /// Half-closes every link: the end-of-stream travels behind
+    /// everything already written, so no flushed frame is lost. An endpoint
+    /// that heard every live peer's last mark has nothing left to arrive
+    /// and closes at once. One that ran to its end without — it closed the
     /// last round by deadline — keeps reading those peers until their
     /// end-of-stream or `LINGER`, so that a slow peer's late frames do
     /// not meet a closed socket and bounce back as a reset.
     fn drop(&mut self) {
-        let Wire::Tcp(tcp) = &mut self.wire else {
-            return;
-        };
-        for link in tcp.links.values() {
-            let _ = link.stream.shutdown(Shutdown::Write);
+        for link in self.links.values_mut() {
+            link.stream.shutdown_write();
         }
         let run = &self.run;
         if run.round < run.depth || run.depth == 0 {
             return;
         }
         let until = Instant::now() + LINGER;
-        for (peer, link) in &mut tcp.links {
+        for (peer, link) in &mut self.links {
             if !self.gone.contains(peer) && !run.heard(*peer, run.depth - 1) {
                 link.linger(until);
             }
@@ -996,33 +1023,27 @@ impl Drop for MeshTransport {
     }
 }
 
-/// Builds an `n`-node in-process mesh over `std::sync::mpsc` channels.
-/// Element `i` of the result is node `i`'s endpoint; move each to its own
-/// thread and drive them concurrently.
+/// Builds an `n`-node in-process mesh: one byte pipe per pair of nodes,
+/// each end a link of the kind a TCP connection makes, with no listener
+/// behind it and no redial. Element `i` of the result is node `i`'s
+/// endpoint; move each to its own thread and drive them concurrently.
 pub fn channel_mesh(
     n: usize,
     depth: usize,
     chaos: &LinkChaos,
     config: MeshConfig,
 ) -> Vec<MeshTransport> {
-    let mut txs = Vec::with_capacity(n);
-    let mut rxs = Vec::with_capacity(n);
-    for _ in 0..n {
-        let (tx, rx) = channel();
-        txs.push(tx);
-        rxs.push(rx);
+    let mut links: Vec<BTreeMap<NodeId, Link>> = (0..n).map(|_| BTreeMap::new()).collect();
+    for a in NodeId::all(n) {
+        for b in NodeId::all(n).filter(|&b| b > a) {
+            let (at_a, at_b) = pipe();
+            links[a.index()].insert(b, Link::new(b, at_a, None));
+            links[b.index()].insert(a, Link::new(a, at_b, None));
+        }
     }
-    rxs.into_iter()
-        .enumerate()
-        .map(|(i, inbox)| {
-            let me = NodeId::new(i);
-            let peers = NodeId::all(n)
-                .filter(|&p| p != me)
-                .map(|p| (p, txs[p.index()].clone()))
-                .collect();
-            let wire = Wire::Channel { inbox, peers };
-            MeshTransport::new(me, n, depth, chaos, wire, config)
-        })
+    NodeId::all(n)
+        .zip(links)
+        .map(|(me, links)| MeshTransport::new(me, n, depth, chaos, links, None, config))
         .collect()
 }
 
@@ -1063,8 +1084,11 @@ pub fn tcp_mesh(
         .zip(listeners)
         .zip(dialed)
         .map(|((me, listener), links)| {
-            accept_higher(me, n, listener, links, config.dial_timeout)
-                .map(|wire| MeshTransport::new(me, n, depth, chaos, wire, config))
+            let links = accept_higher(me, n, &listener, links, config.dial_timeout)?;
+            let listener = Some(listener);
+            Ok(MeshTransport::new(
+                me, n, depth, chaos, links, listener, config,
+            ))
         })
         .collect()
 }
@@ -1085,8 +1109,11 @@ pub fn tcp_join(
     let listener = TcpListener::bind(addrs[me.index()])?;
     let links = dial_lower(me, addrs, config.dial_timeout)?;
     let n = addrs.len();
-    let wire = accept_higher(me, n, listener, links, config.dial_timeout)?;
-    Ok(MeshTransport::new(me, n, depth, &chaos, wire, config))
+    let links = accept_higher(me, n, &listener, links, config.dial_timeout)?;
+    let listener = Some(listener);
+    Ok(MeshTransport::new(
+        me, n, depth, &chaos, links, listener, config,
+    ))
 }
 
 /// The backlog `std` passes to `listen(2)` on Linux: how many dialed
@@ -1107,26 +1134,27 @@ fn dial_lower(
     me: NodeId,
     addrs: &[SocketAddr],
     budget: Duration,
-) -> io::Result<BTreeMap<NodeId, TcpLink>> {
+) -> io::Result<BTreeMap<NodeId, Link>> {
     let mut links = BTreeMap::new();
     for (peer, &addr) in addrs.iter().enumerate().take(me.index()) {
         let s = dial_with_retry(addr, me, budget)?;
         let peer = NodeId::new(peer);
-        links.insert(peer, TcpLink::new(peer, s, Some(Redial { addr, me })));
+        links.insert(peer, Link::new(peer, s, Some(Redial { addr, me })));
     }
     Ok(links)
 }
 
 /// The accepting half: `me` adds a link from every higher-indexed peer of
 /// `n` to the `links` it dialed, waiting for them no longer than
-/// `patience`, and keeps `listener` for the peers that re-dial later.
+/// `patience`. The caller keeps `listener` for the peers that re-dial
+/// later.
 fn accept_higher(
     me: NodeId,
     n: usize,
-    listener: TcpListener,
-    mut links: BTreeMap<NodeId, TcpLink>,
+    listener: &TcpListener,
+    mut links: BTreeMap<NodeId, Link>,
     patience: Duration,
-) -> io::Result<Wire> {
+) -> io::Result<BTreeMap<NodeId, Link>> {
     // The listener is never blocked on: peers that have not dialed yet are
     // waited for in short pauses, and not past `patience`.
     listener.set_nonblocking(true)?;
@@ -1139,7 +1167,7 @@ fn accept_higher(
                 let peer = accept_handshake(&mut s, me, n, left)?;
                 // A second connection under one id would silently overwrite
                 // the first and leave the mesh a peer short.
-                if links.insert(peer, TcpLink::new(peer, s, None)).is_some() {
+                if links.insert(peer, Link::new(peer, s, None)).is_some() {
                     return Err(io::Error::new(
                         io::ErrorKind::InvalidData,
                         "handshake announced a node id that is already connected",
@@ -1162,13 +1190,7 @@ fn accept_higher(
             Err(e) => return Err(e),
         }
     }
-    // The listener stays open for the endpoint's whole life: peers whose
-    // outgoing link to us breaks re-dial it, and `wait` lets them in.
-    Ok(Wire::Tcp(TcpWire {
-        links,
-        listener,
-        knocking: Vec::new(),
-    }))
+    Ok(links)
 }
 
 /// The accepting side of the set-up handshake: Nagle off, then the
@@ -1256,6 +1278,9 @@ mod tests {
                 value: AgreementValue::Value(9u64),
             },
         );
+        // `send` only queues: node 0's next poll is the flush point, and
+        // it puts the envelope on the pipe with Mark(0) behind it.
+        assert_eq!(n0.poll(), PollOutcome::Pending);
         assert_eq!(
             n1.poll(),
             PollOutcome::Event(NodeEvent::Timeout { round: 0 })
@@ -1269,8 +1294,8 @@ mod tests {
             }
             other => panic!("expected delivery, got {other:?}"),
         }
-        // Node 0 flushes Mark(0), hears node 1's, advances; then node 1
-        // hears node 0's mark and follows.
+        // Node 0 hears node 1's Mark(0) and advances; node 1 read node
+        // 0's mark with the envelope and follows.
         assert_eq!(
             n0.poll(),
             PollOutcome::Event(NodeEvent::Timeout { round: 1 })
@@ -1309,11 +1334,12 @@ mod tests {
         );
         let mut n0 = mesh.remove(0);
         // Node 1's endpoint stays alive but is never polled: a *hung* peer.
-        // Its inbox channel stays open, so sends succeed and the dead-link
-        // detector never fires — only the wall-clock deadline can close the
-        // round, and that expiry is a (possibly false) timeout. A *gone*
-        // peer (channel closed) is the separate, instantly-detected case —
-        // see `gone_channel_peer_is_detected_and_rounds_advance_without_deadline`.
+        // Its end of the pipe stays open, so flushes succeed and the
+        // dead-link detector never fires — only the wall-clock deadline can
+        // close the round, and that expiry is a (possibly false) timeout. A
+        // *gone* peer (pipe closed) is the separate, instantly-detected
+        // case — see
+        // `gone_channel_peer_is_detected_and_rounds_advance_without_deadline`.
         let _hung_peer = mesh;
         assert_eq!(
             n0.poll(),
@@ -1335,41 +1361,47 @@ mod tests {
         assert_eq!(n0.stats().false_timeouts, 1);
     }
 
+    /// Node 0 of an `n`-node mesh whose links are pipes, and the far end
+    /// of each link in peer order: what a test writes at `far[p - 1]`
+    /// reaches node 0 as node `p`'s bytes.
+    fn piped_node_0(n: usize, depth: usize) -> (MeshTransport, Vec<Pipe>) {
+        let (links, far) = (1..n)
+            .map(|p| {
+                let (near, far) = pipe();
+                ((nid(p), Link::new(nid(p), near, None)), far)
+            })
+            .unzip();
+        let chaos = LinkChaos::healthy();
+        let config = MeshConfig::default();
+        let t = MeshTransport::new(nid(0), n, depth, &chaos, links, None, config);
+        (t, far)
+    }
+
+    /// Writes `f`, encoded, at one end of a pipe.
+    fn put(end: &mut Pipe, f: &Frame) {
+        let bytes = frame::encode(f);
+        assert_eq!(end.write(&bytes).unwrap(), bytes.len());
+    }
+
     #[test]
     fn early_envelopes_are_gated_until_their_round() {
-        // Hand-feed node 0's inbox: a level-2 envelope (round-1 traffic
-        // from a peer that has raced ahead) must not surface during round
-        // 0 — the machine would discard it as from the future.
-        let (tx, inbox) = channel();
-        let mut t = MeshTransport::new(
-            nid(0),
-            3,
-            2,
-            &LinkChaos::healthy(),
-            Wire::Channel {
-                inbox,
-                peers: BTreeMap::new(),
-            },
-            MeshConfig::default(),
-        );
+        // Hand-feed node 0's link from node 2: a level-2 envelope (round-1
+        // traffic from a peer that has raced ahead) must not surface during
+        // round 0 — the machine would discard it as from the future.
+        let (mut t, mut far) = piped_node_0(3, 2);
         assert_eq!(
             t.poll(),
             PollOutcome::Event(NodeEvent::Timeout { round: 0 })
         );
-        tx.send(envelope(2, Path::root(nid(1)).child(nid(2)), 7))
-            .unwrap();
+        put(
+            &mut far[1],
+            &envelope(2, Path::root(nid(1)).child(nid(2)), 7),
+        );
         assert_eq!(t.poll(), PollOutcome::Pending, "future envelope gated");
-        // Marks for round 0 from both peers release the next round.
-        tx.send(Frame::Mark {
-            src: nid(1),
-            round: 0,
-        })
-        .unwrap();
-        tx.send(Frame::Mark {
-            src: nid(2),
-            round: 0,
-        })
-        .unwrap();
+        // Marks for round 0 from both peers, each on its own link, release
+        // the next round.
+        put(&mut far[0], &mark(1, 0));
+        put(&mut far[1], &mark(2, 0));
         assert_eq!(
             t.poll(),
             PollOutcome::Event(NodeEvent::Timeout { round: 1 })
@@ -1406,8 +1438,8 @@ mod tests {
 
     #[test]
     fn gone_channel_peer_is_detected_and_rounds_advance_without_deadline() {
-        // Node 1's endpoint (and thus its inbox receiver) is dropped: node
-        // 0's first send fails cleanly, the peer is marked gone, and every
+        // Node 1's endpoint (and thus its end of the pipe) is dropped: node
+        // 0's first flush fails cleanly, the peer is marked gone, and every
         // remaining round advances immediately instead of burning the
         // round deadline — with a generous timeout this test would hang
         // for seconds if the gone-peer path regressed.
@@ -1433,16 +1465,18 @@ mod tests {
                 value: AgreementValue::Value(9u64),
             },
         );
-        assert_eq!(
-            n0.gone_peers().iter().copied().collect::<Vec<_>>(),
-            [nid(1)]
-        );
-        assert!(n0.failure().is_some(), "all peers gone is a clean error");
         let start = Instant::now();
         assert_eq!(
             n0.poll(),
             PollOutcome::Event(NodeEvent::Timeout { round: 1 })
         );
+        // The dead link is found where a TCP one is: at the flush, which
+        // is that poll.
+        assert_eq!(
+            n0.gone_peers().iter().copied().collect::<Vec<_>>(),
+            [nid(1)]
+        );
+        assert!(n0.failure().is_some(), "all peers gone is a clean error");
         assert_eq!(
             n0.poll(),
             PollOutcome::Event(NodeEvent::Timeout { round: 2 })
@@ -1456,24 +1490,20 @@ mod tests {
         assert_eq!(n0.stats().false_timeouts, 0);
     }
 
-    fn tcp_wire(t: &MeshTransport) -> &TcpWire {
-        match &t.wire {
-            Wire::Tcp(tcp) => tcp,
-            Wire::Channel { .. } => panic!("expected a TCP endpoint"),
-        }
+    /// The link to `peer`.
+    fn tcp_link(t: &mut MeshTransport, peer: usize) -> &mut Link {
+        t.links.get_mut(&nid(peer)).expect("a link to the peer")
     }
 
-    /// The TCP link to `peer`.
-    fn tcp_link(t: &mut MeshTransport, peer: usize) -> &mut TcpLink {
-        match &mut t.wire {
-            Wire::Tcp(tcp) => tcp.links.get_mut(&nid(peer)).expect("a link to the peer"),
-            Wire::Channel { .. } => panic!("expected a TCP endpoint"),
-        }
+    /// The stream under `link`, as the type it is.
+    fn stream_of<S: ByteStream>(link: &Link) -> &S {
+        let stream: &dyn Any = &*link.stream;
+        stream.downcast_ref().expect("a stream of that type")
     }
 
     /// The connection under the TCP link to `peer`.
     fn tcp_stream(t: &MeshTransport, peer: usize) -> &TcpStream {
-        &tcp_wire(t).links[&nid(peer)].stream
+        stream_of(&t.links[&nid(peer)])
     }
 
     #[test]
@@ -1628,9 +1658,17 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let join = thread::spawn(move || {
-            let wire = accept_higher(nid(0), n, listener, BTreeMap::new(), config.dial_timeout)?;
+            let links = accept_higher(nid(0), n, &listener, BTreeMap::new(), config.dial_timeout)?;
             let chaos = LinkChaos::healthy();
-            Ok(MeshTransport::new(nid(0), n, 1, &chaos, wire, config))
+            Ok(MeshTransport::new(
+                nid(0),
+                n,
+                1,
+                &chaos,
+                links,
+                Some(listener),
+                config,
+            ))
         });
         (addr, join)
     }
@@ -1735,7 +1773,7 @@ mod tests {
             );
         }
         let mut n0 = mesh.remove(0);
-        let addr = tcp_wire(&n0).listener.local_addr().unwrap();
+        let addr = n0.listener.as_ref().unwrap().local_addr().unwrap();
         let link_to_1 = tcp_stream(&n0, 1).peer_addr().unwrap();
         // Three liars — an id that does not dial node 0, one past the
         // mesh, one whose link is up — and a dialer that never speaks.
@@ -1761,7 +1799,7 @@ mod tests {
             "ten waits took {:?}",
             start.elapsed()
         );
-        assert_eq!(tcp_wire(&n0).knocking.len(), 1, "only the mute one waits");
+        assert_eq!(n0.knocking.len(), 1, "only the mute one waits");
         // The round closes when the marks arrive — by marks, on time, on
         // the links the mesh was built with.
         for t in &mut mesh {
@@ -1778,7 +1816,7 @@ mod tests {
         // And the mute dialer's slot is freed once its patience is spent.
         thread::sleep(KNOCK_PATIENCE);
         n0.wait();
-        assert!(tcp_wire(&n0).knocking.is_empty());
+        assert!(n0.knocking.is_empty());
     }
 
     fn mark(src: usize, round: usize) -> Frame {
@@ -1889,18 +1927,7 @@ mod tests {
     #[test]
     fn marks_for_rounds_that_cannot_close_any_more_are_not_kept() {
         let (n, depth) = (4, 2);
-        let (tx, inbox) = channel();
-        let mut t = MeshTransport::new(
-            nid(0),
-            n,
-            depth,
-            &LinkChaos::healthy(),
-            Wire::Channel {
-                inbox,
-                peers: BTreeMap::new(),
-            },
-            MeshConfig::default(),
-        );
+        let (mut t, mut far) = piped_node_0(n, depth);
         assert_eq!(
             t.poll(),
             PollOutcome::Event(NodeEvent::Timeout { round: 0 })
@@ -1909,10 +1936,10 @@ mod tests {
         // rounds this instance does not have (a peer can name 2³² of them).
         for round in 0..3_334 {
             for peer in 1..n {
-                tx.send(mark(peer, round)).unwrap();
+                put(&mut far[peer - 1], &mark(peer, round));
             }
         }
-        tx.send(mark(1, u32::MAX as usize)).unwrap();
+        put(&mut far[0], &mark(1, u32::MAX as usize));
         assert_eq!(
             t.poll(),
             PollOutcome::Event(NodeEvent::Timeout { round: 1 })
@@ -1921,60 +1948,86 @@ mod tests {
         assert_eq!(kept(&t), depth * (n - 1));
         // Nor is a mark for a round already closed.
         t.run.marks.clear();
-        tx.send(mark(1, 0)).unwrap();
+        put(&mut far[0], &mark(1, 0));
         assert_eq!(t.poll(), PollOutcome::Pending);
         assert_eq!(kept(&t), 0);
     }
 
-    /// Three honest nodes of BYZ(1,1) at N = 4 — node 0 sends 7 — each
-    /// joined and driven on its own thread as `dagree serve` would, and a
-    /// Byzantine node 3 played by hand: it dials all three, announces
-    /// itself, gives each its own marks for both rounds and no envelope
-    /// (f = 1 ≤ m, so D.1 binds), and writes `to_victim` at node 1 — all
-    /// of that well before it lets the sender start (node 0 waits for its
-    /// last peer to dial), so whatever `to_victim` can do to node 1 it
-    /// has done before the sender's value is on its way.
-    /// Returns the honest nodes' outcomes, event logs included.
+    /// BYZ(1,1) at N = 4 with node 0 the sender.
+    fn byz_1_1() -> degradable::ByzInstance {
+        let params = degradable::Params::new(1, 1).unwrap();
+        degradable::ByzInstance::new(4, params, nid(0)).unwrap()
+    }
+
+    /// Runs one honest node of [`byz_1_1`] — node 0 sends 7 — on
+    /// `endpoint` as `dagree serve` would, its events recorded.
+    fn honest_node(endpoint: MeshTransport) -> crate::NodeOutcome {
+        let (instance, me) = (byz_1_1(), endpoint.me());
+        let machine =
+            degradable::NodeStateMachine::new(&instance, me, AgreementValue::Value(7), None);
+        let options = crate::MeshDriveOptions {
+            record_events: true,
+            ..Default::default()
+        };
+        crate::drive_mesh(endpoint, machine, &options)
+    }
+
+    /// What a Byzantine node 3 of [`byz_1_1`] says on its link to `peer`:
+    /// its own marks for both rounds and no envelope (f = 1 ≤ m, so D.1
+    /// binds), and `to_victim` after them on the link to node 1.
+    fn node_3_says(peer: usize, to_victim: &[u8]) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        for round in 0..byz_1_1().depth() {
+            frame::encode_into(&mut bytes, &mark(3, round));
+        }
+        if peer == 1 {
+            bytes.extend_from_slice(to_victim);
+        }
+        bytes
+    }
+
+    /// The config every honest node of the hostile runs is built with.
+    fn hostile_run_config() -> MeshConfig {
+        MeshConfig {
+            round_timeout: Duration::from_secs(3),
+            ..MeshConfig::default()
+        }
+    }
+
+    /// Three honest nodes of [`byz_1_1`], each joined and driven on its own
+    /// thread as `dagree serve` would, and a Byzantine node 3 played by
+    /// hand: it dials all three, announces itself and says
+    /// [`node_3_says`] to each — all of that well before it lets the
+    /// sender start (node 0 waits for its last peer to dial), so whatever
+    /// `to_victim` can do to node 1 it has done before the sender's value
+    /// is on its way. Returns the honest nodes' outcomes, event logs
+    /// included.
     fn run_against_a_hostile_node_3(to_victim: &[u8]) -> Vec<crate::NodeOutcome> {
-        use degradable::{ByzInstance, NodeStateMachine, Params};
-        let instance = ByzInstance::new(4, Params::new(1, 1).unwrap(), nid(0)).unwrap();
         let listeners: Vec<TcpListener> = (0..3)
             .map(|_| TcpListener::bind("127.0.0.1:0").unwrap())
             .collect();
         let mut addrs: Vec<SocketAddr> =
             listeners.iter().map(|l| l.local_addr().unwrap()).collect();
         addrs.push(addrs[0]); // nobody dials the highest node
-        let config = MeshConfig {
-            round_timeout: Duration::from_secs(3),
-            ..MeshConfig::default()
-        };
         let drivers: Vec<_> = listeners
             .into_iter()
             .enumerate()
             .map(|(i, listener)| {
                 let addrs = addrs.clone();
                 thread::spawn(move || {
+                    let config = hostile_run_config();
                     let (me, n, patience) = (nid(i), addrs.len(), config.dial_timeout);
-                    let wire = dial_lower(me, &addrs, patience)
-                        .and_then(|links| accept_higher(me, n, listener, links, patience))
+                    let links = dial_lower(me, &addrs, patience)
+                        .and_then(|links| accept_higher(me, n, &listener, links, patience))
                         .expect("set-up");
-                    let chaos = LinkChaos::healthy();
-                    let endpoint =
-                        MeshTransport::new(me, n, instance.depth(), &chaos, wire, config);
-                    let machine =
-                        NodeStateMachine::new(&instance, nid(i), AgreementValue::Value(7), None);
-                    let options = crate::MeshDriveOptions {
-                        record_events: true,
-                        ..Default::default()
-                    };
-                    crate::drive_mesh(endpoint, machine, &options)
+                    let (chaos, depth) = (LinkChaos::healthy(), byz_1_1().depth());
+                    let listener = Some(listener);
+                    honest_node(MeshTransport::new(
+                        me, n, depth, &chaos, links, listener, config,
+                    ))
                 })
             })
             .collect();
-        let mut own_marks = Vec::new();
-        for round in 0..instance.depth() {
-            frame::encode_into(&mut own_marks, &mark(3, round));
-        }
         let hostile: Vec<TcpStream> = [1, 2, 0]
             .into_iter()
             .map(|peer| {
@@ -1983,10 +2036,7 @@ mod tests {
                 }
                 let mut s = TcpStream::connect(addrs[peer]).unwrap();
                 s.write_all(&3u32.to_le_bytes()).unwrap();
-                s.write_all(&own_marks).unwrap();
-                if peer == 1 {
-                    s.write_all(to_victim).unwrap();
-                }
+                s.write_all(&node_3_says(peer, to_victim)).unwrap();
                 s
             })
             .collect();
@@ -1996,6 +2046,38 @@ mod tests {
             .collect();
         drop(hostile);
         outcomes
+    }
+
+    /// [`run_against_a_hostile_node_3`] over a channel mesh: node 3's
+    /// endpoint is taken apart, and its ends of the pipes say
+    /// [`node_3_says`] before any honest node runs.
+    fn run_against_a_hostile_node_3_over_pipes(to_victim: &[u8]) -> Vec<crate::NodeOutcome> {
+        let depth = byz_1_1().depth();
+        let mut mesh = channel_mesh(4, depth, &LinkChaos::healthy(), hostile_run_config());
+        let mut hostile = std::mem::take(&mut mesh.pop().unwrap().links);
+        for (peer, link) in &mut hostile {
+            let bytes = node_3_says(peer.index(), to_victim);
+            assert_eq!(link.stream.write(&bytes).unwrap(), bytes.len());
+        }
+        let drivers: Vec<_> = mesh
+            .into_iter()
+            .map(|endpoint| thread::spawn(move || honest_node(endpoint)))
+            .collect();
+        let outcomes = drivers
+            .into_iter()
+            .map(|d| d.join().expect("an honest node died"))
+            .collect();
+        drop(hostile);
+        outcomes
+    }
+
+    /// The honest outcomes of node 3 saying `to_victim`, over TCP and over
+    /// pipes: the link code that refuses it is one.
+    fn against_a_hostile_node_3(to_victim: &[u8]) -> [Vec<crate::NodeOutcome>; 2] {
+        [
+            run_against_a_hostile_node_3(to_victim),
+            run_against_a_hostile_node_3_over_pipes(to_victim),
+        ]
     }
 
     /// Every honest receiver decided the fault-free sender's 7, and every
@@ -2027,7 +2109,9 @@ mod tests {
             }
         }
         assert_eq!(forged.len(), 4 * 13);
-        assert_d1_held(&run_against_a_hostile_node_3(&forged));
+        for outcomes in against_a_hostile_node_3(&forged) {
+            assert_d1_held(&outcomes);
+        }
     }
 
     #[test]
@@ -2035,15 +2119,16 @@ mod tests {
         // Node 2's relay of the sender's value, as node 3 would have it.
         let label = Path::root(nid(0)).child(nid(2));
         let forged = frame::encode(&envelope(2, label.clone(), 99));
-        let outcomes = run_against_a_hostile_node_3(&forged);
-        assert_d1_held(&outcomes);
-        let victim = &outcomes[1];
-        for event in &victim.events {
-            if let degradable::Step::Deliver { msg, .. } = event {
-                assert_eq!(msg.value, AgreementValue::Value(7), "{event:?}");
+        for outcomes in against_a_hostile_node_3(&forged) {
+            assert_d1_held(&outcomes);
+            let victim = &outcomes[1];
+            for event in &victim.events {
+                if let degradable::Step::Deliver { msg, .. } = event {
+                    assert_eq!(msg.value, AgreementValue::Value(7), "{event:?}");
+                }
             }
+            assert_eq!(victim.view.seen(&label), AgreementValue::Value(7));
         }
-        assert_eq!(victim.view.seen(&label), AgreementValue::Value(7));
     }
 
     #[test]
@@ -2057,7 +2142,9 @@ mod tests {
             hostile.extend_from_slice(&word.to_le_bytes());
         }
         assert_eq!(hostile.len(), 22);
-        assert_d1_held(&run_against_a_hostile_node_3(&hostile));
+        for outcomes in against_a_hostile_node_3(&hostile) {
+            assert_d1_held(&outcomes);
+        }
     }
 
     #[test]
@@ -2198,6 +2285,7 @@ mod tests {
             },
             Some(ctx.clone()),
         );
+        assert_eq!(n0.poll(), PollOutcome::Pending, "the flush point");
         match n1.poll() {
             PollOutcome::Event(NodeEvent::Deliver { src, .. }) => assert_eq!(src, nid(0)),
             other => panic!("expected delivery, got {other:?}"),
@@ -2212,6 +2300,7 @@ mod tests {
                 value: AgreementValue::Value(12u64),
             },
         );
+        n0.poll(); // the flush point
         match n1.poll() {
             PollOutcome::Event(NodeEvent::Deliver { .. }) => {}
             other => panic!("expected delivery, got {other:?}"),
@@ -2283,5 +2372,276 @@ mod tests {
                 "frame never arrived"
             );
         }
+    }
+
+    /// A byte stream that plays a schedule, for driving the one link code
+    /// through what loopback only does by chance. Reads: `stalls`
+    /// `WouldBlock`s before each, then 1, 2, … up to `read_max` bytes in
+    /// turn of `incoming`, which ends after byte `cut` — in end-of-stream,
+    /// or in a reset if `reset`. Writes: the next of `budgets`, in turn,
+    /// is what a write takes; a zero budget answers `WouldBlock`.
+    struct Scripted {
+        incoming: Vec<u8>,
+        at: usize,
+        cut: usize,
+        reset: bool,
+        read_max: usize,
+        stalls: usize,
+        reads: usize,
+        budgets: Vec<usize>,
+        writes: usize,
+        written: Vec<u8>,
+    }
+
+    impl Scripted {
+        /// `incoming` whole, in reads of 1..=`read_max` bytes with
+        /// `stalls` `WouldBlock`s before each; every write taken whole.
+        fn reading(incoming: &[u8], read_max: usize, stalls: usize) -> Self {
+            Scripted {
+                incoming: incoming.to_vec(),
+                at: 0,
+                cut: incoming.len(),
+                reset: false,
+                read_max,
+                stalls,
+                reads: 0,
+                budgets: vec![usize::MAX],
+                writes: 0,
+                written: Vec::new(),
+            }
+        }
+
+        /// Nothing to read, and writes that take `budgets` in turn.
+        fn writing(budgets: &[usize]) -> Self {
+            Scripted {
+                budgets: budgets.to_vec(),
+                ..Scripted::reading(&[], 1, 0)
+            }
+        }
+    }
+
+    impl ByteStream for Scripted {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.reads += 1;
+            let turn = self.reads / (self.stalls + 1);
+            if !self.reads.is_multiple_of(self.stalls + 1) {
+                return Err(io::ErrorKind::WouldBlock.into());
+            }
+            if self.at == self.cut {
+                return match self.reset {
+                    true => Err(io::ErrorKind::ConnectionReset.into()),
+                    false => Ok(0),
+                };
+            }
+            let k = (1 + turn % self.read_max)
+                .min(buf.len())
+                .min(self.cut - self.at);
+            buf[..k].copy_from_slice(&self.incoming[self.at..self.at + k]);
+            self.at += k;
+            Ok(k)
+        }
+
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            let budget = self.budgets[self.writes % self.budgets.len()];
+            self.writes += 1;
+            if budget == 0 {
+                return Err(io::ErrorKind::WouldBlock.into());
+            }
+            let k = budget.min(buf.len());
+            self.written.extend_from_slice(&buf[..k]);
+            Ok(k)
+        }
+
+        fn read_within(&mut self, buf: &mut [u8], _patience: Duration) -> io::Result<usize> {
+            self.read(buf)
+        }
+
+        fn shutdown_write(&mut self) {}
+    }
+
+    /// Frames of every kind and a spread of sizes, from node 1.
+    fn frames_from_1() -> Vec<Frame> {
+        let mut frames = vec![
+            mark(1, 0),
+            envelope(1, Path::root(nid(1)), 3),
+            Frame::Envelope {
+                src: nid(1),
+                msg: ByzMsg {
+                    path: Path::root(nid(0)).child(nid(1)),
+                    value: AgreementValue::Default,
+                },
+                trace: Some(TraceCtx::new(9, vec![0, 1, 2])),
+            },
+        ];
+        let long = (2..40).fold(Path::root(nid(0)).child(nid(1)), |p, i| p.child(nid(i)));
+        frames.push(envelope(1, long, u64::MAX));
+        frames.push(mark(1, 1));
+        frames
+    }
+
+    fn encoded(frames: &[Frame]) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        for f in frames {
+            frame::encode_into(&mut bytes, f);
+        }
+        bytes
+    }
+
+    /// Drains `link` until its stream ends, checking the accumulator's
+    /// bound after every drain; returns the frames it handed over.
+    fn read_to_the_end(link: &mut Link) -> Vec<Frame> {
+        let mut got = Vec::new();
+        for _ in 0..1 << 20 {
+            if !link.intake.open {
+                return got;
+            }
+            link.drain(&mut |f| got.push(f));
+            assert!(link.intake.acc.len() <= 4 + MAX_FRAME_LEN as usize);
+        }
+        panic!("the stream never ended");
+    }
+
+    #[test]
+    fn a_link_hands_over_every_frame_once_and_in_order_at_any_read_split() {
+        let frames = frames_from_1();
+        let bytes = encoded(&frames);
+        for read_max in (1..=24).chain([bytes.len(), 4096]) {
+            for stalls in 0..3 {
+                let stream = Scripted::reading(&bytes, read_max, stalls);
+                let mut link = Link::new(nid(1), stream, None);
+                assert_eq!(read_to_the_end(&mut link), frames, "reads ≤ {read_max}");
+                assert!(link.intake.acc.is_empty(), "reads ≤ {read_max}");
+                assert_eq!(stream_of::<Scripted>(&link).at, bytes.len());
+            }
+        }
+    }
+
+    #[test]
+    fn a_link_puts_every_frame_on_the_stream_once_and_in_order_at_any_write_budget() {
+        let frames = frames_from_1();
+        let schedules: [&[usize]; 5] = [&[1], &[3, 0], &[7, 0, 0, 2], &[64, 0], &[4096]];
+        for budgets in schedules {
+            let mut link = Link::new(nid(1), Scripted::writing(budgets), None);
+            for f in &frames {
+                frame::encode_into(&mut link.unflushed, f);
+            }
+            let config = MeshConfig::default();
+            for _ in 0..1 << 16 {
+                assert!(matches!(link.flush(&config, &mut |_| {}), SendStatus::Sent));
+                if link.unflushed.is_empty() {
+                    break;
+                }
+                assert!(!link.is_idle(), "{budgets:?}");
+            }
+            assert!(link.is_idle() && link.flushed == 0, "{budgets:?}");
+            let written = &stream_of::<Scripted>(&link).written;
+            let mut out = Vec::new();
+            assert_eq!(
+                take_frames(written, nid(1), &mut |f| out.push(f)),
+                Some(written.len())
+            );
+            assert_eq!(out, frames, "{budgets:?}");
+        }
+    }
+
+    #[test]
+    fn what_a_write_did_not_take_leaves_first_at_the_next_flush() {
+        let (first, second) = (envelope(0, Path::root(nid(0)), 1), mark(0, 0));
+        let mut link = Link::new(nid(1), Scripted::writing(&[5, 0, usize::MAX]), None);
+        frame::encode_into(&mut link.unflushed, &first);
+        let config = MeshConfig::default();
+        assert!(matches!(link.flush(&config, &mut |_| {}), SendStatus::Sent));
+        // Five bytes went, the stream would take no more: the rest stays
+        // queued, from the frame's start, and the link is not idle.
+        assert_eq!(link.flushed, 5);
+        assert_eq!(link.unflushed, frame::encode(&first));
+        assert!(!link.is_idle());
+        frame::encode_into(&mut link.unflushed, &second);
+        assert!(matches!(link.flush(&config, &mut |_| {}), SendStatus::Sent));
+        assert!(link.is_idle());
+        assert_eq!(
+            stream_of::<Scripted>(&link).written,
+            encoded(&[first, second])
+        );
+    }
+
+    #[test]
+    fn a_stream_cut_at_any_byte_delivers_the_whole_frames_before_it_and_closes_the_link() {
+        let frames = frames_from_1();
+        let bytes = encoded(&frames);
+        let ends: Vec<usize> = frames
+            .iter()
+            .scan(0, |at, f| {
+                *at += frame::encode(f).len();
+                Some(*at)
+            })
+            .collect();
+        for cut in 0..=bytes.len() {
+            for reset in [false, true] {
+                let mut stream = Scripted::reading(&bytes, 1 + cut % 7, cut % 2);
+                (stream.cut, stream.reset) = (cut, reset);
+                let mut link = Link::new(nid(1), stream, None);
+                let whole = ends.iter().filter(|&&end| end <= cut).count();
+                let at = format!("cut at byte {cut}, reset {reset}");
+                assert_eq!(read_to_the_end(&mut link), frames[..whole], "{at}");
+                assert!(!link.intake.open && !link.is_idle(), "{at}");
+            }
+        }
+    }
+
+    #[test]
+    fn the_accumulator_holds_at_the_frame_bound_through_a_link() {
+        // A frame of exactly the bound, between two marks, in reads of up
+        // to 4 KiB: a traced envelope whose trace section is padded out (a
+        // malformed trace degrades to an untraced delivery).
+        let mut big = frame::encode(&Frame::Envelope {
+            src: nid(1),
+            msg: ByzMsg {
+                path: Path::root(nid(1)),
+                value: AgreementValue::Value(5),
+            },
+            trace: Some(TraceCtx::new(3, vec![1])),
+        });
+        big.resize(4 + MAX_FRAME_LEN as usize, 0);
+        big[..4].copy_from_slice(&MAX_FRAME_LEN.to_le_bytes());
+        let mut bytes = frame::encode(&mark(1, 0));
+        bytes.extend_from_slice(&big);
+        bytes.extend_from_slice(&frame::encode(&mark(1, 1)));
+        let mut link = Link::new(nid(1), Scripted::reading(&bytes, 4096, 1), None);
+        assert_eq!(
+            read_to_the_end(&mut link),
+            [mark(1, 0), envelope(1, Path::root(nid(1)), 5), mark(1, 1)]
+        );
+        assert!(link.intake.acc.is_empty());
+        // One byte past the bound ends the link on the prefix alone.
+        let mut bytes = frame::encode(&mark(1, 0));
+        bytes.extend_from_slice(&(MAX_FRAME_LEN + 1).to_le_bytes());
+        bytes.resize(bytes.len() + 4096, 0);
+        let mut link = Link::new(nid(1), Scripted::reading(&bytes, 4096, 0), None);
+        assert_eq!(read_to_the_end(&mut link), [mark(1, 0)]);
+        assert!(!link.intake.open && link.intake.acc.is_empty());
+        assert!(
+            stream_of::<Scripted>(&link).at < bytes.len(),
+            "nothing read after it"
+        );
+    }
+
+    #[test]
+    fn a_zero_length_write_on_a_pipe_never_reads_as_end_of_stream() {
+        let (mut near, far) = pipe();
+        let mut link = Link::new(nid(1), far, None);
+        assert_eq!(near.write(&[]).unwrap(), 0);
+        link.drain(&mut |_| panic!("no frame was written"));
+        link.read_once(Duration::from_millis(5), &mut |_| panic!("nor here"));
+        assert!(link.intake.open, "an empty write is not end-of-stream");
+        put(&mut near, &mark(1, 0));
+        let mut got = Vec::new();
+        link.drain(&mut |f| got.push(f));
+        assert_eq!(got, [mark(1, 0)]);
+        assert!(link.is_idle());
+        // What does end the stream: the write half shut, or the end gone.
+        near.shutdown_write();
+        link.drain(&mut |_| panic!("no frame was written"));
+        assert!(!link.intake.open);
     }
 }

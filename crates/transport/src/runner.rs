@@ -669,7 +669,8 @@ fn run_mesh(
     (run, clean.then_some(mesh))
 }
 
-/// Runs the scenario with one OS thread per node over in-process channels.
+/// Runs the scenario with one OS thread per node over in-process byte
+/// pipes, through the same link code as [`run_tcp`].
 pub fn run_channel(
     instance: &ByzInstance,
     sender_value: Val,
