@@ -184,17 +184,33 @@ impl<V: Clone + Ord + Hash> NodeStateMachine<V> {
                 );
                 assert!(!self.is_done(), "timeout after the final round");
                 self.next_round += 1;
-                self.close_round(round)
+                let mut actions = self.close_round(round);
+                if let Some(strategy) = &self.strategy {
+                    // The adversary, in one place: a Byzantine node sends
+                    // its per-receiver claim where an honest one would send
+                    // the truth, and `Silent` sends nothing.
+                    actions.retain_mut(|action| match action {
+                        Action::Send { to, msg } => {
+                            match claim_for(Some(strategy), &msg.path, *to, &msg.value) {
+                                Some(claim) => msg.value = claim,
+                                None => return false,
+                            }
+                            true
+                        }
+                        Action::Decide { .. } => true,
+                    });
+                }
+                actions
             }
         }
     }
 
     /// Round `round` just closed: fold everything that arrived for it,
-    /// then send this round's messages (root broadcast in round 0, relays
-    /// afterwards) and decide at the final round.
+    /// then send this round's messages as an honest node would (root
+    /// broadcast in round 0, relays afterwards) and decide at the final
+    /// round.
     fn close_round(&mut self, round: usize) -> Vec<Action<V>> {
         let mut actions = Vec::new();
-        let strategy = self.strategy.as_ref();
         let mut to_relay: Vec<(Path, AgreementValue<V>)> = Vec::new();
         if round >= 1 {
             for (src, msg) in std::mem::take(&mut self.pending) {
@@ -226,21 +242,15 @@ impl<V: Clone + Ord + Hash> NodeStateMachine<V> {
             if self.me == self.sender {
                 let root = Path::root(self.sender);
                 for r in NodeId::all(self.n).filter(|r| *r != self.me) {
-                    if let Some(v) = claim_for(strategy, &root, r, &self.sender_value) {
-                        send(r, root.clone(), v);
-                    }
+                    send(r, root.clone(), self.sender_value.clone());
                 }
             }
         } else {
             for (path, value) in to_relay {
-                // The crate's one relay rule, as in `crate::service`: a
-                // Byzantine node fabricates per-receiver claims, `Silent`
-                // sends nothing.
+                // The crate's one relay rule, as in `crate::service`.
                 let (child, receivers) = relay_fanout(&path, self.me, self.n);
                 for r in receivers {
-                    if let Some(v) = claim_for(strategy, &child, r, &value) {
-                        send(r, child.clone(), v);
-                    }
+                    send(r, child.clone(), value.clone());
                 }
             }
         }

@@ -72,7 +72,7 @@ pub enum Disposition {
 /// reproduces the same rulings from the same seed. Thread-per-node meshes
 /// evaluate dispositions concurrently *and twice* (sender and receiver),
 /// so a mesh endpoint keeps the keyed plan of the layer it is given and
-/// drops the policy ([`LinkChaos::is_pure`] holds of what it keeps).
+/// drops the policy.
 pub trait AdaptiveLink: Send {
     /// A stable name for reports and repro files.
     fn name(&self) -> &'static str;
@@ -199,7 +199,8 @@ impl LinkChaos {
     /// Whether [`LinkChaos::disposition`] is a pure function of its
     /// arguments (no adaptive overlay) — the only kind of layer that may be
     /// consulted more than once per envelope, or concurrently.
-    pub fn is_pure(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_pure(&self) -> bool {
         self.adaptive.is_none()
     }
 

@@ -18,13 +18,16 @@
 //! channel, and loopback-TCP runs decide identically* — a meaningful
 //! statement about the protocol rather than about scheduling luck.
 //!
-//! The real meshes implement the paper's message-absence detection
-//! (assumption (b)) with a barrier protocol: after finishing round `r`'s
-//! sends, each node broadcasts a `Mark(r)` control frame; a node closes
-//! round `r` when it holds all `n−1` peer marks or its wall-clock deadline
-//! expires, whichever is first. The deadline path is a *real* (possibly
-//! false) timeout — exactly the §6 relaxed detection the simulator models
-//! with [`sim::RelaxedTiming`].
+//! The paper's message-absence detection (assumption (b)) is one round
+//! barrier, a sans-io core every endpoint runs: after finishing round
+//! `r`'s sends, each node marks it to its peers, and a node closes round
+//! `r` when it holds all `n−1` peer marks or the time it is given passes
+//! the round's deadline, whichever is first. A mesh endpoint sends
+//! `Mark(r)` frames and passes the wall clock, so its deadline path is a
+//! *real* (possibly false) timeout, §6's relaxed detection. The simulator
+//! delivers every peer's mark at each virtual round boundary and sets no
+//! deadline; its §6 false timeouts are skewed arrivals
+//! ([`sim::RelaxedTiming`]).
 //!
 //! The value type is fixed to `u64` payloads ([`degradable::Val`])
 //! throughout: the experiments never need more, and a closed value type
@@ -40,6 +43,7 @@
 )]
 
 pub mod chaos;
+mod endpoint;
 pub mod frame;
 pub mod mesh;
 pub mod runner;

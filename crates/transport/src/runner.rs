@@ -392,14 +392,10 @@ fn run_sim_with(
             loop {
                 match endpoints[i].poll() {
                     PollOutcome::Event(event) => {
+                        // No endpoint core hands over an event after the
+                        // final timeout, so the machine is not done yet.
                         progressed = true;
                         all_closed = false;
-                        if machines[i].is_done() {
-                            // Defensive: the world never schedules past the
-                            // final timer, so this is unreachable — but a
-                            // stray event must not feed a finished machine.
-                            continue;
-                        }
                         let log = options.record_events.then_some(&mut logs[i]);
                         perform(
                             &mut endpoints[i],
