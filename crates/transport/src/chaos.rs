@@ -186,11 +186,6 @@ impl LinkChaos {
         self
     }
 
-    /// The underlying fault plan.
-    pub fn plan(&self) -> &LinkFaultPlan {
-        &self.plan
-    }
-
     /// Whether the plan injects nothing.
     pub fn is_healthy(&self) -> bool {
         self.plan.is_empty() && self.adaptive.is_none()

@@ -28,7 +28,10 @@
 //!    `Mark(r)` from all `n − 1` live peers **or** the clock has passed the
 //!    round's deadline. The deadline path is real, possibly-false absence
 //!    detection: a live-but-slow peer is declared silent, exactly the
-//!    failure mode §6 tolerates beyond `m` faults.
+//!    failure mode §6 tolerates beyond `m` faults. Until then an endpoint
+//!    reads only links whose peer's `Mark(r)` is missing: a driver sends
+//!    only on a `Timeout`, so what follows a mark is a later round's, and
+//!    it waits in the stream until round `r` closes.
 //!
 //! Marks bypass the chaos layer: they are absence-detection
 //! *infrastructure* (the stand-in for the paper's synchronized clocks),
@@ -443,6 +446,12 @@ impl Link {
     }
 }
 
+/// Whether `run`'s open round waits on `link` to `peer`: the link is live
+/// and the peer's mark for the round is missing (module doc, step 3).
+fn unheard(run: &RunState, gone: &BTreeSet<NodeId>, peer: NodeId, link: &Link) -> bool {
+    link.intake.open && !gone.contains(&peer) && !run.heard(peer, run.round)
+}
+
 /// Opens a connection to `addr` and announces `me` on it: Nagle off (a
 /// round's batch and the next must not wait on the peer's delayed ACK),
 /// then the 4-byte little-endian id handshake, then non-blocking like
@@ -496,6 +505,8 @@ pub struct MeshTransport {
     /// The origin of the times `run` is given: the endpoint reads the wall
     /// clock once per `poll`, and once per `wait`.
     origin: Instant,
+    /// When `wait` last asked the listener, since `origin`.
+    asked: Duration,
     /// Peers declared permanently gone (link dead, reconnect budget
     /// exhausted). The round barrier stops waiting for them.
     gone: BTreeSet<NodeId>,
@@ -524,6 +535,7 @@ impl MeshTransport {
             knocking: Vec::new(),
             run: RunState::new(me, n, depth, chaos.keyed(), config.round_timeout),
             origin: Instant::now(),
+            asked: Duration::ZERO,
             gone: BTreeSet::new(),
             reconnects: 0,
             failure: None,
@@ -619,12 +631,14 @@ impl MeshTransport {
             .any(|(peer, link)| !link.unflushed.is_empty() && !self.gone.contains(peer))
     }
 
-    /// Moves everything that has arrived on every link into the local
-    /// queues, without blocking.
+    /// Moves what has arrived on the links the open round waits on into
+    /// the core, without blocking: a link is read up to its peer's mark.
     fn drain(&mut self) {
         let run = &mut self.run;
-        for link in self.links.values_mut() {
-            link.drain(&mut |f| run.ingest(f));
+        for (&peer, link) in &mut self.links {
+            while unheard(run, &self.gone, peer, link)
+                && link.read_once(Duration::ZERO, &mut |f| run.ingest(f))
+            {}
         }
     }
 
@@ -635,26 +649,27 @@ impl MeshTransport {
     ///
     /// An endpoint waits on *one* link, that of the first live peer whose
     /// mark for the current round is missing: the round cannot close
-    /// before that mark or the deadline, and whatever the other peers send
-    /// meanwhile waits in their links until the next `poll`. After the
-    /// wait it lets in peers that re-dialed, so every TCP `wait` ends in
-    /// one `accept` on the non-blocking listener, which a healthy mesh
-    /// answers with `WouldBlock`. That is one system call per wait; `poll`
-    /// asks the listener only while some peer is gone, not on every call.
+    /// before that mark or the deadline, and what the other peers send
+    /// meanwhile waits in their links until the next `poll`. Then it lets
+    /// in peers that re-dialed: after every wait while a link has ended or
+    /// a peer is gone, else at most once per `WAIT_SLICE`, so a healthy
+    /// mesh's short waits cost no `accept`. `poll` asks the listener only
+    /// while some peer is gone.
     pub fn wait(&mut self) {
         let run = &mut self.run;
-        let left = run.deadline.saturating_sub(self.origin.elapsed());
-        let patience = left.min(WAIT_SLICE);
-        let awaited = self.links.iter_mut().find(|(peer, link)| {
-            link.intake.open && !self.gone.contains(*peer) && !run.heard(**peer, run.round)
-        });
-        match awaited {
-            Some((_, link)) => {
-                link.read_once(patience, &mut |f| run.ingest(f));
-            }
-            None => thread::sleep(patience),
+        let now = self.origin.elapsed();
+        let patience = run.deadline.saturating_sub(now).min(WAIT_SLICE);
+        let mut links = self.links.iter_mut();
+        if let Some((_, link)) = links.find(|(p, l)| unheard(run, &self.gone, **p, l)) {
+            link.read_once(patience, &mut |f| run.ingest(f));
+        } else {
+            thread::sleep(patience);
         }
-        self.admit();
+        let healthy = self.gone.is_empty() && self.links.values().all(|l| l.intake.open);
+        if !healthy || now >= self.asked + WAIT_SLICE {
+            self.asked = now;
+            self.admit();
+        }
     }
 
     /// Lets re-dialing peers in, without ever blocking: accepts what the
@@ -1605,6 +1620,32 @@ mod tests {
         assert!(n0.knocking.is_empty());
     }
 
+    #[test]
+    fn a_healthy_endpoint_lets_a_mid_round_dialer_knock_within_two_slices() {
+        let mut mesh = tcp_mesh(3, 1, &LinkChaos::healthy(), MeshConfig::default()).unwrap();
+        for t in &mut mesh {
+            assert_eq!(
+                t.poll(),
+                PollOutcome::Event(NodeEvent::Timeout { round: 0 })
+            );
+        }
+        let mut n0 = mesh.remove(0);
+        // Mid-round on a mesh with every link up: the peers have not
+        // flushed their marks, so each wait runs its whole slice.
+        for _ in 0..3 {
+            assert_eq!(n0.poll(), PollOutcome::Pending);
+            n0.wait();
+        }
+        let addr = n0.listener.as_ref().unwrap().local_addr().unwrap();
+        let _dialer = TcpStream::connect(addr).unwrap();
+        for _ in 0..2 {
+            assert_eq!(n0.poll(), PollOutcome::Pending);
+            n0.wait();
+        }
+        assert_eq!(n0.knocking.len(), 1, "the dialer waited past two slices");
+        assert!(n0.gone_peers().is_empty());
+    }
+
     fn mark(src: usize, round: usize) -> Frame {
         Frame::Mark {
             src: nid(src),
@@ -2061,6 +2102,9 @@ mod tests {
             n1.poll(),
             PollOutcome::Event(NodeEvent::Timeout { round: 0 })
         );
+        // A traced envelope and an untraced one behind it, both sent in
+        // round 0 as a driver would: before the flush that puts Mark(0)
+        // behind them.
         let ctx = TraceCtx::new(4, vec![0]);
         n0.send_traced(
             nid(1),
@@ -2070,6 +2114,13 @@ mod tests {
             },
             Some(ctx.clone()),
         );
+        n0.send(
+            nid(1),
+            ByzMsg {
+                path: Path::root(nid(0)),
+                value: AgreementValue::Value(12u64),
+            },
+        );
         assert_eq!(n0.poll(), PollOutcome::Pending, "the flush point");
         match n1.poll() {
             PollOutcome::Event(NodeEvent::Deliver { src, .. }) => assert_eq!(src, nid(0)),
@@ -2078,14 +2129,6 @@ mod tests {
         assert_eq!(n1.last_trace(), Some(ctx.clone()));
         // Untraced traffic resets the slot: the context never outlives
         // the delivery it was stamped on.
-        n0.send(
-            nid(1),
-            ByzMsg {
-                path: Path::root(nid(0)),
-                value: AgreementValue::Value(12u64),
-            },
-        );
-        n0.poll(); // the flush point
         match n1.poll() {
             PollOutcome::Event(NodeEvent::Deliver { .. }) => {}
             other => panic!("expected delivery, got {other:?}"),
@@ -2409,6 +2452,207 @@ mod tests {
             stream_of::<Scripted>(&link).at < bytes.len(),
             "nothing read after it"
         );
+    }
+
+    /// Node 0 of three for `depth` rounds, its links to nodes 1 and 2 over
+    /// `one` and `two`.
+    fn node_0_over(one: impl ByteStream, two: impl ByteStream, depth: usize) -> MeshTransport {
+        let links = BTreeMap::from([
+            (nid(1), Link::new(nid(1), one, None)),
+            (nid(2), Link::new(nid(2), two, None)),
+        ]);
+        let (chaos, config) = (LinkChaos::healthy(), MeshConfig::default());
+        MeshTransport::new(nid(0), 3, depth, &chaos, links, None, config)
+    }
+
+    /// How many reads the scripted stream under the link to `peer` has
+    /// answered, and how many of its bytes it has handed over.
+    fn scripted_progress(t: &MeshTransport, peer: usize) -> (usize, usize) {
+        let stream = stream_of::<Scripted>(&t.links[&nid(peer)]);
+        (stream.reads, stream.at)
+    }
+
+    /// A round-1 envelope from node 1: its relay of node 2's value.
+    fn relay_from_1(v: u64) -> Frame {
+        envelope(1, Path::root(nid(2)).child(nid(1)), v)
+    }
+
+    #[test]
+    fn a_link_whose_mark_is_in_is_not_read_again_until_the_round_closes() {
+        // Node 1 says its round-0 mark, then its round-1 relay and mark, in
+        // reads of a few bytes; node 2 says its round-0 mark after a run of
+        // `WouldBlock`s, so node 1 is heard first.
+        let one = encoded(&[mark(1, 0), relay_from_1(5), mark(1, 1)]);
+        let two = encoded(&[mark(2, 0), mark(2, 1)]);
+        let mut t = node_0_over(
+            Scripted::reading(&one, 16, 0),
+            Scripted::reading(&two, 16, 40),
+            2,
+        );
+        assert_eq!(
+            t.poll(),
+            PollOutcome::Event(NodeEvent::Timeout { round: 0 })
+        );
+        while !t.run.heard(nid(1), 0) {
+            assert_eq!(t.poll(), PollOutcome::Pending);
+        }
+        let (reads, at) = scripted_progress(&t, 1);
+        assert!(at < one.len(), "node 1's round-1 frames are still unread");
+        let closed = loop {
+            match t.poll() {
+                PollOutcome::Pending => {
+                    assert_eq!(
+                        scripted_progress(&t, 1),
+                        (reads, at),
+                        "a heard link was read"
+                    );
+                    t.wait();
+                    assert_eq!(
+                        scripted_progress(&t, 1),
+                        (reads, at),
+                        "a heard link was waited on"
+                    );
+                }
+                outcome => break outcome,
+            }
+        };
+        assert_eq!(closed, PollOutcome::Event(NodeEvent::Timeout { round: 1 }));
+        // The round is closed: the link is read again, from where it
+        // stopped, and round 1 closes on both peers' marks.
+        match next_outcome(&mut t) {
+            PollOutcome::Event(NodeEvent::Deliver { src, msg }) => {
+                assert_eq!((src, msg.value), (nid(1), AgreementValue::Value(5)));
+            }
+            other => panic!("expected node 1's relay, got {other:?}"),
+        }
+        assert!(scripted_progress(&t, 1).0 > reads);
+        assert_eq!(
+            next_outcome(&mut t),
+            PollOutcome::Event(NodeEvent::Timeout { round: 2 })
+        );
+        assert_eq!(t.poll(), PollOutcome::Closed);
+        assert_eq!(t.stats().false_timeouts, 0);
+        assert!(t.ended_clean());
+    }
+
+    #[test]
+    fn frames_behind_a_mark_surface_in_the_next_round_once_and_in_order() {
+        // Far more than one read takes, each frame its own write: the first
+        // drain stops with most of round 1 still in the pipe.
+        let (mut one, mut two) = (pipe(), pipe());
+        put(&mut one.0, &envelope(1, Path::root(nid(1)), 1_000));
+        put(&mut one.0, &mark(1, 0));
+        for v in 0..500 {
+            put(&mut one.0, &relay_from_1(v));
+        }
+        put(&mut one.0, &mark(1, 1));
+        let mut t = node_0_over(one.1, two.1, 2);
+        let delivered = |t: &mut MeshTransport| {
+            let mut values = Vec::new();
+            while let PollOutcome::Event(NodeEvent::Deliver { src, msg }) = t.poll() {
+                assert_eq!(src, nid(1));
+                match msg.value {
+                    AgreementValue::Value(v) => values.push(v),
+                    AgreementValue::Default => panic!("no V_d was sent"),
+                }
+            }
+            values
+        };
+        assert_eq!(
+            t.poll(),
+            PollOutcome::Event(NodeEvent::Timeout { round: 0 })
+        );
+        assert_eq!(delivered(&mut t), [1_000], "round 0 hands over round 0's");
+        assert!(t.run.heard(nid(1), 0));
+        put(&mut two.0, &mark(2, 0));
+        assert_eq!(
+            t.poll(),
+            PollOutcome::Event(NodeEvent::Timeout { round: 1 })
+        );
+        assert_eq!(delivered(&mut t), (0..500).collect::<Vec<_>>());
+        assert!(t.run.heard(nid(1), 1));
+        put(&mut two.0, &mark(2, 1));
+        assert_eq!(
+            t.poll(),
+            PollOutcome::Event(NodeEvent::Timeout { round: 2 })
+        );
+        assert_eq!(t.poll(), PollOutcome::Closed);
+        let stats = t.stats();
+        assert_eq!(
+            (stats.delivered, stats.lost, stats.false_timeouts),
+            (501, 0, 0)
+        );
+        assert!(t.ended_clean());
+    }
+
+    #[test]
+    fn a_mebibyte_behind_a_mark_costs_the_round_nothing() {
+        // Node 1 marks round 0 and then writes a frame of exactly the bound
+        // (a traced round-1 relay whose trace section is padded out) before
+        // its round-1 mark: 1 MiB the open round has no use for.
+        let mut big = frame::encode(&Frame::Envelope {
+            src: nid(1),
+            msg: ByzMsg {
+                path: Path::root(nid(2)).child(nid(1)),
+                value: AgreementValue::Value(5),
+            },
+            trace: Some(TraceCtx::new(3, vec![2, 1])),
+        });
+        big.resize(4 + MAX_FRAME_LEN as usize, 0);
+        big[..4].copy_from_slice(&MAX_FRAME_LEN.to_le_bytes());
+        let mut one = frame::encode(&mark(1, 0));
+        one.extend_from_slice(&big);
+        one.extend_from_slice(&frame::encode(&mark(1, 1)));
+        let mut two = pipe();
+        let mut t = node_0_over(Scripted::reading(&one, 4096, 0), two.1, 2);
+        let bounded = |t: &MeshTransport| {
+            let acc = t.links[&nid(1)].intake.acc.len();
+            assert!(acc <= 4 + MAX_FRAME_LEN as usize, "{acc} bytes held");
+        };
+        assert_eq!(
+            t.poll(),
+            PollOutcome::Event(NodeEvent::Timeout { round: 0 })
+        );
+        while !t.run.heard(nid(1), 0) {
+            assert_eq!(t.poll(), PollOutcome::Pending);
+        }
+        let (reads, at) = scripted_progress(&t, 1);
+        for _ in 0..20 {
+            assert_eq!(t.poll(), PollOutcome::Pending);
+            t.wait();
+            bounded(&t);
+        }
+        // The round closes by marks, having read none of the mebibyte past
+        // the read that brought the mark.
+        put(&mut two.0, &mark(2, 0));
+        assert_eq!(
+            t.poll(),
+            PollOutcome::Event(NodeEvent::Timeout { round: 1 })
+        );
+        assert_eq!(scripted_progress(&t, 1), (reads, at));
+        assert!(at <= 13 + 4096, "{at} bytes read in round 0");
+        assert_eq!(t.stats().false_timeouts, 0);
+        // Round 1 reads it, hands the relay over once, and closes too.
+        put(&mut two.0, &mark(2, 1));
+        let mut relays = 0;
+        loop {
+            match t.poll() {
+                PollOutcome::Event(NodeEvent::Deliver { src, msg }) => {
+                    assert_eq!((src, msg.value), (nid(1), AgreementValue::Value(5)));
+                    relays += 1;
+                }
+                PollOutcome::Event(NodeEvent::Timeout { round }) => {
+                    assert_eq!(round, 2);
+                    break;
+                }
+                PollOutcome::Pending => {}
+                PollOutcome::Closed => panic!("closed before round 1 did"),
+            }
+            bounded(&t);
+        }
+        assert_eq!(relays, 1);
+        assert_eq!(scripted_progress(&t, 1).1, one.len());
+        assert_eq!(t.stats().false_timeouts, 0);
     }
 
     #[test]

@@ -87,18 +87,6 @@ impl NodeTracer {
         }
     }
 
-    /// A tracer retaining at most `capacity` spans (see
-    /// [`Obs::enabled_bounded`]); drops stay detectable through the
-    /// `obs.dropped_spans` counter.
-    pub fn bounded(instance: u64, node: NodeId, capacity: usize) -> Self {
-        NodeTracer {
-            obs: Obs::enabled_bounded(capacity),
-            instance,
-            node,
-            clock: 0,
-        }
-    }
-
     /// The context this node stamps on an outgoing envelope.
     pub fn ctx_for(&self, msg: &ByzMsg<u64>) -> TraceCtx {
         TraceCtx::new(
